@@ -1,7 +1,9 @@
 // Micro-benchmarks of the event-kernel layer (snn/simd.h): the membrane
 // vector-add at several span lengths (dispatch path and pinned-scalar
 // reference), the packed-row bias broadcast, the blocked conv/fc integration
-// kernels on VGG-width geometry, and the fire-phase spike encoder.
+// kernels on VGG-width geometry (plus a stride-2 conv row per conv kernel:
+// the runtime-stride tap walk, which no VGG layer runs), and the fire-phase
+// spike encoder.
 //
 //   ./build/bench/bench_micro_kernels [--reps R] [--ms M] [--json]
 //
@@ -67,6 +69,22 @@ std::vector<snn::Spike> full_spike_train(std::int64_t neurons, int window) {
   return spikes;
 }
 
+// The VGG-width conv geometry every integrate_conv* row runs: 16 input
+// channels into 64 output channels through 3x3 taps, pad 1, on a hw x hw
+// input at `stride`.
+k::ConvGeom vgg_conv_geom(std::int64_t hw, std::int64_t stride) {
+  k::ConvGeom g;
+  g.cin = 16;
+  g.hin = g.win = hw;
+  g.cout = 64;
+  g.cstride = k::padded(g.cout);
+  g.kh = g.kw = 3;
+  g.stride = stride;
+  g.pad = 1;
+  g.oh = g.ow = (hw + 2 * g.pad - g.kh) / stride + 1;
+  return g;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -129,17 +147,16 @@ int main(int argc, char** argv) {
   // --- integrate_conv: VGG-width layers, L2-resident and cache-blocked -----
   // 16 input channels spiking densely into 64 output channels through 3x3
   // taps. The 16x16 case's accumulator (64 KiB) fits one acc block; the
-  // 32x32 case (256 KiB) spans several, exercising the row tiling.
-  for (const std::int64_t hw : {std::int64_t{16}, std::int64_t{32}}) {
-    k::ConvGeom g;
-    g.cin = 16;
-    g.hin = g.win = hw;
-    g.cout = 64;
-    g.cstride = k::padded(g.cout);
-    g.kh = g.kw = 3;
-    g.stride = 1;
-    g.pad = 1;
-    g.oh = g.ow = hw;
+  // 32x32 case (256 KiB) spans several, exercising the row tiling. The
+  // stride-2 case takes the 32x32 input down to the 16x16 output.
+  struct ConvCase {
+    const char* name;
+    std::int64_t hw, stride;
+  };
+  for (const ConvCase& c : {ConvCase{"integrate_conv", 16, 1},
+                            ConvCase{"integrate_conv_blocked", 32, 1},
+                            ConvCase{"integrate_conv_stride2", 32, 2}}) {
+    const k::ConvGeom g = vgg_conv_geom(c.hw, c.stride);
     k::AlignedBuffer<float> wbuf, abuf;
     float* w = wbuf.ensure(g.cin * g.kh * g.kw * g.cstride);
     for (std::int64_t i = 0; i < g.cin * g.kh * g.kw * g.cstride; ++i) {
@@ -148,8 +165,7 @@ int main(int argc, char** argv) {
     float* acc = abuf.ensure(g.oh * g.ow * g.cstride);
     std::fill(acc, acc + g.oh * g.ow * g.cstride, 0.0F);
     const auto spikes = full_spike_train(g.cin * g.hin * g.win, kernel.window());
-    add(hw == 16 ? "integrate_conv" : "integrate_conv_blocked", g.cout,
-        measure(reps, ms, [&] {
+    add(c.name, g.cout, measure(reps, ms, [&] {
           return k::integrate_conv(g, w, spikes.data(),
                                    static_cast<std::int64_t>(spikes.size()), lut, acc, 0, g.oh);
         }));
@@ -183,28 +199,25 @@ int main(int argc, char** argv) {
       return static_cast<std::int16_t>(q * 2 + (rng.bernoulli(0.5) ? 1 : 0));
     };
 
-    k::ConvGeom g;
-    g.cin = 16;
-    g.hin = g.win = 16;
-    g.cout = 64;
-    g.cstride = k::padded(g.cout);
-    g.kh = g.kw = 3;
-    g.stride = 1;
-    g.pad = 1;
-    g.oh = g.ow = 16;
     k::AlignedBuffer<std::int16_t> qwbuf;
     k::AlignedBuffer<std::int32_t> qabuf;
-    std::int16_t* qw = qwbuf.ensure(g.cin * g.kh * g.kw * g.cstride);
-    for (std::int64_t i = 0; i < g.cin * g.kh * g.kw * g.cstride; ++i) qw[i] = random_code();
-    std::int32_t* qacc = qabuf.ensure(g.oh * g.ow * g.cstride);
-    std::fill(qacc, qacc + g.oh * g.ow * g.cstride, 0);
-    const auto conv_spikes = full_spike_train(g.cin * g.hin * g.win, kernel.window());
-    add("integrate_conv_q", g.cout, measure(reps, ms, [&] {
-          return k::integrate_conv_q(g, qw, conv_spikes.data(),
-                                     static_cast<std::int64_t>(conv_spikes.size()), qp, qacc, 0,
-                                     g.oh);
-        }));
-    checksum += static_cast<double>(qacc[0]);
+    // Stride 1 on 16x16 (one acc block), and the stride-2 walk on 32x32
+    // down to the same 16x16 output.
+    for (const std::int64_t stride : {std::int64_t{1}, std::int64_t{2}}) {
+      const k::ConvGeom g = vgg_conv_geom(16 * stride, stride);
+      std::int16_t* qw = qwbuf.ensure(g.cin * g.kh * g.kw * g.cstride);
+      for (std::int64_t i = 0; i < g.cin * g.kh * g.kw * g.cstride; ++i) qw[i] = random_code();
+      std::int32_t* qacc = qabuf.ensure(g.oh * g.ow * g.cstride);
+      std::fill(qacc, qacc + g.oh * g.ow * g.cstride, 0);
+      const auto conv_spikes = full_spike_train(g.cin * g.hin * g.win, kernel.window());
+      add(stride == 1 ? "integrate_conv_q" : "integrate_conv_q_stride2", g.cout,
+          measure(reps, ms, [&] {
+            return k::integrate_conv_q(g, qw, conv_spikes.data(),
+                                       static_cast<std::int64_t>(conv_spikes.size()), qp, qacc,
+                                       0, g.oh);
+          }));
+      checksum += static_cast<double>(qacc[0]);
+    }
 
     // --- integrate_fc_q: the int16 fixed-point classifier sweep -------------
     const std::int64_t in = 4096, out = 512, ostride = k::padded(out);

@@ -372,9 +372,13 @@ void WireServer::close_conn(std::uint64_t key) {
   // In-flight completions for this connection are dropped when they arrive
   // (drain_completions finds no conn) — the global counter still balances.
   loop_.del(it->second->fd.get());
+  {
+    // Counted before the erase closes the socket, so a peer that has seen
+    // EOF also sees the close in stats().
+    util::MutexLock lock{mu_};
+    ++stats_.closed;
+  }
   conns_.erase(it);
-  util::MutexLock lock{mu_};
-  ++stats_.closed;
 }
 
 void WireServer::drain_completions() {
@@ -413,9 +417,11 @@ void WireServer::sweep_idle(std::chrono::steady_clock::time_point now) {
     }
   }
   for (const std::uint64_t key : victims) {
+    {
+      util::MutexLock lock{mu_};
+      ++stats_.idle_closed;  // before close_conn: visible once the peer sees EOF
+    }
     close_conn(key);
-    util::MutexLock lock{mu_};
-    ++stats_.idle_closed;
   }
 }
 

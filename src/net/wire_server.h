@@ -38,8 +38,14 @@
 // waits for every in-flight request to resolve and every outbox to flush
 // (bounded by drain_timeout for the socket flush; the in-flight wait is
 // unbounded because serve's own drain contract guarantees resolution), then
-// closes all sockets and joins the IO thread. In-flight responses are
-// delivered, half-parsed requests are dropped — the graceful-drain contract.
+// closes all sockets and joins the IO thread. The graceful-drain contract
+// is that fully parsed frames drain: every kInfer frame parsed before stop()
+// (each counted in WireStats::requests) gets its response frame before its
+// socket closes, flush permitting within drain_timeout; a half-parsed frame
+// and any bytes still unread in the kernel receive buffer are dropped
+// unanswered. A client that reads to EOF after stop() therefore receives
+// exactly WireStats::requests responses (tests/net_wire_test.cpp,
+// StopDrainsInFlightResponses).
 //
 // Thread safety: stop() and stats() and port() are safe from any thread;
 // everything else happens on the internal IO thread. The SnnServer must

@@ -68,61 +68,126 @@ inline void tap_axpy(float* acc, const float* w, float v, std::int64_t n) {
   axpy_elems(acc, w, v, n);
 }
 
-template <bool Simd>
-std::int64_t integrate_conv_impl(const ConvGeom& g, const float* w, const Spike* spikes,
-                                 std::int64_t nspikes, const ThresholdLut& lut, float* acc,
-                                 std::int64_t yo0, std::int64_t yo1) {
+// --- Conv tap walk -------------------------------------------------------------
+//
+// A spike at input (ci, yi, xi) reaches output (yo, xo) through tap
+// (ky, kx) = (yi + pad - yo*stride, xi + pad - xo*stride) whenever that tap
+// lies in [0, kh) x [0, kw). Along each axis the outputs one input reaches
+// form a single run [o0, o1) whose tap index starts at k0 and falls by stride
+// per output, so the walk sizes both runs once per spike and then steps
+// through them with offset adds: no tap does a division or modulo.
+
+// One axis's run for input coordinate `in`, clipped to outputs [lo, hi).
+// Empty when o0 >= o1 (k0 is then meaningless).
+struct AxisRun {
+  std::uint32_t o0, o1;  // reached outputs [o0, o1)
+  std::uint32_t k0;      // tap index at o0
+};
+
+inline AxisRun axis_run(std::uint32_t in, std::uint32_t pad, std::uint32_t taps,
+                        std::uint32_t s, std::uint32_t lo, std::uint32_t hi) {
+  const std::uint32_t num = in + pad;  // tap index at output 0
+  // Tap num - o*s must stay >= 0 (o <= num/s) and <= taps - 1.
+  const std::uint32_t top = num / s + 1;
+  const std::uint32_t bottom = num >= taps ? (num - taps + s) / s : 0;
+  const std::uint32_t o0 = std::max(bottom, lo);
+  return AxisRun{o0, std::min(top, hi), num - o0 * s};
+}
+
+// The one conv integration body behind integrate_conv and integrate_conv_q:
+// cache blocking, timestep grouping and the tap walk. `group(step)` runs once
+// per timestep group per block (the float path looks up the level, the
+// quantized one fills its product table); `tap(acc_row, w_slot)` applies one
+// tap to cstride accumulator lanes. Each (yo, xo) takes at most one tap per
+// spike and sees the spikes in train order, whatever the blocking or the
+// caller's [yo0, yo1) split. Returns real ops (cout per applied tap).
+// `Stride` is the compile-time stride, or 0 to read g.stride at runtime.
+template <std::uint32_t Stride, typename Acc, typename W, typename Group, typename Tap>
+std::int64_t integrate_conv_walk(const ConvGeom& g, const W* w, const Spike* spikes,
+                                 std::int64_t nspikes, Acc* acc, std::int64_t yo0,
+                                 std::int64_t yo1, Group&& group, Tap&& tap) {
   // Cache blocking: tile [yo0, yo1) into row blocks whose accumulator spans
   // fit acc_block_bytes(), block outermost — each tile's rows are touched by
   // every timestep group while resident instead of the whole accumulator
   // streaming through cache once per group. Per-accumulator add order is
   // untouched (a (yo, xo) row lives in exactly one block and sees the spike
   // train in its original order).
-  const std::int64_t row_bytes =
-      g.ow * g.cstride * static_cast<std::int64_t>(sizeof(float));
+  const std::int64_t row_bytes = g.ow * g.cstride * static_cast<std::int64_t>(sizeof(Acc));
   std::int64_t block_rows = yo1 - yo0;
   if (row_bytes > 0) {
     const std::int64_t budget = acc_block_bytes() / row_bytes;
     block_rows = std::max<std::int64_t>(1, std::min(block_rows, budget));
   }
 
-  const std::int64_t plane = g.hin * g.win;
-  std::int64_t ops = 0;
+  const std::uint32_t s = Stride != 0 ? Stride : static_cast<std::uint32_t>(g.stride);
+  const std::uint32_t pad = static_cast<std::uint32_t>(g.pad);
+  const std::uint32_t kh = static_cast<std::uint32_t>(g.kh);
+  const std::uint32_t kw = static_cast<std::uint32_t>(g.kw);
+  const std::uint32_t win = static_cast<std::uint32_t>(g.win);
+  const std::uint32_t plane = static_cast<std::uint32_t>(g.hin * g.win);
+  const std::uint32_t ow = static_cast<std::uint32_t>(g.ow);
+  // Element-offset steps: one input channel's slots, one output pixel / tap
+  // column, one output row / tap row. The walk steps offsets rather than
+  // pointers, so stepping past a run's last tap never forms an out-of-range
+  // pointer.
+  const std::int64_t ci_step = g.kh * g.kw * g.cstride;
+  const std::int64_t w_col_step = static_cast<std::int64_t>(s) * g.cstride;
+  const std::int64_t w_row_step = static_cast<std::int64_t>(s) * g.kw * g.cstride;
+  const std::int64_t acc_row_step = g.ow * g.cstride;
+
+  std::int64_t taps = 0;
   for (std::int64_t b0 = yo0; b0 < yo1; b0 += block_rows) {
     const std::int64_t b1 = std::min(yo1, b0 + block_rows);
     for (std::int64_t si = 0; si < nspikes;) {
       const int step = spikes[si].step;
       std::int64_t se = si;
       while (se < nspikes && spikes[se].step == step) ++se;
-      // One level lookup per timestep group, like the hardware presenting
-      // one threshold per cycle.
-      const float value = static_cast<float>(lut.level(step));
-      for (std::int64_t s = si; s < se; ++s) {
-        const std::int64_t neuron = spikes[s].neuron;
-        const std::int64_t ci = neuron / plane;
-        const std::int64_t yi = (neuron / g.win) % g.hin;
-        const std::int64_t xi = neuron % g.win;
-        const float* wslots = w + ci * g.kh * g.kw * g.cstride;
-        for (std::int64_t ky = 0; ky < g.kh; ++ky) {
-          const std::int64_t ynum = yi + g.pad - ky;
-          if (ynum < 0 || ynum % g.stride != 0) continue;
-          const std::int64_t yo = ynum / g.stride;
-          if (yo < b0 || yo >= b1) continue;
-          for (std::int64_t kx = 0; kx < g.kw; ++kx) {
-            const std::int64_t xnum = xi + g.pad - kx;
-            if (xnum < 0 || xnum % g.stride != 0) continue;
-            const std::int64_t xo = xnum / g.stride;
-            if (xo >= g.ow) continue;
-            tap_axpy<Simd>(acc + (yo * g.ow + xo) * g.cstride,
-                           wslots + (ky * g.kw + kx) * g.cstride, value, g.cstride);
-            ops += g.cout;  // padding lanes do not count as work
+      group(step);
+      for (std::int64_t sp = si; sp < se; ++sp) {
+        const auto neuron = static_cast<std::uint32_t>(spikes[sp].neuron);
+        const std::uint32_t ci = neuron / plane;
+        const std::uint32_t rem = neuron - ci * plane;
+        const std::uint32_t yi = rem / win;
+        const std::uint32_t xi = rem - yi * win;
+        const AxisRun ry = axis_run(yi, pad, kh, s, static_cast<std::uint32_t>(b0),
+                                    static_cast<std::uint32_t>(b1));
+        if (ry.o0 >= ry.o1) continue;
+        const AxisRun rx = axis_run(xi, pad, kw, s, 0, ow);
+        if (rx.o0 >= rx.o1) continue;
+        const std::uint32_t ncols = rx.o1 - rx.o0;
+        std::int64_t acc_row = (static_cast<std::int64_t>(ry.o0) * g.ow + rx.o0) * g.cstride;
+        std::int64_t w_row = static_cast<std::int64_t>(ci) * ci_step +
+                             (static_cast<std::int64_t>(ry.k0) * g.kw + rx.k0) * g.cstride;
+        for (std::uint32_t yo = ry.o0; yo < ry.o1; ++yo) {
+          std::int64_t a = acc_row;
+          std::int64_t ws = w_row;
+          for (std::uint32_t n = 0; n < ncols; ++n) {
+            tap(acc + a, w + ws);
+            a += g.cstride;
+            ws -= w_col_step;
           }
+          acc_row += acc_row_step;
+          w_row -= w_row_step;
         }
+        taps += static_cast<std::int64_t>(ry.o1 - ry.o0) * ncols;
       }
       si = se;
     }
   }
-  return ops;
+  return taps * g.cout;  // padding lanes do not count as work
+}
+
+template <bool Simd, std::uint32_t Stride>
+std::int64_t integrate_conv_impl(const ConvGeom& g, const float* w, const Spike* spikes,
+                                 std::int64_t nspikes, const ThresholdLut& lut, float* acc,
+                                 std::int64_t yo0, std::int64_t yo1) {
+  float value = 0.0F;
+  return integrate_conv_walk<Stride>(
+      g, w, spikes, nspikes, acc, yo0, yo1,
+      // One level lookup per timestep group, like the hardware presenting
+      // one threshold per cycle.
+      [&](int step) { value = static_cast<float>(lut.level(step)); },
+      [&](float* a, const float* ws) { tap_axpy<Simd>(a, ws, value, g.cstride); });
 }
 
 template <bool Simd>
@@ -264,10 +329,15 @@ void broadcast_rows(float* acc, std::int64_t rows, std::int64_t stride) {
 std::int64_t integrate_conv(const ConvGeom& g, const float* w, const Spike* spikes,
                             std::int64_t nspikes, const ThresholdLut& lut, float* acc,
                             std::int64_t yo0, std::int64_t yo1) {
-  if (simd_active()) {
-    return integrate_conv_impl<true>(g, w, spikes, nspikes, lut, acc, yo0, yo1);
+  // Stride 1 (every conv of the VGG stacks) gets the walk with its stride
+  // divisions folded away; any other stride runs the same body at runtime.
+  const bool simd = simd_active();
+  if (g.stride == 1) {
+    return simd ? integrate_conv_impl<true, 1>(g, w, spikes, nspikes, lut, acc, yo0, yo1)
+                : integrate_conv_impl<false, 1>(g, w, spikes, nspikes, lut, acc, yo0, yo1);
   }
-  return integrate_conv_impl<false>(g, w, spikes, nspikes, lut, acc, yo0, yo1);
+  return simd ? integrate_conv_impl<true, 0>(g, w, spikes, nspikes, lut, acc, yo0, yo1)
+              : integrate_conv_impl<false, 0>(g, w, spikes, nspikes, lut, acc, yo0, yo1);
 }
 
 std::int64_t integrate_fc(std::int64_t out, std::int64_t ostride, const float* w,
@@ -282,57 +352,20 @@ std::int64_t integrate_fc(std::int64_t out, std::int64_t ostride, const float* w
 std::int64_t integrate_conv_q(const ConvGeom& g, const std::int16_t* w, const Spike* spikes,
                               std::int64_t nspikes, const QuantKernelParams& qp,
                               std::int32_t* acc, std::int64_t yo0, std::int64_t yo1) {
-  // Same cache blocking as integrate_conv: int32 accumulator rows are the
-  // same width as float rows, so the tiles match the float path exactly and
-  // the per-accumulator add order is identical (order only matters here
-  // because each add saturates).
-  const std::int64_t row_bytes =
-      g.ow * g.cstride * static_cast<std::int64_t>(sizeof(std::int32_t));
-  std::int64_t block_rows = yo1 - yo0;
-  if (row_bytes > 0) {
-    const std::int64_t budget = acc_block_bytes() / row_bytes;
-    block_rows = std::max<std::int64_t>(1, std::min(block_rows, budget));
-  }
-
+  // The float kernel's walk: int32 accumulator rows are as wide as float
+  // rows, so the tiles and the per-accumulator add order match it exactly
+  // (order matters here because each add saturates).
   std::int64_t table[kMaxQuantCodes];
-  const std::int64_t plane = g.hin * g.win;
-  std::int64_t ops = 0;
-  for (std::int64_t b0 = yo0; b0 < yo1; b0 += block_rows) {
-    const std::int64_t b1 = std::min(yo1, b0 + block_rows);
-    for (std::int64_t si = 0; si < nspikes;) {
-      const int step = spikes[si].step;
-      std::int64_t se = si;
-      while (se < nspikes && spikes[se].step == step) ++se;
-      // One product per distinct weight code per timestep group — the
-      // quantized analog of the float path's one level() per group.
-      fill_quant_table(qp, step, table);
-      for (std::int64_t s = si; s < se; ++s) {
-        const std::int64_t neuron = spikes[s].neuron;
-        const std::int64_t ci = neuron / plane;
-        const std::int64_t yi = (neuron / g.win) % g.hin;
-        const std::int64_t xi = neuron % g.win;
-        const std::int16_t* wslots = w + ci * g.kh * g.kw * g.cstride;
-        for (std::int64_t ky = 0; ky < g.kh; ++ky) {
-          const std::int64_t ynum = yi + g.pad - ky;
-          if (ynum < 0 || ynum % g.stride != 0) continue;
-          const std::int64_t yo = ynum / g.stride;
-          if (yo < b0 || yo >= b1) continue;
-          for (std::int64_t kx = 0; kx < g.kw; ++kx) {
-            const std::int64_t xnum = xi + g.pad - kx;
-            if (xnum < 0 || xnum % g.stride != 0) continue;
-            const std::int64_t xo = xnum / g.stride;
-            if (xo >= g.ow) continue;
-            quant_span_add(acc + (yo * g.ow + xo) * g.cstride,
-                           wslots + (ky * g.kw + kx) * g.cstride, g.cout, table, qp.q_lo,
-                           qp.acc_limit);
-            ops += g.cout;  // same accounting as the float kernel
-          }
-        }
-      }
-      si = se;
-    }
+  // One product per distinct weight code per timestep group — the quantized
+  // analog of the float path's one level() per group.
+  const auto group = [&](int step) { fill_quant_table(qp, step, table); };
+  const auto tap = [&](std::int32_t* a, const std::int16_t* codes) {
+    quant_span_add(a, codes, g.cout, table, qp.q_lo, qp.acc_limit);
+  };
+  if (g.stride == 1) {
+    return integrate_conv_walk<1>(g, w, spikes, nspikes, acc, yo0, yo1, group, tap);
   }
-  return ops;
+  return integrate_conv_walk<0>(g, w, spikes, nspikes, acc, yo0, yo1, group, tap);
 }
 
 std::int64_t integrate_fc_q(std::int64_t out, std::int64_t ostride, const std::int16_t* w,

@@ -1,10 +1,17 @@
 // Kernel layer for the event simulator's hot loops: layout contract + API.
 //
-// The event path's integration cost is dominated by two contiguous
-// vector-adds (the PR 2 repack set them up): the conv tap update
-// `acc[co] += w[co] * value` over cout output channels per (ky, kx) tap, and
-// the FC column add over `out` rows per spike. This header is the contract
-// between the simulator and their tuned implementations in kernels.cpp:
+// The event path integrates through two contiguous vector-adds: the conv tap
+// update `acc[co] += w[co] * value` over cout output channels per (ky, kx)
+// tap, and the FC column add over `out` rows per spike. The adds are not the
+// whole cost. On the CIFAR-shaped VGG stack (gprof flat profile of a
+// one-thread perfbench sim_float run, 4-core x86-64 VM) integrate_conv took
+// 74 % of simulator CPU while it split the neuron id with three 64-bit
+// divisions per spike and located taps with a modulo and a division per tap
+// row and per tap. With the division-free tap walk below it takes 62 %, at
+// less than half the time per call; the fire phase's threshold search
+// (~11 %), the per-layer driver (~11 %), spike bucketing (~9 %) and pooling
+// (~4 %) make up the rest, and integrate_fc is under 1 %. This header is the
+// contract between the simulator and the tuned kernels in kernels.cpp:
 //
 //  * Padding — every output-contiguous span (a conv pack's cout row, an FC
 //    pack's column, and the matching accumulator rows) is padded to a
@@ -18,6 +25,14 @@
 //    a kAlignBytes (64-byte, one cache line) boundary with the allocation
 //    size rounded up to a whole line, so accumulator rows neither split
 //    cache lines nor false-share across worker arenas.
+//  * Tap walk — integrate_conv and integrate_conv_q share one body. It
+//    splits each spike's neuron id into (ci, yi, xi) once, in 32-bit
+//    unsigned arithmetic, then sizes the run of outputs the spike reaches
+//    along each axis (tap ky = yi + pad - yo*stride must lie in [0, kh)) and
+//    steps through both runs with offset adds: no tap does a division or
+//    modulo. Stride 1 is a compile-time instantiation of that body; every
+//    other stride runs it with the stride read at runtime. Each accumulator
+//    takes at most one tap per spike, in spike order.
 //  * Bit-exactness — the SIMD and scalar paths are bit-identical by
 //    construction: both perform exactly `acc[i] = acc[i] + (w[i] * v)` per
 //    element with no fused contraction (kernels.cpp is compiled with

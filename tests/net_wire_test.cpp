@@ -404,8 +404,14 @@ TEST_F(NetWireTest, StopDrainsInFlightResponses) {
   for (int i = 0; i < kBurst; ++i) {
     client.send_all(encode_request(static_cast<std::uint64_t>(i), "m0", make_image(7)));
   }
-  // Stop immediately: every submitted request must still be answered before
-  // the sockets close (the graceful-drain contract).
+  // The drain contract covers fully parsed frames only, so stop() must not
+  // race the IO thread's first read: wait (bounded) until the server has
+  // parsed at least one frame, then stop with the rest possibly unread.
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds{10};
+  while (wire_->stats().requests < 1 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds{1});
+  }
+  ASSERT_GE(wire_->stats().requests, 1U) << "no frame parsed within 10 s";
   std::thread stopper{[this] { wire_->stop(); }};
   int answered = 0;
   WireResponse resp;
@@ -414,11 +420,10 @@ TEST_F(NetWireTest, StopDrainsInFlightResponses) {
     ++answered;
   }
   stopper.join();
-  // Requests the server had fully parsed before stop() are all answered;
-  // ones still in the socket buffer may be dropped (never partially
-  // answered). At least one had certainly arrived.
-  EXPECT_GT(answered, 0);
+  // Every frame the server had fully parsed before stop() is answered; ones
+  // still in the socket buffer are dropped unanswered (never partially).
   const WireStats stats = wire_->stats();
+  EXPECT_EQ(static_cast<std::uint64_t>(answered), stats.requests);
   EXPECT_EQ(stats.requests, stats.responses);
   EXPECT_EQ(stats.in_flight, 0U);
   EXPECT_EQ(stats.active, 0U);

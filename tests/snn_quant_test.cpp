@@ -7,7 +7,9 @@
 //    edge) — and round-trip through cat::expand_code to the stored weights;
 //  * the pack's LUT is bit-identical to cat::LogPe's, and one synaptic add
 //    through integrate_fc_q equals LogPe::accumulate add-for-add, so traces
-//    from the quantized kernels co-simulate against hw/processor exactly;
+//    from the quantized kernels co-simulate against hw/processor exactly —
+//    and integrate_conv_q's tap walk matches LogPe add-for-add over a
+//    stride x pad x kernel sweep, under multi-block tiling;
 //  * the saturating int32 accumulator clamps to [-limit, limit - 1] like the
 //    PE's Vmem register;
 //  * the pack build rejects unquantized weights and non-hardware kernels
@@ -21,6 +23,7 @@
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "cat/logpe.h"
@@ -151,6 +154,21 @@ TEST(QuantizedWeightPack, LutIsBitIdenticalToLogPe) {
   EXPECT_EQ(pack.frac_bits(), pe_config.frac_bits());
 }
 
+// Kernel parameters over a LogPe's own LUT, premultiplied as the pack build
+// does (quant.cpp); the code range is left to the caller.
+snn::kernels::QuantKernelParams kernel_params(const cat::LogPe& pe) {
+  const cat::LogPeConfig& c = pe.config();
+  snn::kernels::QuantKernelParams qp;
+  qp.lut = pe.lut().data();  // the shared table, by construction
+  qp.frac_bits = c.frac_bits();
+  qp.lut_bits = c.lut_bits;
+  qp.acc_frac_bits = c.acc_frac_bits;
+  qp.acc_limit = std::int64_t{1} << (c.acc_int_bits + c.acc_frac_bits);
+  qp.wmul = 1 << (qp.frac_bits - c.z);
+  qp.smul = 1 << (qp.frac_bits - c.p);
+  return qp;
+}
+
 // One synaptic add through the integer FC kernel equals LogPe::accumulate
 // add-for-add, across the full (sign, q, step) grid: the conformance that
 // lets quantized traces co-simulate against hw/processor with no drift.
@@ -160,15 +178,7 @@ TEST(QuantKernels, IntegrateFcMatchesLogPeAccumulateAddForAdd) {
   pe_config.acc_frac_bits = 24;
   pe_config.acc_int_bits = 7;
   cat::LogPe pe{pe_config};
-
-  snn::kernels::QuantKernelParams qp;
-  qp.lut = pe.lut().data();  // the shared table, by construction
-  qp.frac_bits = pe_config.frac_bits();
-  qp.lut_bits = pe_config.lut_bits;
-  qp.acc_frac_bits = pe_config.acc_frac_bits;
-  qp.acc_limit = std::int64_t{1} << (pe_config.acc_int_bits + pe_config.acc_frac_bits);
-  qp.wmul = 1 << (qp.frac_bits - pe_config.z);
-  qp.smul = 1 << (qp.frac_bits - pe_config.p);
+  snn::kernels::QuantKernelParams qp = kernel_params(pe);
 
   const std::int64_t ostride = snn::kernels::kLaneFloats;
   for (int q = -12; q <= 12; ++q) {
@@ -208,15 +218,7 @@ TEST(QuantKernels, AccumulatorSaturatesToRegisterRange) {
   pe_config.acc_frac_bits = 24;
   pe_config.acc_int_bits = 2;  // limit = 2^26 LSBs = 4.0: easy to overflow
   cat::LogPe pe{pe_config};
-
-  snn::kernels::QuantKernelParams qp;
-  qp.lut = pe.lut().data();
-  qp.frac_bits = pe_config.frac_bits();
-  qp.lut_bits = pe_config.lut_bits;
-  qp.acc_frac_bits = pe_config.acc_frac_bits;
-  qp.acc_limit = std::int64_t{1} << (pe_config.acc_int_bits + pe_config.acc_frac_bits);
-  qp.wmul = 1 << (qp.frac_bits - pe_config.z);
-  qp.smul = 1 << (qp.frac_bits - pe_config.p);
+  snn::kernels::QuantKernelParams qp = kernel_params(pe);
   qp.q_lo = 4;  // q = 4, z = 1 -> weight 2^2 = 4.0
   qp.q_hi = 4;
 
@@ -242,6 +244,117 @@ TEST(QuantKernels, AccumulatorSaturatesToRegisterRange) {
     }
   }
 }
+
+// integrate_conv_q's tap walk against LogPe add-for-add, over stride {1,2,3}
+// x pad {0,1,2} x kernel {1,3,5} on a non-square 9x8 input (several
+// geometries leave h + 2*pad - k indivisible by the stride). Each output
+// lane replays, in spike order, exactly the taps the per-tap definition
+// assigns it (ky = yi + pad - yo*stride in range) through one LogPe; the
+// narrow register saturates, so a reordered or doubled tap shows. Run on
+// 64-byte blocks (one output row per block) and as a two-way row split.
+class ConvQTapWalk : public ::testing::TestWithParam<std::tuple<int, int, int>> {};
+
+TEST_P(ConvQTapWalk, IntegrateConvQMatchesLogPeAddForAdd) {
+  const auto [stride, pad, kernel] = GetParam();
+  snn::kernels::ConvGeom g;
+  g.cin = 3;
+  g.hin = 9;
+  g.win = 8;
+  g.cout = 5;
+  g.cstride = snn::kernels::padded(g.cout);
+  g.kh = g.kw = kernel;
+  g.stride = stride;
+  g.pad = pad;
+  g.oh = (g.hin + 2 * pad - kernel) / stride + 1;
+  g.ow = (g.win + 2 * pad - kernel) / stride + 1;
+
+  cat::LogPeConfig pe_config;  // p = 2, z = 1
+  pe_config.lut_bits = 24;
+  pe_config.acc_frac_bits = 24;
+  pe_config.acc_int_bits = 2;  // saturates at +-4.0: dense trains clip
+  cat::LogPe pe{pe_config};
+  snn::kernels::QuantKernelParams qp = kernel_params(pe);
+  qp.q_lo = -3;
+  qp.q_hi = 2;
+
+  Rng rng{static_cast<std::uint64_t>(3000 + stride * 100 + pad * 10 + kernel)};
+  std::vector<std::int16_t> w(static_cast<std::size_t>(g.cin * g.kh * g.kw * g.cstride),
+                              snn::kQuantZeroCode);
+  for (std::int64_t slot = 0; slot < g.cin * g.kh * g.kw; ++slot) {
+    for (std::int64_t co = 0; co < g.cout; ++co) {
+      if (rng.bernoulli(0.2)) continue;  // zero weight
+      const int q = static_cast<int>(rng.uniform_int(qp.q_lo, qp.q_hi));
+      // Mostly positive, so the upper rail is reached on dense outputs.
+      w[static_cast<std::size_t>(slot * g.cstride + co)] =
+          static_cast<std::int16_t>(q * 2 + (rng.bernoulli(0.25) ? 1 : 0));
+    }
+  }
+  // ~70% of neurons fire once each, (step, neuron)-sorted.
+  const std::int64_t neurons = g.cin * g.hin * g.win;
+  std::vector<int> step_of(static_cast<std::size_t>(neurons), -1);
+  for (int& step : step_of) {
+    if (rng.bernoulli(0.7)) step = static_cast<int>(rng.uniform_int(0, 23));
+  }
+  std::vector<snn::Spike> spikes;
+  for (int step = 0; step < 24; ++step) {
+    for (std::int64_t i = 0; i < neurons; ++i) {
+      if (step_of[static_cast<std::size_t>(i)] == step) {
+        spikes.push_back({static_cast<std::int32_t>(i), step});
+      }
+    }
+  }
+  const auto nspikes = static_cast<std::int64_t>(spikes.size());
+
+  struct BlockBytes {
+    explicit BlockBytes(std::int64_t bytes) { snn::kernels::set_acc_block_bytes(bytes); }
+    ~BlockBytes() { snn::kernels::set_acc_block_bytes(0); }
+  } tiny{64};
+  const std::int64_t mid = g.oh / 2;
+  for (const bool split : {false, true}) {
+    std::vector<std::int32_t> acc(static_cast<std::size_t>(g.oh * g.ow * g.cstride), 0);
+    const auto rows = [&](std::int64_t lo, std::int64_t hi) {
+      return snn::kernels::integrate_conv_q(g, w.data(), spikes.data(), nspikes, qp, acc.data(),
+                                            lo, hi);
+    };
+    const std::int64_t ops = split ? rows(0, mid) + rows(mid, g.oh) : rows(0, g.oh);
+
+    std::int64_t want_ops = 0;
+    int saturated = 0;
+    for (std::int64_t yo = 0; yo < g.oh; ++yo) {
+      for (std::int64_t xo = 0; xo < g.ow; ++xo) {
+        const std::int64_t row = (yo * g.ow + xo) * g.cstride;
+        for (std::int64_t co = 0; co < g.cstride; ++co) {
+          pe.reset();
+          for (const snn::Spike& sp : spikes) {
+            const std::int64_t ci = sp.neuron / (g.hin * g.win);
+            const std::int64_t ky = sp.neuron / g.win % g.hin + pad - yo * stride;
+            const std::int64_t kx = sp.neuron % g.win + pad - xo * stride;
+            if (ky < 0 || ky >= g.kh || kx < 0 || kx >= g.kw) continue;
+            if (co == 0) want_ops += g.cout;
+            const std::int16_t code =
+                w[static_cast<std::size_t>(((ci * g.kh + ky) * g.kw + kx) * g.cstride + co)];
+            if (code == snn::kQuantZeroCode) continue;
+            pe.accumulate((code & 1) != 0 ? -1 : 1, code >> 1, sp.step);
+          }
+          const std::int32_t got = acc[static_cast<std::size_t>(row + co)];
+          ASSERT_EQ(std::ldexp(static_cast<double>(got), -qp.acc_frac_bits), pe.membrane())
+              << "split=" << split << " yo=" << yo << " xo=" << xo << " co=" << co;
+          if (got == qp.acc_limit - 1 || got == -qp.acc_limit) ++saturated;
+        }
+      }
+    }
+    EXPECT_EQ(ops, want_ops) << "split=" << split;
+    // Dense geometries must reach the rail, or saturation order is untested.
+    if (kernel > 1 && stride == 1) {
+      EXPECT_GT(saturated, 0) << "split=" << split;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(StridePadKernel, ConvQTapWalk,
+                         ::testing::Combine(::testing::Values(1, 2, 3),
+                                            ::testing::Values(0, 1, 2),
+                                            ::testing::Values(1, 3, 5)));
 
 // Unquantized weights must be rejected with a pointer at the quantizer, not
 // silently snapped to the nearest code.

@@ -6,10 +6,12 @@
 // padded conv taps, single-pixel layers, and empty timestep groups. In a
 // TTFS_SIMD=OFF build force_scalar() is a no-op and every case still runs:
 // the suite then asserts the scalar fallback against the reference, which is
-// exactly what the CI simd-off lane is for.
+// exactly what the CI simd-off lane is for. A stride x pad x kernel sweep pins
+// integrate_conv's division-free tap walk against the per-tap definition.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <tuple>
 #include <vector>
 
 #include "snn/engine.h"
@@ -279,6 +281,135 @@ TEST(KernelConformance, IntraSampleSplitMatchesReference) {
     }
   }
 }
+
+// --- Conv tap walk: stride x pad x kernel sweep -------------------------------
+//
+// integrate_conv sizes each spike's reachable output run once and steps
+// through it with no division; this sweep pins that walk against the per-tap
+// definition (tap ky reaches yo = (yi + pad - ky) / stride when the division
+// is exact). The 9x8 input is non-square, and several geometries leave
+// (h + 2*pad - k) indivisible by the stride, so the input's last rows and
+// columns fall past the final output through some taps.
+class ConvTapWalk : public ::testing::TestWithParam<std::tuple<int, int, int>> {
+ protected:
+  static constexpr std::int64_t kCin = 3, kH = 9, kW = 8, kCout = 13;
+
+  k::ConvGeom geom() const {
+    const auto [stride, pad, kernel] = GetParam();
+    k::ConvGeom g;
+    g.cin = kCin;
+    g.hin = kH;
+    g.win = kW;
+    g.cout = kCout;
+    g.cstride = k::padded(kCout);
+    g.kh = g.kw = kernel;
+    g.stride = stride;
+    g.pad = pad;
+    g.oh = (kH + 2 * pad - kernel) / stride + 1;
+    g.ow = (kW + 2 * pad - kernel) / stride + 1;
+    return g;
+  }
+};
+
+// A (step, neuron)-sorted train where ~60% of neurons fire once each.
+std::vector<snn::Spike> random_spike_train(std::int64_t neurons, int window, Rng& rng) {
+  std::vector<int> step_of(static_cast<std::size_t>(neurons), -1);
+  for (int& step : step_of) {
+    if (rng.bernoulli(0.6)) step = static_cast<int>(rng.uniform_int(0, window - 1));
+  }
+  std::vector<snn::Spike> spikes;
+  for (int step = 0; step < window; ++step) {
+    for (std::int64_t i = 0; i < neurons; ++i) {
+      if (step_of[static_cast<std::size_t>(i)] == step) {
+        spikes.push_back({static_cast<std::int32_t>(i), step});
+      }
+    }
+  }
+  return spikes;
+}
+
+TEST_P(ConvTapWalk, KernelMatchesPerTapDivisionOnBothPathsAndEverySplit) {
+  const k::ConvGeom g = geom();
+  Rng rng{907};
+  const snn::Base2Kernel kernel{24, 4.0, 1.0};
+  const snn::ThresholdLut lut{kernel};
+  std::vector<float> w(static_cast<std::size_t>(g.cin * g.kh * g.kw * g.cstride), 0.0F);
+  for (std::int64_t slot = 0; slot < g.cin * g.kh * g.kw; ++slot) {
+    for (std::int64_t co = 0; co < g.cout; ++co) {
+      w[static_cast<std::size_t>(slot * g.cstride + co)] = rng.uniform_f(-0.5F, 0.5F);
+    }
+  }
+  std::vector<float> init(static_cast<std::size_t>(g.oh * g.ow * g.cstride));
+  for (float& x : init) x = rng.uniform_f(-0.1F, 0.1F);
+  const std::vector<snn::Spike> spikes =
+      random_spike_train(g.cin * g.hin * g.win, kernel.window(), rng);
+  const auto nspikes = static_cast<std::int64_t>(spikes.size());
+
+  // The definition: every (ky, kx) of every spike, in train order.
+  std::vector<float> want = init;
+  std::int64_t want_ops = 0;
+  for (const snn::Spike& sp : spikes) {
+    const std::int64_t ci = sp.neuron / (g.hin * g.win);
+    const std::int64_t yi = sp.neuron / g.win % g.hin;
+    const std::int64_t xi = sp.neuron % g.win;
+    const float v = static_cast<float>(lut.level(sp.step));
+    for (std::int64_t ky = 0; ky < g.kh; ++ky) {
+      const std::int64_t ynum = yi + g.pad - ky;
+      if (ynum < 0 || ynum % g.stride != 0 || ynum / g.stride >= g.oh) continue;
+      for (std::int64_t kx = 0; kx < g.kw; ++kx) {
+        const std::int64_t xnum = xi + g.pad - kx;
+        if (xnum < 0 || xnum % g.stride != 0 || xnum / g.stride >= g.ow) continue;
+        const std::int64_t pixel = (ynum / g.stride) * g.ow + xnum / g.stride;
+        k::axpy_scalar(want.data() + pixel * g.cstride,
+                       w.data() + ((ci * g.kh + ky) * g.kw + kx) * g.cstride, v, g.cstride);
+        want_ops += g.cout;
+      }
+    }
+  }
+
+  // Default and 64-byte blocks (one row block per output row), whole layer
+  // and a two-way row split, dispatch-default and forced-scalar paths.
+  const std::int64_t mid = g.oh / 2;
+  for (const std::int64_t block : {std::int64_t{0}, std::int64_t{64}}) {
+    ScopedBlockBytes blocks{block};
+    for (const bool scalar : {false, true}) {
+      ScopedScalar path{scalar};
+      for (const bool split : {false, true}) {
+        std::vector<float> got = init;
+        const auto rows = [&](std::int64_t lo, std::int64_t hi) {
+          return k::integrate_conv(g, w.data(), spikes.data(), nspikes, lut, got.data(), lo, hi);
+        };
+        const std::int64_t ops = split ? rows(0, mid) + rows(mid, g.oh) : rows(0, g.oh);
+        EXPECT_EQ(ops, want_ops) << "block=" << block << " scalar=" << scalar
+                                 << " split=" << split;
+        for (std::size_t i = 0; i < want.size(); ++i) {
+          ASSERT_EQ(got[i], want[i]) << "block=" << block << " scalar=" << scalar
+                                     << " split=" << split << " lane " << i;
+        }
+      }
+    }
+  }
+}
+
+TEST_P(ConvTapWalk, NetMatchesReferenceOnBothPathsUnderTinyBlocks) {
+  const k::ConvGeom g = geom();
+  Rng rng{908};
+  snn::SnnNetwork net{snn::Base2Kernel{24, 4.0, 1.0}};
+  net.add_conv(random_tensor({kCout, kCin, g.kh, g.kw}, rng, -0.1F, 0.3F),
+               random_tensor({kCout}, rng, -0.05F, 0.1F), g.stride, g.pad);
+  net.add_fc(random_tensor({10, kCout * g.oh * g.ow}, rng, -0.1F, 0.12F),
+             random_tensor({10}, rng, -0.05F, 0.05F));
+  ScopedBlockBytes tiny{64};
+  for (int trial = 0; trial < 2; ++trial) {
+    const Tensor img = random_tensor({kCin, kH, kW}, rng, 0.0F, 1.0F);
+    expect_matches_reference(net, img, "tap-walk");
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(StridePadKernel, ConvTapWalk,
+                         ::testing::Combine(::testing::Values(1, 2, 3),
+                                            ::testing::Values(0, 1, 2),
+                                            ::testing::Values(1, 3, 5)));
 
 }  // namespace
 }  // namespace ttfs
