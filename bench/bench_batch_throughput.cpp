@@ -93,8 +93,8 @@ int main(int argc, char** argv) {
   sopts.max_batch_hint = batch_sizes.back();
   sopts.input_shape = {3, 16, 16};
   snn::InferenceSession session = snn::Engine{net}.session(kind, std::move(sopts));
-  // Event-style backends materialize traces like their historical batch
-  // entry point did; the GEMM path measures logits only, as classify() did.
+  // Event-style backends also materialize traces (the hardware model's
+  // input); the GEMM path, which cannot trace, measures logits only.
   snn::RunOptions ropts;
   ropts.logits = true;
   ropts.traces = session.backend().supports_traces();

@@ -2,27 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <utility>
 #include <variant>
-#include <vector>
-
-#include "snn/engine.h"
-#include "util/check.h"
 
 namespace ttfs::hw {
-
-ProcessorReport run_processor_on_trace(const SnnProcessorModel& model,
-                                       const snn::SnnNetwork& net, const Tensor& image) {
-  TTFS_CHECK(image.rank() == 3);
-  snn::InferenceSession session =
-      snn::Engine{net}.session(snn::BackendKind::kEventSim);
-  snn::RunOptions opts;
-  opts.logits = false;
-  opts.traces = true;
-  const std::vector<const Tensor*> one{&image};
-  snn::RunResult run = session.run(snn::BatchView{one}, opts);
-  return price_trace(model, net, run.traces[0], image.dim(1), image.dim(2));
-}
 
 ProcessorReport price_trace(const SnnProcessorModel& model, const snn::SnnNetwork& net,
                             const snn::EventTrace& trace, std::int64_t input_h,

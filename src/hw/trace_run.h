@@ -10,7 +10,6 @@
 #include "hw/processor.h"
 #include "snn/event_sim.h"
 #include "snn/network.h"
-#include "tensor/tensor.h"
 
 namespace ttfs::hw {
 
@@ -23,10 +22,5 @@ namespace ttfs::hw {
 ProcessorReport price_trace(const SnnProcessorModel& model, const snn::SnnNetwork& net,
                             const snn::EventTrace& trace, std::int64_t input_h,
                             std::int64_t input_w);
-
-// Convenience: runs `image` through an event-sim engine session and prices
-// the resulting trace.
-ProcessorReport run_processor_on_trace(const SnnProcessorModel& model,
-                                       const snn::SnnNetwork& net, const Tensor& image);
 
 }  // namespace ttfs::hw

@@ -151,35 +151,24 @@ class InferenceBackend {
   // True when run_sample uses the SimArena; sessions skip arena
   // pre-reservation for backends that do not.
   virtual bool uses_arena() const = 0;
-  // True when run_sample reads the network's event-path weight pack
-  // (packed_layers()); sessions skip building the pack for backends that
-  // never read it.
-  virtual bool needs_packed_weights() const = 0;
 
-  // Weight-pack lifecycle, in backend-agnostic terms. A backend that reads
-  // a derived weight structure (the float event pack, the quantized pack)
-  // overrides these four so sessions and the model registry manage "whatever
-  // this backend runs on" without knowing which pack that is. The defaults
-  // route through needs_packed_weights() and the float pack, so existing
-  // backends are unchanged.
+  // Weight-pack lifecycle, in backend-agnostic terms: sessions and the model
+  // registry manage "whatever this backend runs on" without knowing which
+  // pack that is. The defaults mean "no pack" (gemm, reference); a backend
+  // that reads a derived weight structure (the float event pack, the
+  // quantized pack) overrides all four, so it names its pack in one place.
   //
   // Builds the backend's pack on `net` if missing (called before fan-out;
   // must be safe for concurrent const callers, like ensure_packed).
-  virtual void ensure_ready(const SnnNetwork& net) const {
-    if (needs_packed_weights()) net.ensure_packed();
-  }
+  virtual void ensure_ready(const SnnNetwork& /*net*/) const {}
   // True when this backend keeps a releasable pack resident on the network
   // (registries only count/evict packs for such backends).
-  virtual bool has_resident_pack() const { return needs_packed_weights(); }
+  virtual bool has_resident_pack() const { return false; }
   // Resident bytes of this backend's pack on `net` (0 while unbuilt).
-  virtual std::size_t resident_pack_bytes(const SnnNetwork& net) const {
-    return needs_packed_weights() ? net.packed_bytes() : 0;
-  }
+  virtual std::size_t resident_pack_bytes(const SnnNetwork& /*net*/) const { return 0; }
   // Releases this backend's pack (the registry's cold-eviction primitive;
   // same caller contract as SnnNetwork::release_packed).
-  virtual void release_pack(const SnnNetwork& net) const {
-    if (needs_packed_weights()) net.release_packed();
-  }
+  virtual void release_pack(const SnnNetwork& /*net*/) const {}
 
   // Runs sample `i` of `batch` through `net`, filling the requested slots.
   // `arena` is this worker's session-owned scratch (unused scratch for
@@ -196,20 +185,24 @@ class GemmBackend final : public InferenceBackend {
   std::string name() const override { return "gemm"; }
   bool supports_traces() const override { return false; }
   bool uses_arena() const override { return false; }
-  bool needs_packed_weights() const override { return false; }
   void run_sample(const SnnNetwork& net, const BatchView& batch, std::int64_t i, SimArena& arena,
                   const SampleSlots& slots) const override;
 };
 
 // The timestep- and spike-order-accurate simulator (event_sim.h), running on
-// the network's packed weights with session-owned arenas. Bit-identical to
-// run_event_sim per sample.
+// the network's float event pack (SnnNetwork::packed_layers) with
+// session-owned arenas. Bit-identical to run_event_sim per sample.
 class EventSimBackend final : public InferenceBackend {
  public:
   std::string name() const override { return "event"; }
   bool supports_traces() const override { return true; }
   bool uses_arena() const override { return true; }
-  bool needs_packed_weights() const override { return true; }
+  void ensure_ready(const SnnNetwork& net) const override { net.ensure_packed(); }
+  bool has_resident_pack() const override { return true; }
+  std::size_t resident_pack_bytes(const SnnNetwork& net) const override {
+    return net.packed_bytes();
+  }
+  void release_pack(const SnnNetwork& net) const override { net.release_packed(); }
   void run_sample(const SnnNetwork& net, const BatchView& batch, std::int64_t i, SimArena& arena,
                   const SampleSlots& slots) const override;
 };
@@ -220,8 +213,8 @@ class EventSimBackend final : public InferenceBackend {
 // Requires a log-quantized network (ensure_ready throws otherwise). Integer
 // artifacts — spike maps, op counts, encoder cycles — match the float event
 // sim exactly on converted nets; logits carry the fixed-point rounding bound
-// documented in README ("Quantized inference"). Does not read the float pack
-// (needs_packed_weights is false), so a registry serving this backend keeps
+// documented in README ("Quantized inference"). Its pack is the quantized
+// one and never the float pack, so a registry serving this backend keeps
 // only the ~2x-smaller quantized pack resident.
 class QuantizedEventSimBackend final : public InferenceBackend {
  public:
@@ -230,7 +223,6 @@ class QuantizedEventSimBackend final : public InferenceBackend {
   std::string name() const override { return "quantized"; }
   bool supports_traces() const override { return true; }
   bool uses_arena() const override { return true; }
-  bool needs_packed_weights() const override { return false; }
   void ensure_ready(const SnnNetwork& net) const override { net.ensure_quantized(config_); }
   bool has_resident_pack() const override { return true; }
   std::size_t resident_pack_bytes(const SnnNetwork& net) const override {
@@ -253,7 +245,6 @@ class ReferenceBackend final : public InferenceBackend {
   std::string name() const override { return "reference"; }
   bool supports_traces() const override { return true; }
   bool uses_arena() const override { return false; }
-  bool needs_packed_weights() const override { return false; }
   void run_sample(const SnnNetwork& net, const BatchView& batch, std::int64_t i, SimArena& arena,
                   const SampleSlots& slots) const override;
 };

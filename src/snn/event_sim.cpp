@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 
-#include "snn/engine.h"
 #include "snn/simd.h"
 #include "util/check.h"
 #include "util/thread_pool.h"
@@ -369,18 +368,6 @@ EventTrace run_event_sim(const SnnNetwork& net, const Tensor& image) {
   return run_event_sim(net, image, arena);
 }
 
-std::int64_t BatchEventResult::total_spikes() const {
-  std::int64_t n = 0;
-  for (const auto& t : traces) n += t.total_spikes();
-  return n;
-}
-
-std::int64_t BatchEventResult::total_integration_ops() const {
-  std::int64_t n = 0;
-  for (const auto& t : traces) n += t.total_integration_ops();
-  return n;
-}
-
 void SimArena::reserve_for(const SnnNetwork& net, std::int64_t c, std::int64_t h,
                            std::int64_t w) {
   Shape3 cur{c, h, w};
@@ -409,25 +396,6 @@ void SimArena::reserve_for(const SnnNetwork& net, std::int64_t c, std::int64_t h
   (void)steps(max_steps);
   (void)grid(max_grid);
   (void)counts(net.kernel().window());
-}
-
-BatchEventResult run_event_sim_batch(const SnnNetwork& net, const Tensor& nchw,
-                                     ThreadPool* pool) {
-  TTFS_CHECK(nchw.rank() == 4);
-  // One-shot session on the shared event-sim backend: per-chunk arenas,
-  // sample-order trace and logits merges — bit-identical to the sequential
-  // run_event_sim loop (and to the pre-engine batch runner).
-  SessionOptions sopts;
-  sopts.pool = pool;
-  InferenceSession session{net, make_backend(BackendKind::kEventSim), std::move(sopts)};
-  RunOptions opts;
-  opts.logits = true;
-  opts.traces = true;
-  RunResult run = session.run(BatchView{nchw}, opts);
-  BatchEventResult out;
-  out.traces = std::move(run.traces);
-  out.logits = std::move(run.logits);
-  return out;
 }
 
 }  // namespace ttfs::snn

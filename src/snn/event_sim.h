@@ -68,7 +68,7 @@ struct EventTrace {
 // that keeps its arena across a batch does zero steady-state allocation.
 // An arena is plain scratch: it carries no results between samples and may be
 // handed networks of different shapes. Not thread-safe — one arena per
-// concurrent caller (run_event_sim_batch keeps one per pool chunk).
+// concurrent caller (an InferenceSession keeps one per pool chunk).
 //
 // All buffers live in 64-byte-aligned AlignedBuffer storage (simd.h): the
 // accumulator never splits a cache line and per-chunk arenas of a batch
@@ -149,27 +149,6 @@ LayerEventTrace pool_layer(const SnnPool& pool, const std::vector<Spike>& in_spi
                            std::int64_t c, std::int64_t h, std::int64_t w, int window,
                            SimArena& arena);
 }  // namespace detail
-
-// Result of a batched event simulation. Traces are indexed by sample in input
-// order and the aggregate counters sum them in that same order, so the whole
-// struct is bit-identical to running `run_event_sim` in a sequential loop —
-// regardless of how many workers executed the batch.
-struct BatchEventResult {
-  std::vector<EventTrace> traces;  // one per sample, input order
-  Tensor logits;                   // (N, classes); row i = traces[i].logits
-
-  std::int64_t total_spikes() const;
-  std::int64_t total_integration_ops() const;
-};
-
-// Legacy convenience wrapper: runs a batch (N, C, H, W) through a one-shot
-// engine session on the event-sim backend (see engine.h), fanning samples
-// out across `pool` (global_pool() when null; a 0-thread pool runs inline)
-// with one arena per pool chunk. New code — and any caller that wants arena
-// reuse across batches, per-sample stats, or backend choice — should hold an
-// snn::InferenceSession instead; the serving layer does.
-BatchEventResult run_event_sim_batch(const SnnNetwork& net, const Tensor& nchw,
-                                     ThreadPool* pool = nullptr);
 
 // The fire-phase / spike-encoder primitive (Sec. 4): encodes a vector of
 // membrane voltages into priority-ordered spikes and counts encoder cycles

@@ -4,9 +4,7 @@
 #include <utility>
 
 #include "nn/functional.h"
-#include "snn/engine.h"
 #include "util/check.h"
-#include "util/thread_pool.h"
 
 namespace ttfs::snn {
 
@@ -244,61 +242,6 @@ Tensor SnnNetwork::forward(const Tensor& images, SnnRunStats* stats) const {
   return {};
 }
 
-namespace {
-
-// Shared core of the classify_each overloads: a one-shot session on the
-// shared GEMM backend. Bit-identical to the pre-engine per-sample
-// forward() fan-out (the backend runs forward on a (1, ...) wrapper of each
-// sample and the session merges rows in sample order).
-Tensor classify_via_session(const SnnNetwork& net, const BatchView& batch,
-                            std::vector<SnnRunStats>* per_sample, ThreadPool* pool) {
-  SessionOptions sopts;
-  sopts.pool = pool;
-  InferenceSession session{net, make_backend(BackendKind::kGemm), std::move(sopts)};
-  RunOptions opts;
-  opts.logits = true;
-  opts.stats = per_sample != nullptr;
-  RunResult run = session.run(batch, opts);
-  if (per_sample != nullptr) *per_sample = std::move(run.stats);
-  return std::move(run.logits);
-}
-
-}  // namespace
-
-Tensor SnnNetwork::classify_each(const Tensor& images, std::vector<SnnRunStats>* per_sample,
-                                 ThreadPool* pool) const {
-  TTFS_CHECK(images.rank() == 4 || images.rank() == 2);
-  return classify_via_session(*this, BatchView{images}, per_sample, pool);
-}
-
-Tensor SnnNetwork::classify_each(const std::vector<const Tensor*>& images,
-                                 std::vector<SnnRunStats>* per_sample, ThreadPool* pool) const {
-  return classify_via_session(*this, BatchView{images}, per_sample, pool);
-}
-
-Tensor SnnNetwork::classify(const Tensor& images, SnnRunStats* stats, ThreadPool* pool) const {
-  std::vector<SnnRunStats> row_stats;
-  Tensor logits = classify_each(images, stats != nullptr ? &row_stats : nullptr, pool);
-
-  // Merge in sample order. Spike/neuron counters are exact integers, so the
-  // totals match the sequential loop bit for bit.
-  if (stats != nullptr) {
-    const std::size_t weighted = weighted_layer_count();
-    if (stats->spikes_per_layer.empty()) {
-      stats->spikes_per_layer.assign(weighted, 0);
-      stats->neurons_per_layer.assign(weighted, 0);
-    }
-    for (const SnnRunStats& rs : row_stats) {
-      stats->images += rs.images;
-      for (std::size_t l = 0; l < rs.spikes_per_layer.size(); ++l) {
-        stats->spikes_per_layer[l] += rs.spikes_per_layer[l];
-        stats->neurons_per_layer[l] += rs.neurons_per_layer[l];
-      }
-    }
-  }
-  return logits;
-}
-
 std::vector<SpikeMap> SnnNetwork::trace(const Tensor& image) const {
   TTFS_CHECK(image.rank() == 3);
   std::vector<SpikeMap> maps;
@@ -338,21 +281,6 @@ std::vector<SpikeMap> SnnNetwork::trace(const Tensor& image) const {
     }
   }
   return maps;
-}
-
-std::vector<std::vector<SpikeMap>> SnnNetwork::trace_batch(const Tensor& nchw,
-                                                           ThreadPool* pool) const {
-  TTFS_CHECK(nchw.rank() == 4);
-  const std::int64_t n = nchw.dim(0);
-
-  std::vector<std::vector<SpikeMap>> out(static_cast<std::size_t>(n));
-  ThreadPool& workers = pool != nullptr ? *pool : global_pool();
-  workers.parallel_for(0, n, [&](std::int64_t lo, std::int64_t hi) {
-    for (std::int64_t i = lo; i < hi; ++i) {
-      out[static_cast<std::size_t>(i)] = trace(nchw.sample0(i));
-    }
-  });
-  return out;
 }
 
 }  // namespace ttfs::snn

@@ -15,8 +15,8 @@
 //  * event_sim.h — a timestep- and spike-order-accurate simulator used to
 //    validate this path and to drive the hardware model.
 // Both (plus the frozen reference simulator) are reachable uniformly through
-// snn::Engine / InferenceSession (engine.h); the batched entry points below
-// are thin wrappers over a one-shot session.
+// snn::Engine / InferenceSession (engine.h), the pool-parallel batch entry
+// point.
 #pragma once
 
 #include <atomic>
@@ -29,10 +29,6 @@
 #include "snn/simd.h"
 #include "tensor/tensor.h"
 #include "util/thread_annotations.h"
-
-namespace ttfs {
-class ThreadPool;
-}
 
 namespace ttfs::snn {
 
@@ -154,39 +150,11 @@ class SnnNetwork {
   // no activation on the output layer). Pass `stats` to collect spike counts.
   Tensor forward(const Tensor& images, SnnRunStats* stats = nullptr) const;
 
-  // Batched classification: legacy convenience wrapper over a one-shot
-  // engine session on the GEMM backend (see engine.h — new code should hold
-  // an snn::InferenceSession). Samples fan out across `pool` (global_pool()
-  // when null) and logits rows and stats merge in sample order, so the
-  // result is bit-identical to calling forward() on each (1, ...) slice in a
-  // sequential loop.
-  Tensor classify(const Tensor& images, SnnRunStats* stats = nullptr,
-                  ThreadPool* pool = nullptr) const;
-
-  // Per-sample variant of classify(): identical fan-out and bit-identical
-  // logits, but when `per_sample` is non-null it is resized to N and entry i
-  // receives sample i's own SnnRunStats (images == 1); classify() is a
-  // sample-order merge of the same rows/stats.
-  Tensor classify_each(const Tensor& images, std::vector<SnnRunStats>* per_sample,
-                       ThreadPool* pool = nullptr) const;
-
-  // Gathered form for callers holding independently-owned (C, H, W) samples
-  // of one shape: each worker wraps its own sample as a (1, C, H, W) batch,
-  // so there is no caller-side (N, C, H, W) assembly copy.
-  Tensor classify_each(const std::vector<const Tensor*>& images,
-                       std::vector<SnnRunStats>* per_sample, ThreadPool* pool = nullptr) const;
-
   // Runs one image (C, H, W) and returns the SpikeMap of every fire phase:
   // index 0 is the encoded input, then one entry per spiking layer (pools act
   // in the spike domain and produce their own map; the output layer emits
   // none). Used by the event simulator and the hardware model.
   std::vector<SpikeMap> trace(const Tensor& image) const;
-
-  // Batched trace(): runs every sample of (N, C, H, W) through trace() with
-  // per-sample fan-out across `pool`; results are indexed by sample in input
-  // order, identical to a sequential loop over trace().
-  std::vector<std::vector<SpikeMap>> trace_batch(const Tensor& nchw,
-                                                 ThreadPool* pool = nullptr) const;
 
   // Pipeline latency in timesteps: (1 + number of weighted layers) * T.
   int latency_timesteps() const;
@@ -208,11 +176,11 @@ class SnnNetwork {
   //  * packed_layers()[i] is the repack of layers()[i] (monostate for pools);
   //  * threshold_lut() is the kernel's materialized level sequence.
   // ensure_packed() rebuilds the pack if add_*/mutable_layers() dirtied it;
-  // the batch runner calls it before fan-out so workers only ever read.
+  // a session calls it before fan-out so workers only ever read.
   // ensure_packed() is safe to call from any number of threads concurrently
   // (double-checked under pack_mu_), so the const entry points — forward,
-  // classify*, the event simulators, the serving layer — can share one
-  // network across threads as long as nobody mutates layers meanwhile.
+  // the event simulators, the serving layer — can share one network across
+  // threads as long as nobody mutates layers meanwhile.
   void ensure_packed() const;
   const std::vector<PackedLayer>& packed_layers() const;
   // Resident bytes of the event-path pack (0 while unbuilt/released). Taken

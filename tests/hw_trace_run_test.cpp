@@ -7,6 +7,7 @@
 #include "hw/trace_run.h"
 #include "hw/workload.h"
 #include "snn/engine.h"
+#include "snn/event_sim.h"
 #include "snn/network.h"
 #include "util/rng.h"
 
@@ -39,7 +40,7 @@ TEST(TraceRun, ProducesConsistentReport) {
   ArchConfig arch;
   arch.window = 24;
   const SnnProcessorModel model{arch, default_tech()};
-  const ProcessorReport r = run_processor_on_trace(model, net, img);
+  const ProcessorReport r = price_trace(model, net, snn::run_event_sim(net, img), 12, 12);
 
   EXPECT_GT(r.total_cycles, 0);
   EXPECT_GT(r.energy_per_image_uj(), 0.0);
@@ -76,7 +77,7 @@ TEST(TraceRun, AgreesWithAnalyticModelUnderMeasuredActivity) {
   // Trace-driven pricing of one image from the same distribution.
   Tensor img{{3, 12, 12},
              std::vector<float>(data.images.data(), data.images.data() + 3 * 12 * 12)};
-  const ProcessorReport traced = run_processor_on_trace(model, net, img);
+  const ProcessorReport traced = price_trace(model, net, snn::run_event_sim(net, img), 12, 12);
 
   // The analytic model uses interior-receptive-field approximations and batch
   // averages; agreement within ~40% validates both.
@@ -136,7 +137,7 @@ TEST(TraceRun, SilentNetworkCostsLittle) {
   ArchConfig arch;
   arch.window = 16;
   const ProcessorReport r =
-      run_processor_on_trace(SnnProcessorModel{arch, default_tech()}, net, img);
+      price_trace(SnnProcessorModel{arch, default_tech()}, net, snn::run_event_sim(net, img), 6, 6);
   // conv1 integrates input spikes; the fc output layer sees zero spikes.
   EXPECT_EQ(r.layers.back().in_spikes, 0);
   EXPECT_EQ(r.layers.back().sops, 0);

@@ -72,16 +72,13 @@ void stress_backend(snn::BackendKind backend, std::int64_t replicas) {
   const snn::SnnNetwork net = make_net(rng);
   const auto images = make_images(rng, kTotal);
 
-  // Sequential goldens, computed before the server exists. The GEMM golden is
-  // classify() driven sample by sample on a zero-thread (inline) pool — the
-  // canonical sequential loop; the event golden is run_event_sim per image.
-  ThreadPool inline_pool{0};
+  // Sequential goldens, computed before the server exists: forward() per
+  // image for the GEMM backend, run_event_sim per image for the event one.
   Tensor goldens{{kTotal, 10}};
   for (std::int64_t i = 0; i < kTotal; ++i) {
     Tensor row;
     if (backend == snn::BackendKind::kGemm) {
-      row = net.classify(images[static_cast<std::size_t>(i)].reshaped({1, 3, 8, 8}), nullptr,
-                         &inline_pool);
+      row = net.forward(images[static_cast<std::size_t>(i)].reshaped({1, 3, 8, 8}));
     } else {
       row = snn::run_event_sim(net, images[static_cast<std::size_t>(i)]).logits;
     }

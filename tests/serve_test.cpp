@@ -14,6 +14,7 @@
 #include <thread>
 #include <vector>
 
+#include "cat/logquant.h"
 #include "serve/batcher.h"
 #include "serve/router.h"
 #include "serve/server.h"
@@ -304,22 +305,33 @@ TEST(SnnServer, ReplicaShardedServesBitIdentical) {
   for (const ReplicaStats& r : stats.replicas) {
     completed += r.completed;
     batches += r.batches;
-    if (r.completed > 0) EXPECT_GT(r.latency_p50_ms, 0.0);
+    if (r.completed > 0) {
+      EXPECT_GT(r.latency_p50_ms, 0.0);
+    }
   }
   EXPECT_EQ(completed, stats.completed);
   EXPECT_EQ(batches, stats.batches_formed);
 }
 
-// A caller-defined backend: decorates the stock event simulator with a
-// per-sample call counter. Proves ServeOptions::backend is genuine
-// polymorphic injection — the server runs whatever realization it is handed,
-// with results identical to the wrapped backend's own.
+// A caller-defined backend: decorates a stock backend with a per-sample call
+// counter. Proves ServeOptions::backend is genuine polymorphic injection — the
+// server runs whatever realization it is handed, with results identical to
+// the wrapped backend's own. A decorator forwards the four pack hooks, so it
+// keeps whichever pack (float or quantized) the wrapped backend runs on.
 class CountingBackend final : public snn::InferenceBackend {
  public:
+  explicit CountingBackend(std::shared_ptr<const snn::InferenceBackend> inner)
+      : inner_{std::move(inner)} {}
+
   std::string name() const override { return "counting"; }
   bool supports_traces() const override { return inner_->supports_traces(); }
   bool uses_arena() const override { return inner_->uses_arena(); }
-  bool needs_packed_weights() const override { return inner_->needs_packed_weights(); }
+  void ensure_ready(const snn::SnnNetwork& net) const override { inner_->ensure_ready(net); }
+  bool has_resident_pack() const override { return inner_->has_resident_pack(); }
+  std::size_t resident_pack_bytes(const snn::SnnNetwork& net) const override {
+    return inner_->resident_pack_bytes(net);
+  }
+  void release_pack(const snn::SnnNetwork& net) const override { inner_->release_pack(net); }
   void run_sample(const snn::SnnNetwork& net, const snn::BatchView& batch, std::int64_t i,
                   snn::SimArena& arena, const snn::SampleSlots& slots) const override {
     samples_run_.fetch_add(1, std::memory_order_relaxed);
@@ -328,35 +340,52 @@ class CountingBackend final : public snn::InferenceBackend {
   std::int64_t samples_run() const { return samples_run_.load(std::memory_order_relaxed); }
 
  private:
-  std::shared_ptr<const snn::InferenceBackend> inner_ =
-      snn::make_backend(snn::BackendKind::kEventSim);
+  std::shared_ptr<const snn::InferenceBackend> inner_;
   mutable std::atomic<std::int64_t> samples_run_{0};
 };
 
 TEST(SnnServer, InjectedCustomBackendServesRequests) {
-  Rng rng{37};
-  const snn::SnnNetwork net = make_net(rng);
-  const auto images = make_images(rng, 5);
+  for (const snn::BackendKind kind : {snn::BackendKind::kEventSim, snn::BackendKind::kQuantized}) {
+    SCOPED_TRACE(snn::to_string(kind));
+    Rng rng{37};
+    snn::SnnNetwork net = make_net(rng);
+    if (kind == snn::BackendKind::kQuantized) {
+      cat::log_quantize_network(net, cat::LogQuantConfig{});
+    }
+    const auto images = make_images(rng, 5);
 
-  auto counting = std::make_shared<const CountingBackend>();
-  ServeOptions opts;
-  opts.max_batch = 2;
-  opts.max_delay = microseconds{500};
-  opts.backend = counting;
-  SnnServer server{net, {3, 8, 8}, opts};
-  EXPECT_EQ(server.backend().name(), "counting");
+    // Goldens from the wrapped backend alone, on its own session.
+    const std::shared_ptr<const snn::InferenceBackend> inner = snn::make_backend(kind);
+    std::vector<const Tensor*> gathered;
+    for (const Tensor& img : images) gathered.push_back(&img);
+    snn::RunOptions golden_opts;
+    golden_opts.logits = false;
+    golden_opts.logit_rows = true;
+    snn::InferenceSession golden{net, inner};
+    const snn::RunResult want = golden.run(snn::BatchView{gathered}, golden_opts);
 
-  for (std::size_t i = 0; i < images.size(); ++i) {
-    auto sub = server.submit(images[i]);
-    ServeResult r = sub.result.get();
-    ASSERT_EQ(r.status, RequestStatus::kOk) << "request " << i;
-    // The decorator delegates to the event simulator, so logits must equal
-    // its sequential golden bit for bit.
-    expect_rows_equal(r.logits, snn::run_event_sim(net, images[i]).logits,
-                      "request " + std::to_string(i));
+    auto counting = std::make_shared<const CountingBackend>(inner);
+    ServeOptions opts;
+    opts.max_batch = 2;
+    opts.max_delay = microseconds{500};
+    opts.backend = counting;
+    SnnServer server{net, {3, 8, 8}, opts};
+    EXPECT_EQ(server.backend().name(), "counting");
+    // The registry warmed the wrapped backend's pack through the forwarded
+    // hooks; without them the decorator would default to "no pack".
+    const std::size_t pack_bytes = inner->resident_pack_bytes(net);
+    EXPECT_GT(pack_bytes, 0U);
+    EXPECT_EQ(server.registry().stats().warm_bytes, pack_bytes);
+
+    for (std::size_t i = 0; i < images.size(); ++i) {
+      auto sub = server.submit(images[i]);
+      ServeResult r = sub.result.get();
+      ASSERT_EQ(r.status, RequestStatus::kOk) << "request " << i;
+      expect_rows_equal(r.logits, want.logit_rows[i], "request " + std::to_string(i));
+    }
+    server.stop();
+    EXPECT_EQ(counting->samples_run(), static_cast<std::int64_t>(images.size()));
   }
-  server.stop();
-  EXPECT_EQ(counting->samples_run(), static_cast<std::int64_t>(images.size()));
 }
 
 TEST(SnnServer, FifoCompletionWithinBatch) {

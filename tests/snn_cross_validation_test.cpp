@@ -10,6 +10,7 @@
 #include "cat/logpe.h"
 #include "cat/logquant.h"
 #include "hw/processor.h"
+#include "snn/engine.h"
 #include "snn/event_sim.h"
 #include "snn/event_sim_reference.h"
 #include "snn/network.h"
@@ -24,6 +25,15 @@ Tensor random_tensor(std::vector<std::int64_t> shape, Rng& rng, float lo, float 
   Tensor t{std::move(shape)};
   for (std::int64_t i = 0; i < t.numel(); ++i) t[i] = rng.uniform_f(lo, hi);
   return t;
+}
+
+// Runs an (N, C, H, W) batch through a one-off session on `kind` over `pool`.
+snn::RunResult run_batch(const snn::SnnNetwork& net, snn::BackendKind kind, const Tensor& nchw,
+                         ThreadPool& pool, const snn::RunOptions& opts) {
+  snn::SessionOptions sopts;
+  sopts.pool = &pool;
+  snn::InferenceSession session = snn::Engine{net}.session(kind, std::move(sopts));
+  return session.run(snn::BatchView{nchw}, opts);
 }
 
 TEST(EventSimStride, MatchesFastPathWithStride2AndNoPad) {
@@ -117,7 +127,9 @@ TEST(EventSimOverhaul, BatchBitIdenticalToReference) {
   const Tensor images = random_tensor({7, 3, 10, 10}, rng, 0.0F, 1.0F);
 
   ThreadPool pool{3};
-  const snn::BatchEventResult batched = snn::run_event_sim_batch(net, images, &pool);
+  snn::RunOptions opts;
+  opts.traces = true;
+  const snn::RunResult batched = run_batch(net, snn::BackendKind::kEventSim, images, pool, opts);
   ASSERT_EQ(batched.traces.size(), 7U);
   for (std::int64_t i = 0; i < images.dim(0); ++i) {
     const snn::EventTrace ref = snn::reference::run_event_sim(net, images.sample0(i));
@@ -263,7 +275,7 @@ snn::SnnNetwork batching_net(Rng& rng) {
 }
 
 TEST(BatchEventSim, MatchesSequentialLoopBitExactly) {
-  // run_event_sim_batch must reproduce the per-sample run_event_sim loop
+  // An event-sim session must reproduce the per-sample run_event_sim loop
   // exactly: every spike (neuron, step, emission order), every op/cycle
   // counter and every logit — the activity accounting that feeds the hardware
   // model may not drift when inference is fanned out across workers.
@@ -279,7 +291,10 @@ TEST(BatchEventSim, MatchesSequentialLoopBitExactly) {
   // Exercise a real fan-out (3 workers) and the inline path (0 workers).
   for (const unsigned workers : {3U, 0U}) {
     ThreadPool pool{workers};
-    const snn::BatchEventResult batched = snn::run_event_sim_batch(net, images, &pool);
+    snn::RunOptions opts;
+    opts.logits = true;
+    opts.traces = true;
+    const snn::RunResult batched = run_batch(net, snn::BackendKind::kEventSim, images, pool, opts);
     ASSERT_EQ(batched.traces.size(), seq.size()) << "workers " << workers;
     for (std::size_t i = 0; i < seq.size(); ++i) {
       const snn::EventTrace& a = batched.traces[i];
@@ -306,13 +321,17 @@ TEST(BatchEventSim, MatchesSequentialLoopBitExactly) {
       }
     }
     // Aggregates merge in sample order — identical to summing the loop.
-    std::int64_t seq_spikes = 0, seq_ops = 0;
+    std::int64_t seq_spikes = 0, seq_ops = 0, batch_spikes = 0, batch_ops = 0;
     for (const auto& t : seq) {
       seq_spikes += t.total_spikes();
       seq_ops += t.total_integration_ops();
     }
-    EXPECT_EQ(batched.total_spikes(), seq_spikes);
-    EXPECT_EQ(batched.total_integration_ops(), seq_ops);
+    for (const auto& t : batched.traces) {
+      batch_spikes += t.total_spikes();
+      batch_ops += t.total_integration_ops();
+    }
+    EXPECT_EQ(batch_spikes, seq_spikes);
+    EXPECT_EQ(batch_ops, seq_ops);
   }
 }
 
@@ -330,8 +349,12 @@ TEST(BatchClassify, MatchesPerSampleForwardBitExactly) {
   }
 
   ThreadPool pool{2};
-  snn::SnnRunStats batch_stats;
-  const Tensor logits = net.classify(images, &batch_stats, &pool);
+  snn::RunOptions opts;
+  opts.logits = true;
+  opts.stats = true;
+  const snn::RunResult run = run_batch(net, snn::BackendKind::kGemm, images, pool, opts);
+  const Tensor& logits = run.logits;
+  const snn::SnnRunStats batch_stats = run.merged_stats();
   ASSERT_EQ(logits.dim(0), images.dim(0));
   for (std::int64_t i = 0; i < images.dim(0); ++i) {
     ASSERT_EQ(seq_rows[static_cast<std::size_t>(i)].numel(), logits.dim(1));
@@ -343,25 +366,6 @@ TEST(BatchClassify, MatchesPerSampleForwardBitExactly) {
   EXPECT_EQ(batch_stats.images, seq_stats.images);
   EXPECT_EQ(batch_stats.spikes_per_layer, seq_stats.spikes_per_layer);
   EXPECT_EQ(batch_stats.neurons_per_layer, seq_stats.neurons_per_layer);
-}
-
-TEST(BatchTrace, MatchesPerSampleTrace) {
-  Rng rng{302};
-  const snn::SnnNetwork net = batching_net(rng);
-  const Tensor images = random_tensor({4, 3, 10, 10}, rng, 0.0F, 1.0F);
-
-  ThreadPool pool{2};
-  const auto batched = net.trace_batch(images, &pool);
-  ASSERT_EQ(batched.size(), static_cast<std::size_t>(images.dim(0)));
-  for (std::int64_t i = 0; i < images.dim(0); ++i) {
-    const auto maps = net.trace(images.sample0(i));
-    const auto& got = batched[static_cast<std::size_t>(i)];
-    ASSERT_EQ(got.size(), maps.size()) << "sample " << i;
-    for (std::size_t l = 0; l < maps.size(); ++l) {
-      EXPECT_EQ(got[l].shape, maps[l].shape) << "sample " << i << " layer " << l;
-      EXPECT_EQ(got[l].steps, maps[l].steps) << "sample " << i << " layer " << l;
-    }
-  }
 }
 
 }  // namespace

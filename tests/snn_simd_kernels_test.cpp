@@ -238,7 +238,12 @@ TEST(KernelConformance, BatchOfFiveMatchesReferenceOnBothPaths) {
   ThreadPool pool{3};
   for (const bool scalar : {false, true}) {
     ScopedScalar guard{scalar};
-    const snn::BatchEventResult batched = snn::run_event_sim_batch(net, images, &pool);
+    snn::SessionOptions sopts;
+    sopts.pool = &pool;
+    snn::InferenceSession session = snn::Engine{net}.session(snn::BackendKind::kEventSim, sopts);
+    snn::RunOptions opts;
+    opts.traces = true;
+    const snn::RunResult batched = session.run(snn::BatchView{images}, opts);
     ASSERT_EQ(batched.traces.size(), 5U);
     for (std::int64_t i = 0; i < images.dim(0); ++i) {
       const snn::EventTrace ref = snn::reference::run_event_sim(net, images.sample0(i));

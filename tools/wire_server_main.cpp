@@ -7,7 +7,7 @@
 //
 //   ./build/tools/ttfs_wire_server [--port 0] [--bind 127.0.0.1]
 //       [--models 1] [--replicas 2] [--max-batch 8] [--max-delay-us 500]
-//       [--queue-cap 0] [--admission block|reject|shed]
+//       [--queue-cap 0] [--admission reject|shed|block]
 //       [--backend event|gemm|reference|quantized]
 //       [--idle-timeout-ms 30000] [--port-file path]
 //
@@ -19,8 +19,10 @@
 //
 // Runs until SIGINT/SIGTERM, then drains gracefully (wire layer first, then
 // the serve layer) and prints the wire + serve counters. Overload policy is
-// whatever --admission says — see docs/serving.md for why reject/shed are
-// the right policies in front of a shared IO thread.
+// whatever --admission says, `reject` by default: once --queue-cap bounds
+// the queue, `block` would park the shared IO thread, and with it every
+// connection, on a full queue (docs/serving.md). With the default unbounded
+// queue no policy ever engages.
 #include <atomic>
 #include <chrono>
 #include <csignal>
@@ -91,7 +93,7 @@ int main(int argc, char** argv) {
   opts.max_delay = std::chrono::microseconds{args.get_int("max-delay-us", 500)};
   opts.replicas = args.get_int("replicas", 2);
   opts.queue_capacity = static_cast<std::size_t>(args.get_int("queue-cap", 0));
-  opts.admission = serve::admission_policy_from_string(args.get_string("admission", "block"));
+  opts.admission = serve::admission_policy_from_string(args.get_string("admission", "reject"));
   opts.registry = registry;
   opts.default_model = "m0";
   serve::SnnServer server{opts};
