@@ -2,8 +2,9 @@
 // vector-add at several span lengths (dispatch path and pinned-scalar
 // reference), the packed-row bias broadcast, the blocked conv/fc integration
 // kernels on VGG-width geometry (plus a stride-2 conv row per conv kernel:
-// the runtime-stride tap walk, which no VGG layer runs), and the fire-phase
-// spike encoder.
+// the runtime-stride tap walk, which no VGG layer runs), the float conv fire
+// phase (the comparator-bank kernel over an HWC accumulator), and the
+// double-membrane fire_phase spike encoder.
 //
 //   ./build/bench/bench_micro_kernels [--reps R] [--ms M] [--json]
 //
@@ -27,6 +28,7 @@
 #include "common.h"
 #include "snn/event_sim.h"
 #include "snn/kernel.h"
+#include "snn/quant.h"
 #include "snn/simd.h"
 #include "util/cli.h"
 #include "util/rng.h"
@@ -83,6 +85,22 @@ k::ConvGeom vgg_conv_geom(std::int64_t hw, std::int64_t stride) {
   g.pad = 1;
   g.oh = g.ow = (hw + 2 * g.pad - g.kh) / stride + 1;
   return g;
+}
+
+// Fills a conv weight pack for `g` through the shared slot rule: one draw
+// per (ci, ky, kx, co) at conv_slot(ci, ky, kx)*cstride + co, padding lanes
+// `zero`.
+template <typename T, typename Draw>
+void fill_conv_pack(const k::ConvGeom& g, T* w, T zero, Draw&& draw) {
+  std::fill(w, w + g.cin * g.kh * g.kw * g.cstride, zero);
+  for (std::int64_t ci = 0; ci < g.cin; ++ci) {
+    for (std::int64_t ky = 0; ky < g.kh; ++ky) {
+      for (std::int64_t kx = 0; kx < g.kw; ++kx) {
+        T* slot = w + k::conv_slot(ci, ky, kx, g.kh, g.kw) * g.cstride;
+        for (std::int64_t co = 0; co < g.cout; ++co) slot[co] = draw();
+      }
+    }
+  }
 }
 
 }  // namespace
@@ -159,9 +177,7 @@ int main(int argc, char** argv) {
     const k::ConvGeom g = vgg_conv_geom(c.hw, c.stride);
     k::AlignedBuffer<float> wbuf, abuf;
     float* w = wbuf.ensure(g.cin * g.kh * g.kw * g.cstride);
-    for (std::int64_t i = 0; i < g.cin * g.kh * g.kw * g.cstride; ++i) {
-      w[i] = rng.uniform_f(-0.2F, 0.2F);
-    }
+    fill_conv_pack(g, w, 0.0F, [&] { return rng.uniform_f(-0.2F, 0.2F); });
     float* acc = abuf.ensure(g.oh * g.ow * g.cstride);
     std::fill(acc, acc + g.oh * g.ow * g.cstride, 0.0F);
     const auto spikes = full_spike_train(g.cin * g.hin * g.win, kernel.window());
@@ -206,7 +222,7 @@ int main(int argc, char** argv) {
     for (const std::int64_t stride : {std::int64_t{1}, std::int64_t{2}}) {
       const k::ConvGeom g = vgg_conv_geom(16 * stride, stride);
       std::int16_t* qw = qwbuf.ensure(g.cin * g.kh * g.kw * g.cstride);
-      for (std::int64_t i = 0; i < g.cin * g.kh * g.kw * g.cstride; ++i) qw[i] = random_code();
+      fill_conv_pack(g, qw, snn::kQuantZeroCode, random_code);
       std::int32_t* qacc = qabuf.ensure(g.oh * g.ow * g.cstride);
       std::fill(qacc, qacc + g.oh * g.ow * g.cstride, 0);
       const auto conv_spikes = full_spike_train(g.cin * g.hin * g.win, kernel.window());
@@ -250,7 +266,24 @@ int main(int argc, char** argv) {
     checksum += acc[0];
   }
 
-  // --- fire_phase: the spike encoder (ops = membranes scanned) --------------
+  // --- fire_hwc: the float conv fire phase (ops = membranes fired) ---------
+  // A VGG-width 32x32x16 HWC accumulator (cstride 16) through the
+  // comparator-bank kernel, the CHW walk and the bucket scatter; membranes
+  // span the whole level range, so about half the neurons spike.
+  {
+    const std::int64_t pixels = 32 * 32, cout = 16, cstride = k::padded(cout);
+    k::AlignedBuffer<float> abuf;
+    float* acc = abuf.ensure(pixels * cstride);
+    for (std::int64_t i = 0; i < pixels * cstride; ++i) acc[i] = rng.uniform_f(-0.5F, 1.5F);
+    snn::SimArena arena;
+    snn::LayerEventTrace t;
+    add("fire_hwc", pixels * cout, measure(reps, ms, [&] {
+          snn::detail::fire_hwc(lut, acc, cout, cstride, pixels, arena, t);
+          return t.neuron_count + static_cast<std::int64_t>(t.spikes.size() & 1);
+        }));
+  }
+
+  // --- fire_phase: the double-membrane spike encoder (ops = membranes) -----
   {
     std::vector<double> vmem(16384);
     for (double& v : vmem) v = rng.uniform(-0.5, 1.5);

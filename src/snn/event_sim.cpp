@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <type_traits>
 
 #include "snn/simd.h"
 #include "util/check.h"
@@ -28,6 +29,8 @@ std::int32_t* SimArena::qacc(std::int64_t n) { return qacc_.ensure(n); }
 int* SimArena::steps(std::int64_t n) { return steps_.ensure(n); }
 
 int* SimArena::grid(std::int64_t n) { return grid_.ensure(n); }
+
+int* SimArena::hwc_steps(std::int64_t n) { return hwc_steps_.ensure(n); }
 
 std::int64_t* SimArena::counts(std::int64_t n) { return counts_.ensure(n); }
 
@@ -58,6 +61,33 @@ void scatter_buckets(const int* steps, std::int64_t n, std::int64_t* counts, int
   }
   out.neuron_count = n;
   out.encoder_cycles = window + total;
+}
+
+// Fire phase over the conv integration accumulator, which is stored HWC with
+// a padded channel stride (pixel rows of cstride floats, the first cout
+// real) so integration streams contiguously. The comparator bank fires the
+// whole accumulator as one contiguous span, padding lanes included, into HWC
+// scratch; neurons are then walked in CHW priority order through a strided
+// read of that scratch.
+void fire_hwc(const ThresholdLut& lut, const float* acc, std::int64_t cout,
+              std::int64_t cstride, std::int64_t pixels, SimArena& arena,
+              LayerEventTrace& out) {
+  const int window = lut.window();
+  const std::int64_t n = cout * pixels;
+  int* hwc = arena.hwc_steps(pixels * cstride);
+  kernels::fire_steps(lut, acc, pixels * cstride, hwc);
+  int* steps = arena.steps(n);
+  std::int64_t* counts = arena.counts(window);
+  std::fill(counts, counts + window, 0);
+  for (std::int64_t co = 0; co < cout; ++co) {
+    int* row = steps + co * pixels;
+    for (std::int64_t p = 0; p < pixels; ++p) {
+      const int k = hwc[p * cstride + co];
+      row[p] = k;
+      if (k != kNoSpike) ++counts[k];
+    }
+  }
+  scatter_buckets(steps, n, counts, window, out);
 }
 
 // Earliest-spike-wins pooling: pass through the minimum fire step of each
@@ -116,7 +146,10 @@ struct Shape3 {
 // Fire phase over a dense membrane span in CHW (= neuron) order. Implements
 // the encoder loop of Sec. 4 — one threshold per timestep, ready neurons
 // serialized through a priority encoder — by binning neurons into timestep
-// buckets directly (see scatter_buckets).
+// buckets directly (see scatter_buckets). Float membranes (the input image,
+// FC layers) run through the comparator-bank kernel; double ones (the
+// fire_phase API) through ThresholdLut::fire_step, which the kernel equals
+// only on floats.
 template <typename T>
 void fire_dense(const ThresholdLut& lut, const T* vmem, std::int64_t n, SimArena& arena,
                 LayerEventTrace& out) {
@@ -124,31 +157,15 @@ void fire_dense(const ThresholdLut& lut, const T* vmem, std::int64_t n, SimArena
   int* steps = arena.steps(n);
   std::int64_t* counts = arena.counts(window);
   std::fill(counts, counts + window, 0);
-  for (std::int64_t i = 0; i < n; ++i) {
-    const int k = lut.fire_step(static_cast<double>(vmem[i]));
-    steps[i] = k;
-    if (k != kNoSpike) ++counts[k];
-  }
-  detail::scatter_buckets(steps, n, counts, window, out);
-}
-
-// Fire phase over the conv integration accumulator, which is stored HWC with
-// a padded channel stride (pixel rows of cstride floats, the first cout
-// real) so integration streams contiguously; neurons are walked in CHW
-// priority order through a strided read.
-void fire_hwc(const ThresholdLut& lut, const float* acc, std::int64_t cout,
-              std::int64_t cstride, std::int64_t pixels, SimArena& arena,
-              LayerEventTrace& out) {
-  const int window = lut.window();
-  const std::int64_t n = cout * pixels;
-  int* steps = arena.steps(n);
-  std::int64_t* counts = arena.counts(window);
-  std::fill(counts, counts + window, 0);
-  for (std::int64_t co = 0; co < cout; ++co) {
-    int* row = steps + co * pixels;
-    for (std::int64_t p = 0; p < pixels; ++p) {
-      const int k = lut.fire_step(static_cast<double>(acc[p * cstride + co]));
-      row[p] = k;
+  if constexpr (std::is_same_v<T, float>) {
+    kernels::fire_steps(lut, vmem, n, steps);
+    for (std::int64_t i = 0; i < n; ++i) {
+      if (steps[i] != kNoSpike) ++counts[steps[i]];
+    }
+  } else {
+    for (std::int64_t i = 0; i < n; ++i) {
+      const int k = lut.fire_step(static_cast<double>(vmem[i]));
+      steps[i] = k;
       if (k != kNoSpike) ++counts[k];
     }
   }
@@ -282,7 +299,7 @@ EventTrace run_event_sim_view(const SnnNetwork& net, const float* image, Shape3 
         return trace;
       }
       LayerEventTrace lt;
-      fire_hwc(lut, acc, cout, cstride, oh * ow, arena, lt);
+      detail::fire_hwc(lut, acc, cout, cstride, oh * ow, arena, lt);
       lt.integration_ops = ops;
       trace.layers.push_back(std::move(lt));
       in_spikes = &trace.layers.back().spikes;
@@ -374,13 +391,17 @@ void SimArena::reserve_for(const SnnNetwork& net, std::int64_t c, std::int64_t h
   std::int64_t max_acc = 0;
   std::int64_t max_steps = cur.numel();
   std::int64_t max_grid = 0;
+  std::int64_t max_hwc = 0;
   for (const auto& layer : net.layers()) {
     if (const auto* conv = std::get_if<SnnConv>(&layer)) {
       const std::int64_t oh = (cur.h + 2 * conv->pad - conv->weight.dim(2)) / conv->stride + 1;
       const std::int64_t ow = (cur.w + 2 * conv->pad - conv->weight.dim(3)) / conv->stride + 1;
       cur = {conv->weight.dim(0), oh, ow};
-      // Accumulators are requested at the pack's padded channel stride.
-      max_acc = std::max(max_acc, kernels::padded(cur.c) * oh * ow);
+      // Accumulators and the conv fire scratch are requested at the pack's
+      // padded channel stride.
+      const std::int64_t hwc = kernels::padded(cur.c) * oh * ow;
+      max_acc = std::max(max_acc, hwc);
+      max_hwc = std::max(max_hwc, hwc);
     } else if (const auto* fc = std::get_if<SnnFc>(&layer)) {
       cur = {fc->weight.dim(0), 1, 1};
       max_acc = std::max(max_acc, kernels::padded(cur.c));
@@ -395,6 +416,7 @@ void SimArena::reserve_for(const SnnNetwork& net, std::int64_t c, std::int64_t h
   (void)acc(max_acc);
   (void)steps(max_steps);
   (void)grid(max_grid);
+  (void)hwc_steps(max_hwc);
   (void)counts(net.kernel().window());
 }
 

@@ -19,10 +19,11 @@
 //     HWC-ordered membrane so every synaptic batch is a contiguous
 //     vector-add; spikes are consumed timestep-group by timestep-group so the
 //     kernel level is looked up once per step, mirroring the minfind unit;
-//   * the fire phase bins spikes into per-timestep buckets (a counting sort
-//     over the kernel window) instead of sorting after the fact — neurons are
-//     scanned in priority order, so bucket concatenation *is* the hardware's
-//     (step, neuron) emission order;
+//   * the fire phase compares every membrane against every threshold level
+//     at once (a comparator bank, kernels::fire_steps) and bins spikes into
+//     per-timestep buckets (a counting sort over the kernel window) instead
+//     of sorting after the fact — neurons are scanned in priority order, so
+//     bucket concatenation *is* the hardware's (step, neuron) emission order;
 //   * all scratch (membrane accumulator, step grids, bucket histogram) lives
 //     in a caller-provided SimArena, so steady-state batch inference
 //     allocates nothing beyond the returned traces.
@@ -93,6 +94,8 @@ class SimArena {
                                          // float-only sessions never pay for it
   int* steps(std::int64_t n);            // per-neuron fire step, CHW order
   int* grid(std::int64_t n);             // pooling input step grid, CHW order
+  int* hwc_steps(std::int64_t n);        // conv fire steps in the accumulator's
+                                         // HWC layout (padded cstride)
   std::int64_t* counts(std::int64_t n);  // per-timestep spike histogram
 
   // Spike-parallel split: when non-null, integration of a large layer may
@@ -108,6 +111,7 @@ class SimArena {
   kernels::AlignedBuffer<std::int32_t> qacc_;
   kernels::AlignedBuffer<int> steps_;
   kernels::AlignedBuffer<int> grid_;
+  kernels::AlignedBuffer<int> hwc_steps_;
   kernels::AlignedBuffer<std::int64_t> counts_;
   ThreadPool* intra_pool_ = nullptr;
 };
@@ -125,6 +129,13 @@ namespace detail {
 // callers.
 EventTrace run_event_sim_span(const SnnNetwork& net, const float* image, std::int64_t c,
                               std::int64_t h, std::int64_t w, SimArena& arena);
+
+// The float conv layers' fire phase, over the integration accumulator
+// stored HWC at channel stride cstride (`pixels` rows, the first cout lanes
+// of each real). Spikes come out in CHW priority order, like fire_span's.
+void fire_hwc(const ThresholdLut& lut, const float* acc, std::int64_t cout,
+              std::int64_t cstride, std::int64_t pixels, SimArena& arena,
+              LayerEventTrace& out);
 
 // Building blocks shared verbatim with the quantized simulator (quant.cpp),
 // so the parts of the event path that are pure spike bookkeeping — bucket

@@ -139,6 +139,14 @@ class BaseEKernel {
 // and the predicate "u < level(k)" is monotone in k — partition_point finds
 // the same first step the refinement loop does, ties included (asserted
 // exhaustively in tests).
+//
+// The LUT also keeps the levels as floats for the comparator-bank fire kernel
+// (simd.h: fire_steps), which counts the levels a float membrane lies below
+// instead of searching. The constructor checks the three facts that make the
+// count equal fire_step for every float u: the levels are positive, do not
+// increase, and are exactly representable as floats. (Base2Kernel's step-0
+// boundary top_ is its unrounded theta0, but no float lies in
+// [theta0, float(theta0)), so the count cannot tell them apart.)
 class ThresholdLut {
  public:
   // The step-0 short circuit differs per kernel family — Base2Kernel compares
@@ -150,6 +158,8 @@ class ThresholdLut {
   int window() const { return static_cast<int>(levels_.size()); }
   double level(int k) const { return levels_[static_cast<std::size_t>(k)]; }
   const std::vector<double>& levels() const { return levels_; }
+  // The same levels as floats (exact), for the float fire kernel.
+  const float* float_levels() const { return float_levels_.data(); }
 
   // First step k with u >= level(k); kNoSpike when u can't reach any level.
   int fire_step(double u) const {
@@ -170,14 +180,23 @@ class ThresholdLut {
   template <typename Kernel>
   void init(const Kernel& kernel, double top) {
     levels_.resize(static_cast<std::size_t>(kernel.window()));
+    float_levels_.resize(levels_.size());
     for (int k = 0; k < kernel.window(); ++k) {
-      levels_[static_cast<std::size_t>(k)] = kernel.level(k);
+      const double lv = kernel.level(k);
+      const auto flv = static_cast<float>(lv);
+      TTFS_CHECK_MSG(static_cast<double>(flv) == lv && lv > 0.0 &&
+                         (k == 0 || lv <= levels_[static_cast<std::size_t>(k - 1)]),
+                     "threshold level " << k << " = " << lv
+                                        << " is not a positive, non-increasing float");
+      levels_[static_cast<std::size_t>(k)] = lv;
+      float_levels_[static_cast<std::size_t>(k)] = flv;
     }
     top_ = top;
   }
 
-  std::vector<double> levels_;  // descending; size == window
-  double top_ = 0.0;            // u >= top_ always fires at step 0
+  std::vector<double> levels_;       // descending; size == window
+  std::vector<float> float_levels_;  // levels_, exactly, as floats
+  double top_ = 0.0;                 // u >= top_ always fires at step 0
 };
 
 }  // namespace ttfs::snn

@@ -68,6 +68,61 @@ inline void tap_axpy(float* acc, const float* w, float v, std::int64_t n) {
   axpy_elems(acc, w, v, n);
 }
 
+// --- Comparator-bank fire ------------------------------------------------------
+//
+// A membrane's fire step as a level count: how many levels u lies below, with
+// every level above u (count == window) meaning no spike. NaN compares false
+// against every level and counts 0, as in ThresholdLut::fire_step.
+static_assert(kNoSpike == -1, "the vector fire kernel ORs an all-ones mask in as kNoSpike");
+
+inline int fire_count(const float* levels, int window, float u) {
+  int below = 0;
+  for (int k = 0; k < window; ++k) below += u < levels[k] ? 1 : 0;
+  return below == window ? kNoSpike : below;
+}
+
+#if defined(TTFS_SIMD_AVX2)
+// Adds 1 to each lane of `count` whose membrane lies below `level`: a true
+// compare is all ones, i.e. -1 as an integer.
+inline __m256i count_below(__m256i count, __m256 u, __m256 level) {
+  return _mm256_sub_epi32(count, _mm256_castps_si256(_mm256_cmp_ps(u, level, _CMP_LT_OQ)));
+}
+
+// count == window becomes kNoSpike: OR-ing the all-ones equality mask in.
+inline void store_steps(int* out, __m256i count, __m256i window) {
+  _mm256_storeu_si256(reinterpret_cast<__m256i*>(out),
+                      _mm256_or_si256(count, _mm256_cmpeq_epi32(count, window)));
+}
+
+// Two 8-lane chains share each level broadcast; a lone 8-lane block and a
+// scalar tail finish the span.
+inline void fire_avx2(const float* levels, int window, const float* u, std::int64_t n,
+                      int* out) {
+  const __m256i full = _mm256_set1_epi32(window);
+  std::int64_t i = 0;
+  for (; i + 16 <= n; i += 16) {
+    const __m256 u0 = _mm256_loadu_ps(u + i);
+    const __m256 u1 = _mm256_loadu_ps(u + i + 8);
+    __m256i c0 = _mm256_setzero_si256();
+    __m256i c1 = _mm256_setzero_si256();
+    for (int k = 0; k < window; ++k) {
+      const __m256 level = _mm256_broadcast_ss(levels + k);
+      c0 = count_below(c0, u0, level);
+      c1 = count_below(c1, u1, level);
+    }
+    store_steps(out + i, c0, full);
+    store_steps(out + i + 8, c1, full);
+  }
+  for (; i + 8 <= n; i += 8) {
+    const __m256 u0 = _mm256_loadu_ps(u + i);
+    __m256i c0 = _mm256_setzero_si256();
+    for (int k = 0; k < window; ++k) c0 = count_below(c0, u0, _mm256_broadcast_ss(levels + k));
+    store_steps(out + i, c0, full);
+  }
+  for (; i < n; ++i) out[i] = fire_count(levels, window, u[i]);
+}
+#endif
+
 // --- Conv tap walk -------------------------------------------------------------
 //
 // A spike at input (ci, yi, xi) reaches output (yo, xo) through tap
@@ -97,9 +152,13 @@ inline AxisRun axis_run(std::uint32_t in, std::uint32_t pad, std::uint32_t taps,
 // The one conv integration body behind integrate_conv and integrate_conv_q:
 // cache blocking, timestep grouping and the tap walk. `group(step)` runs once
 // per timestep group per block (the float path looks up the level, the
-// quantized one fills its product table); `tap(acc_row, w_slot)` applies one
-// tap to cstride accumulator lanes. Each (yo, xo) takes at most one tap per
-// spike and sees the spikes in train order, whatever the blocking or the
+// quantized one fills its product table); `tap(acc, w, lanes)` adds one
+// contiguous weight span into one contiguous accumulator span. With the
+// mirrored slot rule (conv_slot) a stride-1 spike's taps into one output row
+// are such a pair of spans, so it issues one tap of ncols*cstride lanes per
+// reached row; other strides skip slots between columns and issue one tap of
+// cstride lanes per (ky, kx). Either way each (yo, xo) takes at most one tap
+// per spike and sees the spikes in train order, whatever the blocking or the
 // caller's [yo0, yo1) split. Returns real ops (cout per applied tap).
 // `Stride` is the compile-time stride, or 0 to read g.stride at runtime.
 template <std::uint32_t Stride, typename Acc, typename W, typename Group, typename Tap>
@@ -126,11 +185,10 @@ std::int64_t integrate_conv_walk(const ConvGeom& g, const W* w, const Spike* spi
   const std::uint32_t win = static_cast<std::uint32_t>(g.win);
   const std::uint32_t plane = static_cast<std::uint32_t>(g.hin * g.win);
   const std::uint32_t ow = static_cast<std::uint32_t>(g.ow);
-  // Element-offset steps: one input channel's slots, one output pixel / tap
-  // column, one output row / tap row. The walk steps offsets rather than
-  // pointers, so stepping past a run's last tap never forms an out-of-range
-  // pointer.
-  const std::int64_t ci_step = g.kh * g.kw * g.cstride;
+  // Element-offset steps: one output pixel / tap column (kx falls by s, so
+  // its mirrored slot rises by s), one output row / tap row. The walk steps
+  // offsets rather than pointers, so stepping past a run's last tap never
+  // forms an out-of-range pointer.
   const std::int64_t w_col_step = static_cast<std::int64_t>(s) * g.cstride;
   const std::int64_t w_row_step = static_cast<std::int64_t>(s) * g.kw * g.cstride;
   const std::int64_t acc_row_step = g.ow * g.cstride;
@@ -156,15 +214,18 @@ std::int64_t integrate_conv_walk(const ConvGeom& g, const W* w, const Spike* spi
         if (rx.o0 >= rx.o1) continue;
         const std::uint32_t ncols = rx.o1 - rx.o0;
         std::int64_t acc_row = (static_cast<std::int64_t>(ry.o0) * g.ow + rx.o0) * g.cstride;
-        std::int64_t w_row = static_cast<std::int64_t>(ci) * ci_step +
-                             (static_cast<std::int64_t>(ry.k0) * g.kw + rx.k0) * g.cstride;
+        std::int64_t w_row = conv_slot(ci, ry.k0, rx.k0, g.kh, g.kw) * g.cstride;
         for (std::uint32_t yo = ry.o0; yo < ry.o1; ++yo) {
-          std::int64_t a = acc_row;
-          std::int64_t ws = w_row;
-          for (std::uint32_t n = 0; n < ncols; ++n) {
-            tap(acc + a, w + ws);
-            a += g.cstride;
-            ws -= w_col_step;
+          if constexpr (Stride == 1) {
+            tap(acc + acc_row, w + w_row, ncols * g.cstride);
+          } else {
+            std::int64_t a = acc_row;
+            std::int64_t ws = w_row;
+            for (std::uint32_t n = 0; n < ncols; ++n) {
+              tap(acc + a, w + ws, g.cstride);
+              a += g.cstride;
+              ws += w_col_step;
+            }
           }
           acc_row += acc_row_step;
           w_row -= w_row_step;
@@ -187,7 +248,7 @@ std::int64_t integrate_conv_impl(const ConvGeom& g, const float* w, const Spike*
       // One level lookup per timestep group, like the hardware presenting
       // one threshold per cycle.
       [&](int step) { value = static_cast<float>(lut.level(step)); },
-      [&](float* a, const float* ws) { tap_axpy<Simd>(a, ws, value, g.cstride); });
+      [&](float* a, const float* ws, std::int64_t n) { tap_axpy<Simd>(a, ws, value, n); });
 }
 
 template <bool Simd>
@@ -326,6 +387,18 @@ void broadcast_rows(float* acc, std::int64_t rows, std::int64_t stride) {
   }
 }
 
+void fire_steps(const ThresholdLut& lut, const float* u, std::int64_t n, int* out) {
+  const float* levels = lut.float_levels();
+  const int window = lut.window();
+#if defined(TTFS_SIMD_AVX2)
+  if (simd_active()) {
+    fire_avx2(levels, window, u, n, out);
+    return;
+  }
+#endif
+  for (std::int64_t i = 0; i < n; ++i) out[i] = fire_count(levels, window, u[i]);
+}
+
 std::int64_t integrate_conv(const ConvGeom& g, const float* w, const Spike* spikes,
                             std::int64_t nspikes, const ThresholdLut& lut, float* acc,
                             std::int64_t yo0, std::int64_t yo1) {
@@ -359,8 +432,8 @@ std::int64_t integrate_conv_q(const ConvGeom& g, const std::int16_t* w, const Sp
   // One product per distinct weight code per timestep group — the quantized
   // analog of the float path's one level() per group.
   const auto group = [&](int step) { fill_quant_table(qp, step, table); };
-  const auto tap = [&](std::int32_t* a, const std::int16_t* codes) {
-    quant_span_add(a, codes, g.cout, table, qp.q_lo, qp.acc_limit);
+  const auto tap = [&](std::int32_t* a, const std::int16_t* codes, std::int64_t n) {
+    quant_span_add(a, codes, n, table, qp.q_lo, qp.acc_limit);
   };
   if (g.stride == 1) {
     return integrate_conv_walk<1>(g, w, spikes, nspikes, acc, yo0, yo1, group, tap);

@@ -68,11 +68,16 @@ void SnnNetwork::ensure_packed() const {
       // Zero-fill first: the [cout, cstride) padding lanes must stay 0 so the
       // tail-free SIMD kernels only ever accumulate 0 * value into them.
       std::fill(dst, dst + slots * p.cstride, 0.0F);
-      // (co, ci, ky, kx) -> slot-major: slot = (ci*kh + ky)*kw + kx, then co.
+      // (co, ci, ky, kx) -> slot-major: slot = kernels::conv_slot (kx
+      // mirrored), then co.
       const float* src = conv->weight.data();
       for (std::int64_t co = 0; co < p.cout; ++co) {
-        for (std::int64_t slot = 0; slot < slots; ++slot) {
-          dst[slot * p.cstride + co] = *src++;
+        for (std::int64_t ci = 0; ci < p.cin; ++ci) {
+          for (std::int64_t ky = 0; ky < p.kh; ++ky) {
+            for (std::int64_t kx = 0; kx < p.kw; ++kx) {
+              dst[kernels::conv_slot(ci, ky, kx, p.kh, p.kw) * p.cstride + co] = *src++;
+            }
+          }
         }
       }
       packed_.emplace_back(std::move(p));

@@ -66,7 +66,9 @@ using SnnLayer = std::variant<SnnConv, SnnFc, SnnPool>;
 // event simulator's inner loop — "stream this input's weight vector over all
 // outputs" — was a strided gather. The packs store the same values
 // output-contiguous so each incoming spike performs contiguous vector adds:
-//  * conv: slot-major — w[((ci*kh + ky)*kw + kx) * cstride + co]
+//  * conv: slot-major — w[kernels::conv_slot(ci, ky, kx, kh, kw) * cstride + co],
+//    slot (ci*kh + ky)*kw + (kw-1-kx): kx is mirrored so a stride-1 spike's
+//    taps into one output row are one contiguous weight span (simd.h)
 //  * fc:   column-major — w[i * ostride + j]
 // Output spans are padded to the kernel layer's lane width (simd.h: cstride =
 // padded(cout), ostride = padded(out); padding weights are zero and never

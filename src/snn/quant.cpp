@@ -104,11 +104,16 @@ QuantizedWeightPack build_quantized_pack(const SnnNetwork& net, const QuantPackC
       std::fill(dst, dst + slots * qc.cstride, kQuantZeroCode);
       bool any = false;
       const float* src = conv->weight.data();
-      // Same (co, slot) walk as ensure_packed, so both packs agree lane for
-      // lane: slot = (ci*kh + ky)*kw + kx, then co within the slot.
+      // Same (co, ci, ky, kx) walk as ensure_packed, so both packs agree lane
+      // for lane: slot = kernels::conv_slot (kx mirrored), then co.
       for (std::int64_t co = 0; co < qc.cout; ++co) {
-        for (std::int64_t slot = 0; slot < slots; ++slot) {
-          dst[slot * qc.cstride + co] = encode_weight(*src++, config.z, any, qc.q_lo, qc.q_hi);
+        for (std::int64_t ci = 0; ci < qc.cin; ++ci) {
+          for (std::int64_t ky = 0; ky < qc.kh; ++ky) {
+            for (std::int64_t kx = 0; kx < qc.kw; ++kx) {
+              dst[kernels::conv_slot(ci, ky, kx, qc.kh, qc.kw) * qc.cstride + co] =
+                  encode_weight(*src++, config.z, any, qc.q_lo, qc.q_hi);
+            }
+          }
         }
       }
       TTFS_CHECK_MSG(qc.q_hi - qc.q_lo + 1 <= kernels::kMaxQuantCodes,

@@ -11,8 +11,9 @@
 //
 //  * QuantizedWeightPack stores each weight as its exponent code `q` plus a
 //    sign, in one int16 lane per weight — half the float pack's footprint —
-//    laid out exactly like the float event pack (conv slot-major at cstride,
-//    fc column-major at ostride; see network.h) so the integer kernels
+//    laid out exactly like the float event pack (conv slot-major at cstride
+//    through kernels::conv_slot, kx mirrored; fc column-major at ostride;
+//    see network.h) so the integer kernels
 //    (simd.h: integrate_conv_q / integrate_fc_q) walk identical strides.
 //  * run_quantized_event_sim_span mirrors the float event simulator's loop
 //    structure and ordering exactly (event_sim.cpp), but every membrane add

@@ -1,17 +1,19 @@
 // Kernel layer for the event simulator's hot loops: layout contract + API.
 //
-// The event path integrates through two contiguous vector-adds: the conv tap
-// update `acc[co] += w[co] * value` over cout output channels per (ky, kx)
-// tap, and the FC column add over `out` rows per spike. The adds are not the
-// whole cost. On the CIFAR-shaped VGG stack (gprof flat profile of a
-// one-thread perfbench sim_float run, 4-core x86-64 VM) integrate_conv took
-// 74 % of simulator CPU while it split the neuron id with three 64-bit
-// divisions per spike and located taps with a modulo and a division per tap
-// row and per tap. With the division-free tap walk below it takes 62 %, at
-// less than half the time per call; the fire phase's threshold search
-// (~11 %), the per-layer driver (~11 %), spike bucketing (~9 %) and pooling
-// (~4 %) make up the rest, and integrate_fc is under 1 %. This header is the
-// contract between the simulator and the tuned kernels in kernels.cpp:
+// The event path integrates through two contiguous vector-adds: the conv
+// update `acc[co] += w[co] * value` over the output channels a spike reaches,
+// and the FC column add over `out` rows per spike; its fire phase compares
+// every membrane against the kernel's threshold levels. On the CIFAR-shaped
+// VGG stack (gprof flat profile of a one-thread perfbench sim_float run,
+// 4-core x86-64 VM), per-tap and per-neuron overhead, not the adds and
+// compares, dominated: one add call per (ky, kx) tap of only 16-32 floats
+// put integrate_conv at ~60 % of simulator CPU, and a binary search per
+// neuron plus a strided walk put the fire phase at ~24 %. With one add per
+// reached output row and the comparator-bank fire below, simulator CPU per
+// image fell by ~40 %: integrate_conv is now ~65 %, the fire phase ~14 %,
+// spike bucketing ~13 %, pooling ~7 %, and integrate_fc and the per-layer
+// driver under 1 % each. This header is the contract between the simulator
+// and the tuned kernels in kernels.cpp:
 //
 //  * Padding — every output-contiguous span (a conv pack's cout row, an FC
 //    pack's column, and the matching accumulator rows) is padded to a
@@ -33,6 +35,14 @@
 //    modulo. Stride 1 is a compile-time instantiation of that body; every
 //    other stride runs it with the stride read at runtime. Each accumulator
 //    takes at most one tap per spike, in spike order.
+//  * Row spans — conv weight slots mirror kx (conv_slot), so at stride 1 a
+//    spike's taps into one output row are one contiguous weight span over
+//    one contiguous accumulator span, applied as a single add; other strides
+//    apply one add per tap.
+//  * Fire — fire_steps counts the threshold levels each float membrane lies
+//    below, which equals ThresholdLut::fire_step for float inputs (kernel.h
+//    states why). Both paths make the same float compares and integer
+//    counts, so they agree exactly.
 //  * Bit-exactness — the SIMD and scalar paths are bit-identical by
 //    construction: both perform exactly `acc[i] = acc[i] + (w[i] * v)` per
 //    element with no fused contraction (kernels.cpp is compiled with
@@ -75,6 +85,17 @@ inline constexpr std::int64_t kLaneFloats = 8;
 // layout and arena sizing never depend on the configured ISA.
 constexpr std::int64_t padded(std::int64_t n) {
   return (n + kLaneFloats - 1) / kLaneFloats * kLaneFloats;
+}
+
+// The single conv weight-slot rule: tap (ky, kx) of input channel ci lives in
+// slot (ci*kh + ky)*kw + (kw-1-kx), i.e. kx is stored mirrored. A stride-1
+// spike's taps into consecutive outputs of one row have falling kx, so with
+// the mirror they sit in consecutive slots and the whole row's update is one
+// contiguous weight span over one contiguous accumulator span. The float
+// pack, the quantized pack, the tap walk and the tests all index through it.
+constexpr std::int64_t conv_slot(std::int64_t ci, std::int64_t ky, std::int64_t kx,
+                                 std::int64_t kh, std::int64_t kw) {
+  return (ci * kh + ky) * kw + (kw - 1 - kx);
 }
 
 // Grow-only 64-byte-aligned storage for packs and arena scratch. Growing
@@ -166,6 +187,18 @@ void axpy_scalar(float* acc, const float* w, float v, std::int64_t n);
 // double loop. Doubling memcpy — O(log rows) copies.
 void broadcast_rows(float* acc, std::int64_t rows, std::int64_t stride);
 
+// --- Fire kernel --------------------------------------------------------------
+
+// Comparator-bank fire: out[i] = lut.fire_step(u[i]) for i in [0, n). Levels
+// never increase, so a float membrane's first crossing step is the number of
+// levels it lies below, and a full count means kNoSpike; the kernel compares
+// each membrane against every level (8 lanes per AVX2 compare, _CMP_LT_OQ so
+// NaN counts 0 like fire_step) instead of searching. Exact for float inputs
+// only: it compares against ThresholdLut's float levels (kernel.h). Double
+// membranes (the quantized fire, fire_phase) stay on ThresholdLut::fire_step.
+// Checks the dispatch once per call, so callers pass a whole layer.
+void fire_steps(const ThresholdLut& lut, const float* u, std::int64_t n, int* out);
+
 // --- Layer integration kernels ----------------------------------------------
 
 // Conv-layer geometry for the event path. `cstride` is padded(cout): both
@@ -180,11 +213,13 @@ struct ConvGeom {
 
 // Integrates an entire layer's incoming spike train (already (step, neuron)
 // sorted) into the HWC accumulator rows of output rows [yo0, yo1).
-// `w` is the slot-major padded pack: slot (ci*kh + ky)*kw + kx holds cstride
-// contiguous floats. Timestep groups are consumed in order with one level
-// lookup per step; within [yo0, yo1) the accumulator is tiled into
-// acc_block_bytes() row blocks, each block replaying the full spike train so
-// its rows stay cache-resident. Per-accumulator contribution order is
+// `w` is the slot-major padded pack: slot conv_slot(ci, ky, kx, kh, kw) =
+// (ci*kh + ky)*kw + (kw-1-kx) holds cstride contiguous floats, so a stride-1
+// spike updates each reached output row with one ncols*cstride-lane add.
+// Timestep groups are consumed in order with one level lookup per step;
+// within [yo0, yo1) the accumulator is tiled into acc_block_bytes() row
+// blocks, each block replaying the full spike train so its rows stay
+// cache-resident. Per-accumulator contribution order is
 // exactly the sequential spike order regardless of blocking or the caller's
 // [yo0, yo1) partitioning (disjoint rows), so any split is bit-identical.
 // Returns the integration ops performed (real cout per applied tap — padding

@@ -24,6 +24,7 @@
 #include <stdexcept>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "cat/logpe.h"
@@ -108,11 +109,16 @@ TEST(QuantizedWeightPack, PackCodesAreExactlyTheQuantizerCodes) {
       const auto& qc = std::get<snn::QuantizedConv>(pack.layers[li]);
       const int q_max = infos[info_idx++].q_max;
       const std::int64_t slots = qc.cin * qc.kh * qc.kw;
-      // Tensor index (co, ci, ky, kx) row-major -> pack lane slot*cstride+co.
+      // Tensor index (co, ci, ky, kx) row-major -> pack lane
+      // conv_slot(ci, ky, kx)*cstride + co.
       expect_codes_match(orig.weight, conv->weight, q_max, qconfig,
                          [&](std::int64_t i) {
                            const std::int64_t co = i / slots;
-                           const std::int64_t slot = i % slots;
+                           const std::int64_t ci = i % slots / (qc.kh * qc.kw);
+                           const std::int64_t ky = i % (qc.kh * qc.kw) / qc.kw;
+                           const std::int64_t kx = i % qc.kw;
+                           const std::int64_t slot =
+                               snn::kernels::conv_slot(ci, ky, kx, qc.kh, qc.kw);
                            return qc.w.data()[slot * qc.cstride + co];
                          },
                          "conv layer " + std::to_string(li));
@@ -247,26 +253,26 @@ TEST(QuantKernels, AccumulatorSaturatesToRegisterRange) {
 
 // integrate_conv_q's tap walk against LogPe add-for-add, over stride {1,2,3}
 // x pad {0,1,2} x kernel {1,3,5} on a non-square 9x8 input (several
-// geometries leave h + 2*pad - k indivisible by the stride). Each output
-// lane replays, in spike order, exactly the taps the per-tap definition
-// assigns it (ky = yi + pad - yo*stride in range) through one LogPe; the
-// narrow register saturates, so a reordered or doubled tap shows. Run on
-// 64-byte blocks (one output row per block) and as a two-way row split.
-class ConvQTapWalk : public ::testing::TestWithParam<std::tuple<int, int, int>> {};
-
-TEST_P(ConvQTapWalk, IntegrateConvQMatchesLogPeAddForAdd) {
-  const auto [stride, pad, kernel] = GetParam();
+// geometries leave h + 2*pad - k indivisible by the stride), and again over
+// the non-square kernels (kh, kw) in {(3,5), (1,3), (5,1)}: the pack mirrors
+// kx only, so a kh/kw mix-up shows there. Each output lane replays, in spike
+// order, exactly the taps the per-tap definition assigns it
+// (ky = yi + pad - yo*stride in range) through one LogPe; the narrow
+// register saturates, so a reordered or doubled tap shows. Run on 64-byte
+// blocks (one output row per block) and as a two-way row split.
+void expect_conv_q_matches_log_pe(int stride, int pad, int kh, int kw, std::uint64_t seed) {
   snn::kernels::ConvGeom g;
   g.cin = 3;
   g.hin = 9;
   g.win = 8;
   g.cout = 5;
   g.cstride = snn::kernels::padded(g.cout);
-  g.kh = g.kw = kernel;
+  g.kh = kh;
+  g.kw = kw;
   g.stride = stride;
   g.pad = pad;
-  g.oh = (g.hin + 2 * pad - kernel) / stride + 1;
-  g.ow = (g.win + 2 * pad - kernel) / stride + 1;
+  g.oh = (g.hin + 2 * pad - kh) / stride + 1;
+  g.ow = (g.win + 2 * pad - kw) / stride + 1;
 
   cat::LogPeConfig pe_config;  // p = 2, z = 1
   pe_config.lut_bits = 24;
@@ -277,10 +283,14 @@ TEST_P(ConvQTapWalk, IntegrateConvQMatchesLogPeAddForAdd) {
   qp.q_lo = -3;
   qp.q_hi = 2;
 
-  Rng rng{static_cast<std::uint64_t>(3000 + stride * 100 + pad * 10 + kernel)};
+  Rng rng{seed};
   std::vector<std::int16_t> w(static_cast<std::size_t>(g.cin * g.kh * g.kw * g.cstride),
                               snn::kQuantZeroCode);
-  for (std::int64_t slot = 0; slot < g.cin * g.kh * g.kw; ++slot) {
+  // Drawn in (ci, ky, kx, co) order, so every tap gets the same weight
+  // whatever the slot rule.
+  for (std::int64_t tap = 0; tap < g.cin * g.kh * g.kw; ++tap) {
+    const std::int64_t slot = snn::kernels::conv_slot(tap / (g.kh * g.kw), tap / g.kw % g.kh,
+                                                      tap % g.kw, g.kh, g.kw);
     for (std::int64_t co = 0; co < g.cout; ++co) {
       if (rng.bernoulli(0.2)) continue;  // zero weight
       const int q = static_cast<int>(rng.uniform_int(qp.q_lo, qp.q_hi));
@@ -331,8 +341,8 @@ TEST_P(ConvQTapWalk, IntegrateConvQMatchesLogPeAddForAdd) {
             const std::int64_t kx = sp.neuron % g.win + pad - xo * stride;
             if (ky < 0 || ky >= g.kh || kx < 0 || kx >= g.kw) continue;
             if (co == 0) want_ops += g.cout;
-            const std::int16_t code =
-                w[static_cast<std::size_t>(((ci * g.kh + ky) * g.kw + kx) * g.cstride + co)];
+            const std::int16_t code = w[static_cast<std::size_t>(
+                snn::kernels::conv_slot(ci, ky, kx, g.kh, g.kw) * g.cstride + co)];
             if (code == snn::kQuantZeroCode) continue;
             pe.accumulate((code & 1) != 0 ? -1 : 1, code >> 1, sp.step);
           }
@@ -345,16 +355,44 @@ TEST_P(ConvQTapWalk, IntegrateConvQMatchesLogPeAddForAdd) {
     }
     EXPECT_EQ(ops, want_ops) << "split=" << split;
     // Dense geometries must reach the rail, or saturation order is untested.
-    if (kernel > 1 && stride == 1) {
+    if (kh > 1 && kw > 1 && stride == 1) {
       EXPECT_GT(saturated, 0) << "split=" << split;
     }
   }
+}
+
+// (stride, pad, kernel): square kernels.
+class ConvQTapWalk : public ::testing::TestWithParam<std::tuple<int, int, int>> {};
+
+TEST_P(ConvQTapWalk, IntegrateConvQMatchesLogPeAddForAdd) {
+  const auto [stride, pad, kernel] = GetParam();
+  expect_conv_q_matches_log_pe(
+      stride, pad, kernel, kernel,
+      static_cast<std::uint64_t>(3000 + stride * 100 + pad * 10 + kernel));
 }
 
 INSTANTIATE_TEST_SUITE_P(StridePadKernel, ConvQTapWalk,
                          ::testing::Combine(::testing::Values(1, 2, 3),
                                             ::testing::Values(0, 1, 2),
                                             ::testing::Values(1, 3, 5)));
+
+// (stride, pad, (kh, kw)): non-square kernels.
+class ConvQTapWalkNonSquare
+    : public ::testing::TestWithParam<std::tuple<int, int, std::pair<int, int>>> {};
+
+TEST_P(ConvQTapWalkNonSquare, IntegrateConvQMatchesLogPeAddForAdd) {
+  const auto [stride, pad, taps] = GetParam();
+  const auto [kh, kw] = taps;
+  expect_conv_q_matches_log_pe(
+      stride, pad, kh, kw,
+      static_cast<std::uint64_t>(4000 + stride * 1000 + pad * 100 + kh * 10 + kw));
+}
+
+INSTANTIATE_TEST_SUITE_P(StridePadKhKw, ConvQTapWalkNonSquare,
+                         ::testing::Combine(::testing::Values(1, 2, 3),
+                                            ::testing::Values(0, 1, 2),
+                                            ::testing::Values(std::pair{3, 5}, std::pair{1, 3},
+                                                              std::pair{5, 1})));
 
 // Unquantized weights must be rejected with a pointer at the quantizer, not
 // silently snapped to the nearest code.

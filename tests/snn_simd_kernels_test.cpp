@@ -10,8 +10,12 @@
 // integrate_conv's division-free tap walk against the per-tap definition.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "snn/engine.h"
@@ -27,6 +31,8 @@ namespace ttfs {
 namespace {
 
 namespace k = snn::kernels;
+
+constexpr float kInf = std::numeric_limits<float>::infinity();
 
 Tensor random_tensor(std::vector<std::int64_t> shape, Rng& rng, float lo, float hi) {
   Tensor t{std::move(shape)};
@@ -139,6 +145,113 @@ TEST(PackedLayout, PadsOutputSpansAndAlignsStorage) {
       ASSERT_EQ(fc.w.data()[i * fc.ostride + j], 0.0F) << "column " << i;
     }
   }
+}
+
+TEST(PackedLayout, ConvPackHoldsEveryWeightAtItsConvSlot) {
+  // A non-square kernel, so a kh/kw mix-up or a mirror on the wrong axis
+  // moves weights. Every weight must sit at conv_slot(ci, ky, kx)*cstride+co.
+  Rng rng{909};
+  const Tensor weight = random_tensor({13, 3, 3, 5}, rng, -0.2F, 0.2F);
+  snn::SnnNetwork net{snn::Base2Kernel{24, 4.0, 1.0}};
+  net.add_conv(weight, Tensor{{13}}, 1, 2);
+  net.ensure_packed();
+  const auto& conv = std::get<snn::PackedConv>(net.packed_layers()[0]);
+  ASSERT_EQ(conv.kh, 3);
+  ASSERT_EQ(conv.kw, 5);
+  for (std::int64_t co = 0; co < conv.cout; ++co) {
+    for (std::int64_t ci = 0; ci < conv.cin; ++ci) {
+      for (std::int64_t ky = 0; ky < conv.kh; ++ky) {
+        for (std::int64_t kx = 0; kx < conv.kw; ++kx) {
+          const float want = weight[((co * conv.cin + ci) * conv.kh + ky) * conv.kw + kx];
+          ASSERT_EQ(conv.w.data()[k::conv_slot(ci, ky, kx, conv.kh, conv.kw) * conv.cstride + co],
+                    want)
+              << "co " << co << " ci " << ci << " ky " << ky << " kx " << kx;
+        }
+      }
+    }
+  }
+}
+
+// --- Comparator-bank fire ------------------------------------------------------
+//
+// fire_steps counts the levels a float membrane lies below instead of
+// searching; it must equal ThresholdLut::fire_step for every float, on the
+// AVX2 and the scalar path, at every span length (lengths 1..17 put each
+// input in every lane of the 16- and 8-lane blocks and of the scalar tail).
+// Inputs: every float within 64 ulps of each level and of the step-0
+// boundary, a seeded 1M-sample log-uniform sweep over
+// [min_level/2, 2*level(0)], and the special values.
+
+std::vector<float> fire_edge_inputs(const snn::ThresholdLut& lut, double theta0) {
+  std::vector<float> u;
+  const auto around = [&](float centre) {
+    float lo = centre;
+    for (int i = 0; i < 64; ++i) lo = std::nextafter(lo, 0.0F);
+    float x = lo;
+    for (int i = 0; i <= 128; ++i, x = std::nextafter(x, kInf)) u.push_back(x);
+  };
+  for (int s = 0; s < lut.window(); ++s) around(static_cast<float>(lut.level(s)));
+  // The step-0 boundary: Base2Kernel compares against its unrounded theta0.
+  around(static_cast<float>(theta0));
+  for (const float x : {0.0F, -0.0F, kInf, -kInf, std::numeric_limits<float>::quiet_NaN(),
+                        std::numeric_limits<float>::denorm_min(),
+                        std::nextafter(std::numeric_limits<float>::min(), 0.0F),
+                        -std::numeric_limits<float>::denorm_min(), -1.0F, -0.5F, -1e30F,
+                        std::numeric_limits<float>::max(), std::numeric_limits<float>::min()}) {
+    u.push_back(x);
+  }
+  return u;
+}
+
+std::vector<float> fire_sweep_inputs(const snn::ThresholdLut& lut, std::uint64_t seed) {
+  Rng rng{seed};
+  const double lo = std::log2(lut.level(lut.window() - 1) / 2.0);
+  const double hi = std::log2(2.0 * lut.level(0));
+  std::vector<float> u(1 << 20);
+  for (float& x : u) x = static_cast<float>(std::exp2(rng.uniform(lo, hi)));
+  return u;
+}
+
+// Runs `u` through fire_steps in consecutive spans of `len` and checks every
+// step against ThresholdLut::fire_step.
+void expect_fire_matches_lut(const snn::ThresholdLut& lut, const std::vector<float>& u,
+                             std::int64_t len, const char* what) {
+  const auto n = static_cast<std::int64_t>(u.size());
+  std::vector<int> got(u.size(), -7);
+  for (std::int64_t i = 0; i < n; i += len) {
+    k::fire_steps(lut, u.data() + i, std::min(len, n - i), got.data() + i);
+  }
+  for (std::int64_t i = 0; i < n; ++i) {
+    const float x = u[static_cast<std::size_t>(i)];
+    ASSERT_EQ(got[static_cast<std::size_t>(i)], lut.fire_step(static_cast<double>(x)))
+        << what << " len=" << len << " isa=" << k::isa() << " u=" << std::hexfloat << x;
+  }
+}
+
+void expect_fire_kernel_exact(const snn::ThresholdLut& lut, double theta0, std::uint64_t seed,
+                              const char* what) {
+  const std::vector<float> edges = fire_edge_inputs(lut, theta0);
+  const std::vector<float> sweep = fire_sweep_inputs(lut, seed);
+  for (const bool scalar : {false, true}) {
+    ScopedScalar path{scalar};
+    for (std::int64_t len = 1; len <= 17; ++len) expect_fire_matches_lut(lut, edges, len, what);
+    expect_fire_matches_lut(lut, sweep, static_cast<std::int64_t>(sweep.size()), what);
+  }
+}
+
+TEST(FireKernel, MatchesThresholdLutOnEveryFloatClassBothPaths) {
+  const snn::Base2Kernel paper{24, 4.0, 1.0};
+  expect_fire_kernel_exact(snn::ThresholdLut{paper}, paper.theta0(), 910, "base2 T=24");
+  // theta0 = 0.3 is not a float: level(0) rounds it, top_ does not.
+  const snn::Base2Kernel inexact{24, 4.0, 0.3};
+  expect_fire_kernel_exact(snn::ThresholdLut{inexact}, inexact.theta0(), 911, "theta0=0.3");
+  const snn::Base2Kernel short_window{8, 2.0, 1.0};
+  expect_fire_kernel_exact(snn::ThresholdLut{short_window}, 1.0, 912, "base2 T=8");
+  const snn::Base2Kernel long_window{64, 8.0, 1.0};
+  expect_fire_kernel_exact(snn::ThresholdLut{long_window}, 1.0, 913, "base2 T=64");
+  // td > 0 lifts the early levels above theta0; the boundary is level(0).
+  const snn::BaseEKernel delayed{40, 9.0, 5.0, 1.0};
+  expect_fire_kernel_exact(snn::ThresholdLut{delayed}, delayed.level(0), 914, "base-e td=5");
 }
 
 // Asserts one trace is bit-identical to another: every spike in emission
@@ -294,25 +407,43 @@ TEST(KernelConformance, IntraSampleSplitMatchesReference) {
 // definition (tap ky reaches yo = (yi + pad - ky) / stride when the division
 // is exact). The 9x8 input is non-square, and several geometries leave
 // (h + 2*pad - k) indivisible by the stride, so the input's last rows and
-// columns fall past the final output through some taps.
+// columns fall past the final output through some taps. The pack mirrors kx
+// only (kernels::conv_slot), so a second sweep runs non-square kernels,
+// where a kh/kw mix-up in the walk or the slot rule would show.
+constexpr std::int64_t kTapCin = 3, kTapH = 9, kTapW = 8, kTapCout = 13;
+
+k::ConvGeom tap_walk_geom(int stride, int pad, int kh, int kw) {
+  k::ConvGeom g;
+  g.cin = kTapCin;
+  g.hin = kTapH;
+  g.win = kTapW;
+  g.cout = kTapCout;
+  g.cstride = k::padded(kTapCout);
+  g.kh = kh;
+  g.kw = kw;
+  g.stride = stride;
+  g.pad = pad;
+  g.oh = (kTapH + 2 * pad - kh) / stride + 1;
+  g.ow = (kTapW + 2 * pad - kw) / stride + 1;
+  return g;
+}
+
+// (stride, pad, kernel): square kernels.
 class ConvTapWalk : public ::testing::TestWithParam<std::tuple<int, int, int>> {
  protected:
-  static constexpr std::int64_t kCin = 3, kH = 9, kW = 8, kCout = 13;
-
   k::ConvGeom geom() const {
     const auto [stride, pad, kernel] = GetParam();
-    k::ConvGeom g;
-    g.cin = kCin;
-    g.hin = kH;
-    g.win = kW;
-    g.cout = kCout;
-    g.cstride = k::padded(kCout);
-    g.kh = g.kw = kernel;
-    g.stride = stride;
-    g.pad = pad;
-    g.oh = (kH + 2 * pad - kernel) / stride + 1;
-    g.ow = (kW + 2 * pad - kernel) / stride + 1;
-    return g;
+    return tap_walk_geom(stride, pad, kernel, kernel);
+  }
+};
+
+// (stride, pad, (kh, kw)): non-square kernels.
+class ConvTapWalkNonSquare
+    : public ::testing::TestWithParam<std::tuple<int, int, std::pair<int, int>>> {
+ protected:
+  k::ConvGeom geom() const {
+    const auto [stride, pad, taps] = GetParam();
+    return tap_walk_geom(stride, pad, taps.first, taps.second);
   }
 };
 
@@ -333,13 +464,16 @@ std::vector<snn::Spike> random_spike_train(std::int64_t neurons, int window, Rng
   return spikes;
 }
 
-TEST_P(ConvTapWalk, KernelMatchesPerTapDivisionOnBothPathsAndEverySplit) {
-  const k::ConvGeom g = geom();
+void expect_walk_matches_per_tap_division(const k::ConvGeom& g) {
   Rng rng{907};
   const snn::Base2Kernel kernel{24, 4.0, 1.0};
   const snn::ThresholdLut lut{kernel};
   std::vector<float> w(static_cast<std::size_t>(g.cin * g.kh * g.kw * g.cstride), 0.0F);
-  for (std::int64_t slot = 0; slot < g.cin * g.kh * g.kw; ++slot) {
+  // Drawn in (ci, ky, kx, co) order, so every tap gets the same weight
+  // whatever the slot rule.
+  for (std::int64_t tap = 0; tap < g.cin * g.kh * g.kw; ++tap) {
+    const std::int64_t slot =
+        k::conv_slot(tap / (g.kh * g.kw), tap / g.kw % g.kh, tap % g.kw, g.kh, g.kw);
     for (std::int64_t co = 0; co < g.cout; ++co) {
       w[static_cast<std::size_t>(slot * g.cstride + co)] = rng.uniform_f(-0.5F, 0.5F);
     }
@@ -366,7 +500,8 @@ TEST_P(ConvTapWalk, KernelMatchesPerTapDivisionOnBothPathsAndEverySplit) {
         if (xnum < 0 || xnum % g.stride != 0 || xnum / g.stride >= g.ow) continue;
         const std::int64_t pixel = (ynum / g.stride) * g.ow + xnum / g.stride;
         k::axpy_scalar(want.data() + pixel * g.cstride,
-                       w.data() + ((ci * g.kh + ky) * g.kw + kx) * g.cstride, v, g.cstride);
+                       w.data() + k::conv_slot(ci, ky, kx, g.kh, g.kw) * g.cstride, v,
+                       g.cstride);
         want_ops += g.cout;
       }
     }
@@ -396,25 +531,46 @@ TEST_P(ConvTapWalk, KernelMatchesPerTapDivisionOnBothPathsAndEverySplit) {
   }
 }
 
-TEST_P(ConvTapWalk, NetMatchesReferenceOnBothPathsUnderTinyBlocks) {
-  const k::ConvGeom g = geom();
+void expect_net_matches_reference_under_tiny_blocks(const k::ConvGeom& g) {
   Rng rng{908};
   snn::SnnNetwork net{snn::Base2Kernel{24, 4.0, 1.0}};
-  net.add_conv(random_tensor({kCout, kCin, g.kh, g.kw}, rng, -0.1F, 0.3F),
-               random_tensor({kCout}, rng, -0.05F, 0.1F), g.stride, g.pad);
-  net.add_fc(random_tensor({10, kCout * g.oh * g.ow}, rng, -0.1F, 0.12F),
+  net.add_conv(random_tensor({kTapCout, kTapCin, g.kh, g.kw}, rng, -0.1F, 0.3F),
+               random_tensor({kTapCout}, rng, -0.05F, 0.1F), g.stride, g.pad);
+  net.add_fc(random_tensor({10, kTapCout * g.oh * g.ow}, rng, -0.1F, 0.12F),
              random_tensor({10}, rng, -0.05F, 0.05F));
   ScopedBlockBytes tiny{64};
   for (int trial = 0; trial < 2; ++trial) {
-    const Tensor img = random_tensor({kCin, kH, kW}, rng, 0.0F, 1.0F);
+    const Tensor img = random_tensor({kTapCin, kTapH, kTapW}, rng, 0.0F, 1.0F);
     expect_matches_reference(net, img, "tap-walk");
   }
+}
+
+TEST_P(ConvTapWalk, KernelMatchesPerTapDivisionOnBothPathsAndEverySplit) {
+  expect_walk_matches_per_tap_division(geom());
+}
+
+TEST_P(ConvTapWalk, NetMatchesReferenceOnBothPathsUnderTinyBlocks) {
+  expect_net_matches_reference_under_tiny_blocks(geom());
+}
+
+TEST_P(ConvTapWalkNonSquare, KernelMatchesPerTapDivisionOnBothPathsAndEverySplit) {
+  expect_walk_matches_per_tap_division(geom());
+}
+
+TEST_P(ConvTapWalkNonSquare, NetMatchesReferenceOnBothPathsUnderTinyBlocks) {
+  expect_net_matches_reference_under_tiny_blocks(geom());
 }
 
 INSTANTIATE_TEST_SUITE_P(StridePadKernel, ConvTapWalk,
                          ::testing::Combine(::testing::Values(1, 2, 3),
                                             ::testing::Values(0, 1, 2),
                                             ::testing::Values(1, 3, 5)));
+
+INSTANTIATE_TEST_SUITE_P(StridePadKhKw, ConvTapWalkNonSquare,
+                         ::testing::Combine(::testing::Values(1, 2, 3),
+                                            ::testing::Values(0, 1, 2),
+                                            ::testing::Values(std::pair{3, 5}, std::pair{1, 3},
+                                                              std::pair{5, 1})));
 
 }  // namespace
 }  // namespace ttfs
