@@ -60,9 +60,15 @@ std::int64_t LogPe::accumulate(int sign, int q, int step) {
   // acc_frac_bits via a barrel shift.
   const std::int64_t lut_value = lut_[static_cast<std::size_t>(frac)];
   const int shift = int_part + config_.acc_frac_bits - config_.lut_bits;
+  const std::int64_t limit = std::int64_t{1}
+                             << (config_.acc_int_bits + config_.acc_frac_bits);
   std::int64_t add;
   if (shift >= 0) {
-    add = lut_value << shift;
+    // Capped at 2*limit - 1, like the snn quantized kernels' product: any
+    // larger product saturates to the same rail from every register value,
+    // and the uncapped shift of a large weight code would overflow int64.
+    const std::int64_t cap = limit + (limit - 1);  // 2*limit - 1; 2*limit overflows at 62 bits
+    add = shift >= 63 || lut_value > (cap >> shift) ? cap : lut_value << shift;
   } else if (-shift < 63) {
     // Round-to-nearest on the right shift (the hardware adds the dropped MSB).
     add = (lut_value + (std::int64_t{1} << (-shift - 1))) >> -shift;
@@ -70,15 +76,18 @@ std::int64_t LogPe::accumulate(int sign, int q, int step) {
     add = 0;
   }
   if (sign < 0) add = -add;
-  acc_ += add;
   // Saturating accumulator, like the fixed-width Vmem register in the PE.
   // A two's-complement (int+frac)-bit register holds [-2^(w-1), 2^(w-1) - 1]
   // LSBs; saturating to +limit would overshoot the representable maximum by
-  // one LSB.
-  const std::int64_t limit = std::int64_t{1}
-                             << (config_.acc_int_bits + config_.acc_frac_bits);
-  if (acc_ > limit - 1) acc_ = limit - 1;
-  if (acc_ < -limit) acc_ = -limit;
+  // one LSB. The add is tested against the headroom on each side rather than
+  // summed first: in a 62-bit register, acc_ + add could leave int64.
+  if (add > limit - 1 - acc_) {
+    acc_ = limit - 1;
+  } else if (add < -limit - acc_) {
+    acc_ = -limit;
+  } else {
+    acc_ += add;
+  }
   return add;
 }
 

@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
-#include <type_traits>
+#include <cmath>
 
+#include "snn/quant.h"
 #include "snn/simd.h"
 #include "util/check.h"
 #include "util/thread_pool.h"
@@ -34,14 +35,19 @@ int* SimArena::hwc_steps(std::int64_t n) { return hwc_steps_.ensure(n); }
 
 std::int64_t* SimArena::counts(std::int64_t n) { return counts_.ensure(n); }
 
-namespace detail {
+namespace {
+
+struct Shape3 {
+  std::int64_t c = 0, h = 0, w = 0;
+  std::int64_t numel() const { return c * h * w; }
+};
 
 // Scatters the fire steps recorded in `steps` (CHW neuron order, kNoSpike for
 // silent neurons) into `out.spikes` via the per-timestep histogram in
 // `counts`: offsets are the exclusive prefix sum, and scanning neurons in
 // ascending order fills each bucket in priority order. The concatenated
 // buckets are exactly the (step, neuron)-sorted emission sequence, with no
-// comparison sort.
+// comparison sort. Sets neuron_count and encoder_cycles = window + spikes.
 void scatter_buckets(const int* steps, std::int64_t n, std::int64_t* counts, int window,
                      LayerEventTrace& out) {
   std::int64_t total = 0;
@@ -63,55 +69,26 @@ void scatter_buckets(const int* steps, std::int64_t n, std::int64_t* counts, int
   out.encoder_cycles = window + total;
 }
 
-// Fire phase over the conv integration accumulator, which is stored HWC with
-// a padded channel stride (pixel rows of cstride floats, the first cout
-// real) so integration streams contiguously. The comparator bank fires the
-// whole accumulator as one contiguous span, padding lanes included, into HWC
-// scratch; neurons are then walked in CHW priority order through a strided
-// read of that scratch.
-void fire_hwc(const ThresholdLut& lut, const float* acc, std::int64_t cout,
-              std::int64_t cstride, std::int64_t pixels, SimArena& arena,
-              LayerEventTrace& out) {
-  const int window = lut.window();
-  const std::int64_t n = cout * pixels;
-  int* hwc = arena.hwc_steps(pixels * cstride);
-  kernels::fire_steps(lut, acc, pixels * cstride, hwc);
-  int* steps = arena.steps(n);
-  std::int64_t* counts = arena.counts(window);
-  std::fill(counts, counts + window, 0);
-  for (std::int64_t co = 0; co < cout; ++co) {
-    int* row = steps + co * pixels;
-    for (std::int64_t p = 0; p < pixels; ++p) {
-      const int k = hwc[p * cstride + co];
-      row[p] = k;
-      if (k != kNoSpike) ++counts[k];
-    }
-  }
-  scatter_buckets(steps, n, counts, window, out);
-}
-
 // Earliest-spike-wins pooling: pass through the minimum fire step of each
-// window, building a step grid from the incoming spikes first. Shared by the
-// float and quantized simulators — pooling is pure spike bookkeeping, so
-// both paths agree on it by construction.
-LayerEventTrace pool_layer(const SnnPool& pool, const std::vector<Spike>& in_spikes,
-                           std::int64_t c, std::int64_t h, std::int64_t w, int window,
-                           SimArena& arena) {
-  const std::int64_t oh = (h - pool.kernel) / pool.stride + 1;
-  const std::int64_t ow = (w - pool.kernel) / pool.stride + 1;
+// window, building a step grid from the incoming spikes first. Pooling is
+// pure spike bookkeeping, the same for every membrane format.
+LayerEventTrace pool_layer(const SnnPool& pool, const std::vector<Spike>& in_spikes, Shape3 in,
+                           int window, SimArena& arena) {
+  const std::int64_t oh = (in.h - pool.kernel) / pool.stride + 1;
+  const std::int64_t ow = (in.w - pool.kernel) / pool.stride + 1;
   TTFS_CHECK(oh > 0 && ow > 0);
 
-  int* grid = arena.grid(c * h * w);
-  std::fill(grid, grid + c * h * w, kNoSpike);
+  int* grid = arena.grid(in.numel());
+  std::fill(grid, grid + in.numel(), kNoSpike);
   for (const Spike& s : in_spikes) grid[s.neuron] = s.step;
 
   // Output steps in CHW order, then bucket like a fire phase (minus the
   // encoder-cycle cost: pooling is free in the spike domain).
-  const std::int64_t out_n = c * oh * ow;
+  const std::int64_t out_n = in.c * oh * ow;
   int* steps = arena.steps(out_n);
   std::int64_t* counts = arena.counts(window);
   std::fill(counts, counts + window, 0);
-  for (std::int64_t ci = 0; ci < c; ++ci) {
+  for (std::int64_t ci = 0; ci < in.c; ++ci) {
     for (std::int64_t oy = 0; oy < oh; ++oy) {
       for (std::int64_t ox = 0; ox < ow; ++ox) {
         int best = kNoSpike;
@@ -119,7 +96,7 @@ LayerEventTrace pool_layer(const SnnPool& pool, const std::vector<Spike>& in_spi
           for (std::int64_t kx = 0; kx < pool.kernel; ++kx) {
             const std::int64_t iy = oy * pool.stride + ky;
             const std::int64_t ix = ox * pool.stride + kx;
-            const int s = grid[(ci * h + iy) * w + ix];
+            const int s = grid[(ci * in.h + iy) * in.w + ix];
             if (s != kNoSpike && (best == kNoSpike || s < best)) best = s;
           }
         }
@@ -134,138 +111,246 @@ LayerEventTrace pool_layer(const SnnPool& pool, const std::vector<Spike>& in_spi
   return lt;
 }
 
-}  // namespace detail
+// --- Membrane formats ---------------------------------------------------------
+//
+// The processor has one datapath; only the number format of its membranes
+// differs between the float model and the log-weight deployment. The driver
+// and the fire helpers below are written once over a format policy, which
+// supplies exactly what that format changes:
+//   Acc, Conv, Fc        the accumulator element and the pack's layer types
+//                        (both packs share their geometry field names);
+//   acc_buffer           the format's SimArena accumulator;
+//   load_bias            bias row 0 at the pack's stride, zero padding, or
+//                        false when the layer has none;
+//   integrate_conv/_fc   the layer kernel over disjoint output range [lo, hi);
+//   fire_steps           each membrane's fire step over a contiguous span,
+//                        added to the per-step histogram in the same pass;
+//   to_logit             one accumulator as a float logit.
+// `lut` is the network's ThresholdLut.
 
-namespace {
+// Float membranes on the network's float pack (network.h), fired through the
+// comparator-bank kernel.
+struct FloatFormat {
+  using Acc = float;
+  using Conv = PackedConv;
+  using Fc = PackedFc;
+  const ThresholdLut& lut;
 
-struct Shape3 {
-  std::int64_t c = 0, h = 0, w = 0;
-  std::int64_t numel() const { return c * h * w; }
+  static float* acc_buffer(SimArena& arena, std::int64_t n) { return arena.acc(n); }
+  template <typename Pack>
+  static bool load_bias(const Tensor& bias, const Pack& /*pw*/, float* row, std::int64_t stride) {
+    if (bias.empty()) return false;
+    std::copy(bias.data(), bias.data() + bias.numel(), row);
+    std::fill(row + bias.numel(), row + stride, 0.0F);
+    return true;
+  }
+  std::int64_t integrate_conv(const PackedConv& pw, const kernels::ConvGeom& g,
+                              const Spike* spikes, std::int64_t n, float* acc, std::int64_t lo,
+                              std::int64_t hi) const {
+    return kernels::integrate_conv(g, pw.w.data(), spikes, n, lut, acc, lo, hi);
+  }
+  std::int64_t integrate_fc(const PackedFc& pw, const Spike* spikes, std::int64_t n, float* acc,
+                            std::int64_t lo, std::int64_t hi) const {
+    return kernels::integrate_fc(pw.out, pw.ostride, pw.w.data(), spikes, n, lut, acc, lo, hi);
+  }
+  void fire_steps(const float* acc, std::int64_t n, int* out, std::int64_t* counts) const {
+    kernels::fire_steps(lut, acc, n, out);
+    for (std::int64_t i = 0; i < n; ++i) {
+      if (out[i] != kNoSpike) ++counts[out[i]];
+    }
+  }
+  static float to_logit(float acc) { return acc; }
 };
 
-// Fire phase over a dense membrane span in CHW (= neuron) order. Implements
-// the encoder loop of Sec. 4 — one threshold per timestep, ready neurons
-// serialized through a priority encoder — by binning neurons into timestep
-// buckets directly (see scatter_buckets). Float membranes (the input image,
-// FC layers) run through the comparator-bank kernel; double ones (the
-// fire_phase API) through ThresholdLut::fire_step, which the kernel equals
-// only on floats.
+// Membranes that fire at their exact real value v * scale through
+// ThresholdLut::fire_step: the fixed-point accumulator at scale =
+// 2^-acc_frac_bits (an int32 times a power of two stays a normal double, so
+// the product is exact), and fire_phase's doubles at scale = 1. The
+// comparator-bank kernel equals fire_step on floats only. The histogram is
+// counted inside the search loop: fused, the branchy search ran ~15 % faster
+// than a search pass then a counting pass (16 K random membranes, 4-core
+// x86-64 VM).
 template <typename T>
-void fire_dense(const ThresholdLut& lut, const T* vmem, std::int64_t n, SimArena& arena,
-                LayerEventTrace& out) {
-  const int window = lut.window();
-  int* steps = arena.steps(n);
-  std::int64_t* counts = arena.counts(window);
-  std::fill(counts, counts + window, 0);
-  if constexpr (std::is_same_v<T, float>) {
-    kernels::fire_steps(lut, vmem, n, steps);
+struct ExactFire {
+  const ThresholdLut& lut;
+  double scale;
+
+  void fire_steps(const T* acc, std::int64_t n, int* out, std::int64_t* counts) const {
     for (std::int64_t i = 0; i < n; ++i) {
-      if (steps[i] != kNoSpike) ++counts[steps[i]];
-    }
-  } else {
-    for (std::int64_t i = 0; i < n; ++i) {
-      const int k = lut.fire_step(static_cast<double>(vmem[i]));
-      steps[i] = k;
+      const int k = lut.fire_step(static_cast<double>(acc[i]) * scale);
+      out[i] = k;
       if (k != kNoSpike) ++counts[k];
     }
   }
-  detail::scatter_buckets(steps, n, counts, window, out);
+};
+
+// Saturating int32 fixed-point membranes on the quantized pack (quant.h):
+// every add is the LogPe LUT/barrel-shift product, bias loads first from the
+// pack's precomputed LSB registers.
+struct QuantFormat : ExactFire<std::int32_t> {
+  using Acc = std::int32_t;
+  using Conv = QuantizedConv;
+  using Fc = QuantizedFc;
+  const QuantizedWeightPack& pack;
+
+  static std::int32_t* acc_buffer(SimArena& arena, std::int64_t n) { return arena.qacc(n); }
+  template <typename Pack>
+  static bool load_bias(const Tensor& /*bias*/, const Pack& pw, std::int32_t* row,
+                        std::int64_t stride) {
+    if (!pw.has_bias) return false;
+    std::copy(pw.bias_acc.data(), pw.bias_acc.data() + stride, row);
+    return true;
+  }
+  std::int64_t integrate_conv(const QuantizedConv& pw, const kernels::ConvGeom& g,
+                              const Spike* spikes, std::int64_t n, std::int32_t* acc,
+                              std::int64_t lo, std::int64_t hi) const {
+    return kernels::integrate_conv_q(g, pw.w.data(), spikes, n, layer_params(pw), acc, lo, hi);
+  }
+  std::int64_t integrate_fc(const QuantizedFc& pw, const Spike* spikes, std::int64_t n,
+                            std::int32_t* acc, std::int64_t lo, std::int64_t hi) const {
+    return kernels::integrate_fc_q(pw.out, pw.ostride, pw.w.data(), spikes, n, layer_params(pw),
+                                   acc, lo, hi);
+  }
+  float to_logit(std::int32_t acc) const { return static_cast<float>(acc * scale); }
+
+  // The kernels' fixed-point geometry for one layer, from the pack.
+  template <typename Pack>
+  kernels::QuantKernelParams layer_params(const Pack& pw) const {
+    kernels::QuantKernelParams qp;
+    qp.lut = pack.lut.data();
+    qp.frac_bits = pack.frac_bits();
+    qp.lut_bits = pack.config.lut_bits;
+    qp.acc_frac_bits = pack.config.acc_frac_bits;
+    qp.acc_limit = std::int64_t{1} << (pack.config.acc_int_bits + pack.config.acc_frac_bits);
+    qp.wmul = 1 << (qp.frac_bits - pack.config.z);
+    qp.smul = 1 << (qp.frac_bits - pack.p);
+    qp.q_lo = pw.q_lo;
+    qp.q_hi = pw.q_hi;
+    return qp;
+  }
+};
+
+// Fire phase over a membrane accumulator stored HWC: `pixels` rows of
+// `cstride` lanes, the first `cout` of each real. Implements the encoder loop
+// of Sec. 4 — one threshold per timestep, ready neurons serialized through a
+// priority encoder — by binning neurons into timestep buckets directly (see
+// scatter_buckets). The whole accumulator — padded so integration streams
+// contiguously — fires as one contiguous span into HWC scratch, padding lanes
+// included: they hold 0, which never fires, so the span's histogram counts
+// exactly the real neurons. The real lanes are then gathered in CHW priority
+// order through a strided read. An FC layer is one pixel, and so is a dense
+// CHW span (the input image, fire_phase's membranes) with cstride = cout.
+template <typename Fmt, typename T>
+void fire_hwc(const Fmt& fmt, const T* acc, std::int64_t cout, std::int64_t cstride,
+              std::int64_t pixels, SimArena& arena, LayerEventTrace& out) {
+  const int window = fmt.lut.window();
+  std::int64_t* counts = arena.counts(window);
+  std::fill(counts, counts + window, 0);
+  int* hwc = arena.hwc_steps(pixels * cstride);
+  fmt.fire_steps(acc, pixels * cstride, hwc, counts);
+  int* steps = arena.steps(cout * pixels);
+  for (std::int64_t co = 0; co < cout; ++co) {
+    for (std::int64_t p = 0; p < pixels; ++p) steps[co * pixels + p] = hwc[p * cstride + co];
+  }
+  scatter_buckets(steps, cout * pixels, counts, window, out);
 }
 
 // Whether the intra-sample split is worth waking the pool for: a rough
-// per-range work estimate in accumulated floats. Any threshold is
+// per-range work estimate in accumulator lanes. Any threshold is
 // bit-identical (the split itself is — see simd.h); this one just avoids
 // paying fan-out latency on layers that integrate in microseconds.
 constexpr std::int64_t kIntraMinWork = 1 << 16;
 
-// Integrates a conv layer's spike train into acc rows [0, oh), splitting
-// disjoint output-row ranges across the arena's intra pool when one is set
-// and the layer is large enough. Returns total integration ops.
-std::int64_t integrate_conv_split(const kernels::ConvGeom& g, const float* w,
-                                  const std::vector<Spike>& spikes, const ThresholdLut& lut,
-                                  float* acc, SimArena& arena) {
-  const std::int64_t nspikes = static_cast<std::int64_t>(spikes.size());
+// Runs `integrate(lo, hi)` over the layer's output ranges [0, n) — conv
+// output rows, or FC lanes — and returns the total integration ops. With an
+// intra pool set, n >= 2 and `work` lanes of adds to do, it splits [0, n)
+// into disjoint ranges across the pool. Every accumulator lane lives in
+// exactly one range and replays the full spike train in order, so the split
+// is invisible in both formats: float adds keep their order, and so does each
+// saturating fixed-point add. Only the integer op counters are merged.
+template <typename Integrate>
+std::int64_t integrate_split(std::int64_t n, std::int64_t work, SimArena& arena,
+                             Integrate&& integrate) {
   ThreadPool* pool = arena.intra_pool();
-  const std::int64_t work = nspikes * g.kh * g.kw * g.cstride;
-  if (pool == nullptr || pool->size() < 2 || g.oh < 2 || work < kIntraMinWork) {
-    return kernels::integrate_conv(g, w, spikes.data(), nspikes, lut, acc, 0, g.oh);
+  if (pool == nullptr || pool->size() < 2 || n < 2 || work < kIntraMinWork) {
+    return integrate(0, n);
   }
-  // Disjoint row ranges: every accumulator row lives in exactly one range and
-  // replays the full spike train in order, so the merge is integer-only.
   std::atomic<std::int64_t> ops{0};
-  pool->parallel_for_indexed(0, g.oh, [&](std::size_t, std::int64_t lo, std::int64_t hi) {
-    ops.fetch_add(kernels::integrate_conv(g, w, spikes.data(), nspikes, lut, acc, lo, hi),
-                  std::memory_order_relaxed);
+  pool->parallel_for_indexed(0, n, [&](std::size_t, std::int64_t lo, std::int64_t hi) {
+    ops.fetch_add(integrate(lo, hi), std::memory_order_relaxed);
   });
   return ops.load(std::memory_order_relaxed);
 }
 
-// FC counterpart: splits disjoint lane-aligned column ranges of [0, ostride).
-std::int64_t integrate_fc_split(std::int64_t out, std::int64_t ostride, const float* w,
-                                const std::vector<Spike>& spikes, const ThresholdLut& lut,
-                                float* acc, SimArena& arena) {
-  const std::int64_t nspikes = static_cast<std::int64_t>(spikes.size());
-  ThreadPool* pool = arena.intra_pool();
-  const std::int64_t lanes = ostride / kernels::kLaneFloats;
-  if (pool == nullptr || pool->size() < 2 || lanes < 2 ||
-      nspikes * ostride < kIntraMinWork) {
-    return kernels::integrate_fc(out, ostride, w, spikes.data(), nspikes, lut, acc, 0, ostride);
+// Logits in CHW order like the canonical simulator: channel co of pixel p is
+// acc[p * stride + co] (an FC layer is one pixel).
+template <typename Fmt>
+Tensor logits_chw(const Fmt& fmt, const typename Fmt::Acc* acc, std::int64_t channels,
+                  std::int64_t stride, std::int64_t pixels) {
+  Tensor logits{{1, channels * pixels}};
+  float* lo = logits.data();
+  for (std::int64_t co = 0; co < channels; ++co) {
+    for (std::int64_t p = 0; p < pixels; ++p) {
+      lo[co * pixels + p] = fmt.to_logit(acc[p * stride + co]);
+    }
   }
-  std::atomic<std::int64_t> ops{0};
-  // Chunk in whole lanes so every worker's span stays vector-aligned.
-  pool->parallel_for_indexed(0, lanes, [&](std::size_t, std::int64_t lo, std::int64_t hi) {
-    ops.fetch_add(kernels::integrate_fc(out, ostride, w, spikes.data(), nspikes, lut, acc,
-                                        lo * kernels::kLaneFloats, hi * kernels::kLaneFloats),
-                  std::memory_order_relaxed);
-  });
-  return ops.load(std::memory_order_relaxed);
+  return logits;
 }
 
-// Core single-sample simulation over a raw (C, H, W) image span. All scratch
-// comes from `arena`; only the returned trace allocates.
-EventTrace run_event_sim_view(const SnnNetwork& net, const float* image, Shape3 cur,
-                              SimArena& arena) {
-  net.ensure_packed();
-  const ThresholdLut& lut = net.threshold_lut();
+// Core single-sample simulation over a raw (C, H, W) image span, on the
+// format's membranes and `packs` (index-aligned with net.layers()). All
+// scratch comes from `arena`; only the returned trace allocates.
+template <typename Fmt, typename Packs>
+EventTrace run_event_sim_view(const Fmt& fmt, const SnnNetwork& net, const Packs& packs,
+                              const float* image, Shape3 cur, SimArena& arena) {
+  using Acc = typename Fmt::Acc;
   EventTrace trace;
   trace.layers.reserve(net.layers().size() + 1);
 
-  // --- Input encoding window ---
-  {
-    LayerEventTrace lt;
-    fire_dense(lut, image, cur.numel(), arena, lt);
-    trace.layers.push_back(std::move(lt));
-  }
+  // --- Input encoding window (a float image in every format) ---
+  // Layers are built in place: the reserve above keeps in_spikes valid.
+  fire_hwc(FloatFormat{fmt.lut}, image, cur.numel(), cur.numel(), 1, arena,
+           trace.layers.emplace_back());
   const std::vector<Spike>* in_spikes = &trace.layers.back().spikes;
 
+  // A weighted layer's tail, after integration into `acc` (`pixels` rows of
+  // `stride` lanes, `channels` real; an FC layer is one pixel): the last one
+  // reports its accumulators as logits and returns true, any other fires.
   const std::size_t weighted = net.weighted_layer_count();
-  const std::vector<PackedLayer>& packs = net.packed_layers();
   std::size_t weighted_seen = 0;
+  const auto finish_layer = [&](const Acc* acc, std::int64_t channels, std::int64_t stride,
+                                std::int64_t pixels, std::int64_t ops) {
+    if (++weighted_seen == weighted) {
+      trace.logits = logits_chw(fmt, acc, channels, stride, pixels);
+      return true;
+    }
+    LayerEventTrace& lt = trace.layers.emplace_back();
+    fire_hwc(fmt, acc, channels, stride, pixels, arena, lt);
+    lt.integration_ops = ops;
+    in_spikes = &lt.spikes;
+    return false;
+  };
 
   for (std::size_t li = 0; li < net.layers().size(); ++li) {
     const SnnLayer& layer = net.layers()[li];
     if (const auto* conv = std::get_if<SnnConv>(&layer)) {
-      const PackedConv& pw = std::get<PackedConv>(packs[li]);
+      const auto& pw = std::get<typename Fmt::Conv>(packs[li]);
       const std::int64_t cout = pw.cout;
       const std::int64_t cstride = pw.cstride;
-      const std::int64_t kh = pw.kh;
-      const std::int64_t kw = pw.kw;
-      const std::int64_t oh = (cur.h + 2 * conv->pad - kh) / conv->stride + 1;
-      const std::int64_t ow = (cur.w + 2 * conv->pad - kw) / conv->stride + 1;
+      const std::int64_t oh = (cur.h + 2 * conv->pad - pw.kh) / conv->stride + 1;
+      const std::int64_t ow = (cur.w + 2 * conv->pad - pw.kw) / conv->stride + 1;
       TTFS_CHECK(pw.cin == cur.c && oh > 0 && ow > 0);
 
       // HWC accumulator: element (yo, xo, co) at acc[(yo*ow + xo)*cstride + co]
       // — pixel rows padded to the pack's cstride so both the weight slot and
-      // the membrane update are whole-lane contiguous streams per tap.
-      float* acc = arena.acc(cstride * oh * ow);
-      if (!conv->bias.empty()) {
-        // Bias init as one packed-row broadcast: write pixel row 0 (zeroing
-        // the padding lanes), then replicate it across the other pixels.
-        for (std::int64_t co = 0; co < cout; ++co) acc[co] = conv->bias[co];
-        std::fill(acc + cout, acc + cstride, 0.0F);
+      // the membrane update are whole-lane contiguous streams per tap. Bias
+      // init is one packed-row broadcast: write pixel row 0 (zeroing the
+      // padding lanes), then replicate it across the other pixels.
+      Acc* acc = fmt.acc_buffer(arena, cstride * oh * ow);
+      if (fmt.load_bias(conv->bias, pw, acc, cstride)) {
         kernels::broadcast_rows(acc, oh * ow, cstride);
       } else {
-        std::fill(acc, acc + cstride * oh * ow, 0.0F);
+        std::fill(acc, acc + cstride * oh * ow, Acc{0});
       }
 
       // Integration: spikes arrive (step, neuron)-sorted; the kernel layer
@@ -277,73 +362,49 @@ EventTrace run_event_sim_view(const SnnNetwork& net, const float* image, Shape3 
       geom.win = cur.w;
       geom.cout = cout;
       geom.cstride = cstride;
-      geom.kh = kh;
-      geom.kw = kw;
+      geom.kh = pw.kh;
+      geom.kw = pw.kw;
       geom.stride = conv->stride;
       geom.pad = conv->pad;
       geom.oh = oh;
       geom.ow = ow;
-      const std::int64_t ops =
-          integrate_conv_split(geom, pw.w.data(), *in_spikes, lut, acc, arena);
-
-      ++weighted_seen;
-      if (weighted_seen == weighted) {
-        // Logits are reported CHW like the canonical simulator.
-        trace.logits = Tensor{{1, cout * oh * ow}};
-        float* lo = trace.logits.data();
-        for (std::int64_t co = 0; co < cout; ++co) {
-          for (std::int64_t p = 0; p < oh * ow; ++p) {
-            lo[co * oh * ow + p] = acc[p * cstride + co];
-          }
-        }
-        return trace;
-      }
-      LayerEventTrace lt;
-      detail::fire_hwc(lut, acc, cout, cstride, oh * ow, arena, lt);
-      lt.integration_ops = ops;
-      trace.layers.push_back(std::move(lt));
-      in_spikes = &trace.layers.back().spikes;
+      const std::vector<Spike>& spikes = *in_spikes;
+      const std::int64_t nspikes = static_cast<std::int64_t>(spikes.size());
+      const std::int64_t ops = integrate_split(
+          oh, nspikes * pw.kh * pw.kw * cstride, arena, [&](std::int64_t lo, std::int64_t hi) {
+            return fmt.integrate_conv(pw, geom, spikes.data(), nspikes, acc, lo, hi);
+          });
+      if (finish_layer(acc, cout, cstride, oh * ow, ops)) return trace;
       cur = {cout, oh, ow};
     } else if (const auto* fc = std::get_if<SnnFc>(&layer)) {
-      const PackedFc& pw = std::get<PackedFc>(packs[li]);
+      const auto& pw = std::get<typename Fmt::Fc>(packs[li]);
       const std::int64_t out = pw.out;
       const std::int64_t ostride = pw.ostride;
       TTFS_CHECK(pw.in == cur.numel());
 
-      float* acc = arena.acc(ostride);
-      if (!fc->bias.empty()) {
-        for (std::int64_t j = 0; j < out; ++j) acc[j] = fc->bias[j];
-        std::fill(acc + out, acc + ostride, 0.0F);
-      } else {
-        std::fill(acc, acc + ostride, 0.0F);
-      }
+      Acc* acc = fmt.acc_buffer(arena, ostride);
+      if (!fmt.load_bias(fc->bias, pw, acc, ostride)) std::fill(acc, acc + ostride, Acc{0});
 
       // Column-major pack: each spiking input's whole weight column is one
-      // contiguous lane-padded vector-add, dispatched through the kernel
-      // layer (and column-split across the intra pool when it pays).
-      const std::int64_t ops =
-          integrate_fc_split(out, ostride, pw.w.data(), *in_spikes, lut, acc, arena);
-
-      ++weighted_seen;
-      if (weighted_seen == weighted) {
-        trace.logits = Tensor{{1, out}};
-        std::copy(acc, acc + out, trace.logits.data());
-        return trace;
-      }
-      LayerEventTrace lt;
-      fire_dense(lut, acc, out, arena, lt);
-      lt.integration_ops = ops;
-      trace.layers.push_back(std::move(lt));
-      in_spikes = &trace.layers.back().spikes;
+      // contiguous lane-padded span, dispatched through the kernel layer
+      // (and split across the intra pool in whole lanes, so every worker's
+      // span stays vector-aligned, when it pays).
+      const std::vector<Spike>& spikes = *in_spikes;
+      const std::int64_t nspikes = static_cast<std::int64_t>(spikes.size());
+      const std::int64_t ops = integrate_split(
+          ostride / kernels::kLaneFloats, nspikes * ostride, arena,
+          [&](std::int64_t lo, std::int64_t hi) {
+            return fmt.integrate_fc(pw, spikes.data(), nspikes, acc, lo * kernels::kLaneFloats,
+                                    hi * kernels::kLaneFloats);
+          });
+      if (finish_layer(acc, out, ostride, 1, ops)) return trace;
       cur = {out, 1, 1};
     } else {
       const auto& pool = std::get<SnnPool>(layer);
-      const std::int64_t oh = (cur.h - pool.kernel) / pool.stride + 1;
-      const std::int64_t ow = (cur.w - pool.kernel) / pool.stride + 1;
-      trace.layers.push_back(
-          detail::pool_layer(pool, *in_spikes, cur.c, cur.h, cur.w, lut.window(), arena));
+      trace.layers.push_back(pool_layer(pool, *in_spikes, cur, fmt.lut.window(), arena));
       in_spikes = &trace.layers.back().spikes;
-      cur = {cur.c, oh, ow};
+      cur = {cur.c, (cur.h - pool.kernel) / pool.stride + 1,
+             (cur.w - pool.kernel) / pool.stride + 1};
     }
   }
   TTFS_CHECK_MSG(false, "SNN has no output layer");
@@ -356,12 +417,23 @@ namespace detail {
 
 EventTrace run_event_sim_span(const SnnNetwork& net, const float* image, std::int64_t c,
                               std::int64_t h, std::int64_t w, SimArena& arena) {
-  return run_event_sim_view(net, image, {c, h, w}, arena);
+  net.ensure_packed();
+  return run_event_sim_view(FloatFormat{net.threshold_lut()}, net, net.packed_layers(), image,
+                            {c, h, w}, arena);
 }
 
-void fire_span(const ThresholdLut& lut, const float* vmem, std::int64_t n, SimArena& arena,
-               LayerEventTrace& out) {
-  fire_dense(lut, vmem, n, arena, out);
+EventTrace run_quantized_event_sim_span(const SnnNetwork& net, const float* image,
+                                        std::int64_t c, std::int64_t h, std::int64_t w,
+                                        SimArena& arena) {
+  const QuantizedWeightPack& pack = net.quantized_pack();
+  const QuantFormat fmt{{net.threshold_lut(), std::ldexp(1.0, -pack.config.acc_frac_bits)}, pack};
+  return run_event_sim_view(fmt, net, pack.layers, image, {c, h, w}, arena);
+}
+
+void fire_hwc(const ThresholdLut& lut, const float* acc, std::int64_t cout,
+              std::int64_t cstride, std::int64_t pixels, SimArena& arena,
+              LayerEventTrace& out) {
+  snn::fire_hwc(FloatFormat{lut}, acc, cout, cstride, pixels, arena, out);
 }
 
 }  // namespace detail
@@ -370,7 +442,8 @@ LayerEventTrace fire_phase(const Base2Kernel& kernel, const std::vector<double>&
   const ThresholdLut lut{kernel};
   SimArena arena;
   LayerEventTrace out;
-  fire_dense(lut, vmem.data(), static_cast<std::int64_t>(vmem.size()), arena, out);
+  const auto n = static_cast<std::int64_t>(vmem.size());
+  fire_hwc(ExactFire<double>{lut, 1.0}, vmem.data(), n, n, 1, arena, out);
   return out;
 }
 
@@ -391,17 +464,14 @@ void SimArena::reserve_for(const SnnNetwork& net, std::int64_t c, std::int64_t h
   std::int64_t max_acc = 0;
   std::int64_t max_steps = cur.numel();
   std::int64_t max_grid = 0;
-  std::int64_t max_hwc = 0;
   for (const auto& layer : net.layers()) {
     if (const auto* conv = std::get_if<SnnConv>(&layer)) {
       const std::int64_t oh = (cur.h + 2 * conv->pad - conv->weight.dim(2)) / conv->stride + 1;
       const std::int64_t ow = (cur.w + 2 * conv->pad - conv->weight.dim(3)) / conv->stride + 1;
       cur = {conv->weight.dim(0), oh, ow};
-      // Accumulators and the conv fire scratch are requested at the pack's
+      // Accumulators and the fire scratch are requested at the pack's
       // padded channel stride.
-      const std::int64_t hwc = kernels::padded(cur.c) * oh * ow;
-      max_acc = std::max(max_acc, hwc);
-      max_hwc = std::max(max_hwc, hwc);
+      max_acc = std::max(max_acc, kernels::padded(cur.c) * oh * ow);
     } else if (const auto* fc = std::get_if<SnnFc>(&layer)) {
       cur = {fc->weight.dim(0), 1, 1};
       max_acc = std::max(max_acc, kernels::padded(cur.c));
@@ -416,7 +486,7 @@ void SimArena::reserve_for(const SnnNetwork& net, std::int64_t c, std::int64_t h
   (void)acc(max_acc);
   (void)steps(max_steps);
   (void)grid(max_grid);
-  (void)hwc_steps(max_hwc);
+  (void)hwc_steps(std::max(max_acc, c * h * w));  // the input fires as one pixel
   (void)counts(net.kernel().window());
 }
 

@@ -27,6 +27,8 @@
 //   * all scratch (membrane accumulator, step grids, bucket histogram) lives
 //     in a caller-provided SimArena, so steady-state batch inference
 //     allocates nothing beyond the returned traces.
+// The same driver also runs the quantized pack (quant.h) on saturating
+// fixed-point membranes; only the membrane format differs between the two.
 #pragma once
 
 #include <cstdint>
@@ -94,15 +96,16 @@ class SimArena {
                                          // float-only sessions never pay for it
   int* steps(std::int64_t n);            // per-neuron fire step, CHW order
   int* grid(std::int64_t n);             // pooling input step grid, CHW order
-  int* hwc_steps(std::int64_t n);        // conv fire steps in the accumulator's
-                                         // HWC layout (padded cstride)
+  int* hwc_steps(std::int64_t n);        // fire steps in the accumulator's
+                                         // HWC layout (padded stride)
   std::int64_t* counts(std::int64_t n);  // per-timestep spike histogram
 
-  // Spike-parallel split: when non-null, integration of a large layer may
-  // fan its *disjoint* output ranges out across this pool (bit-identical —
-  // each accumulator lane is owned by exactly one range; see simd.h). Set by
-  // InferenceSession for the single-chunk case where sample-parallelism
-  // starves (batch of 1 on a multi-worker pool); null means fully inline.
+  // Spike-parallel split: when non-null, integration of a large layer, float
+  // or fixed-point, may fan its *disjoint* output ranges out across this
+  // pool (bit-identical — each accumulator lane is owned by exactly one
+  // range; see simd.h). Set by InferenceSession for the single-chunk case
+  // where sample-parallelism starves (batch of 1 on a multi-worker pool);
+  // null means fully inline.
   void set_intra_pool(ThreadPool* pool) { intra_pool_ = pool; }
   ThreadPool* intra_pool() const { return intra_pool_; }
 
@@ -132,33 +135,10 @@ EventTrace run_event_sim_span(const SnnNetwork& net, const float* image, std::in
 
 // The float conv layers' fire phase, over the integration accumulator
 // stored HWC at channel stride cstride (`pixels` rows, the first cout lanes
-// of each real). Spikes come out in CHW priority order, like fire_span's.
+// of each real). Spikes come out in CHW priority order.
 void fire_hwc(const ThresholdLut& lut, const float* acc, std::int64_t cout,
               std::int64_t cstride, std::int64_t pixels, SimArena& arena,
               LayerEventTrace& out);
-
-// Building blocks shared verbatim with the quantized simulator (quant.cpp),
-// so the parts of the event path that are pure spike bookkeeping — bucket
-// scatter, the dense fire phase, earliest-spike-wins pooling — are literally
-// the same code in both and agree trivially.
-
-// Scatters the fire steps in `steps` (CHW order, kNoSpike = silent) into
-// out.spikes via the per-timestep histogram in `counts` (exclusive prefix
-// sum); the concatenated buckets are the (step, neuron)-sorted emission
-// order. Sets neuron_count and encoder_cycles = window + spikes.
-void scatter_buckets(const int* steps, std::int64_t n, std::int64_t* counts, int window,
-                     LayerEventTrace& out);
-
-// Fire phase over a dense float membrane span in CHW (= neuron) order.
-void fire_span(const ThresholdLut& lut, const float* vmem, std::int64_t n, SimArena& arena,
-               LayerEventTrace& out);
-
-// Earliest-spike-wins pooling over one layer's incoming spikes on a
-// (c, h, w) grid; encoder_cycles is 0 (pools reshuffle spikes, no encoder
-// pass). The caller advances its shape with the same (k, stride) formula.
-LayerEventTrace pool_layer(const SnnPool& pool, const std::vector<Spike>& in_spikes,
-                           std::int64_t c, std::int64_t h, std::int64_t w, int window,
-                           SimArena& arena);
 }  // namespace detail
 
 // The fire-phase / spike-encoder primitive (Sec. 4): encodes a vector of

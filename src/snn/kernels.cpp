@@ -238,6 +238,41 @@ std::int64_t integrate_conv_walk(const ConvGeom& g, const W* w, const Spike* spi
   return taps * g.cout;  // padding lanes do not count as work
 }
 
+// The one FC integration body behind integrate_fc and integrate_fc_q: column
+// blocks sized to acc_block_bytes() and rounded to whole lanes, so every
+// inner span stays lane-aligned, each replaying the full spike train one
+// timestep group at a time. `group` and `tap` are integrate_conv_walk's.
+// Returns real ops ((j0,j1)∩[0,out) columns per spike).
+template <typename Acc, typename W, typename Group, typename Tap>
+std::int64_t integrate_fc_walk(std::int64_t out, std::int64_t ostride, const W* w,
+                               const Spike* spikes, std::int64_t nspikes, Acc* acc,
+                               std::int64_t j0, std::int64_t j1, Group&& group, Tap&& tap) {
+  std::int64_t block =
+      acc_block_bytes() / static_cast<std::int64_t>(sizeof(Acc)) / kLaneFloats * kLaneFloats;
+  block = std::max(block, kLaneFloats);
+
+  std::int64_t ops = 0;
+  for (std::int64_t b0 = j0; b0 < j1; b0 += block) {
+    const std::int64_t b1 = std::min(j1, b0 + block);
+    // Real (unpadded) columns in this block: what the op counter owes.
+    const std::int64_t real = std::max<std::int64_t>(
+        0, std::min(b1, out) - std::min(b0, out));
+    for (std::int64_t si = 0; si < nspikes;) {
+      const int step = spikes[si].step;
+      std::int64_t se = si;
+      while (se < nspikes && spikes[se].step == step) ++se;
+      group(step);
+      for (std::int64_t s = si; s < se; ++s) {
+        const W* col = w + static_cast<std::int64_t>(spikes[s].neuron) * ostride;
+        tap(acc + b0, col + b0, b1 - b0);
+      }
+      si = se;
+    }
+    ops += real * nspikes;
+  }
+  return ops;
+}
+
 template <bool Simd, std::uint32_t Stride>
 std::int64_t integrate_conv_impl(const ConvGeom& g, const float* w, const Spike* spikes,
                                  std::int64_t nspikes, const ThresholdLut& lut, float* acc,
@@ -256,32 +291,11 @@ std::int64_t integrate_fc_impl(std::int64_t out, std::int64_t ostride, const flo
                                const Spike* spikes, std::int64_t nspikes,
                                const ThresholdLut& lut, float* acc, std::int64_t j0,
                                std::int64_t j1) {
-  // Column blocks sized to acc_block_bytes(), rounded to whole lanes so
-  // every inner span stays lane-aligned.
-  std::int64_t block =
-      acc_block_bytes() / static_cast<std::int64_t>(sizeof(float)) / kLaneFloats * kLaneFloats;
-  block = std::max(block, kLaneFloats);
-
-  std::int64_t ops = 0;
-  for (std::int64_t b0 = j0; b0 < j1; b0 += block) {
-    const std::int64_t b1 = std::min(j1, b0 + block);
-    // Real (unpadded) columns in this block: what the op counter owes.
-    const std::int64_t real = std::max<std::int64_t>(
-        0, std::min(b1, out) - std::min(b0, out));
-    for (std::int64_t si = 0; si < nspikes;) {
-      const int step = spikes[si].step;
-      std::int64_t se = si;
-      while (se < nspikes && spikes[se].step == step) ++se;
-      const float value = static_cast<float>(lut.level(step));
-      for (std::int64_t s = si; s < se; ++s) {
-        const float* col = w + static_cast<std::int64_t>(spikes[s].neuron) * ostride;
-        tap_axpy<Simd>(acc + b0, col + b0, value, b1 - b0);
-      }
-      si = se;
-    }
-    ops += real * nspikes;
-  }
-  return ops;
+  float value = 0.0F;
+  return integrate_fc_walk(
+      out, ostride, w, spikes, nspikes, acc, j0, j1,
+      [&](int step) { value = static_cast<float>(lut.level(step)); },
+      [&](float* a, const float* ws, std::int64_t n) { tap_axpy<Simd>(a, ws, value, n); });
 }
 
 // --- Quantized (fixed-point) integration --------------------------------------
@@ -298,7 +312,13 @@ inline std::int64_t quant_product(const QuantKernelParams& qp, int q, int step) 
   const std::int32_t int_part = code >> qp.frac_bits;  // floor division
   const std::int64_t lut_value = qp.lut[static_cast<std::size_t>(code & mask)];
   const int shift = int_part + qp.acc_frac_bits - qp.lut_bits;
-  if (shift >= 0) return lut_value << shift;
+  if (shift >= 0) {
+    // Barrel shift capped at 2*limit - 1: from anywhere in [-limit, limit - 1]
+    // a larger product lands on the same rail, so the cap changes no sum,
+    // while an uncapped shift of a large weight code would overflow int64.
+    const std::int64_t cap = 2 * qp.acc_limit - 1;
+    return shift >= 63 || lut_value > (cap >> shift) ? cap : lut_value << shift;
+  }
   if (-shift < 63) {
     // Round-to-nearest on the right shift (the hardware adds the dropped MSB).
     return (lut_value + (std::int64_t{1} << (-shift - 1))) >> -shift;
@@ -375,17 +395,20 @@ void axpy_scalar(float* acc, const float* w, float v, std::int64_t n) {
   axpy_elems(acc, w, v, n);
 }
 
-void broadcast_rows(float* acc, std::int64_t rows, std::int64_t stride) {
+template <typename T>
+void broadcast_rows(T* acc, std::int64_t rows, std::int64_t stride) {
   // Doubling copy: row 0 -> row 1, rows [0,2) -> [2,4), ... O(log rows)
   // memcpys instead of a per-pixel scalar loop.
   std::int64_t filled = 1;
   while (filled < rows) {
     const std::int64_t count = std::min(filled, rows - filled);
-    std::memcpy(acc + filled * stride, acc,
-                static_cast<std::size_t>(count * stride) * sizeof(float));
+    std::memcpy(acc + filled * stride, acc, static_cast<std::size_t>(count * stride) * sizeof(T));
     filled += count;
   }
 }
+
+template void broadcast_rows(float*, std::int64_t, std::int64_t);
+template void broadcast_rows(std::int32_t*, std::int64_t, std::int64_t);
 
 void fire_steps(const ThresholdLut& lut, const float* u, std::int64_t n, int* out) {
   const float* levels = lut.float_levels();
@@ -445,31 +468,13 @@ std::int64_t integrate_fc_q(std::int64_t out, std::int64_t ostride, const std::i
                             const Spike* spikes, std::int64_t nspikes,
                             const QuantKernelParams& qp, std::int32_t* acc, std::int64_t j0,
                             std::int64_t j1) {
-  std::int64_t block =
-      acc_block_bytes() / static_cast<std::int64_t>(sizeof(std::int32_t)) / kLaneFloats *
-      kLaneFloats;
-  block = std::max(block, kLaneFloats);
-
   std::int64_t table[kMaxQuantCodes];
-  std::int64_t ops = 0;
-  for (std::int64_t b0 = j0; b0 < j1; b0 += block) {
-    const std::int64_t b1 = std::min(j1, b0 + block);
-    const std::int64_t real = std::max<std::int64_t>(
-        0, std::min(b1, out) - std::min(b0, out));
-    for (std::int64_t si = 0; si < nspikes;) {
-      const int step = spikes[si].step;
-      std::int64_t se = si;
-      while (se < nspikes && spikes[se].step == step) ++se;
-      fill_quant_table(qp, step, table);
-      for (std::int64_t s = si; s < se; ++s) {
-        const std::int16_t* col = w + static_cast<std::int64_t>(spikes[s].neuron) * ostride;
-        quant_span_add(acc + b0, col + b0, b1 - b0, table, qp.q_lo, qp.acc_limit);
-      }
-      si = se;
-    }
-    ops += real * nspikes;
-  }
-  return ops;
+  return integrate_fc_walk(
+      out, ostride, w, spikes, nspikes, acc, j0, j1,
+      [&](int step) { fill_quant_table(qp, step, table); },
+      [&](std::int32_t* a, const std::int16_t* codes, std::int64_t n) {
+        quant_span_add(a, codes, n, table, qp.q_lo, qp.acc_limit);
+      });
 }
 
 }  // namespace ttfs::snn::kernels

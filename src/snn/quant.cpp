@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 
-#include "snn/event_sim.h"
 #include "snn/network.h"
 #include "util/check.h"
 
@@ -206,215 +204,5 @@ void SnnNetwork::release_quantized() const {
   quantized_ = QuantizedWeightPack{};
   quantized_dirty_.store(true, std::memory_order_release);
 }
-
-// --- Quantized event simulator ----------------------------------------------
-
-namespace {
-
-struct Shape3 {
-  std::int64_t c = 0, h = 0, w = 0;
-  std::int64_t numel() const { return c * h * w; }
-};
-
-// Integer counterpart of kernels::broadcast_rows: replicate bias row 0 across
-// all pixel rows with doubling memcpy.
-void broadcast_rows_i32(std::int32_t* acc, std::int64_t rows, std::int64_t stride) {
-  std::int64_t done = 1;
-  while (done < rows) {
-    const std::int64_t n = std::min(done, rows - done);
-    std::memcpy(acc + done * stride, acc,
-                static_cast<std::size_t>(n * stride) * sizeof(std::int32_t));
-    done += n;
-  }
-}
-
-kernels::QuantKernelParams layer_params(const QuantizedWeightPack& pack, int q_lo, int q_hi) {
-  kernels::QuantKernelParams qp;
-  qp.lut = pack.lut.data();
-  qp.frac_bits = pack.frac_bits();
-  qp.lut_bits = pack.config.lut_bits;
-  qp.acc_frac_bits = pack.config.acc_frac_bits;
-  qp.acc_limit = std::int64_t{1} << (pack.config.acc_int_bits + pack.config.acc_frac_bits);
-  qp.wmul = 1 << (qp.frac_bits - pack.config.z);
-  qp.smul = 1 << (qp.frac_bits - pack.p);
-  qp.q_lo = q_lo;
-  qp.q_hi = q_hi;
-  return qp;
-}
-
-// Fire phase over a dense int32 fixed-point membrane span: each accumulator
-// is scaled back to real units (exact — ldexp of an int32 in double) and run
-// through the same ThresholdLut as the float path.
-void fire_dense_q(const ThresholdLut& lut, const std::int32_t* acc, std::int64_t n,
-                  int acc_frac_bits, SimArena& arena, LayerEventTrace& out) {
-  const int window = lut.window();
-  int* steps = arena.steps(n);
-  std::int64_t* counts = arena.counts(window);
-  std::fill(counts, counts + window, 0);
-  for (std::int64_t i = 0; i < n; ++i) {
-    const int k = lut.fire_step(std::ldexp(static_cast<double>(acc[i]), -acc_frac_bits));
-    steps[i] = k;
-    if (k != kNoSpike) ++counts[k];
-  }
-  detail::scatter_buckets(steps, n, counts, window, out);
-}
-
-// Strided variant over the conv HWC accumulator, mirroring fire_hwc.
-void fire_hwc_q(const ThresholdLut& lut, const std::int32_t* acc, std::int64_t cout,
-                std::int64_t cstride, std::int64_t pixels, int acc_frac_bits, SimArena& arena,
-                LayerEventTrace& out) {
-  const int window = lut.window();
-  const std::int64_t n = cout * pixels;
-  int* steps = arena.steps(n);
-  std::int64_t* counts = arena.counts(window);
-  std::fill(counts, counts + window, 0);
-  for (std::int64_t co = 0; co < cout; ++co) {
-    int* row = steps + co * pixels;
-    for (std::int64_t px = 0; px < pixels; ++px) {
-      const int k =
-          lut.fire_step(std::ldexp(static_cast<double>(acc[px * cstride + co]), -acc_frac_bits));
-      row[px] = k;
-      if (k != kNoSpike) ++counts[k];
-    }
-  }
-  detail::scatter_buckets(steps, n, counts, window, out);
-}
-
-// Mirror of run_event_sim_view (event_sim.cpp) on the quantized pack: same
-// layer walk, spike ordering, op and cycle accounting; only the membrane
-// arithmetic differs. No intra-sample split — the integer path is the scalar
-// conformance reference and models one PE array.
-EventTrace run_quantized_event_sim_view(const SnnNetwork& net, const float* image, Shape3 cur,
-                                        SimArena& arena) {
-  const QuantizedWeightPack& pack = net.quantized_pack();
-  const ThresholdLut& lut = net.threshold_lut();
-  const int fbits = pack.config.acc_frac_bits;
-  EventTrace trace;
-  trace.layers.reserve(net.layers().size() + 1);
-
-  // --- Input encoding window (float image; identical to the float path) ---
-  {
-    LayerEventTrace lt;
-    detail::fire_span(lut, image, cur.numel(), arena, lt);
-    trace.layers.push_back(std::move(lt));
-  }
-  const std::vector<Spike>* in_spikes = &trace.layers.back().spikes;
-
-  const std::size_t weighted = net.weighted_layer_count();
-  std::size_t weighted_seen = 0;
-
-  for (std::size_t li = 0; li < net.layers().size(); ++li) {
-    const SnnLayer& layer = net.layers()[li];
-    if (const auto* conv = std::get_if<SnnConv>(&layer)) {
-      const QuantizedConv& pw = std::get<QuantizedConv>(pack.layers[li]);
-      const std::int64_t cout = pw.cout;
-      const std::int64_t cstride = pw.cstride;
-      const std::int64_t oh = (cur.h + 2 * conv->pad - pw.kh) / conv->stride + 1;
-      const std::int64_t ow = (cur.w + 2 * conv->pad - pw.kw) / conv->stride + 1;
-      TTFS_CHECK(pw.cin == cur.c && oh > 0 && ow > 0);
-
-      // HWC fixed-point accumulator at the pack's cstride; bias loads first
-      // from the precomputed LSB registers (zeroed padding included).
-      std::int32_t* acc = arena.qacc(cstride * oh * ow);
-      if (pw.has_bias) {
-        std::memcpy(acc, pw.bias_acc.data(), static_cast<std::size_t>(cstride) * sizeof(*acc));
-        broadcast_rows_i32(acc, oh * ow, cstride);
-      } else {
-        std::fill(acc, acc + cstride * oh * ow, 0);
-      }
-
-      kernels::ConvGeom geom;
-      geom.cin = cur.c;
-      geom.hin = cur.h;
-      geom.win = cur.w;
-      geom.cout = cout;
-      geom.cstride = cstride;
-      geom.kh = pw.kh;
-      geom.kw = pw.kw;
-      geom.stride = conv->stride;
-      geom.pad = conv->pad;
-      geom.oh = oh;
-      geom.ow = ow;
-      const kernels::QuantKernelParams qp = layer_params(pack, pw.q_lo, pw.q_hi);
-      const std::int64_t ops = kernels::integrate_conv_q(
-          geom, pw.w.data(), in_spikes->data(), static_cast<std::int64_t>(in_spikes->size()),
-          qp, acc, 0, oh);
-
-      ++weighted_seen;
-      if (weighted_seen == weighted) {
-        trace.logits = Tensor{{1, cout * oh * ow}};
-        float* lo = trace.logits.data();
-        for (std::int64_t co = 0; co < cout; ++co) {
-          for (std::int64_t px = 0; px < oh * ow; ++px) {
-            lo[co * oh * ow + px] =
-                static_cast<float>(std::ldexp(static_cast<double>(acc[px * cstride + co]), -fbits));
-          }
-        }
-        return trace;
-      }
-      LayerEventTrace lt;
-      fire_hwc_q(lut, acc, cout, cstride, oh * ow, fbits, arena, lt);
-      lt.integration_ops = ops;
-      trace.layers.push_back(std::move(lt));
-      in_spikes = &trace.layers.back().spikes;
-      cur = {cout, oh, ow};
-    } else if (std::get_if<SnnFc>(&layer) != nullptr) {
-      const QuantizedFc& pw = std::get<QuantizedFc>(pack.layers[li]);
-      const std::int64_t out = pw.out;
-      const std::int64_t ostride = pw.ostride;
-      TTFS_CHECK(pw.in == cur.numel());
-
-      std::int32_t* acc = arena.qacc(ostride);
-      if (pw.has_bias) {
-        std::memcpy(acc, pw.bias_acc.data(), static_cast<std::size_t>(ostride) * sizeof(*acc));
-      } else {
-        std::fill(acc, acc + ostride, 0);
-      }
-
-      const kernels::QuantKernelParams qp = layer_params(pack, pw.q_lo, pw.q_hi);
-      const std::int64_t ops = kernels::integrate_fc_q(
-          out, ostride, pw.w.data(), in_spikes->data(),
-          static_cast<std::int64_t>(in_spikes->size()), qp, acc, 0, ostride);
-
-      ++weighted_seen;
-      if (weighted_seen == weighted) {
-        trace.logits = Tensor{{1, out}};
-        float* lo = trace.logits.data();
-        for (std::int64_t j = 0; j < out; ++j) {
-          lo[j] = static_cast<float>(std::ldexp(static_cast<double>(acc[j]), -fbits));
-        }
-        return trace;
-      }
-      LayerEventTrace lt;
-      fire_dense_q(lut, acc, out, fbits, arena, lt);
-      lt.integration_ops = ops;
-      trace.layers.push_back(std::move(lt));
-      in_spikes = &trace.layers.back().spikes;
-      cur = {out, 1, 1};
-    } else {
-      const auto& pool = std::get<SnnPool>(layer);
-      const std::int64_t oh = (cur.h - pool.kernel) / pool.stride + 1;
-      const std::int64_t ow = (cur.w - pool.kernel) / pool.stride + 1;
-      trace.layers.push_back(
-          detail::pool_layer(pool, *in_spikes, cur.c, cur.h, cur.w, lut.window(), arena));
-      in_spikes = &trace.layers.back().spikes;
-      cur = {cur.c, oh, ow};
-    }
-  }
-  TTFS_CHECK_MSG(false, "SNN has no output layer");
-  return trace;
-}
-
-}  // namespace
-
-namespace detail {
-
-EventTrace run_quantized_event_sim_span(const SnnNetwork& net, const float* image,
-                                        std::int64_t c, std::int64_t h, std::int64_t w,
-                                        SimArena& arena) {
-  return run_quantized_event_sim_view(net, image, {c, h, w}, arena);
-}
-
-}  // namespace detail
 
 }  // namespace ttfs::snn

@@ -15,13 +15,14 @@
 //    through kernels::conv_slot, kx mirrored; fc column-major at ostride;
 //    see network.h) so the integer kernels
 //    (simd.h: integrate_conv_q / integrate_fc_q) walk identical strides.
-//  * run_quantized_event_sim_span mirrors the float event simulator's loop
-//    structure and ordering exactly (event_sim.cpp), but every membrane add
-//    is the LogPe LUT/barrel-shift product into a saturating int32
-//    accumulator. Spike maps, op counts and encoder cycles are asserted to
-//    match the float event sim and hw/processor co-simulation exactly; the
-//    logits differ only by the fixed-point rounding bound documented in
-//    README ("Quantized inference").
+//  * run_quantized_event_sim_span is the float event simulator's own driver
+//    (event_sim.cpp) run on a fixed-point membrane format: every membrane
+//    add is the LogPe LUT/barrel-shift product into a saturating int32
+//    accumulator, and nothing else about the walk differs. Spike maps, op
+//    counts and encoder cycles are asserted to match the float event sim
+//    and hw/processor co-simulation exactly; the logits differ only by the
+//    fixed-point rounding bound documented in README ("Quantized
+//    inference").
 //
 // Pack codes: code = q * 2 + (sign < 0), with kQuantZeroCode marking zero
 // weights and padding lanes. The code stores the *quantizer-domain* q (units
@@ -114,9 +115,10 @@ QuantizedWeightPack build_quantized_pack(const SnnNetwork& net, const QuantPackC
 namespace detail {
 // Quantized counterpart of run_event_sim_span: one (C, H, W) sample through
 // the network's quantized pack (SnnNetwork::ensure_quantized must have run).
-// Identical loop structure, spike ordering, op and cycle accounting as the
-// float simulator; membranes accumulate in int32 LogPe arithmetic and logits
-// are the accumulators scaled back to float.
+// The same driver as the float simulator, so spike ordering, op and cycle
+// accounting and the intra-sample split are shared; membranes accumulate in
+// int32 LogPe arithmetic and logits are the accumulators scaled back to
+// float. Defined in event_sim.cpp.
 EventTrace run_quantized_event_sim_span(const SnnNetwork& net, const float* image,
                                         std::int64_t c, std::int64_t h, std::int64_t w,
                                         SimArena& arena);

@@ -34,7 +34,8 @@
 //    steps through both runs with offset adds: no tap does a division or
 //    modulo. Stride 1 is a compile-time instantiation of that body; every
 //    other stride runs it with the stride read at runtime. Each accumulator
-//    takes at most one tap per spike, in spike order.
+//    takes at most one tap per spike, in spike order. integrate_fc and
+//    integrate_fc_q likewise share one column walk.
 //  * Row spans — conv weight slots mirror kx (conv_slot), so at stride 1 a
 //    spike's taps into one output row are one contiguous weight span over
 //    one contiguous accumulator span, applied as a single add; other strides
@@ -182,10 +183,12 @@ void axpy(float* acc, const float* w, float v, std::int64_t n);
 // The guaranteed-scalar implementation (the reference semantics).
 void axpy_scalar(float* acc, const float* w, float v, std::int64_t n);
 
-// Replicates row 0 (stride floats starting at acc) into rows [1, rows):
+// Replicates row 0 (stride elements starting at acc) into rows [1, rows):
 // the conv bias init as one packed-row broadcast instead of a per-pixel
-// double loop. Doubling memcpy — O(log rows) copies.
-void broadcast_rows(float* acc, std::int64_t rows, std::int64_t stride);
+// double loop. Doubling memcpy — O(log rows) copies. Instantiated for the
+// float and the int32 fixed-point accumulator.
+template <typename T>
+void broadcast_rows(T* acc, std::int64_t rows, std::int64_t stride);
 
 // --- Fire kernel --------------------------------------------------------------
 
@@ -244,10 +247,11 @@ std::int64_t integrate_fc(std::int64_t out, std::int64_t ostride, const float* w
 // int32 fixed-point register, and each synaptic add is the cat::LogPe
 // LUT/barrel-shift product — bit-identical to LogPe::accumulate, so the
 // traces these kernels produce can be co-simulated against hw/processor
-// exactly. Scalar only (the shift-add datapath models the PE, and the scalar
-// lane is the conformance reference); same cache-blocked, timestep-grouped
-// loop structure and identical op accounting as the float kernels, so the
-// two paths emit identical spike orders and counters.
+// exactly. Each runs the float kernel's own walk (kernels.cpp:
+// integrate_conv_walk, integrate_fc_walk) with an integer per-group product
+// table and per-span saturating add in place of the level lookup and axpy,
+// so blocking, add order and op accounting are the float kernels' by
+// construction. The span add is scalar only: it models one PE lane.
 
 // Upper bound on a layer's weight-code range q_hi - q_lo + 1: the kernels
 // table one product per distinct code per timestep group on the stack, so the

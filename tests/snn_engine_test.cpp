@@ -24,6 +24,7 @@
 #include "snn/event_sim.h"
 #include "snn/event_sim_reference.h"
 #include "snn/network.h"
+#include "snn/simd.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
@@ -554,6 +555,67 @@ TEST_F(SnnEngineQuantizedConformance, NchwAndGatheredViewsAgreeBitwise) {
   for (std::size_t i = 0; i < from_nchw.traces.size(); ++i) {
     expect_traces_identical(from_nchw.traces[i], from_gathered.traces[i],
                             "quantized views trace " + std::to_string(i));
+  }
+}
+
+// Pins one kernel path and block budget for a scope (kernels::force_scalar,
+// set_acc_block_bytes), restoring the defaults on exit.
+struct ScopedKernelPath {
+  ScopedKernelPath(bool scalar, std::int64_t block_bytes) {
+    snn::kernels::force_scalar(scalar);
+    snn::kernels::set_acc_block_bytes(block_bytes);
+  }
+  ~ScopedKernelPath() {
+    snn::kernels::force_scalar(false);
+    snn::kernels::set_acc_block_bytes(0);
+  }
+};
+
+// The quantized backend runs through the float path's spike-parallel split: a
+// batch of 1 on a multi-worker pool fans large layers out over disjoint
+// output lanes. Each lane keeps its saturating adds in spike order, so the
+// split must be bitwise invisible: traces and logits equal an inline
+// (ThreadPool{0}) session's, under the default and a 256-byte block budget,
+// on the SIMD and the scalar path. The net is
+// KernelConformance.IntraSampleSplitMatchesReference's 3x16x16 stack, whose
+// conv layer clears the split's work threshold, log-quantized.
+TEST(SnnEngineQuantizedSplit, IntraSampleSplitIsBitwiseInvisible) {
+  Rng rng{906};
+  snn::SnnNetwork net{snn::Base2Kernel{24, 4.0, 1.0}};
+  net.add_conv(random_tensor({12, 3, 3, 3}, rng, -0.15F, 0.25F),
+               random_tensor({12}, rng, -0.05F, 0.1F), 1, 1);
+  net.add_pool(2, 2);
+  net.add_fc(random_tensor({10, 12 * 8 * 8}, rng, -0.05F, 0.06F),
+             random_tensor({10}, rng, -0.05F, 0.05F));
+  const Tensor img = random_tensor({3, 16, 16}, rng, 0.1F, 1.0F);
+  cat::log_quantize_network(net, cat::LogQuantConfig{});
+
+  ThreadPool wide{4};
+  ThreadPool inline_pool{0};
+  snn::SessionOptions split_opts;
+  split_opts.pool = &wide;
+  snn::SessionOptions inline_opts;
+  inline_opts.pool = &inline_pool;
+  const auto backend = snn::make_backend(snn::BackendKind::kQuantized);
+  snn::InferenceSession split{net, backend, std::move(split_opts)};
+  snn::InferenceSession inline_session{net, backend, std::move(inline_opts)};
+  snn::RunOptions ropts;
+  ropts.traces = true;
+  ropts.logits = true;
+  const Tensor one = img.reshaped({1, 3, 16, 16});
+  for (const std::int64_t block : {std::int64_t{0}, std::int64_t{256}}) {
+    for (const bool scalar : {false, true}) {
+      const ScopedKernelPath path{scalar, block};
+      const std::string what = std::string{scalar ? "scalar" : "simd"} + " block=" +
+                               std::to_string(block);
+      const snn::RunResult got = split.run(snn::BatchView{one}, ropts);
+      const snn::RunResult want = inline_session.run(snn::BatchView{one}, ropts);
+      ASSERT_EQ(got.traces.size(), 1U) << what;
+      ASSERT_EQ(want.traces.size(), 1U) << what;
+      ASSERT_GT(want.traces[0].total_spikes(), 0) << what;
+      expect_traces_identical(got.traces[0], want.traces[0], what);
+      expect_rows_equal(got.logits, want.logits, what);
+    }
   }
 }
 

@@ -11,7 +11,8 @@
 //    and integrate_conv_q's tap walk matches LogPe add-for-add over a
 //    stride x pad x kernel sweep, under multi-block tiling;
 //  * the saturating int32 accumulator clamps to [-limit, limit - 1] like the
-//    PE's Vmem register;
+//    PE's Vmem register, with products of huge weights capped so the barrel
+//    shift stays defined and still lands on the rail LogPe lands on;
 //  * the pack build rejects unquantized weights and non-hardware kernels
 //    instead of silently packing nearest codes;
 //  * the quantized pack is ~2x smaller than the float event pack under the
@@ -21,6 +22,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <tuple>
@@ -249,6 +251,109 @@ TEST(QuantKernels, AccumulatorSaturatesToRegisterRange) {
       EXPECT_EQ(static_cast<std::int64_t>(acc[0]), -qp.acc_limit);
     }
   }
+}
+
+// Weights far past the register: 2^40 is on the z = 1 grid (q = 80), so the
+// pack accepts it, and an uncapped barrel shift of it overflows int64
+// (undefined; the UBSan lane reports it). The product caps at 2*limit - 1,
+// which saturates wherever the exact product would, so through both integer
+// kernels and the whole simulator +-2^40 weights put every logit on the rail
+// (limit - 1 or -limit LSBs) and agree with a LogPe replay of the same adds.
+TEST(QuantKernels, HugeWeightsSaturateToTheRailsLikeLogPe) {
+  const snn::QuantPackConfig pconfig;  // limit = 2^31 LSBs
+  cat::LogPeConfig pe_config;          // p = 2 (tau = 4), z = 1
+  pe_config.lut_bits = pconfig.lut_bits;
+  pe_config.acc_frac_bits = pconfig.acc_frac_bits;
+  pe_config.acc_int_bits = pconfig.acc_int_bits;
+  cat::LogPe pe{pe_config};
+  const std::int64_t limit = std::int64_t{1} << (pconfig.acc_int_bits + pconfig.acc_frac_bits);
+  const auto rail = [&](int sign) {
+    return std::ldexp(static_cast<double>(sign > 0 ? limit - 1 : -limit), -pconfig.acc_frac_bits);
+  };
+  const float big = std::ldexp(1.0F, 40);
+  const int q_big = 80;  // 2^(80 * 2^-1)
+  Rng rng{77};
+
+  // FC 4 -> 2: output 0 reads +2^40 from every input, output 1 reads -2^40.
+  {
+    snn::SnnNetwork net{snn::Base2Kernel{24, 4.0, 1.0}};
+    Tensor w{{2, 4}};
+    for (std::int64_t i = 0; i < 4; ++i) {
+      w[i] = big;
+      w[4 + i] = -big;
+    }
+    net.add_fc(std::move(w), Tensor{});
+    net.ensure_quantized(pconfig);
+    const Tensor img = random_tensor({4, 1, 1}, rng, 0.1F, 1.0F);
+    snn::SimArena arena;
+    const snn::EventTrace trace =
+        snn::detail::run_quantized_event_sim_span(net, img.data(), 4, 1, 1, arena);
+    ASSERT_EQ(trace.logits.numel(), 2);
+    ASSERT_FALSE(trace.layers[0].spikes.empty());
+    for (std::int64_t j = 0; j < 2; ++j) {
+      const int sign = j == 0 ? 1 : -1;
+      pe.reset();
+      for (const snn::Spike& s : trace.layers[0].spikes) pe.accumulate(sign, q_big, s.step);
+      EXPECT_EQ(pe.membrane(), rail(sign)) << "fc output " << j;
+      EXPECT_EQ(trace.logits[j], static_cast<float>(pe.membrane())) << "fc output " << j;
+    }
+  }
+
+  // Conv 1 -> 2, 3x3, pad 1 on a 4x4 image: channel 0 is all +2^40, channel
+  // 1 all -2^40. The replay feeds each output the taps the per-tap
+  // definition assigns it, in spike order.
+  {
+    snn::SnnNetwork net{snn::Base2Kernel{24, 4.0, 1.0}};
+    Tensor w{{2, 1, 3, 3}};
+    for (std::int64_t i = 0; i < 9; ++i) {
+      w[i] = big;
+      w[9 + i] = -big;
+    }
+    net.add_conv(std::move(w), Tensor{}, 1, 1);
+    net.ensure_quantized(pconfig);
+    const Tensor img = random_tensor({1, 4, 4}, rng, 0.1F, 1.0F);
+    snn::SimArena arena;
+    const snn::EventTrace trace =
+        snn::detail::run_quantized_event_sim_span(net, img.data(), 1, 4, 4, arena);
+    ASSERT_EQ(trace.logits.numel(), 2 * 16);
+    for (std::int64_t co = 0; co < 2; ++co) {
+      const int sign = co == 0 ? 1 : -1;
+      for (std::int64_t yo = 0; yo < 4; ++yo) {
+        for (std::int64_t xo = 0; xo < 4; ++xo) {
+          pe.reset();
+          for (const snn::Spike& s : trace.layers[0].spikes) {
+            const std::int64_t ky = s.neuron / 4 + 1 - yo;
+            const std::int64_t kx = s.neuron % 4 + 1 - xo;
+            if (ky >= 0 && ky < 3 && kx >= 0 && kx < 3) pe.accumulate(sign, q_big, s.step);
+          }
+          EXPECT_EQ(pe.membrane(), rail(sign)) << "conv " << co << "," << yo << "," << xo;
+          EXPECT_EQ(trace.logits[(co * 4 + yo) * 4 + xo], static_cast<float>(pe.membrane()))
+              << "conv " << co << "," << yo << "," << xo;
+        }
+      }
+    }
+  }
+}
+
+// LogPe's own register may be up to 62 bits wide. Huge products there stay
+// defined too: capped at 2*limit - 1 = 2^63 - 1 and tested against the
+// headroom instead of summed, they land on the rails.
+TEST(QuantKernels, LogPeHugeProductsSaturateA62BitRegister) {
+  cat::LogPeConfig config;
+  config.lut_bits = 24;
+  config.acc_frac_bits = 31;
+  config.acc_int_bits = 31;  // limit = 2^62
+  cat::LogPe pe{config};
+  const std::int64_t limit = std::int64_t{1} << 62;
+  // 2^100 caps at 2*limit - 1 = 2^63 - 1.
+  EXPECT_EQ(pe.accumulate(1, 200, 0), std::numeric_limits<std::int64_t>::max());
+  EXPECT_EQ(pe.membrane(), std::ldexp(static_cast<double>(limit - 1), -31));
+  (void)pe.accumulate(1, 200, 0);  // at the top rail: stays there
+  EXPECT_EQ(pe.membrane(), std::ldexp(static_cast<double>(limit - 1), -31));
+  (void)pe.accumulate(-1, 200, 0);
+  EXPECT_EQ(pe.membrane(), std::ldexp(static_cast<double>(-limit), -31));
+  (void)pe.accumulate(-1, 200, 0);  // at the bottom rail: stays there
+  EXPECT_EQ(pe.membrane(), std::ldexp(static_cast<double>(-limit), -31));
 }
 
 // integrate_conv_q's tap walk against LogPe add-for-add, over stride {1,2,3}

@@ -19,9 +19,11 @@ three invariants CI-enforced:
      -ffp-contract=off as its effective contraction setting.
 
 "Hot function" is decided by name (see HOT_NAME_RE): the integrate_*/fire_*
-kernels, the axpy family, the quantized shift-add helpers, and the fire-phase
-bucketing. Driver functions (run_event_sim*, trace assembly) allocate their
-*outputs* and are deliberately not hot.
+kernels, the axpy family, the quantized shift-add helpers, the fire-phase
+bucketing, and the simulator's membrane-format policy hooks (member functions
+defined in a struct body count like free functions). Driver functions
+(run_event_sim*, trace assembly) allocate their *outputs* and are
+deliberately not hot.
 
 Intentional exceptions are suppressed inline, one finding per line, with a
 mandatory justification:
@@ -62,9 +64,13 @@ KERNEL_TUS = [
 CONTRACT_TU = "src/snn/kernels.cpp"
 
 # A function definition whose name matches is a hot region.
+# The membrane-format policy hooks of event_sim.cpp (acc_buffer, load_bias,
+# integrate_conv/_fc, fire_steps, to_logit, layer_params) are hot too: the
+# driver calls them per layer, per split range or per membrane.
 HOT_NAME_RE = re.compile(
     r"^(?:integrate_\w+|fire_\w+|axpy\w*|tap_axpy|scatter_buckets|pool_layer"
-    r"|broadcast_rows\w*|quant_product|quant_add|quant_span_add|fill_quant_table)$"
+    r"|broadcast_rows\w*|quant_product|quant_add|quant_span_add|fill_quant_table"
+    r"|acc_buffer|load_bias|to_logit|layer_params)$"
 )
 
 # Heap-allocation (or growth) calls banned inside hot regions.
@@ -353,6 +359,11 @@ void integrate_fixture(const float* w, float* acc, long n) {
 int fire_fixture(const int* lut, float v) {
   return lut[static_cast<int>(v)];
 }
+// hot: a format-policy member hook
+struct FixtureFormat {
+  const float* lut;
+  float to_logit(int acc) const { return lut[acc]; }
+};
 // cold driver: may allocate, may even call exp
 std::vector<float> run_fixture(const float* w, long n) {
   std::vector<float> out;
@@ -408,6 +419,14 @@ def self_test():
                            INJECT_BARE_ALLOW)),
            ["alloc"])
 
+    expect("push_back injected into a struct member hook",
+           scan_source("fixture.cpp",
+                       CLEAN_FIXTURE.replace(
+                           "float to_logit(int acc) const {",
+                           "float to_logit(int acc) const {\n"
+                           "    std::vector<float> v; v.push_back(lut[acc]);")),
+           ["alloc"])
+
     # The real kernel TUs must scan clean (the CI gate's steady state).
     for rel in KERNEL_TUS:
         path = os.path.join(REPO_ROOT, rel)
@@ -419,7 +438,7 @@ def self_test():
     with open(os.path.join(REPO_ROOT, "src/snn/kernels.cpp"), "r",
               encoding="utf-8") as fh:
         kernels = fh.read()
-    anchor = "void broadcast_rows(float* acc, std::int64_t rows, std::int64_t stride) {"
+    anchor = "void broadcast_rows(T* acc, std::int64_t rows, std::int64_t stride) {"
     if anchor not in kernels:
         failures.append("kernels.cpp anchor for injection test not found")
     else:
@@ -428,6 +447,20 @@ def self_test():
                            kernels.replace(
                                anchor,
                                anchor + "\n  std::vector<float> v; v.push_back(0.0F);")),
+               ["alloc"])
+
+    # ... and so must one into a real format-policy member hook.
+    with open(os.path.join(REPO_ROOT, "src/snn/event_sim.cpp"), "r",
+              encoding="utf-8") as fh:
+        event_sim = fh.read()
+    hook = "static float to_logit(float acc) {"
+    if hook not in event_sim:
+        failures.append("event_sim.cpp policy-hook anchor for injection test not found")
+    else:
+        expect("push_back injected into an event_sim.cpp policy hook",
+               scan_source("src/snn/event_sim.cpp",
+                           event_sim.replace(
+                               hook, hook + "\n    std::vector<float> v; v.push_back(acc);")),
                ["alloc"])
 
     # Contraction check: a db with -ffp-contract=fast (or missing) must fail,
