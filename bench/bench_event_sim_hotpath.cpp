@@ -11,12 +11,23 @@
 //
 //   ./build/bench/bench_event_sim_hotpath [--samples N] [--reps R] [--json]
 //
-// With --json the table is also written to BENCH_event_sim_hotpath.json for
-// the CI perf-smoke artifact upload.
+// With --json the tables are also written to BENCH_event_sim_hotpath.json
+// and BENCH_event_sim_layers.json for the CI perf-smoke artifact upload.
+//
+// The per-layer table splits the float simulator's time by conv layer: it
+// replays each layer's recorded input spike train from a trace through
+// kernels::integrate_conv and then fires the result through
+// detail::fire_hwc, one thread, checking that the replay re-emits the
+// trace's spikes. The main table's minflt/sample column counts the minor
+// page faults (getrusage, this process) each single-sample run takes.
+#include <sys/resource.h>
+
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <iostream>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "cat/logquant.h"
@@ -24,6 +35,7 @@
 #include "snn/engine.h"
 #include "snn/event_sim.h"
 #include "snn/network.h"
+#include "snn/simd.h"
 #include "util/cli.h"
 #include "util/rng.h"
 
@@ -73,6 +85,109 @@ std::uint64_t checksum(const snn::EventTrace& t) {
   return n;
 }
 
+long minor_faults() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  return usage.ru_minflt;
+}
+
+bool same_spikes(const std::vector<snn::Spike>& a, const std::vector<snn::Spike>& b) {
+  return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                    [](const snn::Spike& x, const snn::Spike& y) {
+                      return x.neuron == y.neuron && x.step == y.step;
+                    });
+}
+
+// Per-conv-layer integrate and fire time (us per sample, best of `reps`)
+// for the float simulator, replayed from each sample's trace. Bias init is
+// not timed. Returns false if a replay re-emits different spikes.
+bool per_layer_table(const snn::SnnNetwork& net, const std::vector<Tensor>& samples, int reps) {
+  net.ensure_packed();
+  const snn::ThresholdLut& lut = net.threshold_lut();
+  std::vector<snn::EventTrace> traces;
+  for (const Tensor& img : samples) traces.push_back(snn::run_event_sim(net, img));
+
+  struct Row {
+    std::string name;
+    double integrate_s = 0.0, fire_s = 0.0;
+    std::int64_t spikes_in = 0;
+  };
+  std::vector<Row> rows;
+  snn::SimArena arena;
+  snn::kernels::AlignedBuffer<float> acc_buf;
+  bool exact = true;
+  for (int rep = 0; rep < reps; ++rep) {
+    std::int64_t c = samples[0].dim(0), h = samples[0].dim(1), w = samples[0].dim(2);
+    std::size_t conv_seen = 0;
+    std::size_t trace_layer = 0;  // the current layer's input spikes
+    for (std::size_t li = 0; li < net.layers().size(); ++li) {
+      const snn::SnnLayer& layer = net.layers()[li];
+      if (const auto* pool = std::get_if<snn::SnnPool>(&layer)) {
+        h = (h - pool->kernel) / pool->stride + 1;
+        w = (w - pool->kernel) / pool->stride + 1;
+        ++trace_layer;
+        continue;
+      }
+      const auto* conv = std::get_if<snn::SnnConv>(&layer);
+      if (conv == nullptr) break;  // the classifier: no fire phase
+      const auto& pw = std::get<snn::PackedConv>(net.packed_layers()[li]);
+      snn::kernels::ConvGeom g;
+      g.cin = c;
+      g.hin = h;
+      g.win = w;
+      g.cout = pw.cout;
+      g.cstride = pw.cstride;
+      g.kh = pw.kh;
+      g.kw = pw.kw;
+      g.stride = conv->stride;
+      g.pad = conv->pad;
+      g.oh = (h + 2 * g.pad - g.kh) / g.stride + 1;
+      g.ow = (w + 2 * g.pad - g.kw) / g.stride + 1;
+      const std::int64_t pixels = g.oh * g.ow;
+      float* acc = acc_buf.ensure(pixels * g.cstride);
+      if (rows.size() <= conv_seen) rows.push_back({"conv" + std::to_string(conv_seen + 1)});
+      Row& row = rows[conv_seen];
+      double integrate_s = 0.0, fire_s = 0.0;
+      std::int64_t spikes_in = 0;
+      for (const snn::EventTrace& trace : traces) {
+        const auto& in = trace.layers[trace_layer].spikes;
+        spikes_in += static_cast<std::int64_t>(in.size());
+        std::fill(acc, acc + g.cstride, 0.0F);
+        std::copy(conv->bias.data(), conv->bias.data() + conv->bias.numel(), acc);
+        snn::kernels::broadcast_rows(acc, pixels, g.cstride);
+        auto start = std::chrono::steady_clock::now();
+        snn::kernels::integrate_conv(g, pw.w.data(), in.data(),
+                                     static_cast<std::int64_t>(in.size()), lut, acc, 0, g.oh);
+        integrate_s += seconds_since(start);
+        snn::LayerEventTrace out;
+        start = std::chrono::steady_clock::now();
+        snn::detail::fire_hwc(lut, acc, g.cout, g.cstride, pixels, arena, out);
+        fire_s += seconds_since(start);
+        exact = exact && same_spikes(out.spikes, trace.layers[trace_layer + 1].spikes);
+      }
+      if (rep == 0 || integrate_s < row.integrate_s) row.integrate_s = integrate_s;
+      if (rep == 0 || fire_s < row.fire_s) row.fire_s = fire_s;
+      row.spikes_in = spikes_in;
+      c = g.cout;
+      h = g.oh;
+      w = g.ow;
+      ++conv_seen;
+      ++trace_layer;
+    }
+  }
+
+  const double n = static_cast<double>(samples.size());
+  Table table{"event_sim_layers"};
+  table.set_header({"layer", "integrate us", "fire us", "spikes in/sample"});
+  for (const Row& row : rows) {
+    table.add_row({row.name, Table::num(1e6 * row.integrate_s / n, 1),
+                   Table::num(1e6 * row.fire_s / n, 1),
+                   Table::num(static_cast<double>(row.spikes_in) / n, 0)});
+  }
+  bench::emit(table);
+  return exact;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -93,7 +208,7 @@ int main(int argc, char** argv) {
             << " single-sample runs, best of " << reps << " reps\n\n";
 
   Table table{"event_sim_hotpath"};
-  table.set_header({"simulator", "samples/s", "us/sample", "speedup"});
+  table.set_header({"simulator", "samples/s", "us/sample", "speedup", "minflt/sample"});
 
   const snn::Engine engine{net};
   snn::RunOptions ropts;
@@ -103,32 +218,37 @@ int main(int argc, char** argv) {
   // One single-sample run per iteration, mirroring the per-request shape of
   // the serving layer; the overhauled session keeps its one pre-reserved
   // arena across the whole loop (zero steady-state allocation).
-  const auto measure = [&](snn::InferenceSession& session, std::uint64_t& sum) {
+  // Also returns the minor page faults per sample of the last rep.
+  const auto measure = [&](snn::InferenceSession& session, std::uint64_t& sum,
+                           double& faults) {
     double rate = 0.0;
     for (int rep = 0; rep < reps; ++rep) {
       sum = 0;
+      const long faults0 = minor_faults();
       const auto start = std::chrono::steady_clock::now();
       for (std::int64_t i = 0; i < samples; ++i) {
         const std::vector<const Tensor*> one{&samples_owned[static_cast<std::size_t>(i)]};
         sum += checksum(session.run(snn::BatchView{one}, ropts).traces[0]);
       }
       rate = std::max(rate, static_cast<double>(samples) / seconds_since(start));
+      faults = static_cast<double>(minor_faults() - faults0) / static_cast<double>(samples);
     }
     return rate;
   };
 
   double rate_ref = 0.0, rate_opt = 0.0;
+  double faults_ref = 0.0, faults_opt = 0.0, faults_quant = 0.0;
   std::uint64_t sum_ref = 0, sum_opt = 0;
 
   snn::InferenceSession ref_session = engine.session(snn::BackendKind::kReference);
-  rate_ref = measure(ref_session, sum_ref);
+  rate_ref = measure(ref_session, sum_ref, faults_ref);
 
   snn::SessionOptions sopts;
   sopts.max_batch_hint = 1;
   sopts.input_shape = {3, 32, 32};
   snn::InferenceSession opt_session =
       engine.session(snn::BackendKind::kEventSim, std::move(sopts));
-  rate_opt = measure(opt_session, sum_opt);
+  rate_opt = measure(opt_session, sum_opt, faults_opt);
 
   // Quantized lane: the same stack log-quantized, then run through both the
   // float event sim and the int16 fixed-point backend. Their integer
@@ -152,14 +272,22 @@ int main(int argc, char** argv) {
   snn::InferenceSession quant_session =
       qengine.session(snn::BackendKind::kQuantized, std::move(qopts));
   std::uint64_t sum_quant = 0;
-  const double rate_quant = measure(quant_session, sum_quant);
+  const double rate_quant = measure(quant_session, sum_quant, faults_quant);
 
-  table.add_row({"reference", Table::num(rate_ref, 1), Table::num(1e6 / rate_ref, 1), "1.00x"});
+  table.add_row({"reference", Table::num(rate_ref, 1), Table::num(1e6 / rate_ref, 1), "1.00x",
+                 Table::num(faults_ref, 1)});
   table.add_row({"overhauled", Table::num(rate_opt, 1), Table::num(1e6 / rate_opt, 1),
-                 Table::num(rate_opt / rate_ref, 2) + "x"});
+                 Table::num(rate_opt / rate_ref, 2) + "x", Table::num(faults_opt, 1)});
   table.add_row({"quantized", Table::num(rate_quant, 1), Table::num(1e6 / rate_quant, 1),
-                 Table::num(rate_quant / rate_ref, 2) + "x"});
+                 Table::num(rate_quant / rate_ref, 2) + "x", Table::num(faults_quant, 1)});
   bench::emit(table);
+
+  std::cout << "\n### float event sim per conv layer — " << samples
+            << " replayed samples, one thread, best of " << reps << " reps\n\n";
+  if (!per_layer_table(net, samples_owned, reps)) {
+    std::cerr << "PER-LAYER REPLAY MISMATCH: fire_hwc re-emitted different spikes\n";
+    return 1;
+  }
 
   if (sum_ref != sum_opt) {
     std::cerr << "CHECKSUM MISMATCH: reference " << sum_ref << " vs overhauled " << sum_opt

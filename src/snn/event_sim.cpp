@@ -42,30 +42,76 @@ struct Shape3 {
   std::int64_t numel() const { return c * h * w; }
 };
 
-// Scatters the fire steps recorded in `steps` (CHW neuron order, kNoSpike for
-// silent neurons) into `out.spikes` via the per-timestep histogram in
-// `counts`: offsets are the exclusive prefix sum, and scanning neurons in
-// ascending order fills each bucket in priority order. The concatenated
-// buckets are exactly the (step, neuron)-sorted emission sequence, with no
-// comparison sort. Sets neuron_count and encoder_cycles = window + spikes.
-void scatter_buckets(const int* steps, std::int64_t n, std::int64_t* counts, int window,
+// The histogram slot of fire step k: k itself, and `window` for kNoSpike
+// (which, as unsigned, clamps there). The slot is computed, not branched on,
+// so counting and bucketing cost the same for silent and firing neurons.
+inline std::uint32_t bucket_of(int k, int window) {
+  return std::min(static_cast<std::uint32_t>(k), static_cast<std::uint32_t>(window));
+}
+
+// Histogram of `n` fire steps into counts[0, window] by bucket_of slot.
+// Four interleaved partial histograms, summed at the end, keep a run of equal
+// steps (mostly kNoSpike) from chaining every increment through one counter's
+// store and reload; on a 16 K-neuron conv layer that took the count pass
+// from about a third of the fire phase to a small share (4-core x86-64 VM).
+// `counts` holds 4 * (window + 1) slots.
+void count_buckets(const int* steps, std::int64_t n, int window, std::int64_t* counts) {
+  const std::int64_t slots = window + 1;
+  std::fill(counts, counts + 4 * slots, 0);
+  std::int64_t* c1 = counts + slots;
+  std::int64_t* c2 = c1 + slots;
+  std::int64_t* c3 = c2 + slots;
+  std::int64_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    ++counts[bucket_of(steps[i], window)];
+    ++c1[bucket_of(steps[i + 1], window)];
+    ++c2[bucket_of(steps[i + 2], window)];
+    ++c3[bucket_of(steps[i + 3], window)];
+  }
+  for (; i < n; ++i) ++counts[bucket_of(steps[i], window)];
+  for (std::int64_t t = 0; t < slots; ++t) counts[t] += c1[t] + c2[t] + c3[t];
+}
+
+// Scatters the fire steps of a `pixels` x `cstride` grid into `out.spikes`
+// in (step, neuron) order: neuron n = co * pixels + p of the first `cout`
+// lanes reads its step at steps[p * cstride + co], so one call serves an HWC
+// step grid and, with pixels == 1, a dense CHW one. Every lane of the grid
+// is counted (count_buckets; padding lanes must be kNoSpike), offsets are
+// the exclusive prefix sum, and scanning neurons in ascending order fills
+// each bucket in priority order: the concatenated buckets are exactly the
+// (step, neuron)-sorted emission sequence, with no comparison sort. Silent
+// neurons are written too, all to one trash slot just past the last spike,
+// which is dropped again, so the scan has no branch. `counts` is
+// 4 * (window + 1) slots of scratch. Sets neuron_count and encoder_cycles =
+// window + spikes.
+void scatter_buckets(const int* steps, std::int64_t cout, std::int64_t cstride,
+                     std::int64_t pixels, int window, std::int64_t* counts,
                      LayerEventTrace& out) {
+  count_buckets(steps, pixels * cstride, window, counts);
   std::int64_t total = 0;
   for (int t = 0; t < window; ++t) {
     const std::int64_t c = counts[t];
     counts[t] = total;
     total += c;
   }
+  counts[window] = total;  // the trash slot
   // lint-hotpath: allow(alloc) trace output, sized once per fire phase; only
   // the returned trace may allocate (scratch stays in SimArena).
-  out.spikes.resize(static_cast<std::size_t>(total));
-  for (std::int64_t i = 0; i < n; ++i) {
-    const int k = steps[i];
-    if (k == kNoSpike) continue;
-    out.spikes[static_cast<std::size_t>(counts[k]++)] = {static_cast<std::int32_t>(i),
-                                                         static_cast<std::int32_t>(k)};
+  out.spikes.resize(static_cast<std::size_t>(total + 1));
+  Spike* dst = out.spikes.data();
+  const auto silent = static_cast<std::uint32_t>(window);
+  std::int32_t neuron = 0;
+  for (std::int64_t co = 0; co < cout; ++co) {
+    const int* col = steps + co;
+    for (std::int64_t p = 0; p < pixels; ++p, ++neuron) {
+      const int k = col[p * cstride];
+      const std::uint32_t b = bucket_of(k, window);
+      dst[counts[b]] = {neuron, k};
+      counts[b] += b != silent ? 1 : 0;
+    }
   }
-  out.neuron_count = n;
+  out.spikes.pop_back();  // the trash slot
+  out.neuron_count = cout * pixels;
   out.encoder_cycles = window + total;
 }
 
@@ -86,8 +132,6 @@ LayerEventTrace pool_layer(const SnnPool& pool, const std::vector<Spike>& in_spi
   // encoder-cycle cost: pooling is free in the spike domain).
   const std::int64_t out_n = in.c * oh * ow;
   int* steps = arena.steps(out_n);
-  std::int64_t* counts = arena.counts(window);
-  std::fill(counts, counts + window, 0);
   for (std::int64_t ci = 0; ci < in.c; ++ci) {
     for (std::int64_t oy = 0; oy < oh; ++oy) {
       for (std::int64_t ox = 0; ox < ow; ++ox) {
@@ -101,12 +145,11 @@ LayerEventTrace pool_layer(const SnnPool& pool, const std::vector<Spike>& in_spi
           }
         }
         steps[(ci * oh + oy) * ow + ox] = best;
-        if (best != kNoSpike) ++counts[best];
       }
     }
   }
   LayerEventTrace lt;
-  scatter_buckets(steps, out_n, counts, window, lt);
+  scatter_buckets(steps, out_n, out_n, 1, window, arena.counts(4 * (window + 1)), lt);
   lt.encoder_cycles = 0;  // pools reshuffle spikes, no encoder pass
   return lt;
 }
@@ -123,8 +166,7 @@ LayerEventTrace pool_layer(const SnnPool& pool, const std::vector<Spike>& in_spi
 //   load_bias            bias row 0 at the pack's stride, zero padding, or
 //                        false when the layer has none;
 //   integrate_conv/_fc   the layer kernel over disjoint output range [lo, hi);
-//   fire_steps           each membrane's fire step over a contiguous span,
-//                        added to the per-step histogram in the same pass;
+//   fire_steps           each membrane's fire step over a contiguous span;
 //   to_logit             one accumulator as a float logit.
 // `lut` is the network's ThresholdLut.
 
@@ -153,11 +195,8 @@ struct FloatFormat {
                             std::int64_t lo, std::int64_t hi) const {
     return kernels::integrate_fc(pw.out, pw.ostride, pw.w.data(), spikes, n, lut, acc, lo, hi);
   }
-  void fire_steps(const float* acc, std::int64_t n, int* out, std::int64_t* counts) const {
+  void fire_steps(const float* acc, std::int64_t n, int* out) const {
     kernels::fire_steps(lut, acc, n, out);
-    for (std::int64_t i = 0; i < n; ++i) {
-      if (out[i] != kNoSpike) ++counts[out[i]];
-    }
   }
   static float to_logit(float acc) { return acc; }
 };
@@ -166,20 +205,15 @@ struct FloatFormat {
 // ThresholdLut::fire_step: the fixed-point accumulator at scale =
 // 2^-acc_frac_bits (an int32 times a power of two stays a normal double, so
 // the product is exact), and fire_phase's doubles at scale = 1. The
-// comparator-bank kernel equals fire_step on floats only. The histogram is
-// counted inside the search loop: fused, the branchy search ran ~15 % faster
-// than a search pass then a counting pass (16 K random membranes, 4-core
-// x86-64 VM).
+// comparator-bank kernel equals fire_step on floats only.
 template <typename T>
 struct ExactFire {
   const ThresholdLut& lut;
   double scale;
 
-  void fire_steps(const T* acc, std::int64_t n, int* out, std::int64_t* counts) const {
+  void fire_steps(const T* acc, std::int64_t n, int* out) const {
     for (std::int64_t i = 0; i < n; ++i) {
-      const int k = lut.fire_step(static_cast<double>(acc[i]) * scale);
-      out[i] = k;
-      if (k != kNoSpike) ++counts[k];
+      out[i] = lut.fire_step(static_cast<double>(acc[i]) * scale);
     }
   }
 };
@@ -236,23 +270,18 @@ struct QuantFormat : ExactFire<std::int32_t> {
 // priority encoder — by binning neurons into timestep buckets directly (see
 // scatter_buckets). The whole accumulator — padded so integration streams
 // contiguously — fires as one contiguous span into HWC scratch, padding lanes
-// included: they hold 0, which never fires, so the span's histogram counts
-// exactly the real neurons. The real lanes are then gathered in CHW priority
-// order through a strided read. An FC layer is one pixel, and so is a dense
-// CHW span (the input image, fire_phase's membranes) with cstride = cout.
+// included: they hold 0, which never fires, so the grid's histogram counts
+// exactly the real neurons' spikes. The buckets are then filled straight
+// from the HWC step grid in CHW priority order. An FC layer
+// is one pixel, and so is a dense CHW span (the input image, fire_phase's
+// membranes) with cstride = cout.
 template <typename Fmt, typename T>
 void fire_hwc(const Fmt& fmt, const T* acc, std::int64_t cout, std::int64_t cstride,
               std::int64_t pixels, SimArena& arena, LayerEventTrace& out) {
   const int window = fmt.lut.window();
-  std::int64_t* counts = arena.counts(window);
-  std::fill(counts, counts + window, 0);
   int* hwc = arena.hwc_steps(pixels * cstride);
-  fmt.fire_steps(acc, pixels * cstride, hwc, counts);
-  int* steps = arena.steps(cout * pixels);
-  for (std::int64_t co = 0; co < cout; ++co) {
-    for (std::int64_t p = 0; p < pixels; ++p) steps[co * pixels + p] = hwc[p * cstride + co];
-  }
-  scatter_buckets(steps, cout * pixels, counts, window, out);
+  fmt.fire_steps(acc, pixels * cstride, hwc);
+  scatter_buckets(hwc, cout, cstride, pixels, window, arena.counts(4 * (window + 1)), out);
 }
 
 // Whether the intra-sample split is worth waking the pool for: a rough
@@ -436,6 +465,12 @@ void fire_hwc(const ThresholdLut& lut, const float* acc, std::int64_t cout,
   snn::fire_hwc(FloatFormat{lut}, acc, cout, cstride, pixels, arena, out);
 }
 
+void fire_hwc(const ThresholdLut& lut, const double* acc, std::int64_t cout,
+              std::int64_t cstride, std::int64_t pixels, SimArena& arena,
+              LayerEventTrace& out) {
+  snn::fire_hwc(ExactFire<double>{lut, 1.0}, acc, cout, cstride, pixels, arena, out);
+}
+
 }  // namespace detail
 
 LayerEventTrace fire_phase(const Base2Kernel& kernel, const std::vector<double>& vmem) {
@@ -443,7 +478,7 @@ LayerEventTrace fire_phase(const Base2Kernel& kernel, const std::vector<double>&
   SimArena arena;
   LayerEventTrace out;
   const auto n = static_cast<std::int64_t>(vmem.size());
-  fire_hwc(ExactFire<double>{lut, 1.0}, vmem.data(), n, n, 1, arena, out);
+  detail::fire_hwc(lut, vmem.data(), n, n, 1, arena, out);
   return out;
 }
 
@@ -462,7 +497,7 @@ void SimArena::reserve_for(const SnnNetwork& net, std::int64_t c, std::int64_t h
                            std::int64_t w) {
   Shape3 cur{c, h, w};
   std::int64_t max_acc = 0;
-  std::int64_t max_steps = cur.numel();
+  std::int64_t max_steps = 0;
   std::int64_t max_grid = 0;
   for (const auto& layer : net.layers()) {
     if (const auto* conv = std::get_if<SnnConv>(&layer)) {
@@ -480,14 +515,14 @@ void SimArena::reserve_for(const SnnNetwork& net, std::int64_t c, std::int64_t h
       max_grid = std::max(max_grid, cur.numel());
       cur = {cur.c, (cur.h - pool.kernel) / pool.stride + 1,
              (cur.w - pool.kernel) / pool.stride + 1};
+      max_steps = std::max(max_steps, cur.numel());
     }
-    max_steps = std::max(max_steps, cur.numel());
   }
   (void)acc(max_acc);
   (void)steps(max_steps);
   (void)grid(max_grid);
   (void)hwc_steps(std::max(max_acc, c * h * w));  // the input fires as one pixel
-  (void)counts(net.kernel().window());
+  (void)counts(4 * (net.kernel().window() + 1));
 }
 
 }  // namespace ttfs::snn

@@ -94,11 +94,12 @@ class SimArena {
                                          // path, quant.h); grown on demand —
                                          // reserve_for leaves it empty so
                                          // float-only sessions never pay for it
-  int* steps(std::int64_t n);            // per-neuron fire step, CHW order
+  int* steps(std::int64_t n);            // pooling output steps, CHW order
   int* grid(std::int64_t n);             // pooling input step grid, CHW order
   int* hwc_steps(std::int64_t n);        // fire steps in the accumulator's
                                          // HWC layout (padded stride)
-  std::int64_t* counts(std::int64_t n);  // per-timestep spike histogram
+  std::int64_t* counts(std::int64_t n);  // per-timestep spike histogram (one
+                                         // silent slot, four partials)
 
   // Spike-parallel split: when non-null, integration of a large layer, float
   // or fixed-point, may fan its *disjoint* output ranges out across this
@@ -135,8 +136,14 @@ EventTrace run_event_sim_span(const SnnNetwork& net, const float* image, std::in
 
 // The float conv layers' fire phase, over the integration accumulator
 // stored HWC at channel stride cstride (`pixels` rows, the first cout lanes
-// of each real). Spikes come out in CHW priority order.
+// of each real; padding lanes hold 0). Spikes come out in CHW priority order.
 void fire_hwc(const ThresholdLut& lut, const float* acc, std::int64_t cout,
+              std::int64_t cstride, std::int64_t pixels, SimArena& arena,
+              LayerEventTrace& out);
+// The same fire phase over double membranes, each firing at
+// ThresholdLut::fire_step of its value: the exact-value fire that fire_phase
+// uses, and that the fixed-point layers run on their scaled int32 membranes.
+void fire_hwc(const ThresholdLut& lut, const double* acc, std::int64_t cout,
               std::int64_t cstride, std::int64_t pixels, SimArena& arena,
               LayerEventTrace& out);
 }  // namespace detail

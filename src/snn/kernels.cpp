@@ -68,6 +68,35 @@ inline void tap_axpy(float* acc, const float* w, float v, std::int64_t n) {
   axpy_elems(acc, w, v, n);
 }
 
+// The whole-window update of a stride-1 3x3 spike that reaches all 3 output
+// rows and all 3 columns: row r (tap row ky = 2 - r) adds the 3*C weight
+// lanes at w - r*3*C into the 3*C accumulator lanes at acc + r*acc_step.
+// The three rows are independent, so the AVX2 body interleaves them, one
+// 8-lane step of each row per iteration, fully unrolled over the
+// compile-time C. Same per-element mul-then-add as tap_axpy, so the bits
+// match the per-row taps.
+template <std::int64_t C>
+inline void tap_window(float* acc, std::int64_t acc_step, const float* w, float v) {
+  static_assert(C % kLaneFloats == 0, "window rows are whole lanes");
+  constexpr std::int64_t kRow = 3 * C;
+#if defined(TTFS_SIMD_AVX2)
+  const __m256 vv = _mm256_set1_ps(v);
+  float* a1 = acc + acc_step;
+  float* a2 = a1 + acc_step;
+#pragma GCC unroll 24
+  for (std::int64_t i = 0; i < kRow; i += kLaneFloats) {
+    const __m256 p0 = _mm256_mul_ps(_mm256_loadu_ps(w + i), vv);
+    const __m256 p1 = _mm256_mul_ps(_mm256_loadu_ps(w - kRow + i), vv);
+    const __m256 p2 = _mm256_mul_ps(_mm256_loadu_ps(w - 2 * kRow + i), vv);
+    _mm256_storeu_ps(acc + i, _mm256_add_ps(_mm256_loadu_ps(acc + i), p0));
+    _mm256_storeu_ps(a1 + i, _mm256_add_ps(_mm256_loadu_ps(a1 + i), p1));
+    _mm256_storeu_ps(a2 + i, _mm256_add_ps(_mm256_loadu_ps(a2 + i), p2));
+  }
+#else
+  for (std::int64_t r = 0; r < 3; ++r) axpy_elems(acc + r * acc_step, w - r * kRow, v, kRow);
+#endif
+}
+
 // --- Comparator-bank fire ------------------------------------------------------
 //
 // A membrane's fire step as a level count: how many levels u lies below, with
@@ -130,7 +159,10 @@ inline void fire_avx2(const float* levels, int window, const float* u, std::int6
 // lies in [0, kh) x [0, kw). Along each axis the outputs one input reaches
 // form a single run [o0, o1) whose tap index starts at k0 and falls by stride
 // per output, so the walk sizes both runs once per spike and then steps
-// through them with offset adds: no tap does a division or modulo.
+// through them with offset adds: no tap does a division or modulo. The
+// neuron id itself splits into (ci, yi, xi) through two per-layer
+// Reciprocal multiplies (simd.h), so no spike runs a hardware divide
+// either.
 
 // One axis's run for input coordinate `in`, clipped to outputs [lo, hi).
 // Empty when o0 >= o1 (k0 is then meaningless).
@@ -157,14 +189,29 @@ inline AxisRun axis_run(std::uint32_t in, std::uint32_t pad, std::uint32_t taps,
 // mirrored slot rule (conv_slot) a stride-1 spike's taps into one output row
 // are such a pair of spans, so it issues one tap of ncols*cstride lanes per
 // reached row; other strides skip slots between columns and issue one tap of
-// cstride lanes per (ky, kx). Either way each (yo, xo) takes at most one tap
-// per spike and sees the spikes in train order, whatever the blocking or the
-// caller's [yo0, yo1) split. Returns real ops (cout per applied tap).
-// `Stride` is the compile-time stride, or 0 to read g.stride at runtime.
-template <std::uint32_t Stride, typename Acc, typename W, typename Group, typename Tap>
+// cstride lanes per (ky, kx). At stride 1 the `window(acc, w, rows, cols)`
+// hook sees each spike first, with its first row's spans and the counts of
+// reached rows and columns (row r sits at acc + r*ow*cstride and
+// w - r*kw*cstride); it may apply the whole update itself and return true.
+// The default hook, RowTaps, returns false, so every row goes through `tap`.
+// Either way each (yo, xo) takes at most one tap per spike and sees the
+// spikes in train order, whatever the blocking or the caller's [yo0, yo1)
+// split. Returns real ops (cout per applied tap). `Stride` is the
+// compile-time stride, or 0 to read g.stride at runtime.
+struct RowTaps {
+  template <typename Acc, typename W>
+  bool operator()(Acc* /*acc*/, const W* /*w*/, std::uint32_t /*rows*/,
+                  std::uint32_t /*cols*/) const {
+    return false;
+  }
+};
+
+template <std::uint32_t Stride, typename Acc, typename W, typename Group, typename Tap,
+          typename Window = RowTaps>
 std::int64_t integrate_conv_walk(const ConvGeom& g, const W* w, const Spike* spikes,
                                  std::int64_t nspikes, Acc* acc, std::int64_t yo0,
-                                 std::int64_t yo1, Group&& group, Tap&& tap) {
+                                 std::int64_t yo1, Group&& group, Tap&& tap,
+                                 Window&& window = Window{}) {
   // Cache blocking: tile [yo0, yo1) into row blocks whose accumulator spans
   // fit acc_block_bytes(), block outermost — each tile's rows are touched by
   // every timestep group while resident instead of the whole accumulator
@@ -184,6 +231,8 @@ std::int64_t integrate_conv_walk(const ConvGeom& g, const W* w, const Spike* spi
   const std::uint32_t kw = static_cast<std::uint32_t>(g.kw);
   const std::uint32_t win = static_cast<std::uint32_t>(g.win);
   const std::uint32_t plane = static_cast<std::uint32_t>(g.hin * g.win);
+  const Reciprocal by_win{win};
+  const Reciprocal by_plane{plane};
   const std::uint32_t ow = static_cast<std::uint32_t>(g.ow);
   // Element-offset steps: one output pixel / tap column (kx falls by s, so
   // its mirrored slot rises by s), one output row / tap row. The walk steps
@@ -203,18 +252,23 @@ std::int64_t integrate_conv_walk(const ConvGeom& g, const W* w, const Spike* spi
       group(step);
       for (std::int64_t sp = si; sp < se; ++sp) {
         const auto neuron = static_cast<std::uint32_t>(spikes[sp].neuron);
-        const std::uint32_t ci = neuron / plane;
+        const std::uint32_t ci = by_plane.divide(neuron);
         const std::uint32_t rem = neuron - ci * plane;
-        const std::uint32_t yi = rem / win;
+        const std::uint32_t yi = by_win.divide(rem);
         const std::uint32_t xi = rem - yi * win;
         const AxisRun ry = axis_run(yi, pad, kh, s, static_cast<std::uint32_t>(b0),
                                     static_cast<std::uint32_t>(b1));
         if (ry.o0 >= ry.o1) continue;
         const AxisRun rx = axis_run(xi, pad, kw, s, 0, ow);
         if (rx.o0 >= rx.o1) continue;
+        const std::uint32_t nrows = ry.o1 - ry.o0;
         const std::uint32_t ncols = rx.o1 - rx.o0;
+        taps += static_cast<std::int64_t>(nrows) * ncols;
         std::int64_t acc_row = (static_cast<std::int64_t>(ry.o0) * g.ow + rx.o0) * g.cstride;
         std::int64_t w_row = conv_slot(ci, ry.k0, rx.k0, g.kh, g.kw) * g.cstride;
+        if constexpr (Stride == 1) {
+          if (window(acc + acc_row, w + w_row, nrows, ncols)) continue;
+        }
         for (std::uint32_t yo = ry.o0; yo < ry.o1; ++yo) {
           if constexpr (Stride == 1) {
             tap(acc + acc_row, w + w_row, ncols * g.cstride);
@@ -230,7 +284,6 @@ std::int64_t integrate_conv_walk(const ConvGeom& g, const W* w, const Spike* spi
           acc_row += acc_row_step;
           w_row -= w_row_step;
         }
-        taps += static_cast<std::int64_t>(ry.o1 - ry.o0) * ncols;
       }
       si = se;
     }
@@ -273,17 +326,31 @@ std::int64_t integrate_fc_walk(std::int64_t out, std::int64_t ostride, const W* 
   return ops;
 }
 
-template <bool Simd, std::uint32_t Stride>
+// The float walk. `WindowC` is 0 for per-row taps only, or the compile-time
+// cstride of a stride-1 3x3 layer whose interior spikes take tap_window.
+template <bool Simd, std::uint32_t Stride, std::int64_t WindowC = 0>
 std::int64_t integrate_conv_impl(const ConvGeom& g, const float* w, const Spike* spikes,
                                  std::int64_t nspikes, const ThresholdLut& lut, float* acc,
                                  std::int64_t yo0, std::int64_t yo1) {
   float value = 0.0F;
-  return integrate_conv_walk<Stride>(
-      g, w, spikes, nspikes, acc, yo0, yo1,
-      // One level lookup per timestep group, like the hardware presenting
-      // one threshold per cycle.
-      [&](int step) { value = static_cast<float>(lut.level(step)); },
-      [&](float* a, const float* ws, std::int64_t n) { tap_axpy<Simd>(a, ws, value, n); });
+  // One level lookup per timestep group, like the hardware presenting one
+  // threshold per cycle.
+  const auto group = [&](int step) { value = static_cast<float>(lut.level(step)); };
+  const auto tap = [&](float* a, const float* ws, std::int64_t n) {
+    tap_axpy<Simd>(a, ws, value, n);
+  };
+  if constexpr (WindowC == 0) {
+    return integrate_conv_walk<Stride>(g, w, spikes, nspikes, acc, yo0, yo1, group, tap);
+  } else {
+    const std::int64_t acc_row_step = g.ow * WindowC;
+    return integrate_conv_walk<Stride>(
+        g, w, spikes, nspikes, acc, yo0, yo1, group, tap,
+        [&](float* a, const float* ws, std::uint32_t rows, std::uint32_t cols) {
+          if (rows != 3 || cols != 3) return false;
+          tap_window<WindowC>(a, acc_row_step, ws, value);
+          return true;
+        });
+  }
 }
 
 template <bool Simd>
@@ -427,8 +494,24 @@ std::int64_t integrate_conv(const ConvGeom& g, const float* w, const Spike* spik
                             std::int64_t yo0, std::int64_t yo1) {
   // Stride 1 (every conv of the VGG stacks) gets the walk with its stride
   // divisions folded away; any other stride runs the same body at runtime.
+  // On the vector path a 3x3 stride-1 layer at a shipped channel stride also
+  // hands its interior spikes to the whole-window add.
   const bool simd = simd_active();
   if (g.stride == 1) {
+    if (simd && g.kh == 3 && g.kw == 3) {
+      switch (g.cstride) {
+        case 16:
+          return integrate_conv_impl<true, 1, 16>(g, w, spikes, nspikes, lut, acc, yo0, yo1);
+        case 24:
+          return integrate_conv_impl<true, 1, 24>(g, w, spikes, nspikes, lut, acc, yo0, yo1);
+        case 32:
+          return integrate_conv_impl<true, 1, 32>(g, w, spikes, nspikes, lut, acc, yo0, yo1);
+        case 64:
+          return integrate_conv_impl<true, 1, 64>(g, w, spikes, nspikes, lut, acc, yo0, yo1);
+        default:
+          break;
+      }
+    }
     return simd ? integrate_conv_impl<true, 1>(g, w, spikes, nspikes, lut, acc, yo0, yo1)
                 : integrate_conv_impl<false, 1>(g, w, spikes, nspikes, lut, acc, yo0, yo1);
   }

@@ -12,7 +12,10 @@
 // reached output row and the comparator-bank fire below, simulator CPU per
 // image fell by ~40 %: integrate_conv is now ~65 %, the fire phase ~14 %,
 // spike bucketing ~13 %, pooling ~7 %, and integrate_fc and the per-layer
-// driver under 1 % each. This header is the contract between the simulator
+// driver under 1 % each. Whole-window taps (below) and bucketing straight
+// from the HWC step grid then cut that stack's per-sample conv integration
+// by ~22 % and its fire phases by ~26 % (bench_event_sim_hotpath's
+// per-layer rows, same VM). This header is the contract between the simulator
 // and the tuned kernels in kernels.cpp:
 //
 //  * Padding — every output-contiguous span (a conv pack's cout row, an FC
@@ -29,17 +32,23 @@
 //    cache lines nor false-share across worker arenas.
 //  * Tap walk — integrate_conv and integrate_conv_q share one body. It
 //    splits each spike's neuron id into (ci, yi, xi) once, in 32-bit
-//    unsigned arithmetic, then sizes the run of outputs the spike reaches
-//    along each axis (tap ky = yi + pad - yo*stride must lie in [0, kh)) and
-//    steps through both runs with offset adds: no tap does a division or
-//    modulo. Stride 1 is a compile-time instantiation of that body; every
-//    other stride runs it with the stride read at runtime. Each accumulator
-//    takes at most one tap per spike, in spike order. integrate_fc and
-//    integrate_fc_q likewise share one column walk.
+//    unsigned arithmetic with a per-layer Reciprocal multiply in place of
+//    each divide, then sizes the run of outputs the spike reaches along each
+//    axis (tap ky = yi + pad - yo*stride must lie in [0, kh)) and steps
+//    through both runs with offset adds: neither the decode nor any tap
+//    executes a hardware divide. Stride 1 is a compile-time instantiation of
+//    that body; every other stride runs it with the stride read at runtime.
+//    Each accumulator takes at most one tap per spike, in spike order.
+//    integrate_fc and integrate_fc_q likewise share one column walk.
 //  * Row spans — conv weight slots mirror kx (conv_slot), so at stride 1 a
 //    spike's taps into one output row are one contiguous weight span over
 //    one contiguous accumulator span, applied as a single add; other strides
-//    apply one add per tap.
+//    apply one add per tap. Window taps — a float stride-1 3x3 spike that
+//    reaches all 3 output rows and all 3 columns (an interior spike) applies
+//    its three row spans as one straight-line AVX2 add, unrolled over a
+//    compile-time cstride for the widths the shipped stacks use (16, 24, 32,
+//    64). Border spikes, other geometries, the scalar path and the
+//    quantized kernels keep one add per row.
 //  * Fire — fire_steps counts the threshold levels each float membrane lies
 //    below, which equals ThresholdLut::fire_step for float inputs (kernel.h
 //    states why). Both paths make the same float compares and integer
@@ -87,6 +96,31 @@ inline constexpr std::int64_t kLaneFloats = 8;
 constexpr std::int64_t padded(std::int64_t n) {
   return (n + kLaneFloats - 1) / kLaneFloats * kLaneFloats;
 }
+
+// Exact unsigned division by a runtime divisor d >= 1 for every n < 2^31,
+// with one 64-bit multiply and a shift (Granlund-Montgomery): with
+// shift = 31 + ceil(log2 d) and m = ceil(2^shift / d), floor(n / d) equals
+// (n * m) >> shift, and m <= 2^32 keeps n * m below 2^63. The conv tap walk
+// builds two per layer to split a spike's int32 neuron id into (ci, yi, xi).
+class Reciprocal {
+ public:
+  constexpr explicit Reciprocal(std::uint32_t d)
+      : shift_{31 + ceil_log2(d)}, mult_{((std::uint64_t{1} << shift_) + d - 1) / d} {}
+
+  constexpr std::uint32_t divide(std::uint32_t n) const {
+    return static_cast<std::uint32_t>((std::uint64_t{n} * mult_) >> shift_);
+  }
+
+ private:
+  static constexpr int ceil_log2(std::uint32_t d) {
+    int l = 0;
+    while ((std::uint64_t{1} << l) < d) ++l;
+    return l;
+  }
+
+  int shift_;
+  std::uint64_t mult_;
+};
 
 // The single conv weight-slot rule: tap (ky, kx) of input channel ci lives in
 // slot (ci*kh + ky)*kw + (kw-1-kx), i.e. kx is stored mirrored. A stride-1

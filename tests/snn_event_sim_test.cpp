@@ -1,10 +1,14 @@
 // Event-simulator hot-path units: fire_phase edge cases (the step-bucketed
 // encoder must behave at the boundaries the priority-encoder hardware hits),
+// the HWC fire phase's bucketing in both membrane formats,
 // ThresholdLut equivalence with the closed-form fire_step, and SimArena
 // reuse across samples and networks of different shapes.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "snn/event_sim.h"
@@ -68,6 +72,147 @@ TEST(FirePhaseEdge, EncoderCycleAccounting) {
   }
   EXPECT_EQ(t.neuron_count, ref.neuron_count);
   EXPECT_EQ(t.encoder_cycles, ref.encoder_cycles);
+}
+
+// --- Fire bucketing through both membrane formats ----------------------------
+//
+// detail::fire_hwc fires an HWC span (`pixels` rows of `cstride` lanes, the
+// first `cout` real, padding lanes 0) and buckets it straight from the HWC
+// step grid: float membranes through the comparator bank (FloatFormat), the
+// same values as doubles through ThresholdLut::fire_step (ExactFire, which
+// fire_phase and the fixed-point layers use). Both must equal the definition:
+// neuron co * pixels + p fires at lut.fire_step(acc[p * cstride + co]),
+// spikes in (step, neuron) order, one encoder cycle per step plus one per
+// spike.
+
+LayerEventTrace fire_definition(const ThresholdLut& lut, const std::vector<float>& acc,
+                                std::int64_t cout, std::int64_t cstride, std::int64_t pixels) {
+  LayerEventTrace t;
+  for (int step = 0; step < lut.window(); ++step) {
+    for (std::int64_t co = 0; co < cout; ++co) {
+      for (std::int64_t p = 0; p < pixels; ++p) {
+        const double u = acc[static_cast<std::size_t>(p * cstride + co)];
+        if (lut.fire_step(u) == step) {
+          t.spikes.push_back({static_cast<std::int32_t>(co * pixels + p), step});
+        }
+      }
+    }
+  }
+  t.neuron_count = cout * pixels;
+  t.encoder_cycles = lut.window() + static_cast<std::int64_t>(t.spikes.size());
+  return t;
+}
+
+void expect_same_trace(const LayerEventTrace& got, const LayerEventTrace& want,
+                       const std::string& label) {
+  ASSERT_EQ(got.spikes.size(), want.spikes.size()) << label;
+  for (std::size_t i = 0; i < want.spikes.size(); ++i) {
+    ASSERT_EQ(got.spikes[i].neuron, want.spikes[i].neuron) << label << " spike " << i;
+    ASSERT_EQ(got.spikes[i].step, want.spikes[i].step) << label << " spike " << i;
+  }
+  EXPECT_EQ(got.neuron_count, want.neuron_count) << label;
+  EXPECT_EQ(got.encoder_cycles, want.encoder_cycles) << label;
+  EXPECT_EQ(got.integration_ops, 0) << label;
+}
+
+// Fires `acc` through both formats, twice each on one arena (so a stale
+// histogram would show), and checks every run against the definition.
+// Returns the definition for case-specific checks.
+LayerEventTrace expect_both_formats_match_definition(const std::vector<float>& acc,
+                                                     std::int64_t cout, std::int64_t cstride,
+                                                     std::int64_t pixels) {
+  const ThresholdLut lut{Base2Kernel{24, 4.0, 1.0}};
+  const LayerEventTrace want = fire_definition(lut, acc, cout, cstride, pixels);
+  const std::vector<double> acc_d(acc.begin(), acc.end());
+  SimArena arena;
+  for (int run = 0; run < 2; ++run) {
+    LayerEventTrace got_f;
+    detail::fire_hwc(lut, acc.data(), cout, cstride, pixels, arena, got_f);
+    expect_same_trace(got_f, want, "FloatFormat run " + std::to_string(run));
+    LayerEventTrace got_d;
+    detail::fire_hwc(lut, acc_d.data(), cout, cstride, pixels, arena, got_d);
+    expect_same_trace(got_d, want, "ExactFire run " + std::to_string(run));
+  }
+  return want;
+}
+
+// An HWC span whose real lanes come from `value(i)` (i = p * cout + co) and
+// whose padding lanes hold 0.
+template <typename Value>
+std::vector<float> hwc_span(std::int64_t cout, std::int64_t cstride, std::int64_t pixels,
+                            Value&& value) {
+  std::vector<float> acc(static_cast<std::size_t>(cstride * pixels), 0.0F);
+  for (std::int64_t p = 0; p < pixels; ++p) {
+    for (std::int64_t co = 0; co < cout; ++co) {
+      acc[static_cast<std::size_t>(p * cstride + co)] = value(p * cout + co);
+    }
+  }
+  return acc;
+}
+
+constexpr float kInf = std::numeric_limits<float>::infinity();
+constexpr float kNaN = std::numeric_limits<float>::quiet_NaN();
+
+TEST(FirePhaseEdge, AllSilentBothFormats) {
+  const float below = static_cast<float>(Base2Kernel{24, 4.0, 1.0}.min_level()) / 2.0F;
+  const std::vector<float> silent{0.0F, -0.0F, -1.0F, below, -kInf, 1e-30F};
+  const auto acc = hwc_span(13, 16, 9, [&](std::int64_t i) {
+    return silent[static_cast<std::size_t>(i) % silent.size()];
+  });
+  const LayerEventTrace want = expect_both_formats_match_definition(acc, 13, 16, 9);
+  EXPECT_TRUE(want.spikes.empty());
+  EXPECT_EQ(want.encoder_cycles, 24);
+}
+
+TEST(FirePhaseEdge, AllFireAtStepZeroBothFormats) {
+  const std::vector<float> top{1.0F, 5.0F, kInf, 1.5F};
+  const auto acc = hwc_span(13, 16, 9, [&](std::int64_t i) {
+    return top[static_cast<std::size_t>(i) % top.size()];
+  });
+  const LayerEventTrace want = expect_both_formats_match_definition(acc, 13, 16, 9);
+  ASSERT_EQ(want.spikes.size(), 13U * 9U);
+  for (std::size_t i = 0; i < want.spikes.size(); ++i) {
+    EXPECT_EQ(want.spikes[i].step, 0);
+    EXPECT_EQ(want.spikes[i].neuron, static_cast<std::int32_t>(i));
+  }
+}
+
+TEST(FirePhaseEdge, NanAndInfMembranesBothFormats) {
+  Rng rng{31};
+  const std::vector<float> special{kNaN, kInf, -kInf};
+  const auto acc = hwc_span(24, 24, 10, [&](std::int64_t i) {
+    return i % 4 == 0 ? special[static_cast<std::size_t>(i / 4) % special.size()]
+                      : rng.uniform_f(-0.5F, 1.5F);
+  });
+  const LayerEventTrace want = expect_both_formats_match_definition(acc, 24, 24, 10);
+  // NaN compares false against every level, so it fires at step 0 like
+  // +inf; -inf never fires.
+  const ThresholdLut lut{Base2Kernel{24, 4.0, 1.0}};
+  EXPECT_EQ(lut.fire_step(kNaN), 0);
+  EXPECT_EQ(lut.fire_step(kInf), 0);
+  EXPECT_EQ(lut.fire_step(-kInf), kNoSpike);
+  EXPECT_FALSE(want.spikes.empty());
+}
+
+TEST(FirePhaseEdge, PaddingLanesNeverFireBothFormats) {
+  Rng rng{32};
+  // cout 5 in an 8-lane stride, and 13 in 16: three and three padding lanes
+  // per pixel, all 0.
+  for (const auto& [cout, cstride] : {std::pair<std::int64_t, std::int64_t>{5, 8}, {13, 16}}) {
+    const auto acc = hwc_span(cout, cstride, 11,
+                              [&](std::int64_t) { return rng.uniform_f(-0.5F, 2.0F); });
+    const LayerEventTrace want = expect_both_formats_match_definition(acc, cout, cstride, 11);
+    EXPECT_EQ(want.neuron_count, cout * 11);
+    for (const Spike& s : want.spikes) EXPECT_LT(s.neuron, cout * 11);
+  }
+}
+
+TEST(FirePhaseEdge, DenseSinglePixelSpanBothFormats) {
+  Rng rng{33};
+  const auto acc = hwc_span(200, 200, 1, [&](std::int64_t) { return rng.uniform_f(-0.5F, 1.5F); });
+  const LayerEventTrace want = expect_both_formats_match_definition(acc, 200, 200, 1);
+  EXPECT_FALSE(want.spikes.empty());
+  EXPECT_LT(want.spikes.size(), 200U);
 }
 
 TEST(ThresholdLutTest, MatchesBase2FireStepEverywhere) {

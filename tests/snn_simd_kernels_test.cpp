@@ -6,8 +6,10 @@
 // padded conv taps, single-pixel layers, and empty timestep groups. In a
 // TTFS_SIMD=OFF build force_scalar() is a no-op and every case still runs:
 // the suite then asserts the scalar fallback against the reference, which is
-// exactly what the CI simd-off lane is for. A stride x pad x kernel sweep pins
-// integrate_conv's division-free tap walk against the per-tap definition.
+// exactly what the CI simd-off lane is for. A stride x pad x kernel x width
+// sweep pins integrate_conv's division-free tap walk, whole-window adds
+// included, against the per-tap definition, and the walk's Reciprocal decode
+// is checked against `/`.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -409,22 +411,29 @@ TEST(KernelConformance, IntraSampleSplitMatchesReference) {
 // (h + 2*pad - k) indivisible by the stride, so the input's last rows and
 // columns fall past the final output through some taps. The pack mirrors kx
 // only (kernels::conv_slot), so a second sweep runs non-square kernels,
-// where a kh/kw mix-up in the walk or the slot rule would show.
+// where a kh/kw mix-up in the walk or the slot rule would show. The kernel
+// check repeats every geometry over kTapCouts: on the vector path a 3x3
+// stride-1 layer hands interior spikes to a whole-window add unrolled for
+// channel strides 16, 24, 32 and 64 (couts 13, 24, 32, 64), while 5 and 8
+// (stride 8) and 72 stay on per-row taps; border spikes take per-row taps
+// at every width.
 constexpr std::int64_t kTapCin = 3, kTapH = 9, kTapW = 8, kTapCout = 13;
+constexpr std::int64_t kTapCouts[] = {5, 8, 13, 24, 32, 64, 72};
 
-k::ConvGeom tap_walk_geom(int stride, int pad, int kh, int kw) {
+k::ConvGeom tap_walk_geom(int stride, int pad, int kh, int kw, std::int64_t hin = kTapH,
+                          std::int64_t win = kTapW) {
   k::ConvGeom g;
   g.cin = kTapCin;
-  g.hin = kTapH;
-  g.win = kTapW;
+  g.hin = hin;
+  g.win = win;
   g.cout = kTapCout;
   g.cstride = k::padded(kTapCout);
   g.kh = kh;
   g.kw = kw;
   g.stride = stride;
   g.pad = pad;
-  g.oh = (kTapH + 2 * pad - kh) / stride + 1;
-  g.ow = (kTapW + 2 * pad - kw) / stride + 1;
+  g.oh = (hin + 2 * pad - kh) / stride + 1;
+  g.ow = (win + 2 * pad - kw) / stride + 1;
   return g;
 }
 
@@ -520,11 +529,12 @@ void expect_walk_matches_per_tap_division(const k::ConvGeom& g) {
           return k::integrate_conv(g, w.data(), spikes.data(), nspikes, lut, got.data(), lo, hi);
         };
         const std::int64_t ops = split ? rows(0, mid) + rows(mid, g.oh) : rows(0, g.oh);
-        EXPECT_EQ(ops, want_ops) << "block=" << block << " scalar=" << scalar
-                                 << " split=" << split;
+        EXPECT_EQ(ops, want_ops) << "cout=" << g.cout << " block=" << block
+                                 << " scalar=" << scalar << " split=" << split;
         for (std::size_t i = 0; i < want.size(); ++i) {
-          ASSERT_EQ(got[i], want[i]) << "block=" << block << " scalar=" << scalar
-                                     << " split=" << split << " lane " << i;
+          ASSERT_EQ(got[i], want[i]) << "cout=" << g.cout << " block=" << block
+                                     << " scalar=" << scalar << " split=" << split
+                                     << " lane " << i;
         }
       }
     }
@@ -545,8 +555,18 @@ void expect_net_matches_reference_under_tiny_blocks(const k::ConvGeom& g) {
   }
 }
 
+// The geometry of `g` at every width in kTapCouts.
+void expect_walk_matches_per_tap_division_at_every_cout(const k::ConvGeom& g) {
+  for (const std::int64_t cout : kTapCouts) {
+    k::ConvGeom gc = g;
+    gc.cout = cout;
+    gc.cstride = k::padded(cout);
+    expect_walk_matches_per_tap_division(gc);
+  }
+}
+
 TEST_P(ConvTapWalk, KernelMatchesPerTapDivisionOnBothPathsAndEverySplit) {
-  expect_walk_matches_per_tap_division(geom());
+  expect_walk_matches_per_tap_division_at_every_cout(geom());
 }
 
 TEST_P(ConvTapWalk, NetMatchesReferenceOnBothPathsUnderTinyBlocks) {
@@ -554,7 +574,42 @@ TEST_P(ConvTapWalk, NetMatchesReferenceOnBothPathsUnderTinyBlocks) {
 }
 
 TEST_P(ConvTapWalkNonSquare, KernelMatchesPerTapDivisionOnBothPathsAndEverySplit) {
-  expect_walk_matches_per_tap_division(geom());
+  expect_walk_matches_per_tap_division_at_every_cout(geom());
+}
+
+// 3x3 stride 1 over 1x1 and 2x2 inputs (pad 1, so the output is as large as
+// the input): no spike reaches all 3 output rows and columns, so even the
+// widths with a whole-window add run per-row taps only.
+TEST(ConvTapWalkTiny, NoInteriorSpikeOn1x1And2x2Inputs) {
+  for (const std::int64_t side : {1, 2}) {
+    expect_walk_matches_per_tap_division_at_every_cout(tap_walk_geom(1, 1, 3, 3, side, side));
+  }
+}
+
+// The walk's neuron-id decode: Reciprocal::divide against `/` for every
+// divisor up to 2^16 at each quotient boundary — 0, d - 1, d, the last
+// multiple of d below 2^31 and the value before it, and 2^31 - 1 — plus
+// large divisors up to the largest int32.
+TEST(Reciprocal, MatchesDivisionAtEveryQuotientBoundary) {
+  constexpr std::uint32_t kMaxN = 0x7fffffffU;
+  const auto check = [](std::uint32_t d) {
+    const k::Reciprocal r{d};
+    const std::uint32_t top = kMaxN / d * d;  // q*d with q = (2^31 - 1) / d
+    for (const std::uint32_t n : {0U, d - 1, d, top - 1, top, kMaxN}) {
+      if (r.divide(n) != n / d) {
+        ADD_FAILURE() << n << " / " << d << ": got " << r.divide(n) << ", want " << n / d;
+        return false;
+      }
+    }
+    return true;
+  };
+  for (std::uint32_t d = 1; d <= (1U << 16); ++d) {
+    if (!check(d)) return;
+  }
+  for (const std::uint32_t d :
+       {(1U << 16) + 1, 1U << 20, (1U << 20) + 1, 3U << 28, 1U << 30, kMaxN - 1, kMaxN}) {
+    if (!check(d)) return;
+  }
 }
 
 TEST_P(ConvTapWalkNonSquare, NetMatchesReferenceOnBothPathsUnderTinyBlocks) {

@@ -90,6 +90,7 @@ DIMENSIONS = (
     "workload",
     "case",
     "n",
+    "layer",
 )
 
 

@@ -19,8 +19,10 @@ three invariants CI-enforced:
      -ffp-contract=off as its effective contraction setting.
 
 "Hot function" is decided by name (see HOT_NAME_RE): the integrate_*/fire_*
-kernels, the axpy family, the quantized shift-add helpers, the fire-phase
-bucketing, and the simulator's membrane-format policy hooks (member functions
+kernels, the axpy family and the tap_* span updates (the conv walk's per-row
+tap and its whole-window hook), the quantized shift-add helpers, the
+fire-phase counting and bucketing, and the simulator's membrane-format policy
+hooks (member functions
 defined in a struct body count like free functions). Driver functions
 (run_event_sim*, trace assembly) allocate their *outputs* and are
 deliberately not hot.
@@ -68,8 +70,8 @@ CONTRACT_TU = "src/snn/kernels.cpp"
 # integrate_conv/_fc, fire_steps, to_logit, layer_params) are hot too: the
 # driver calls them per layer, per split range or per membrane.
 HOT_NAME_RE = re.compile(
-    r"^(?:integrate_\w+|fire_\w+|axpy\w*|tap_axpy|scatter_buckets|pool_layer"
-    r"|broadcast_rows\w*|quant_product|quant_add|quant_span_add|fill_quant_table"
+    r"^(?:integrate_\w+|fire_\w+|axpy\w*|tap_\w+|bucket_of|count_buckets|scatter_buckets"
+    r"|pool_layer|broadcast_rows\w*|quant_product|quant_add|quant_span_add|fill_quant_table"
     r"|acc_buffer|load_bias|to_logit|layer_params)$"
 )
 
@@ -447,6 +449,18 @@ def self_test():
                            kernels.replace(
                                anchor,
                                anchor + "\n  std::vector<float> v; v.push_back(0.0F);")),
+               ["alloc"])
+
+    # ... and so must one into the conv walk's whole-window hook.
+    window = "inline void tap_window(float* acc, std::int64_t acc_step, const float* w, float v) {"
+    if window not in kernels:
+        failures.append("kernels.cpp window-hook anchor for injection test not found")
+    else:
+        expect("push_back injected into the kernels.cpp window hook",
+               scan_source("src/snn/kernels.cpp",
+                           kernels.replace(
+                               window,
+                               window + "\n  std::vector<float> v; v.push_back(0.0F);")),
                ["alloc"])
 
     # ... and so must one into a real format-policy member hook.
