@@ -8,7 +8,7 @@
 // tests/snn_engine_test.cpp), so this measures pure scheduling win.
 //
 //   ./build/bench/bench_batch_throughput [--samples N] [--reps R]
-//                                        [--backend event|gemm|reference|quantized]
+//                                        [--backend event|reference|quantized]
 //                                        [--json]
 //
 // The backend defaults to the event simulator; CI's perf-smoke job runs one
@@ -67,15 +67,13 @@ int main(int argc, char** argv) {
   const int reps = args.get_int("reps", 3);
   const std::vector<std::int64_t> batch_sizes{1, 8, 64};
 
-  const snn::BackendKind kind = bench::backend_kind(snn::BackendKind::kEventSim);
+  const snn::BackendKind kind = bench::backend_kind();
   const std::string backend = snn::to_string(kind);
 
   Rng rng{42};
   snn::SnnNetwork mutable_net = make_net(rng);
   // The quantized backend runs the int16 pack, which requires every weight on
-  // the log-quantization grid; the float backends measure the same raw net as
-  // always (the quantize happens only for --backend quantized, so historical
-  // baselines are untouched).
+  // the log-quantization grid; the float backends measure the raw net.
   if (kind == snn::BackendKind::kQuantized) {
     cat::log_quantize_network(mutable_net, cat::LogQuantConfig{});
   }
@@ -93,11 +91,10 @@ int main(int argc, char** argv) {
   sopts.max_batch_hint = batch_sizes.back();
   sopts.input_shape = {3, 16, 16};
   snn::InferenceSession session = snn::Engine{net}.session(kind, std::move(sopts));
-  // Event-style backends also materialize traces (the hardware model's
-  // input); the GEMM path, which cannot trace, measures logits only.
+  // Every backend also materializes traces (the hardware model's input).
   snn::RunOptions ropts;
   ropts.logits = true;
-  ropts.traces = session.backend().supports_traces();
+  ropts.traces = true;
 
   std::int64_t checksum = 0;  // keeps the measured work observable
   double base_rate = 0.0;

@@ -3,7 +3,7 @@
 // configurations on the VGG-style event-sim workload.
 //
 //   ./build/bench/bench_serving_latency [--requests N] [--reps R]
-//                                       [--backend event|gemm|reference]
+//                                       [--backend event|reference|quantized]
 //                                       [--replicas 1,2,4] [--queue-cap 0]
 //                                       [--admission block|reject|shed]
 //                                       [--models 2,4] [--clients 8]
@@ -53,6 +53,7 @@
 #include <thread>
 #include <vector>
 
+#include "cat/logquant.h"
 #include "common.h"
 #include "serve/server.h"
 #include "snn/engine.h"
@@ -74,8 +75,9 @@ Tensor random_tensor(std::vector<std::int64_t> shape, Rng& rng, float lo, float 
 }
 
 // Same VGG-style conv/pool/fc stack as bench_batch_throughput, so the two
-// benches' samples/sec are directly comparable.
-snn::SnnNetwork make_net(Rng& rng) {
+// benches' samples/sec are directly comparable. The quantized backend runs
+// the int16 pack, which requires every weight on the log-quantization grid.
+snn::SnnNetwork make_net(Rng& rng, snn::BackendKind kind) {
   snn::SnnNetwork net{snn::Base2Kernel{24, 4.0, 1.0}};
   net.add_conv(random_tensor({16, 3, 3, 3}, rng, -0.15F, 0.25F),
                random_tensor({16}, rng, -0.05F, 0.1F), 1, 1);
@@ -85,6 +87,7 @@ snn::SnnNetwork make_net(Rng& rng) {
   net.add_pool(2, 2);
   net.add_fc(random_tensor({10, 24 * 4 * 4}, rng, -0.1F, 0.12F),
              random_tensor({10}, rng, -0.05F, 0.05F));
+  if (kind == snn::BackendKind::kQuantized) cat::log_quantize_network(net, cat::LogQuantConfig{});
   return net;
 }
 
@@ -308,7 +311,7 @@ int run_multimodel(const CliArgs& args, snn::BackendKind kind,
     // Same architecture, distinct weights per model: uniform per-request cost
     // across models, so rate differences measure the multi-model machinery
     // (per-model lanes, session rebinds, pack cache), not workload skew.
-    nets.push_back(std::make_shared<snn::SnnNetwork>(make_net(rng)));
+    nets.push_back(std::make_shared<snn::SnnNetwork>(make_net(rng, kind)));
   }
   std::vector<Tensor> images;
   images.reserve(static_cast<std::size_t>(requests));
@@ -369,7 +372,7 @@ int main(int argc, char** argv) {
     admission_sweep.push_back(serve::admission_policy_from_string(name));
   }
 
-  const snn::BackendKind kind = bench::backend_kind(snn::BackendKind::kEventSim);
+  const snn::BackendKind kind = bench::backend_kind();
   const std::string backend_name = snn::to_string(kind);
   const std::shared_ptr<const snn::InferenceBackend> backend = snn::make_backend(kind);
 
@@ -380,7 +383,7 @@ int main(int argc, char** argv) {
   }
 
   Rng rng{42};
-  const snn::SnnNetwork net = make_net(rng);
+  const snn::SnnNetwork net = make_net(rng, kind);
   std::vector<Tensor> images;
   images.reserve(static_cast<std::size_t>(requests));
   for (std::int64_t i = 0; i < requests; ++i) {

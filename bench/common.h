@@ -38,19 +38,18 @@ inline bool& json_mode() {
   return enabled;
 }
 
-// Process-wide --backend flag (gemm|event|reference|quantized): which
-// snn::Engine
-// realization inference-driven benches run. Empty until --backend is passed;
-// resolve through backend_kind(fallback) so each bench keeps its historical
-// default (gemm for the accuracy tables, event for the serving/throughput
-// benches).
+// Process-wide --backend flag (event|reference|quantized): which
+// snn::Engine realization inference-driven benches run. Empty until
+// --backend is passed; resolve through backend_kind(), which falls back to
+// the event simulator.
 inline std::string& backend_flag() {
   static std::string name;
   return name;
 }
 
-inline snn::BackendKind backend_kind(snn::BackendKind fallback) {
-  return backend_flag().empty() ? fallback : snn::backend_kind_from_string(backend_flag());
+inline snn::BackendKind backend_kind() {
+  return backend_flag().empty() ? snn::BackendKind::kEventSim
+                                : snn::backend_kind_from_string(backend_flag());
 }
 
 // Call at the top of every bench main: parses the shared flags
@@ -142,11 +141,10 @@ inline TrainedModel get_trained(const DatasetCase& ds, cat::TrainConfig cfg) {
 }
 
 // Accuracy of an SnnNetwork on a labelled set through an engine session on
-// the --backend realization (GEMM by default — bit-identical to the
-// historical full-batch forward() evaluation).
+// the --backend realization (the event simulator by default; its
+// predictions agree with SnnNetwork::forward, see snn/engine.h).
 inline double snn_accuracy(const snn::SnnNetwork& net, const data::LabeledData& test) {
-  snn::InferenceSession session =
-      snn::Engine{net}.session(backend_kind(snn::BackendKind::kGemm));
+  snn::InferenceSession session = snn::Engine{net}.session(backend_kind());
   return nn::evaluate_accuracy_fn(
       [&session](const Tensor& images) { return session.run(snn::BatchView{images}).logits; },
       data::make_batches(test, 64, nullptr));

@@ -17,6 +17,7 @@
 #include "nn/metrics.h"
 #include "nn/serialize.h"
 #include "nn/vgg.h"
+#include "snn/engine.h"
 #include "util/cli.h"
 #include "util/table.h"
 
@@ -79,17 +80,21 @@ int main(int argc, char** argv) {
   // --- conversion & evaluation ---
   const auto batches = data::make_batches(test, 64, nullptr);
   const double ann_acc = nn::evaluate_accuracy(model, batches);
+  const auto snn_accuracy = [&batches](const snn::SnnNetwork& snn_net) {
+    snn::InferenceSession session = snn::Engine{snn_net}.session(snn::BackendKind::kEventSim);
+    return nn::evaluate_accuracy_fn(
+        [&session](const Tensor& images) { return session.run(snn::BatchView{images}).logits; },
+        batches);
+  };
   snn::SnnNetwork net = cat::convert_to_snn(model, cfg.kernel(), train);
-  const double snn_acc = nn::evaluate_accuracy_fn(
-      [&net](const Tensor& images) { return net.forward(images); }, batches);
+  const double snn_acc = snn_accuracy(net);
 
   cat::LogQuantConfig qc;
   qc.bits = args.get_int("bits", 5);
   qc.z = args.get_int("z", 1);
   snn::SnnNetwork qnet = cat::convert_to_snn(model, cfg.kernel(), train);
   const auto qinfo = cat::log_quantize_network(qnet, qc);
-  const double q_acc = nn::evaluate_accuracy_fn(
-      [&qnet](const Tensor& images) { return qnet.forward(images); }, batches);
+  const double q_acc = snn_accuracy(qnet);
 
   Table results{"results"};
   results.set_header({"stage", "accuracy %", "note"});

@@ -45,10 +45,10 @@ int main(int argc, char** argv) {
   const cat::TrainHistory history = cat::train_cat(model, train, test, cfg);
   std::cout << "final ANN test accuracy: " << history.final_test_acc << "%\n";
 
-  // 3. Conversion. Inference runs through an engine session — swap kGemm for
-  // kEventSim to evaluate on the spike-order-accurate simulator instead.
+  // 3. Conversion. Inference runs through an engine session on the
+  // spike-order-accurate event simulator (kReference runs the frozen oracle).
   snn::SnnNetwork snn_net = cat::convert_to_snn(model, cfg.kernel(), train);
-  snn::InferenceSession session = snn::Engine{snn_net}.session(snn::BackendKind::kGemm);
+  snn::InferenceSession session = snn::Engine{snn_net}.session(snn::BackendKind::kEventSim);
   const auto evaluate = [&session](const auto& batches) {
     return nn::evaluate_accuracy_fn(
         [&session](const Tensor& images) { return session.run(snn::BatchView{images}).logits; },
@@ -67,8 +67,8 @@ int main(int argc, char** argv) {
   qc.bits = 5;
   qc.z = 1;  // a_w = 2^-1/2
   cat::log_quantize_network(snn_net, qc);
-  // Same session: it reads the network's layers live, so the next run sees
-  // the quantized weights (an event-sim session would lazily repack, too).
+  // Same session: the network drops its weight pack when its layers change,
+  // so the next run repacks and sees the quantized weights.
   const double q_acc = evaluate(batches);
   std::cout << "SNN accuracy with 5-bit log weights: " << q_acc << "%\n";
 

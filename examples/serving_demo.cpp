@@ -3,7 +3,7 @@
 //   ./build/examples/serving_demo [--requests 12] [--clients 3]
 //                                 [--max-batch 4] [--max-delay-us 2000]
 //                                 [--replicas 2]
-//                                 [--backend event|gemm|reference]
+//                                 [--backend event|reference|quantized]
 //
 // Five things in ~180 lines:
 //   1. concurrent clients submit single images and get futures back;
@@ -25,6 +25,7 @@
 #include <thread>
 #include <vector>
 
+#include "cat/logquant.h"
 #include "serve/server.h"
 #include "snn/engine.h"
 #include "snn/network.h"
@@ -43,14 +44,17 @@ Tensor random_tensor(std::vector<std::int64_t> shape, Rng& rng, float lo, float 
 }
 
 // The demo's conv/pool/fc stack on 3x8x8 inputs; each call draws fresh
-// weights, so two calls give two genuinely different models.
-std::shared_ptr<snn::SnnNetwork> make_net(Rng& rng) {
+// weights, so two calls give two genuinely different models. The quantized
+// backend runs the int16 pack, which requires every weight on the
+// log-quantization grid.
+std::shared_ptr<snn::SnnNetwork> make_net(Rng& rng, snn::BackendKind kind) {
   auto net = std::make_shared<snn::SnnNetwork>(snn::Base2Kernel{24, 4.0, 1.0});
   net->add_conv(random_tensor({8, 3, 3, 3}, rng, -0.15F, 0.25F),
                 random_tensor({8}, rng, -0.05F, 0.1F), 1, 1);
   net->add_pool(2, 2);
   net->add_fc(random_tensor({10, 8 * 4 * 4}, rng, -0.1F, 0.12F),
               random_tensor({10}, rng, -0.05F, 0.05F));
+  if (kind == snn::BackendKind::kQuantized) cat::log_quantize_network(*net, cat::LogQuantConfig{});
   return net;
 }
 
@@ -63,11 +67,13 @@ int main(int argc, char** argv) {
   const std::int64_t max_batch = args.get_int("max-batch", 4);
   const int max_delay_us = args.get_int("max-delay-us", 2000);
   const std::int64_t replicas = args.get_int("replicas", 2);
+  const snn::BackendKind kind =
+      snn::backend_kind_from_string(args.get_string("backend", "event"));
 
   // A small random-weight TTFS net on 3x8x8 inputs — the serving layer works
   // the same for a CAT-trained, converted network (see quickstart.cpp).
   Rng rng{42};
-  const std::shared_ptr<snn::SnnNetwork> net_ptr = make_net(rng);
+  const std::shared_ptr<snn::SnnNetwork> net_ptr = make_net(rng, kind);
   snn::SnnNetwork& net = *net_ptr;
 
   serve::ServeOptions opts;
@@ -75,8 +81,7 @@ int main(int argc, char** argv) {
   opts.max_delay = std::chrono::microseconds{max_delay_us};
   opts.replicas = replicas;  // R sessions over one shared backend
   // Any snn::InferenceBackend plugs in here — stock or caller-defined.
-  opts.backend = snn::make_backend(
-      snn::backend_kind_from_string(args.get_string("backend", "event")));
+  opts.backend = snn::make_backend(kind);
   serve::SnnServer server{net, {3, 8, 8}, opts};
   std::cout << "server up: max_batch=" << max_batch << " max_delay=" << max_delay_us
             << "us replicas=" << server.replicas() << " backend=" << server.backend().name()
@@ -157,8 +162,8 @@ int main(int argc, char** argv) {
   // every future resolves kOk.
   const std::shared_ptr<const snn::InferenceBackend> backend = opts.backend;
   auto registry = std::make_shared<snn::ModelRegistry>();
-  registry->load("alpha", make_net(rng), backend, {3, 8, 8});
-  registry->load("beta", make_net(rng), backend, {3, 8, 8});
+  registry->load("alpha", make_net(rng, kind), backend, {3, 8, 8});
+  registry->load("beta", make_net(rng, kind), backend, {3, 8, 8});
   serve::ServeOptions multi = opts;
   multi.backend = nullptr;  // each registered model carries its own backend
   multi.registry = registry;
@@ -182,7 +187,7 @@ int main(int argc, char** argv) {
   }
   // Hot-swap while the clients are mid-stream: the id flips to fresh weights
   // atomically; nothing running is disturbed.
-  registry->load("alpha", make_net(rng), backend, {3, 8, 8});
+  registry->load("alpha", make_net(rng, kind), backend, {3, 8, 8});
   {
     const std::lock_guard<std::mutex> lock{print_mu};
     std::cout << "  >> swapped model 'alpha' under load (version now "

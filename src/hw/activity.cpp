@@ -1,12 +1,16 @@
 #include "hw/activity.h"
 
+#include "snn/engine.h"
 #include "util/check.h"
 
 namespace ttfs::hw {
 
 std::vector<double> measure_activity(const snn::SnnNetwork& net, const data::LabeledData& data) {
-  snn::SnnRunStats stats;
-  (void)net.forward(data.images, &stats);
+  snn::InferenceSession session = snn::Engine{net}.session(snn::BackendKind::kEventSim);
+  snn::RunOptions opts;
+  opts.logits = false;
+  opts.stats = true;
+  const snn::SnnRunStats stats = session.run(snn::BatchView{data.images}, opts).merged_stats();
   std::vector<double> out;
   out.reserve(stats.spikes_per_layer.size());
   for (std::size_t i = 0; i < stats.spikes_per_layer.size(); ++i) {

@@ -15,8 +15,8 @@
 
 namespace ttfs::hw {
 
-// Runs `net` over `data` and returns the measured per-fire-phase activity
-// (index 0 = input encoding), as fractions in [0, 1].
+// Runs `net` over `data` on the event simulator and returns the measured
+// per-fire-phase activity (index 0 = input encoding), as fractions in [0, 1].
 std::vector<double> measure_activity(const snn::SnnNetwork& net, const data::LabeledData& data);
 
 // Resamples a measured profile onto `target_phases` fire phases by linear

@@ -7,7 +7,6 @@
 
 #include "serve/result.h"
 #include "snn/event_sim_reference.h"
-#include "tensor/ops.h"
 #include "util/check.h"
 #include "util/thread_pool.h"
 
@@ -15,7 +14,6 @@ namespace ttfs::snn {
 
 std::string to_string(BackendKind kind) {
   switch (kind) {
-    case BackendKind::kGemm: return "gemm";
     case BackendKind::kEventSim: return "event";
     case BackendKind::kReference: return "reference";
     case BackendKind::kQuantized: return "quantized";
@@ -24,12 +22,11 @@ std::string to_string(BackendKind kind) {
 }
 
 BackendKind backend_kind_from_string(const std::string& name) {
-  if (name == "gemm") return BackendKind::kGemm;
-  if (name == "event" || name == "event_sim") return BackendKind::kEventSim;
+  if (name == "event") return BackendKind::kEventSim;
   if (name == "reference") return BackendKind::kReference;
   if (name == "quantized") return BackendKind::kQuantized;
   throw std::invalid_argument("unknown backend '" + name +
-                              "' (want gemm|event|reference|quantized)");
+                              "' (want event|reference|quantized)");
 }
 
 SnnRunStats RunResult::merged_stats() const {
@@ -135,19 +132,6 @@ SnnRunStats stats_from_trace(const SnnNetwork& net, const EventTrace& trace) {
   return s;
 }
 
-void GemmBackend::run_sample(const SnnNetwork& net, const BatchView& batch, std::int64_t i,
-                             SimArena& arena, const SampleSlots& slots) const {
-  (void)arena;
-  TTFS_CHECK_MSG(slots.trace == nullptr, "gemm backend cannot materialize traces");
-  // (1, ...) wrapper built on the worker: the only copy per sample.
-  std::vector<std::int64_t> shape{1};
-  shape.insert(shape.end(), batch.sample_shape().begin(), batch.sample_shape().end());
-  const float* span = batch.sample(i);
-  Tensor x{std::move(shape), std::vector<float>(span, span + batch.sample_numel())};
-  Tensor row = net.forward(x, slots.stats);
-  if (slots.logits != nullptr) *slots.logits = std::move(row);
-}
-
 void EventSimBackend::run_sample(const SnnNetwork& net, const BatchView& batch, std::int64_t i,
                                  SimArena& arena, const SampleSlots& slots) const {
   std::int64_t c, h, w;
@@ -176,12 +160,10 @@ void ReferenceBackend::run_sample(const SnnNetwork& net, const BatchView& batch,
 
 std::shared_ptr<const InferenceBackend> make_backend(BackendKind kind) {
   // One shared instance per kind: backends are stateless const objects.
-  static const auto gemm = std::make_shared<const GemmBackend>();
   static const auto event = std::make_shared<const EventSimBackend>();
   static const auto reference = std::make_shared<const ReferenceBackend>();
   static const auto quantized = std::make_shared<const QuantizedEventSimBackend>();
   switch (kind) {
-    case BackendKind::kGemm: return gemm;
     case BackendKind::kEventSim: return event;
     case BackendKind::kReference: return reference;
     case BackendKind::kQuantized: return quantized;
@@ -220,10 +202,6 @@ InferenceSession::InferenceSession(const SnnNetwork& net,
 }
 
 RunResult InferenceSession::run(const BatchView& batch, const RunOptions& opts) {
-  if (opts.traces && !backend_->supports_traces()) {
-    throw std::invalid_argument("backend '" + backend_->name() +
-                                "' cannot materialize traces (RunOptions::traces)");
-  }
   // Rebuilds the backend's pack if the caller mutated layers between runs.
   backend_->ensure_ready(*net_);
   const std::int64_t n = batch.size();

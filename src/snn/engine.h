@@ -1,16 +1,17 @@
 // Unified inference API: one network, interchangeable execution backends.
 //
-// The paper's system is a single TTFS network executed by several equivalent
-// realizations — the GEMM-equivalent path (phi_TTFS = decode . fire, see
-// network.h), the spike-order-accurate event simulator that feeds the
-// hardware model (event_sim.h), and the frozen reference simulator kept as
-// the correctness oracle (event_sim_reference.h). This header makes "which
-// realization" a first-class object instead of a switch statement:
+// The paper's system is a single TTFS network executed by equivalent
+// realizations: the spike-order-accurate event simulator that feeds the
+// hardware model (event_sim.h), its fixed-point log-PE twin over the
+// quantized pack (quant.h), and the frozen reference simulator kept as the
+// correctness oracle (event_sim_reference.h). Every one of them produces the
+// spike stream, so every backend can materialize traces. This header makes
+// "which realization" a first-class object instead of a switch statement:
 //
 //   SnnNetwork net = ...;                       // the converted network
 //   Engine engine{net};
 //   InferenceSession session =
-//       engine.session(BackendKind::kEventSim); // or kGemm / kReference,
+//       engine.session(BackendKind::kEventSim); // or kReference / kQuantized,
 //                                               // or any InferenceBackend
 //   RunOptions opts;
 //   opts.stats = true;                          // what to materialize
@@ -33,13 +34,14 @@
 //    by any number of sessions and threads (the serving layer injects a
 //    shared_ptr). All mutable scratch is handed in by the session.
 //
-// Determinism: every backend is bit-identical to its own pre-engine
-// sequential entry point — GemmBackend to SnnNetwork::forward per sample,
-// EventSimBackend to run_event_sim, ReferenceBackend to
-// reference::run_event_sim — for any batch size, pool size, and RunOptions
-// combination (asserted in tests/snn_engine_test.cpp). The GEMM and event
-// paths differ from *each other* only in float summation order; integer
-// artifacts (spike maps, SnnRunStats, predictions) agree across all three.
+// Determinism: every backend is bit-identical to its own sequential entry
+// point — EventSimBackend to run_event_sim, QuantizedEventSimBackend to
+// run_quantized_event_sim_span, ReferenceBackend to reference::run_event_sim —
+// for any batch size, pool size, and RunOptions combination (asserted in
+// tests/snn_engine_test.cpp). SnnNetwork::forward (phi_TTFS = decode . fire,
+// network.h) is the conversion-math oracle those tests compare against: it
+// differs from the float simulators only in float summation order, and
+// integer artifacts (spike maps, SnnRunStats, predictions) agree with it.
 #pragma once
 
 #include <cstdint>
@@ -57,13 +59,13 @@ class ThreadPool;
 
 namespace ttfs::snn {
 
-// The built-in backends. kGemm is the fast layer-sequential path, kEventSim
-// the spike-order-accurate simulator, kReference the frozen oracle (slow;
-// for validation only), kQuantized the fixed-point integer path over the
+// The built-in backends. kEventSim is the spike-order-accurate simulator and
+// the production float path, kReference the frozen oracle (slow; for
+// validation only), kQuantized the fixed-point integer path over the
 // log-quantized weight pack (quant.h).
-enum class BackendKind { kGemm, kEventSim, kReference, kQuantized };
+enum class BackendKind { kEventSim, kReference, kQuantized };
 
-// "gemm" / "event" / "reference" / "quantized" — the spelling shared by every
+// "event" / "reference" / "quantized" — the one spelling per backend shared by every
 // --backend flag (bench/common.h) and the BENCH_*.json "backend" field.
 std::string to_string(BackendKind kind);
 // Inverse of to_string; throws std::invalid_argument on an unknown name.
@@ -79,7 +81,7 @@ struct RunOptions {
   bool predictions = false; // per-sample argmax of the logits
   bool stats = false;       // per-sample SnnRunStats (images == 1 each)
   bool traces = false;      // full per-sample EventTraces (hardware model
-                            // input); requires InferenceBackend::supports_traces()
+                            // input)
 };
 
 // Uniform result of InferenceSession::run. Per-sample vectors are indexed by
@@ -146,15 +148,13 @@ class InferenceBackend {
   virtual ~InferenceBackend() = default;
 
   virtual std::string name() const = 0;
-  // True when RunOptions::traces can be materialized (event-style backends).
-  virtual bool supports_traces() const = 0;
   // True when run_sample uses the SimArena; sessions skip arena
   // pre-reservation for backends that do not.
   virtual bool uses_arena() const = 0;
 
   // Weight-pack lifecycle, in backend-agnostic terms: sessions and the model
   // registry manage "whatever this backend runs on" without knowing which
-  // pack that is. The defaults mean "no pack" (gemm, reference); a backend
+  // pack that is. The defaults mean "no pack" (reference); a backend
   // that reads a derived weight structure (the float event pack, the
   // quantized pack) overrides all four, so it names its pack in one place.
   //
@@ -177,25 +177,12 @@ class InferenceBackend {
                           SimArena& arena, const SampleSlots& slots) const = 0;
 };
 
-// phi_TTFS = decode . fire: the layer-sequential GEMM path. Per-sample
-// results are bit-identical to SnnNetwork::forward on a (1, ...) slice.
-// Does not support traces (it never materializes the event stream).
-class GemmBackend final : public InferenceBackend {
- public:
-  std::string name() const override { return "gemm"; }
-  bool supports_traces() const override { return false; }
-  bool uses_arena() const override { return false; }
-  void run_sample(const SnnNetwork& net, const BatchView& batch, std::int64_t i, SimArena& arena,
-                  const SampleSlots& slots) const override;
-};
-
 // The timestep- and spike-order-accurate simulator (event_sim.h), running on
 // the network's float event pack (SnnNetwork::packed_layers) with
 // session-owned arenas. Bit-identical to run_event_sim per sample.
 class EventSimBackend final : public InferenceBackend {
  public:
   std::string name() const override { return "event"; }
-  bool supports_traces() const override { return true; }
   bool uses_arena() const override { return true; }
   void ensure_ready(const SnnNetwork& net) const override { net.ensure_packed(); }
   bool has_resident_pack() const override { return true; }
@@ -221,7 +208,6 @@ class QuantizedEventSimBackend final : public InferenceBackend {
   explicit QuantizedEventSimBackend(QuantPackConfig config = {}) : config_{config} {}
 
   std::string name() const override { return "quantized"; }
-  bool supports_traces() const override { return true; }
   bool uses_arena() const override { return true; }
   void ensure_ready(const SnnNetwork& net) const override { net.ensure_quantized(config_); }
   bool has_resident_pack() const override { return true; }
@@ -243,7 +229,6 @@ class QuantizedEventSimBackend final : public InferenceBackend {
 class ReferenceBackend final : public InferenceBackend {
  public:
   std::string name() const override { return "reference"; }
-  bool supports_traces() const override { return true; }
   bool uses_arena() const override { return false; }
   void run_sample(const SnnNetwork& net, const BatchView& batch, std::int64_t i, SimArena& arena,
                   const SampleSlots& slots) const override;
@@ -291,9 +276,7 @@ class InferenceSession {
   // Runs every sample of `batch`, fanning out across the session pool, and
   // materializes exactly what `opts` asks for. Sample order is preserved
   // everywhere; results are bit-identical to a sequential loop over the
-  // backend's single-sample primitive regardless of pool size. Throws
-  // std::invalid_argument when opts.traces is set but the backend cannot
-  // produce traces.
+  // backend's single-sample primitive regardless of pool size.
   RunResult run(const BatchView& batch, const RunOptions& opts = {});
 
   const SnnNetwork& network() const { return *net_; }

@@ -9,14 +9,14 @@
 // paper's Table 2.
 //
 // Two execution paths exist:
-//  * forward()/trace() here — the fast layer-sequential path: spikes are
-//    decoded to their kernel levels and the integration is done with the same
-//    GEMM kernels as the ANN. Bit-identical to the event path by construction.
-//  * event_sim.h — a timestep- and spike-order-accurate simulator used to
-//    validate this path and to drive the hardware model.
-// Both (plus the frozen reference simulator) are reachable uniformly through
-// snn::Engine / InferenceSession (engine.h), the pool-parallel batch entry
-// point.
+//  * forward()/trace() here — the conversion-math oracle: spikes are decoded
+//    to their kernel levels and the integration is done with the same GEMM
+//    kernels as the ANN (phi_TTFS = decode . fire). Tests compare the
+//    simulators against it; no production caller runs it.
+//  * event_sim.h — the timestep- and spike-order-accurate simulator: the
+//    production inference path, and the trace source for the hardware model.
+// Inference runs through snn::Engine / InferenceSession (engine.h), the
+// pool-parallel batch entry point over the event simulators.
 #pragma once
 
 #include <atomic>
@@ -155,7 +155,7 @@ class SnnNetwork {
   // Runs one image (C, H, W) and returns the SpikeMap of every fire phase:
   // index 0 is the encoded input, then one entry per spiking layer (pools act
   // in the spike domain and produce their own map; the output layer emits
-  // none). Used by the event simulator and the hardware model.
+  // none). The spike-map oracle the simulators are tested against.
   std::vector<SpikeMap> trace(const Tensor& image) const;
 
   // Pipeline latency in timesteps: (1 + number of weighted layers) * T.

@@ -38,7 +38,7 @@ ModelHandle::ModelHandle(std::string id, std::uint64_t version,
       net_{std::move(net)},
       backend_{std::move(backend)},
       input_shape_{std::move(input_shape)} {
-  // A backend with no resident pack (gemm, reference) is permanently warm at
+  // A backend with no resident pack (the reference simulator) is permanently warm at
   // zero bytes — there is nothing to cache or evict for it.
   if (!backend_->has_resident_pack()) warm_.store(true, std::memory_order_release);
 }

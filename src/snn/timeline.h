@@ -1,7 +1,7 @@
 // Global-timestep timeline engine.
 //
-// The third, most literal execution model of the TTFS network (after the
-// GEMM fast path and the per-phase event simulator): a single global clock
+// The most literal execution model of the TTFS network (next to the
+// SnnNetwork::forward oracle and the per-phase event simulator): a single global clock
 // advances one timestep at a time across the whole pipeline. During window w
 // (timesteps [w*T, (w+1)*T)) the w-th fire stage compares its membranes
 // against the decaying threshold, emits spikes in priority order, and each
@@ -13,7 +13,7 @@
 // This engine exists to validate the windowing/latency semantics end to end:
 // its spikes must match SnnNetwork::trace() per phase, its global timestamps
 // must respect the window schedule, and its final membrane readout must equal
-// the fast path's logits.
+// forward()'s logits.
 #pragma once
 
 #include <cstdint>

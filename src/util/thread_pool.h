@@ -1,6 +1,8 @@
 // Fixed-size thread pool with a parallel_for helper.
 //
-// Used to parallelize GEMM row blocks and per-sample forward/backward work.
+// Used to parallelize the ANN trainer's sgemm row blocks and per-sample
+// forward/backward work, and to fan inference samples out across an
+// InferenceSession (snn/engine.h).
 // The pool is created once per process via global_pool() (size = hardware
 // concurrency, overridable by TTFS_THREADS) but can also be instantiated
 // locally for tests.

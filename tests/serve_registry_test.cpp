@@ -218,8 +218,8 @@ TEST(ModelRegistry, PackFreeBackendIsAlwaysWarmAtZeroBytes) {
   snn::RegistryOptions opts;
   opts.max_pack_bytes = 1;  // evict-happy budget
   snn::ModelRegistry registry{opts};
-  const auto handle =
-      registry.load("gemm", make_net_a(rng), snn::make_backend(snn::BackendKind::kGemm), {3, 8, 8});
+  const auto handle = registry.load("reference", make_net_a(rng),
+                                    snn::make_backend(snn::BackendKind::kReference), {3, 8, 8});
   EXPECT_TRUE(handle->warm());
   EXPECT_EQ(handle->pack_bytes(), 0U);
   const auto pin = registry.pin_for_run(handle);
@@ -293,7 +293,7 @@ TEST(ModelRegistry, QuantizedBackendShrinksWarmBytesAndEvictsCleanly) {
 TEST(ServeRegistry, MultiModelMatchesDedicatedServers) {
   Rng rng{23};
   const auto event = snn::make_backend(snn::BackendKind::kEventSim);
-  const auto gemm = snn::make_backend(snn::BackendKind::kGemm);
+  const auto reference = snn::make_backend(snn::BackendKind::kReference);
   const auto net_a = make_net_a(rng);
   const auto net_b = make_net_b(rng);
   const auto net_c = make_net_c(rng);
@@ -322,13 +322,13 @@ TEST(ServeRegistry, MultiModelMatchesDedicatedServers) {
   };
   const auto golden_a = dedicated_rows(*net_a, {3, 8, 8}, event, images_a);
   const auto golden_b = dedicated_rows(*net_b, {1, 12, 12}, event, images_b);
-  const auto golden_c = dedicated_rows(*net_c, {2, 6, 6}, gemm, images_c);
+  const auto golden_c = dedicated_rows(*net_c, {2, 6, 6}, reference, images_c);
 
   for (const std::int64_t replicas : {1, 2, 4}) {
     auto registry = std::make_shared<snn::ModelRegistry>();
     registry->load("a", net_a, event, {3, 8, 8});
     registry->load("b", net_b, event, {1, 12, 12});
-    registry->load("c", net_c, gemm, {2, 6, 6});
+    registry->load("c", net_c, reference, {2, 6, 6});
     ServeOptions opts;
     opts.max_batch = 4;
     opts.replicas = replicas;
@@ -445,7 +445,8 @@ TEST(ServeRegistry, LiveSwapUnderLoadDrainsCleanly) {
 TEST(ServeRegistry, UnknownModelResolvesRejected) {
   Rng rng{31};
   auto registry = std::make_shared<snn::ModelRegistry>();
-  registry->load("known", make_net_a(rng), snn::make_backend(snn::BackendKind::kGemm), {3, 8, 8});
+  registry->load("known", make_net_a(rng), snn::make_backend(snn::BackendKind::kReference),
+                 {3, 8, 8});
   ServeOptions opts;
   opts.registry = registry;
   SnnServer server{opts};
@@ -458,24 +459,24 @@ TEST(ServeRegistry, UnknownModelResolvesRejected) {
 
 TEST(ServeRegistry, DefaultModelConvenience) {
   Rng rng{37};
-  const auto gemm = snn::make_backend(snn::BackendKind::kGemm);
+  const auto reference = snn::make_backend(snn::BackendKind::kReference);
 
   // Sole model => implicit default; one-argument submit targets it.
   auto registry = std::make_shared<snn::ModelRegistry>();
-  registry->load("only", make_net_a(rng), gemm, {3, 8, 8});
+  registry->load("only", make_net_a(rng), reference, {3, 8, 8});
   ServeOptions opts;
   opts.registry = registry;
   SnnServer server{opts};
   EXPECT_EQ(server.default_model(), "only");
   EXPECT_EQ(server.input_shape(), (std::vector<std::int64_t>{3, 8, 8}));
-  EXPECT_EQ(server.backend().name(), "gemm");
+  EXPECT_EQ(server.backend().name(), "reference");
   auto result = server.submit(random_tensor({3, 8, 8}, rng, 0.0F, 1.0F)).result.get();
   EXPECT_EQ(result.status, RequestStatus::kOk);
   EXPECT_EQ(result.model_id, "only");
 
   // Two models, no named default => the one-argument submit throws; naming
   // an unknown default at construction throws.
-  registry->load("second", make_net_b(rng), gemm, {1, 12, 12});
+  registry->load("second", make_net_b(rng), reference, {1, 12, 12});
   ServeOptions two;
   two.registry = registry;
   SnnServer ambiguous{two};
@@ -491,7 +492,7 @@ TEST(ServeRegistry, DefaultModelConvenience) {
 TEST(ServeRegistry, ShapeMismatchNamesTheModel) {
   Rng rng{41};
   auto registry = std::make_shared<snn::ModelRegistry>();
-  registry->load("a", make_net_a(rng), snn::make_backend(snn::BackendKind::kGemm), {3, 8, 8});
+  registry->load("a", make_net_a(rng), snn::make_backend(snn::BackendKind::kReference), {3, 8, 8});
   ServeOptions opts;
   opts.registry = registry;
   SnnServer server{opts};

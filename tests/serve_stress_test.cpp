@@ -2,9 +2,9 @@
 // the batching dispatcher, the replica schedulers and the compute pool, and
 // every returned logit vector must still be bit-identical to a sequential
 // golden on the same input — batching composition, replica routing, arena
-// reuse and thread interleaving must never leak into results. Each backend is
-// exercised at replica counts 1, 2 and 4 so sharding is covered by the same
-// goldens as the single-replica path. This suite (with serve_test,
+// reuse and thread interleaving must never leak into results. The event
+// backend is exercised at replica counts 1, 2 and 4 so sharding is covered by
+// the same goldens as the single-replica path. This suite (with serve_test,
 // serve_admission_test and the thread-pool suites) runs under the
 // ThreadSanitizer CI lane.
 #include <gtest/gtest.h>
@@ -67,21 +67,16 @@ void expect_rows_equal(const Tensor& got, const float* want, std::int64_t classe
 // interleaving produces and `replicas` scheduler threads race for the formed
 // batches; each future's logits must equal the sequential golden of its own
 // input bit for bit, whichever replica served it.
-void stress_backend(snn::BackendKind backend, std::int64_t replicas) {
+void stress_event_sim(std::int64_t replicas) {
   Rng rng{101};
   const snn::SnnNetwork net = make_net(rng);
   const auto images = make_images(rng, kTotal);
 
-  // Sequential goldens, computed before the server exists: forward() per
-  // image for the GEMM backend, run_event_sim per image for the event one.
+  // Sequential goldens, computed before the server exists: run_event_sim per
+  // image.
   Tensor goldens{{kTotal, 10}};
   for (std::int64_t i = 0; i < kTotal; ++i) {
-    Tensor row;
-    if (backend == snn::BackendKind::kGemm) {
-      row = net.forward(images[static_cast<std::size_t>(i)].reshaped({1, 3, 8, 8}));
-    } else {
-      row = snn::run_event_sim(net, images[static_cast<std::size_t>(i)]).logits;
-    }
+    const Tensor row = snn::run_event_sim(net, images[static_cast<std::size_t>(i)]).logits;
     ASSERT_EQ(row.numel(), 10);
     std::copy(row.data(), row.data() + 10, goldens.data() + i * 10);
   }
@@ -91,7 +86,7 @@ void stress_backend(snn::BackendKind backend, std::int64_t replicas) {
   opts.max_batch = 8;
   opts.max_delay = std::chrono::microseconds{300};
   opts.replicas = replicas;
-  opts.backend = snn::make_backend(backend);
+  opts.backend = snn::make_backend(snn::BackendKind::kEventSim);
   opts.pool = &compute_pool;
   SnnServer server{net, {3, 8, 8}, opts};
   ASSERT_EQ(server.replicas(), replicas);
@@ -134,29 +129,11 @@ void stress_backend(snn::BackendKind backend, std::int64_t replicas) {
   EXPECT_EQ(replica_completed, stats.completed);
 }
 
-TEST(ServeStress, EventSimBitIdenticalToSequentialGoldenR1) {
-  stress_backend(snn::BackendKind::kEventSim, 1);
-}
+TEST(ServeStress, EventSimBitIdenticalToSequentialGoldenR1) { stress_event_sim(1); }
 
-TEST(ServeStress, EventSimBitIdenticalToSequentialGoldenR2) {
-  stress_backend(snn::BackendKind::kEventSim, 2);
-}
+TEST(ServeStress, EventSimBitIdenticalToSequentialGoldenR2) { stress_event_sim(2); }
 
-TEST(ServeStress, EventSimBitIdenticalToSequentialGoldenR4) {
-  stress_backend(snn::BackendKind::kEventSim, 4);
-}
-
-TEST(ServeStress, GemmBitIdenticalToSequentialClassifyGoldenR1) {
-  stress_backend(snn::BackendKind::kGemm, 1);
-}
-
-TEST(ServeStress, GemmBitIdenticalToSequentialClassifyGoldenR2) {
-  stress_backend(snn::BackendKind::kGemm, 2);
-}
-
-TEST(ServeStress, GemmBitIdenticalToSequentialClassifyGoldenR4) {
-  stress_backend(snn::BackendKind::kGemm, 4);
-}
+TEST(ServeStress, EventSimBitIdenticalToSequentialGoldenR4) { stress_event_sim(4); }
 
 // Cancellations race batch formation from every submitter thread; whatever
 // the interleaving, cancel() returning true must mean kCancelled and false

@@ -1,6 +1,6 @@
 // Unit tests for the serving subsystem: MicroBatcher flush policy and
-// SnnServer request lifecycle (serve / cancel / drain / reject) on both
-// backends, including the zero-thread (inline) compute-pool mode.
+// SnnServer request lifecycle (serve / cancel / drain / reject), including
+// the zero-thread (inline) compute-pool mode.
 //
 // Determinism under many concurrent submitters is covered separately in
 // serve_stress_test.cpp.
@@ -222,9 +222,9 @@ TEST(ReplicaRouter, FullHandOffBlocksDispatcherUntilAcquire) {
 
 // --- SnnServer ---
 
-// Serves sequential round trips on the given backend and checks every result
-// against that backend's sequential golden.
-void serve_and_match(snn::BackendKind backend, ThreadPool* pool) {
+// Serves sequential round trips on the event backend and checks every result
+// against run_event_sim's sequential golden.
+void serve_and_match(ThreadPool* pool) {
   Rng rng{7};
   const snn::SnnNetwork net = make_net(rng);
   const auto images = make_images(rng, 6);
@@ -232,7 +232,7 @@ void serve_and_match(snn::BackendKind backend, ThreadPool* pool) {
   ServeOptions opts;
   opts.max_batch = 4;
   opts.max_delay = microseconds{500};
-  opts.backend = snn::make_backend(backend);
+  opts.backend = snn::make_backend(snn::BackendKind::kEventSim);
   opts.pool = pool;
   SnnServer server{net, {3, 8, 8}, opts};
 
@@ -240,13 +240,8 @@ void serve_and_match(snn::BackendKind backend, ThreadPool* pool) {
     auto sub = server.submit(images[i]);
     ServeResult r = sub.result.get();
     ASSERT_EQ(r.status, RequestStatus::kOk) << "request " << i;
-    Tensor golden;
-    if (backend == snn::BackendKind::kEventSim) {
-      golden = snn::run_event_sim(net, images[i]).logits;
-    } else {
-      golden = net.forward(images[i].reshaped({1, 3, 8, 8}));
-    }
-    expect_rows_equal(r.logits, golden, "request " + std::to_string(i));
+    expect_rows_equal(r.logits, snn::run_event_sim(net, images[i]).logits,
+                      "request " + std::to_string(i));
     EXPECT_GE(r.predicted, 0);
     EXPECT_LT(r.predicted, 10);
     EXPECT_GT(r.latency_seconds, 0.0);
@@ -262,16 +257,11 @@ void serve_and_match(snn::BackendKind backend, ThreadPool* pool) {
   EXPECT_EQ(stats.queue_depth, 0U);
 }
 
-TEST(SnnServer, ServesEventSimBackend) {
-  serve_and_match(snn::BackendKind::kEventSim, nullptr);
-}
-
-TEST(SnnServer, ServesGemmBackend) { serve_and_match(snn::BackendKind::kGemm, nullptr); }
+TEST(SnnServer, ServesEventSimBackend) { serve_and_match(nullptr); }
 
 TEST(SnnServer, ZeroThreadPoolRunsInline) {
   ThreadPool inline_pool{0};
-  serve_and_match(snn::BackendKind::kEventSim, &inline_pool);
-  serve_and_match(snn::BackendKind::kGemm, &inline_pool);
+  serve_and_match(&inline_pool);
 }
 
 // Replica-sharded round trips: every result must match the sequential golden
@@ -324,7 +314,6 @@ class CountingBackend final : public snn::InferenceBackend {
       : inner_{std::move(inner)} {}
 
   std::string name() const override { return "counting"; }
-  bool supports_traces() const override { return inner_->supports_traces(); }
   bool uses_arena() const override { return inner_->uses_arena(); }
   void ensure_ready(const snn::SnnNetwork& net) const override { inner_->ensure_ready(net); }
   bool has_resident_pack() const override { return inner_->has_resident_pack(); }

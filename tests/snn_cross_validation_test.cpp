@@ -335,38 +335,5 @@ TEST(BatchEventSim, MatchesSequentialLoopBitExactly) {
   }
 }
 
-TEST(BatchClassify, MatchesPerSampleForwardBitExactly) {
-  Rng rng{301};
-  const snn::SnnNetwork net = batching_net(rng);
-  const Tensor images = random_tensor({5, 3, 10, 10}, rng, 0.0F, 1.0F);
-
-  // Sequential reference: forward() on each (1, C, H, W) slice.
-  std::vector<Tensor> seq_rows;
-  snn::SnnRunStats seq_stats;
-  for (std::int64_t i = 0; i < images.dim(0); ++i) {
-    const Tensor one = images.sample0(i).reshaped({1, 3, 10, 10});
-    seq_rows.push_back(net.forward(one, &seq_stats));
-  }
-
-  ThreadPool pool{2};
-  snn::RunOptions opts;
-  opts.logits = true;
-  opts.stats = true;
-  const snn::RunResult run = run_batch(net, snn::BackendKind::kGemm, images, pool, opts);
-  const Tensor& logits = run.logits;
-  const snn::SnnRunStats batch_stats = run.merged_stats();
-  ASSERT_EQ(logits.dim(0), images.dim(0));
-  for (std::int64_t i = 0; i < images.dim(0); ++i) {
-    ASSERT_EQ(seq_rows[static_cast<std::size_t>(i)].numel(), logits.dim(1));
-    for (std::int64_t j = 0; j < logits.dim(1); ++j) {
-      EXPECT_EQ(logits.at(i, j), seq_rows[static_cast<std::size_t>(i)][j])
-          << "sample " << i << " logit " << j;
-    }
-  }
-  EXPECT_EQ(batch_stats.images, seq_stats.images);
-  EXPECT_EQ(batch_stats.spikes_per_layer, seq_stats.spikes_per_layer);
-  EXPECT_EQ(batch_stats.neurons_per_layer, seq_stats.neurons_per_layer);
-}
-
 }  // namespace
 }  // namespace ttfs

@@ -1,17 +1,17 @@
 // Backend-conformance suite for the snn::Engine / InferenceSession API.
 //
-// The engine is a facade over three pre-existing, frozen primitives —
-// SnnNetwork::forward (GEMM), run_event_sim (event), and
+// The engine is a facade over frozen primitives — run_event_sim (event) and
 // reference::run_event_sim (oracle) — so every session result must be
 // bit-identical to the matching primitive driven in a sequential loop. The
-// core matrix runs one golden batch through all three backends × batch sizes
-// {1, 7, 32} × every RunOptions combination and checks logits, predictions,
-// per-sample stats, and full spike traces against those goldens; integer
-// artifacts (stats, predictions) must additionally agree *across* backends.
-// Also covered: NCHW vs gathered batch views, arena/session reuse across
-// runs and differently-shaped networks, the zero-thread inline pool, the
-// gemm-cannot-trace contract, and const-correctness of the whole inference
-// surface.
+// core matrix runs one golden batch through both float backends × batch
+// sizes {1, 7, 32} × every RunOptions combination and checks logits,
+// predictions, per-sample stats, and full spike traces against those
+// goldens; integer artifacts (stats, predictions) must additionally agree
+// with SnnNetwork::forward, the conversion-math oracle (decode . fire).
+// Also covered: the quantized backend against the float event sim on a
+// log-quantized net, NCHW vs gathered batch views, arena/session reuse
+// across runs and differently-shaped networks, the zero-thread inline pool,
+// and const-correctness of the whole inference surface.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -86,10 +86,10 @@ std::int64_t argmax(const Tensor& row) {
   return best;
 }
 
-// The frozen pre-engine goldens for one sample: per-backend logits, the
-// forward() stats record, and the two simulators' full traces.
+// The frozen pre-engine goldens for one sample: forward()'s logits and stats
+// record, and the two simulators' full traces.
 struct SampleGolden {
-  Tensor gemm_logits;       // (1, classes) — SnnNetwork::forward
+  Tensor forward_logits;    // (1, classes) — SnnNetwork::forward
   snn::SnnRunStats stats;   // forward()'s counters (integer: backend-agnostic)
   snn::EventTrace event;    // run_event_sim
   snn::EventTrace reference;  // reference::run_event_sim
@@ -101,7 +101,7 @@ std::vector<SampleGolden> make_goldens(const snn::SnnNetwork& net,
   for (std::size_t i = 0; i < images.size(); ++i) {
     const Tensor& img = images[i];
     Tensor batch1{{1, img.dim(0), img.dim(1), img.dim(2)}, std::vector<float>(img.vec())};
-    goldens[i].gemm_logits = net.forward(batch1, &goldens[i].stats);
+    goldens[i].forward_logits = net.forward(batch1, &goldens[i].stats);
     goldens[i].event = snn::run_event_sim(net, img);
     goldens[i].reference = snn::reference::run_event_sim(net, img);
   }
@@ -110,13 +110,12 @@ std::vector<SampleGolden> make_goldens(const snn::SnnNetwork& net,
 
 const Tensor& golden_logits(const SampleGolden& g, snn::BackendKind kind) {
   switch (kind) {
-    case snn::BackendKind::kGemm: return g.gemm_logits;
     case snn::BackendKind::kEventSim: return g.event.logits;
     case snn::BackendKind::kReference: return g.reference.logits;
     case snn::BackendKind::kQuantized: break;  // banded, not bit-exact: see below
   }
   ADD_FAILURE() << "no bit-exact logits golden for backend " << snn::to_string(kind);
-  return g.gemm_logits;
+  return g.forward_logits;
 }
 
 const snn::EventTrace& golden_trace(const SampleGolden& g, snn::BackendKind kind) {
@@ -190,7 +189,7 @@ void expect_result_matches(const snn::RunResult& run, const std::vector<SampleGo
     for (std::int64_t i = 0; i < n; ++i) {
       // Predictions are integer artifacts: identical for every backend.
       EXPECT_EQ(run.predicted[static_cast<std::size_t>(i)],
-                argmax(goldens[static_cast<std::size_t>(i)].gemm_logits))
+                argmax(goldens[static_cast<std::size_t>(i)].forward_logits))
           << what << " sample " << i;
     }
   } else {
@@ -261,8 +260,7 @@ const std::vector<SampleGolden>* SnnEngineConformance::goldens_ = nullptr;
 // sweep (arena reuse across runs is part of what is proven).
 TEST_F(SnnEngineConformance, AllBackendsBitIdenticalAcrossBatchAndOptions) {
   const snn::Engine engine{net()};
-  for (const snn::BackendKind kind :
-       {snn::BackendKind::kGemm, snn::BackendKind::kEventSim, snn::BackendKind::kReference}) {
+  for (const snn::BackendKind kind : {snn::BackendKind::kEventSim, snn::BackendKind::kReference}) {
     snn::InferenceSession session = engine.session(kind);
     for (const std::int64_t n : {std::int64_t{1}, std::int64_t{7}, kMaxBatch}) {
       const std::vector<const Tensor*> batch = gather(images(), n);
@@ -275,11 +273,6 @@ TEST_F(SnnEngineConformance, AllBackendsBitIdenticalAcrossBatchAndOptions) {
         opts.logit_rows = (mask & 16) != 0;
         const std::string what = "backend=" + snn::to_string(kind) + " n=" +
                                  std::to_string(n) + " mask=" + std::to_string(mask);
-        if (opts.traces && !session.backend().supports_traces()) {
-          EXPECT_THROW((void)session.run(snn::BatchView{batch}, opts), std::invalid_argument)
-              << what;
-          continue;
-        }
         const snn::RunResult run = session.run(snn::BatchView{batch}, opts);
         expect_result_matches(run, goldens(), n, kind, opts, what);
       }
@@ -301,7 +294,7 @@ TEST_F(SnnEngineConformance, NchwAndGatheredViewsAgree) {
   opts.logits = true;
   opts.predictions = true;
   opts.stats = true;
-  for (const snn::BackendKind kind : {snn::BackendKind::kGemm, snn::BackendKind::kEventSim}) {
+  for (const snn::BackendKind kind : {snn::BackendKind::kEventSim, snn::BackendKind::kReference}) {
     snn::InferenceSession session = engine.session(kind);
     const snn::RunResult from_nchw = session.run(snn::BatchView{nchw}, opts);
     const snn::RunResult from_gathered = session.run(snn::BatchView{gather(images(), n)}, opts);
@@ -324,8 +317,7 @@ TEST_F(SnnEngineConformance, ZeroThreadInlinePoolMatchesGoldens) {
   snn::RunOptions opts;
   opts.logits = true;
   opts.stats = true;
-  for (const snn::BackendKind kind : {snn::BackendKind::kGemm, snn::BackendKind::kEventSim,
-                                      snn::BackendKind::kReference}) {
+  for (const snn::BackendKind kind : {snn::BackendKind::kEventSim, snn::BackendKind::kReference}) {
     snn::SessionOptions sopts;
     sopts.pool = &inline_pool;
     snn::InferenceSession session = engine.session(kind, std::move(sopts));
@@ -458,7 +450,6 @@ TEST_F(SnnEngineQuantizedConformance, MatchesEventSimAcrossBatchAndOptions) {
   const snn::Engine engine{net()};
   snn::InferenceSession session = engine.session(snn::BackendKind::kQuantized);
   EXPECT_EQ(session.backend().name(), "quantized");
-  EXPECT_TRUE(session.backend().supports_traces());
   for (const std::int64_t n : {std::int64_t{1}, std::int64_t{7}, kMaxBatch}) {
     const std::vector<const Tensor*> batch = gather(images(), n);
     for (int mask = 0; mask < 32; ++mask) {
@@ -496,7 +487,7 @@ TEST_F(SnnEngineQuantizedConformance, MatchesEventSimAcrossBatchAndOptions) {
         ASSERT_EQ(run.predicted.size(), static_cast<std::size_t>(n)) << what;
         for (std::int64_t i = 0; i < n; ++i) {
           EXPECT_EQ(run.predicted[static_cast<std::size_t>(i)],
-                    argmax(goldens()[static_cast<std::size_t>(i)].gemm_logits))
+                    argmax(goldens()[static_cast<std::size_t>(i)].forward_logits))
               << what << " sample " << i;
         }
       } else {
@@ -620,19 +611,29 @@ TEST(SnnEngineQuantizedSplit, IntraSampleSplitIsBitwiseInvisible) {
 }
 
 TEST(SnnEngine, BackendKindStringsRoundTrip) {
-  for (const snn::BackendKind kind : {snn::BackendKind::kGemm, snn::BackendKind::kEventSim,
-                                      snn::BackendKind::kReference, snn::BackendKind::kQuantized}) {
+  for (const snn::BackendKind kind :
+       {snn::BackendKind::kEventSim, snn::BackendKind::kReference, snn::BackendKind::kQuantized}) {
     EXPECT_EQ(snn::backend_kind_from_string(snn::to_string(kind)), kind);
     EXPECT_EQ(snn::make_backend(kind)->name(), snn::to_string(kind));
   }
-  EXPECT_EQ(snn::backend_kind_from_string("event_sim"), snn::BackendKind::kEventSim);
-  EXPECT_THROW((void)snn::backend_kind_from_string("tpu"), std::invalid_argument);
+  // One spelling per backend: the retired GEMM backend and the old
+  // "event_sim" alias are unknown names like any other, and the error lists
+  // exactly the remaining spellings.
+  for (const std::string name : {"gemm", "event_sim", "tpu"}) {
+    try {
+      (void)snn::backend_kind_from_string(name);
+      ADD_FAILURE() << name << " must not parse";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string{e.what()}.find("(want event|reference|quantized)"), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(SnnEngine, EmptyBatchYieldsEmptyResult) {
   Rng rng{9};
   const snn::SnnNetwork net = make_net(rng);
-  snn::InferenceSession session = snn::Engine{net}.session(snn::BackendKind::kGemm);
+  snn::InferenceSession session = snn::Engine{net}.session(snn::BackendKind::kEventSim);
   snn::RunOptions opts;
   opts.logits = true;
   opts.predictions = true;

@@ -8,7 +8,7 @@
 //   ./build/tools/ttfs_wire_server [--port 0] [--bind 127.0.0.1]
 //       [--models 1] [--replicas 2] [--max-batch 8] [--max-delay-us 500]
 //       [--queue-cap 0] [--admission reject|shed|block]
-//       [--backend event|gemm|reference|quantized]
+//       [--backend event|reference|quantized]
 //       [--idle-timeout-ms 30000] [--port-file path]
 //
 // Models are registered as "m0".."m{N-1}" with input shape (3, 16, 16);
@@ -33,6 +33,7 @@
 #include <thread>
 #include <vector>
 
+#include "cat/logquant.h"
 #include "net/wire_server.h"
 #include "serve/server.h"
 #include "snn/engine.h"
@@ -57,8 +58,10 @@ Tensor random_tensor(std::vector<std::int64_t> shape, Rng& rng, float lo, float 
 }
 
 // Same VGG-style conv/pool/fc stack as bench_serving_latency::make_net, so
-// wire-served reqs/s lines up with the in-process serving bench.
-snn::SnnNetwork make_net(Rng& rng) {
+// wire-served reqs/s lines up with the in-process serving bench. The
+// quantized backend runs the int16 pack, which requires every weight on the
+// log-quantization grid.
+snn::SnnNetwork make_net(Rng& rng, snn::BackendKind kind) {
   snn::SnnNetwork net{snn::Base2Kernel{24, 4.0, 1.0}};
   net.add_conv(random_tensor({16, 3, 3, 3}, rng, -0.15F, 0.25F),
                random_tensor({16}, rng, -0.05F, 0.1F), 1, 1);
@@ -68,6 +71,7 @@ snn::SnnNetwork make_net(Rng& rng) {
   net.add_pool(2, 2);
   net.add_fc(random_tensor({10, 24 * 4 * 4}, rng, -0.1F, 0.12F),
              random_tensor({10}, rng, -0.05F, 0.05F));
+  if (kind == snn::BackendKind::kQuantized) cat::log_quantize_network(net, cat::LogQuantConfig{});
   return net;
 }
 
@@ -77,14 +81,15 @@ int main(int argc, char** argv) {
   const CliArgs args{argc, argv};
   const int models = args.get_int("models", 1);
   const std::string backend_name = args.get_string("backend", "event");
-  const auto backend = snn::make_backend(snn::backend_kind_from_string(backend_name));
+  const snn::BackendKind kind = snn::backend_kind_from_string(backend_name);
+  const auto backend = snn::make_backend(kind);
 
   Rng rng{42};
   auto registry = std::make_shared<snn::ModelRegistry>();
   std::vector<std::string> ids;
   for (int m = 0; m < models; ++m) {
     ids.push_back("m" + std::to_string(m));
-    registry->load(ids.back(), std::make_shared<snn::SnnNetwork>(make_net(rng)), backend,
+    registry->load(ids.back(), std::make_shared<snn::SnnNetwork>(make_net(rng, kind)), backend,
                    {3, 16, 16});
   }
 
