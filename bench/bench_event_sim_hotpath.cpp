@@ -14,12 +14,14 @@
 // With --json the tables are also written to BENCH_event_sim_hotpath.json
 // and BENCH_event_sim_layers.json for the CI perf-smoke artifact upload.
 //
-// The per-layer table splits the float simulator's time by conv layer: it
-// replays each layer's recorded input spike train from a trace through
+// The per-layer table splits the float simulator's time by layer: it
+// replays each conv layer's recorded input spike train from a trace through
 // kernels::integrate_conv and then fires the result through
-// detail::fire_hwc, one thread, checking that the replay re-emits the
-// trace's spikes. The main table's minflt/sample column counts the minor
-// page faults (getrusage, this process) each single-sample run takes.
+// detail::fire_hwc, and each pool layer's input spikes, laid out as the HWC
+// step grid a fire phase leaves, through detail::pool_grid; one thread,
+// checking that every replay re-emits the trace's spikes. The main table's
+// minflt/sample column counts the minor page faults (getrusage, this
+// process) each single-sample run takes.
 #include <sys/resource.h>
 
 #include <algorithm>
@@ -98,9 +100,10 @@ bool same_spikes(const std::vector<snn::Spike>& a, const std::vector<snn::Spike>
                     });
 }
 
-// Per-conv-layer integrate and fire time (us per sample, best of `reps`)
-// for the float simulator, replayed from each sample's trace. Bias init is
-// not timed. Returns false if a replay re-emits different spikes.
+// Per-layer time (us per sample, best of `reps`) for the float simulator,
+// replayed from each sample's trace: integrate and fire per conv layer, pool
+// per pool layer. Bias init and the pool's input grid are not timed. Returns
+// false if a replay re-emits different spikes.
 bool per_layer_table(const snn::SnnNetwork& net, const std::vector<Tensor>& samples, int reps) {
   net.ensure_packed();
   const snn::ThresholdLut& lut = net.threshold_lut();
@@ -109,22 +112,48 @@ bool per_layer_table(const snn::SnnNetwork& net, const std::vector<Tensor>& samp
 
   struct Row {
     std::string name;
-    double integrate_s = 0.0, fire_s = 0.0;
+    double integrate_s = 0.0, fire_s = 0.0, pool_s = 0.0;
     std::int64_t spikes_in = 0;
   };
   std::vector<Row> rows;
   snn::SimArena arena;
   snn::kernels::AlignedBuffer<float> acc_buf;
+  snn::kernels::AlignedBuffer<int> grid_buf;
   bool exact = true;
   for (int rep = 0; rep < reps; ++rep) {
     std::int64_t c = samples[0].dim(0), h = samples[0].dim(1), w = samples[0].dim(2);
-    std::size_t conv_seen = 0;
+    std::size_t conv_seen = 0, pool_seen = 0;
     std::size_t trace_layer = 0;  // the current layer's input spikes
     for (std::size_t li = 0; li < net.layers().size(); ++li) {
       const snn::SnnLayer& layer = net.layers()[li];
       if (const auto* pool = std::get_if<snn::SnnPool>(&layer)) {
+        // The pool reads the HWC step grid its producer's fire phase left:
+        // padded(c) lanes per pixel, padding lanes silent.
+        const std::int64_t lanes = snn::kernels::padded(c);
+        int* grid = grid_buf.ensure(lanes * h * w);
+        const std::size_t row_at = conv_seen + pool_seen;
+        if (rows.size() <= row_at) rows.push_back({"pool" + std::to_string(pool_seen + 1)});
+        Row& row = rows[row_at];
+        double pool_s = 0.0;
+        std::int64_t spikes_in = 0;
+        for (const snn::EventTrace& trace : traces) {
+          const auto& in = trace.layers[trace_layer].spikes;
+          spikes_in += static_cast<std::int64_t>(in.size());
+          std::fill(grid, grid + lanes * h * w, snn::kNoSpike);
+          for (const snn::Spike& s : in) {
+            grid[s.neuron % (h * w) * lanes + s.neuron / (h * w)] = s.step;
+          }
+          snn::LayerEventTrace out;
+          const auto start = std::chrono::steady_clock::now();
+          snn::detail::pool_grid(*pool, {grid, c, h, w, lanes, 1}, lut.window(), arena, out);
+          pool_s += seconds_since(start);
+          exact = exact && same_spikes(out.spikes, trace.layers[trace_layer + 1].spikes);
+        }
+        if (rep == 0 || pool_s < row.pool_s) row.pool_s = pool_s;
+        row.spikes_in = spikes_in;
         h = (h - pool->kernel) / pool->stride + 1;
         w = (w - pool->kernel) / pool->stride + 1;
+        ++pool_seen;
         ++trace_layer;
         continue;
       }
@@ -145,8 +174,9 @@ bool per_layer_table(const snn::SnnNetwork& net, const std::vector<Tensor>& samp
       g.ow = (w + 2 * g.pad - g.kw) / g.stride + 1;
       const std::int64_t pixels = g.oh * g.ow;
       float* acc = acc_buf.ensure(pixels * g.cstride);
-      if (rows.size() <= conv_seen) rows.push_back({"conv" + std::to_string(conv_seen + 1)});
-      Row& row = rows[conv_seen];
+      const std::size_t row_at = conv_seen + pool_seen;
+      if (rows.size() <= row_at) rows.push_back({"conv" + std::to_string(conv_seen + 1)});
+      Row& row = rows[row_at];
       double integrate_s = 0.0, fire_s = 0.0;
       std::int64_t spikes_in = 0;
       for (const snn::EventTrace& trace : traces) {
@@ -177,12 +207,14 @@ bool per_layer_table(const snn::SnnNetwork& net, const std::vector<Tensor>& samp
   }
 
   const double n = static_cast<double>(samples.size());
+  // A conv row has no pool time and a pool row no integrate or fire time.
+  const auto us = [n](double s, bool has) { return has ? Table::num(1e6 * s / n, 1) : "-"; };
   Table table{"event_sim_layers"};
-  table.set_header({"layer", "integrate us", "fire us", "spikes in/sample"});
+  table.set_header({"layer", "integrate us", "fire us", "pool us", "spikes in/sample"});
   for (const Row& row : rows) {
-    table.add_row({row.name, Table::num(1e6 * row.integrate_s / n, 1),
-                   Table::num(1e6 * row.fire_s / n, 1),
-                   Table::num(static_cast<double>(row.spikes_in) / n, 0)});
+    const bool conv = row.name.rfind("conv", 0) == 0;
+    table.add_row({row.name, us(row.integrate_s, conv), us(row.fire_s, conv),
+                   us(row.pool_s, !conv), Table::num(static_cast<double>(row.spikes_in) / n, 0)});
   }
   bench::emit(table);
   return exact;
@@ -282,10 +314,11 @@ int main(int argc, char** argv) {
                  Table::num(rate_quant / rate_ref, 2) + "x", Table::num(faults_quant, 1)});
   bench::emit(table);
 
-  std::cout << "\n### float event sim per conv layer — " << samples
+  std::cout << "\n### float event sim per layer — " << samples
             << " replayed samples, one thread, best of " << reps << " reps\n\n";
   if (!per_layer_table(net, samples_owned, reps)) {
-    std::cerr << "PER-LAYER REPLAY MISMATCH: fire_hwc re-emitted different spikes\n";
+    std::cerr << "PER-LAYER REPLAY MISMATCH: fire_hwc or pool_grid re-emitted different "
+                 "spikes\n";
     return 1;
   }
 

@@ -11,11 +11,13 @@
 #include <cstdlib>
 #include <filesystem>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "cat/conversion.h"
+#include "cat/logquant.h"
 #include "cat/trainer.h"
 #include "data/cifar.h"
 #include "data/synthetic.h"
@@ -142,9 +144,19 @@ inline TrainedModel get_trained(const DatasetCase& ds, cat::TrainConfig cfg) {
 
 // Accuracy of an SnnNetwork on a labelled set through an engine session on
 // the --backend realization (the event simulator by default; its
-// predictions agree with SnnNetwork::forward, see snn/engine.h).
+// predictions agree with SnnNetwork::forward, see snn/engine.h). The
+// fixed-point backend runs log-quantized weights only, so under --backend
+// quantized the net is evaluated as a log-quantized copy at the
+// cat::LogQuantConfig defaults, as ttfs_wire_server and serving_demo do
+// (print_scale_banner says so).
 inline double snn_accuracy(const snn::SnnNetwork& net, const data::LabeledData& test) {
-  snn::InferenceSession session = snn::Engine{net}.session(backend_kind());
+  const snn::BackendKind kind = backend_kind();
+  std::optional<snn::SnnNetwork> quantized;
+  if (kind == snn::BackendKind::kQuantized) {
+    quantized.emplace(net);
+    cat::log_quantize_network(*quantized, cat::LogQuantConfig{});
+  }
+  snn::InferenceSession session = snn::Engine{quantized ? *quantized : net}.session(kind);
   return nn::evaluate_accuracy_fn(
       [&session](const Tensor& images) { return session.run(snn::BatchView{images}).logits; },
       data::make_batches(test, 64, nullptr));
@@ -167,7 +179,12 @@ inline void emit(const Table& table) {
 inline void print_scale_banner(const std::string& bench) {
   std::cout << "\n### " << bench << " — scale: "
             << (run_scale() == Scale::kFull ? "full (TTFS_SCALE=full)" : "quick (default)")
-            << "; datasets marked * are synthetic stand-ins (DESIGN.md)\n\n";
+            << "; datasets marked * are synthetic stand-ins (DESIGN.md)\n";
+  if (backend_kind() == snn::BackendKind::kQuantized) {
+    std::cout << "--backend quantized: every SNN accuracy is that of its log-quantized copy "
+                 "(cat::LogQuantConfig defaults)\n";
+  }
+  std::cout << "\n";
 }
 
 }  // namespace ttfs::bench

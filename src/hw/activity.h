@@ -2,10 +2,13 @@
 //
 // The hardware model's energy and cycle counts scale with how many neurons
 // actually spike. For networks we can run (the trained minis), activity is
-// measured exactly; for paper-scale VGG-16 the measured profile is resampled
-// onto the deeper network by relative depth — firing-rate-vs-depth curves are
-// close to architecture-independent for TTFS conversions, which DESIGN.md
-// documents as the bridging assumption.
+// measured exactly. No VGG-16 is trained, so Table 4 and the Sec. 7
+// ablations price paper-scale VGG-16 with hw::default_activity's fixed depth
+// profile (workload.h: input pixels 0.9, hidden layers 0.40 falling to 0.15),
+// not with a measured one. resample_activity can map a measured profile onto
+// a deeper network by relative depth — the bridging assumption DESIGN.md
+// documents (firing-rate-vs-depth curves are close to architecture-
+// independent for TTFS conversions) — but no bench prices with it today.
 #pragma once
 
 #include <vector>

@@ -29,8 +29,6 @@ std::int32_t* SimArena::qacc(std::int64_t n) { return qacc_.ensure(n); }
 
 int* SimArena::steps(std::int64_t n) { return steps_.ensure(n); }
 
-int* SimArena::grid(std::int64_t n) { return grid_.ensure(n); }
-
 int* SimArena::hwc_steps(std::int64_t n) { return hwc_steps_.ensure(n); }
 
 std::int64_t* SimArena::counts(std::int64_t n) { return counts_.ensure(n); }
@@ -115,43 +113,25 @@ void scatter_buckets(const int* steps, std::int64_t cout, std::int64_t cstride,
   out.encoder_cycles = window + total;
 }
 
-// Earliest-spike-wins pooling: pass through the minimum fire step of each
-// window, building a step grid from the incoming spikes first. Pooling is
-// pure spike bookkeeping, the same for every membrane format.
-LayerEventTrace pool_layer(const SnnPool& pool, const std::vector<Spike>& in_spikes, Shape3 in,
-                           int window, SimArena& arena) {
+// Earliest-spike-wins pooling, straight from the step grid the layer before
+// left (kernels::pool_steps): each output neuron passes through the least
+// fire step of its window. The pooled grid is HWC at padded(c) lanes in
+// SimArena::steps (a pool after a pool pools it in place) and is bucketed
+// like a fire phase (minus the encoder-cycle cost: pooling is free in the
+// spike domain). Pooling is pure spike bookkeeping, the same for every
+// membrane format. Returns the pooled grid.
+kernels::StepGrid pool_grid(const SnnPool& pool, const kernels::StepGrid& in, int window,
+                            SimArena& arena, LayerEventTrace& out) {
   const std::int64_t oh = (in.h - pool.kernel) / pool.stride + 1;
   const std::int64_t ow = (in.w - pool.kernel) / pool.stride + 1;
   TTFS_CHECK(oh > 0 && ow > 0);
-
-  int* grid = arena.grid(in.numel());
-  std::fill(grid, grid + in.numel(), kNoSpike);
-  for (const Spike& s : in_spikes) grid[s.neuron] = s.step;
-
-  // Output steps in CHW order, then bucket like a fire phase (minus the
-  // encoder-cycle cost: pooling is free in the spike domain).
-  const std::int64_t out_n = in.c * oh * ow;
-  int* steps = arena.steps(out_n);
-  for (std::int64_t ci = 0; ci < in.c; ++ci) {
-    for (std::int64_t oy = 0; oy < oh; ++oy) {
-      for (std::int64_t ox = 0; ox < ow; ++ox) {
-        int best = kNoSpike;
-        for (std::int64_t ky = 0; ky < pool.kernel; ++ky) {
-          for (std::int64_t kx = 0; kx < pool.kernel; ++kx) {
-            const std::int64_t iy = oy * pool.stride + ky;
-            const std::int64_t ix = ox * pool.stride + kx;
-            const int s = grid[(ci * in.h + iy) * in.w + ix];
-            if (s != kNoSpike && (best == kNoSpike || s < best)) best = s;
-          }
-        }
-        steps[(ci * oh + oy) * ow + ox] = best;
-      }
-    }
-  }
-  LayerEventTrace lt;
-  scatter_buckets(steps, out_n, out_n, 1, window, arena.counts(4 * (window + 1)), lt);
-  lt.encoder_cycles = 0;  // pools reshuffle spikes, no encoder pass
-  return lt;
+  const std::int64_t lanes = kernels::padded(in.c);
+  // In place after a pool: the grid only shrinks, so steps never regrows.
+  int* steps = arena.steps(lanes * oh * ow);
+  kernels::pool_steps(in, pool.kernel, pool.stride, steps);
+  scatter_buckets(steps, in.c, lanes, oh * ow, window, arena.counts(4 * (window + 1)), out);
+  out.encoder_cycles = 0;  // pools reshuffle spikes, no encoder pass
+  return {steps, in.c, oh, ow, lanes, 1};
 }
 
 // --- Membrane formats ---------------------------------------------------------
@@ -275,13 +255,15 @@ struct QuantFormat : ExactFire<std::int32_t> {
 // from the HWC step grid in CHW priority order. An FC layer
 // is one pixel, and so is a dense CHW span (the input image, fire_phase's
 // membranes) with cstride = cout.
+// Returns the step grid, which stays in SimArena::hwc_steps for a pool to read.
 template <typename Fmt, typename T>
-void fire_hwc(const Fmt& fmt, const T* acc, std::int64_t cout, std::int64_t cstride,
-              std::int64_t pixels, SimArena& arena, LayerEventTrace& out) {
+const int* fire_hwc(const Fmt& fmt, const T* acc, std::int64_t cout, std::int64_t cstride,
+                    std::int64_t pixels, SimArena& arena, LayerEventTrace& out) {
   const int window = fmt.lut.window();
   int* hwc = arena.hwc_steps(pixels * cstride);
   fmt.fire_steps(acc, pixels * cstride, hwc);
   scatter_buckets(hwc, cout, cstride, pixels, window, arena.counts(4 * (window + 1)), out);
+  return hwc;
 }
 
 // Whether the intra-sample split is worth waking the pool for: a rough
@@ -337,26 +319,32 @@ EventTrace run_event_sim_view(const Fmt& fmt, const SnnNetwork& net, const Packs
   trace.layers.reserve(net.layers().size() + 1);
 
   // --- Input encoding window (a float image in every format) ---
-  // Layers are built in place: the reserve above keeps in_spikes valid.
-  fire_hwc(FloatFormat{fmt.lut}, image, cur.numel(), cur.numel(), 1, arena,
-           trace.layers.emplace_back());
+  // Layers are built in place: the reserve above keeps in_spikes valid. The
+  // encoding fires the CHW image as one span, so its step grid is CHW.
+  const int* image_steps = fire_hwc(FloatFormat{fmt.lut}, image, cur.numel(), cur.numel(), 1,
+                                    arena, trace.layers.emplace_back());
   const std::vector<Spike>* in_spikes = &trace.layers.back().spikes;
+  // The last fire phase's (or pool's) step grid, for a pool to read.
+  kernels::StepGrid grid{image_steps, cur.c, cur.h, cur.w, 1, cur.h * cur.w};
 
   // A weighted layer's tail, after integration into `acc` (`pixels` rows of
   // `stride` lanes, `channels` real; an FC layer is one pixel): the last one
   // reports its accumulators as logits and returns true, any other fires.
   const std::size_t weighted = net.weighted_layer_count();
   std::size_t weighted_seen = 0;
-  const auto finish_layer = [&](const Acc* acc, std::int64_t channels, std::int64_t stride,
-                                std::int64_t pixels, std::int64_t ops) {
+  const auto finish_layer = [&](const Acc* acc, Shape3 shape, std::int64_t stride,
+                                std::int64_t ops) {
+    const std::int64_t pixels = shape.h * shape.w;
     if (++weighted_seen == weighted) {
-      trace.logits = logits_chw(fmt, acc, channels, stride, pixels);
+      trace.logits = logits_chw(fmt, acc, shape.c, stride, pixels);
       return true;
     }
     LayerEventTrace& lt = trace.layers.emplace_back();
-    fire_hwc(fmt, acc, channels, stride, pixels, arena, lt);
+    grid = {fire_hwc(fmt, acc, shape.c, stride, pixels, arena, lt), shape.c, shape.h, shape.w,
+            stride, 1};
     lt.integration_ops = ops;
     in_spikes = &lt.spikes;
+    cur = shape;
     return false;
   };
 
@@ -403,8 +391,7 @@ EventTrace run_event_sim_view(const Fmt& fmt, const SnnNetwork& net, const Packs
           oh, nspikes * pw.kh * pw.kw * cstride, arena, [&](std::int64_t lo, std::int64_t hi) {
             return fmt.integrate_conv(pw, geom, spikes.data(), nspikes, acc, lo, hi);
           });
-      if (finish_layer(acc, cout, cstride, oh * ow, ops)) return trace;
-      cur = {cout, oh, ow};
+      if (finish_layer(acc, {cout, oh, ow}, cstride, ops)) return trace;
     } else if (const auto* fc = std::get_if<SnnFc>(&layer)) {
       const auto& pw = std::get<typename Fmt::Fc>(packs[li]);
       const std::int64_t out = pw.out;
@@ -426,14 +413,12 @@ EventTrace run_event_sim_view(const Fmt& fmt, const SnnNetwork& net, const Packs
             return fmt.integrate_fc(pw, spikes.data(), nspikes, acc, lo * kernels::kLaneFloats,
                                     hi * kernels::kLaneFloats);
           });
-      if (finish_layer(acc, out, ostride, 1, ops)) return trace;
-      cur = {out, 1, 1};
+      if (finish_layer(acc, {out, 1, 1}, ostride, ops)) return trace;
     } else {
-      const auto& pool = std::get<SnnPool>(layer);
-      trace.layers.push_back(pool_layer(pool, *in_spikes, cur, fmt.lut.window(), arena));
-      in_spikes = &trace.layers.back().spikes;
-      cur = {cur.c, (cur.h - pool.kernel) / pool.stride + 1,
-             (cur.w - pool.kernel) / pool.stride + 1};
+      LayerEventTrace& lt = trace.layers.emplace_back();
+      grid = pool_grid(std::get<SnnPool>(layer), grid, fmt.lut.window(), arena, lt);
+      in_spikes = &lt.spikes;
+      cur = {grid.c, grid.h, grid.w};
     }
   }
   TTFS_CHECK_MSG(false, "SNN has no output layer");
@@ -459,16 +444,21 @@ EventTrace run_quantized_event_sim_span(const SnnNetwork& net, const float* imag
   return run_event_sim_view(fmt, net, pack.layers, image, {c, h, w}, arena);
 }
 
-void fire_hwc(const ThresholdLut& lut, const float* acc, std::int64_t cout,
-              std::int64_t cstride, std::int64_t pixels, SimArena& arena,
-              LayerEventTrace& out) {
-  snn::fire_hwc(FloatFormat{lut}, acc, cout, cstride, pixels, arena, out);
+const int* fire_hwc(const ThresholdLut& lut, const float* acc, std::int64_t cout,
+                    std::int64_t cstride, std::int64_t pixels, SimArena& arena,
+                    LayerEventTrace& out) {
+  return snn::fire_hwc(FloatFormat{lut}, acc, cout, cstride, pixels, arena, out);
 }
 
-void fire_hwc(const ThresholdLut& lut, const double* acc, std::int64_t cout,
-              std::int64_t cstride, std::int64_t pixels, SimArena& arena,
-              LayerEventTrace& out) {
-  snn::fire_hwc(ExactFire<double>{lut, 1.0}, acc, cout, cstride, pixels, arena, out);
+const int* fire_hwc(const ThresholdLut& lut, const double* acc, std::int64_t cout,
+                    std::int64_t cstride, std::int64_t pixels, SimArena& arena,
+                    LayerEventTrace& out) {
+  return snn::fire_hwc(ExactFire<double>{lut, 1.0}, acc, cout, cstride, pixels, arena, out);
+}
+
+kernels::StepGrid pool_grid(const SnnPool& pool, const kernels::StepGrid& in, int window,
+                            SimArena& arena, LayerEventTrace& out) {
+  return snn::pool_grid(pool, in, window, arena, out);
 }
 
 }  // namespace detail
@@ -497,8 +487,7 @@ void SimArena::reserve_for(const SnnNetwork& net, std::int64_t c, std::int64_t h
                            std::int64_t w) {
   Shape3 cur{c, h, w};
   std::int64_t max_acc = 0;
-  std::int64_t max_steps = 0;
-  std::int64_t max_grid = 0;
+  std::int64_t max_pooled = 0;
   for (const auto& layer : net.layers()) {
     if (const auto* conv = std::get_if<SnnConv>(&layer)) {
       const std::int64_t oh = (cur.h + 2 * conv->pad - conv->weight.dim(2)) / conv->stride + 1;
@@ -512,15 +501,13 @@ void SimArena::reserve_for(const SnnNetwork& net, std::int64_t c, std::int64_t h
       max_acc = std::max(max_acc, kernels::padded(cur.c));
     } else {
       const auto& pool = std::get<SnnPool>(layer);
-      max_grid = std::max(max_grid, cur.numel());
       cur = {cur.c, (cur.h - pool.kernel) / pool.stride + 1,
              (cur.w - pool.kernel) / pool.stride + 1};
-      max_steps = std::max(max_steps, cur.numel());
+      max_pooled = std::max(max_pooled, kernels::padded(cur.c) * cur.h * cur.w);
     }
   }
   (void)acc(max_acc);
-  (void)steps(max_steps);
-  (void)grid(max_grid);
+  (void)steps(max_pooled);
   (void)hwc_steps(std::max(max_acc, c * h * w));  // the input fires as one pixel
   (void)counts(4 * (net.kernel().window() + 1));
 }

@@ -24,6 +24,9 @@
 //     per-timestep buckets (a counting sort over the kernel window) instead
 //     of sorting after the fact — neurons are scanned in priority order, so
 //     bucket concatenation *is* the hardware's (step, neuron) emission order;
+//   * pooling takes the earliest spike of each window straight from the step
+//     grid the fire phase before it left, and buckets the pooled grid the
+//     same way;
 //   * all scratch (membrane accumulator, step grids, bucket histogram) lives
 //     in a caller-provided SimArena, so steady-state batch inference
 //     allocates nothing beyond the returned traces.
@@ -94,10 +97,10 @@ class SimArena {
                                          // path, quant.h); grown on demand —
                                          // reserve_for leaves it empty so
                                          // float-only sessions never pay for it
-  int* steps(std::int64_t n);            // pooling output steps, CHW order
-  int* grid(std::int64_t n);             // pooling input step grid, CHW order
   int* hwc_steps(std::int64_t n);        // fire steps in the accumulator's
-                                         // HWC layout (padded stride)
+                                         // HWC layout (padded stride); the
+                                         // grid a following pool reads
+  int* steps(std::int64_t n);            // pooled step grid, HWC at padded(c)
   std::int64_t* counts(std::int64_t n);  // per-timestep spike histogram (one
                                          // silent slot, four partials)
 
@@ -114,7 +117,6 @@ class SimArena {
   kernels::AlignedBuffer<float> acc_;
   kernels::AlignedBuffer<std::int32_t> qacc_;
   kernels::AlignedBuffer<int> steps_;
-  kernels::AlignedBuffer<int> grid_;
   kernels::AlignedBuffer<int> hwc_steps_;
   kernels::AlignedBuffer<std::int64_t> counts_;
   ThreadPool* intra_pool_ = nullptr;
@@ -137,15 +139,22 @@ EventTrace run_event_sim_span(const SnnNetwork& net, const float* image, std::in
 // The float conv layers' fire phase, over the integration accumulator
 // stored HWC at channel stride cstride (`pixels` rows, the first cout lanes
 // of each real; padding lanes hold 0). Spikes come out in CHW priority order.
-void fire_hwc(const ThresholdLut& lut, const float* acc, std::int64_t cout,
-              std::int64_t cstride, std::int64_t pixels, SimArena& arena,
-              LayerEventTrace& out);
+// Returns the HWC step grid (in arena.hwc_steps) that a following pool reads.
+const int* fire_hwc(const ThresholdLut& lut, const float* acc, std::int64_t cout,
+                    std::int64_t cstride, std::int64_t pixels, SimArena& arena,
+                    LayerEventTrace& out);
 // The same fire phase over double membranes, each firing at
 // ThresholdLut::fire_step of its value: the exact-value fire that fire_phase
 // uses, and that the fixed-point layers run on their scaled int32 membranes.
-void fire_hwc(const ThresholdLut& lut, const double* acc, std::int64_t cout,
-              std::int64_t cstride, std::int64_t pixels, SimArena& arena,
-              LayerEventTrace& out);
+const int* fire_hwc(const ThresholdLut& lut, const double* acc, std::int64_t cout,
+                    std::int64_t cstride, std::int64_t pixels, SimArena& arena,
+                    LayerEventTrace& out);
+// A pool layer over the step grid the layer before left (a fire_hwc grid, or
+// another pool's): the earliest spike of each window, bucketed in CHW
+// priority order with no encoder cycles. Returns the pooled grid, HWC at
+// padded(c) lanes in the arena, for a following pool.
+kernels::StepGrid pool_grid(const SnnPool& pool, const kernels::StepGrid& in, int window,
+                            SimArena& arena, LayerEventTrace& out);
 }  // namespace detail
 
 // The fire-phase / spike-encoder primitive (Sec. 4): encodes a vector of

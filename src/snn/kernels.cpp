@@ -97,6 +97,72 @@ inline void tap_window(float* acc, std::int64_t acc_step, const float* w, float 
 #endif
 }
 
+// A run of r >= 2 spikes of one 3x3 stride-1 layer: one timestep group (one
+// level v), one input row, padded input columns u0 .. u0+r-1. Spike u reaches
+// outputs [u-2, u] of each reached output row, output xo through mirrored
+// weight slot m = xo + 2 - u, so output xo takes m = 2, 1, 0 from spikes
+// u = xo, xo+1, xo+2 in that (train) order. Each of the `rows` tap rows
+// (row r at acc + r*acc_step, weights w - r*3*C) forms its three products
+// w[m]*v once per run and then updates each reached pixel of [0, ow) with
+// one load, its adds in ascending u and one store: the same mul-then-add
+// results, added in the same order, as r separate spikes' row taps.
+template <std::int64_t C>
+inline void tap_run(float* acc, std::int64_t acc_step, const float* w, std::uint32_t rows,
+                    std::int64_t u0, std::int64_t r, std::int64_t ow, float v) {
+  static_assert(C % kLaneFloats == 0, "run rows are whole lanes");
+  const std::int64_t last = u0 + r - 1;  // the last spike's column, its last output
+#if defined(TTFS_SIMD_AVX2)
+  // Pixel u0-2 takes m = {0}, u0-1 takes {1, 0}, the interior {2, 1, 0},
+  // last-1 takes {2, 1} and last {2}, each clipped to [0, ow).
+  constexpr std::int64_t kLanes = C / kLaneFloats;
+  const auto in = [ow](std::int64_t xo) { return xo >= 0 && xo < ow; };
+  const bool head0 = in(u0 - 2), head1 = in(u0 - 1), tail1 = in(last - 1), tail0 = in(last);
+  const std::int64_t mid0 = std::max<std::int64_t>(u0, 0);
+  const std::int64_t mid1 = std::min(last - 1, ow);  // exclusive
+  const __m256 vv = _mm256_set1_ps(v);
+  for (std::uint32_t row = 0; row < rows; ++row) {
+    float* a = acc + row * acc_step;
+    const float* wr = w - static_cast<std::int64_t>(row) * 3 * C;
+    __m256 p0[kLanes], p1[kLanes], p2[kLanes];
+#pragma GCC unroll 8
+    for (std::int64_t c = 0; c < kLanes; ++c) {
+      p0[c] = _mm256_mul_ps(_mm256_loadu_ps(wr + c * kLaneFloats), vv);
+      p1[c] = _mm256_mul_ps(_mm256_loadu_ps(wr + C + c * kLaneFloats), vv);
+      p2[c] = _mm256_mul_ps(_mm256_loadu_ps(wr + 2 * C + c * kLaneFloats), vv);
+    }
+    // acc[xo] = (((acc[xo] + p[m_0]) + p[m_1]) + ...) over `n` products
+    // starting at `first` (2, 1 or 0) and falling, one load and store per lane.
+    const auto update = [&](std::int64_t xo, int first, int n) {
+      float* q = a + xo * C;
+#pragma GCC unroll 8
+      for (std::int64_t c = 0; c < kLanes; ++c) {
+        __m256 sum = _mm256_loadu_ps(q + c * kLaneFloats);
+        if (first == 2) sum = _mm256_add_ps(sum, p2[c]);
+        if (first >= 1 && first - n < 1) sum = _mm256_add_ps(sum, p1[c]);
+        if (first - n < 0) sum = _mm256_add_ps(sum, p0[c]);
+        _mm256_storeu_ps(q + c * kLaneFloats, sum);
+      }
+    };
+    if (head0) update(u0 - 2, 0, 1);
+    if (head1) update(u0 - 1, 1, 2);
+    for (std::int64_t xo = mid0; xo < mid1; ++xo) update(xo, 2, 3);
+    if (tail1) update(last - 1, 2, 2);
+    if (tail0) update(last, 2, 1);
+  }
+#else
+  // Spike by spike: each one's row spans, as the walk's per-row taps.
+  for (std::int64_t u = u0; u <= last; ++u) {
+    const std::int64_t x0 = std::max<std::int64_t>(u - 2, 0);
+    const std::int64_t x1 = std::min(u + 1, ow);
+    for (std::uint32_t row = 0; row < rows; ++row) {
+      axpy_elems(acc + row * acc_step + x0 * C,
+                 w - static_cast<std::int64_t>(row) * 3 * C + (x0 + 2 - u) * C, v,
+                 (x1 - x0) * C);
+    }
+  }
+#endif
+}
+
 // --- Comparator-bank fire ------------------------------------------------------
 //
 // A membrane's fire step as a level count: how many levels u lies below, with
@@ -152,6 +218,43 @@ inline void fire_avx2(const float* levels, int window, const float* u, std::int6
 }
 #endif
 
+// --- Earliest-spike pooling ------------------------------------------------------
+//
+// One pooled pixel of an HWC step grid: lanes [0, lanes) of dst take the
+// unsigned min of the kernel x kernel source pixels at src + ky*row + kx*ps.
+// Unsigned, kNoSpike (-1) is the largest value, so it loses to any step.
+inline void pool_pixel(const int* src, std::int64_t row, std::int64_t ps, std::int64_t kernel,
+                       std::int64_t lanes, bool simd, int* dst) {
+  std::int64_t i = 0;
+#if defined(TTFS_SIMD_AVX2)
+  if (simd) {
+    for (; i + kLaneFloats <= lanes; i += kLaneFloats) {
+      const auto load = [&](std::int64_t at) {
+        return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + at + i));
+      };
+      __m256i m = load(0);
+      for (std::int64_t ky = 0; ky < kernel; ++ky) {
+        for (std::int64_t kx = ky == 0 ? 1 : 0; kx < kernel; ++kx) {
+          m = _mm256_min_epu32(m, load(ky * row + kx * ps));
+        }
+      }
+      _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i), m);
+    }
+  }
+#else
+  (void)simd;
+#endif
+  for (; i < lanes; ++i) {
+    auto m = static_cast<std::uint32_t>(src[i]);
+    for (std::int64_t ky = 0; ky < kernel; ++ky) {
+      for (std::int64_t kx = 0; kx < kernel; ++kx) {
+        m = std::min(m, static_cast<std::uint32_t>(src[ky * row + kx * ps + i]));
+      }
+    }
+    dst[i] = static_cast<int>(m);
+  }
+}
+
 // --- Conv tap walk -------------------------------------------------------------
 //
 // A spike at input (ci, yi, xi) reaches output (yo, xo) through tap
@@ -181,6 +284,18 @@ inline AxisRun axis_run(std::uint32_t in, std::uint32_t pad, std::uint32_t taps,
   return AxisRun{o0, std::min(top, hi), num - o0 * s};
 }
 
+// Total reached columns of a stride-1 run: spikes at padded input columns
+// u0 .. u0+r-1, each reaching outputs [u - kw + 1, u] clipped to [0, ow).
+inline std::uint32_t run_cols(std::uint32_t u0, std::uint32_t r, std::uint32_t kw,
+                              std::uint32_t ow) {
+  if (u0 + 1 >= kw && u0 + r <= ow) return r * kw;  // no spike clipped
+  std::uint32_t cols = 0;
+  for (std::uint32_t u = u0; u < u0 + r; ++u) {
+    cols += std::min(ow, u + 1) - (u + 1 > kw ? u + 1 - kw : 0);
+  }
+  return cols;
+}
+
 // The one conv integration body behind integrate_conv and integrate_conv_q:
 // cache blocking, timestep grouping and the tap walk. `group(step)` runs once
 // per timestep group per block (the float path looks up the level, the
@@ -189,29 +304,34 @@ inline AxisRun axis_run(std::uint32_t in, std::uint32_t pad, std::uint32_t taps,
 // mirrored slot rule (conv_slot) a stride-1 spike's taps into one output row
 // are such a pair of spans, so it issues one tap of ncols*cstride lanes per
 // reached row; other strides skip slots between columns and issue one tap of
-// cstride lanes per (ky, kx). At stride 1 the `window(acc, w, rows, cols)`
-// hook sees each spike first, with its first row's spans and the counts of
-// reached rows and columns (row r sits at acc + r*ow*cstride and
-// w - r*kw*cstride); it may apply the whole update itself and return true.
-// The default hook, RowTaps, returns false, so every row goes through `tap`.
-// Either way each (yo, xo) takes at most one tap per spike and sees the
-// spikes in train order, whatever the blocking or the caller's [yo0, yo1)
-// split. Returns real ops (cout per applied tap). `Stride` is the
-// compile-time stride, or 0 to read g.stride at runtime.
+// cstride lanes per (ky, kx).
+//
+// At stride 1 the walk cuts each timestep group into runs: r >= 1 spikes at
+// consecutive xi of one input row (consecutive neuron ids that do not pass
+// the row end). All of a run's spikes reach the same output rows through the
+// same tap rows, so the `run(acc, w, rows, u0, r)` hook sees the run once:
+// `acc` is the first reached output row at column 0, `w` the first tap row's
+// mirrored slot 0 (row k at acc + k*ow*cstride and w - k*kw*cstride), and
+// u0 = xi + pad the first spike's padded column. It may apply the whole run
+// itself and return true. The default hook, RowTaps, returns false, so each
+// spike of the run goes through `tap` row by row. Either way each (yo, xo)
+// takes at most one tap per spike and sees the spikes in train order,
+// whatever the blocking or the caller's [yo0, yo1) split. Returns real ops
+// (cout per applied tap). `Stride` is the compile-time stride, or 0 to read
+// g.stride at runtime.
 struct RowTaps {
   template <typename Acc, typename W>
-  bool operator()(Acc* /*acc*/, const W* /*w*/, std::uint32_t /*rows*/,
-                  std::uint32_t /*cols*/) const {
+  bool operator()(Acc* /*acc*/, const W* /*w*/, std::uint32_t /*rows*/, std::uint32_t /*u0*/,
+                  std::uint32_t /*r*/) const {
     return false;
   }
 };
 
 template <std::uint32_t Stride, typename Acc, typename W, typename Group, typename Tap,
-          typename Window = RowTaps>
+          typename Run = RowTaps>
 std::int64_t integrate_conv_walk(const ConvGeom& g, const W* w, const Spike* spikes,
                                  std::int64_t nspikes, Acc* acc, std::int64_t yo0,
-                                 std::int64_t yo1, Group&& group, Tap&& tap,
-                                 Window&& window = Window{}) {
+                                 std::int64_t yo1, Group&& group, Tap&& tap, Run&& run = Run{}) {
   // Cache blocking: tile [yo0, yo1) into row blocks whose accumulator spans
   // fit acc_block_bytes(), block outermost — each tile's rows are touched by
   // every timestep group while resident instead of the whole accumulator
@@ -250,39 +370,64 @@ std::int64_t integrate_conv_walk(const ConvGeom& g, const W* w, const Spike* spi
       std::int64_t se = si;
       while (se < nspikes && spikes[se].step == step) ++se;
       group(step);
-      for (std::int64_t sp = si; sp < se; ++sp) {
-        const auto neuron = static_cast<std::uint32_t>(spikes[sp].neuron);
+      for (std::int64_t sp = si; sp < se;) {
+        const std::int32_t first = spikes[sp].neuron;
+        const auto neuron = static_cast<std::uint32_t>(first);
         const std::uint32_t ci = by_plane.divide(neuron);
         const std::uint32_t rem = neuron - ci * plane;
         const std::uint32_t yi = by_win.divide(rem);
-        const std::uint32_t xi = rem - yi * win;
-        const AxisRun ry = axis_run(yi, pad, kh, s, static_cast<std::uint32_t>(b0),
-                                    static_cast<std::uint32_t>(b1));
-        if (ry.o0 >= ry.o1) continue;
-        const AxisRun rx = axis_run(xi, pad, kw, s, 0, ow);
-        if (rx.o0 >= rx.o1) continue;
-        const std::uint32_t nrows = ry.o1 - ry.o0;
-        const std::uint32_t ncols = rx.o1 - rx.o0;
-        taps += static_cast<std::int64_t>(nrows) * ncols;
-        std::int64_t acc_row = (static_cast<std::int64_t>(ry.o0) * g.ow + rx.o0) * g.cstride;
-        std::int64_t w_row = conv_slot(ci, ry.k0, rx.k0, g.kh, g.kw) * g.cstride;
+        std::uint32_t xi = rem - yi * win;
+        std::int64_t re = sp + 1;  // the run is spikes [sp, re)
         if constexpr (Stride == 1) {
-          if (window(acc + acc_row, w + w_row, nrows, ncols)) continue;
-        }
-        for (std::uint32_t yo = ry.o0; yo < ry.o1; ++yo) {
-          if constexpr (Stride == 1) {
-            tap(acc + acc_row, w + w_row, ncols * g.cstride);
-          } else {
-            std::int64_t a = acc_row;
-            std::int64_t ws = w_row;
-            for (std::uint32_t n = 0; n < ncols; ++n) {
-              tap(acc + a, w + ws, g.cstride);
-              a += g.cstride;
-              ws += w_col_step;
+          // Most spikes start no run, so the next id is checked first, on
+          // its own; only then is the run extended, up to the row end.
+          if (__builtin_expect(re < se && spikes[re].neuron == first + 1, 0)) {
+            const std::int64_t row_end = std::min<std::int64_t>(se, sp + (win - xi));
+            while (re < row_end &&
+                   spikes[re].neuron == first + static_cast<std::int32_t>(re - sp)) {
+              ++re;
             }
           }
-          acc_row += acc_row_step;
-          w_row -= w_row_step;
+        }
+        const AxisRun ry = axis_run(yi, pad, kh, s, static_cast<std::uint32_t>(b0),
+                                    static_cast<std::uint32_t>(b1));
+        if (ry.o0 >= ry.o1) {
+          sp = re;
+          continue;
+        }
+        const std::uint32_t nrows = ry.o1 - ry.o0;
+        const std::int64_t acc_base = static_cast<std::int64_t>(ry.o0) * acc_row_step;
+        const std::int64_t w_base = conv_slot(ci, ry.k0, g.kw - 1, g.kh, g.kw) * g.cstride;
+        if constexpr (Stride == 1) {
+          const auto r = static_cast<std::uint32_t>(re - sp);
+          if (run(acc + acc_base, w + w_base, nrows, xi + pad, r)) {
+            taps += static_cast<std::int64_t>(nrows) * run_cols(xi + pad, r, kw, ow);
+            sp = re;
+            continue;
+          }
+        }
+        for (; sp < re; ++sp, ++xi) {
+          const AxisRun rx = axis_run(xi, pad, kw, s, 0, ow);
+          if (rx.o0 >= rx.o1) continue;
+          const std::uint32_t ncols = rx.o1 - rx.o0;
+          taps += static_cast<std::int64_t>(nrows) * ncols;
+          std::int64_t acc_row = acc_base + static_cast<std::int64_t>(rx.o0) * g.cstride;
+          std::int64_t w_row = w_base + static_cast<std::int64_t>(kw - 1 - rx.k0) * g.cstride;
+          for (std::uint32_t yo = ry.o0; yo < ry.o1; ++yo) {
+            if constexpr (Stride == 1) {
+              tap(acc + acc_row, w + w_row, ncols * g.cstride);
+            } else {
+              std::int64_t a = acc_row;
+              std::int64_t ws = w_row;
+              for (std::uint32_t n = 0; n < ncols; ++n) {
+                tap(acc + a, w + ws, g.cstride);
+                a += g.cstride;
+                ws += w_col_step;
+              }
+            }
+            acc_row += acc_row_step;
+            w_row -= w_row_step;
+          }
         }
       }
       si = se;
@@ -326,9 +471,11 @@ std::int64_t integrate_fc_walk(std::int64_t out, std::int64_t ostride, const W* 
   return ops;
 }
 
-// The float walk. `WindowC` is 0 for per-row taps only, or the compile-time
-// cstride of a stride-1 3x3 layer whose interior spikes take tap_window.
-template <bool Simd, std::uint32_t Stride, std::int64_t WindowC = 0>
+// The float walk. `RunC` is 0 for per-row taps only, or the compile-time
+// cstride of a stride-1 3x3 layer whose runs take the vector hooks: a run of
+// two or more spikes goes to tap_run, a lone spike that reaches all 3 rows
+// and all 3 columns to tap_window, and any other lone spike to per-row taps.
+template <bool Simd, std::uint32_t Stride, std::int64_t RunC = 0>
 std::int64_t integrate_conv_impl(const ConvGeom& g, const float* w, const Spike* spikes,
                                  std::int64_t nspikes, const ThresholdLut& lut, float* acc,
                                  std::int64_t yo0, std::int64_t yo1) {
@@ -339,15 +486,19 @@ std::int64_t integrate_conv_impl(const ConvGeom& g, const float* w, const Spike*
   const auto tap = [&](float* a, const float* ws, std::int64_t n) {
     tap_axpy<Simd>(a, ws, value, n);
   };
-  if constexpr (WindowC == 0) {
+  if constexpr (RunC == 0) {
     return integrate_conv_walk<Stride>(g, w, spikes, nspikes, acc, yo0, yo1, group, tap);
   } else {
-    const std::int64_t acc_row_step = g.ow * WindowC;
+    const std::int64_t acc_row_step = g.ow * RunC;
     return integrate_conv_walk<Stride>(
         g, w, spikes, nspikes, acc, yo0, yo1, group, tap,
-        [&](float* a, const float* ws, std::uint32_t rows, std::uint32_t cols) {
-          if (rows != 3 || cols != 3) return false;
-          tap_window<WindowC>(a, acc_row_step, ws, value);
+        [&](float* a, const float* ws, std::uint32_t rows, std::uint32_t u0, std::uint32_t r) {
+          if (r > 1) {
+            tap_run<RunC>(a, acc_row_step, ws, rows, u0, r, g.ow, value);
+            return true;
+          }
+          if (rows != 3 || u0 < 2 || u0 >= g.ow) return false;
+          tap_window<RunC>(a + (u0 - 2) * RunC, acc_row_step, ws, value);
           return true;
         });
   }
@@ -489,13 +640,50 @@ void fire_steps(const ThresholdLut& lut, const float* u, std::int64_t n, int* ou
   for (std::int64_t i = 0; i < n; ++i) out[i] = fire_count(levels, window, u[i]);
 }
 
+void pool_steps(const StepGrid& in, std::int64_t kernel, std::int64_t stride, int* out) {
+  const std::int64_t oh = (in.h - kernel) / stride + 1;
+  const std::int64_t ow = (in.w - kernel) / stride + 1;
+  const std::int64_t lanes = padded(in.c);
+  const std::int64_t ps = in.pixel_stride;
+  if (in.channel_stride == 1 && ps == lanes) {
+    const bool simd = simd_active();
+    for (std::int64_t oy = 0; oy < oh; ++oy) {
+      for (std::int64_t ox = 0; ox < ow; ++ox) {
+        const int* src = in.steps + (oy * stride * in.w + ox * stride) * ps;
+        int* dst = out + (oy * ow + ox) * lanes;
+        pool_pixel(src, in.w * ps, ps, kernel, lanes, simd, dst);
+      }
+    }
+    return;
+  }
+  const std::int64_t cs = in.channel_stride;
+  for (std::int64_t oy = 0; oy < oh; ++oy) {
+    for (std::int64_t ox = 0; ox < ow; ++ox) {
+      const int* src = in.steps + (oy * stride * in.w + ox * stride) * ps;
+      int* dst = out + (oy * ow + ox) * lanes;
+      for (std::int64_t ch = 0; ch < in.c; ++ch) {
+        auto best = static_cast<std::uint32_t>(kNoSpike);
+        for (std::int64_t ky = 0; ky < kernel; ++ky) {
+          for (std::int64_t kx = 0; kx < kernel; ++kx) {
+            best = std::min(best, static_cast<std::uint32_t>(
+                                      src[(ky * in.w + kx) * ps + ch * cs]));
+          }
+        }
+        dst[ch] = static_cast<int>(best);
+      }
+      std::fill(dst + in.c, dst + lanes, kNoSpike);
+    }
+  }
+}
+
 std::int64_t integrate_conv(const ConvGeom& g, const float* w, const Spike* spikes,
                             std::int64_t nspikes, const ThresholdLut& lut, float* acc,
                             std::int64_t yo0, std::int64_t yo1) {
   // Stride 1 (every conv of the VGG stacks) gets the walk with its stride
   // divisions folded away; any other stride runs the same body at runtime.
   // On the vector path a 3x3 stride-1 layer at a shipped channel stride also
-  // hands its interior spikes to the whole-window add.
+  // hands its runs to the fused run add and its interior lone spikes to the
+  // whole-window add.
   const bool simd = simd_active();
   if (g.stride == 1) {
     if (simd && g.kh == 3 && g.kw == 3) {

@@ -236,6 +236,32 @@ void broadcast_rows(T* acc, std::int64_t rows, std::int64_t stride);
 // Checks the dispatch once per call, so callers pass a whole layer.
 void fire_steps(const ThresholdLut& lut, const float* u, std::int64_t n, int* out);
 
+// --- Pool kernel --------------------------------------------------------------
+
+// A fire phase's step grid: the fire step (or kNoSpike) of neuron (c, y, x)
+// of a (c, h, w) map sits at steps[(y*w + x)*pixel_stride + c*channel_stride].
+// A conv or FC fire leaves it HWC (pixel stride cstride, channel stride 1,
+// padding lanes kNoSpike), the input encoding CHW (pixel stride 1, channel
+// stride h*w), and pool_steps HWC at padded(c).
+struct StepGrid {
+  const int* steps = nullptr;
+  std::int64_t c = 0, h = 0, w = 0;
+  std::int64_t pixel_stride = 0, channel_stride = 0;
+};
+
+// Earliest-spike pooling: out[(oy*ow + ox)*padded(c) + ch] is the least fire
+// step over the kernel x kernel window of channel ch at (oy*stride,
+// ox*stride), as an unsigned min, so kNoSpike (-1) sorts after every step
+// and a window with no spike pools to kNoSpike. Padding lanes [c, padded(c))
+// come out kNoSpike. An HWC grid at padded(c) takes 8 lanes per AVX2 min;
+// any other layout (the CHW input encoding) runs a scalar channel loop.
+// Output size: padded(c) * oh * ow with oh = (h - kernel)/stride + 1 and
+// ow likewise. `out` may be the steps of an HWC grid at padded(c) (pooling
+// in place): output pixel p is written after every read of its own window
+// and before any later output's window, which starts at input pixel >= p.
+// Any other grid must not overlap `out`.
+void pool_steps(const StepGrid& in, std::int64_t kernel, std::int64_t stride, int* out);
+
 // --- Layer integration kernels ----------------------------------------------
 
 // Conv-layer geometry for the event path. `cstride` is padded(cout): both

@@ -1,16 +1,20 @@
 // Event-simulator hot-path units: fire_phase edge cases (the step-bucketed
 // encoder must behave at the boundaries the priority-encoder hardware hits),
 // the HWC fire phase's bucketing in both membrane formats,
-// ThresholdLut equivalence with the closed-form fire_step, and SimArena
-// reuse across samples and networks of different shapes.
+// ThresholdLut equivalence with the closed-form fire_step, pooling straight
+// from the step grid in both membrane formats, and SimArena reuse across
+// samples and networks of different shapes.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "cat/logquant.h"
+#include "snn/engine.h"
 #include "snn/event_sim.h"
 #include "snn/event_sim_reference.h"
 #include "snn/kernel.h"
@@ -299,6 +303,161 @@ TEST(SimArenaTest, ReuseAcrossSamplesAndShapesIsStateless) {
     ASSERT_EQ(a.logits.numel(), b.logits.numel());
     for (std::int64_t i = 0; i < b.logits.numel(); ++i) EXPECT_EQ(a.logits[i], b.logits[i]);
   }
+}
+
+// --- Pooling straight from the step grid ------------------------------------
+//
+// A pool reads the step grid the layer before it left: HWC at a conv's padded
+// channel stride, CHW after the input encoding, HWC at padded(c) after
+// another pool. Each case runs a net in both membrane formats. The float run
+// must equal the frozen reference bit for bit; the fixed-point run (on the
+// log-quantized net) must equal the float event sim of that net in spikes,
+// ops and cycles, as the engine conformance suite asserts; and in both, every
+// pool layer must be the definition applied to the layer before it.
+
+// Earliest-spike pooling by definition: neuron (ch, oy, ox) fires at the
+// least step in its window of the c x h x w input spikes, if any; spikes in
+// (step, neuron) order, no encoder cycles.
+LayerEventTrace pool_definition(const std::vector<Spike>& in, std::int64_t c, std::int64_t h,
+                                std::int64_t w, const SnnPool& pool, int window) {
+  std::vector<int> grid(static_cast<std::size_t>(c * h * w), kNoSpike);
+  for (const Spike& s : in) grid[static_cast<std::size_t>(s.neuron)] = s.step;
+  const std::int64_t oh = (h - pool.kernel) / pool.stride + 1;
+  const std::int64_t ow = (w - pool.kernel) / pool.stride + 1;
+  std::vector<int> out(static_cast<std::size_t>(c * oh * ow), kNoSpike);
+  for (std::int64_t ch = 0; ch < c; ++ch) {
+    for (std::int64_t oy = 0; oy < oh; ++oy) {
+      for (std::int64_t ox = 0; ox < ow; ++ox) {
+        int& best = out[static_cast<std::size_t>((ch * oh + oy) * ow + ox)];
+        for (std::int64_t ky = 0; ky < pool.kernel; ++ky) {
+          for (std::int64_t kx = 0; kx < pool.kernel; ++kx) {
+            const int s = grid[static_cast<std::size_t>(
+                (ch * h + oy * pool.stride + ky) * w + ox * pool.stride + kx)];
+            if (s != kNoSpike && (best == kNoSpike || s < best)) best = s;
+          }
+        }
+      }
+    }
+  }
+  LayerEventTrace t;
+  for (int step = 0; step < window; ++step) {
+    for (std::size_t n = 0; n < out.size(); ++n) {
+      if (out[n] == step) t.spikes.push_back({static_cast<std::int32_t>(n), step});
+    }
+  }
+  t.neuron_count = c * oh * ow;
+  return t;
+}
+
+// Checks every pool layer of `trace` (a run of `net` on a c x h x w image)
+// against pool_definition over the trace layer before it.
+void expect_pools_match_definition(const SnnNetwork& net, const EventTrace& trace,
+                                   std::int64_t c, std::int64_t h, std::int64_t w,
+                                   const std::string& label) {
+  for (std::size_t li = 0; li < net.layers().size() && li + 1 < trace.layers.size(); ++li) {
+    const SnnLayer& layer = net.layers()[li];
+    if (const auto* conv = std::get_if<SnnConv>(&layer)) {
+      h = (h + 2 * conv->pad - conv->weight.dim(2)) / conv->stride + 1;
+      w = (w + 2 * conv->pad - conv->weight.dim(3)) / conv->stride + 1;
+      c = conv->weight.dim(0);
+    } else if (const auto* pool = std::get_if<SnnPool>(&layer)) {
+      expect_same_trace(trace.layers[li + 1],
+                        pool_definition(trace.layers[li].spikes, c, h, w, *pool,
+                                        net.kernel().window()),
+                        label + " pool at layer " + std::to_string(li));
+      h = (h - pool->kernel) / pool->stride + 1;
+      w = (w - pool->kernel) / pool->stride + 1;
+    }
+  }
+}
+
+void expect_same_spikes_ops_cycles(const EventTrace& got, const EventTrace& want,
+                                   const std::string& label) {
+  ASSERT_EQ(got.layers.size(), want.layers.size()) << label;
+  for (std::size_t l = 0; l < want.layers.size(); ++l) {
+    const LayerEventTrace& a = got.layers[l];
+    const LayerEventTrace& b = want.layers[l];
+    ASSERT_EQ(a.spikes.size(), b.spikes.size()) << label << " layer " << l;
+    for (std::size_t i = 0; i < b.spikes.size(); ++i) {
+      ASSERT_EQ(a.spikes[i].neuron, b.spikes[i].neuron) << label << " layer " << l << " spike " << i;
+      ASSERT_EQ(a.spikes[i].step, b.spikes[i].step) << label << " layer " << l << " spike " << i;
+    }
+    EXPECT_EQ(a.neuron_count, b.neuron_count) << label << " layer " << l;
+    EXPECT_EQ(a.integration_ops, b.integration_ops) << label << " layer " << l;
+    EXPECT_EQ(a.encoder_cycles, b.encoder_cycles) << label << " layer " << l;
+  }
+}
+
+// Runs a dense and a sparse c x h x w image through `net` in both formats,
+// each twice on one arena so a stale pooled grid would show.
+void expect_pools_match_in_both_formats(const SnnNetwork& net, std::int64_t c, std::int64_t h,
+                                        std::int64_t w, Rng& rng) {
+  SnnNetwork qnet = net;
+  cat::log_quantize_network(qnet, cat::LogQuantConfig{});
+  const Engine qengine{qnet};
+  InferenceSession quant = qengine.session(BackendKind::kQuantized);
+  RunOptions ropts;
+  ropts.traces = true;
+  SimArena arena;
+  for (const double keep : {1.0, 0.3}) {
+    Tensor img{{c, h, w}};
+    for (std::int64_t i = 0; i < img.numel(); ++i) {
+      const float v = rng.uniform_f(0.0F, 1.0F);
+      img[i] = rng.bernoulli(keep) ? v : 0.0F;
+    }
+    const std::string label = "keep=" + std::to_string(keep);
+    const EventTrace ref = reference::run_event_sim(net, img);
+    for (int run = 0; run < 2; ++run) {
+      const EventTrace got = run_event_sim(net, img, arena);
+      expect_same_spikes_ops_cycles(got, ref, label + " float");
+      ASSERT_EQ(got.logits.numel(), ref.logits.numel()) << label;
+      for (std::int64_t i = 0; i < ref.logits.numel(); ++i) {
+        EXPECT_EQ(got.logits[i], ref.logits[i]) << label << " logit " << i;
+      }
+      expect_pools_match_definition(net, got, c, h, w, label + " float");
+    }
+    const EventTrace qfloat = run_event_sim(qnet, img);
+    const Tensor one = img.reshaped({1, c, h, w});
+    for (int run = 0; run < 2; ++run) {
+      const RunResult r = quant.run(BatchView{one}, ropts);
+      ASSERT_EQ(r.traces.size(), 1U) << label;
+      expect_same_spikes_ops_cycles(r.traces[0], qfloat, label + " fixed-point");
+      expect_pools_match_definition(qnet, r.traces[0], c, h, w, label + " fixed-point");
+    }
+  }
+}
+
+TEST(PoolFromStepGrid, OverlappingAndUnitStridePoolsOnOddSidesAndPaddedStrides) {
+  // 3x10x9 -> conv 13 (cstride 16) 10x9 -> pool (3, 2) 4x4 -> conv 24
+  // (cstride 24) 4x4 -> pool (2, 1) 3x3 -> fc. The (3, 2) windows overlap and
+  // leave the last input row unread; the odd width leaves a column over.
+  Rng rng{931};
+  SnnNetwork net{Base2Kernel{24, 4.0, 1.0}};
+  net.add_conv(random_tensor({13, 3, 3, 3}, rng, -0.15F, 0.3F),
+               random_tensor({13}, rng, -0.05F, 0.1F), 1, 1);
+  net.add_pool(3, 2);
+  net.add_conv(random_tensor({24, 13, 3, 3}, rng, -0.1F, 0.2F),
+               random_tensor({24}, rng, -0.05F, 0.1F), 1, 1);
+  net.add_pool(2, 1);
+  net.add_fc(random_tensor({10, 24 * 3 * 3}, rng, -0.1F, 0.12F),
+             random_tensor({10}, rng, -0.05F, 0.05F));
+  expect_pools_match_in_both_formats(net, 3, 10, 9, rng);
+}
+
+TEST(PoolFromStepGrid, PoolAfterTheInputEncodingAndPoolAfterPool) {
+  // 3x13x13 -> pool (2, 2) on the CHW encoding grid 6x6 -> pool (3, 1) on a
+  // pooled grid 4x4 -> conv 13 4x4 -> pool (2, 2) 2x2 -> pool (2, 1) 1x1 ->
+  // fc: the pooled grid alternates between the two arena grids, both ways.
+  Rng rng{932};
+  SnnNetwork net{Base2Kernel{24, 4.0, 1.0}};
+  net.add_pool(2, 2);
+  net.add_pool(3, 1);
+  net.add_conv(random_tensor({13, 3, 3, 3}, rng, -0.15F, 0.3F),
+               random_tensor({13}, rng, -0.05F, 0.1F), 1, 1);
+  net.add_pool(2, 2);
+  net.add_pool(2, 1);
+  net.add_fc(random_tensor({10, 13}, rng, -0.2F, 0.25F), random_tensor({10}, rng, -0.05F, 0.05F));
+  expect_pools_match_in_both_formats(net, 3, 13, 13, rng);
 }
 
 TEST(PackedWeights, RepackRebuildsAfterMutation) {

@@ -9,7 +9,9 @@
 // exactly what the CI simd-off lane is for. A stride x pad x kernel x width
 // sweep pins integrate_conv's division-free tap walk, whole-window adds
 // included, against the per-tap definition, and the walk's Reciprocal decode
-// is checked against `/`.
+// is checked against `/`. A row-run spike train (whole rows at one step,
+// runs of 2, runs at both row ends, consecutive ids across a row end) drives
+// the same sweep through the walk's same-step runs and the fused run add.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -473,7 +475,59 @@ std::vector<snn::Spike> random_spike_train(std::int64_t neurons, int window, Rng
   return spikes;
 }
 
-void expect_walk_matches_per_tap_division(const k::ConvGeom& g) {
+// A (step, neuron)-sorted train built for the walk's same-step runs: input
+// rows cycle through four patterns — the whole row at one step; runs of
+// length 2 (x = 3j, 3j+1); a run of 3 at each end, touching x = 0 and
+// x = win - 1, around scattered spikes; scattered spikes only. Whenever a
+// row's last pixel fires, the next row's first pixel fires at the same step:
+// the two ids are consecutive, but they sit in different input rows and must
+// not fuse.
+std::vector<snn::Spike> row_run_spike_train(std::int64_t cin, std::int64_t hin,
+                                            std::int64_t win, int window, Rng& rng) {
+  const auto draw = [&] { return static_cast<int>(rng.uniform_int(0, window - 1)); };
+  std::vector<int> step_of(static_cast<std::size_t>(cin * hin * win), -1);
+  int seam = -1;  // the step of the previous row's last pixel
+  for (std::int64_t row = 0; row < cin * hin; ++row) {
+    int* r = step_of.data() + row * win;
+    switch (row % 4) {
+      case 0:
+        std::fill(r, r + win, draw());
+        break;
+      case 1:
+        for (std::int64_t x = 0; x < win; x += 3) {
+          const int step = draw();
+          r[x] = step;
+          if (x + 1 < win) r[x + 1] = step;
+        }
+        break;
+      case 2: {
+        const int head = draw(), tail = draw();
+        for (std::int64_t x = 0; x < win; ++x) r[x] = rng.bernoulli(0.5) ? draw() : -1;
+        for (std::int64_t x = 0; x < std::min<std::int64_t>(3, win); ++x) {
+          r[x] = head;
+          r[win - 1 - x] = tail;
+        }
+        break;
+      }
+      default:
+        for (std::int64_t x = 0; x < win; ++x) r[x] = rng.bernoulli(0.6) ? draw() : -1;
+        break;
+    }
+    if (seam >= 0 && r[0] >= 0) r[0] = seam;
+    seam = r[win - 1];
+  }
+  std::vector<snn::Spike> spikes;
+  for (int step = 0; step < window; ++step) {
+    for (std::size_t i = 0; i < step_of.size(); ++i) {
+      if (step_of[i] == step) spikes.push_back({static_cast<std::int32_t>(i), step});
+    }
+  }
+  return spikes;
+}
+
+enum class Train { kRandom, kRowRuns };
+
+void expect_walk_matches_per_tap_division(const k::ConvGeom& g, Train train) {
   Rng rng{907};
   const snn::Base2Kernel kernel{24, 4.0, 1.0};
   const snn::ThresholdLut lut{kernel};
@@ -490,7 +544,9 @@ void expect_walk_matches_per_tap_division(const k::ConvGeom& g) {
   std::vector<float> init(static_cast<std::size_t>(g.oh * g.ow * g.cstride));
   for (float& x : init) x = rng.uniform_f(-0.1F, 0.1F);
   const std::vector<snn::Spike> spikes =
-      random_spike_train(g.cin * g.hin * g.win, kernel.window(), rng);
+      train == Train::kRowRuns
+          ? row_run_spike_train(g.cin, g.hin, g.win, kernel.window(), rng)
+          : random_spike_train(g.cin * g.hin * g.win, kernel.window(), rng);
   const auto nspikes = static_cast<std::int64_t>(spikes.size());
 
   // The definition: every (ky, kx) of every spike, in train order.
@@ -541,13 +597,18 @@ void expect_walk_matches_per_tap_division(const k::ConvGeom& g) {
   }
 }
 
-void expect_net_matches_reference_under_tiny_blocks(const k::ConvGeom& g) {
-  Rng rng{908};
+snn::SnnNetwork tap_walk_net(const k::ConvGeom& g, Rng& rng) {
   snn::SnnNetwork net{snn::Base2Kernel{24, 4.0, 1.0}};
   net.add_conv(random_tensor({kTapCout, kTapCin, g.kh, g.kw}, rng, -0.1F, 0.3F),
                random_tensor({kTapCout}, rng, -0.05F, 0.1F), g.stride, g.pad);
   net.add_fc(random_tensor({10, kTapCout * g.oh * g.ow}, rng, -0.1F, 0.12F),
              random_tensor({10}, rng, -0.05F, 0.05F));
+  return net;
+}
+
+void expect_net_matches_reference_under_tiny_blocks(const k::ConvGeom& g) {
+  Rng rng{908};
+  const snn::SnnNetwork net = tap_walk_net(g, rng);
   ScopedBlockBytes tiny{64};
   for (int trial = 0; trial < 2; ++trial) {
     const Tensor img = random_tensor({kTapCin, kTapH, kTapW}, rng, 0.0F, 1.0F);
@@ -555,13 +616,37 @@ void expect_net_matches_reference_under_tiny_blocks(const k::ConvGeom& g) {
   }
 }
 
+// The same net on an image whose input encoding emits row_run_spike_train:
+// pixel i holds the float level of its step (it fires exactly there) or 0
+// (silent). Default and 64-byte blocks.
+void expect_row_run_net_matches_reference(const k::ConvGeom& g) {
+  Rng rng{909};
+  const snn::SnnNetwork net = tap_walk_net(g, rng);
+  const snn::ThresholdLut& lut = net.threshold_lut();
+  const std::vector<snn::Spike> train =
+      row_run_spike_train(kTapCin, kTapH, kTapW, lut.window(), rng);
+  Tensor img{{kTapCin, kTapH, kTapW}};
+  for (const snn::Spike& sp : train) img[sp.neuron] = lut.float_levels()[sp.step];
+  const std::vector<snn::Spike> encoded = snn::run_event_sim(net, img).layers[0].spikes;
+  ASSERT_EQ(encoded.size(), train.size());
+  for (std::size_t i = 0; i < train.size(); ++i) {
+    ASSERT_EQ(encoded[i].neuron, train[i].neuron) << "spike " << i;
+    ASSERT_EQ(encoded[i].step, train[i].step) << "spike " << i;
+  }
+  for (const std::int64_t block : {std::int64_t{0}, std::int64_t{64}}) {
+    ScopedBlockBytes blocks{block};
+    expect_matches_reference(net, img, "row-run tap-walk");
+  }
+}
+
 // The geometry of `g` at every width in kTapCouts.
-void expect_walk_matches_per_tap_division_at_every_cout(const k::ConvGeom& g) {
+void expect_walk_matches_per_tap_division_at_every_cout(const k::ConvGeom& g,
+                                                        Train train = Train::kRandom) {
   for (const std::int64_t cout : kTapCouts) {
     k::ConvGeom gc = g;
     gc.cout = cout;
     gc.cstride = k::padded(cout);
-    expect_walk_matches_per_tap_division(gc);
+    expect_walk_matches_per_tap_division(gc, train);
   }
 }
 
@@ -577,12 +662,29 @@ TEST_P(ConvTapWalkNonSquare, KernelMatchesPerTapDivisionOnBothPathsAndEverySplit
   expect_walk_matches_per_tap_division_at_every_cout(geom());
 }
 
+// Same-step runs: on the vector path a 3x3 stride-1 layer at a whole-window
+// width hands each run of two or more spikes to one fused run add.
+TEST_P(ConvTapWalk, RowRunsMatchPerTapDivisionOnBothPathsAndEverySplit) {
+  expect_walk_matches_per_tap_division_at_every_cout(geom(), Train::kRowRuns);
+}
+
+TEST_P(ConvTapWalk, RowRunNetMatchesReferenceOnBothPaths) {
+  expect_row_run_net_matches_reference(geom());
+}
+
+TEST_P(ConvTapWalkNonSquare, RowRunsMatchPerTapDivisionOnBothPathsAndEverySplit) {
+  expect_walk_matches_per_tap_division_at_every_cout(geom(), Train::kRowRuns);
+}
+
 // 3x3 stride 1 over 1x1 and 2x2 inputs (pad 1, so the output is as large as
 // the input): no spike reaches all 3 output rows and columns, so even the
-// widths with a whole-window add run per-row taps only.
+// widths with a whole-window add run per-row taps only, and every run
+// touches both row ends.
 TEST(ConvTapWalkTiny, NoInteriorSpikeOn1x1And2x2Inputs) {
   for (const std::int64_t side : {1, 2}) {
     expect_walk_matches_per_tap_division_at_every_cout(tap_walk_geom(1, 1, 3, 3, side, side));
+    expect_walk_matches_per_tap_division_at_every_cout(tap_walk_geom(1, 1, 3, 3, side, side),
+                                                       Train::kRowRuns);
   }
 }
 

@@ -20,8 +20,9 @@ three invariants CI-enforced:
 
 "Hot function" is decided by name (see HOT_NAME_RE): the integrate_*/fire_*
 kernels, the axpy family and the tap_* span updates (the conv walk's per-row
-tap and its whole-window hook), the quantized shift-add helpers, the
-fire-phase counting and bucketing, and the simulator's membrane-format policy
+tap, its whole-window add and its same-step run add), the quantized
+shift-add helpers, the fire-phase counting and bucketing, the pool_* grid
+pooling (kernel and layer), and the simulator's membrane-format policy
 hooks (member functions
 defined in a struct body count like free functions). Driver functions
 (run_event_sim*, trace assembly) allocate their *outputs* and are
@@ -70,8 +71,9 @@ CONTRACT_TU = "src/snn/kernels.cpp"
 # integrate_conv/_fc, fire_steps, to_logit, layer_params) are hot too: the
 # driver calls them per layer, per split range or per membrane.
 HOT_NAME_RE = re.compile(
-    r"^(?:integrate_\w+|fire_\w+|axpy\w*|tap_\w+|bucket_of|count_buckets|scatter_buckets"
-    r"|pool_layer|broadcast_rows\w*|quant_product|quant_add|quant_span_add|fill_quant_table"
+    r"^(?:integrate_\w+|fire_\w+|axpy\w*|tap_\w+|run_cols|bucket_of|count_buckets"
+    r"|scatter_buckets|pool_\w+|broadcast_rows\w*|quant_product|quant_add|quant_span_add"
+    r"|fill_quant_table"
     r"|acc_buffer|load_bias|to_logit|layer_params)$"
 )
 
@@ -461,6 +463,22 @@ def self_test():
                            kernels.replace(
                                window,
                                window + "\n  std::vector<float> v; v.push_back(0.0F);")),
+               ["alloc"])
+
+    # ... and into the same-step run add and the grid pooling kernel.
+    for label, anchor in [
+            ("run add", "inline void tap_run(float* acc, std::int64_t acc_step, const float* w, "
+                        "std::uint32_t rows,"),
+            ("pool kernel", "void pool_steps(const StepGrid& in, std::int64_t kernel, "
+                            "std::int64_t stride, int* out) {")]:
+        if anchor not in kernels:
+            failures.append(f"kernels.cpp {label} anchor for injection test not found")
+            continue
+        body = kernels.index("{", kernels.index(anchor)) + 1
+        expect(f"push_back injected into the kernels.cpp {label}",
+               scan_source("src/snn/kernels.cpp",
+                           kernels[:body] + "\n  std::vector<float> v; v.push_back(0.0F);"
+                           + kernels[body:]),
                ["alloc"])
 
     # ... and so must one into a real format-policy member hook.
