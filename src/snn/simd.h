@@ -15,8 +15,10 @@
 // driver under 1 % each. Whole-window taps (below) and bucketing straight
 // from the HWC step grid then cut that stack's per-sample conv integration
 // by ~22 % and its fire phases by ~26 % (bench_event_sim_hotpath's
-// per-layer rows, same VM). This header is the contract between the simulator
-// and the tuned kernels in kernels.cpp:
+// per-layer rows, same VM). Run adds (below) then cut conv3-5 integration by
+// about half, and pooling from the step grid cut the three pools ~4x. This
+// header is the contract between the simulator and the tuned kernels in
+// kernels.cpp:
 //
 //  * Padding — every output-contiguous span (a conv pack's cout row, an FC
 //    pack's column, and the matching accumulator rows) is padded to a
@@ -38,17 +40,30 @@
 //    through both runs with offset adds: neither the decode nor any tap
 //    executes a hardware divide. Stride 1 is a compile-time instantiation of
 //    that body; every other stride runs it with the stride read at runtime.
-//    Each accumulator takes at most one tap per spike, in spike order.
+//    Each accumulator takes at most one tap per spike, in spike order. At
+//    stride 1 the walk cuts each timestep group into runs: spikes at
+//    consecutive xi of one input row (consecutive ids, broken at the row end
+//    and the group end), which reach the same output rows through the same
+//    tap rows; a run hook sees each run once and may apply it whole, and the
+//    default hook hands every spike to per-row taps.
 //    integrate_fc and integrate_fc_q likewise share one column walk.
 //  * Row spans — conv weight slots mirror kx (conv_slot), so at stride 1 a
 //    spike's taps into one output row are one contiguous weight span over
 //    one contiguous accumulator span, applied as a single add; other strides
-//    apply one add per tap. Window taps — a float stride-1 3x3 spike that
-//    reaches all 3 output rows and all 3 columns (an interior spike) applies
-//    its three row spans as one straight-line AVX2 add, unrolled over a
-//    compile-time cstride for the widths the shipped stacks use (16, 24, 32,
-//    64). Border spikes, other geometries, the scalar path and the
-//    quantized kernels keep one add per row.
+//    apply one add per tap. Run and window taps — on the float vector path a
+//    stride-1 3x3 layer at a compile-time cstride the shipped stacks use
+//    (16, 24, 32, 64) applies a run of r >= 2 spikes with tap_run: each tap
+//    row forms its three products w*v once (one level per group), and each
+//    reached output pixel takes one load, its <= 3 adds in spike order and
+//    one store. A lone spike that reaches all 3 output rows and all 3
+//    columns (an interior spike) applies its three row spans as one
+//    straight-line AVX2 add (tap_window). Lone border spikes, other
+//    geometries, the scalar path and the quantized kernels keep one add per
+//    row.
+//  * Pooling — pool_steps takes each window's earliest spike straight from
+//    the step grid the layer before left (StepGrid: HWC after a conv or FC
+//    fire, CHW after the input encoding, HWC at padded(c) after a pool) as
+//    a lane-wise unsigned min, so kNoSpike (-1) sorts last.
 //  * Fire — fire_steps counts the threshold levels each float membrane lies
 //    below, which equals ThresholdLut::fire_step for float inputs (kernel.h
 //    states why). Both paths make the same float compares and integer
@@ -61,7 +76,8 @@
 //    round differently than mul-then-add and diverge from the frozen
 //    reference simulator). Cache blocking and the spike-parallel split
 //    partition *disjoint output tiles* — per-accumulator contribution order
-//    stays exactly the reference's (step, neuron) spike order — instead of
+//    stays exactly the reference's (step, neuron) spike order, run adds
+//    included — instead of
 //    splitting sums into partial tiles, which could not be reduced
 //    bit-identically in float. Only the integer op counters are reduced.
 //
