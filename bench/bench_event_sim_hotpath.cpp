@@ -19,9 +19,21 @@
 // kernels::integrate_conv and then fires the result through
 // detail::fire_hwc, and each pool layer's input spikes, laid out as the HWC
 // step grid a fire phase leaves, through detail::pool_grid; one thread,
-// checking that every replay re-emits the trace's spikes. The main table's
-// minflt/sample column counts the minor page faults (getrusage, this
-// process) each single-sample run takes.
+// checking that every replay re-emits the trace's spikes. Each (layer,
+// sample) replays into one output trace kept across reps, as the simulator
+// refills a reused trace, so "fire us" and "pool us" time the fire phase and
+// not the allocation and first-touch faults of a fresh spike vector. The
+// main table's minflt/sample column counts the minor page faults
+// (getrusage, this process) each single-sample run takes; with traces
+// recycled through the session's results it reads ~0 after warm-up.
+//
+// The stack's random weights saturate with depth: on these uniform images
+// conv3's input is all whole-row runs (16 spikes at one step) and conv4's
+// ~99 % runs of 15-16, i.e. nearly every deep neuron fires at one early
+// step (perfbench's sim_float images: 86 / 99 / 96 % of conv3/4/5 input
+// spikes sit in runs). The conv3-conv5 rows therefore time a degenerate
+// activity pattern that favours the run-based kernels, which no trained
+// network was shown to have.
 #include <sys/resource.h>
 
 #include <algorithm>
@@ -116,6 +128,8 @@ bool per_layer_table(const snn::SnnNetwork& net, const std::vector<Tensor>& samp
     std::int64_t spikes_in = 0;
   };
   std::vector<Row> rows;
+  // Replay outputs, one per (row, sample), reused across reps.
+  std::vector<std::vector<snn::LayerEventTrace>> outs;
   snn::SimArena arena;
   snn::kernels::AlignedBuffer<float> acc_buf;
   snn::kernels::AlignedBuffer<int> grid_buf;
@@ -132,18 +146,22 @@ bool per_layer_table(const snn::SnnNetwork& net, const std::vector<Tensor>& samp
         const std::int64_t lanes = snn::kernels::padded(c);
         int* grid = grid_buf.ensure(lanes * h * w);
         const std::size_t row_at = conv_seen + pool_seen;
-        if (rows.size() <= row_at) rows.push_back({"pool" + std::to_string(pool_seen + 1)});
+        if (rows.size() <= row_at) {
+          rows.push_back({"pool" + std::to_string(pool_seen + 1)});
+          outs.emplace_back(traces.size());
+        }
         Row& row = rows[row_at];
         double pool_s = 0.0;
         std::int64_t spikes_in = 0;
-        for (const snn::EventTrace& trace : traces) {
+        for (std::size_t s = 0; s < traces.size(); ++s) {
+          const snn::EventTrace& trace = traces[s];
           const auto& in = trace.layers[trace_layer].spikes;
           spikes_in += static_cast<std::int64_t>(in.size());
           std::fill(grid, grid + lanes * h * w, snn::kNoSpike);
           for (const snn::Spike& s : in) {
             grid[s.neuron % (h * w) * lanes + s.neuron / (h * w)] = s.step;
           }
-          snn::LayerEventTrace out;
+          snn::LayerEventTrace& out = outs[row_at][s];
           const auto start = std::chrono::steady_clock::now();
           snn::detail::pool_grid(*pool, {grid, c, h, w, lanes, 1}, lut.window(), arena, out);
           pool_s += seconds_since(start);
@@ -175,11 +193,15 @@ bool per_layer_table(const snn::SnnNetwork& net, const std::vector<Tensor>& samp
       const std::int64_t pixels = g.oh * g.ow;
       float* acc = acc_buf.ensure(pixels * g.cstride);
       const std::size_t row_at = conv_seen + pool_seen;
-      if (rows.size() <= row_at) rows.push_back({"conv" + std::to_string(conv_seen + 1)});
+      if (rows.size() <= row_at) {
+        rows.push_back({"conv" + std::to_string(conv_seen + 1)});
+        outs.emplace_back(traces.size());
+      }
       Row& row = rows[row_at];
       double integrate_s = 0.0, fire_s = 0.0;
       std::int64_t spikes_in = 0;
-      for (const snn::EventTrace& trace : traces) {
+      for (std::size_t s = 0; s < traces.size(); ++s) {
+        const snn::EventTrace& trace = traces[s];
         const auto& in = trace.layers[trace_layer].spikes;
         spikes_in += static_cast<std::int64_t>(in.size());
         std::fill(acc, acc + g.cstride, 0.0F);
@@ -189,7 +211,7 @@ bool per_layer_table(const snn::SnnNetwork& net, const std::vector<Tensor>& samp
         snn::kernels::integrate_conv(g, pw.w.data(), in.data(),
                                      static_cast<std::int64_t>(in.size()), lut, acc, 0, g.oh);
         integrate_s += seconds_since(start);
-        snn::LayerEventTrace out;
+        snn::LayerEventTrace& out = outs[row_at][s];
         start = std::chrono::steady_clock::now();
         snn::detail::fire_hwc(lut, acc, g.cout, g.cstride, pixels, arena, out);
         fire_s += seconds_since(start);

@@ -8,6 +8,7 @@
 #include "serve/result.h"
 #include "snn/event_sim_reference.h"
 #include "util/check.h"
+#include "util/thread_annotations.h"
 #include "util/thread_pool.h"
 
 namespace ttfs::snn {
@@ -27,6 +28,73 @@ BackendKind backend_kind_from_string(const std::string& name) {
   if (name == "quantized") return BackendKind::kQuantized;
   throw std::invalid_argument("unknown backend '" + name +
                               "' (want event|reference|quantized)");
+}
+
+namespace {
+
+// The process-wide bin RunResult hands its traces back to (engine.h). It
+// keeps at most cap_ traces, the largest traced batch taken so far, and its
+// free list is reserved to that cap under the lock, so give() never grows
+// it. One bin rather than one per session: a session's full bin would
+// otherwise stay resident while another session runs.
+class TraceBin {
+ public:
+  // Refills `traces` with n traces, recycled ones first.
+  void take(std::vector<EventTrace>& traces, std::size_t n) {
+    traces.reserve(n);
+    const util::MutexLock lock{mu_};
+    if (n > cap_) {
+      cap_ = n;
+      free_.reserve(cap_);
+    }
+    while (traces.size() < n && !free_.empty()) {
+      traces.push_back(std::move(free_.back()));
+      free_.pop_back();
+    }
+    traces.resize(n);
+  }
+
+  // Keeps as many of `traces` as fit under the cap; the rest are freed.
+  // Pushed last to first, so the next take() hands trace i back to slot i,
+  // whose sample is likeliest to fit its capacity.
+  void give(std::vector<EventTrace>& traces) noexcept {
+    {
+      const util::MutexLock lock{mu_};
+      for (auto it = traces.rbegin(); it != traces.rend() && free_.size() < cap_; ++it) {
+        free_.push_back(std::move(*it));
+      }
+    }
+    traces.clear();
+  }
+
+ private:
+  util::Mutex mu_;
+  std::vector<EventTrace> free_ TTFS_GUARDED_BY(mu_);
+  std::size_t cap_ TTFS_GUARDED_BY(mu_) = 0;
+};
+
+// Never destroyed, so it outlives every RunResult, static ones included.
+TraceBin& trace_bin() {
+  static TraceBin* const bin = new TraceBin;
+  return *bin;
+}
+
+}  // namespace
+
+RunResult& RunResult::operator=(RunResult&& other) noexcept {
+  if (this != &other) {
+    if (!traces.empty()) trace_bin().give(traces);
+    logits = std::move(other.logits);
+    logit_rows = std::move(other.logit_rows);
+    predicted = std::move(other.predicted);
+    stats = std::move(other.stats);
+    traces = std::move(other.traces);
+  }
+  return *this;
+}
+
+RunResult::~RunResult() {
+  if (!traces.empty()) trace_bin().give(traces);
 }
 
 SnnRunStats RunResult::merged_stats() const {
@@ -93,16 +161,21 @@ void sample_chw(const BatchView& batch, std::int64_t& c, std::int64_t& h, std::i
   }
 }
 
-// Fills the requested slots from a freshly-simulated trace. When the trace
-// itself is kept, its logits stay populated (callers reading
+// The trace a sample is simulated into: the caller's result slot when
+// traces were requested, else `scratch`.
+EventTrace& trace_for(const SampleSlots& slots, EventTrace& scratch) {
+  return slots.trace != nullptr ? *slots.trace : scratch;
+}
+
+// Fills the remaining slots from the sample's just-simulated trace. When the
+// trace itself is kept, its logits stay populated (callers reading
 // traces[i].logits directly, like the hardware model, rely on this) and the
-// logits row is a copy; otherwise the row steals the trace's tensor.
-void deliver_trace(const SnnNetwork& net, EventTrace trace, const SampleSlots& slots) {
+// logits row is a copy; otherwise the row steals the scratch trace's tensor.
+void deliver_trace(const SnnNetwork& net, EventTrace& trace, const SampleSlots& slots) {
   if (slots.stats != nullptr) *slots.stats = stats_from_trace(net, trace);
   if (slots.logits != nullptr) {
     *slots.logits = slots.trace != nullptr ? trace.logits : std::move(trace.logits);
   }
-  if (slots.trace != nullptr) *slots.trace = std::move(trace);
 }
 
 }  // namespace
@@ -136,7 +209,9 @@ void EventSimBackend::run_sample(const SnnNetwork& net, const BatchView& batch, 
                                  SimArena& arena, const SampleSlots& slots) const {
   std::int64_t c, h, w;
   sample_chw(batch, c, h, w);
-  deliver_trace(net, detail::run_event_sim_span(net, batch.sample(i), c, h, w, arena), slots);
+  EventTrace& trace = trace_for(slots, arena.trace());
+  detail::run_event_sim_span(net, batch.sample(i), c, h, w, arena, trace);
+  deliver_trace(net, trace, slots);
 }
 
 void QuantizedEventSimBackend::run_sample(const SnnNetwork& net, const BatchView& batch,
@@ -144,8 +219,9 @@ void QuantizedEventSimBackend::run_sample(const SnnNetwork& net, const BatchView
                                           const SampleSlots& slots) const {
   std::int64_t c, h, w;
   sample_chw(batch, c, h, w);
-  deliver_trace(net, detail::run_quantized_event_sim_span(net, batch.sample(i), c, h, w, arena),
-                slots);
+  EventTrace& trace = trace_for(slots, arena.trace());
+  detail::run_quantized_event_sim_span(net, batch.sample(i), c, h, w, arena, trace);
+  deliver_trace(net, trace, slots);
 }
 
 void ReferenceBackend::run_sample(const SnnNetwork& net, const BatchView& batch, std::int64_t i,
@@ -155,7 +231,11 @@ void ReferenceBackend::run_sample(const SnnNetwork& net, const BatchView& batch,
   sample_chw(batch, c, h, w);
   const float* span = batch.sample(i);
   const Tensor img{{c, h, w}, std::vector<float>(span, span + batch.sample_numel())};
-  deliver_trace(net, reference::run_event_sim(net, img), slots);
+  // The frozen oracle returns a fresh trace; it replaces the slot's by value.
+  EventTrace scratch;
+  EventTrace& trace = trace_for(slots, scratch);
+  trace = reference::run_event_sim(net, img);
+  deliver_trace(net, trace, slots);
 }
 
 std::shared_ptr<const InferenceBackend> make_backend(BackendKind kind) {
@@ -211,7 +291,7 @@ RunResult InferenceSession::run(const BatchView& batch, const RunOptions& opts) 
   std::vector<Tensor> rows;
   if (want_rows) rows.resize(static_cast<std::size_t>(n));
   if (opts.stats) out.stats.assign(static_cast<std::size_t>(n), SnnRunStats{});
-  if (opts.traces) out.traces.resize(static_cast<std::size_t>(n));
+  if (opts.traces) trace_bin().take(out.traces, static_cast<std::size_t>(n));
 
   // One arena per pool chunk, grown on demand and reused run after run, so
   // every worker keeps its own scratch across its whole sample range with no

@@ -87,6 +87,17 @@ struct RunOptions {
 // Uniform result of InferenceSession::run. Per-sample vectors are indexed by
 // sample in input order; everything is bit-identical to running the backend's
 // single-sample primitive in a sequential loop.
+//
+// Trace storage is recycled. Destroying or move-assigning over a RunResult
+// hands its traces back to one process-wide bin, and the next traced run
+// (of any session, on any thread) refills them in place, so their spike
+// vectors keep their capacity and steady-state traced inference stops
+// faulting fresh pages in. The bin is mutex-guarded, so results may be
+// dropped on any thread, and it holds at most as many traces as the largest
+// traced batch run so far: nothing stays resident that was not once live at
+// the same moment. Traces moved out of a result are the caller's and never
+// return; whatever state a returned trace is in (spikes moved out, layers
+// cleared), the next run overwrites every field. Copies are deep.
 struct RunResult {
   Tensor logits;                        // (N, classes) iff RunOptions::logits
   std::vector<Tensor> logit_rows;       // size N iff RunOptions::logit_rows;
@@ -96,6 +107,13 @@ struct RunResult {
   std::vector<EventTrace> traces;       // size N iff RunOptions::traces
                                         // (traces[i].logits stays populated
                                         // even when RunOptions::logits is off)
+
+  RunResult() = default;
+  RunResult(const RunResult&) = default;
+  RunResult(RunResult&&) noexcept = default;
+  RunResult& operator=(const RunResult&) = default;
+  RunResult& operator=(RunResult&& other) noexcept;  // recycles this->traces
+  ~RunResult();                                       // recycles traces
 
   // Sample-order merge of `stats` into one aggregate record (exact: the
   // counters are integers).
@@ -172,7 +190,9 @@ class InferenceBackend {
 
   // Runs sample `i` of `batch` through `net`, filling the requested slots.
   // `arena` is this worker's session-owned scratch (unused scratch for
-  // backends with uses_arena() == false).
+  // backends with uses_arena() == false). A non-null slots.trace may hold a
+  // recycled trace in any state; the backend overwrites all of it (the
+  // arena backends refill it in place).
   virtual void run_sample(const SnnNetwork& net, const BatchView& batch, std::int64_t i,
                           SimArena& arena, const SampleSlots& slots) const = 0;
 };
@@ -261,7 +281,8 @@ struct SessionOptions {
 
 // One caller's handle on (network, backend, pool): owns the per-worker
 // arenas and the chunking policy, reused run after run so steady-state
-// inference allocates nothing beyond the requested results. Movable, not
+// inference allocates nothing beyond the requested results (and traced
+// results reuse recycled trace storage, see RunResult). Movable, not
 // copyable; run() is not thread-safe (one session per concurrent caller).
 class InferenceSession {
  public:

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstddef>
 
 #include "snn/quant.h"
 #include "snn/simd.h"
@@ -93,8 +94,14 @@ void scatter_buckets(const int* steps, std::int64_t cout, std::int64_t cstride,
     total += c;
   }
   counts[window] = total;  // the trash slot
-  // lint-hotpath: allow(alloc) trace output, sized once per fire phase; only
-  // the returned trace may allocate (scratch stays in SimArena).
+  // A layer slot is reserved at its neuron count (plus the trash slot),
+  // which no fire phase exceeds, so a reused trace grows each slot at most
+  // once and never leaves freed smaller buffers behind; scratch stays in
+  // SimArena.
+  const auto neurons = static_cast<std::size_t>(cout * pixels);
+  // lint-hotpath: allow(alloc) trace output, at most once per layer slot
+  if (out.spikes.capacity() <= neurons) out.spikes.reserve(neurons + 1);
+  // lint-hotpath: allow(alloc) within the capacity reserved above
   out.spikes.resize(static_cast<std::size_t>(total + 1));
   Spike* dst = out.spikes.data();
   const auto silent = static_cast<std::uint32_t>(window);
@@ -294,52 +301,72 @@ std::int64_t integrate_split(std::int64_t n, std::int64_t work, SimArena& arena,
 }
 
 // Logits in CHW order like the canonical simulator: channel co of pixel p is
-// acc[p * stride + co] (an FC layer is one pixel).
+// acc[p * stride + co] (an FC layer is one pixel). Written over `logits` in
+// place when it already has the (1, classes) shape.
 template <typename Fmt>
-Tensor logits_chw(const Fmt& fmt, const typename Fmt::Acc* acc, std::int64_t channels,
-                  std::int64_t stride, std::int64_t pixels) {
-  Tensor logits{{1, channels * pixels}};
+void logits_chw(const Fmt& fmt, const typename Fmt::Acc* acc, std::int64_t channels,
+                std::int64_t stride, std::int64_t pixels, Tensor& logits) {
+  const std::int64_t classes = channels * pixels;
+  if (logits.rank() != 2 || logits.numel() != classes || logits.dim(0) != 1) {
+    logits = Tensor{{1, classes}};
+  }
   float* lo = logits.data();
   for (std::int64_t co = 0; co < channels; ++co) {
     for (std::int64_t p = 0; p < pixels; ++p) {
       lo[co * pixels + p] = fmt.to_logit(acc[p * stride + co]);
     }
   }
-  return logits;
 }
 
 // Core single-sample simulation over a raw (C, H, W) image span, on the
-// format's membranes and `packs` (index-aligned with net.layers()). All
-// scratch comes from `arena`; only the returned trace allocates.
+// format's membranes and `packs` (index-aligned with net.layers()), into
+// `trace`. All scratch comes from `arena`. The trace is filled in place:
+// layer slot k is reused whatever it held before (its spike vector keeps
+// its capacity; every field is overwritten), slots past the last are
+// dropped, and the logits are rewritten, so a trace reused sample after
+// sample allocates only to grow.
 template <typename Fmt, typename Packs>
-EventTrace run_event_sim_view(const Fmt& fmt, const SnnNetwork& net, const Packs& packs,
-                              const float* image, Shape3 cur, SimArena& arena) {
+void run_event_sim_view(const Fmt& fmt, const SnnNetwork& net, const Packs& packs,
+                        const float* image, Shape3 cur, SimArena& arena, EventTrace& trace) {
   using Acc = typename Fmt::Acc;
-  EventTrace trace;
+  // The reserve keeps every slot, and so in_spikes, in place while later
+  // layers are appended: a network never needs more slots than this.
   trace.layers.reserve(net.layers().size() + 1);
+  std::size_t used = 0;
+  const auto next_layer = [&]() -> LayerEventTrace& {
+    if (used == trace.layers.size()) trace.layers.emplace_back();
+    LayerEventTrace& lt = trace.layers[used++];
+    lt.neuron_count = 0;
+    lt.integration_ops = 0;
+    lt.encoder_cycles = 0;
+    return lt;
+  };
 
   // --- Input encoding window (a float image in every format) ---
-  // Layers are built in place: the reserve above keeps in_spikes valid. The
-  // encoding fires the CHW image as one span, so its step grid is CHW.
-  const int* image_steps = fire_hwc(FloatFormat{fmt.lut}, image, cur.numel(), cur.numel(), 1,
-                                    arena, trace.layers.emplace_back());
-  const std::vector<Spike>* in_spikes = &trace.layers.back().spikes;
+  // The encoding fires the CHW image as one span, so its step grid is CHW.
+  LayerEventTrace& input = next_layer();
+  const int* image_steps =
+      fire_hwc(FloatFormat{fmt.lut}, image, cur.numel(), cur.numel(), 1, arena, input);
+  const std::vector<Spike>* in_spikes = &input.spikes;
   // The last fire phase's (or pool's) step grid, for a pool to read.
   kernels::StepGrid grid{image_steps, cur.c, cur.h, cur.w, 1, cur.h * cur.w};
 
   // A weighted layer's tail, after integration into `acc` (`pixels` rows of
   // `stride` lanes, `channels` real; an FC layer is one pixel): the last one
-  // reports its accumulators as logits and returns true, any other fires.
+  // reports its accumulators as logits, drops the slots a larger network
+  // left and returns true; any other fires.
   const std::size_t weighted = net.weighted_layer_count();
   std::size_t weighted_seen = 0;
   const auto finish_layer = [&](const Acc* acc, Shape3 shape, std::int64_t stride,
                                 std::int64_t ops) {
     const std::int64_t pixels = shape.h * shape.w;
     if (++weighted_seen == weighted) {
-      trace.logits = logits_chw(fmt, acc, shape.c, stride, pixels);
+      logits_chw(fmt, acc, shape.c, stride, pixels, trace.logits);
+      trace.layers.erase(trace.layers.begin() + static_cast<std::ptrdiff_t>(used),
+                         trace.layers.end());
       return true;
     }
-    LayerEventTrace& lt = trace.layers.emplace_back();
+    LayerEventTrace& lt = next_layer();
     grid = {fire_hwc(fmt, acc, shape.c, stride, pixels, arena, lt), shape.c, shape.h, shape.w,
             stride, 1};
     lt.integration_ops = ops;
@@ -391,7 +418,7 @@ EventTrace run_event_sim_view(const Fmt& fmt, const SnnNetwork& net, const Packs
           oh, nspikes * pw.kh * pw.kw * cstride, arena, [&](std::int64_t lo, std::int64_t hi) {
             return fmt.integrate_conv(pw, geom, spikes.data(), nspikes, acc, lo, hi);
           });
-      if (finish_layer(acc, {cout, oh, ow}, cstride, ops)) return trace;
+      if (finish_layer(acc, {cout, oh, ow}, cstride, ops)) return;
     } else if (const auto* fc = std::get_if<SnnFc>(&layer)) {
       const auto& pw = std::get<typename Fmt::Fc>(packs[li]);
       const std::int64_t out = pw.out;
@@ -413,35 +440,42 @@ EventTrace run_event_sim_view(const Fmt& fmt, const SnnNetwork& net, const Packs
             return fmt.integrate_fc(pw, spikes.data(), nspikes, acc, lo * kernels::kLaneFloats,
                                     hi * kernels::kLaneFloats);
           });
-      if (finish_layer(acc, {out, 1, 1}, ostride, ops)) return trace;
+      if (finish_layer(acc, {out, 1, 1}, ostride, ops)) return;
     } else {
-      LayerEventTrace& lt = trace.layers.emplace_back();
+      LayerEventTrace& lt = next_layer();
       grid = pool_grid(std::get<SnnPool>(layer), grid, fmt.lut.window(), arena, lt);
       in_spikes = &lt.spikes;
       cur = {grid.c, grid.h, grid.w};
     }
   }
   TTFS_CHECK_MSG(false, "SNN has no output layer");
-  return trace;
 }
 
 }  // namespace
 
 namespace detail {
 
-EventTrace run_event_sim_span(const SnnNetwork& net, const float* image, std::int64_t c,
-                              std::int64_t h, std::int64_t w, SimArena& arena) {
+void run_event_sim_span(const SnnNetwork& net, const float* image, std::int64_t c,
+                        std::int64_t h, std::int64_t w, SimArena& arena, EventTrace& into) {
   net.ensure_packed();
-  return run_event_sim_view(FloatFormat{net.threshold_lut()}, net, net.packed_layers(), image,
-                            {c, h, w}, arena);
+  run_event_sim_view(FloatFormat{net.threshold_lut()}, net, net.packed_layers(), image,
+                     {c, h, w}, arena, into);
+}
+
+void run_quantized_event_sim_span(const SnnNetwork& net, const float* image, std::int64_t c,
+                                  std::int64_t h, std::int64_t w, SimArena& arena,
+                                  EventTrace& into) {
+  const QuantizedWeightPack& pack = net.quantized_pack();
+  const QuantFormat fmt{{net.threshold_lut(), std::ldexp(1.0, -pack.config.acc_frac_bits)}, pack};
+  run_event_sim_view(fmt, net, pack.layers, image, {c, h, w}, arena, into);
 }
 
 EventTrace run_quantized_event_sim_span(const SnnNetwork& net, const float* image,
                                         std::int64_t c, std::int64_t h, std::int64_t w,
                                         SimArena& arena) {
-  const QuantizedWeightPack& pack = net.quantized_pack();
-  const QuantFormat fmt{{net.threshold_lut(), std::ldexp(1.0, -pack.config.acc_frac_bits)}, pack};
-  return run_event_sim_view(fmt, net, pack.layers, image, {c, h, w}, arena);
+  EventTrace trace;
+  run_quantized_event_sim_span(net, image, c, h, w, arena, trace);
+  return trace;
 }
 
 const int* fire_hwc(const ThresholdLut& lut, const float* acc, std::int64_t cout,
@@ -474,8 +508,10 @@ LayerEventTrace fire_phase(const Base2Kernel& kernel, const std::vector<double>&
 
 EventTrace run_event_sim(const SnnNetwork& net, const Tensor& image, SimArena& arena) {
   TTFS_CHECK(image.rank() == 3);
-  return detail::run_event_sim_span(net, image.data(), image.dim(0), image.dim(1), image.dim(2),
-                                    arena);
+  EventTrace trace;
+  detail::run_event_sim_span(net, image.data(), image.dim(0), image.dim(1), image.dim(2), arena,
+                             trace);
+  return trace;
 }
 
 EventTrace run_event_sim(const SnnNetwork& net, const Tensor& image) {

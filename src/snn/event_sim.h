@@ -28,8 +28,10 @@
 //     grid the fire phase before it left, and buckets the pooled grid the
 //     same way;
 //   * all scratch (membrane accumulator, step grids, bucket histogram) lives
-//     in a caller-provided SimArena, so steady-state batch inference
-//     allocates nothing beyond the returned traces.
+//     in a caller-provided SimArena, and the trace is filled in place: a
+//     reused EventTrace keeps every layer's spike capacity (reserved at the
+//     layer's neuron count), so steady-state batch inference allocates only
+//     to grow.
 // The same driver also runs the quantized pack (quant.h) on saturating
 // fixed-point membranes; only the membrane format differs between the two.
 #pragma once
@@ -85,6 +87,10 @@ class SimArena {
  public:
   SimArena() = default;
 
+  // A trace the backends simulate into when the caller keeps none (stats or
+  // logits only), reused sample after sample like the other scratch.
+  EventTrace& trace() { return trace_; }
+
   // Pre-sizes every buffer for running `net` on (c, h, w) inputs by walking
   // the layer shapes, so not even the first sample allocates.
   void reserve_for(const SnnNetwork& net, std::int64_t c, std::int64_t h, std::int64_t w);
@@ -119,6 +125,7 @@ class SimArena {
   kernels::AlignedBuffer<int> steps_;
   kernels::AlignedBuffer<int> hwc_steps_;
   kernels::AlignedBuffer<std::int64_t> counts_;
+  EventTrace trace_;
   ThreadPool* intra_pool_ = nullptr;
 };
 
@@ -129,12 +136,14 @@ EventTrace run_event_sim(const SnnNetwork& net, const Tensor& image);
 
 namespace detail {
 // Core single-sample simulation over a raw (C, H, W) span — the primitive
-// everything batched is built on. All scratch comes from `arena`; only the
-// returned trace allocates. snn::EventSimBackend (engine.h) fans this out
-// across a session's per-chunk arenas; run_event_sim wraps it for Tensor
-// callers.
-EventTrace run_event_sim_span(const SnnNetwork& net, const float* image, std::int64_t c,
-                              std::int64_t h, std::int64_t w, SimArena& arena);
+// everything batched is built on. All scratch comes from `arena`, and the
+// trace is filled into `into` in place: its layer slots are reused (each
+// keeps its spike capacity), surplus layers from a larger network are
+// dropped, and the logits are overwritten, so a reused trace allocates only
+// to grow. snn::EventSimBackend (engine.h) fans this out across a session's
+// per-chunk arenas; run_event_sim wraps it for Tensor callers.
+void run_event_sim_span(const SnnNetwork& net, const float* image, std::int64_t c,
+                        std::int64_t h, std::int64_t w, SimArena& arena, EventTrace& into);
 
 // The float conv layers' fire phase, over the integration accumulator
 // stored HWC at channel stride cstride (`pixels` rows, the first cout lanes

@@ -118,7 +118,12 @@ namespace detail {
 // The same driver as the float simulator, so spike ordering, op and cycle
 // accounting and the intra-sample split are shared; membranes accumulate in
 // int32 LogPe arithmetic and logits are the accumulators scaled back to
-// float. Defined in event_sim.cpp.
+// float. Fills `into` in place like run_event_sim_span. Defined in
+// event_sim.cpp.
+void run_quantized_event_sim_span(const SnnNetwork& net, const float* image, std::int64_t c,
+                                  std::int64_t h, std::int64_t w, SimArena& arena,
+                                  EventTrace& into);
+// The same into a fresh trace.
 EventTrace run_quantized_event_sim_span(const SnnNetwork& net, const float* image,
                                         std::int64_t c, std::int64_t h, std::int64_t w,
                                         SimArena& arena);

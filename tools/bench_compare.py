@@ -16,7 +16,12 @@ against a relative tolerance band:
   * derived ratios ("speedup vs batch 1", rendered like "3.4x") regress when
     they drop more than --ratio-tolerance (default 15%) below baseline. Ratios
     divide out absolute runner speed, so batch-scaling losses fail the gate
-    even when raw samples/s drifts with the machine.
+    even when raw samples/s drifts with the machine;
+  * percentages (shed %, reject %, error %) regress when they rise more than
+    --abs-tolerance (default 2.0) points above baseline, and per-sample page
+    fault counts (minflt/sample) when they rise more than --fault-tolerance
+    (default 20) faults above it: absolute bands, since both are healthy
+    at or near 0.
 
 A baseline row or file with no current counterpart is a failure too — a bench
 that silently stops running is a lost regression signal, not a pass
@@ -72,6 +77,15 @@ ABS_METRICS = {
     "error %": -1,
 }
 
+# Per-sample count columns gated on ABSOLUTE drift (--fault-tolerance) for
+# the same reason: the event simulator's healthy minor-fault count per
+# single-sample run is ~0 once trace storage is recycled, and the regression
+# worth catching is per-sample trace allocation coming back (~80 faults per
+# sample on the hot-path bench's VGG stack). -1 = lower is better.
+COUNT_METRICS = {
+    "minflt/sample": -1,
+}
+
 # Configuration columns that identify a row across runs. Everything else that
 # is not a METRIC (speedup strings, mean batch, p50, refused counts) is
 # informational and takes no part in matching or gating.
@@ -123,7 +137,7 @@ def to_ratio(value):
 
 
 def compare_file(bench, base, cur, tolerance, latency_tolerance, ratio_tolerance,
-                 abs_tolerance):
+                 abs_tolerance, fault_tolerance):
     """Yields (status, detail_row) per gated metric; status in
     {ok, regressed, missing}."""
     current_rows = {}
@@ -159,7 +173,11 @@ def compare_file(bench, base, cur, tolerance, latency_tolerance, ratio_tolerance
             yield ("regressed" if regressed else "ok"), (
                 fmt_key(bench, key), metric, f"{bval:g}", f"{cval:g}", f"{delta:+.1%} ({band})",
                 status)
-        for metric, direction in ABS_METRICS.items():
+        absolute = [(metric, direction, abs_tolerance, "pp")
+                    for metric, direction in ABS_METRICS.items()] + [
+                    (metric, direction, fault_tolerance, "")
+                    for metric, direction in COUNT_METRICS.items()]
+        for metric, direction, tol, unit in absolute:
             bval = to_float(brow.get(metric))
             if bval is None:
                 continue  # metric absent in this table (0.0 baselines DO gate)
@@ -168,14 +186,13 @@ def compare_file(bench, base, cur, tolerance, latency_tolerance, ratio_tolerance
                 yield "missing", (fmt_key(bench, key), metric, f"{bval:g}", "missing", "-",
                                   "MISSING METRIC")
                 continue
-            delta = cval - bval  # percentage points, not relative
-            regressed = (direction < 0 and delta > abs_tolerance) or (
-                direction > 0 and delta < -abs_tolerance)
-            band = (f"+{abs_tolerance:g}pp" if direction < 0 else f"-{abs_tolerance:g}pp")
+            delta = cval - bval  # absolute drift, not relative
+            regressed = (direction < 0 and delta > tol) or (direction > 0 and delta < -tol)
+            band = (f"+{tol:g}{unit}" if direction < 0 else f"-{tol:g}{unit}")
             status = "REGRESSED" if regressed else "ok"
             yield ("regressed" if regressed else "ok"), (
                 fmt_key(bench, key), metric, f"{bval:g}", f"{cval:g}",
-                f"{delta:+.2f}pp ({band})", status)
+                f"{delta:+.2f}{unit} ({band})", status)
 
 
 def main():
@@ -195,6 +212,10 @@ def main():
                     help="absolute percentage-point rise in a percentage column "
                          "(shed %%, reject %%) that fails the gate (default 2.0); "
                          "absolute so a 0%% baseline still gates")
+    ap.add_argument("--fault-tolerance", type=float, default=20.0,
+                    help="absolute rise in minor page faults per sample (minflt/sample) "
+                         "that fails the gate (default 20); absolute so a 0 baseline "
+                         "still gates")
     ap.add_argument("--summary", default=os.environ.get("GITHUB_STEP_SUMMARY"),
                     help="file to append the markdown report to (defaults to "
                          "$GITHUB_STEP_SUMMARY when set)")
@@ -240,7 +261,8 @@ def main():
             continue
         for status, row in compare_file(bench, load(bpath), load(cpath),
                                         args.tolerance, args.latency_tolerance,
-                                        args.ratio_tolerance, args.abs_tolerance):
+                                        args.ratio_tolerance, args.abs_tolerance,
+                                        args.fault_tolerance):
             checks += 1
             details.append(row)
             if status == "regressed":

@@ -25,8 +25,10 @@ shift-add helpers, the fire-phase counting and bucketing, the pool_* grid
 pooling (kernel and layer), and the simulator's membrane-format policy
 hooks (member functions
 defined in a struct body count like free functions). Driver functions
-(run_event_sim*, trace assembly) allocate their *outputs* and are
-deliberately not hot.
+(run_event_sim*, trace assembly) fill the trace they are handed in place
+and may grow its layer list and spike vectors (a reused trace allocates
+only past the largest sample it has held), so they are deliberately not
+hot.
 
 Intentional exceptions are suppressed inline, one finding per line, with a
 mandatory justification:
