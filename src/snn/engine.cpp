@@ -81,20 +81,16 @@ TraceBin& trace_bin() {
 
 }  // namespace
 
-RunResult& RunResult::operator=(RunResult&& other) noexcept {
+RecycledTraces& RecycledTraces::operator=(RecycledTraces&& other) noexcept {
   if (this != &other) {
-    if (!traces.empty()) trace_bin().give(traces);
-    logits = std::move(other.logits);
-    logit_rows = std::move(other.logit_rows);
-    predicted = std::move(other.predicted);
-    stats = std::move(other.stats);
-    traces = std::move(other.traces);
+    if (!empty()) trace_bin().give(*this);
+    std::vector<EventTrace>::operator=(std::move(other));
   }
   return *this;
 }
 
-RunResult::~RunResult() {
-  if (!traces.empty()) trace_bin().give(traces);
+RecycledTraces::~RecycledTraces() {
+  if (!empty()) trace_bin().give(*this);
 }
 
 SnnRunStats RunResult::merged_stats() const {

@@ -84,6 +84,20 @@ struct RunOptions {
                             // input)
 };
 
+// A RunResult's per-sample traces: a plain vector of EventTrace that hands
+// its traces to the process-wide bin described at RunResult when it is
+// destroyed or move-assigned over. The recycling lives here, not in
+// RunResult, so RunResult keeps its compiler-generated copy and move.
+class RecycledTraces : public std::vector<EventTrace> {
+ public:
+  RecycledTraces() = default;
+  RecycledTraces(const RecycledTraces&) = default;
+  RecycledTraces(RecycledTraces&&) noexcept = default;
+  RecycledTraces& operator=(const RecycledTraces&) = default;
+  RecycledTraces& operator=(RecycledTraces&& other) noexcept;  // recycles *this first
+  ~RecycledTraces();
+};
+
 // Uniform result of InferenceSession::run. Per-sample vectors are indexed by
 // sample in input order; everything is bit-identical to running the backend's
 // single-sample primitive in a sequential loop.
@@ -104,16 +118,9 @@ struct RunResult {
                                         // entry i is sample i's (1, classes)
   std::vector<std::int64_t> predicted;  // size N iff RunOptions::predictions
   std::vector<SnnRunStats> stats;       // size N iff RunOptions::stats
-  std::vector<EventTrace> traces;       // size N iff RunOptions::traces
+  RecycledTraces traces;                // size N iff RunOptions::traces
                                         // (traces[i].logits stays populated
                                         // even when RunOptions::logits is off)
-
-  RunResult() = default;
-  RunResult(const RunResult&) = default;
-  RunResult(RunResult&&) noexcept = default;
-  RunResult& operator=(const RunResult&) = default;
-  RunResult& operator=(RunResult&& other) noexcept;  // recycles this->traces
-  ~RunResult();                                       // recycles traces
 
   // Sample-order merge of `stats` into one aggregate record (exact: the
   // counters are integers).

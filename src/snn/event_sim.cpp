@@ -470,13 +470,6 @@ void run_quantized_event_sim_span(const SnnNetwork& net, const float* image, std
   run_event_sim_view(fmt, net, pack.layers, image, {c, h, w}, arena, into);
 }
 
-EventTrace run_quantized_event_sim_span(const SnnNetwork& net, const float* image,
-                                        std::int64_t c, std::int64_t h, std::int64_t w,
-                                        SimArena& arena) {
-  EventTrace trace;
-  run_quantized_event_sim_span(net, image, c, h, w, arena, trace);
-  return trace;
-}
 
 const int* fire_hwc(const ThresholdLut& lut, const float* acc, std::int64_t cout,
                     std::int64_t cstride, std::int64_t pixels, SimArena& arena,

@@ -123,10 +123,6 @@ namespace detail {
 void run_quantized_event_sim_span(const SnnNetwork& net, const float* image, std::int64_t c,
                                   std::int64_t h, std::int64_t w, SimArena& arena,
                                   EventTrace& into);
-// The same into a fresh trace.
-EventTrace run_quantized_event_sim_span(const SnnNetwork& net, const float* image,
-                                        std::int64_t c, std::int64_t h, std::int64_t w,
-                                        SimArena& arena);
 }  // namespace detail
 
 }  // namespace ttfs::snn

@@ -286,8 +286,8 @@ TEST(QuantKernels, HugeWeightsSaturateToTheRailsLikeLogPe) {
     net.ensure_quantized(pconfig);
     const Tensor img = random_tensor({4, 1, 1}, rng, 0.1F, 1.0F);
     snn::SimArena arena;
-    const snn::EventTrace trace =
-        snn::detail::run_quantized_event_sim_span(net, img.data(), 4, 1, 1, arena);
+    snn::EventTrace trace;
+    snn::detail::run_quantized_event_sim_span(net, img.data(), 4, 1, 1, arena, trace);
     ASSERT_EQ(trace.logits.numel(), 2);
     ASSERT_FALSE(trace.layers[0].spikes.empty());
     for (std::int64_t j = 0; j < 2; ++j) {
@@ -313,8 +313,8 @@ TEST(QuantKernels, HugeWeightsSaturateToTheRailsLikeLogPe) {
     net.ensure_quantized(pconfig);
     const Tensor img = random_tensor({1, 4, 4}, rng, 0.1F, 1.0F);
     snn::SimArena arena;
-    const snn::EventTrace trace =
-        snn::detail::run_quantized_event_sim_span(net, img.data(), 1, 4, 4, arena);
+    snn::EventTrace trace;
+    snn::detail::run_quantized_event_sim_span(net, img.data(), 1, 4, 4, arena, trace);
     ASSERT_EQ(trace.logits.numel(), 2 * 16);
     for (std::int64_t co = 0; co < 2; ++co) {
       const int sign = co == 0 ? 1 : -1;
@@ -580,8 +580,8 @@ TEST(QuantizedWeightPack, EnsureReleaseRebuildLifecycle) {
   Rng img_rng{5};
   const Tensor img = random_tensor({3, 8, 8}, img_rng, 0.0F, 1.0F);
   snn::SimArena arena;
-  const snn::EventTrace trace =
-      snn::detail::run_quantized_event_sim_span(net, img.data(), 3, 8, 8, arena);
+  snn::EventTrace trace;
+  snn::detail::run_quantized_event_sim_span(net, img.data(), 3, 8, 8, arena, trace);
   EXPECT_EQ(trace.logits.numel(), 10);
 }
 

@@ -107,8 +107,8 @@ struct Stack {
     for (const Tensor& img : images) {
       if (kind == snn::BackendKind::kQuantized) {
         snn::SimArena arena;
-        golden.push_back(snn::detail::run_quantized_event_sim_span(
-            net, img.data(), img.dim(0), img.dim(1), img.dim(2), arena));
+        snn::detail::run_quantized_event_sim_span(net, img.data(), img.dim(0), img.dim(1),
+                                                  img.dim(2), arena, golden.emplace_back());
       } else {
         golden.push_back(snn::run_event_sim(net, img));
       }

@@ -19,9 +19,9 @@ against a relative tolerance band:
     even when raw samples/s drifts with the machine;
   * percentages (shed %, reject %, error %) regress when they rise more than
     --abs-tolerance (default 2.0) points above baseline, and per-sample page
-    fault counts (minflt/sample) when they rise more than --fault-tolerance
-    (default 20) faults above it: absolute bands, since both are healthy
-    at or near 0.
+    fault counts (minflt/sample) when they rise more than FAULT_TOLERANCE
+    (20) faults above it: absolute bands, since both are healthy at or
+    near 0.
 
 A baseline row or file with no current counterpart is a failure too — a bench
 that silently stops running is a lost regression signal, not a pass
@@ -77,7 +77,7 @@ ABS_METRICS = {
     "error %": -1,
 }
 
-# Per-sample count columns gated on ABSOLUTE drift (--fault-tolerance) for
+# Per-sample count columns gated on ABSOLUTE drift (FAULT_TOLERANCE) for
 # the same reason: the event simulator's healthy minor-fault count per
 # single-sample run is ~0 once trace storage is recycled, and the regression
 # worth catching is per-sample trace allocation coming back (~80 faults per
@@ -85,6 +85,11 @@ ABS_METRICS = {
 COUNT_METRICS = {
     "minflt/sample": -1,
 }
+
+# Absolute rise in minflt/sample that fails the gate. Well under the ~80
+# faults a sample pays when its trace is allocated fresh, and well over the
+# few faults a runner's allocator may add on its own to a 0 baseline.
+FAULT_TOLERANCE = 20.0
 
 # Configuration columns that identify a row across runs. Everything else that
 # is not a METRIC (speedup strings, mean batch, p50, refused counts) is
@@ -137,7 +142,7 @@ def to_ratio(value):
 
 
 def compare_file(bench, base, cur, tolerance, latency_tolerance, ratio_tolerance,
-                 abs_tolerance, fault_tolerance):
+                 abs_tolerance):
     """Yields (status, detail_row) per gated metric; status in
     {ok, regressed, missing}."""
     current_rows = {}
@@ -175,7 +180,7 @@ def compare_file(bench, base, cur, tolerance, latency_tolerance, ratio_tolerance
                 status)
         absolute = [(metric, direction, abs_tolerance, "pp")
                     for metric, direction in ABS_METRICS.items()] + [
-                    (metric, direction, fault_tolerance, "")
+                    (metric, direction, FAULT_TOLERANCE, "")
                     for metric, direction in COUNT_METRICS.items()]
         for metric, direction, tol, unit in absolute:
             bval = to_float(brow.get(metric))
@@ -212,10 +217,6 @@ def main():
                     help="absolute percentage-point rise in a percentage column "
                          "(shed %%, reject %%) that fails the gate (default 2.0); "
                          "absolute so a 0%% baseline still gates")
-    ap.add_argument("--fault-tolerance", type=float, default=20.0,
-                    help="absolute rise in minor page faults per sample (minflt/sample) "
-                         "that fails the gate (default 20); absolute so a 0 baseline "
-                         "still gates")
     ap.add_argument("--summary", default=os.environ.get("GITHUB_STEP_SUMMARY"),
                     help="file to append the markdown report to (defaults to "
                          "$GITHUB_STEP_SUMMARY when set)")
@@ -261,8 +262,7 @@ def main():
             continue
         for status, row in compare_file(bench, load(bpath), load(cpath),
                                         args.tolerance, args.latency_tolerance,
-                                        args.ratio_tolerance, args.abs_tolerance,
-                                        args.fault_tolerance):
+                                        args.ratio_tolerance, args.abs_tolerance):
             checks += 1
             details.append(row)
             if status == "regressed":
