@@ -7,8 +7,8 @@
 //
 // Five things in ~180 lines:
 //   1. concurrent clients submit single images and get futures back;
-//   2. the dynamic micro-batcher forms batches (size or deadline), a router
-//      hands them to --replicas replica sessions over the injected
+//   2. the dynamic micro-batcher forms batches (size or deadline) that
+//      --replicas replica sessions pop as they free up, over the injected
 //      snn::InferenceBackend, and the per-request results are bit-identical
 //      to sequential inference on that backend whichever replica served them;
 //   3. cancellation and graceful drain, with the server's own stats line;

@@ -96,6 +96,9 @@ std::vector<PendingRequest> MicroBatcher::take_locked(LaneMap::iterator lane) {
   total_ -= take;
   if (queue.empty()) lanes_.erase(lane);
   if (take > 0) space_cv_.notify_all();  // kBlock pushers may proceed
+  // A push wakes only one consumer, so the remaining lanes need a consumer
+  // that re-checks the size/deadline policy while this one runs its batch.
+  if (!lanes_.empty()) cv_.notify_one();
   return batch;
 }
 

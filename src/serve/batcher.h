@@ -1,9 +1,10 @@
 // Dynamic micro-batching queue: the request-forming half of SnnServer.
 //
 // Producers (any thread) push single-image requests; consumers (the server's
-// dispatcher thread) block in pop_batch() until a batch is ready. Requests
-// are keyed by model id and NEVER co-batch across models — the queue is a
-// set of per-model FIFO lanes, and every popped batch is uniform in model.
+// replica threads, each popping only when it is free to run the batch) block
+// in pop_batch() until a batch is ready. Requests are keyed by model id and
+// NEVER co-batch across models — the queue is a set of per-model FIFO lanes,
+// and every popped batch is uniform in model.
 // A lane's batch forms when either
 //   * size   — the lane reaches max_batch pending requests, or
 //   * delay  — the lane's oldest pending request has waited max_delay,
@@ -121,7 +122,9 @@ class MicroBatcher {
   // to max_batch requests of that ONE model in FIFO order (among ready lanes,
   // the longest-waiting front wins). Returns an empty vector only when the
   // batcher is closed and fully drained. Safe for multiple concurrent
-  // consumers (each batch goes to exactly one).
+  // consumers (each batch goes to exactly one; a pop that leaves requests
+  // queued wakes one more consumer, so a lane never waits on a busy
+  // consumer while another one sleeps).
   std::vector<PendingRequest> pop_batch();
 
   // Removes the request with this id if it is still queued (i.e. its batch
@@ -152,7 +155,8 @@ class MicroBatcher {
   // lanes_.end() when no lane qualifies under `pred`.
   template <typename Pred>
   LaneMap::iterator oldest_front_locked(Pred pred) TTFS_REQUIRES(mu_);
-  // Pops up to max_batch requests from `lane` (erasing it when emptied).
+  // Pops up to max_batch requests from `lane` (erasing it when emptied) and
+  // hands any remaining work on to the next waiting consumer.
   std::vector<PendingRequest> take_locked(LaneMap::iterator lane) TTFS_REQUIRES(mu_);
 
   const BatcherOptions opts_;

@@ -65,14 +65,12 @@ SnnServer::SnnServer(ServeOptions opts)
       default_seed_{default_model_.empty() ? nullptr : registry_->acquire(default_model_)},
       bindings_(static_cast<std::size_t>(opts_.replicas)),
       batcher_{batcher_options(opts_)},
-      router_{static_cast<std::size_t>(opts_.replicas),
-              static_cast<std::size_t>(opts_.replicas)},
+      busy_(static_cast<std::size_t>(opts_.replicas)),
       stats_{static_cast<std::size_t>(opts_.replicas)} {
   schedulers_.reserve(static_cast<std::size_t>(opts_.replicas));
   for (std::size_t r = 0; r < static_cast<std::size_t>(opts_.replicas); ++r) {
     schedulers_.emplace_back([this, r] { replica_loop(r); });
   }
-  dispatcher_ = std::thread{[this] { dispatcher_loop(); }};
 }
 
 SnnServer::SnnServer(const snn::SnnNetwork& net, std::vector<std::int64_t> input_shape,
@@ -84,10 +82,8 @@ SnnServer::~SnnServer() { stop(); }
 void SnnServer::stop() {
   std::call_once(stopped_, [this] {
     // Close the submit queue (waking kBlock submitters with kClosed); the
-    // dispatcher drains it into the router, closes the router, and exits;
-    // the replicas drain the router and exit.
+    // replicas drain it batch by batch and exit on the empty batch.
     batcher_.close();
-    if (dispatcher_.joinable()) dispatcher_.join();
     for (std::thread& t : schedulers_) {
       if (t.joinable()) t.join();
     }
@@ -207,29 +203,20 @@ bool SnnServer::cancel(std::uint64_t id) {
 }
 
 ServerStats SnnServer::stats() const {
-  std::vector<bool> busy(router_.replicas());
-  for (std::size_t r = 0; r < busy.size(); ++r) busy[r] = router_.busy(r);
-  return stats_.snapshot(batcher_.depth(), busy, batcher_.depth_by_model());
-}
-
-void SnnServer::dispatcher_loop() {
-  for (;;) {
-    std::vector<PendingRequest> batch = batcher_.pop_batch();
-    if (batch.empty()) {
-      // Closed and drained: staged batches still flow to the replicas, then
-      // each acquire() returns nullopt.
-      router_.close();
-      return;
-    }
-    router_.dispatch(std::move(batch));
+  std::vector<bool> busy(busy_.size());
+  for (std::size_t r = 0; r < busy.size(); ++r) {
+    busy[r] = busy_[r].load(std::memory_order_acquire);
   }
+  return stats_.snapshot(batcher_.depth(), busy, batcher_.depth_by_model());
 }
 
 void SnnServer::replica_loop(std::size_t r) {
   for (;;) {
-    std::optional<std::vector<PendingRequest>> batch = router_.acquire(r);
-    if (!batch.has_value()) return;  // router closed and drained
-    run_batch(r, std::move(*batch));
+    std::vector<PendingRequest> batch = batcher_.pop_batch();
+    if (batch.empty()) return;  // closed and drained
+    busy_[r].store(true, std::memory_order_release);
+    run_batch(r, std::move(batch));
+    busy_[r].store(false, std::memory_order_release);
   }
 }
 

@@ -14,10 +14,12 @@
 //        resolves, so a live swap drains in-flight work on the OLD pack)
 //     -> bounded submit queue + admission policy (Block / RejectWhenFull /
 //        ShedOldest: predictable degradation when arrival outruns compute)
-//     -> MicroBatcher forms per-model batches (flush on max_batch or
-//        max_delay; models NEVER co-batch) on the dispatcher thread
-//     -> ReplicaRouter hands each formed batch to a free replica (FIFO
-//        backlog when all are busy); any replica serves any model
+//     -> MicroBatcher per-model lanes (flush on max_batch or max_delay;
+//        models NEVER co-batch). The R replica scheduler threads are the
+//        batcher's consumers: a free replica pops the next ready batch
+//        itself, so no batch forms ahead of a free replica and waiting work
+//        stays in its lane (counted in queue_depth, cancellable); any
+//        replica serves any model
 //     -> replica scheduler thread r: rebinds its cached per-model
 //        InferenceSession to the batch's handle if needed, pins the handle
 //        against pack eviction (ModelRegistry::pin_for_run), then
@@ -37,13 +39,13 @@
 // eviction/rebuild is bit-identical; asserted in tests/serve_registry_test.cpp
 // against dedicated single-model servers for R in {1, 2, 4}).
 //
-// Lifecycle: stop() (or the destructor) closes the submit queue, *drains*
-// every pending request through normal batches across all replicas, then
-// joins the scheduler threads — no accepted request is ever dropped, and
+// Lifecycle: stop() (or the destructor) closes the batcher; every replica
+// keeps popping batches until the batcher is drained, then the scheduler
+// threads are joined — no accepted request is ever dropped, and
 // requests holding a swapped-out handle still complete on it. Submissions
 // racing past stop() (including kBlock submitters parked on a full queue)
 // resolve with kRejected. cancel(id) removes a request only while it is
-// still queued; once its batch forms it completes normally.
+// still queued; once a replica has popped its batch it completes normally.
 #pragma once
 
 #include <atomic>
@@ -60,7 +62,6 @@
 
 #include "serve/batcher.h"
 #include "serve/result.h"
-#include "serve/router.h"
 #include "serve/stats.h"
 #include "snn/engine.h"
 #include "snn/network.h"
@@ -108,8 +109,8 @@ struct ServeOptions {
 // Thread-safety summary: every public method is safe to call from any thread
 // while the server runs, unless its contract below says otherwise. The
 // internal discipline is annotated under the thread_annotations.h scheme —
-// StatsCollector/MicroBatcher/ReplicaRouter each own a util::Mutex; the
-// server itself holds no lock on the submit path beyond theirs.
+// StatsCollector/MicroBatcher each own a util::Mutex; the server itself
+// holds no lock on the submit path beyond theirs.
 class SnnServer {
  public:
   // Multi-model server over opts.registry (required non-null). Models
@@ -159,12 +160,12 @@ class SnnServer {
                              std::function<void(ServeResult)> on_complete);
 
   // True iff the request was still queued: its future resolves kCancelled.
-  // False once its batch has formed — the result arrives normally.
+  // False once a replica has popped its batch — the result arrives normally.
   // [thread-safe]
   bool cancel(std::uint64_t id);
 
   // Stops accepting, drains everything pending through normal batches on all
-  // replicas, joins dispatcher + schedulers. Idempotent; the destructor
+  // replicas, joins the schedulers. Idempotent; the destructor
   // calls it. [thread-safe; blocks until the drain completes]
   void stop();
 
@@ -206,7 +207,6 @@ class SnnServer {
   // promise otherwise.
   static void deliver(PendingRequest& req, ServeResult result);
 
-  void dispatcher_loop();
   void replica_loop(std::size_t r);
   void run_batch(std::size_t r, std::vector<PendingRequest> batch);
   // Runs batch[begin, end) — a maximal run of requests sharing one handle —
@@ -227,10 +227,11 @@ class SnnServer {
   // arenas stay valid (the pack rebuild is bit-identical).
   std::vector<std::unordered_map<std::string, Bound>> bindings_;
   MicroBatcher batcher_;
-  ReplicaRouter router_;
+  // busy_[r] is true while replica r runs a batch; observability only
+  // (stats()), the batcher's lock orders the actual hand-off.
+  std::vector<std::atomic<bool>> busy_;
   StatsCollector stats_;
   std::atomic<std::uint64_t> next_id_{1};
-  std::thread dispatcher_;
   std::vector<std::thread> schedulers_;
   std::once_flag stopped_;
 };

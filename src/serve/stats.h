@@ -1,9 +1,9 @@
 // Serving-side observability: counters + latency distribution.
 //
 // StatsCollector is the thread-safe sink the server feeds from every thread
-// that touches a request (submitters, the dispatcher, the replica
-// schedulers); ServerStats is the consistent point-in-time snapshot handed
-// to callers. Latencies go through util/latency_histogram.h, so p50/p95 are
+// that touches a request (submitters and the replica schedulers);
+// ServerStats is the consistent point-in-time snapshot handed to callers.
+// Latencies go through util/latency_histogram.h, so p50/p95 are
 // O(1) memory no matter how many requests have been served — one histogram
 // server-wide, one per replica (a slow or starved replica is visible on its
 // own), and one per model (a model whose traffic is being crowded out, or
@@ -91,7 +91,8 @@ class StatsCollector {
   void on_complete(std::size_t replica, const std::string& model, double latency_seconds);
 
   // `queue_depth` comes from the batcher (total and per model lane) and
-  // `busy` flags from the router (they own the respective locks/flags).
+  // `busy` from the server's per-replica flags (each source owns its lock or
+  // flags).
   // Takes mu_ exactly once for the whole snapshot, so every counter, replica
   // slot, and model slot is read at the same instant — a request completing
   // concurrently either appears in ALL derived fields (completed, mean batch

@@ -1,7 +1,7 @@
 // Compile-time concurrency contracts: Clang Thread Safety Analysis macros and
 // the annotated mutex/condvar wrappers every concurrent class in this repo
-// uses (bounded_queue, thread_pool, batcher, stats, registry, SnnNetwork's
-// pack lifecycle).
+// uses (thread_pool, batcher, stats, registry, SnnNetwork's pack
+// lifecycle).
 //
 // The locking discipline that a header comment can only *describe* — "fields
 // guarded by mu_", "helper requires mu_ held" — becomes machine-checked here:
@@ -14,7 +14,7 @@
 // and the wrappers are zero-cost inline forwards to the std primitives, so
 // Release codegen is identical to the pre-annotation code.
 //
-// Usage pattern (see util/bounded_queue.h for the full worked example):
+// Usage pattern (see serve/batcher.h for the full worked example):
 //
 //   class Account {
 //    public:

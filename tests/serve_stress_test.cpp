@@ -1,7 +1,7 @@
 // Concurrency stress tests for SnnServer: many submitter threads race against
-// the batching dispatcher, the replica schedulers and the compute pool, and
-// every returned logit vector must still be bit-identical to a sequential
-// golden on the same input — batching composition, replica routing, arena
+// the replica schedulers popping batches and the compute pool, and every
+// returned logit vector must still be bit-identical to a sequential golden
+// on the same input — batching composition, replica placement, arena
 // reuse and thread interleaving must never leak into results. The event
 // backend is exercised at replica counts 1, 2 and 4 so sharding is covered by
 // the same goldens as the single-replica path. This suite (with serve_test,
@@ -63,10 +63,10 @@ void expect_rows_equal(const Tensor& got, const float* want, std::int64_t classe
   }
 }
 
-// N threads hammer submit() while the dispatcher forms whatever batch mix the
-// interleaving produces and `replicas` scheduler threads race for the formed
-// batches; each future's logits must equal the sequential golden of its own
-// input bit for bit, whichever replica served it.
+// N threads hammer submit() while `replicas` scheduler threads race to pop
+// whatever batch mix the interleaving produces; each future's logits must
+// equal the sequential golden of its own input bit for bit, whichever
+// replica served it.
 void stress_event_sim(std::int64_t replicas) {
   Rng rng{101};
   const snn::SnnNetwork net = make_net(rng);

@@ -8,15 +8,17 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <future>
 #include <memory>
+#include <mutex>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "cat/logquant.h"
 #include "serve/batcher.h"
-#include "serve/router.h"
 #include "serve/server.h"
 #include "snn/engine.h"
 #include "snn/event_sim.h"
@@ -157,67 +159,86 @@ TEST(MicroBatcher, CloseDrainsInSizeCappedBatchesThenEmpty) {
   EXPECT_TRUE(batcher.pop_batch().empty());  // and stays that way
 }
 
-// --- ReplicaRouter ---
+// Several consumers pop concurrently while producers push across model
+// lanes — the server's shape, with its replica threads as the consumers.
+// Each request's id is its position in its lane's push order (a per-lane
+// test mutex makes that the lane's FIFO order), so per-lane FIFO shows up as
+// every batch being a contiguous ascending run of its lane's ids.
+TEST(MicroBatcher, ConcurrentConsumersPopEachRequestOnceFifoPerLane) {
+  constexpr int kProducers = 2;
+  constexpr int kConsumers = 3;
+  constexpr std::size_t kLanes = 3;
+  constexpr int kPerProducer = 300;
+  constexpr std::int64_t kMaxBatch = 4;
+  MicroBatcher batcher{{kMaxBatch, microseconds{200}}};
 
-std::vector<PendingRequest> one_request_batch(std::uint64_t id) {
-  std::vector<PendingRequest> batch;
-  batch.push_back(make_request(id));
-  return batch;
-}
+  std::mutex lane_mu[kLanes];
+  std::uint64_t lane_pushed[kLanes] = {};
+  std::vector<std::thread> producers;
+  for (int p = 0; p < kProducers; ++p) {
+    producers.emplace_back([&, p] {
+      for (int i = 0; i < kPerProducer; ++i) {
+        const std::size_t lane = static_cast<std::size_t>(p + i) % kLanes;
+        const std::lock_guard<std::mutex> lock{lane_mu[lane]};
+        PendingRequest req = make_request(lane_pushed[lane]++);
+        req.model_id = std::to_string(lane);
+        ASSERT_EQ(batcher.push(req), PushOutcome::kQueued);
+      }
+    });
+  }
 
-TEST(ReplicaRouter, HandsBatchesToAcquirersFifo) {
-  ReplicaRouter router{2, 2};
-  ASSERT_TRUE(router.dispatch(one_request_batch(1)));
-  ASSERT_TRUE(router.dispatch(one_request_batch(2)));
-  EXPECT_EQ(router.staged(), 2U);
-  auto first = router.acquire(0);
-  auto second = router.acquire(1);
-  ASSERT_TRUE(first.has_value() && second.has_value());
-  EXPECT_EQ(first->front().id, 1U);   // FIFO across the hand-off
-  EXPECT_EQ(second->front().id, 2U);
-  EXPECT_TRUE(router.busy(0));
-  EXPECT_TRUE(router.busy(1));
-  EXPECT_EQ(router.busy_count(), 2U);
-  router.close();
-  EXPECT_FALSE(router.acquire(0).has_value());  // drained: shutdown signal
-  EXPECT_FALSE(router.busy(0));                 // acquiring clears busy first
-  // Promises were never served in this unit test; resolve them so the
-  // futures (none taken) don't report broken promises on destruction.
-  first->front().promise.set_value(ServeResult{});
-  second->front().promise.set_value(ServeResult{});
-}
+  struct Popped {
+    std::size_t lane = 0;
+    std::vector<std::uint64_t> ids;
+  };
+  std::mutex popped_mu;
+  std::vector<Popped> popped;
+  std::atomic<int> shutdown_signals{0};
+  std::vector<std::thread> consumers;
+  for (int c = 0; c < kConsumers; ++c) {
+    consumers.emplace_back([&] {
+      for (;;) {
+        std::vector<PendingRequest> batch = batcher.pop_batch();
+        if (batch.empty()) {
+          shutdown_signals.fetch_add(1);
+          return;
+        }
+        Popped got;
+        got.lane = std::stoul(batch.front().model_id);
+        for (const PendingRequest& req : batch) {
+          EXPECT_EQ(req.model_id, batch.front().model_id) << "batch mixes models";
+          got.ids.push_back(req.id);
+        }
+        const std::lock_guard<std::mutex> lock{popped_mu};
+        popped.push_back(std::move(got));
+      }
+    });
+  }
+  for (std::thread& t : producers) t.join();
+  batcher.close();
+  for (std::thread& t : consumers) t.join();
+  // close() reaches every consumer: each one gets the empty shutdown batch.
+  EXPECT_EQ(shutdown_signals.load(), kConsumers);
+  EXPECT_EQ(batcher.depth(), 0U);
 
-TEST(ReplicaRouter, CloseDrainsStagedBatchesBeforeShutdownSignal) {
-  ReplicaRouter router{1, 4};
-  ASSERT_TRUE(router.dispatch(one_request_batch(7)));
-  router.close();
-  EXPECT_FALSE(router.dispatch(one_request_batch(8)));  // refused after close
-  auto staged = router.acquire(0);
-  ASSERT_TRUE(staged.has_value());  // accepted work still flows out
-  EXPECT_EQ(staged->front().id, 7U);
-  EXPECT_FALSE(router.acquire(0).has_value());
-  staged->front().promise.set_value(ServeResult{});
-}
-
-TEST(ReplicaRouter, FullHandOffBlocksDispatcherUntilAcquire) {
-  ReplicaRouter router{1, 1};
-  ASSERT_TRUE(router.dispatch(one_request_batch(1)));
-  std::atomic<bool> dispatched{false};
-  std::thread dispatcher{[&] {
-    ASSERT_TRUE(router.dispatch(one_request_batch(2)));  // parks: hand-off full
-    dispatched.store(true);
-  }};
-  std::this_thread::sleep_for(std::chrono::milliseconds{20});
-  EXPECT_FALSE(dispatched.load());  // still parked
-  auto batch = router.acquire(0);   // frees the slot
-  ASSERT_TRUE(batch.has_value());
-  dispatcher.join();
-  EXPECT_TRUE(dispatched.load());
-  auto second = router.acquire(0);
-  ASSERT_TRUE(second.has_value());
-  router.close();
-  batch->front().promise.set_value(ServeResult{});
-  second->front().promise.set_value(ServeResult{});
+  std::vector<std::vector<int>> times_popped(kLanes);
+  for (std::size_t lane = 0; lane < kLanes; ++lane) times_popped[lane].resize(lane_pushed[lane]);
+  for (const Popped& batch : popped) {
+    ASSERT_LT(batch.lane, kLanes);
+    EXPECT_LE(batch.ids.size(), static_cast<std::size_t>(kMaxBatch));
+    for (std::size_t k = 0; k < batch.ids.size(); ++k) {
+      if (k > 0) {
+        EXPECT_EQ(batch.ids[k], batch.ids[k - 1] + 1) << "lane " << batch.lane << " out of FIFO";
+      }
+      ASSERT_LT(batch.ids[k], lane_pushed[batch.lane]);
+      ++times_popped[batch.lane][batch.ids[k]];
+    }
+  }
+  for (std::size_t lane = 0; lane < kLanes; ++lane) {
+    for (std::size_t id = 0; id < times_popped[lane].size(); ++id) {
+      EXPECT_EQ(times_popped[lane][id], 1) << "lane " << lane << " request " << id;
+    }
+  }
 }
 
 // --- SnnServer ---
@@ -303,17 +324,15 @@ TEST(SnnServer, ReplicaShardedServesBitIdentical) {
   EXPECT_EQ(batches, stats.batches_formed);
 }
 
-// A caller-defined backend: decorates a stock backend with a per-sample call
-// counter. Proves ServeOptions::backend is genuine polymorphic injection — the
-// server runs whatever realization it is handed, with results identical to
-// the wrapped backend's own. A decorator forwards the four pack hooks, so it
-// keeps whichever pack (float or quantized) the wrapped backend runs on.
-class CountingBackend final : public snn::InferenceBackend {
+// Caller-defined backends: decorators over a stock backend. A decorator
+// forwards the four pack hooks, so it keeps whichever pack (float or
+// quantized) the wrapped backend runs on; subclasses hook run_sample.
+class ForwardingBackend : public snn::InferenceBackend {
  public:
-  explicit CountingBackend(std::shared_ptr<const snn::InferenceBackend> inner)
+  explicit ForwardingBackend(std::shared_ptr<const snn::InferenceBackend> inner)
       : inner_{std::move(inner)} {}
 
-  std::string name() const override { return "counting"; }
+  std::string name() const override { return inner_->name(); }
   bool uses_arena() const override { return inner_->uses_arena(); }
   void ensure_ready(const snn::SnnNetwork& net) const override { inner_->ensure_ready(net); }
   bool has_resident_pack() const override { return inner_->has_resident_pack(); }
@@ -323,14 +342,76 @@ class CountingBackend final : public snn::InferenceBackend {
   void release_pack(const snn::SnnNetwork& net) const override { inner_->release_pack(net); }
   void run_sample(const snn::SnnNetwork& net, const snn::BatchView& batch, std::int64_t i,
                   snn::SimArena& arena, const snn::SampleSlots& slots) const override {
-    samples_run_.fetch_add(1, std::memory_order_relaxed);
     inner_->run_sample(net, batch, i, arena, slots);
+  }
+
+ private:
+  std::shared_ptr<const snn::InferenceBackend> inner_;
+};
+
+// Counts samples run. Proves ServeOptions::backend is genuine polymorphic
+// injection — the server runs whatever realization it is handed, with
+// results identical to the wrapped backend's own.
+class CountingBackend final : public ForwardingBackend {
+ public:
+  using ForwardingBackend::ForwardingBackend;
+
+  std::string name() const override { return "counting"; }
+  void run_sample(const snn::SnnNetwork& net, const snn::BatchView& batch, std::int64_t i,
+                  snn::SimArena& arena, const snn::SampleSlots& slots) const override {
+    samples_run_.fetch_add(1, std::memory_order_relaxed);
+    ForwardingBackend::run_sample(net, batch, i, arena, slots);
   }
   std::int64_t samples_run() const { return samples_run_.load(std::memory_order_relaxed); }
 
  private:
-  std::shared_ptr<const snn::InferenceBackend> inner_;
   mutable std::atomic<std::int64_t> samples_run_{0};
+};
+
+// Holds every sample at the gate until release(): the replica running it
+// stays busy for as long as the test needs to look at the server.
+class GatedBackend final : public ForwardingBackend {
+ public:
+  using ForwardingBackend::ForwardingBackend;
+
+  void run_sample(const snn::SnnNetwork& net, const snn::BatchView& batch, std::int64_t i,
+                  snn::SimArena& arena, const snn::SampleSlots& slots) const override {
+    {
+      std::unique_lock<std::mutex> lock{mu_};
+      entered_ = true;
+      cv_.notify_all();
+      cv_.wait(lock, [this] { return open_; });
+    }
+    ForwardingBackend::run_sample(net, batch, i, arena, slots);
+  }
+  void wait_entered() const {
+    std::unique_lock<std::mutex> lock{mu_};
+    cv_.wait(lock, [this] { return entered_; });
+  }
+  void release() const {
+    const std::lock_guard<std::mutex> lock{mu_};
+    open_ = true;
+    cv_.notify_all();
+  }
+
+ private:
+  mutable std::mutex mu_;
+  mutable std::condition_variable cv_;
+  mutable bool entered_ = false;
+  mutable bool open_ = false;
+};
+
+// Throws on any sample whose first pixel is negative (request images are
+// drawn from [0, 1), so the test poisons one by hand).
+class ThrowingBackend final : public ForwardingBackend {
+ public:
+  using ForwardingBackend::ForwardingBackend;
+
+  void run_sample(const snn::SnnNetwork& net, const snn::BatchView& batch, std::int64_t i,
+                  snn::SimArena& arena, const snn::SampleSlots& slots) const override {
+    if (batch.sample(i)[0] < 0.0F) throw std::runtime_error{"poisoned sample"};
+    ForwardingBackend::run_sample(net, batch, i, arena, slots);
+  }
 };
 
 TEST(SnnServer, InjectedCustomBackendServesRequests) {
@@ -375,6 +456,99 @@ TEST(SnnServer, InjectedCustomBackendServesRequests) {
     server.stop();
     EXPECT_EQ(counting->samples_run(), static_cast<std::int64_t>(images.size()));
   }
+}
+
+// With R = 1 and the only replica held inside a batch, the next request
+// must wait in its lane: no batch forms ahead of a free replica, so the
+// request counts in queue_depth and can still be cancelled.
+TEST(SnnServer, WaitingWorkStaysQueuedWhileReplicaIsBusy) {
+  Rng rng{41};
+  const snn::SnnNetwork net = make_net(rng);
+  const auto images = make_images(rng, 2);
+
+  auto gated = std::make_shared<const GatedBackend>(snn::make_backend(snn::BackendKind::kEventSim));
+  ServeOptions opts;
+  opts.max_batch = 1;  // every request is a ready batch the moment it queues
+  opts.backend = gated;
+  SnnServer server{net, {3, 8, 8}, opts};
+  // Opens the gate before the server's destructor joins the replica, so a
+  // failed assertion below ends the test instead of hanging it.
+  const struct OpenGateOnExit {
+    const GatedBackend& gate;
+    ~OpenGateOnExit() { gate.release(); }
+  } open_gate_on_exit{*gated};
+
+  auto running = server.submit(images[0]);
+  gated->wait_entered();
+  EXPECT_TRUE(server.stats().replicas[0].busy);
+
+  auto waiting = server.submit(images[1]);
+  // Staying queued is a negative property, so it is watched over a window:
+  // a consumer that forms batches ahead of a free replica takes the request
+  // within microseconds, long before 20 ms are up.
+  const auto window_end = std::chrono::steady_clock::now() + milliseconds{20};
+  while (std::chrono::steady_clock::now() < window_end) {
+    ASSERT_EQ(server.stats().queue_depth, 1U);
+    std::this_thread::yield();
+  }
+  EXPECT_TRUE(server.cancel(waiting.id));
+  EXPECT_EQ(waiting.result.get().status, RequestStatus::kCancelled);
+
+  gated->release();
+  ServeResult r = running.result.get();
+  ASSERT_EQ(r.status, RequestStatus::kOk);
+  expect_rows_equal(r.logits, snn::run_event_sim(net, images[0]).logits, "gated request");
+  server.stop();
+  const ServerStats stats = server.stats();
+  EXPECT_FALSE(stats.replicas[0].busy);
+  EXPECT_EQ(stats.completed, 1U);
+  EXPECT_EQ(stats.cancelled, 1U);
+}
+
+// A backend that throws fails the whole segment — future consumers see the
+// exception, callback consumers kFailed — and the replica then serves the
+// next request normally, bit-identical to a direct session run.
+TEST(SnnServer, BackendFailureFailsSegmentAndReplicaRecovers) {
+  Rng rng{43};
+  const snn::SnnNetwork net = make_net(rng);
+  auto images = make_images(rng, 4);
+  images[1][0] = -1.0F;  // the poisoned sample
+
+  const std::shared_ptr<const snn::InferenceBackend> inner =
+      snn::make_backend(snn::BackendKind::kEventSim);
+  ServeOptions opts;
+  opts.max_batch = 3;                         // the first three form one batch
+  opts.max_delay = microseconds{60'000'000};  // and the deadline can't split them
+  opts.backend = std::make_shared<const ThrowingBackend>(inner);
+  SnnServer server{net, {3, 8, 8}, opts};
+
+  std::promise<ServeResult> async_result;
+  auto first = server.submit(images[0]);
+  auto poisoned = server.submit(images[1]);
+  server.submit_async(server.default_model(), images[2],
+                      [&async_result](ServeResult r) { async_result.set_value(std::move(r)); });
+  EXPECT_THROW(first.result.get(), std::runtime_error);
+  EXPECT_THROW(poisoned.result.get(), std::runtime_error);
+  EXPECT_EQ(async_result.get_future().get().status, RequestStatus::kFailed);
+
+  // The one replica's next batch: clean samples, served as usual.
+  const std::vector<const Tensor*> clean{&images[0], &images[2], &images[3]};
+  snn::RunOptions golden_opts;
+  golden_opts.logits = false;
+  golden_opts.logit_rows = true;
+  snn::InferenceSession golden{net, inner};
+  const snn::RunResult want = golden.run(snn::BatchView{clean}, golden_opts);
+  std::vector<SnnServer::Submission> subs;
+  for (const Tensor* img : clean) subs.push_back(server.submit(*img));
+  for (std::size_t i = 0; i < subs.size(); ++i) {
+    ServeResult r = subs[i].result.get();
+    ASSERT_EQ(r.status, RequestStatus::kOk) << "request " << i;
+    expect_rows_equal(r.logits, want.logit_rows[i], "request " + std::to_string(i));
+  }
+  server.stop();
+  const ServerStats stats = server.stats();
+  EXPECT_EQ(stats.completed, clean.size());
+  EXPECT_EQ(stats.replicas[0].batches, 2U);
 }
 
 TEST(SnnServer, FifoCompletionWithinBatch) {

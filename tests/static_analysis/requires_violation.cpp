@@ -1,6 +1,6 @@
 // Negative-compile probe: calling a TTFS_REQUIRES(mu_) helper without holding
 // the mutex MUST fail under clang -Werror=thread-safety (the *_locked helper
-// contract used throughout MicroBatcher / ModelRegistry / BoundedQueue).
+// contract used throughout MicroBatcher / ModelRegistry).
 // Compiled by tools/run_static_analysis.py --expect-fail; never built.
 #include "util/thread_annotations.h"
 

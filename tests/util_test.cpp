@@ -6,10 +6,8 @@
 #include <mutex>
 #include <set>
 #include <sstream>
-#include <thread>
 #include <vector>
 
-#include "util/bounded_queue.h"
 #include "util/check.h"
 #include "util/cli.h"
 #include "util/env.h"
@@ -335,205 +333,6 @@ TEST(Cli, ParsesForms) {
 TEST(Env, ScaledPicksQuickByDefault) {
   // TTFS_SCALE unset in the test environment.
   EXPECT_EQ(scaled(3, 100), run_scale() == Scale::kFull ? 100 : 3);
-}
-
-TEST(BoundedQueue, FifoSingleThread) {
-  BoundedQueue<int> q{4};
-  for (int i = 1; i <= 3; ++i) {
-    int v = i;
-    EXPECT_EQ(q.push(v), QueuePush::kOk);
-  }
-  EXPECT_EQ(q.size(), 3U);
-  for (int i = 1; i <= 3; ++i) EXPECT_EQ(q.try_pop().value(), i);
-  EXPECT_FALSE(q.try_pop().has_value());
-}
-
-TEST(BoundedQueue, TryPushRefusesWhenFullAndLeavesValueIntact) {
-  BoundedQueue<std::string> q{2};
-  std::string a = "a", b = "b", c = "c";
-  EXPECT_EQ(q.try_push(a), QueuePush::kOk);
-  EXPECT_EQ(q.try_push(b), QueuePush::kOk);
-  EXPECT_EQ(q.try_push(c), QueuePush::kFull);
-  EXPECT_EQ(c, "c");  // untouched: the caller still owns it
-  EXPECT_EQ(q.try_pop().value(), "a");
-  EXPECT_EQ(q.try_push(c), QueuePush::kOk);
-}
-
-TEST(BoundedQueue, ShedPushEvictsOldest) {
-  BoundedQueue<int> q{2};
-  std::optional<int> shed;
-  int v1 = 1, v2 = 2, v3 = 3, v4 = 4;
-  EXPECT_EQ(q.shed_push(v1, shed), QueuePush::kOk);
-  EXPECT_FALSE(shed.has_value());
-  EXPECT_EQ(q.shed_push(v2, shed), QueuePush::kOk);
-  EXPECT_FALSE(shed.has_value());
-  EXPECT_EQ(q.shed_push(v3, shed), QueuePush::kOk);
-  EXPECT_EQ(shed.value(), 1);  // drop-head: oldest goes first
-  EXPECT_EQ(q.shed_push(v4, shed), QueuePush::kOk);
-  EXPECT_EQ(shed.value(), 2);
-  EXPECT_EQ(q.try_pop().value(), 3);
-  EXPECT_EQ(q.try_pop().value(), 4);
-}
-
-TEST(BoundedQueue, UnboundedNeverRefuses) {
-  BoundedQueue<int> q;  // capacity 0 = unbounded
-  std::optional<int> shed;
-  for (int i = 0; i < 1000; ++i) {
-    int v = i;
-    ASSERT_EQ(i % 2 == 0 ? q.try_push(v) : q.shed_push(v, shed), QueuePush::kOk);
-    ASSERT_FALSE(shed.has_value());
-  }
-  EXPECT_EQ(q.size(), 1000U);
-}
-
-TEST(BoundedQueue, CloseWakesPoppersAfterDrain) {
-  BoundedQueue<int> q{4};
-  int v = 7;
-  ASSERT_EQ(q.push(v), QueuePush::kOk);
-  q.close();
-  int w = 8;
-  EXPECT_EQ(q.push(w), QueuePush::kClosed);
-  EXPECT_EQ(q.try_push(w), QueuePush::kClosed);
-  EXPECT_EQ(q.pop().value(), 7);           // accepted work still drains
-  EXPECT_FALSE(q.pop().has_value());       // then the shutdown signal
-  EXPECT_FALSE(q.try_pop().has_value());
-}
-
-TEST(BoundedQueue, CloseUnblocksParkedPusher) {
-  BoundedQueue<int> q{1};
-  int v = 1;
-  ASSERT_EQ(q.push(v), QueuePush::kOk);
-  std::atomic<int> outcome{-1};
-  std::thread pusher{[&] {
-    int w = 2;
-    outcome.store(static_cast<int>(q.push(w)));  // parks on the full queue
-  }};
-  std::this_thread::sleep_for(std::chrono::milliseconds{20});
-  q.close();
-  pusher.join();
-  EXPECT_EQ(outcome.load(), static_cast<int>(QueuePush::kClosed));
-}
-
-// MPMC stress: every pushed value is popped exactly once across concurrent
-// producers and consumers, with blocking push providing the backpressure.
-TEST(BoundedQueue, ConcurrentProducersConsumersLoseNothing) {
-  constexpr int kProducers = 3;
-  constexpr int kConsumers = 3;
-  constexpr int kPerProducer = 200;
-  BoundedQueue<int> q{4};
-  std::mutex seen_mu;
-  std::multiset<int> seen;
-  std::vector<std::thread> threads;
-  for (int c = 0; c < kConsumers; ++c) {
-    threads.emplace_back([&] {
-      for (;;) {
-        std::optional<int> v = q.pop();
-        if (!v.has_value()) return;
-        const std::lock_guard<std::mutex> lock{seen_mu};
-        seen.insert(*v);
-      }
-    });
-  }
-  std::vector<std::thread> producers;
-  for (int p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&, p] {
-      for (int i = 0; i < kPerProducer; ++i) {
-        int v = p * kPerProducer + i;
-        ASSERT_EQ(q.push(v), QueuePush::kOk);
-      }
-    });
-  }
-  for (auto& t : producers) t.join();
-  q.close();
-  for (auto& t : threads) t.join();
-  ASSERT_EQ(seen.size(), static_cast<std::size_t>(kProducers * kPerProducer));
-  for (int i = 0; i < kProducers * kPerProducer; ++i) {
-    EXPECT_EQ(seen.count(i), 1U) << "value " << i;
-  }
-}
-
-// Every push variant refuses after close() and leaves the caller's value
-// untouched — a refused request must still be resolvable by its owner.
-TEST(BoundedQueue, PushAfterCloseRefusesEveryVariant) {
-  BoundedQueue<std::string> q{2};
-  q.close();
-  std::string a = "a", b = "b", c = "c";
-  std::optional<std::string> shed;
-  EXPECT_EQ(q.push(a), QueuePush::kClosed);
-  EXPECT_EQ(a, "a");
-  EXPECT_EQ(q.try_push(b), QueuePush::kClosed);
-  EXPECT_EQ(b, "b");
-  EXPECT_EQ(q.shed_push(c, shed), QueuePush::kClosed);
-  EXPECT_EQ(c, "c");
-  EXPECT_FALSE(shed.has_value());
-  EXPECT_EQ(q.size(), 0U);
-  q.close();  // idempotent
-  EXPECT_TRUE(q.closed());
-}
-
-// close() must wake EVERY popper parked on an empty queue, not just one —
-// each gets the nullopt shutdown signal.
-TEST(BoundedQueue, CloseWakesAllParkedPoppers) {
-  constexpr int kPoppers = 4;
-  BoundedQueue<int> q{4};
-  std::atomic<int> woke_empty{0};
-  std::vector<std::thread> poppers;
-  poppers.reserve(kPoppers);
-  for (int p = 0; p < kPoppers; ++p) {
-    poppers.emplace_back([&] {
-      if (!q.pop().has_value()) woke_empty.fetch_add(1);
-    });
-  }
-  std::this_thread::sleep_for(std::chrono::milliseconds{20});  // let them park
-  q.close();
-  for (auto& t : poppers) t.join();
-  EXPECT_EQ(woke_empty.load(), kPoppers);
-}
-
-// Racing close() against concurrent pushers of every variant: whatever the
-// interleaving, a value is either refused kClosed (caller keeps it) or
-// admitted kOk and then drained exactly once — nothing is lost or duplicated
-// across the shutdown edge.
-TEST(BoundedQueue, ConcurrentClosePushLosesNothing) {
-  constexpr int kProducers = 4;
-  constexpr int kPerProducer = 100;
-  BoundedQueue<int> q;  // unbounded: only the close race can refuse
-  std::mutex accepted_mu;
-  std::multiset<int> accepted;
-  std::vector<std::thread> producers;
-  producers.reserve(kProducers);
-  for (int p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&, p] {
-      std::optional<int> shed;
-      for (int i = 0; i < kPerProducer; ++i) {
-        int v = p * kPerProducer + i;
-        const int expected = v;
-        QueuePush outcome = QueuePush::kClosed;
-        switch (i % 3) {
-          case 0: outcome = q.push(v); break;
-          case 1: outcome = q.try_push(v); break;
-          default: outcome = q.shed_push(v, shed); break;
-        }
-        ASSERT_FALSE(shed.has_value());  // unbounded never sheds
-        if (outcome == QueuePush::kOk) {
-          const std::lock_guard<std::mutex> lock{accepted_mu};
-          accepted.insert(expected);
-        } else {
-          ASSERT_EQ(outcome, QueuePush::kClosed);
-          ASSERT_EQ(v, expected);  // refused values stay with the caller
-        }
-      }
-    });
-  }
-  std::thread closer{[&] {
-    std::this_thread::sleep_for(std::chrono::microseconds{200});
-    q.close();
-  }};
-  for (auto& t : producers) t.join();
-  closer.join();
-  std::multiset<int> drained;
-  while (auto v = q.pop()) drained.insert(*v);  // closed: drains then nullopt
-  EXPECT_EQ(drained, accepted);
 }
 
 }  // namespace
