@@ -18,9 +18,16 @@
 // The model is cycle-approximate (no DRAM latency stalls — DMA is assumed to
 // overlap compute, as in the paper's dataflow) and charges every op to the
 // TechParams energy table.
+//
+// There is one cost model, SnnProcessorModel::price, which turns a layer
+// geometry plus per-layer activity counts into cycles, energy and DRAM
+// traffic. It has two count sources: run() models the counts from activity
+// fractions (Table 4, the ablations), and hw::price_trace (trace_run.h)
+// measures them off a simulated spike trace.
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -51,6 +58,17 @@ struct ArchConfig {
   double weight_buffer_bits() const {
     return static_cast<double>(pe_groups) * weight_buffer_kb_per_group * 1024.0 * 8.0;
   }
+};
+
+// One layer's activity, the input of the cost model. Pools use only the two
+// spike counts.
+struct LayerCounts {
+  std::int64_t in_spikes = 0;   // unique spikes entering the layer
+  std::int64_t out_spikes = 0;  // spikes its fire phase emits (0 for the output layer)
+  std::int64_t sops = 0;        // synaptic accumulations executed
+  // Input spikes streamed through the PE array, summed over spines. Unset:
+  // every streamed spike drove every active PE of its spine, so sops / PEs.
+  std::optional<double> streamed;
 };
 
 struct EnergyBreakdown {
@@ -103,19 +121,21 @@ class SnnProcessorModel {
  public:
   SnnProcessorModel(ArchConfig arch, TechParams tech) : arch_{arch}, tech_{tech} {}
 
-  // Evaluates one image of `workload`. workload.activity must cover all fire
-  // phases (input + each hidden weighted layer).
+  // Evaluates one image of `workload` with counts modelled from its activity
+  // fractions. workload.activity must cover all fire phases (input + each
+  // hidden weighted layer).
   ProcessorReport run(const NetworkWorkload& workload) const;
+
+  // The cost model: prices one image of `geometry` (its activity is not read)
+  // from `counts`, one entry per layer. The last weighted layer is the output
+  // layer, which never fires.
+  ProcessorReport price(const NetworkWorkload& geometry,
+                        const std::vector<LayerCounts>& counts) const;
 
   // Total die area of this configuration.
   double area_mm2() const;
 
-  const ArchConfig& arch() const { return arch_; }
-  const TechParams& tech() const { return tech_; }
-
  private:
-  double pe_op_energy_pj() const;
-
   ArchConfig arch_;
   TechParams tech_;
 };

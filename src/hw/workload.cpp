@@ -121,51 +121,56 @@ NetworkWorkload vgg16_workload(const std::string& name, std::int64_t image, int 
 
 NetworkWorkload workload_from_snn(const snn::SnnNetwork& net, std::int64_t in_ch,
                                   std::int64_t image, const std::string& name) {
-  NetworkWorkload w;
+  NetworkWorkload w = snn_geometry(net, in_ch, image, image);
   w.name = name;
+  for (std::size_t i = 0; i < w.layers.size(); ++i) w.layers[i].name += std::to_string(i + 1);
+  w.activity = default_activity(w.weighted_layer_count());
+  return w;
+}
+
+NetworkWorkload snn_geometry(const snn::SnnNetwork& net, std::int64_t in_ch, std::int64_t in_h,
+                             std::int64_t in_w) {
+  NetworkWorkload w;
+  w.layers.reserve(net.layers().size());
   std::int64_t ch = in_ch;
-  std::int64_t hw = image;
-  int idx = 1;
+  std::int64_t h = in_h;
+  std::int64_t wd = in_w;
   for (const auto& layer : net.layers()) {
+    LayerWorkload& l = w.layers.emplace_back();
+    l.cin = ch;
+    l.hin = h;
+    l.win = wd;
     if (const auto* conv = std::get_if<snn::SnnConv>(&layer)) {
-      LayerWorkload l;
+      TTFS_CHECK_MSG(conv->weight.dim(2) == conv->weight.dim(3),
+                     "the processor model takes square conv kernels");
       l.kind = LayerKind::kConv;
-      l.name = "conv" + std::to_string(idx++);
-      l.cin = ch;
-      l.hin = l.win = hw;
+      l.name = "conv";
       l.kernel = conv->weight.dim(2);
       l.stride = conv->stride;
       l.pad = conv->pad;
       l.cout = conv->weight.dim(0);
-      l.hout = l.wout = (hw + 2 * l.pad - l.kernel) / l.stride + 1;
-      ch = l.cout;
-      hw = l.hout;
-      w.layers.push_back(l);
+      l.hout = (h + 2 * l.pad - l.kernel) / l.stride + 1;
+      l.wout = (wd + 2 * l.pad - l.kernel) / l.stride + 1;
     } else if (const auto* fc = std::get_if<snn::SnnFc>(&layer)) {
-      LayerWorkload l;
       l.kind = LayerKind::kFc;
-      l.name = "fc" + std::to_string(idx++);
+      l.name = "fc";
       l.cin = fc->weight.dim(1);
       l.cout = fc->weight.dim(0);
       l.hin = l.win = l.hout = l.wout = 1;
-      ch = l.cout;
-      hw = 1;
-      w.layers.push_back(l);
     } else {
       const auto& pool = std::get<snn::SnnPool>(layer);
-      LayerWorkload l;
       l.kind = LayerKind::kPool;
-      l.name = "pool" + std::to_string(idx++);
-      l.cin = l.cout = ch;
-      l.hin = l.win = hw;
+      l.name = "pool";
+      l.cout = ch;
       l.kernel = pool.kernel;
       l.stride = pool.stride;
-      l.hout = l.wout = (hw - pool.kernel) / pool.stride + 1;
-      hw = l.hout;
-      w.layers.push_back(l);
+      l.hout = (h - pool.kernel) / pool.stride + 1;
+      l.wout = (wd - pool.kernel) / pool.stride + 1;
     }
+    ch = l.cout;
+    h = l.hout;
+    wd = l.wout;
   }
-  w.activity = default_activity(w.weighted_layer_count());
   return w;
 }
 

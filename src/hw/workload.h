@@ -48,9 +48,17 @@ struct NetworkWorkload {
 // Canonical VGG-16 (13 conv + 2 FC + classifier) at `image` x `image` x 3.
 NetworkWorkload vgg16_workload(const std::string& name, std::int64_t image, int classes);
 
-// Extracts the workload of a live SnnNetwork given its input geometry.
+// Extracts the workload of a live SnnNetwork on an in_ch x image x image input,
+// with the default activity profile.
 NetworkWorkload workload_from_snn(const snn::SnnNetwork& net, std::int64_t in_ch,
                                   std::int64_t image, const std::string& name);
+
+// The layer walk behind workload_from_snn, on an in_ch x in_h x in_w input,
+// with no activity profile. Layers are named by kind only ("conv", "pool",
+// "fc"): trace pricing walks the geometry once per image, and numbering the
+// names there would cost more than pricing the layers.
+NetworkWorkload snn_geometry(const snn::SnnNetwork& net, std::int64_t in_ch, std::int64_t in_h,
+                             std::int64_t in_w);
 
 // Default activity profile: input pixels fire at `input_rate`; hidden
 // activity decays linearly from `early` to `late` across depth (matches the

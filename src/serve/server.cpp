@@ -238,6 +238,7 @@ void SnnServer::run_batch(std::size_t r, std::vector<PendingRequest> batch) {
 void SnnServer::run_segment(std::size_t r, std::vector<PendingRequest>& batch, std::size_t begin,
                             std::size_t end) {
   const std::shared_ptr<const snn::ModelHandle>& handle = batch[begin].handle;
+  std::size_t unresolved = begin;  // requests before it have their result
   try {
     // Warm + pin first: for the pin's lifetime the pack is resident and
     // cannot be evicted, so the session construction and run below never
@@ -277,7 +278,8 @@ void SnnServer::run_segment(std::size_t r, std::vector<PendingRequest>& batch, s
 
     // FIFO completion within the segment: futures resolve in submission
     // order, latency stamped at resolution.
-    for (std::size_t i = begin; i < end; ++i) {
+    while (unresolved < end) {
+      const std::size_t i = unresolved++;
       const std::size_t idx = i - begin;
       ServeResult res;
       res.status = RequestStatus::kOk;
@@ -291,11 +293,12 @@ void SnnServer::run_segment(std::size_t r, std::vector<PendingRequest>& batch, s
       deliver(batch[i], std::move(res));
     }
   } catch (...) {
-    // A backend failure poisons the whole segment; waiters see the exception
-    // instead of hanging. (Shape mismatches are caught at submit(), so this
-    // is defensive.) Callback consumers cannot rethrow through a future, so
-    // they get a kFailed result instead.
-    for (std::size_t i = begin; i < end; ++i) {
+    // A backend failure poisons the rest of the segment; waiters see the
+    // exception instead of hanging. (Shape mismatches are caught at submit(),
+    // so this is defensive.) Callback consumers cannot rethrow through a
+    // future, so they get a kFailed result instead.
+    for (std::size_t i = unresolved; i < end; ++i) {
+      stats_.on_fail(batch[i].model_id);
       if (batch[i].on_complete) {
         ServeResult res;
         res.status = RequestStatus::kFailed;
@@ -304,11 +307,7 @@ void SnnServer::run_segment(std::size_t r, std::vector<PendingRequest>& batch, s
         batch[i].on_complete(std::move(res));
         continue;
       }
-      try {
-        batch[i].promise.set_exception(std::current_exception());
-      } catch (const std::future_error&) {
-        // already satisfied before the throw — nothing to do
-      }
+      batch[i].promise.set_exception(std::current_exception());
     }
   }
 }

@@ -10,9 +10,9 @@ namespace ttfs::serve {
 std::string ServerStats::describe() const {
   std::ostringstream os;
   os.precision(3);
-  os << "served " << completed << "/" << submitted << " (" << cancelled << " cancelled, "
-     << rejected << " rejected, " << rejected_overload << " overload-rejected, " << shed
-     << " shed) in " << batches_formed << " batches (mean " << mean_batch_size << ") on "
+  os << "served " << completed << "/" << submitted << " (" << failed << " failed, " << cancelled
+     << " cancelled, " << rejected << " rejected, " << rejected_overload << " overload-rejected, "
+     << shed << " shed) in " << batches_formed << " batches (mean " << mean_batch_size << ") on "
      << replicas.size() << " replica" << (replicas.size() == 1 ? "" : "s") << " x "
      << models.size() << " model" << (models.size() == 1 ? "" : "s") << ", p50 "
      << latency_p50_ms << "ms p95 " << latency_p95_ms << "ms";
@@ -50,6 +50,12 @@ void StatsCollector::on_shed(const std::string& model) {
   ++models_[model].shed;
 }
 
+void StatsCollector::on_fail(const std::string& model) {
+  const util::MutexLock lock{mu_};
+  ++failed_;
+  ++models_[model].failed;
+}
+
 void StatsCollector::on_batch(std::size_t replica, const std::string& model) {
   const util::MutexLock lock{mu_};
   ++batches_;
@@ -76,6 +82,7 @@ ServerStats StatsCollector::snapshot(std::size_t queue_depth, const std::vector<
   ServerStats s;
   s.submitted = submitted_;
   s.completed = completed_;
+  s.failed = failed_;
   s.cancelled = cancelled_;
   s.rejected = rejected_;
   s.rejected_overload = rejected_overload_;
@@ -108,6 +115,7 @@ ServerStats StatsCollector::snapshot(std::size_t queue_depth, const std::vector<
     out.id = id;
     out.submitted = slot.submitted;
     out.completed = slot.completed;
+    out.failed = slot.failed;
     out.shed = slot.shed;
     out.batches = slot.batches;
     out.mean_batch_size = slot.batches == 0 ? 0.0

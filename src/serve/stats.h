@@ -39,6 +39,7 @@ struct ModelStats {
   std::string id;
   std::uint64_t submitted = 0;   // submit() calls naming this model
   std::uint64_t completed = 0;   // requests served under this model
+  std::uint64_t failed = 0;      // its requests failed by a backend error
   std::uint64_t shed = 0;        // this model's requests evicted (kShedOldest)
   std::uint64_t batches = 0;     // batches formed from this model's lane
   double mean_batch_size = 0.0;  // completed / batches
@@ -50,6 +51,7 @@ struct ModelStats {
 struct ServerStats {
   std::uint64_t submitted = 0;          // all submit() calls (refused included)
   std::uint64_t completed = 0;          // served with logits
+  std::uint64_t failed = 0;             // backend error: exception or kFailed result
   std::uint64_t cancelled = 0;          // removed before batch formation
   std::uint64_t rejected = 0;           // refused: shutdown began or unknown model
   std::uint64_t rejected_overload = 0;  // refused: queue full (kRejectWhenFull)
@@ -65,7 +67,7 @@ struct ServerStats {
                                         // sorted by id
 
   // One line for logs/demos, e.g.
-  // "served 96/96 (0 cancelled, 0 rejected, 0 overload-rejected, 0 shed) in
+  // "served 96/96 (0 failed, 0 cancelled, 0 rejected, 0 overload-rejected, 0 shed) in
   //  12 batches (mean 8.0) on 2 replicas x 3 models, p50 1.93ms p95 3.1ms".
   std::string describe() const;
 };
@@ -84,6 +86,7 @@ class StatsCollector {
   void on_reject();                          // refused: shutdown or unknown model
   void on_reject_overload();                 // refused: full queue (kRejectWhenFull)
   void on_shed(const std::string& model);    // evicted oldest-first (kShedOldest)
+  void on_fail(const std::string& model);    // resolved by a backend failure
   // A batch from `model`'s lane started on `replica`. [thread-safe]
   void on_batch(std::size_t replica, const std::string& model);
   // One request served: feeds the global, per-replica and per-model latency
@@ -110,6 +113,7 @@ class StatsCollector {
   struct ModelSlot {
     std::uint64_t submitted = 0;
     std::uint64_t completed = 0;
+    std::uint64_t failed = 0;
     std::uint64_t shed = 0;
     std::uint64_t batches = 0;
     LatencyHistogram latency;
@@ -118,6 +122,7 @@ class StatsCollector {
   mutable util::Mutex mu_;
   std::uint64_t submitted_ TTFS_GUARDED_BY(mu_) = 0;
   std::uint64_t completed_ TTFS_GUARDED_BY(mu_) = 0;
+  std::uint64_t failed_ TTFS_GUARDED_BY(mu_) = 0;
   std::uint64_t cancelled_ TTFS_GUARDED_BY(mu_) = 0;
   std::uint64_t rejected_ TTFS_GUARDED_BY(mu_) = 0;
   std::uint64_t rejected_overload_ TTFS_GUARDED_BY(mu_) = 0;

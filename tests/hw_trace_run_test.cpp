@@ -143,5 +143,35 @@ TEST(TraceRun, SilentNetworkCostsLittle) {
   EXPECT_EQ(r.layers.back().sops, 0);
 }
 
+TEST(TraceRun, RejectsATraceOfAnotherNet) {
+  // A one-FC net's trace has a single phase; pricing it against the
+  // conv-pool-conv-fc net must throw instead of reading past its end.
+  Rng rng{404};
+  snn::SnnNetwork fc_only{snn::Base2Kernel{24, 4.0, 1.0}};
+  fc_only.add_fc(random_tensor({5, 3 * 12 * 12}, rng, -0.04F, 0.06F), Tensor{{5}});
+  const snn::SnnNetwork net = make_net(rng);
+  const Tensor img = random_tensor({3, 12, 12}, rng, 0.0F, 1.0F);
+  const SnnProcessorModel model{ArchConfig{}, default_tech()};
+
+  EXPECT_THROW(price_trace(model, net, snn::run_event_sim(fc_only, img), 12, 12),
+               std::invalid_argument);
+  EXPECT_THROW(price_trace(model, fc_only, snn::run_event_sim(net, img), 12, 12),
+               std::invalid_argument);
+}
+
+TEST(TraceRun, RejectsTheWrongInputSize) {
+  Rng rng{405};
+  const snn::SnnNetwork net = make_net(rng);
+  const snn::EventTrace trace =
+      snn::run_event_sim(net, random_tensor({3, 12, 12}, rng, 0.0F, 1.0F));
+  const SnnProcessorModel model{ArchConfig{}, default_tech()};
+  EXPECT_NO_THROW(price_trace(model, net, trace, 12, 12));
+  const std::int64_t wrong[][2] = {{6, 6}, {12, 6}, {16, 12}, {24, 24}, {0, 12}, {12, -1}};
+  for (const auto& hw : wrong) {
+    EXPECT_THROW(price_trace(model, net, trace, hw[0], hw[1]), std::invalid_argument)
+        << hw[0] << "x" << hw[1];
+  }
+}
+
 }  // namespace
 }  // namespace ttfs::hw

@@ -90,6 +90,9 @@ class TestClient {
       std::vector<std::uint8_t> piece{bytes.begin() + static_cast<std::ptrdiff_t>(off),
                                       bytes.begin() + static_cast<std::ptrdiff_t>(off + n)};
       send_all(piece);
+      // The pause is the input, not a wait for the server: it spaces the
+      // sends so the server's reads see the frame in pieces. The assertions
+      // hold however the pieces coalesce.
       std::this_thread::sleep_for(pause);
     }
   }
@@ -405,16 +408,13 @@ TEST_F(NetWireTest, StopDrainsInFlightResponses) {
     client.send_all(encode_request(static_cast<std::uint64_t>(i), "m0", make_image(7)));
   }
   // The drain contract covers fully parsed frames only, so stop() must not
-  // race the IO thread's first read: wait (bounded) until the server has
-  // parsed at least one frame, then stop with the rest possibly unread.
-  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds{10};
-  while (wire_->stats().requests < 1 && std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds{1});
-  }
-  ASSERT_GE(wire_->stats().requests, 1U) << "no frame parsed within 10 s";
-  std::thread stopper{[this] { wire_->stop(); }};
-  int answered = 0;
+  // race the IO thread's first read: block on the first response (proof the
+  // server parsed a frame), then stop with the rest possibly unread.
   WireResponse resp;
+  ASSERT_TRUE(client.recv_response(&resp)) << "no response within 10 s";
+  EXPECT_EQ(resp.status, WireStatus::kOk);
+  int answered = 1;
+  std::thread stopper{[this] { wire_->stop(); }};
   while (client.recv_response(&resp)) {
     EXPECT_EQ(resp.status, WireStatus::kOk);
     ++answered;
@@ -434,11 +434,10 @@ TEST_F(NetWireTest, StatsCountTheTraffic) {
   client.send_all(encode_request(1, "m0", make_image(7)));
   WireResponse resp;
   ASSERT_TRUE(client.recv_response(&resp));
-  client.close();
-  // accepted is immediate; closed catches up once the IO thread sees EOF.
-  for (int i = 0; i < 100 && wire_->stats().active != 0; ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds{10});
-  }
+  // With nothing owed the server closes its end on our FIN, and it counts
+  // the close before its socket goes: once we read EOF the stats are final.
+  client.shutdown_write();
+  ASSERT_TRUE(client.recv_eof());
   const WireStats stats = wire_->stats();
   EXPECT_EQ(stats.accepted, 1U);
   EXPECT_EQ(stats.closed, 1U);

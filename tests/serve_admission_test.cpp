@@ -202,7 +202,11 @@ TEST(Admission, StopUnblocksParkedSubmitterWithReject) {
     parked.set_value(server.submit(make_image(rng)));
   }};
   // Give the submitter time to park; then stop() must wake it with a clean
-  // rejection while still draining the accepted request.
+  // rejection while still draining the accepted request. No stat shows a
+  // parked submitter, so this is a sleep, not a condition wait. It only
+  // makes the wake-up path the likely one: a submitter that has not parked
+  // by stop() meets the closed queue and gets the same kRejected, so the
+  // assertions below hold in either order.
   std::this_thread::sleep_for(std::chrono::milliseconds{50});
   server.stop();
   submitter.join();

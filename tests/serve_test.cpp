@@ -548,6 +548,12 @@ TEST(SnnServer, BackendFailureFailsSegmentAndReplicaRecovers) {
   server.stop();
   const ServerStats stats = server.stats();
   EXPECT_EQ(stats.completed, clean.size());
+  EXPECT_EQ(stats.failed, 3U);
+  EXPECT_EQ(stats.submitted, stats.completed + stats.failed + stats.cancelled + stats.rejected +
+                                 stats.rejected_overload + stats.shed);
+  ASSERT_EQ(stats.models.size(), 1U);
+  EXPECT_EQ(stats.models[0].failed, 3U);
+  EXPECT_NE(stats.describe().find("3 failed"), std::string::npos) << stats.describe();
   EXPECT_EQ(stats.replicas[0].batches, 2U);
 }
 
