@@ -35,18 +35,6 @@ std::int32_t LogPe::spike_exponent_code(int step) const {
   return -static_cast<std::int32_t>(step) * (std::int32_t{1} << (config_.frac_bits() - config_.p));
 }
 
-double lut_shift_product(const LogPeConfig& config, int sign, std::int32_t exponent_code) {
-  const int f = config.frac_bits();
-  const std::int32_t mask = (1 << f) - 1;
-  // Floor division/modulo so the fractional index is always in [0, 2^f).
-  std::int32_t int_part = exponent_code >> f;
-  const std::int32_t frac = exponent_code & mask;
-  const double lut_value =
-      std::lround(std::exp2(static_cast<double>(frac) / std::exp2(f)) * std::exp2(config.lut_bits)) /
-      std::exp2(config.lut_bits);
-  return sign * std::ldexp(lut_value, int_part);
-}
-
 std::int64_t LogPe::accumulate(int sign, int q, int step) {
   TTFS_CHECK_MSG(sign == 1 || sign == -1 || sign == 0, "sign must be -1/0/1");
   if (sign == 0) return 0;

@@ -9,8 +9,8 @@
 // where LUT holds the 2^f fractional powers 2^(i/2^f) in fixed point. The PE
 // therefore needs one small adder, a 2^f-entry LUT and a barrel shifter —
 // this class reproduces that datapath with integer arithmetic so tests can
-// bound its error against the float reference, and the hardware model can
-// count its operations.
+// bound its error against the float reference and check the quantized
+// simulator's kernels against it add for add.
 #pragma once
 
 #include <cstdint>
@@ -62,9 +62,5 @@ class LogPe {
   std::vector<std::int64_t> lut_;
   std::int64_t acc_ = 0;
 };
-
-// Computes sign * 2^(E / 2^f) through the LUT+shift path, as a double.
-// Standalone helper used by tests and the hardware power model.
-double lut_shift_product(const LogPeConfig& config, int sign, std::int32_t exponent_code);
 
 }  // namespace ttfs::cat

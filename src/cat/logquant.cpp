@@ -46,10 +46,6 @@ double expand_code(const LogQuantCode& code, const LogQuantConfig& config) {
   return code.sign < 0 ? -out : out;
 }
 
-int log_quantize_qmax(double fsr, const LogQuantConfig& config) {
-  return qmax_for_fsr(fsr, config);
-}
-
 double log_quantize_value(double w, double fsr, const LogQuantConfig& config) {
   TTFS_CHECK(config.bits >= 2 && config.z >= 0);
   return quantize_with_qmax(w, qmax_for_fsr(fsr, config), config);

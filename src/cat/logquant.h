@@ -74,9 +74,4 @@ LogQuantCode log_quantize_code(double w, int q_max, const LogQuantConfig& config
 // Expands a code back to the float the quantized tensor stores.
 double expand_code(const LogQuantCode& code, const LogQuantConfig& config);
 
-// Layer anchor: the top exponent code for a given full-scale range (ceil
-// anchor — see the .cpp note). Exposed so packers can reproduce the exact
-// code stream log_quantize_tensor emitted.
-int log_quantize_qmax(double fsr, const LogQuantConfig& config);
-
 }  // namespace ttfs::cat

@@ -20,10 +20,15 @@ ProcessorReport price_trace(const SnnProcessorModel& model, const snn::SnnNetwor
   // the output layer, which never fires: a trace of this net has one phase
   // per layer, phase i holding layer i's input spikes.
   const std::size_t layers = geometry.layers.size();
-  TTFS_CHECK_MSG(layers > 0 && geometry.layers.back().kind != LayerKind::kPool &&
-                     trace.layers.size() == layers,
+  TTFS_CHECK_MSG(layers > 0 && trace.layers.size() == layers,
                  "trace has " << trace.layers.size() << " phases, this " << layers
-                              << "-layer net needs " << layers << " and a weighted last layer");
+                              << "-layer net needs " << layers);
+  // The output layer never fires, so no phase carries its integration ops;
+  // only an fc head's follow from its input spikes.
+  TTFS_CHECK_MSG(geometry.layers.back().kind == LayerKind::kFc,
+                 "output layer " << layers - 1 << " is a " << geometry.layers.back().name
+                                 << ", not fc: the trace does not record the ops of an output "
+                                 << geometry.layers.back().name << ", so it cannot be priced");
 
   std::vector<LayerCounts> counts(layers);
   for (std::size_t i = 0; i < layers; ++i) {

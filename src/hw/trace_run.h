@@ -21,7 +21,8 @@ namespace ttfs::hw {
 // entry per layer, pools included, in network order, named by kind.
 // Throws std::invalid_argument when the trace does not fit: a phase count
 // other than one per layer, or a phase whose neuron count differs from its
-// layer's input. Callers that batch many images through one
+// layer's input. Also throws when the output layer is not fc: the trace does
+// not record an output conv's ops. Callers that batch many images through one
 // snn::InferenceSession (RunOptions::traces) feed each RunResult trace
 // through here.
 ProcessorReport price_trace(const SnnProcessorModel& model, const snn::SnnNetwork& net,

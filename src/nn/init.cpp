@@ -10,8 +10,4 @@ void kaiming_normal(Tensor& w, std::int64_t fan_in, Rng& rng) {
   for (std::int64_t i = 0; i < w.numel(); ++i) w[i] = rng.normal_f(0.0F, stddev);
 }
 
-void uniform_init(Tensor& w, float bound, Rng& rng) {
-  for (std::int64_t i = 0; i < w.numel(); ++i) w[i] = rng.uniform_f(-bound, bound);
-}
-
 }  // namespace ttfs::nn

@@ -11,7 +11,4 @@ namespace ttfs::nn {
 // He/Kaiming normal init for conv/linear weights: N(0, sqrt(2/fan_in)).
 void kaiming_normal(Tensor& w, std::int64_t fan_in, Rng& rng);
 
-// Uniform init in [-bound, bound].
-void uniform_init(Tensor& w, float bound, Rng& rng);
-
 }  // namespace ttfs::nn

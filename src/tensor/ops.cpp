@@ -1,22 +1,6 @@
 #include "tensor/ops.h"
 
-#include <cmath>
-
 namespace ttfs {
-
-void add_inplace(Tensor& y, const Tensor& x) {
-  TTFS_CHECK(y.shape() == x.shape());
-  for (std::int64_t i = 0; i < y.numel(); ++i) y[i] += x[i];
-}
-
-void scale_inplace(Tensor& y, float s) {
-  for (std::int64_t i = 0; i < y.numel(); ++i) y[i] *= s;
-}
-
-void axpy_inplace(Tensor& y, float alpha, const Tensor& x) {
-  TTFS_CHECK(y.shape() == x.shape());
-  for (std::int64_t i = 0; i < y.numel(); ++i) y[i] += alpha * x[i];
-}
 
 float sum(const Tensor& t) {
   double acc = 0.0;
@@ -27,12 +11,6 @@ float sum(const Tensor& t) {
 float mean(const Tensor& t) {
   TTFS_CHECK(t.numel() > 0);
   return sum(t) / static_cast<float>(t.numel());
-}
-
-float max_abs(const Tensor& t) {
-  float best = 0.0F;
-  for (std::int64_t i = 0; i < t.numel(); ++i) best = std::max(best, std::fabs(t[i]));
-  return best;
 }
 
 std::int64_t argmax_row(const Tensor& t, std::int64_t row) {

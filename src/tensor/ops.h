@@ -7,18 +7,8 @@
 
 namespace ttfs {
 
-// y += x (shapes must match).
-void add_inplace(Tensor& y, const Tensor& x);
-
-// y = y * s.
-void scale_inplace(Tensor& y, float s);
-
-// y += alpha * x (axpy; shapes must match).
-void axpy_inplace(Tensor& y, float alpha, const Tensor& x);
-
 float sum(const Tensor& t);
 float mean(const Tensor& t);
-float max_abs(const Tensor& t);
 
 // Index of the maximum element in row `row` of a 2-D tensor.
 std::int64_t argmax_row(const Tensor& t, std::int64_t row);

@@ -32,7 +32,6 @@ class Tensor {
   // Builds a tensor from explicit data; data.size() must match the shape.
   Tensor(std::vector<std::int64_t> shape, std::vector<float> data);
 
-  static Tensor zeros(std::vector<std::int64_t> shape) { return Tensor{std::move(shape)}; }
   static Tensor full(std::vector<std::int64_t> shape, float value);
 
   const std::vector<std::int64_t>& shape() const { return shape_; }

@@ -196,18 +196,6 @@ TEST(LogPe, ZeroSignIsNoop) {
   EXPECT_DOUBLE_EQ(pe.membrane(), 0.0);
 }
 
-TEST(LogPe, LutShiftHelperAgrees) {
-  LogPeConfig cfg;
-  cfg.p = 2;
-  cfg.z = 1;
-  const LogPe pe{cfg};
-  for (std::int32_t code = -40; code <= 8; ++code) {
-    const double direct = lut_shift_product(cfg, 1, code);
-    const double expect = std::exp2(static_cast<double>(code) / 4.0);
-    EXPECT_NEAR(direct, expect, expect * 2e-4) << "code=" << code;
-  }
-}
-
 TEST(LogPe, AccumulatorSaturates) {
   LogPeConfig cfg;
   cfg.acc_int_bits = 4;  // saturate at +-16

@@ -1,7 +1,8 @@
 // Pins the paper-model numbers of src/hw: Table 4's SNN columns, the Fig. 6
-// rows and the trace pricing of one fixed stack and image. The shape tests in
-// hw_test.cpp only bound these loosely, so a refactor of the cost model could
-// move a headline figure and still pass them; this suite fails instead.
+// rows, the trace pricing of one fixed stack and image, and Table 2's VGG-16
+// latency. The shape tests in hw_test.cpp only bound these loosely, so a
+// refactor of the cost model could move a headline figure and still pass
+// them; this suite fails instead.
 //
 // The values were read off the model itself, not the paper (the paper's own
 // figures sit in the benches' "paper" columns). If a change to the model is
@@ -17,6 +18,7 @@
 #include "hw/processor.h"
 #include "hw/trace_run.h"
 #include "hw/workload.h"
+#include "nn/vgg.h"
 #include "snn/event_sim.h"
 #include "snn/network.h"
 #include "util/rng.h"
@@ -112,6 +114,39 @@ TEST(PaperModelPin, PriceTraceOfFixedStackAndImage) {
   const ProcessorReport r = price_trace(model, net, snn::run_event_sim(net, img), 12, 12);
   EXPECT_NEAR(r.total_cycles, 8550, kCyclesTol);
   expect_rel(r.energy_per_image_uj(), 1.3076011000000001, kEnergyRelTol, "traced uJ/image");
+}
+
+TEST(PaperModelPin, Table2Vgg16Latency) {
+  // Table 2: the input encoding takes one window of T steps, then each
+  // weighted layer fires in a window of its own, so VGG-16 answers after
+  // (1 + 16) * T steps. Latency counts layers, not widths: a one-channel
+  // stack of VGG-16's depth stands in for the real net, and nothing trains.
+  const nn::VggSpec spec = nn::vgg16_spec(10);
+  std::size_t weighted = spec.fc_hidden.size() + 1;  // hidden fcs + classifier
+  for (const int c : spec.conv_plan) weighted += c != nn::kPool ? 1 : 0;
+  EXPECT_EQ(weighted, 16U);
+  EXPECT_EQ(vgg16_workload("vgg16-cifar10", 32, 10).weighted_layer_count(), weighted);
+
+  const auto vgg16_deep = [&spec](int window) {
+    snn::SnnNetwork net{snn::Base2Kernel{window, 4.0, 1.0}};
+    std::int64_t side = 32;
+    for (const int c : spec.conv_plan) {
+      if (c == nn::kPool) {
+        net.add_pool(2, 2);
+        side /= 2;
+      } else {
+        net.add_conv(Tensor{{1, 1, 3, 3}}, Tensor{{1}}, 1, 1);
+      }
+    }
+    net.add_fc(Tensor{{1, side * side}}, Tensor{{1}});
+    for (std::size_t i = 1; i < spec.fc_hidden.size(); ++i) net.add_fc(Tensor{{1, 1}}, Tensor{{1}});
+    net.add_fc(Tensor{{spec.classes, 1}}, Tensor{{spec.classes}});
+    return net;
+  };
+  const snn::SnnNetwork t24 = vgg16_deep(24);
+  EXPECT_EQ(t24.weighted_layer_count(), weighted);
+  EXPECT_EQ(t24.latency_timesteps(), 408);
+  EXPECT_EQ(vgg16_deep(48).latency_timesteps(), 816);
 }
 
 }  // namespace

@@ -2,7 +2,6 @@
 
 #include "hw/activity.h"
 #include "hw/area_power.h"
-#include "hw/minfind.h"
 #include "hw/processor.h"
 #include "hw/tpu.h"
 #include "hw/workload.h"
@@ -65,32 +64,6 @@ TEST(Activity, ResampleEndpoints) {
   EXPECT_DOUBLE_EQ(out.front(), 0.9);
   EXPECT_DOUBLE_EQ(out.back(), 0.3);
   for (std::size_t i = 1; i < out.size(); ++i) EXPECT_LE(out[i], out[i - 1] + 1e-12);
-}
-
-TEST(Minfind, MergesSortedQueues) {
-  std::vector<std::vector<snn::Spike>> queues{
-      {{0, 1}, {1, 5}},
-      {{2, 0}, {3, 5}, {4, 9}},
-      {},
-  };
-  const MinfindResult r = minfind_merge(queues, 3);
-  ASSERT_EQ(r.sorted.size(), 5U);
-  for (std::size_t i = 1; i < r.sorted.size(); ++i) {
-    EXPECT_LE(r.sorted[i - 1].step, r.sorted[i].step);
-  }
-  EXPECT_EQ(r.sorted[0].neuron, 2);  // step 0 first
-  EXPECT_EQ(r.cycles, 5 + 3);
-}
-
-TEST(Minfind, RejectsUnsortedQueue) {
-  std::vector<std::vector<snn::Spike>> queues{{{0, 5}, {1, 2}}};
-  EXPECT_THROW(minfind_merge(queues), std::invalid_argument);
-}
-
-TEST(Minfind, EmptyInput) {
-  const MinfindResult r = minfind_merge({});
-  EXPECT_TRUE(r.sorted.empty());
-  EXPECT_EQ(r.cycles, 0);
 }
 
 TEST(Processor, AreaNearPaper) {
@@ -276,17 +249,6 @@ TEST(Processor, PipelinedFpsBoundedBySlowestLayer) {
   std::int64_t slowest = 0;
   for (const auto& l : r.layers) slowest = std::max(slowest, l.cycles);
   EXPECT_NEAR(pipelined, 250e6 / static_cast<double>(slowest), 1.0);
-}
-
-TEST(Minfind, InterleavesByQueueOrderOnTies) {
-  std::vector<std::vector<snn::Spike>> queues{
-      {{10, 3}},
-      {{20, 3}},
-  };
-  const MinfindResult r = minfind_merge(queues, 0);
-  ASSERT_EQ(r.sorted.size(), 2U);
-  EXPECT_EQ(r.sorted[0].neuron, 10);  // queue 0 wins ties
-  EXPECT_EQ(r.sorted[1].neuron, 20);
 }
 
 }  // namespace

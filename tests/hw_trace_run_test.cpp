@@ -2,6 +2,8 @@
 // agree when the analytic model is fed the measured activity profile.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "cat/logquant.h"
 #include "hw/activity.h"
 #include "hw/trace_run.h"
@@ -157,6 +159,25 @@ TEST(TraceRun, RejectsATraceOfAnotherNet) {
                std::invalid_argument);
   EXPECT_THROW(price_trace(model, fc_only, snn::run_event_sim(net, img), 12, 12),
                std::invalid_argument);
+}
+
+TEST(TraceRun, RefusesANetThatEndsInAConv) {
+  // The output layer never fires, so the trace holds no record of its ops;
+  // pricing an output conv with the fc fan-out (in_spikes x cout) would come
+  // out about k^2 low without a word, so price_trace must refuse it.
+  Rng rng{406};
+  snn::SnnNetwork net{snn::Base2Kernel{24, 4.0, 1.0}};
+  net.add_conv(random_tensor({4, 1, 3, 3}, rng, -0.1F, 0.3F), Tensor{{4}}, 1, 1);
+  net.add_conv(random_tensor({2, 4, 3, 3}, rng, -0.1F, 0.3F), Tensor{{2}}, 1, 1);
+  const snn::EventTrace trace = snn::run_event_sim(net, random_tensor({1, 8, 8}, rng, 0.0F, 1.0F));
+  ASSERT_EQ(trace.layers.size(), 2U);
+  ASSERT_FALSE(trace.layers[1].spikes.empty());  // the output conv has spikes to integrate
+  try {
+    (void)price_trace(SnnProcessorModel{ArchConfig{}, default_tech()}, net, trace, 8, 8);
+    ADD_FAILURE() << "priced a net whose output layer is a conv";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string{e.what()}.find("output conv"), std::string::npos) << e.what();
+  }
 }
 
 TEST(TraceRun, RejectsTheWrongInputSize) {
