@@ -128,11 +128,12 @@ struct CellResult {
 };
 
 // One sweep cell: `clients` closed-loop threads push `requests` total through
-// a fresh server; best-of-`reps` wall-clock rate. Every resolved future's
+// a fresh server over a one-model registry; best-of-`reps` wall-clock rate. Every resolved future's
 // latency is recorded into the bench's own histogram right where .get()
 // returns — the quantiles below are measured at future resolution, not from
 // the submitting thread's wall clock.
-CellResult run_cell(const snn::SnnNetwork& net, const std::vector<Tensor>& images,
+CellResult run_cell(const std::shared_ptr<const snn::SnnNetwork>& net,
+                    const std::vector<Tensor>& images,
                     std::shared_ptr<const snn::InferenceBackend> backend,
                     const CellConfig& cfg, int reps) {
   CellResult out;
@@ -144,8 +145,9 @@ CellResult run_cell(const snn::SnnNetwork& net, const std::vector<Tensor>& image
     opts.replicas = cfg.replicas;
     opts.queue_capacity = cfg.queue_cap;
     opts.admission = cfg.admission;
-    opts.backend = backend;
-    serve::SnnServer server{net, {3, 16, 16}, opts};
+    opts.registry = std::make_shared<snn::ModelRegistry>();
+    opts.registry->load("m", net, backend, {3, 16, 16});
+    serve::SnnServer server{opts};
 
     LatencyHistogram resolved;  // enqueue -> complete, fed at .get() return
     std::mutex resolved_mu;
@@ -160,7 +162,7 @@ CellResult run_cell(const snn::SnnNetwork& net, const std::vector<Tensor>& image
         // Client c owns requests c, c+clients, c+2*clients, ...
         for (std::int64_t i = c; i < requests; i += cfg.clients) {
           const auto submitted = std::chrono::steady_clock::now();
-          auto sub = server.submit(images[static_cast<std::size_t>(i)]);
+          auto sub = server.submit("m", images[static_cast<std::size_t>(i)]);
           const serve::ServeResult r = sub.result.get();
           // Enqueue->complete nests inside this thread's submit->get
           // interval by construction; a stamp that exceeds it means the
@@ -383,7 +385,7 @@ int main(int argc, char** argv) {
   }
 
   Rng rng{42};
-  const snn::SnnNetwork net = make_net(rng, kind);
+  const auto net = std::make_shared<const snn::SnnNetwork>(make_net(rng, kind));
   std::vector<Tensor> images;
   images.reserve(static_cast<std::size_t>(requests));
   for (std::int64_t i = 0; i < requests; ++i) {

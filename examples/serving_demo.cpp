@@ -72,20 +72,20 @@ int main(int argc, char** argv) {
 
   // A small random-weight TTFS net on 3x8x8 inputs — the serving layer works
   // the same for a CAT-trained, converted network (see quickstart.cpp).
+  // Every server fronts a ModelRegistry; a single network is a one-model
+  // registry. Any snn::InferenceBackend plugs in at load() — stock or
+  // caller-defined.
   Rng rng{42};
-  const std::shared_ptr<snn::SnnNetwork> net_ptr = make_net(rng, kind);
-  snn::SnnNetwork& net = *net_ptr;
-
+  const std::shared_ptr<const snn::InferenceBackend> backend = snn::make_backend(kind);
   serve::ServeOptions opts;
   opts.max_batch = max_batch;
   opts.max_delay = std::chrono::microseconds{max_delay_us};
   opts.replicas = replicas;  // R sessions over one shared backend
-  // Any snn::InferenceBackend plugs in here — stock or caller-defined.
-  opts.backend = snn::make_backend(kind);
-  serve::SnnServer server{net, {3, 8, 8}, opts};
+  opts.registry = std::make_shared<snn::ModelRegistry>();
+  opts.registry->load("demo", make_net(rng, kind), backend, {3, 8, 8});
+  serve::SnnServer server{opts};
   std::cout << "server up: max_batch=" << max_batch << " max_delay=" << max_delay_us
-            << "us replicas=" << server.replicas() << " backend=" << server.backend().name()
-            << "\n";
+            << "us replicas=" << server.replicas() << " backend=" << backend->name() << "\n";
 
   // Concurrent clients, each submitting its share and printing as results
   // land. Futures make the blocking point explicit per request.
@@ -95,7 +95,7 @@ int main(int argc, char** argv) {
     workers.emplace_back([&, c] {
       Rng image_rng{100 + static_cast<std::uint64_t>(c)};
       for (std::int64_t i = c; i < requests; i += clients) {
-        auto sub = server.submit(random_tensor({3, 8, 8}, image_rng, 0.0F, 1.0F));
+        auto sub = server.submit("demo", random_tensor({3, 8, 8}, image_rng, 0.0F, 1.0F));
         serve::ServeResult r = sub.result.get();
         const std::lock_guard<std::mutex> lock{print_mu};
         std::cout << "  client " << c << " request " << sub.id << ": class " << r.predicted
@@ -110,8 +110,8 @@ int main(int argc, char** argv) {
   // sits in the batcher until we rip it back out.
   serve::ServeOptions slow = opts;
   slow.max_delay = std::chrono::seconds{10};
-  serve::SnnServer slow_server{net, {3, 8, 8}, slow};
-  auto doomed = slow_server.submit(random_tensor({3, 8, 8}, rng, 0.0F, 1.0F));
+  serve::SnnServer slow_server{slow};
+  auto doomed = slow_server.submit("demo", random_tensor({3, 8, 8}, rng, 0.0F, 1.0F));
   std::cout << "cancel(" << doomed.id << ") -> " << std::boolalpha
             << slow_server.cancel(doomed.id)
             << ", status kCancelled=" << (doomed.result.get().status ==
@@ -138,10 +138,10 @@ int main(int argc, char** argv) {
     overload.max_delay = std::chrono::milliseconds{200};
     overload.queue_capacity = 4;
     overload.admission = policy;
-    serve::SnnServer bursty{net, {3, 8, 8}, overload};
+    serve::SnnServer bursty{overload};
     std::vector<serve::SnnServer::Submission> burst;
     for (int i = 0; i < 10; ++i) {
-      burst.push_back(bursty.submit(random_tensor({3, 8, 8}, rng, 0.0F, 1.0F)));
+      burst.push_back(bursty.submit("demo", random_tensor({3, 8, 8}, rng, 0.0F, 1.0F)));
     }
     int ok = 0, refused = 0;
     for (auto& sub : burst) {
@@ -160,12 +160,10 @@ int main(int argc, char** argv) {
   // requests already in flight drain on the OLD weights (their handle lease
   // keeps net + weight pack alive), later submissions run the NEW ones, and
   // every future resolves kOk.
-  const std::shared_ptr<const snn::InferenceBackend> backend = opts.backend;
   auto registry = std::make_shared<snn::ModelRegistry>();
   registry->load("alpha", make_net(rng, kind), backend, {3, 8, 8});
   registry->load("beta", make_net(rng, kind), backend, {3, 8, 8});
   serve::ServeOptions multi = opts;
-  multi.backend = nullptr;  // each registered model carries its own backend
   multi.registry = registry;
   serve::SnnServer zoo{multi};
   std::cout << "multi-model server up: models alpha+beta, replicas=" << zoo.replicas() << "\n";

@@ -44,9 +44,9 @@ PushOutcome MicroBatcher::push(PendingRequest& req, std::optional<PendingRequest
         case AdmissionPolicy::kShedOldest: {
           // Drop-head across lanes: the globally oldest request makes room
           // and is handed back for the caller to resolve as shed. The
-          // out-param is mandatory here — dropping the evicted promise on
-          // the floor would break its future with future_error instead of a
-          // clean kShed result.
+          // out-param is mandatory here — dropping the evicted request on
+          // the floor would never run its callback, leaving its consumer
+          // waiting instead of seeing a clean kShed result.
           TTFS_CHECK_MSG(shed != nullptr,
                          "kShedOldest push needs the shed out-parameter to hand back "
                          "the evicted request");

@@ -31,9 +31,9 @@
 //                       deadline anyway).
 // capacity == 0 means unbounded, which makes the policy moot.
 //
-// The batcher owns nothing but the queue; completing promises (served,
-// cancelled, rejected, shed) is the server's job, which is why cancel() and
-// shed hand the removed request back instead of resolving it.
+// The batcher owns nothing but the queue; completing requests (served,
+// failed, cancelled, rejected, shed) is the server's job, which is why
+// cancel() and shed hand the removed request back instead of resolving it.
 #pragma once
 
 #include <chrono>
@@ -41,7 +41,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <future>
 #include <map>
 #include <memory>
 #include <optional>
@@ -58,26 +57,24 @@ class ModelHandle;
 
 namespace ttfs::serve {
 
-// One queued request, alive from submit() until its promise resolves.
+// One queued request, alive from submit until its callback has run.
 struct PendingRequest {
   std::uint64_t id = 0;
   // Which registry model this request targets. Requests with equal model_id
   // (including the default empty id of direct batcher users) share a lane;
   // different ids never share a batch.
   std::string model_id;
-  // Lease on the resolved model, taken at submit() time: a request pinned to
-  // a handle keeps that network + pack alive until its promise resolves, so
-  // a live swap drains in-flight work on the OLD pack.
+  // Lease on the resolved model, taken at submit time: a request pinned to a
+  // handle keeps that network + pack alive until it resolves, so a live swap
+  // drains in-flight work on the OLD pack.
   std::shared_ptr<const snn::ModelHandle> handle;
   Tensor image;  // (C, H, W)
   std::chrono::steady_clock::time_point enqueued;
-  std::promise<ServeResult> promise;
-  // Exactly one consumer per request: when set (SnnServer::submit_async),
-  // this callback receives the ServeResult INSTEAD of the promise — it runs
-  // on whatever thread resolves the request (a replica scheduler for served
-  // work, the submitter for refusals, the stopping thread for drain
-  // rejections) and must not block. When empty, the promise/future pair is
-  // the consumer as before.
+  // The request's one consumer, invoked exactly once with its ServeResult
+  // (SnnServer::submit wraps a promise in it). It runs on whatever thread
+  // resolves the request — a replica scheduler for served or failed work,
+  // the submitter for refusals, the stopping thread for drain rejections —
+  // and must not block.
   std::function<void(ServeResult)> on_complete;
 };
 
@@ -114,8 +111,7 @@ class MicroBatcher {
   // globally-oldest request under kShedOldest); on kRejectedFull / kClosed
   // `req` is left valid for the caller to resolve. `shed` is mandatory
   // (checked) when the policy is kShedOldest and the queue is bounded — the
-  // evicted request's promise must reach the caller, never be destroyed
-  // unfulfilled.
+  // evicted request must reach the caller, never be destroyed unresolved.
   PushOutcome push(PendingRequest& req, std::optional<PendingRequest>* shed = nullptr);
 
   // Blocks until some lane is ready per the size/delay policy, then pops up

@@ -4,9 +4,10 @@
 // "argmax of a logits row" and "seconds since an enqueue stamp", instead of
 // a copy per call site).
 //
-// Every request submitted to SnnServer resolves to exactly one ServeResult
-// through its future, whatever happens to it — served, cancelled before its
-// batch formed, or rejected because the server was already shut down.
+// Every request submitted to SnnServer resolves to exactly one ServeResult,
+// through its future or its completion callback, whatever happens to it —
+// served, failed in the backend, cancelled before its batch formed, shed, or
+// rejected.
 #pragma once
 
 #include <chrono>
@@ -26,7 +27,7 @@ inline std::int64_t predicted_class(const Tensor& logits_row) {
 }
 
 // Wall-clock seconds from `start` to now — the request-latency stamp used at
-// every promise resolution.
+// every request resolution.
 inline double seconds_since(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
 }
@@ -39,11 +40,8 @@ enum class RequestStatus {
                // or the named model is not in the registry
   kShed,       // admitted but later evicted as the oldest queued request to
                // make room under AdmissionPolicy::kShedOldest
-  kFailed,     // the backend threw while serving the batch. Future-based
-               // submissions never see this — their future rethrows the
-               // backend exception; it exists for the callback path
-               // (SnnServer::submit_async), where a wire front end needs a
-               // value to answer the client with.
+  kFailed,     // the backend threw while serving the request's batch
+               // segment; every request in that segment gets this
 };
 
 struct ServeResult {

@@ -10,41 +10,9 @@ namespace ttfs::serve {
 namespace {
 
 ServeOptions validated(ServeOptions opts) {
-  TTFS_CHECK_MSG(opts.registry != nullptr,
-                 "SnnServer needs a ModelRegistry (use the single-model constructor to get an "
-                 "internal one)");
+  TTFS_CHECK_MSG(opts.registry != nullptr, "SnnServer needs a ModelRegistry");
   TTFS_CHECK_MSG(opts.replicas >= 1, "SnnServer needs at least one replica");
   return opts;
-}
-
-// The single-model constructor funnels into the registry path: one internal
-// registry holding `net` (non-owning — the caller guarantees it outlives the
-// server) under the id "default".
-ServeOptions with_internal_registry(const snn::SnnNetwork& net,
-                                    std::vector<std::int64_t> input_shape, ServeOptions opts) {
-  TTFS_CHECK_MSG(opts.registry == nullptr,
-                 "the single-model constructor builds its own registry; use SnnServer{opts} to "
-                 "front an existing one");
-  opts.registry = std::make_shared<snn::ModelRegistry>();
-  opts.default_model = "default";
-  opts.registry->load(
-      "default", std::shared_ptr<const snn::SnnNetwork>{std::shared_ptr<const void>{}, &net},
-      opts.backend != nullptr ? opts.backend : snn::make_backend(snn::BackendKind::kEventSim),
-      std::move(input_shape));
-  return opts;
-}
-
-// Resolution order for the one-argument submit(): the named default when
-// given (and it must exist at construction), else the sole registered model,
-// else none.
-std::string resolve_default(const ServeOptions& opts) {
-  if (!opts.default_model.empty()) {
-    TTFS_CHECK_MSG(opts.registry->contains(opts.default_model),
-                   "default model '" << opts.default_model << "' is not registered");
-    return opts.default_model;
-  }
-  if (opts.registry->size() == 1) return opts.registry->ids().front();
-  return {};
 }
 
 BatcherOptions batcher_options(const ServeOptions& opts) {
@@ -61,8 +29,6 @@ BatcherOptions batcher_options(const ServeOptions& opts) {
 SnnServer::SnnServer(ServeOptions opts)
     : opts_{validated(std::move(opts))},
       registry_{opts_.registry},
-      default_model_{resolve_default(opts_)},
-      default_seed_{default_model_.empty() ? nullptr : registry_->acquire(default_model_)},
       bindings_(static_cast<std::size_t>(opts_.replicas)),
       batcher_{batcher_options(opts_)},
       busy_(static_cast<std::size_t>(opts_.replicas)),
@@ -72,10 +38,6 @@ SnnServer::SnnServer(ServeOptions opts)
     schedulers_.emplace_back([this, r] { replica_loop(r); });
   }
 }
-
-SnnServer::SnnServer(const snn::SnnNetwork& net, std::vector<std::int64_t> input_shape,
-                     ServeOptions opts)
-    : SnnServer{with_internal_registry(net, std::move(input_shape), std::move(opts))} {}
 
 SnnServer::~SnnServer() { stop(); }
 
@@ -90,65 +52,50 @@ void SnnServer::stop() {
   });
 }
 
-const std::vector<std::int64_t>& SnnServer::input_shape() const {
-  TTFS_CHECK_MSG(default_seed_ != nullptr, "server has no default model");
-  return default_seed_->input_shape();
-}
-
-const snn::InferenceBackend& SnnServer::backend() const {
-  TTFS_CHECK_MSG(default_seed_ != nullptr, "server has no default model");
-  return default_seed_->backend();
-}
-
-SnnServer::Submission SnnServer::submit(Tensor image) {
-  TTFS_CHECK_MSG(!default_model_.empty(),
-                 "submit(image) needs a default model — name one in "
-                 "ServeOptions::default_model or use submit(model_id, image)");
-  return submit(default_model_, std::move(image));
-}
-
 SnnServer::Submission SnnServer::submit(const std::string& model_id, Tensor image) {
-  return enqueue(model_id, std::move(image), nullptr, /*want_future=*/true);
+  // std::function needs a copyable target, so the move-only promise is
+  // shared with the callback.
+  auto promise = std::make_shared<std::promise<ServeResult>>();
+  Submission sub;
+  sub.result = promise->get_future();
+  sub.id = submit_async(model_id, std::move(image),
+                        [promise](ServeResult r) { promise->set_value(std::move(r)); });
+  return sub;
 }
 
 std::uint64_t SnnServer::submit_async(const std::string& model_id, Tensor image,
                                       std::function<void(ServeResult)> on_complete) {
   TTFS_CHECK_MSG(on_complete != nullptr, "submit_async needs a completion callback");
-  return enqueue(model_id, std::move(image), std::move(on_complete), /*want_future=*/false).id;
-}
-
-SnnServer::Submission SnnServer::enqueue(const std::string& model_id, Tensor image,
-                                         std::function<void(ServeResult)> on_complete,
-                                         bool want_future) {
   PendingRequest req;
   req.id = next_id_.fetch_add(1, std::memory_order_relaxed);
   req.model_id = model_id;
   req.image = std::move(image);
   req.enqueued = std::chrono::steady_clock::now();
   req.on_complete = std::move(on_complete);
-
-  Submission sub;
-  sub.id = req.id;
-  if (want_future) sub.result = req.promise.get_future();
-  // Counted before the push: once the request is queued the schedulers can
-  // complete it, and a concurrent stats() snapshot must never see
-  // completed > submitted.
-  stats_.on_submit(model_id);
+  const std::uint64_t id = req.id;
 
   // Resolve the model NOW: the lease pins net + pack lifetime (not residency)
   // to this request, so a swap after this point still drains it on the
   // handle it was admitted under.
   req.handle = registry_->try_acquire(model_id);
+  if (req.handle != nullptr) {
+    // A malformed image throws before it is counted: a request the caller
+    // never got an id for must not stay in `submitted` forever.
+    const std::vector<std::int64_t>& want = req.handle->input_shape();
+    TTFS_CHECK_MSG(req.image.rank() == 3 && req.image.dim(0) == want[0] &&
+                       req.image.dim(1) == want[1] && req.image.dim(2) == want[2],
+                   "request shape " << req.image.shape_str() << " does not match model '"
+                                    << model_id << "' input");
+  }
+  // Counted before the push: once the request is queued the schedulers can
+  // complete it, and a concurrent stats() snapshot must never see
+  // completed > submitted.
+  stats_.on_submit(model_id);
   if (req.handle == nullptr) {
     stats_.on_reject();
     resolve_refused(std::move(req), RequestStatus::kRejected);
-    return sub;
+    return id;
   }
-  const std::vector<std::int64_t>& want = req.handle->input_shape();
-  TTFS_CHECK_MSG(req.image.rank() == 3 && req.image.dim(0) == want[0] &&
-                     req.image.dim(1) == want[1] && req.image.dim(2) == want[2],
-                 "request shape " << req.image.shape_str() << " does not match model '"
-                                  << model_id << "' input");
 
   std::optional<PendingRequest> shed;
   switch (batcher_.push(req, &shed)) {
@@ -171,15 +118,7 @@ SnnServer::Submission SnnServer::enqueue(const std::string& model_id, Tensor ima
       resolve_refused(std::move(req), RequestStatus::kRejected);
       break;
   }
-  return sub;
-}
-
-void SnnServer::deliver(PendingRequest& req, ServeResult result) {
-  if (req.on_complete) {
-    req.on_complete(std::move(result));
-  } else {
-    req.promise.set_value(std::move(result));
-  }
+  return id;
 }
 
 void SnnServer::resolve_refused(PendingRequest req, RequestStatus status) {
@@ -187,7 +126,7 @@ void SnnServer::resolve_refused(PendingRequest req, RequestStatus status) {
   r.status = status;
   r.model_id = std::move(req.model_id);
   r.latency_seconds = seconds_since(req.enqueued);
-  deliver(req, std::move(r));
+  req.on_complete(std::move(r));
 }
 
 bool SnnServer::cancel(std::uint64_t id) {
@@ -198,7 +137,7 @@ bool SnnServer::cancel(std::uint64_t id) {
   r.status = RequestStatus::kCancelled;
   r.model_id = removed->model_id;
   r.latency_seconds = seconds_since(removed->enqueued);
-  deliver(*removed, std::move(r));
+  removed->on_complete(std::move(r));
   return true;
 }
 
@@ -250,13 +189,10 @@ void SnnServer::run_segment(std::size_t r, std::vector<PendingRequest>& batch, s
     std::unordered_map<std::string, Bound>& slots = bindings_[r];
     auto bound = slots.find(handle->id());
     if (bound == slots.end() || bound->second.handle != handle) {
+      // Built right before its first run, so no arena hints: run() grows the
+      // arenas to the chunks the batch uses.
       snn::SessionOptions sopts;
       sopts.pool = opts_.pool;
-      sopts.max_batch_hint = opts_.max_batch;
-      sopts.input_shape = handle->input_shape();
-      // R replica sessions fan out over one pool: each pre-reserves only its
-      // even worker share (see SessionOptions::concurrent_sessions).
-      sopts.concurrent_sessions = opts_.replicas;
       Bound fresh{handle, snn::InferenceSession{handle->net(), handle->backend_ptr(),
                                                 std::move(sopts)}};
       bound = slots.insert_or_assign(handle->id(), std::move(fresh)).first;
@@ -276,7 +212,7 @@ void SnnServer::run_segment(std::size_t r, std::vector<PendingRequest>& batch, s
     ropts.stats = true;
     snn::RunResult run = bound->second.session.run(snn::BatchView{images}, ropts);
 
-    // FIFO completion within the segment: futures resolve in submission
+    // FIFO completion within the segment: requests resolve in submission
     // order, latency stamped at resolution.
     while (unresolved < end) {
       const std::size_t i = unresolved++;
@@ -290,24 +226,19 @@ void SnnServer::run_segment(std::size_t r, std::vector<PendingRequest>& batch, s
       const double latency = seconds_since(batch[i].enqueued);
       res.latency_seconds = latency;
       stats_.on_complete(r, batch[i].model_id, latency);
-      deliver(batch[i], std::move(res));
+      batch[i].on_complete(std::move(res));
     }
   } catch (...) {
-    // A backend failure poisons the rest of the segment; waiters see the
-    // exception instead of hanging. (Shape mismatches are caught at submit(),
-    // so this is defensive.) Callback consumers cannot rethrow through a
-    // future, so they get a kFailed result instead.
+    // A backend failure poisons the rest of the segment: every request in it
+    // resolves kFailed instead of hanging. (Shape mismatches are caught at
+    // submit, so this is the backend's own failure.)
     for (std::size_t i = unresolved; i < end; ++i) {
       stats_.on_fail(batch[i].model_id);
-      if (batch[i].on_complete) {
-        ServeResult res;
-        res.status = RequestStatus::kFailed;
-        res.model_id = batch[i].model_id;
-        res.latency_seconds = seconds_since(batch[i].enqueued);
-        batch[i].on_complete(std::move(res));
-        continue;
-      }
-      batch[i].promise.set_exception(std::current_exception());
+      ServeResult res;
+      res.status = RequestStatus::kFailed;
+      res.model_id = batch[i].model_id;
+      res.latency_seconds = seconds_since(batch[i].enqueued);
+      batch[i].on_complete(std::move(res));
     }
   }
 }

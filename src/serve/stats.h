@@ -37,7 +37,7 @@ struct ReplicaStats {
 // distribution.
 struct ModelStats {
   std::string id;
-  std::uint64_t submitted = 0;   // submit() calls naming this model
+  std::uint64_t submitted = 0;   // counted submits naming this model
   std::uint64_t completed = 0;   // requests served under this model
   std::uint64_t failed = 0;      // its requests failed by a backend error
   std::uint64_t shed = 0;        // this model's requests evicted (kShedOldest)
@@ -49,9 +49,10 @@ struct ModelStats {
 };
 
 struct ServerStats {
-  std::uint64_t submitted = 0;          // all submit() calls (refused included)
+  std::uint64_t submitted = 0;          // accepted submits (refused included; a
+                                        // submit that throws is not counted)
   std::uint64_t completed = 0;          // served with logits
-  std::uint64_t failed = 0;             // backend error: exception or kFailed result
+  std::uint64_t failed = 0;             // backend error: resolved kFailed
   std::uint64_t cancelled = 0;          // removed before batch formation
   std::uint64_t rejected = 0;           // refused: shutdown began or unknown model
   std::uint64_t rejected_overload = 0;  // refused: queue full (kRejectWhenFull)

@@ -263,14 +263,10 @@ InferenceSession::InferenceSession(const SnnNetwork& net,
     // Sized from the pool's worker count directly, not max_chunks(): that
     // helper returns 1 when called *from* a pool worker thread, but runs may
     // later be launched from any non-worker thread, which can use up to
-    // min(max_batch, workers) chunks. When several sibling sessions share
-    // the pool (replica sharding), each pre-reserves only its even share of
-    // the workers — growth on demand covers the skewed interleavings.
+    // min(max_batch, workers) chunks.
     const std::int64_t workers = std::max<std::int64_t>(1, pool_->size());
-    const std::int64_t siblings = std::max<std::int64_t>(1, opts.concurrent_sessions);
-    const std::int64_t share = std::max<std::int64_t>(1, (workers + siblings - 1) / siblings);
     arenas_.resize(
-        static_cast<std::size_t>(std::min<std::int64_t>(opts.max_batch_hint, share)));
+        static_cast<std::size_t>(std::min<std::int64_t>(opts.max_batch_hint, workers)));
     for (SimArena& arena : arenas_) {
       arena.reserve_for(*net_, opts.input_shape[0], opts.input_shape[1], opts.input_shape[2]);
     }

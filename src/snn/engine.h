@@ -271,19 +271,10 @@ struct SessionOptions {
   ThreadPool* pool = nullptr;
   // Optional arena pre-reservation so not even the first run allocates:
   // when both are set (and the backend uses arenas), min(max_batch_hint,
-  // worker share) arenas are reserved for `input_shape` (C, H, W) samples
+  // pool workers) arenas are reserved for `input_shape` (C, H, W) samples
   // at construction. Arenas still grow on demand past the hint.
   std::int64_t max_batch_hint = 0;
   std::vector<std::int64_t> input_shape;
-  // Replica-aware reservation: how many sibling sessions will fan out over
-  // the same pool at the same time (a replica-sharded server runs R replica
-  // sessions against one compute pool). The pool's workers are assumed to
-  // split evenly across concurrent sessions, so each session pre-reserves
-  // for ceil(workers / concurrent_sessions) chunks instead of all workers —
-  // R sessions no longer reserve R x workers arenas up front. Purely a
-  // sizing hint: a session that ends up with more chunks than its share
-  // still grows on demand.
-  std::int64_t concurrent_sessions = 1;
 };
 
 // One caller's handle on (network, backend, pool): owns the per-worker

@@ -157,17 +157,6 @@ SpikeMap SnnNetwork::encode(const Tensor& values) const {
   return map;
 }
 
-Tensor SnnNetwork::decode(const SpikeMap& map) const {
-  std::vector<std::int64_t> shape{1};
-  shape.insert(shape.end(), map.shape.begin(), map.shape.end());
-  Tensor out{shape};
-  for (std::int64_t i = 0; i < out.numel(); ++i) {
-    const int k = map.steps[static_cast<std::size_t>(i)];
-    out[i] = k == kNoSpike ? 0.0F : static_cast<float>(kernel_.level(k));
-  }
-  return out;
-}
-
 namespace {
 
 // Elementwise phi_TTFS over a membrane tensor: the fire-then-decode round trip

@@ -212,9 +212,6 @@ class SnnNetwork {
 
   // Encodes raw values into a SpikeMap (the input generator's job).
   SpikeMap encode(const Tensor& values) const;
-  // Decodes a SpikeMap back to kernel-level values with the given shape
-  // prefixed by a batch dim of 1.
-  Tensor decode(const SpikeMap& map) const;
 
  private:
   Base2Kernel kernel_;

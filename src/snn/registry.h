@@ -17,13 +17,12 @@
 //
 // Handles and swap
 // ----------------
-// A ModelHandle is an immutable bundle (network + backend + input shape +
-// arena-share hint). The registry maps id -> current handle; load() on an
-// existing id is a live SWAP: the map entry flips to the new handle (version
-// bumped) under the registry lock, while every in-flight request keeps its
-// shared_ptr to the old handle — old batches drain on the old pack, and the
-// old network (pack included) is released only when the last reference
-// drops. Nothing running ever observes a half-swapped model.
+// A ModelHandle is an immutable bundle (network + backend + input shape).
+// The registry maps id -> current handle; load() on an existing id is a live
+// SWAP: the map entry flips to the new handle (version bumped) under the
+// registry lock, while every in-flight request keeps its shared_ptr to the
+// old handle — old batches drain on the old pack, and the old network (pack
+// included) is released only when the last reference drops. Nothing running ever observes a half-swapped model.
 //
 // Warm/cold state and the weight-pack cache
 // -----------------------------------------
@@ -75,7 +74,6 @@ class ModelHandle {
   // cached session is bound to a superseded handle.
   std::uint64_t version() const { return version_; }
   const SnnNetwork& net() const { return *net_; }
-  const std::shared_ptr<const SnnNetwork>& net_ptr() const { return net_; }
   const InferenceBackend& backend() const { return *backend_; }
   const std::shared_ptr<const InferenceBackend>& backend_ptr() const { return backend_; }
   // Mandatory (C, H, W) of every request image for this model.

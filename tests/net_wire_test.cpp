@@ -32,26 +32,13 @@
 #include "snn/registry.h"
 #include "util/fd.h"
 #include "util/rng.h"
+#include "serve_test_util.h"
 
 namespace ttfs::net {
 namespace {
 
-Tensor random_tensor(std::vector<std::int64_t> shape, Rng& rng, float lo, float hi) {
-  Tensor t{std::move(shape)};
-  for (std::int64_t i = 0; i < t.numel(); ++i) t[i] = rng.uniform_f(lo, hi);
-  return t;
-}
-
-// Small conv/pool/fc stack on 3x8x8 inputs; cheap enough for TSan runs.
-snn::SnnNetwork make_net(Rng& rng) {
-  snn::SnnNetwork net{snn::Base2Kernel{24, 4.0, 1.0}};
-  net.add_conv(random_tensor({8, 3, 3, 3}, rng, -0.15F, 0.25F),
-               random_tensor({8}, rng, -0.05F, 0.1F), 1, 1);
-  net.add_pool(2, 2);
-  net.add_fc(random_tensor({10, 8 * 4 * 4}, rng, -0.1F, 0.12F),
-             random_tensor({10}, rng, -0.05F, 0.05F));
-  return net;
-}
+using serve::test::make_net;
+using serve::test::random_tensor;
 
 // Blocking loopback client with a receive deadline — a hung server fails the
 // test instead of wedging the suite.
@@ -146,7 +133,6 @@ class NetWireTest : public ::testing::Test {
     opts.max_delay = std::chrono::microseconds{200};
     opts.replicas = 2;
     opts.registry = registry_;
-    opts.default_model = "m0";
     server_ = std::make_unique<serve::SnnServer>(opts);
     WireOptions wopts;
     wopts.idle_timeout = std::chrono::milliseconds{0};  // tests control closes
@@ -269,6 +255,36 @@ TEST_F(NetWireTest, ShapeMismatchAnswersBadRequestAndConnectionSurvives) {
   client.send_all(encode_request(10, "m0", make_image(7)));
   ASSERT_TRUE(client.recv_response(&resp));
   EXPECT_EQ(resp.status, WireStatus::kOk);
+  // The refused frame never entered the serve ledger.
+  const serve::ServerStats stats = server_->stats();
+  EXPECT_EQ(stats.submitted, 1U);
+  EXPECT_EQ(stats.submitted, stats.completed + stats.failed + stats.cancelled + stats.rejected +
+                                 stats.rejected_overload + stats.shed);
+}
+
+TEST_F(NetWireTest, BackendFailureAnswersInternalErrorAndConnectionSurvives) {
+  Rng rng{5};
+  registry_->load("poison", std::make_shared<snn::SnnNetwork>(make_net(rng)),
+                  std::make_shared<const serve::test::ThrowingBackend>(backend_), {3, 8, 8});
+  TestClient client{wire_->port()};
+  Tensor poisoned = make_image(7);
+  poisoned[0] = -1.0F;  // ThrowingBackend fails this sample
+  client.send_all(encode_request(11, "poison", poisoned));
+  WireResponse resp;
+  ASSERT_TRUE(client.recv_response(&resp));
+  EXPECT_EQ(resp.type, MessageType::kError);
+  EXPECT_EQ(resp.status, WireStatus::kInternalError);
+  EXPECT_EQ(resp.request_id, 11U);
+  // Same connection, same model: a clean image is served.
+  client.send_all(encode_request(12, "poison", make_image(7)));
+  ASSERT_TRUE(client.recv_response(&resp));
+  EXPECT_EQ(resp.status, WireStatus::kOk);
+  EXPECT_EQ(resp.request_id, 12U);
+  const serve::ServerStats stats = server_->stats();
+  EXPECT_EQ(stats.failed, 1U);
+  EXPECT_EQ(stats.completed, 1U);
+  EXPECT_EQ(stats.submitted, stats.completed + stats.failed + stats.cancelled + stats.rejected +
+                                 stats.rejected_overload + stats.shed);
 }
 
 // --- per-connection errors: error frame, then close ---
@@ -390,7 +406,6 @@ TEST_F(NetWireTest, HalfCloseStillDeliversPendingResponse) {
 TEST_F(NetWireTest, IdleTimeoutReapsSilentConnections) {
   serve::ServeOptions opts;
   opts.registry = registry_;
-  opts.default_model = "m0";
   serve::SnnServer server{opts};
   WireOptions wopts;
   wopts.idle_timeout = std::chrono::milliseconds{100};

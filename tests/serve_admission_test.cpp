@@ -16,29 +16,17 @@
 #include "snn/engine.h"
 #include "snn/network.h"
 #include "util/rng.h"
+#include "serve_test_util.h"
 
 namespace ttfs::serve {
 namespace {
 
 using std::chrono::microseconds;
 
-Tensor random_tensor(std::vector<std::int64_t> shape, Rng& rng, float lo, float hi) {
-  Tensor t{std::move(shape)};
-  for (std::int64_t i = 0; i < t.numel(); ++i) t[i] = rng.uniform_f(lo, hi);
-  return t;
-}
-
-snn::SnnNetwork make_net(Rng& rng) {
-  snn::SnnNetwork net{snn::Base2Kernel{24, 4.0, 1.0}};
-  net.add_conv(random_tensor({8, 3, 3, 3}, rng, -0.15F, 0.25F),
-               random_tensor({8}, rng, -0.05F, 0.1F), 1, 1);
-  net.add_pool(2, 2);
-  net.add_fc(random_tensor({10, 8 * 4 * 4}, rng, -0.1F, 0.12F),
-             random_tensor({10}, rng, -0.05F, 0.05F));
-  return net;
-}
-
-Tensor make_image(Rng& rng) { return random_tensor({3, 8, 8}, rng, 0.0F, 1.0F); }
+using test::kModel;
+using test::make_image;
+using test::make_net;
+using test::one_model;
 
 // A server whose batcher never flushes on its own: max_batch larger than
 // anything we submit and a 60 s deadline, so the queue state is exactly what
@@ -65,11 +53,11 @@ TEST(AdmissionPolicyNames, RoundTripAndErrors) {
 TEST(Admission, RejectWhenFullRefusesExactlyTheOverflow) {
   Rng rng{41};
   const snn::SnnNetwork net = make_net(rng);
-  SnnServer server{net, {3, 8, 8}, stalled_options(2, AdmissionPolicy::kRejectWhenFull)};
+  SnnServer server{one_model(net, stalled_options(2, AdmissionPolicy::kRejectWhenFull))};
 
-  auto a = server.submit(make_image(rng));  // queued (1/2)
-  auto b = server.submit(make_image(rng));  // queued (2/2)
-  auto c = server.submit(make_image(rng));  // full -> rejected immediately
+  auto a = server.submit(kModel, make_image(rng));  // queued (1/2)
+  auto b = server.submit(kModel, make_image(rng));  // queued (2/2)
+  auto c = server.submit(kModel, make_image(rng));  // full -> rejected immediately
   ASSERT_EQ(c.result.wait_for(std::chrono::seconds{0}), std::future_status::ready);
   ServeResult rc = c.result.get();
   EXPECT_EQ(rc.status, RequestStatus::kRejected);
@@ -90,17 +78,17 @@ TEST(Admission, RejectWhenFullRefusesExactlyTheOverflow) {
 TEST(Admission, CancelUnderFullQueueFreesTheSlot) {
   Rng rng{43};
   const snn::SnnNetwork net = make_net(rng);
-  SnnServer server{net, {3, 8, 8}, stalled_options(2, AdmissionPolicy::kRejectWhenFull)};
+  SnnServer server{one_model(net, stalled_options(2, AdmissionPolicy::kRejectWhenFull))};
 
-  auto a = server.submit(make_image(rng));
-  auto b = server.submit(make_image(rng));
-  EXPECT_EQ(server.submit(make_image(rng)).result.get().status, RequestStatus::kRejected);
+  auto a = server.submit(kModel, make_image(rng));
+  auto b = server.submit(kModel, make_image(rng));
+  EXPECT_EQ(server.submit(kModel, make_image(rng)).result.get().status, RequestStatus::kRejected);
 
   // cancel-while-queued under a full queue: the slot frees and the next
   // submit is admitted again.
   EXPECT_TRUE(server.cancel(a.id));
   EXPECT_EQ(a.result.get().status, RequestStatus::kCancelled);
-  auto d = server.submit(make_image(rng));
+  auto d = server.submit(kModel, make_image(rng));
 
   server.stop();
   EXPECT_EQ(b.result.get().status, RequestStatus::kOk);
@@ -115,12 +103,12 @@ TEST(Admission, CancelUnderFullQueueFreesTheSlot) {
 TEST(Admission, ShedOldestEvictsInFifoOrder) {
   Rng rng{47};
   const snn::SnnNetwork net = make_net(rng);
-  SnnServer server{net, {3, 8, 8}, stalled_options(2, AdmissionPolicy::kShedOldest)};
+  SnnServer server{one_model(net, stalled_options(2, AdmissionPolicy::kShedOldest))};
 
-  auto a = server.submit(make_image(rng));  // oldest
-  auto b = server.submit(make_image(rng));
-  auto c = server.submit(make_image(rng));  // sheds a
-  auto d = server.submit(make_image(rng));  // sheds b
+  auto a = server.submit(kModel, make_image(rng));  // oldest
+  auto b = server.submit(kModel, make_image(rng));
+  auto c = server.submit(kModel, make_image(rng));  // sheds a
+  auto d = server.submit(kModel, make_image(rng));  // sheds b
 
   // Shed futures resolve immediately, oldest first, with kShed.
   ASSERT_EQ(a.result.wait_for(std::chrono::seconds{0}), std::future_status::ready);
@@ -148,10 +136,10 @@ TEST(Admission, ShedOldestEvictsInFifoOrder) {
 TEST(Admission, ShedVictimCannotBeCancelled) {
   Rng rng{53};
   const snn::SnnNetwork net = make_net(rng);
-  SnnServer server{net, {3, 8, 8}, stalled_options(1, AdmissionPolicy::kShedOldest)};
+  SnnServer server{one_model(net, stalled_options(1, AdmissionPolicy::kShedOldest))};
 
-  auto a = server.submit(make_image(rng));
-  auto b = server.submit(make_image(rng));  // sheds a
+  auto a = server.submit(kModel, make_image(rng));
+  auto b = server.submit(kModel, make_image(rng));  // sheds a
   EXPECT_EQ(a.result.get().status, RequestStatus::kShed);
   EXPECT_FALSE(server.cancel(a.id));  // already resolved, not queued
   EXPECT_TRUE(server.cancel(b.id));
@@ -173,12 +161,12 @@ TEST(Admission, BlockParksTheSubmitterUntilSpaceFrees) {
   opts.max_delay = microseconds{500};
   opts.queue_capacity = 1;
   opts.admission = AdmissionPolicy::kBlock;
-  SnnServer server{net, {3, 8, 8}, opts};
+  SnnServer server{one_model(net, opts)};
 
   std::vector<SnnServer::Submission> subs;
   // Single-threaded burst well past capacity: each submit may park until the
   // replica drains the previous request, but every one must be admitted.
-  for (int i = 0; i < 6; ++i) subs.push_back(server.submit(make_image(rng)));
+  for (int i = 0; i < 6; ++i) subs.push_back(server.submit(kModel, make_image(rng)));
   for (auto& sub : subs) EXPECT_EQ(sub.result.get().status, RequestStatus::kOk);
   server.stop();
   const ServerStats stats = server.stats();
@@ -192,14 +180,14 @@ TEST(Admission, BlockParksTheSubmitterUntilSpaceFrees) {
 TEST(Admission, StopUnblocksParkedSubmitterWithReject) {
   Rng rng{61};
   const snn::SnnNetwork net = make_net(rng);
-  SnnServer server{net, {3, 8, 8}, stalled_options(1, AdmissionPolicy::kBlock)};
+  SnnServer server{one_model(net, stalled_options(1, AdmissionPolicy::kBlock))};
 
-  auto a = server.submit(make_image(rng));  // fills the queue; never flushes
+  auto a = server.submit(kModel, make_image(rng));  // fills the queue; never flushes
   std::promise<SnnServer::Submission> parked;
   std::future<SnnServer::Submission> parked_future = parked.get_future();
   std::thread submitter{[&] {
     // Blocks on the full queue until stop() closes it.
-    parked.set_value(server.submit(make_image(rng)));
+    parked.set_value(server.submit(kModel, make_image(rng)));
   }};
   // Give the submitter time to park; then stop() must wake it with a clean
   // rejection while still draining the accepted request. No stat shows a
@@ -228,9 +216,9 @@ TEST(Admission, UnboundedQueueNeverRefuses) {
   for (const AdmissionPolicy policy : {AdmissionPolicy::kBlock,
                                        AdmissionPolicy::kRejectWhenFull,
                                        AdmissionPolicy::kShedOldest}) {
-    SnnServer server{net, {3, 8, 8}, stalled_options(0, policy)};
+    SnnServer server{one_model(net, stalled_options(0, policy))};
     std::vector<SnnServer::Submission> subs;
-    for (int i = 0; i < 10; ++i) subs.push_back(server.submit(make_image(rng)));
+    for (int i = 0; i < 10; ++i) subs.push_back(server.submit(kModel, make_image(rng)));
     EXPECT_EQ(server.stats().queue_depth, 10U) << to_string(policy);
     server.stop();
     for (auto& sub : subs) EXPECT_EQ(sub.result.get().status, RequestStatus::kOk);

@@ -1,7 +1,7 @@
 // Multi-model serving tests: snn::ModelRegistry semantics (load / swap /
 // unload, LRU weight-pack eviction under a byte budget, run pins) and the
 // registry-fronted SnnServer — per-model routing golden-checked against
-// dedicated single-model servers, and live swap under concurrent load.
+// dedicated one-model servers, and live swap under concurrent load.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -19,6 +19,7 @@
 #include "snn/network.h"
 #include "snn/registry.h"
 #include "util/rng.h"
+#include "serve_test_util.h"
 
 namespace ttfs::serve {
 namespace {
@@ -288,7 +289,7 @@ TEST(ModelRegistry, QuantizedBackendShrinksWarmBytesAndEvictsCleanly) {
 // --- Registry-fronted SnnServer ---
 
 // One server hosting three differently-shaped models must return
-// bit-identical logits per model to three dedicated single-model servers,
+// bit-identical logits per model to three dedicated one-model servers,
 // whatever the replica count.
 TEST(ServeRegistry, MultiModelMatchesDedicatedServers) {
   Rng rng{23};
@@ -302,16 +303,15 @@ TEST(ServeRegistry, MultiModelMatchesDedicatedServers) {
   const auto images_b = make_images(rng, {1, 12, 12}, kPerModel);
   const auto images_c = make_images(rng, {2, 6, 6}, kPerModel);
 
-  // Goldens through dedicated single-model servers (the pre-registry path).
+  // Goldens through dedicated servers, each over its own one-model registry.
   auto dedicated_rows = [](const snn::SnnNetwork& net, std::vector<std::int64_t> shape,
                            std::shared_ptr<const snn::InferenceBackend> backend,
                            const std::vector<Tensor>& images) {
     ServeOptions opts;
     opts.max_batch = 4;
-    opts.backend = std::move(backend);
-    SnnServer server{net, std::move(shape), opts};
+    SnnServer server{test::one_model(net, opts, std::move(backend), std::move(shape))};
     std::vector<std::future<ServeResult>> futures;
-    for (const Tensor& img : images) futures.push_back(server.submit(img).result);
+    for (const Tensor& img : images) futures.push_back(server.submit(test::kModel, img).result);
     std::vector<Tensor> rows;
     for (auto& f : futures) {
       ServeResult r = f.get();
@@ -419,7 +419,7 @@ TEST(ServeRegistry, LiveSwapUnderLoadDrainsCleanly) {
   std::size_t matched_old = 0, matched_new = 0;
   for (auto& per_thread : futures) {
     for (auto& [idx, future] : per_thread) {
-      ServeResult r = future.get();  // throws on a failed future — none allowed
+      ServeResult r = future.get();  // kOk only: no request may fail
       ASSERT_EQ(r.status, RequestStatus::kOk);
       if (rows_bitwise_equal(r.logits, golden_old[idx])) {
         ++matched_old;
@@ -455,38 +455,6 @@ TEST(ServeRegistry, UnknownModelResolvesRejected) {
   EXPECT_EQ(result.model_id, "mystery");
   server.stop();
   EXPECT_GE(server.stats().rejected, 1U);
-}
-
-TEST(ServeRegistry, DefaultModelConvenience) {
-  Rng rng{37};
-  const auto reference = snn::make_backend(snn::BackendKind::kReference);
-
-  // Sole model => implicit default; one-argument submit targets it.
-  auto registry = std::make_shared<snn::ModelRegistry>();
-  registry->load("only", make_net_a(rng), reference, {3, 8, 8});
-  ServeOptions opts;
-  opts.registry = registry;
-  SnnServer server{opts};
-  EXPECT_EQ(server.default_model(), "only");
-  EXPECT_EQ(server.input_shape(), (std::vector<std::int64_t>{3, 8, 8}));
-  EXPECT_EQ(server.backend().name(), "reference");
-  auto result = server.submit(random_tensor({3, 8, 8}, rng, 0.0F, 1.0F)).result.get();
-  EXPECT_EQ(result.status, RequestStatus::kOk);
-  EXPECT_EQ(result.model_id, "only");
-
-  // Two models, no named default => the one-argument submit throws; naming
-  // an unknown default at construction throws.
-  registry->load("second", make_net_b(rng), reference, {1, 12, 12});
-  ServeOptions two;
-  two.registry = registry;
-  SnnServer ambiguous{two};
-  EXPECT_TRUE(ambiguous.default_model().empty());
-  EXPECT_THROW((void)ambiguous.submit(random_tensor({3, 8, 8}, rng, 0.0F, 1.0F)),
-               std::invalid_argument);
-  ServeOptions bad;
-  bad.registry = registry;
-  bad.default_model = "missing";
-  EXPECT_THROW(SnnServer{bad}, std::invalid_argument);
 }
 
 TEST(ServeRegistry, ShapeMismatchNamesTheModel) {

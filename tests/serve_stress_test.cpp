@@ -22,6 +22,7 @@
 #include "snn/network.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
+#include "serve_test_util.h"
 
 namespace ttfs::serve {
 namespace {
@@ -30,30 +31,10 @@ constexpr std::int64_t kThreads = 4;       // submitter threads
 constexpr std::int64_t kPerThread = 12;    // requests per submitter
 constexpr std::int64_t kTotal = kThreads * kPerThread;
 
-Tensor random_tensor(std::vector<std::int64_t> shape, Rng& rng, float lo, float hi) {
-  Tensor t{std::move(shape)};
-  for (std::int64_t i = 0; i < t.numel(); ++i) t[i] = rng.uniform_f(lo, hi);
-  return t;
-}
-
-snn::SnnNetwork make_net(Rng& rng) {
-  snn::SnnNetwork net{snn::Base2Kernel{24, 4.0, 1.0}};
-  net.add_conv(random_tensor({8, 3, 3, 3}, rng, -0.15F, 0.25F),
-               random_tensor({8}, rng, -0.05F, 0.1F), 1, 1);
-  net.add_pool(2, 2);
-  net.add_fc(random_tensor({10, 8 * 4 * 4}, rng, -0.1F, 0.12F),
-             random_tensor({10}, rng, -0.05F, 0.05F));
-  return net;
-}
-
-std::vector<Tensor> make_images(Rng& rng, std::int64_t n) {
-  std::vector<Tensor> images;
-  images.reserve(static_cast<std::size_t>(n));
-  for (std::int64_t i = 0; i < n; ++i) {
-    images.push_back(random_tensor({3, 8, 8}, rng, 0.0F, 1.0F));
-  }
-  return images;
-}
+using test::kModel;
+using test::make_images;
+using test::make_net;
+using test::one_model;
 
 void expect_rows_equal(const Tensor& got, const float* want, std::int64_t classes,
                        std::int64_t request) {
@@ -86,9 +67,8 @@ void stress_event_sim(std::int64_t replicas) {
   opts.max_batch = 8;
   opts.max_delay = std::chrono::microseconds{300};
   opts.replicas = replicas;
-  opts.backend = snn::make_backend(snn::BackendKind::kEventSim);
   opts.pool = &compute_pool;
-  SnnServer server{net, {3, 8, 8}, opts};
+  SnnServer server{one_model(net, opts)};
   ASSERT_EQ(server.replicas(), replicas);
 
   std::vector<std::future<ServeResult>> futures(static_cast<std::size_t>(kTotal));
@@ -99,7 +79,7 @@ void stress_event_sim(std::int64_t replicas) {
       for (std::int64_t j = 0; j < kPerThread; ++j) {
         const std::int64_t i = t * kPerThread + j;
         futures[static_cast<std::size_t>(i)] =
-            server.submit(images[static_cast<std::size_t>(i)]).result;
+            server.submit(kModel, images[static_cast<std::size_t>(i)]).result;
       }
     });
   }
@@ -154,7 +134,7 @@ void cancellation_churn(std::int64_t replicas) {
   opts.max_delay = std::chrono::microseconds{200};
   opts.replicas = replicas;
   opts.pool = &compute_pool;
-  SnnServer server{net, {3, 8, 8}, opts};
+  SnnServer server{one_model(net, opts)};
 
   std::vector<std::future<ServeResult>> futures(static_cast<std::size_t>(kTotal));
   std::vector<char> cancel_won(static_cast<std::size_t>(kTotal), 0);
@@ -164,7 +144,7 @@ void cancellation_churn(std::int64_t replicas) {
     submitters.emplace_back([&, t] {
       for (std::int64_t j = 0; j < kPerThread; ++j) {
         const std::int64_t i = t * kPerThread + j;
-        auto sub = server.submit(images[static_cast<std::size_t>(i)]);
+        auto sub = server.submit(kModel, images[static_cast<std::size_t>(i)]);
         futures[static_cast<std::size_t>(i)] = std::move(sub.result);
         if (j % 2 == 1) {  // try to rip every other request back out
           cancel_won[static_cast<std::size_t>(i)] = server.cancel(sub.id) ? 1 : 0;
@@ -217,7 +197,7 @@ TEST(ServeStress, BlockAdmissionUnderConcurrentOverload) {
   opts.queue_capacity = 3;  // far below the offered burst: submitters stall
   opts.admission = AdmissionPolicy::kBlock;
   opts.pool = &compute_pool;
-  SnnServer server{net, {3, 8, 8}, opts};
+  SnnServer server{one_model(net, opts)};
 
   std::vector<std::future<ServeResult>> futures(static_cast<std::size_t>(kTotal));
   std::vector<std::thread> submitters;
@@ -227,7 +207,7 @@ TEST(ServeStress, BlockAdmissionUnderConcurrentOverload) {
       for (std::int64_t j = 0; j < kPerThread; ++j) {
         const std::int64_t i = t * kPerThread + j;
         futures[static_cast<std::size_t>(i)] =
-            server.submit(images[static_cast<std::size_t>(i)]).result;
+            server.submit(kModel, images[static_cast<std::size_t>(i)]).result;
       }
     });
   }

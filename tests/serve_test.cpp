@@ -8,7 +8,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <future>
 #include <memory>
 #include <mutex>
@@ -25,6 +24,7 @@
 #include "snn/network.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
+#include "serve_test_util.h"
 
 namespace ttfs::serve {
 namespace {
@@ -32,31 +32,12 @@ namespace {
 using std::chrono::microseconds;
 using std::chrono::milliseconds;
 
-Tensor random_tensor(std::vector<std::int64_t> shape, Rng& rng, float lo, float hi) {
-  Tensor t{std::move(shape)};
-  for (std::int64_t i = 0; i < t.numel(); ++i) t[i] = rng.uniform_f(lo, hi);
-  return t;
-}
-
-// Small conv/pool/fc stack on 3x8x8 inputs; cheap enough for TSan runs.
-snn::SnnNetwork make_net(Rng& rng) {
-  snn::SnnNetwork net{snn::Base2Kernel{24, 4.0, 1.0}};
-  net.add_conv(random_tensor({8, 3, 3, 3}, rng, -0.15F, 0.25F),
-               random_tensor({8}, rng, -0.05F, 0.1F), 1, 1);
-  net.add_pool(2, 2);
-  net.add_fc(random_tensor({10, 8 * 4 * 4}, rng, -0.1F, 0.12F),
-             random_tensor({10}, rng, -0.05F, 0.05F));
-  return net;
-}
-
-std::vector<Tensor> make_images(Rng& rng, std::int64_t n) {
-  std::vector<Tensor> images;
-  images.reserve(static_cast<std::size_t>(n));
-  for (std::int64_t i = 0; i < n; ++i) {
-    images.push_back(random_tensor({3, 8, 8}, rng, 0.0F, 1.0F));
-  }
-  return images;
-}
+using test::GatedBackend;
+using test::kModel;
+using test::make_images;
+using test::make_net;
+using test::one_model;
+using test::ThrowingBackend;
 
 PendingRequest make_request(std::uint64_t id) {
   PendingRequest req;
@@ -253,12 +234,11 @@ void serve_and_match(ThreadPool* pool) {
   ServeOptions opts;
   opts.max_batch = 4;
   opts.max_delay = microseconds{500};
-  opts.backend = snn::make_backend(snn::BackendKind::kEventSim);
   opts.pool = pool;
-  SnnServer server{net, {3, 8, 8}, opts};
+  SnnServer server{one_model(net, opts)};
 
   for (std::size_t i = 0; i < images.size(); ++i) {
-    auto sub = server.submit(images[i]);
+    auto sub = server.submit(kModel, images[i]);
     ServeResult r = sub.result.get();
     ASSERT_EQ(r.status, RequestStatus::kOk) << "request " << i;
     expect_rows_equal(r.logits, snn::run_event_sim(net, images[i]).logits,
@@ -297,11 +277,11 @@ TEST(SnnServer, ReplicaShardedServesBitIdentical) {
   opts.max_batch = 2;
   opts.max_delay = microseconds{200};
   opts.replicas = 3;
-  SnnServer server{net, {3, 8, 8}, opts};
+  SnnServer server{one_model(net, opts)};
   EXPECT_EQ(server.replicas(), 3);
 
   std::vector<SnnServer::Submission> subs;
-  for (const Tensor& img : images) subs.push_back(server.submit(img));
+  for (const Tensor& img : images) subs.push_back(server.submit(kModel, img));
   for (std::size_t i = 0; i < subs.size(); ++i) {
     ServeResult r = subs[i].result.get();
     ASSERT_EQ(r.status, RequestStatus::kOk) << "request " << i;
@@ -324,35 +304,10 @@ TEST(SnnServer, ReplicaShardedServesBitIdentical) {
   EXPECT_EQ(batches, stats.batches_formed);
 }
 
-// Caller-defined backends: decorators over a stock backend. A decorator
-// forwards the four pack hooks, so it keeps whichever pack (float or
-// quantized) the wrapped backend runs on; subclasses hook run_sample.
-class ForwardingBackend : public snn::InferenceBackend {
- public:
-  explicit ForwardingBackend(std::shared_ptr<const snn::InferenceBackend> inner)
-      : inner_{std::move(inner)} {}
-
-  std::string name() const override { return inner_->name(); }
-  bool uses_arena() const override { return inner_->uses_arena(); }
-  void ensure_ready(const snn::SnnNetwork& net) const override { inner_->ensure_ready(net); }
-  bool has_resident_pack() const override { return inner_->has_resident_pack(); }
-  std::size_t resident_pack_bytes(const snn::SnnNetwork& net) const override {
-    return inner_->resident_pack_bytes(net);
-  }
-  void release_pack(const snn::SnnNetwork& net) const override { inner_->release_pack(net); }
-  void run_sample(const snn::SnnNetwork& net, const snn::BatchView& batch, std::int64_t i,
-                  snn::SimArena& arena, const snn::SampleSlots& slots) const override {
-    inner_->run_sample(net, batch, i, arena, slots);
-  }
-
- private:
-  std::shared_ptr<const snn::InferenceBackend> inner_;
-};
-
-// Counts samples run. Proves ServeOptions::backend is genuine polymorphic
+// Counts samples run. Proves a registered backend is genuine polymorphic
 // injection — the server runs whatever realization it is handed, with
 // results identical to the wrapped backend's own.
-class CountingBackend final : public ForwardingBackend {
+class CountingBackend final : public test::ForwardingBackend {
  public:
   using ForwardingBackend::ForwardingBackend;
 
@@ -366,52 +321,6 @@ class CountingBackend final : public ForwardingBackend {
 
  private:
   mutable std::atomic<std::int64_t> samples_run_{0};
-};
-
-// Holds every sample at the gate until release(): the replica running it
-// stays busy for as long as the test needs to look at the server.
-class GatedBackend final : public ForwardingBackend {
- public:
-  using ForwardingBackend::ForwardingBackend;
-
-  void run_sample(const snn::SnnNetwork& net, const snn::BatchView& batch, std::int64_t i,
-                  snn::SimArena& arena, const snn::SampleSlots& slots) const override {
-    {
-      std::unique_lock<std::mutex> lock{mu_};
-      entered_ = true;
-      cv_.notify_all();
-      cv_.wait(lock, [this] { return open_; });
-    }
-    ForwardingBackend::run_sample(net, batch, i, arena, slots);
-  }
-  void wait_entered() const {
-    std::unique_lock<std::mutex> lock{mu_};
-    cv_.wait(lock, [this] { return entered_; });
-  }
-  void release() const {
-    const std::lock_guard<std::mutex> lock{mu_};
-    open_ = true;
-    cv_.notify_all();
-  }
-
- private:
-  mutable std::mutex mu_;
-  mutable std::condition_variable cv_;
-  mutable bool entered_ = false;
-  mutable bool open_ = false;
-};
-
-// Throws on any sample whose first pixel is negative (request images are
-// drawn from [0, 1), so the test poisons one by hand).
-class ThrowingBackend final : public ForwardingBackend {
- public:
-  using ForwardingBackend::ForwardingBackend;
-
-  void run_sample(const snn::SnnNetwork& net, const snn::BatchView& batch, std::int64_t i,
-                  snn::SimArena& arena, const snn::SampleSlots& slots) const override {
-    if (batch.sample(i)[0] < 0.0F) throw std::runtime_error{"poisoned sample"};
-    ForwardingBackend::run_sample(net, batch, i, arena, slots);
-  }
 };
 
 TEST(SnnServer, InjectedCustomBackendServesRequests) {
@@ -438,9 +347,8 @@ TEST(SnnServer, InjectedCustomBackendServesRequests) {
     ServeOptions opts;
     opts.max_batch = 2;
     opts.max_delay = microseconds{500};
-    opts.backend = counting;
-    SnnServer server{net, {3, 8, 8}, opts};
-    EXPECT_EQ(server.backend().name(), "counting");
+    SnnServer server{one_model(net, opts, counting)};
+    EXPECT_EQ(server.registry().acquire(kModel)->backend().name(), "counting");
     // The registry warmed the wrapped backend's pack through the forwarded
     // hooks; without them the decorator would default to "no pack".
     const std::size_t pack_bytes = inner->resident_pack_bytes(net);
@@ -448,7 +356,7 @@ TEST(SnnServer, InjectedCustomBackendServesRequests) {
     EXPECT_EQ(server.registry().stats().warm_bytes, pack_bytes);
 
     for (std::size_t i = 0; i < images.size(); ++i) {
-      auto sub = server.submit(images[i]);
+      auto sub = server.submit(kModel, images[i]);
       ServeResult r = sub.result.get();
       ASSERT_EQ(r.status, RequestStatus::kOk) << "request " << i;
       expect_rows_equal(r.logits, want.logit_rows[i], "request " + std::to_string(i));
@@ -469,8 +377,7 @@ TEST(SnnServer, WaitingWorkStaysQueuedWhileReplicaIsBusy) {
   auto gated = std::make_shared<const GatedBackend>(snn::make_backend(snn::BackendKind::kEventSim));
   ServeOptions opts;
   opts.max_batch = 1;  // every request is a ready batch the moment it queues
-  opts.backend = gated;
-  SnnServer server{net, {3, 8, 8}, opts};
+  SnnServer server{one_model(net, opts, gated)};
   // Opens the gate before the server's destructor joins the replica, so a
   // failed assertion below ends the test instead of hanging it.
   const struct OpenGateOnExit {
@@ -478,11 +385,11 @@ TEST(SnnServer, WaitingWorkStaysQueuedWhileReplicaIsBusy) {
     ~OpenGateOnExit() { gate.release(); }
   } open_gate_on_exit{*gated};
 
-  auto running = server.submit(images[0]);
+  auto running = server.submit(kModel, images[0]);
   gated->wait_entered();
   EXPECT_TRUE(server.stats().replicas[0].busy);
 
-  auto waiting = server.submit(images[1]);
+  auto waiting = server.submit(kModel, images[1]);
   // Staying queued is a negative property, so it is watched over a window:
   // a consumer that forms batches ahead of a free replica takes the request
   // within microseconds, long before 20 ms are up.
@@ -505,9 +412,9 @@ TEST(SnnServer, WaitingWorkStaysQueuedWhileReplicaIsBusy) {
   EXPECT_EQ(stats.cancelled, 1U);
 }
 
-// A backend that throws fails the whole segment — future consumers see the
-// exception, callback consumers kFailed — and the replica then serves the
-// next request normally, bit-identical to a direct session run.
+// A backend that throws fails the whole segment — future and callback
+// consumers alike resolve kFailed — and the replica then serves the next
+// request normally, bit-identical to a direct session run.
 TEST(SnnServer, BackendFailureFailsSegmentAndReplicaRecovers) {
   Rng rng{43};
   const snn::SnnNetwork net = make_net(rng);
@@ -519,17 +426,20 @@ TEST(SnnServer, BackendFailureFailsSegmentAndReplicaRecovers) {
   ServeOptions opts;
   opts.max_batch = 3;                         // the first three form one batch
   opts.max_delay = microseconds{60'000'000};  // and the deadline can't split them
-  opts.backend = std::make_shared<const ThrowingBackend>(inner);
-  SnnServer server{net, {3, 8, 8}, opts};
+  SnnServer server{one_model(net, opts, std::make_shared<const ThrowingBackend>(inner))};
 
   std::promise<ServeResult> async_result;
-  auto first = server.submit(images[0]);
-  auto poisoned = server.submit(images[1]);
-  server.submit_async(server.default_model(), images[2],
+  auto first = server.submit(kModel, images[0]);
+  auto poisoned = server.submit(kModel, images[1]);
+  server.submit_async(kModel, images[2],
                       [&async_result](ServeResult r) { async_result.set_value(std::move(r)); });
-  EXPECT_THROW(first.result.get(), std::runtime_error);
-  EXPECT_THROW(poisoned.result.get(), std::runtime_error);
-  EXPECT_EQ(async_result.get_future().get().status, RequestStatus::kFailed);
+  for (ServeResult r : {first.result.get(), poisoned.result.get(),
+                        async_result.get_future().get()}) {
+    EXPECT_EQ(r.status, RequestStatus::kFailed);
+    EXPECT_EQ(r.model_id, kModel);
+    EXPECT_TRUE(r.logits.empty());
+    EXPECT_EQ(r.predicted, -1);
+  }
 
   // The one replica's next batch: clean samples, served as usual.
   const std::vector<const Tensor*> clean{&images[0], &images[2], &images[3]};
@@ -539,7 +449,7 @@ TEST(SnnServer, BackendFailureFailsSegmentAndReplicaRecovers) {
   snn::InferenceSession golden{net, inner};
   const snn::RunResult want = golden.run(snn::BatchView{clean}, golden_opts);
   std::vector<SnnServer::Submission> subs;
-  for (const Tensor* img : clean) subs.push_back(server.submit(*img));
+  for (const Tensor* img : clean) subs.push_back(server.submit(kModel, *img));
   for (std::size_t i = 0; i < subs.size(); ++i) {
     ServeResult r = subs[i].result.get();
     ASSERT_EQ(r.status, RequestStatus::kOk) << "request " << i;
@@ -565,10 +475,10 @@ TEST(SnnServer, FifoCompletionWithinBatch) {
   ServeOptions opts;
   opts.max_batch = 4;                        // exactly one flush for 4 requests
   opts.max_delay = microseconds{60'000'000};  // deadline can't split them
-  SnnServer server{net, {3, 8, 8}, opts};
+  SnnServer server{one_model(net, opts)};
 
   std::vector<SnnServer::Submission> subs;
-  for (const Tensor& img : images) subs.push_back(server.submit(img));
+  for (const Tensor& img : images) subs.push_back(server.submit(kModel, img));
   // FIFO completion: once the last future of the batch resolves, every
   // earlier one must already be resolved.
   ServeResult last = subs.back().result.get();
@@ -595,9 +505,9 @@ TEST(SnnServer, CancelBeforeBatchFormation) {
   ServeOptions opts;
   opts.max_batch = 8;                     // a single request never size-flushes
   opts.max_delay = microseconds{2'000'000};  // and won't deadline-flush soon
-  SnnServer server{net, {3, 8, 8}, opts};
+  SnnServer server{one_model(net, opts)};
 
-  auto sub = server.submit(images[0]);
+  auto sub = server.submit(kModel, images[0]);
   EXPECT_TRUE(server.cancel(sub.id));
   EXPECT_FALSE(server.cancel(sub.id));  // second cancel finds nothing
   ServeResult r = sub.result.get();
@@ -617,9 +527,9 @@ TEST(SnnServer, CancelAfterCompletionFails) {
 
   ServeOptions opts;
   opts.max_batch = 1;  // flushes the moment it is queued
-  SnnServer server{net, {3, 8, 8}, opts};
+  SnnServer server{one_model(net, opts)};
 
-  auto sub = server.submit(images[0]);
+  auto sub = server.submit(kModel, images[0]);
   ServeResult r = sub.result.get();  // batch formed and served
   ASSERT_EQ(r.status, RequestStatus::kOk);
   EXPECT_FALSE(server.cancel(sub.id));
@@ -634,10 +544,10 @@ TEST(SnnServer, ShutdownDrainsPendingRequests) {
   ServeOptions opts;
   opts.max_batch = 64;                        // nothing size-flushes
   opts.max_delay = microseconds{60'000'000};  // nothing deadline-flushes
-  SnnServer server{net, {3, 8, 8}, opts};
+  SnnServer server{one_model(net, opts)};
 
   std::vector<SnnServer::Submission> subs;
-  for (const Tensor& img : images) subs.push_back(server.submit(img));
+  for (const Tensor& img : images) subs.push_back(server.submit(kModel, img));
   const auto start = std::chrono::steady_clock::now();
   server.stop();  // must drain all 5, not wait out the 60s deadline
   EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds{30});
@@ -657,22 +567,38 @@ TEST(SnnServer, RejectsAfterStop) {
   const snn::SnnNetwork net = make_net(rng);
   const auto images = make_images(rng, 1);
 
-  SnnServer server{net, {3, 8, 8}, {}};
+  SnnServer server{one_model(net)};
   server.stop();
-  auto sub = server.submit(images[0]);
+  auto sub = server.submit(kModel, images[0]);
   ASSERT_EQ(sub.result.wait_for(std::chrono::seconds{0}), std::future_status::ready);
   ServeResult r = sub.result.get();
   EXPECT_EQ(r.status, RequestStatus::kRejected);
   EXPECT_EQ(server.stats().rejected, 1U);
 }
 
+// A submit that throws on a mismatched shape never entered the server: it
+// is not counted in `submitted`, its callback never runs, and the ledger
+// still balances.
 TEST(SnnServer, RejectsWrongShape) {
   Rng rng{29};
   const snn::SnnNetwork net = make_net(rng);
-  SnnServer server{net, {3, 8, 8}, {}};
-  EXPECT_THROW(server.submit(Tensor{{3, 4, 4}}), std::invalid_argument);
-  EXPECT_THROW(server.submit(Tensor{{3 * 8 * 8}}), std::invalid_argument);
+  const auto images = make_images(rng, 1);
+  SnnServer server{one_model(net)};
+  EXPECT_THROW(server.submit(kModel, Tensor{{3, 4, 4}}), std::invalid_argument);
+  bool called = false;
+  EXPECT_THROW(server.submit_async(kModel, Tensor{{3 * 8 * 8}},
+                                   [&called](ServeResult) { called = true; }),
+               std::invalid_argument);
+  EXPECT_EQ(server.stats().submitted, 0U);
+  EXPECT_EQ(server.submit(kModel, images[0]).result.get().status, RequestStatus::kOk);
   server.stop();
+  EXPECT_FALSE(called);
+  const ServerStats stats = server.stats();
+  EXPECT_EQ(stats.submitted, 1U);
+  EXPECT_EQ(stats.submitted, stats.completed + stats.failed + stats.cancelled + stats.rejected +
+                                 stats.rejected_overload + stats.shed);
+  ASSERT_EQ(stats.models.size(), 1U);
+  EXPECT_EQ(stats.models[0].submitted, 1U);
 }
 
 TEST(SnnServer, StatsSnapshotIsConsistent) {
@@ -683,9 +609,9 @@ TEST(SnnServer, StatsSnapshotIsConsistent) {
   ServeOptions opts;
   opts.max_batch = 4;
   opts.max_delay = microseconds{500};
-  SnnServer server{net, {3, 8, 8}, opts};
+  SnnServer server{one_model(net, opts)};
   std::vector<SnnServer::Submission> subs;
-  for (const Tensor& img : images) subs.push_back(server.submit(img));
+  for (const Tensor& img : images) subs.push_back(server.submit(kModel, img));
   for (auto& sub : subs) ASSERT_EQ(sub.result.get().status, RequestStatus::kOk);
   server.stop();
 

@@ -48,9 +48,15 @@ TEST(SnnNetwork, EncodeDecodeRoundTrip) {
   Tensor values = random_tensor({2, 4, 4}, rng, 0.0F, 1.0F);
   const SpikeMap map = net.encode(values);
   EXPECT_EQ(map.neuron_count(), values.numel());
-  const Tensor decoded = net.decode(map);
-  // decode(encode(x)) == phi_TTFS(x); re-encoding must be a fixed point.
-  const SpikeMap again = net.encode(decoded.reshaped({2, 4, 4}));
+  // Decode through the kernel: decode(encode(x)) == phi_TTFS(x), and
+  // re-encoding must be a fixed point.
+  Tensor decoded{values.shape()};
+  for (std::int64_t i = 0; i < decoded.numel(); ++i) {
+    const int k = map.steps[static_cast<std::size_t>(i)];
+    decoded[i] = k == kNoSpike ? 0.0F : static_cast<float>(net.kernel().level(k));
+    EXPECT_EQ(decoded[i], static_cast<float>(net.kernel().quantize(values[i]))) << i;
+  }
+  const SpikeMap again = net.encode(decoded);
   EXPECT_EQ(map.steps, again.steps);
 }
 

@@ -100,7 +100,6 @@ int main(int argc, char** argv) {
   opts.queue_capacity = static_cast<std::size_t>(args.get_int("queue-cap", 0));
   opts.admission = serve::admission_policy_from_string(args.get_string("admission", "reject"));
   opts.registry = registry;
-  opts.default_model = "m0";
   serve::SnnServer server{opts};
 
   net::WireOptions wopts;
