@@ -33,24 +33,18 @@ namespace {
 
 using namespace ttfs;
 
-Tensor random_tensor(std::vector<std::int64_t> shape, Rng& rng, float lo, float hi) {
-  Tensor t{std::move(shape)};
-  for (std::int64_t i = 0; i < t.numel(); ++i) t[i] = rng.uniform_f(lo, hi);
-  return t;
-}
-
 // A small conv/pool/fc stack on 3x16x16 inputs — big enough that one sample
 // takes a measurable slice of a millisecond in the event simulator.
 snn::SnnNetwork make_net(Rng& rng) {
   snn::SnnNetwork net{snn::Base2Kernel{24, 4.0, 1.0}};
-  net.add_conv(random_tensor({16, 3, 3, 3}, rng, -0.15F, 0.25F),
-               random_tensor({16}, rng, -0.05F, 0.1F), 1, 1);
+  net.add_conv(Tensor::uniform({16, 3, 3, 3}, rng, -0.15F, 0.25F),
+               Tensor::uniform({16}, rng, -0.05F, 0.1F), 1, 1);
   net.add_pool(2, 2);
-  net.add_conv(random_tensor({24, 16, 3, 3}, rng, -0.1F, 0.15F),
-               random_tensor({24}, rng, -0.05F, 0.1F), 1, 1);
+  net.add_conv(Tensor::uniform({24, 16, 3, 3}, rng, -0.1F, 0.15F),
+               Tensor::uniform({24}, rng, -0.05F, 0.1F), 1, 1);
   net.add_pool(2, 2);
-  net.add_fc(random_tensor({10, 24 * 4 * 4}, rng, -0.1F, 0.12F),
-             random_tensor({10}, rng, -0.05F, 0.05F));
+  net.add_fc(Tensor::uniform({10, 24 * 4 * 4}, rng, -0.1F, 0.12F),
+             Tensor::uniform({10}, rng, -0.05F, 0.05F));
   return net;
 }
 
@@ -78,7 +72,7 @@ int main(int argc, char** argv) {
     cat::log_quantize_network(mutable_net, cat::LogQuantConfig{});
   }
   const snn::SnnNetwork net = std::move(mutable_net);
-  const Tensor images = random_tensor({samples, 3, 16, 16}, rng, 0.0F, 1.0F);
+  const Tensor images = Tensor::uniform({samples, 3, 16, 16}, rng, 0.0F, 1.0F);
 
   std::cout << "\n### batch throughput — backend " << backend << ", " << samples
             << " samples, pool of " << global_pool().size() << " worker(s), best of " << reps

@@ -57,32 +57,26 @@ namespace {
 
 using namespace ttfs;
 
-Tensor random_tensor(std::vector<std::int64_t> shape, Rng& rng, float lo, float hi) {
-  Tensor t{std::move(shape)};
-  for (std::int64_t i = 0; i < t.numel(); ++i) t[i] = rng.uniform_f(lo, hi);
-  return t;
-}
-
 // VGG-style stack on 3x32x32: doubled channel widths across three pooled
 // stages, then a classifier — the shape of the paper's VGG-16 workload scaled
 // to bench runtime.
 snn::SnnNetwork make_vgg_style(Rng& rng) {
   snn::SnnNetwork net{snn::Base2Kernel{24, 4.0, 1.0}};
-  net.add_conv(random_tensor({16, 3, 3, 3}, rng, -0.15F, 0.25F),
-               random_tensor({16}, rng, -0.05F, 0.1F), 1, 1);
-  net.add_conv(random_tensor({16, 16, 3, 3}, rng, -0.1F, 0.18F),
-               random_tensor({16}, rng, -0.05F, 0.1F), 1, 1);
+  net.add_conv(Tensor::uniform({16, 3, 3, 3}, rng, -0.15F, 0.25F),
+               Tensor::uniform({16}, rng, -0.05F, 0.1F), 1, 1);
+  net.add_conv(Tensor::uniform({16, 16, 3, 3}, rng, -0.1F, 0.18F),
+               Tensor::uniform({16}, rng, -0.05F, 0.1F), 1, 1);
   net.add_pool(2, 2);
-  net.add_conv(random_tensor({32, 16, 3, 3}, rng, -0.1F, 0.15F),
-               random_tensor({32}, rng, -0.05F, 0.1F), 1, 1);
-  net.add_conv(random_tensor({32, 32, 3, 3}, rng, -0.08F, 0.12F),
-               random_tensor({32}, rng, -0.05F, 0.1F), 1, 1);
+  net.add_conv(Tensor::uniform({32, 16, 3, 3}, rng, -0.1F, 0.15F),
+               Tensor::uniform({32}, rng, -0.05F, 0.1F), 1, 1);
+  net.add_conv(Tensor::uniform({32, 32, 3, 3}, rng, -0.08F, 0.12F),
+               Tensor::uniform({32}, rng, -0.05F, 0.1F), 1, 1);
   net.add_pool(2, 2);
-  net.add_conv(random_tensor({64, 32, 3, 3}, rng, -0.08F, 0.1F),
-               random_tensor({64}, rng, -0.04F, 0.08F), 1, 1);
+  net.add_conv(Tensor::uniform({64, 32, 3, 3}, rng, -0.08F, 0.1F),
+               Tensor::uniform({64}, rng, -0.04F, 0.08F), 1, 1);
   net.add_pool(2, 2);
-  net.add_fc(random_tensor({10, 64 * 4 * 4}, rng, -0.08F, 0.1F),
-             random_tensor({10}, rng, -0.05F, 0.05F));
+  net.add_fc(Tensor::uniform({10, 64 * 4 * 4}, rng, -0.08F, 0.1F),
+             Tensor::uniform({10}, rng, -0.05F, 0.05F));
   return net;
 }
 
@@ -255,7 +249,7 @@ int main(int argc, char** argv) {
   std::vector<Tensor> samples_owned;
   samples_owned.reserve(static_cast<std::size_t>(samples));
   for (std::int64_t i = 0; i < samples; ++i) {
-    samples_owned.push_back(random_tensor({3, 32, 32}, rng, 0.0F, 1.0F));
+    samples_owned.push_back(Tensor::uniform({3, 32, 32}, rng, 0.0F, 1.0F));
   }
 
   std::cout << "\n### event-sim hot path — VGG-style stack, " << samples

@@ -68,25 +68,19 @@ namespace {
 
 using namespace ttfs;
 
-Tensor random_tensor(std::vector<std::int64_t> shape, Rng& rng, float lo, float hi) {
-  Tensor t{std::move(shape)};
-  for (std::int64_t i = 0; i < t.numel(); ++i) t[i] = rng.uniform_f(lo, hi);
-  return t;
-}
-
 // Same VGG-style conv/pool/fc stack as bench_batch_throughput, so the two
 // benches' samples/sec are directly comparable. The quantized backend runs
 // the int16 pack, which requires every weight on the log-quantization grid.
 snn::SnnNetwork make_net(Rng& rng, snn::BackendKind kind) {
   snn::SnnNetwork net{snn::Base2Kernel{24, 4.0, 1.0}};
-  net.add_conv(random_tensor({16, 3, 3, 3}, rng, -0.15F, 0.25F),
-               random_tensor({16}, rng, -0.05F, 0.1F), 1, 1);
+  net.add_conv(Tensor::uniform({16, 3, 3, 3}, rng, -0.15F, 0.25F),
+               Tensor::uniform({16}, rng, -0.05F, 0.1F), 1, 1);
   net.add_pool(2, 2);
-  net.add_conv(random_tensor({24, 16, 3, 3}, rng, -0.1F, 0.15F),
-               random_tensor({24}, rng, -0.05F, 0.1F), 1, 1);
+  net.add_conv(Tensor::uniform({24, 16, 3, 3}, rng, -0.1F, 0.15F),
+               Tensor::uniform({24}, rng, -0.05F, 0.1F), 1, 1);
   net.add_pool(2, 2);
-  net.add_fc(random_tensor({10, 24 * 4 * 4}, rng, -0.1F, 0.12F),
-             random_tensor({10}, rng, -0.05F, 0.05F));
+  net.add_fc(Tensor::uniform({10, 24 * 4 * 4}, rng, -0.1F, 0.12F),
+             Tensor::uniform({10}, rng, -0.05F, 0.05F));
   if (kind == snn::BackendKind::kQuantized) cat::log_quantize_network(net, cat::LogQuantConfig{});
   return net;
 }
@@ -318,7 +312,7 @@ int run_multimodel(const CliArgs& args, snn::BackendKind kind,
   std::vector<Tensor> images;
   images.reserve(static_cast<std::size_t>(requests));
   for (std::int64_t i = 0; i < requests; ++i) {
-    images.push_back(random_tensor({3, 16, 16}, rng, 0.0F, 1.0F));
+    images.push_back(Tensor::uniform({3, 16, 16}, rng, 0.0F, 1.0F));
   }
 
   std::cout << "\n### multi-model serving — backend " << backend_name << ", " << requests
@@ -389,7 +383,7 @@ int main(int argc, char** argv) {
   std::vector<Tensor> images;
   images.reserve(static_cast<std::size_t>(requests));
   for (std::int64_t i = 0; i < requests; ++i) {
-    images.push_back(random_tensor({3, 16, 16}, rng, 0.0F, 1.0F));
+    images.push_back(Tensor::uniform({3, 16, 16}, rng, 0.0F, 1.0F));
   }
 
   std::cout << "\n### serving latency — backend " << backend_name << ", " << requests

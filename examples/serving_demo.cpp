@@ -37,23 +37,17 @@ using namespace ttfs;
 
 namespace {
 
-Tensor random_tensor(std::vector<std::int64_t> shape, Rng& rng, float lo, float hi) {
-  Tensor t{std::move(shape)};
-  for (std::int64_t i = 0; i < t.numel(); ++i) t[i] = rng.uniform_f(lo, hi);
-  return t;
-}
-
 // The demo's conv/pool/fc stack on 3x8x8 inputs; each call draws fresh
 // weights, so two calls give two genuinely different models. The quantized
 // backend runs the int16 pack, which requires every weight on the
 // log-quantization grid.
 std::shared_ptr<snn::SnnNetwork> make_net(Rng& rng, snn::BackendKind kind) {
   auto net = std::make_shared<snn::SnnNetwork>(snn::Base2Kernel{24, 4.0, 1.0});
-  net->add_conv(random_tensor({8, 3, 3, 3}, rng, -0.15F, 0.25F),
-                random_tensor({8}, rng, -0.05F, 0.1F), 1, 1);
+  net->add_conv(Tensor::uniform({8, 3, 3, 3}, rng, -0.15F, 0.25F),
+                Tensor::uniform({8}, rng, -0.05F, 0.1F), 1, 1);
   net->add_pool(2, 2);
-  net->add_fc(random_tensor({10, 8 * 4 * 4}, rng, -0.1F, 0.12F),
-              random_tensor({10}, rng, -0.05F, 0.05F));
+  net->add_fc(Tensor::uniform({10, 8 * 4 * 4}, rng, -0.1F, 0.12F),
+              Tensor::uniform({10}, rng, -0.05F, 0.05F));
   if (kind == snn::BackendKind::kQuantized) cat::log_quantize_network(*net, cat::LogQuantConfig{});
   return net;
 }
@@ -95,7 +89,7 @@ int main(int argc, char** argv) {
     workers.emplace_back([&, c] {
       Rng image_rng{100 + static_cast<std::uint64_t>(c)};
       for (std::int64_t i = c; i < requests; i += clients) {
-        auto sub = server.submit("demo", random_tensor({3, 8, 8}, image_rng, 0.0F, 1.0F));
+        auto sub = server.submit("demo", Tensor::uniform({3, 8, 8}, image_rng, 0.0F, 1.0F));
         serve::ServeResult r = sub.result.get();
         const std::lock_guard<std::mutex> lock{print_mu};
         std::cout << "  client " << c << " request " << sub.id << ": class " << r.predicted
@@ -111,7 +105,7 @@ int main(int argc, char** argv) {
   serve::ServeOptions slow = opts;
   slow.max_delay = std::chrono::seconds{10};
   serve::SnnServer slow_server{slow};
-  auto doomed = slow_server.submit("demo", random_tensor({3, 8, 8}, rng, 0.0F, 1.0F));
+  auto doomed = slow_server.submit("demo", Tensor::uniform({3, 8, 8}, rng, 0.0F, 1.0F));
   std::cout << "cancel(" << doomed.id << ") -> " << std::boolalpha
             << slow_server.cancel(doomed.id)
             << ", status kCancelled=" << (doomed.result.get().status ==
@@ -141,7 +135,7 @@ int main(int argc, char** argv) {
     serve::SnnServer bursty{overload};
     std::vector<serve::SnnServer::Submission> burst;
     for (int i = 0; i < 10; ++i) {
-      burst.push_back(bursty.submit("demo", random_tensor({3, 8, 8}, rng, 0.0F, 1.0F)));
+      burst.push_back(bursty.submit("demo", Tensor::uniform({3, 8, 8}, rng, 0.0F, 1.0F)));
     }
     int ok = 0, refused = 0;
     for (auto& sub : burst) {
@@ -174,7 +168,7 @@ int main(int argc, char** argv) {
       Rng image_rng{200 + static_cast<std::uint64_t>(c)};
       for (int i = 0; i < 12; ++i) {
         const std::string model = (i % 2 == 0) ? "alpha" : "beta";
-        auto sub = zoo.submit(model, random_tensor({3, 8, 8}, image_rng, 0.0F, 1.0F));
+        auto sub = zoo.submit(model, Tensor::uniform({3, 8, 8}, image_rng, 0.0F, 1.0F));
         serve::ServeResult r = sub.result.get();
         const std::lock_guard<std::mutex> lock{print_mu};
         std::cout << "  [" << r.model_id << "] request " << sub.id << ": class "

@@ -1,8 +1,8 @@
 // Per-request completion record of the serving layer, plus the tiny
-// per-sample helpers shared by the serving scheduler, the engine's RunResult
-// assembly, and the latency-recording benches (one definition each for
-// "argmax of a logits row" and "seconds since an enqueue stamp", instead of
-// a copy per call site).
+// per-sample helpers shared by the serving scheduler and the
+// latency-recording benches (one definition each for "argmax of a logits
+// row" and "seconds since an enqueue stamp", instead of a copy per call
+// site).
 //
 // Every request submitted to SnnServer resolves to exactly one ServeResult,
 // through its future or its completion callback, whatever happens to it —
@@ -21,7 +21,7 @@
 namespace ttfs::serve {
 
 // Argmax of a (1, classes) logits row; -1 for an empty row (the "no result"
-// spelling every RequestStatus != kOk shares with RunResult::predicted).
+// spelling of ServeResult::predicted for every RequestStatus != kOk).
 inline std::int64_t predicted_class(const Tensor& logits_row) {
   return logits_row.numel() == 0 ? -1 : argmax_row(logits_row, 0);
 }
@@ -50,6 +50,7 @@ struct ServeResult {
   Tensor logits;                 // (1, classes) when kOk, empty otherwise
   std::int64_t predicted = -1;   // argmax of logits, -1 unless kOk
   snn::SnnRunStats stats;        // this request's own activity counters
+                                 // (snn::stats_from_trace of its trace)
   double latency_seconds = 0.0;  // submit -> completion (also set on
                                  // cancel/shed)
 };

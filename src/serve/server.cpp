@@ -200,29 +200,27 @@ void SnnServer::run_segment(std::size_t r, std::vector<PendingRequest>& batch, s
 
     // One backend-agnostic path: the session views request images where they
     // sit (no (N, C, H, W) assembly copy on the scheduler thread) and
-    // materializes exactly what a ServeResult carries — unmerged logit rows,
-    // so each request takes its own row with no (N, classes) round trip.
+    // simulates each into a recycled trace; every ServeResult field is read
+    // off its request's trace.
     std::vector<const Tensor*> images;
     images.reserve(end - begin);
     for (std::size_t i = begin; i < end; ++i) images.push_back(&batch[i].image);
     snn::RunOptions ropts;
     ropts.logits = false;
-    ropts.logit_rows = true;
-    ropts.predictions = true;
-    ropts.stats = true;
+    ropts.traces = true;
     snn::RunResult run = bound->second.session.run(snn::BatchView{images}, ropts);
 
     // FIFO completion within the segment: requests resolve in submission
     // order, latency stamped at resolution.
     while (unresolved < end) {
       const std::size_t i = unresolved++;
-      const std::size_t idx = i - begin;
+      snn::EventTrace& trace = run.traces[i - begin];
       ServeResult res;
       res.status = RequestStatus::kOk;
       res.model_id = batch[i].model_id;
-      res.logits = std::move(run.logit_rows[idx]);
-      res.predicted = run.predicted[idx];
-      res.stats = std::move(run.stats[idx]);
+      res.logits = std::move(trace.logits);
+      res.predicted = predicted_class(res.logits);
+      res.stats = snn::stats_from_trace(handle->net(), trace);
       const double latency = seconds_since(batch[i].enqueued);
       res.latency_seconds = latency;
       stats_.on_complete(r, batch[i].model_id, latency);

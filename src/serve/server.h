@@ -25,10 +25,11 @@
 //     -> replica scheduler thread r: rebinds its cached per-model
 //        InferenceSession to the batch's handle if needed, pins the handle
 //        against pack eviction (ModelRegistry::pin_for_run), then
-//        InferenceSession::run — per-replica-per-model arenas, stateless
-//        shared backends
+//        a traced InferenceSession::run — per-replica-per-model arenas,
+//        stateless shared backends, traces from the process-wide bin
 //     -> each request's completion callback receives its ServeResult (logits,
-//        predicted class, SnnRunStats, latency); submit() is the same path
+//        predicted class and SnnRunStats, all read off the request's trace,
+//        and latency); submit() is the same path
 //        with a callback that fulfils the returned future.
 //
 // Every request resolves exactly once, to one ServeResult, whichever way it

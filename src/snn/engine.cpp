@@ -5,7 +5,6 @@
 #include <utility>
 #include <variant>
 
-#include "serve/result.h"
 #include "snn/event_sim_reference.h"
 #include "util/check.h"
 #include "util/thread_annotations.h"
@@ -93,22 +92,6 @@ RecycledTraces::~RecycledTraces() {
   if (!empty()) trace_bin().give(*this);
 }
 
-SnnRunStats RunResult::merged_stats() const {
-  SnnRunStats out;
-  for (const SnnRunStats& s : stats) {
-    if (out.spikes_per_layer.empty()) {
-      out.spikes_per_layer.assign(s.spikes_per_layer.size(), 0);
-      out.neurons_per_layer.assign(s.neurons_per_layer.size(), 0);
-    }
-    out.images += s.images;
-    for (std::size_t l = 0; l < s.spikes_per_layer.size(); ++l) {
-      out.spikes_per_layer[l] += s.spikes_per_layer[l];
-      out.neurons_per_layer[l] += s.neurons_per_layer[l];
-    }
-  }
-  return out;
-}
-
 BatchView::BatchView(const Tensor& batch) {
   TTFS_CHECK_MSG(batch.rank() == 4 || batch.rank() == 2,
                  "batch must be (N, C, H, W) or (N, features), got " << batch.shape_str());
@@ -157,23 +140,6 @@ void sample_chw(const BatchView& batch, std::int64_t& c, std::int64_t& h, std::i
   }
 }
 
-// The trace a sample is simulated into: the caller's result slot when
-// traces were requested, else `scratch`.
-EventTrace& trace_for(const SampleSlots& slots, EventTrace& scratch) {
-  return slots.trace != nullptr ? *slots.trace : scratch;
-}
-
-// Fills the remaining slots from the sample's just-simulated trace. When the
-// trace itself is kept, its logits stay populated (callers reading
-// traces[i].logits directly, like the hardware model, rely on this) and the
-// logits row is a copy; otherwise the row steals the scratch trace's tensor.
-void deliver_trace(const SnnNetwork& net, EventTrace& trace, const SampleSlots& slots) {
-  if (slots.stats != nullptr) *slots.stats = stats_from_trace(net, trace);
-  if (slots.logits != nullptr) {
-    *slots.logits = slots.trace != nullptr ? trace.logits : std::move(trace.logits);
-  }
-}
-
 }  // namespace
 
 SnnRunStats stats_from_trace(const SnnNetwork& net, const EventTrace& trace) {
@@ -202,36 +168,27 @@ SnnRunStats stats_from_trace(const SnnNetwork& net, const EventTrace& trace) {
 }
 
 void EventSimBackend::run_sample(const SnnNetwork& net, const BatchView& batch, std::int64_t i,
-                                 SimArena& arena, const SampleSlots& slots) const {
+                                 SimArena& arena, EventTrace& into) const {
   std::int64_t c, h, w;
   sample_chw(batch, c, h, w);
-  EventTrace& trace = trace_for(slots, arena.trace());
-  detail::run_event_sim_span(net, batch.sample(i), c, h, w, arena, trace);
-  deliver_trace(net, trace, slots);
+  detail::run_event_sim_span(net, batch.sample(i), c, h, w, arena, into);
 }
 
 void QuantizedEventSimBackend::run_sample(const SnnNetwork& net, const BatchView& batch,
                                           std::int64_t i, SimArena& arena,
-                                          const SampleSlots& slots) const {
+                                          EventTrace& into) const {
   std::int64_t c, h, w;
   sample_chw(batch, c, h, w);
-  EventTrace& trace = trace_for(slots, arena.trace());
-  detail::run_quantized_event_sim_span(net, batch.sample(i), c, h, w, arena, trace);
-  deliver_trace(net, trace, slots);
+  detail::run_quantized_event_sim_span(net, batch.sample(i), c, h, w, arena, into);
 }
 
 void ReferenceBackend::run_sample(const SnnNetwork& net, const BatchView& batch, std::int64_t i,
-                                  SimArena& arena, const SampleSlots& slots) const {
-  (void)arena;
+                                  SimArena& /*arena*/, EventTrace& into) const {
   std::int64_t c, h, w;
   sample_chw(batch, c, h, w);
   const float* span = batch.sample(i);
   const Tensor img{{c, h, w}, std::vector<float>(span, span + batch.sample_numel())};
-  // The frozen oracle returns a fresh trace; it replaces the slot's by value.
-  EventTrace scratch;
-  EventTrace& trace = trace_for(slots, scratch);
-  trace = reference::run_event_sim(net, img);
-  deliver_trace(net, trace, slots);
+  into = reference::run_event_sim(net, img);
 }
 
 std::shared_ptr<const InferenceBackend> make_backend(BackendKind kind) {
@@ -259,7 +216,7 @@ InferenceSession::InferenceSession(const SnnNetwork& net,
   // being constructed — typically a single-threaded moment — so runs fan
   // workers out over a read-only net.
   backend_->ensure_ready(*net_);
-  if (backend_->uses_arena() && opts.max_batch_hint > 0 && opts.input_shape.size() == 3) {
+  if (opts.max_batch_hint > 0 && opts.input_shape.size() == 3) {
     // Sized from the pool's worker count directly, not max_chunks(): that
     // helper returns 1 when called *from* a pool worker thread, but runs may
     // later be launched from any non-worker thread, which can use up to
@@ -279,53 +236,40 @@ RunResult InferenceSession::run(const BatchView& batch, const RunOptions& opts) 
   const std::int64_t n = batch.size();
 
   RunResult out;
-  const bool want_rows = opts.logits || opts.logit_rows || opts.predictions;
   std::vector<Tensor> rows;
-  if (want_rows) rows.resize(static_cast<std::size_t>(n));
-  if (opts.stats) out.stats.assign(static_cast<std::size_t>(n), SnnRunStats{});
+  if (opts.logits) rows.resize(static_cast<std::size_t>(n));
   if (opts.traces) trace_bin().take(out.traces, static_cast<std::size_t>(n));
 
   // One arena per pool chunk, grown on demand and reused run after run, so
   // every worker keeps its own scratch across its whole sample range with no
   // steady-state allocation.
   const std::size_t chunks = std::max<std::size_t>(1, pool_->max_chunks(0, n));
-  if (backend_->uses_arena()) {
-    while (arenas_.size() < chunks) {
-      arenas_.emplace_back();
-      if (batch.sample_shape().size() == 3) {
-        arenas_.back().reserve_for(*net_, batch.sample_shape()[0], batch.sample_shape()[1],
-                                   batch.sample_shape()[2]);
-      }
+  while (arenas_.size() < chunks) {
+    arenas_.emplace_back();
+    if (batch.sample_shape().size() == 3) {
+      arenas_.back().reserve_for(*net_, batch.sample_shape()[0], batch.sample_shape()[1],
+                                 batch.sample_shape()[2]);
     }
-    // Spike-parallel fallback: a single chunk means sample-parallelism
-    // starves (batch of 1 on a multi-worker pool), so let the lone arena
-    // split large layers' disjoint output ranges across the pool instead.
-    // Bit-identical either way (see simd.h); cleared when samples fan out so
-    // nested fan-outs never compete for workers.
-    arenas_[0].set_intra_pool(chunks <= 1 && pool_->size() > 1 ? pool_ : nullptr);
-  } else if (arenas_.size() < chunks) {
-    arenas_.resize(chunks);  // placeholder scratch for arena-free backends
   }
+  // Spike-parallel fallback: a single chunk means sample-parallelism
+  // starves (batch of 1 on a multi-worker pool), so let the lone arena
+  // split large layers' disjoint output ranges across the pool instead.
+  // Bit-identical either way (see simd.h); cleared when samples fan out so
+  // nested fan-outs never compete for workers.
+  arenas_[0].set_intra_pool(chunks <= 1 && pool_->size() > 1 ? pool_ : nullptr);
 
   pool_->parallel_for_indexed(0, n, [&](std::size_t chunk, std::int64_t lo, std::int64_t hi) {
     SimArena& arena = arenas_[chunk];
     for (std::int64_t i = lo; i < hi; ++i) {
       const std::size_t idx = static_cast<std::size_t>(i);
-      SampleSlots slots;
-      slots.logits = want_rows ? &rows[idx] : nullptr;
-      slots.stats = opts.stats ? &out.stats[idx] : nullptr;
-      slots.trace = opts.traces ? &out.traces[idx] : nullptr;
-      backend_->run_sample(*net_, batch, i, arena, slots);
+      EventTrace& trace = opts.traces ? out.traces[idx] : arena.trace();
+      backend_->run_sample(*net_, batch, i, arena, trace);
+      // A kept trace keeps its logits, so the row is a copy; otherwise the
+      // row steals the scratch trace's tensor.
+      if (opts.logits) rows[idx] = opts.traces ? trace.logits : std::move(trace.logits);
     }
   });
 
-  if (opts.predictions) {
-    out.predicted.resize(static_cast<std::size_t>(n));
-    for (std::int64_t i = 0; i < n; ++i) {
-      const Tensor& row = rows[static_cast<std::size_t>(i)];
-      out.predicted[static_cast<std::size_t>(i)] = serve::predicted_class(row);
-    }
-  }
   if (opts.logits) {
     // Merge rows in sample order: row i is sample i's logits verbatim.
     const std::int64_t classes = n == 0 ? 0 : rows[0].numel();
@@ -336,8 +280,6 @@ RunResult InferenceSession::run(const BatchView& batch, const RunOptions& opts) 
       std::copy(row.data(), row.data() + classes, out.logits.data() + i * classes);
     }
   }
-  // Last: the rows themselves are handed over (no copy) when requested.
-  if (opts.logit_rows) out.logit_rows = std::move(rows);
   return out;
 }
 

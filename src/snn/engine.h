@@ -4,9 +4,10 @@
 // realizations: the spike-order-accurate event simulator that feeds the
 // hardware model (event_sim.h), its fixed-point log-PE twin over the
 // quantized pack (quant.h), and the frozen reference simulator kept as the
-// correctness oracle (event_sim_reference.h). Every one of them produces the
-// spike stream, so every backend can materialize traces. This header makes
-// "which realization" a first-class object instead of a switch statement:
+// correctness oracle (event_sim_reference.h). Every one of them turns a
+// sample into one EventTrace (spikes, per-layer op counts, logits), and every
+// per-sample output is read off that trace. This header makes "which
+// realization" a first-class object instead of a switch statement:
 //
 //   SnnNetwork net = ...;                       // the converted network
 //   Engine engine{net};
@@ -14,9 +15,9 @@
 //       engine.session(BackendKind::kEventSim); // or kReference / kQuantized,
 //                                               // or any InferenceBackend
 //   RunOptions opts;
-//   opts.stats = true;                          // what to materialize
+//   opts.traces = true;                         // what to materialize
 //   RunResult r = session.run(BatchView{images}, opts);
-//   // r.logits (N, classes), r.stats[i], r.predicted[i], r.traces[i]
+//   // r.logits (N, classes), r.traces[i]; stats_from_trace(net, r.traces[i])
 //
 // Ownership and threading rules
 // -----------------------------
@@ -41,7 +42,8 @@
 // tests/snn_engine_test.cpp). SnnNetwork::forward (phi_TTFS = decode . fire,
 // network.h) is the conversion-math oracle those tests compare against: it
 // differs from the float simulators only in float summation order, and
-// integer artifacts (spike maps, SnnRunStats, predictions) agree with it.
+// integer artifacts (spike maps, the SnnRunStats and argmax derived from a
+// trace) agree with it.
 #pragma once
 
 #include <cstdint>
@@ -71,17 +73,13 @@ std::string to_string(BackendKind kind);
 // Inverse of to_string; throws std::invalid_argument on an unknown name.
 BackendKind backend_kind_from_string(const std::string& name);
 
-// What a run should materialize. Everything not requested is left empty in
-// the RunResult, so callers pay only for what they read.
+// What a run should materialize. A backend turns each sample into one
+// EventTrace; everything else a caller wants (per-sample logits, argmax,
+// SnnRunStats via stats_from_trace, a hardware price) is read off that trace.
+// Whatever is not requested is left empty in the RunResult.
 struct RunOptions {
-  bool logits = true;       // merged (N, classes) tensor
-  bool logit_rows = false;  // unmerged per-sample (1, classes) rows — the
-                            // per-request serving shape, handed over with no
-                            // merge copy
-  bool predictions = false; // per-sample argmax of the logits
-  bool stats = false;       // per-sample SnnRunStats (images == 1 each)
-  bool traces = false;      // full per-sample EventTraces (hardware model
-                            // input)
+  bool logits = true;   // merged (N, classes) tensor
+  bool traces = false;  // the per-sample EventTraces themselves
 };
 
 // A RunResult's per-sample traces: a plain vector of EventTrace that hands
@@ -98,8 +96,8 @@ class RecycledTraces : public std::vector<EventTrace> {
   ~RecycledTraces();
 };
 
-// Uniform result of InferenceSession::run. Per-sample vectors are indexed by
-// sample in input order; everything is bit-identical to running the backend's
+// Uniform result of InferenceSession::run. Traces are indexed by sample in
+// input order; everything is bit-identical to running the backend's
 // single-sample primitive in a sequential loop.
 //
 // Trace storage is recycled. Destroying or move-assigning over a RunResult
@@ -113,18 +111,9 @@ class RecycledTraces : public std::vector<EventTrace> {
 // return; whatever state a returned trace is in (spikes moved out, layers
 // cleared), the next run overwrites every field. Copies are deep.
 struct RunResult {
-  Tensor logits;                        // (N, classes) iff RunOptions::logits
-  std::vector<Tensor> logit_rows;       // size N iff RunOptions::logit_rows;
-                                        // entry i is sample i's (1, classes)
-  std::vector<std::int64_t> predicted;  // size N iff RunOptions::predictions
-  std::vector<SnnRunStats> stats;       // size N iff RunOptions::stats
-  RecycledTraces traces;                // size N iff RunOptions::traces
-                                        // (traces[i].logits stays populated
-                                        // even when RunOptions::logits is off)
-
-  // Sample-order merge of `stats` into one aggregate record (exact: the
-  // counters are integers).
-  SnnRunStats merged_stats() const;
+  Tensor logits;          // (N, classes) iff RunOptions::logits
+  RecycledTraces traces;  // size N iff RunOptions::traces; traces[i].logits
+                          // always holds sample i's (1, classes) row
 };
 
 // Non-owning view of a uniform batch of samples. Two shapes of caller are
@@ -154,15 +143,6 @@ class BatchView {
   std::vector<const Tensor*> gathered_;  // ...or per-sample tensors
 };
 
-// Output slots for one sample; null entries were not requested. The session
-// wires these at the per-sample fan-out so backends never see batch-level
-// buffers.
-struct SampleSlots {
-  Tensor* logits = nullptr;  // receives this sample's (1, classes) row
-  SnnRunStats* stats = nullptr;
-  EventTrace* trace = nullptr;
-};
-
 // One realization of SNN inference. Implementations must be stateless const
 // objects: run_sample may be called concurrently from many session workers,
 // with all scratch provided through `arena`. Alternative realizations
@@ -173,9 +153,6 @@ class InferenceBackend {
   virtual ~InferenceBackend() = default;
 
   virtual std::string name() const = 0;
-  // True when run_sample uses the SimArena; sessions skip arena
-  // pre-reservation for backends that do not.
-  virtual bool uses_arena() const = 0;
 
   // Weight-pack lifecycle, in backend-agnostic terms: sessions and the model
   // registry manage "whatever this backend runs on" without knowing which
@@ -195,13 +172,12 @@ class InferenceBackend {
   // same caller contract as SnnNetwork::release_packed).
   virtual void release_pack(const SnnNetwork& /*net*/) const {}
 
-  // Runs sample `i` of `batch` through `net`, filling the requested slots.
-  // `arena` is this worker's session-owned scratch (unused scratch for
-  // backends with uses_arena() == false). A non-null slots.trace may hold a
-  // recycled trace in any state; the backend overwrites all of it (the
-  // arena backends refill it in place).
+  // Simulates sample `i` of `batch` through `net` into `into`. `arena` is
+  // this worker's session-owned scratch (a backend may ignore it). `into`
+  // may hold a recycled trace in any state; the backend overwrites all of it
+  // (the arena backends refill it in place).
   virtual void run_sample(const SnnNetwork& net, const BatchView& batch, std::int64_t i,
-                          SimArena& arena, const SampleSlots& slots) const = 0;
+                          SimArena& arena, EventTrace& into) const = 0;
 };
 
 // The timestep- and spike-order-accurate simulator (event_sim.h), running on
@@ -210,7 +186,6 @@ class InferenceBackend {
 class EventSimBackend final : public InferenceBackend {
  public:
   std::string name() const override { return "event"; }
-  bool uses_arena() const override { return true; }
   void ensure_ready(const SnnNetwork& net) const override { net.ensure_packed(); }
   bool has_resident_pack() const override { return true; }
   std::size_t resident_pack_bytes(const SnnNetwork& net) const override {
@@ -218,7 +193,7 @@ class EventSimBackend final : public InferenceBackend {
   }
   void release_pack(const SnnNetwork& net) const override { net.release_packed(); }
   void run_sample(const SnnNetwork& net, const BatchView& batch, std::int64_t i, SimArena& arena,
-                  const SampleSlots& slots) const override;
+                  EventTrace& into) const override;
 };
 
 // The fixed-point integer simulator (quant.h): same event-by-event loop as
@@ -235,7 +210,6 @@ class QuantizedEventSimBackend final : public InferenceBackend {
   explicit QuantizedEventSimBackend(QuantPackConfig config = {}) : config_{config} {}
 
   std::string name() const override { return "quantized"; }
-  bool uses_arena() const override { return true; }
   void ensure_ready(const SnnNetwork& net) const override { net.ensure_quantized(config_); }
   bool has_resident_pack() const override { return true; }
   std::size_t resident_pack_bytes(const SnnNetwork& net) const override {
@@ -243,7 +217,7 @@ class QuantizedEventSimBackend final : public InferenceBackend {
   }
   void release_pack(const SnnNetwork& net) const override { net.release_quantized(); }
   void run_sample(const SnnNetwork& net, const BatchView& batch, std::int64_t i, SimArena& arena,
-                  const SampleSlots& slots) const override;
+                  EventTrace& into) const override;
 
   const QuantPackConfig& config() const { return config_; }
 
@@ -253,12 +227,12 @@ class QuantizedEventSimBackend final : public InferenceBackend {
 
 // The frozen pre-overhaul simulator (event_sim_reference.h) behind the same
 // interface — deliberately unoptimized; use it to cross-check the other two.
+// It ignores the arena and replaces `into` with a fresh trace.
 class ReferenceBackend final : public InferenceBackend {
  public:
   std::string name() const override { return "reference"; }
-  bool uses_arena() const override { return false; }
   void run_sample(const SnnNetwork& net, const BatchView& batch, std::int64_t i, SimArena& arena,
-                  const SampleSlots& slots) const override;
+                  EventTrace& into) const override;
 };
 
 // Shared instance of a built-in backend (backends are stateless, so one
@@ -270,7 +244,7 @@ struct SessionOptions {
   // runs every sample inline on the calling thread.
   ThreadPool* pool = nullptr;
   // Optional arena pre-reservation so not even the first run allocates:
-  // when both are set (and the backend uses arenas), min(max_batch_hint,
+  // when both are set, min(max_batch_hint,
   // pool workers) arenas are reserved for `input_shape` (C, H, W) samples
   // at construction. Arenas still grow on demand past the hint.
   std::int64_t max_batch_hint = 0;
@@ -293,9 +267,11 @@ class InferenceSession {
   InferenceSession& operator=(InferenceSession&&) = default;
 
   // Runs every sample of `batch`, fanning out across the session pool, and
-  // materializes exactly what `opts` asks for. Sample order is preserved
-  // everywhere; results are bit-identical to a sequential loop over the
-  // backend's single-sample primitive regardless of pool size.
+  // materializes exactly what `opts` asks for. Sample i is simulated into
+  // traces[i], or into its worker arena's scratch trace when traces are off.
+  // Sample order is preserved everywhere; results are bit-identical to a
+  // sequential loop over the backend's single-sample primitive regardless of
+  // pool size.
   RunResult run(const BatchView& batch, const RunOptions& opts = {});
 
   const SnnNetwork& network() const { return *net_; }

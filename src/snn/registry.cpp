@@ -73,10 +73,8 @@ std::shared_ptr<const ModelHandle> ModelRegistry::load(
     lru_.push_front(id);
     entries_.emplace(id, Entry{handle, lru_.begin()});
   }
-  if (opts_.warm_on_load && !handle->warm()) {
-    warm_locked(*handle, /*count_miss=*/false);
-    evict_over_budget_locked(handle.get());
-  }
+  warm_locked(*handle, /*count_miss=*/false);
+  evict_over_budget_locked(handle.get());
   return handle;
 }
 

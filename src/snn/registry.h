@@ -109,9 +109,6 @@ struct RegistryOptions {
   // the budget still warms — the budget bounds what the registry keeps, not
   // what a run may touch.
   std::size_t max_pack_bytes = 0;
-  // Build packs eagerly at load()/swap() time. When false, the first
-  // pin_for_run pays the build as a miss.
-  bool warm_on_load = true;
 };
 
 // Point-in-time counters of the registry and its weight-pack cache.
@@ -141,7 +138,9 @@ class ModelRegistry {
   ModelRegistry& operator=(const ModelRegistry&) = delete;
 
   // Registers (new id) or live-swaps (existing id) a model and returns its
-  // handle. The swap is an atomic flip of the id -> handle mapping:
+  // handle, warm: the pack is built here (not counted as a miss) and the
+  // budget then evicts colder models. The swap is an atomic flip of the
+  // id -> handle mapping:
   // in-flight work holding the old handle drains on the old pack; new
   // acquires see the new handle immediately. The network and backend are
   // shared, never copied — callers that own the network by value can pass

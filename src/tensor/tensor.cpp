@@ -3,6 +3,8 @@
 #include <cmath>
 #include <sstream>
 
+#include "util/rng.h"
+
 namespace ttfs {
 
 std::int64_t shape_numel(const std::vector<std::int64_t>& shape) {
@@ -26,6 +28,12 @@ Tensor::Tensor(std::vector<std::int64_t> shape, std::vector<float> data)
 Tensor Tensor::full(std::vector<std::int64_t> shape, float value) {
   Tensor t{std::move(shape)};
   t.fill(value);
+  return t;
+}
+
+Tensor Tensor::uniform(std::vector<std::int64_t> shape, Rng& rng, float lo, float hi) {
+  Tensor t{std::move(shape)};
+  for (std::int64_t i = 0; i < t.numel(); ++i) t[i] = rng.uniform_f(lo, hi);
   return t;
 }
 

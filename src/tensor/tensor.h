@@ -20,6 +20,8 @@
 
 namespace ttfs {
 
+class Rng;
+
 class Tensor {
  public:
   Tensor() = default;
@@ -33,6 +35,8 @@ class Tensor {
   Tensor(std::vector<std::int64_t> shape, std::vector<float> data);
 
   static Tensor full(std::vector<std::int64_t> shape, float value);
+  // Elements drawn independently from U[lo, hi) in storage order.
+  static Tensor uniform(std::vector<std::int64_t> shape, Rng& rng, float lo, float hi);
 
   const std::vector<std::int64_t>& shape() const { return shape_; }
   std::int64_t dim(std::size_t axis) const;

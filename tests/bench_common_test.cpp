@@ -14,12 +14,6 @@
 namespace ttfs {
 namespace {
 
-Tensor random_tensor(std::vector<std::int64_t> shape, Rng& rng, float lo, float hi) {
-  Tensor t{std::move(shape)};
-  for (std::int64_t i = 0; i < t.numel(); ++i) t[i] = rng.uniform_f(lo, hi);
-  return t;
-}
-
 // Parses `--backend <spelling>` through bench::init, as a bench main does,
 // and restores the default on exit.
 struct ScopedBackend {
@@ -34,13 +28,13 @@ struct ScopedBackend {
 TEST(BenchSnnAccuracy, EveryBackendSpellingEvaluatesAFloatNet) {
   Rng rng{941};
   snn::SnnNetwork net{snn::Base2Kernel{24, 4.0, 1.0}};
-  net.add_conv(random_tensor({6, 3, 3, 3}, rng, -0.15F, 0.3F),
-               random_tensor({6}, rng, -0.05F, 0.1F), 1, 1);
+  net.add_conv(Tensor::uniform({6, 3, 3, 3}, rng, -0.15F, 0.3F),
+               Tensor::uniform({6}, rng, -0.05F, 0.1F), 1, 1);
   net.add_pool(2, 2);
-  net.add_fc(random_tensor({4, 6 * 4 * 4}, rng, -0.1F, 0.12F),
-             random_tensor({4}, rng, -0.05F, 0.05F));
+  net.add_fc(Tensor::uniform({4, 6 * 4 * 4}, rng, -0.1F, 0.12F),
+             Tensor::uniform({4}, rng, -0.05F, 0.05F));
   data::LabeledData test;
-  test.images = random_tensor({10, 3, 8, 8}, rng, 0.0F, 1.0F);
+  test.images = Tensor::uniform({10, 3, 8, 8}, rng, 0.0F, 1.0F);
   test.classes = 4;
   for (std::int32_t i = 0; i < 10; ++i) test.labels.push_back(i % 4);
 

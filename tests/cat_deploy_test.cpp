@@ -11,19 +11,13 @@
 namespace ttfs::cat {
 namespace {
 
-Tensor random_tensor(std::vector<std::int64_t> shape, Rng& rng, float lo, float hi) {
-  Tensor t{std::move(shape)};
-  for (std::int64_t i = 0; i < t.numel(); ++i) t[i] = rng.uniform_f(lo, hi);
-  return t;
-}
-
 snn::SnnNetwork make_net(Rng& rng) {
   snn::SnnNetwork net{snn::Base2Kernel{24, 4.0, 1.0}};
-  net.add_conv(random_tensor({6, 3, 3, 3}, rng, -0.2F, 0.25F),
-               random_tensor({6}, rng, -0.05F, 0.1F), 1, 1);
+  net.add_conv(Tensor::uniform({6, 3, 3, 3}, rng, -0.2F, 0.25F),
+               Tensor::uniform({6}, rng, -0.05F, 0.1F), 1, 1);
   net.add_pool(2, 2);
-  net.add_fc(random_tensor({4, 6 * 5 * 5}, rng, -0.08F, 0.1F),
-             random_tensor({4}, rng, -0.05F, 0.05F));
+  net.add_fc(Tensor::uniform({4, 6 * 5 * 5}, rng, -0.08F, 0.1F),
+             Tensor::uniform({4}, rng, -0.05F, 0.05F));
   return net;
 }
 
@@ -60,7 +54,7 @@ TEST(Deploy, RoundTripMatchesQuantizedNetworkExactly) {
 
   // And inference agrees exactly.
   Rng img_rng{501};
-  Tensor x = random_tensor({2, 3, 10, 10}, img_rng, 0.0F, 1.0F);
+  Tensor x = Tensor::uniform({2, 3, 10, 10}, img_rng, 0.0F, 1.0F);
   EXPECT_TRUE(loaded.forward(x).allclose(reference.forward(x), 0.0F));
 }
 

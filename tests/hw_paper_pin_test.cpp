@@ -91,24 +91,18 @@ TEST(PaperModelPin, Fig6Rows) {
   }
 }
 
-Tensor random_tensor(std::vector<std::int64_t> shape, Rng& rng, float lo, float hi) {
-  Tensor t{std::move(shape)};
-  for (std::int64_t i = 0; i < t.numel(); ++i) t[i] = rng.uniform_f(lo, hi);
-  return t;
-}
-
 TEST(PaperModelPin, PriceTraceOfFixedStackAndImage) {
   // conv-pool-conv-fc on one 3x12x12 image, every number seeded.
   Rng rng{2022};
   snn::SnnNetwork net{snn::Base2Kernel{24, 4.0, 1.0}};
-  net.add_conv(random_tensor({8, 3, 3, 3}, rng, -0.12F, 0.2F),
-               random_tensor({8}, rng, -0.05F, 0.1F), 1, 1);
+  net.add_conv(Tensor::uniform({8, 3, 3, 3}, rng, -0.12F, 0.2F),
+               Tensor::uniform({8}, rng, -0.05F, 0.1F), 1, 1);
   net.add_pool(2, 2);
-  net.add_conv(random_tensor({12, 8, 3, 3}, rng, -0.08F, 0.12F),
-               random_tensor({12}, rng, -0.05F, 0.1F), 1, 1);
-  net.add_fc(random_tensor({5, 12 * 6 * 6}, rng, -0.04F, 0.06F),
-             random_tensor({5}, rng, -0.05F, 0.05F));
-  const Tensor img = random_tensor({3, 12, 12}, rng, 0.0F, 1.0F);
+  net.add_conv(Tensor::uniform({12, 8, 3, 3}, rng, -0.08F, 0.12F),
+               Tensor::uniform({12}, rng, -0.05F, 0.1F), 1, 1);
+  net.add_fc(Tensor::uniform({5, 12 * 6 * 6}, rng, -0.04F, 0.06F),
+             Tensor::uniform({5}, rng, -0.05F, 0.05F));
+  const Tensor img = Tensor::uniform({3, 12, 12}, rng, 0.0F, 1.0F);
 
   const SnnProcessorModel model{ArchConfig{}, default_tech()};
   const ProcessorReport r = price_trace(model, net, snn::run_event_sim(net, img), 12, 12);

@@ -16,28 +16,22 @@
 namespace ttfs::hw {
 namespace {
 
-Tensor random_tensor(std::vector<std::int64_t> shape, Rng& rng, float lo, float hi) {
-  Tensor t{std::move(shape)};
-  for (std::int64_t i = 0; i < t.numel(); ++i) t[i] = rng.uniform_f(lo, hi);
-  return t;
-}
-
 snn::SnnNetwork make_net(Rng& rng) {
   snn::SnnNetwork net{snn::Base2Kernel{24, 4.0, 1.0}};
-  net.add_conv(random_tensor({8, 3, 3, 3}, rng, -0.12F, 0.2F),
-               random_tensor({8}, rng, -0.05F, 0.1F), 1, 1);
+  net.add_conv(Tensor::uniform({8, 3, 3, 3}, rng, -0.12F, 0.2F),
+               Tensor::uniform({8}, rng, -0.05F, 0.1F), 1, 1);
   net.add_pool(2, 2);
-  net.add_conv(random_tensor({12, 8, 3, 3}, rng, -0.08F, 0.12F),
-               random_tensor({12}, rng, -0.05F, 0.1F), 1, 1);
-  net.add_fc(random_tensor({5, 12 * 6 * 6}, rng, -0.04F, 0.06F),
-             random_tensor({5}, rng, -0.05F, 0.05F));
+  net.add_conv(Tensor::uniform({12, 8, 3, 3}, rng, -0.08F, 0.12F),
+               Tensor::uniform({12}, rng, -0.05F, 0.1F), 1, 1);
+  net.add_fc(Tensor::uniform({5, 12 * 6 * 6}, rng, -0.04F, 0.06F),
+             Tensor::uniform({5}, rng, -0.05F, 0.05F));
   return net;
 }
 
 TEST(TraceRun, ProducesConsistentReport) {
   Rng rng{400};
   snn::SnnNetwork net = make_net(rng);
-  Tensor img = random_tensor({3, 12, 12}, rng, 0.0F, 1.0F);
+  Tensor img = Tensor::uniform({3, 12, 12}, rng, 0.0F, 1.0F);
 
   ArchConfig arch;
   arch.window = 24;
@@ -65,7 +59,7 @@ TEST(TraceRun, AgreesWithAnalyticModelUnderMeasuredActivity) {
   // Measured activity over a small batch drives the analytic model.
   data::LabeledData data;
   data.classes = 5;
-  data.images = random_tensor({8, 3, 12, 12}, rng, 0.0F, 1.0F);
+  data.images = Tensor::uniform({8, 3, 12, 12}, rng, 0.0F, 1.0F);
   data.labels.assign(8, 0);
   const auto activity = measure_activity(net, data);
 
@@ -97,7 +91,7 @@ TEST(TraceRun, QuantizedBackendPricesIdenticallyToEventSim) {
   Rng rng{403};
   snn::SnnNetwork net = make_net(rng);
   cat::log_quantize_network(net, cat::LogQuantConfig{});
-  const Tensor img = random_tensor({3, 12, 12}, rng, 0.0F, 1.0F);
+  const Tensor img = Tensor::uniform({3, 12, 12}, rng, 0.0F, 1.0F);
 
   const snn::Engine engine{net};
   snn::RunOptions opts;
@@ -134,7 +128,7 @@ TEST(TraceRun, SilentNetworkCostsLittle) {
   snn::SnnNetwork net{snn::Base2Kernel{16, 2.0, 1.0}};
   net.add_conv(Tensor::full({4, 1, 3, 3}, -0.5F), Tensor{{4}}, 1, 1);
   net.add_fc(Tensor::full({3, 4 * 6 * 6}, 0.1F), Tensor{{3}});
-  Tensor img = random_tensor({1, 6, 6}, rng, 0.5F, 1.0F);
+  Tensor img = Tensor::uniform({1, 6, 6}, rng, 0.5F, 1.0F);
 
   ArchConfig arch;
   arch.window = 16;
@@ -150,9 +144,9 @@ TEST(TraceRun, RejectsATraceOfAnotherNet) {
   // conv-pool-conv-fc net must throw instead of reading past its end.
   Rng rng{404};
   snn::SnnNetwork fc_only{snn::Base2Kernel{24, 4.0, 1.0}};
-  fc_only.add_fc(random_tensor({5, 3 * 12 * 12}, rng, -0.04F, 0.06F), Tensor{{5}});
+  fc_only.add_fc(Tensor::uniform({5, 3 * 12 * 12}, rng, -0.04F, 0.06F), Tensor{{5}});
   const snn::SnnNetwork net = make_net(rng);
-  const Tensor img = random_tensor({3, 12, 12}, rng, 0.0F, 1.0F);
+  const Tensor img = Tensor::uniform({3, 12, 12}, rng, 0.0F, 1.0F);
   const SnnProcessorModel model{ArchConfig{}, default_tech()};
 
   EXPECT_THROW(price_trace(model, net, snn::run_event_sim(fc_only, img), 12, 12),
@@ -167,9 +161,10 @@ TEST(TraceRun, RefusesANetThatEndsInAConv) {
   // out about k^2 low without a word, so price_trace must refuse it.
   Rng rng{406};
   snn::SnnNetwork net{snn::Base2Kernel{24, 4.0, 1.0}};
-  net.add_conv(random_tensor({4, 1, 3, 3}, rng, -0.1F, 0.3F), Tensor{{4}}, 1, 1);
-  net.add_conv(random_tensor({2, 4, 3, 3}, rng, -0.1F, 0.3F), Tensor{{2}}, 1, 1);
-  const snn::EventTrace trace = snn::run_event_sim(net, random_tensor({1, 8, 8}, rng, 0.0F, 1.0F));
+  net.add_conv(Tensor::uniform({4, 1, 3, 3}, rng, -0.1F, 0.3F), Tensor{{4}}, 1, 1);
+  net.add_conv(Tensor::uniform({2, 4, 3, 3}, rng, -0.1F, 0.3F), Tensor{{2}}, 1, 1);
+  const snn::EventTrace trace =
+      snn::run_event_sim(net, Tensor::uniform({1, 8, 8}, rng, 0.0F, 1.0F));
   ASSERT_EQ(trace.layers.size(), 2U);
   ASSERT_FALSE(trace.layers[1].spikes.empty());  // the output conv has spikes to integrate
   try {
@@ -184,7 +179,7 @@ TEST(TraceRun, RejectsTheWrongInputSize) {
   Rng rng{405};
   const snn::SnnNetwork net = make_net(rng);
   const snn::EventTrace trace =
-      snn::run_event_sim(net, random_tensor({3, 12, 12}, rng, 0.0F, 1.0F));
+      snn::run_event_sim(net, Tensor::uniform({3, 12, 12}, rng, 0.0F, 1.0F));
   const SnnProcessorModel model{ArchConfig{}, default_tech()};
   EXPECT_NO_THROW(price_trace(model, net, trace, 12, 12));
   const std::int64_t wrong[][2] = {{6, 6}, {12, 6}, {16, 12}, {24, 24}, {0, 12}, {12, -1}};

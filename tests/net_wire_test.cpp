@@ -20,6 +20,7 @@
 #include <chrono>
 #include <cstring>
 #include <memory>
+#include <numeric>
 #include <string>
 #include <thread>
 #include <vector>
@@ -38,7 +39,6 @@ namespace ttfs::net {
 namespace {
 
 using serve::test::make_net;
-using serve::test::random_tensor;
 
 // Blocking loopback client with a receive deadline — a hung server fails the
 // test instead of wedging the suite.
@@ -146,7 +146,7 @@ class NetWireTest : public ::testing::Test {
 
   Tensor make_image(std::uint64_t seed) {
     Rng rng{seed};
-    return random_tensor({3, 8, 8}, rng, 0.0F, 1.0F);
+    return Tensor::uniform({3, 8, 8}, rng, 0.0F, 1.0F);
   }
 
   std::shared_ptr<snn::ModelRegistry> registry_;
@@ -169,12 +169,11 @@ void poke_u32(std::vector<std::uint8_t>& frame, std::size_t off, std::uint32_t v
 TEST_F(NetWireTest, LogitsBitIdenticalToDirectSubmit) {
   constexpr int kRequests = 16;
   // Direct in-process submits first: the reference rows.
-  std::vector<Tensor> reference;
+  std::vector<serve::ServeResult> reference;
   for (int i = 0; i < kRequests; ++i) {
     auto sub = server_->submit("m0", make_image(100 + static_cast<std::uint64_t>(i)));
-    serve::ServeResult r = sub.result.get();
-    ASSERT_EQ(r.status, serve::RequestStatus::kOk);
-    reference.push_back(std::move(r.logits));
+    reference.push_back(sub.result.get());
+    ASSERT_EQ(reference.back().status, serve::RequestStatus::kOk);
   }
 
   TestClient client{wire_->port()};
@@ -186,7 +185,8 @@ TEST_F(NetWireTest, LogitsBitIdenticalToDirectSubmit) {
     ASSERT_EQ(resp.type, MessageType::kResult);
     ASSERT_EQ(resp.request_id, rid);
     ASSERT_EQ(resp.status, WireStatus::kOk);
-    const Tensor& want = reference[static_cast<std::size_t>(i)];
+    const serve::ServeResult& record = reference[static_cast<std::size_t>(i)];
+    const Tensor& want = record.logits;
     ASSERT_EQ(static_cast<std::int64_t>(resp.logits.size()), want.numel());
     for (std::int64_t j = 0; j < want.numel(); ++j) {
       // Bitwise, not approximate: the wire moves raw f32, and serving is
@@ -196,7 +196,13 @@ TEST_F(NetWireTest, LogitsBitIdenticalToDirectSubmit) {
     }
     EXPECT_EQ(resp.predicted, serve::predicted_class(want));
     EXPECT_GT(resp.latency_seconds, 0.0);
+    // The frame's counts are the sums of the served record's per-layer ones.
+    const auto sum = [](const std::vector<std::int64_t>& v) {
+      return static_cast<std::uint64_t>(std::accumulate(v.begin(), v.end(), std::int64_t{0}));
+    };
     EXPECT_GT(resp.spikes, 0U);
+    EXPECT_EQ(resp.spikes, sum(record.stats.spikes_per_layer)) << "request " << i;
+    EXPECT_EQ(resp.neurons, sum(record.stats.neurons_per_layer)) << "request " << i;
   }
 }
 
@@ -248,7 +254,7 @@ TEST_F(NetWireTest, UnknownModelAnswersErrorAndConnectionSurvives) {
 TEST_F(NetWireTest, ShapeMismatchAnswersBadRequestAndConnectionSurvives) {
   TestClient client{wire_->port()};
   Rng rng{3};
-  client.send_all(encode_request(9, "m0", random_tensor({3, 4, 4}, rng, 0.0F, 1.0F)));
+  client.send_all(encode_request(9, "m0", Tensor::uniform({3, 4, 4}, rng, 0.0F, 1.0F)));
   WireResponse resp;
   ASSERT_TRUE(client.recv_response(&resp));
   EXPECT_EQ(resp.status, WireStatus::kBadRequest);

@@ -20,19 +20,12 @@
 namespace ttfs::nn {
 namespace {
 
-Tensor random_tensor(std::vector<std::int64_t> shape, Rng& rng, float lo = -1.0F,
-                     float hi = 1.0F) {
-  Tensor t{std::move(shape)};
-  for (std::int64_t i = 0; i < t.numel(); ++i) t[i] = rng.uniform_f(lo, hi);
-  return t;
-}
-
 // Checks d(sum(r * layer(x)))/dx against central finite differences, and the
 // same for every parameter of the layer.
 void check_gradients(Layer& layer, const Tensor& x, double tol = 2e-2) {
   Rng rng{555};
   Tensor out = layer.forward(x, /*train=*/true);
-  Tensor r = random_tensor(out.shape(), rng);
+  Tensor r = Tensor::uniform(out.shape(), rng, -1.0F, 1.0F);
 
   for (Param* p : layer.params()) p->zero_grad();
   const Tensor gx = layer.backward(r);
@@ -93,13 +86,13 @@ TEST(Conv2d, ForwardKnownValues) {
 TEST(Conv2d, GradCheck) {
   Rng rng{2};
   Conv2d conv{2, 3, 3, 1, 1, /*bias=*/true, rng};
-  check_gradients(conv, random_tensor({2, 2, 5, 5}, rng));
+  check_gradients(conv, Tensor::uniform({2, 2, 5, 5}, rng, -1.0F, 1.0F));
 }
 
 TEST(Conv2d, GradCheckStride2) {
   Rng rng{3};
   Conv2d conv{2, 4, 3, 2, 1, /*bias=*/false, rng};
-  check_gradients(conv, random_tensor({1, 2, 7, 7}, rng));
+  check_gradients(conv, Tensor::uniform({1, 2, 7, 7}, rng, -1.0F, 1.0F));
 }
 
 TEST(Conv2d, RejectsWrongChannels) {
@@ -111,7 +104,7 @@ TEST(Conv2d, RejectsWrongChannels) {
 TEST(Conv2d, MatchesFunctionalForward) {
   Rng rng{5};
   Conv2d conv{3, 5, 3, 1, 1, true, rng};
-  Tensor x = random_tensor({2, 3, 6, 6}, rng);
+  Tensor x = Tensor::uniform({2, 3, 6, 6}, rng, -1.0F, 1.0F);
   Tensor a = conv.forward(x, false);
   Tensor b = conv2d_forward(x, conv.weight().value, &conv.bias().value, 1, 1);
   EXPECT_TRUE(a.allclose(b, 1e-5F));
@@ -131,13 +124,13 @@ TEST(Linear, ForwardKnownValues) {
 TEST(Linear, GradCheck) {
   Rng rng{7};
   Linear lin{6, 4, true, rng};
-  check_gradients(lin, random_tensor({3, 6}, rng));
+  check_gradients(lin, Tensor::uniform({3, 6}, rng, -1.0F, 1.0F));
 }
 
 TEST(BatchNorm, NormalizesBatchStats) {
   BatchNorm2d bn{2};
   Rng rng{8};
-  Tensor x = random_tensor({4, 2, 3, 3}, rng, -3.0F, 5.0F);
+  Tensor x = Tensor::uniform({4, 2, 3, 3}, rng, -3.0F, 5.0F);
   Tensor y = bn.forward(x, /*train=*/true);
   // Per channel mean ~0, var ~1.
   for (std::int64_t c = 0; c < 2; ++c) {
@@ -161,7 +154,7 @@ TEST(BatchNorm, EvalUsesRunningStats) {
   Rng rng{9};
   // Prime running stats with several training batches.
   for (int i = 0; i < 30; ++i) {
-    Tensor x = random_tensor({8, 1, 2, 2}, rng, 1.0F, 3.0F);
+    Tensor x = Tensor::uniform({8, 1, 2, 2}, rng, 1.0F, 3.0F);
     bn.forward(x, true);
   }
   Tensor probe = Tensor::full({1, 1, 2, 2}, 2.0F);  // near the running mean
@@ -173,7 +166,7 @@ TEST(BatchNorm, EvalUsesRunningStats) {
 TEST(BatchNorm, GradCheck) {
   Rng rng{10};
   BatchNorm2d bn{3};
-  check_gradients(bn, random_tensor({4, 3, 2, 2}, rng));
+  check_gradients(bn, Tensor::uniform({4, 3, 2, 2}, rng, -1.0F, 1.0F));
 }
 
 TEST(MaxPool, ForwardAndIndices) {
@@ -242,7 +235,7 @@ TEST(Loss, SoftmaxCrossEntropyKnown) {
 
 TEST(Loss, GradCheck) {
   Rng rng{12};
-  Tensor logits = random_tensor({3, 5}, rng, -2.0F, 2.0F);
+  Tensor logits = Tensor::uniform({3, 5}, rng, -2.0F, 2.0F);
   const std::vector<std::int32_t> labels{1, 4, 0};
   const LossResult r = softmax_cross_entropy(logits, labels);
   const float eps = 1e-3F;
@@ -307,7 +300,7 @@ TEST(Model, ForwardBackwardThroughStack) {
   m.add<Linear>(4, 8, true, rng);
   m.add<ActivationLayer>(std::make_shared<ReluFn>(), ActSite::kHidden);
   m.add<Linear>(8, 3, true, rng);
-  Tensor x = random_tensor({2, 4}, rng);
+  Tensor x = Tensor::uniform({2, 4}, rng, -1.0F, 1.0F);
   Tensor y = m.forward(x, true);
   EXPECT_EQ(y.shape(), (std::vector<std::int64_t>{2, 3}));
   m.zero_grad();
@@ -340,7 +333,7 @@ TEST(Vgg, SpecShapes) {
 TEST(Vgg, BuildAndForward) {
   Rng rng{15};
   Model m = build_vgg(vgg_micro_spec(5), 3, 8, rng);
-  Tensor x = random_tensor({2, 3, 8, 8}, rng, 0.0F, 1.0F);
+  Tensor x = Tensor::uniform({2, 3, 8, 8}, rng, 0.0F, 1.0F);
   Tensor y = m.forward(x, false);
   EXPECT_EQ(y.shape(), (std::vector<std::int64_t>{2, 5}));
 }
@@ -360,7 +353,7 @@ TEST(Serialize, RoundTrip) {
   Rng rng2{999};
   Model b = build_vgg(vgg_micro_spec(3), 1, 8, rng2);
   load_model(b, path);
-  Tensor x = random_tensor({1, 1, 8, 8}, rng, 0.0F, 1.0F);
+  Tensor x = Tensor::uniform({1, 1, 8, 8}, rng, 0.0F, 1.0F);
   EXPECT_TRUE(a.forward(x, false).allclose(b.forward(x, false), 1e-6F));
 }
 
@@ -382,7 +375,7 @@ TEST(Serialize, MissingFileThrows) {
 
 TEST(Functional, MaxpoolMatchesLayer) {
   Rng rng{20};
-  Tensor x = random_tensor({2, 3, 6, 6}, rng);
+  Tensor x = Tensor::uniform({2, 3, 6, 6}, rng, -1.0F, 1.0F);
   MaxPool2d layer{2, 2};
   EXPECT_TRUE(layer.forward(x, false).allclose(maxpool_forward(x, 2, 2)));
 }

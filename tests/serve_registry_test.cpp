@@ -24,48 +24,42 @@
 namespace ttfs::serve {
 namespace {
 
-Tensor random_tensor(std::vector<std::int64_t> shape, Rng& rng, float lo, float hi) {
-  Tensor t{std::move(shape)};
-  for (std::int64_t i = 0; i < t.numel(); ++i) t[i] = rng.uniform_f(lo, hi);
-  return t;
-}
-
 // Three deliberately different-shaped conv/pool/fc stacks, cheap enough for
 // TSan. Each returns a shared network the registry can co-own.
 std::shared_ptr<snn::SnnNetwork> make_net_a(Rng& rng) {  // 3x8x8 in
   auto net = std::make_shared<snn::SnnNetwork>(snn::Base2Kernel{24, 4.0, 1.0});
-  net->add_conv(random_tensor({8, 3, 3, 3}, rng, -0.15F, 0.25F),
-                random_tensor({8}, rng, -0.05F, 0.1F), 1, 1);
+  net->add_conv(Tensor::uniform({8, 3, 3, 3}, rng, -0.15F, 0.25F),
+                Tensor::uniform({8}, rng, -0.05F, 0.1F), 1, 1);
   net->add_pool(2, 2);
-  net->add_fc(random_tensor({10, 8 * 4 * 4}, rng, -0.1F, 0.12F),
-              random_tensor({10}, rng, -0.05F, 0.05F));
+  net->add_fc(Tensor::uniform({10, 8 * 4 * 4}, rng, -0.1F, 0.12F),
+              Tensor::uniform({10}, rng, -0.05F, 0.05F));
   return net;
 }
 
 std::shared_ptr<snn::SnnNetwork> make_net_b(Rng& rng) {  // 1x12x12 in
   auto net = std::make_shared<snn::SnnNetwork>(snn::Base2Kernel{24, 4.0, 1.0});
-  net->add_conv(random_tensor({4, 1, 3, 3}, rng, -0.2F, 0.3F),
-                random_tensor({4}, rng, -0.05F, 0.1F), 1, 1);
+  net->add_conv(Tensor::uniform({4, 1, 3, 3}, rng, -0.2F, 0.3F),
+                Tensor::uniform({4}, rng, -0.05F, 0.1F), 1, 1);
   net->add_pool(2, 2);
-  net->add_fc(random_tensor({10, 4 * 6 * 6}, rng, -0.1F, 0.12F),
-              random_tensor({10}, rng, -0.05F, 0.05F));
+  net->add_fc(Tensor::uniform({10, 4 * 6 * 6}, rng, -0.1F, 0.12F),
+              Tensor::uniform({10}, rng, -0.05F, 0.05F));
   return net;
 }
 
 std::shared_ptr<snn::SnnNetwork> make_net_c(Rng& rng) {  // 2x6x6 in
   auto net = std::make_shared<snn::SnnNetwork>(snn::Base2Kernel{24, 4.0, 1.0});
-  net->add_conv(random_tensor({6, 2, 3, 3}, rng, -0.18F, 0.28F),
-                random_tensor({6}, rng, -0.05F, 0.1F), 1, 1);
+  net->add_conv(Tensor::uniform({6, 2, 3, 3}, rng, -0.18F, 0.28F),
+                Tensor::uniform({6}, rng, -0.05F, 0.1F), 1, 1);
   net->add_pool(2, 2);
-  net->add_fc(random_tensor({10, 6 * 3 * 3}, rng, -0.12F, 0.14F),
-              random_tensor({10}, rng, -0.05F, 0.05F));
+  net->add_fc(Tensor::uniform({10, 6 * 3 * 3}, rng, -0.12F, 0.14F),
+              Tensor::uniform({10}, rng, -0.05F, 0.05F));
   return net;
 }
 
 std::vector<Tensor> make_images(Rng& rng, std::vector<std::int64_t> shape, std::int64_t n) {
   std::vector<Tensor> images;
   images.reserve(static_cast<std::size_t>(n));
-  for (std::int64_t i = 0; i < n; ++i) images.push_back(random_tensor(shape, rng, 0.0F, 1.0F));
+  for (std::int64_t i = 0; i < n; ++i) images.push_back(Tensor::uniform(shape, rng, 0.0F, 1.0F));
   return images;
 }
 
@@ -80,9 +74,12 @@ std::vector<Tensor> golden_rows(const snn::SnnNetwork& net,
   for (const Tensor& img : images) ptrs.push_back(&img);
   snn::RunOptions ropts;
   ropts.logits = false;
-  ropts.logit_rows = true;
+  ropts.traces = true;
   snn::RunResult run = session.run(snn::BatchView{ptrs}, ropts);
-  return std::move(run.logit_rows);
+  std::vector<Tensor> rows;
+  rows.reserve(run.traces.size());
+  for (snn::EventTrace& trace : run.traces) rows.push_back(std::move(trace.logits));
+  return rows;
 }
 
 void expect_rows_equal(const Tensor& got, const Tensor& want, const std::string& what) {
@@ -195,22 +192,25 @@ TEST(ModelRegistry, StaleHandleRewarmsOffBudget) {
   Rng rng{13};
   const auto backend = snn::make_backend(snn::BackendKind::kEventSim);
   snn::RegistryOptions opts;
-  opts.warm_on_load = false;
+  opts.max_pack_bytes = 1;  // every load evicts every other unpinned pack
   snn::ModelRegistry registry{opts};
 
   const auto h_old = registry.load("m", make_net_a(rng), backend, {3, 8, 8});
-  EXPECT_FALSE(h_old->warm());  // lazy: first pin pays the build
+  // Loading a second model evicts the first, so the swap retires a cold
+  // handle.
+  (void)registry.load("other", make_net_a(rng), backend, {3, 8, 8});
+  EXPECT_FALSE(h_old->warm());
   const auto h_new = registry.load("m", make_net_a(rng), backend, {3, 8, 8});
   ASSERT_NE(h_old, h_new);
 
   // The stale handle still pins and runs: its pack is rebuilt off-budget and
   // dies with the handle, so a queued request admitted pre-swap drains.
-  const std::size_t warm_bytes_before = registry.stats().warm_bytes;
+  const snn::RegistryStats before = registry.stats();
   {
     const auto pin = registry.pin_for_run(h_old);
     EXPECT_TRUE(h_old->warm());
-    EXPECT_EQ(registry.stats().warm_bytes, warm_bytes_before);
-    EXPECT_GE(registry.stats().misses, 1U);
+    EXPECT_EQ(registry.stats().warm_bytes, before.warm_bytes);
+    EXPECT_EQ(registry.stats().misses, before.misses + 1);
   }
 }
 
@@ -278,7 +278,7 @@ TEST(ModelRegistry, QuantizedBackendShrinksWarmBytesAndEvictsCleanly) {
     const auto pin = small.pin_for_run(h_q2);
     EXPECT_TRUE(h_q2->warm());
     snn::InferenceSession session{h_q2->net(), h_q2->backend_ptr()};
-    const Tensor img = random_tensor({3, 8, 8}, rng, 0.0F, 1.0F);
+    const Tensor img = Tensor::uniform({3, 8, 8}, rng, 0.0F, 1.0F);
     snn::RunOptions ropts;
     ropts.logits = true;
     const snn::RunResult run = session.run(snn::BatchView{std::vector<const Tensor*>{&img}}, ropts);
@@ -450,7 +450,7 @@ TEST(ServeRegistry, UnknownModelResolvesRejected) {
   ServeOptions opts;
   opts.registry = registry;
   SnnServer server{opts};
-  auto result = server.submit("mystery", random_tensor({3, 8, 8}, rng, 0.0F, 1.0F)).result.get();
+  auto result = server.submit("mystery", Tensor::uniform({3, 8, 8}, rng, 0.0F, 1.0F)).result.get();
   EXPECT_EQ(result.status, RequestStatus::kRejected);
   EXPECT_EQ(result.model_id, "mystery");
   server.stop();
@@ -464,7 +464,7 @@ TEST(ServeRegistry, ShapeMismatchNamesTheModel) {
   ServeOptions opts;
   opts.registry = registry;
   SnnServer server{opts};
-  EXPECT_THROW((void)server.submit("a", random_tensor({1, 12, 12}, rng, 0.0F, 1.0F)),
+  EXPECT_THROW((void)server.submit("a", Tensor::uniform({1, 12, 12}, rng, 0.0F, 1.0F)),
                std::invalid_argument);
 }
 

@@ -313,9 +313,9 @@ class CountingBackend final : public test::ForwardingBackend {
 
   std::string name() const override { return "counting"; }
   void run_sample(const snn::SnnNetwork& net, const snn::BatchView& batch, std::int64_t i,
-                  snn::SimArena& arena, const snn::SampleSlots& slots) const override {
+                  snn::SimArena& arena, snn::EventTrace& into) const override {
     samples_run_.fetch_add(1, std::memory_order_relaxed);
-    ForwardingBackend::run_sample(net, batch, i, arena, slots);
+    ForwardingBackend::run_sample(net, batch, i, arena, into);
   }
   std::int64_t samples_run() const { return samples_run_.load(std::memory_order_relaxed); }
 
@@ -339,7 +339,7 @@ TEST(SnnServer, InjectedCustomBackendServesRequests) {
     for (const Tensor& img : images) gathered.push_back(&img);
     snn::RunOptions golden_opts;
     golden_opts.logits = false;
-    golden_opts.logit_rows = true;
+    golden_opts.traces = true;
     snn::InferenceSession golden{net, inner};
     const snn::RunResult want = golden.run(snn::BatchView{gathered}, golden_opts);
 
@@ -359,10 +359,53 @@ TEST(SnnServer, InjectedCustomBackendServesRequests) {
       auto sub = server.submit(kModel, images[i]);
       ServeResult r = sub.result.get();
       ASSERT_EQ(r.status, RequestStatus::kOk) << "request " << i;
-      expect_rows_equal(r.logits, want.logit_rows[i], "request " + std::to_string(i));
+      expect_rows_equal(r.logits, want.traces[i].logits, "request " + std::to_string(i));
     }
     server.stop();
     EXPECT_EQ(counting->samples_run(), static_cast<std::int64_t>(images.size()));
+  }
+}
+
+// A served request's record is read off its own trace: logits, argmax and
+// per-layer counts equal those of a direct traced session run on the same
+// image, on the float and the fixed-point backend alike.
+TEST(SnnServer, PerRequestRecordMatchesDirectTrace) {
+  for (const snn::BackendKind kind : {snn::BackendKind::kEventSim, snn::BackendKind::kQuantized}) {
+    SCOPED_TRACE(snn::to_string(kind));
+    Rng rng{53};
+    snn::SnnNetwork net = make_net(rng);
+    if (kind == snn::BackendKind::kQuantized) {
+      cat::log_quantize_network(net, cat::LogQuantConfig{});
+    }
+    const auto images = make_images(rng, 5);
+
+    const std::shared_ptr<const snn::InferenceBackend> backend = snn::make_backend(kind);
+    std::vector<const Tensor*> gathered;
+    for (const Tensor& img : images) gathered.push_back(&img);
+    snn::RunOptions direct_opts;
+    direct_opts.logits = false;
+    direct_opts.traces = true;
+    snn::InferenceSession direct{net, backend};
+    const snn::RunResult want = direct.run(snn::BatchView{gathered}, direct_opts);
+
+    ServeOptions opts;
+    opts.max_batch = 2;
+    opts.max_delay = microseconds{500};
+    SnnServer server{one_model(net, opts, backend)};
+    std::vector<SnnServer::Submission> subs;
+    for (const Tensor& img : images) subs.push_back(server.submit(kModel, img));
+    for (std::size_t i = 0; i < subs.size(); ++i) {
+      const std::string what = "request " + std::to_string(i);
+      const ServeResult r = subs[i].result.get();
+      ASSERT_EQ(r.status, RequestStatus::kOk) << what;
+      const snn::SnnRunStats expected = snn::stats_from_trace(net, want.traces[i]);
+      EXPECT_EQ(r.stats.images, 1) << what;
+      EXPECT_EQ(r.stats.spikes_per_layer, expected.spikes_per_layer) << what;
+      EXPECT_EQ(r.stats.neurons_per_layer, expected.neurons_per_layer) << what;
+      EXPECT_EQ(r.predicted, predicted_class(want.traces[i].logits)) << what;
+      expect_rows_equal(r.logits, want.traces[i].logits, what);
+    }
+    server.stop();
   }
 }
 
@@ -445,7 +488,7 @@ TEST(SnnServer, BackendFailureFailsSegmentAndReplicaRecovers) {
   const std::vector<const Tensor*> clean{&images[0], &images[2], &images[3]};
   snn::RunOptions golden_opts;
   golden_opts.logits = false;
-  golden_opts.logit_rows = true;
+  golden_opts.traces = true;
   snn::InferenceSession golden{net, inner};
   const snn::RunResult want = golden.run(snn::BatchView{clean}, golden_opts);
   std::vector<SnnServer::Submission> subs;
@@ -453,7 +496,7 @@ TEST(SnnServer, BackendFailureFailsSegmentAndReplicaRecovers) {
   for (std::size_t i = 0; i < subs.size(); ++i) {
     ServeResult r = subs[i].result.get();
     ASSERT_EQ(r.status, RequestStatus::kOk) << "request " << i;
-    expect_rows_equal(r.logits, want.logit_rows[i], "request " + std::to_string(i));
+    expect_rows_equal(r.logits, want.traces[i].logits, "request " + std::to_string(i));
   }
   server.stop();
   const ServerStats stats = server.stats();

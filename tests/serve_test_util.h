@@ -20,24 +20,18 @@
 
 namespace ttfs::serve::test {
 
-inline Tensor random_tensor(std::vector<std::int64_t> shape, Rng& rng, float lo, float hi) {
-  Tensor t{std::move(shape)};
-  for (std::int64_t i = 0; i < t.numel(); ++i) t[i] = rng.uniform_f(lo, hi);
-  return t;
-}
-
 // Small conv/pool/fc stack on 3x8x8 inputs; cheap enough for TSan runs.
 inline snn::SnnNetwork make_net(Rng& rng) {
   snn::SnnNetwork net{snn::Base2Kernel{24, 4.0, 1.0}};
-  net.add_conv(random_tensor({8, 3, 3, 3}, rng, -0.15F, 0.25F),
-               random_tensor({8}, rng, -0.05F, 0.1F), 1, 1);
+  net.add_conv(Tensor::uniform({8, 3, 3, 3}, rng, -0.15F, 0.25F),
+               Tensor::uniform({8}, rng, -0.05F, 0.1F), 1, 1);
   net.add_pool(2, 2);
-  net.add_fc(random_tensor({10, 8 * 4 * 4}, rng, -0.1F, 0.12F),
-             random_tensor({10}, rng, -0.05F, 0.05F));
+  net.add_fc(Tensor::uniform({10, 8 * 4 * 4}, rng, -0.1F, 0.12F),
+             Tensor::uniform({10}, rng, -0.05F, 0.05F));
   return net;
 }
 
-inline Tensor make_image(Rng& rng) { return random_tensor({3, 8, 8}, rng, 0.0F, 1.0F); }
+inline Tensor make_image(Rng& rng) { return Tensor::uniform({3, 8, 8}, rng, 0.0F, 1.0F); }
 
 inline std::vector<Tensor> make_images(Rng& rng, std::int64_t n) {
   std::vector<Tensor> images;
@@ -72,7 +66,6 @@ class ForwardingBackend : public snn::InferenceBackend {
       : inner_{std::move(inner)} {}
 
   std::string name() const override { return inner_->name(); }
-  bool uses_arena() const override { return inner_->uses_arena(); }
   void ensure_ready(const snn::SnnNetwork& net) const override { inner_->ensure_ready(net); }
   bool has_resident_pack() const override { return inner_->has_resident_pack(); }
   std::size_t resident_pack_bytes(const snn::SnnNetwork& net) const override {
@@ -80,8 +73,8 @@ class ForwardingBackend : public snn::InferenceBackend {
   }
   void release_pack(const snn::SnnNetwork& net) const override { inner_->release_pack(net); }
   void run_sample(const snn::SnnNetwork& net, const snn::BatchView& batch, std::int64_t i,
-                  snn::SimArena& arena, const snn::SampleSlots& slots) const override {
-    inner_->run_sample(net, batch, i, arena, slots);
+                  snn::SimArena& arena, snn::EventTrace& into) const override {
+    inner_->run_sample(net, batch, i, arena, into);
   }
 
  private:
@@ -95,14 +88,14 @@ class GatedBackend final : public ForwardingBackend {
   using ForwardingBackend::ForwardingBackend;
 
   void run_sample(const snn::SnnNetwork& net, const snn::BatchView& batch, std::int64_t i,
-                  snn::SimArena& arena, const snn::SampleSlots& slots) const override {
+                  snn::SimArena& arena, snn::EventTrace& into) const override {
     {
       std::unique_lock<std::mutex> lock{mu_};
       entered_ = true;
       cv_.notify_all();
       cv_.wait(lock, [this] { return open_; });
     }
-    ForwardingBackend::run_sample(net, batch, i, arena, slots);
+    ForwardingBackend::run_sample(net, batch, i, arena, into);
   }
   void wait_entered() const {
     std::unique_lock<std::mutex> lock{mu_};
@@ -128,9 +121,9 @@ class ThrowingBackend final : public ForwardingBackend {
   using ForwardingBackend::ForwardingBackend;
 
   void run_sample(const snn::SnnNetwork& net, const snn::BatchView& batch, std::int64_t i,
-                  snn::SimArena& arena, const snn::SampleSlots& slots) const override {
+                  snn::SimArena& arena, snn::EventTrace& into) const override {
     if (batch.sample(i)[0] < 0.0F) throw std::runtime_error{"poisoned sample"};
-    ForwardingBackend::run_sample(net, batch, i, arena, slots);
+    ForwardingBackend::run_sample(net, batch, i, arena, into);
   }
 };
 

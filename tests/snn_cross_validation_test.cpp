@@ -21,12 +21,6 @@
 namespace ttfs {
 namespace {
 
-Tensor random_tensor(std::vector<std::int64_t> shape, Rng& rng, float lo, float hi) {
-  Tensor t{std::move(shape)};
-  for (std::int64_t i = 0; i < t.numel(); ++i) t[i] = rng.uniform_f(lo, hi);
-  return t;
-}
-
 // Runs an (N, C, H, W) batch through a one-off session on `kind` over `pool`.
 snn::RunResult run_batch(const snn::SnnNetwork& net, snn::BackendKind kind, const Tensor& nchw,
                          ThreadPool& pool, const snn::RunOptions& opts) {
@@ -42,15 +36,15 @@ TEST(EventSimStride, MatchesFastPathWithStride2AndNoPad) {
   // stride-1 pad-0 conv.
   Rng rng{200};
   snn::SnnNetwork net{snn::Base2Kernel{24, 4.0, 1.0}};
-  net.add_conv(random_tensor({4, 2, 3, 3}, rng, -0.15F, 0.25F),
-               random_tensor({4}, rng, -0.05F, 0.1F), /*stride=*/2, /*pad=*/1);
-  net.add_conv(random_tensor({6, 4, 3, 3}, rng, -0.1F, 0.15F),
-               random_tensor({6}, rng, -0.05F, 0.1F), /*stride=*/1, /*pad=*/0);
-  net.add_fc(random_tensor({3, 6 * 3 * 3}, rng, -0.1F, 0.12F),
-             random_tensor({3}, rng, -0.05F, 0.05F));
+  net.add_conv(Tensor::uniform({4, 2, 3, 3}, rng, -0.15F, 0.25F),
+               Tensor::uniform({4}, rng, -0.05F, 0.1F), /*stride=*/2, /*pad=*/1);
+  net.add_conv(Tensor::uniform({6, 4, 3, 3}, rng, -0.1F, 0.15F),
+               Tensor::uniform({6}, rng, -0.05F, 0.1F), /*stride=*/1, /*pad=*/0);
+  net.add_fc(Tensor::uniform({3, 6 * 3 * 3}, rng, -0.1F, 0.12F),
+             Tensor::uniform({3}, rng, -0.05F, 0.05F));
 
   for (int trial = 0; trial < 3; ++trial) {
-    Tensor img = random_tensor({2, 9, 9}, rng, 0.0F, 1.0F);
+    Tensor img = Tensor::uniform({2, 9, 9}, rng, 0.0F, 1.0F);
     const auto maps = net.trace(img);
     const snn::EventTrace events = snn::run_event_sim(net, img);
     ASSERT_EQ(events.layers.size(), maps.size());
@@ -97,19 +91,19 @@ TEST(EventSimOverhaul, BitIdenticalToReferenceSimulator) {
   // across conv stride/pad variants, pooling, and FC layers.
   Rng rng{400};
   snn::SnnNetwork net{snn::Base2Kernel{24, 4.0, 1.0}};
-  net.add_conv(random_tensor({6, 3, 3, 3}, rng, -0.15F, 0.25F),
-               random_tensor({6}, rng, -0.05F, 0.1F), /*stride=*/1, /*pad=*/1);
+  net.add_conv(Tensor::uniform({6, 3, 3, 3}, rng, -0.15F, 0.25F),
+               Tensor::uniform({6}, rng, -0.05F, 0.1F), /*stride=*/1, /*pad=*/1);
   net.add_pool(2, 2);
-  net.add_conv(random_tensor({8, 6, 3, 3}, rng, -0.1F, 0.15F), Tensor{{8}},
+  net.add_conv(Tensor::uniform({8, 6, 3, 3}, rng, -0.1F, 0.15F), Tensor{{8}},
                /*stride=*/2, /*pad=*/1);
-  net.add_conv(random_tensor({10, 8, 3, 3}, rng, -0.1F, 0.15F),
-               random_tensor({10}, rng, -0.05F, 0.1F), /*stride=*/1, /*pad=*/0);
-  net.add_fc(random_tensor({5, 10 * 1 * 1}, rng, -0.2F, 0.22F),
-             random_tensor({5}, rng, -0.05F, 0.05F));
+  net.add_conv(Tensor::uniform({10, 8, 3, 3}, rng, -0.1F, 0.15F),
+               Tensor::uniform({10}, rng, -0.05F, 0.1F), /*stride=*/1, /*pad=*/0);
+  net.add_fc(Tensor::uniform({5, 10 * 1 * 1}, rng, -0.2F, 0.22F),
+             Tensor::uniform({5}, rng, -0.05F, 0.05F));
 
   snn::SimArena arena;  // shared across trials: reuse must not leak state
   for (int trial = 0; trial < 4; ++trial) {
-    const Tensor img = random_tensor({3, 12, 12}, rng, 0.0F, 1.0F);
+    const Tensor img = Tensor::uniform({3, 12, 12}, rng, 0.0F, 1.0F);
     const snn::EventTrace ref = snn::reference::run_event_sim(net, img);
     expect_traces_identical(snn::run_event_sim(net, img), ref, "fresh-arena");
     expect_traces_identical(snn::run_event_sim(net, img, arena), ref, "shared-arena");
@@ -119,12 +113,12 @@ TEST(EventSimOverhaul, BitIdenticalToReferenceSimulator) {
 TEST(EventSimOverhaul, BatchBitIdenticalToReference) {
   Rng rng{401};
   snn::SnnNetwork net{snn::Base2Kernel{24, 4.0, 1.0}};
-  net.add_conv(random_tensor({6, 3, 3, 3}, rng, -0.15F, 0.25F),
-               random_tensor({6}, rng, -0.05F, 0.1F), 1, 1);
+  net.add_conv(Tensor::uniform({6, 3, 3, 3}, rng, -0.15F, 0.25F),
+               Tensor::uniform({6}, rng, -0.05F, 0.1F), 1, 1);
   net.add_pool(2, 2);
-  net.add_fc(random_tensor({5, 6 * 5 * 5}, rng, -0.1F, 0.12F),
-             random_tensor({5}, rng, -0.05F, 0.05F));
-  const Tensor images = random_tensor({7, 3, 10, 10}, rng, 0.0F, 1.0F);
+  net.add_fc(Tensor::uniform({5, 6 * 5 * 5}, rng, -0.1F, 0.12F),
+             Tensor::uniform({5}, rng, -0.05F, 0.05F));
+  const Tensor images = Tensor::uniform({7, 3, 10, 10}, rng, 0.0F, 1.0F);
 
   ThreadPool pool{3};
   snn::RunOptions opts;
@@ -144,11 +138,11 @@ TEST(T2fsnnAligned, MatchesBase2NetworkWhenKernelsAligned) {
   // produce identical logits on identical layers.
   Rng rng{201};
   std::vector<snn::SnnLayer> layers;
-  layers.push_back(snn::SnnConv{random_tensor({4, 1, 3, 3}, rng, -0.2F, 0.3F),
-                                random_tensor({4}, rng, -0.05F, 0.1F), 1, 1});
+  layers.push_back(snn::SnnConv{Tensor::uniform({4, 1, 3, 3}, rng, -0.2F, 0.3F),
+                                Tensor::uniform({4}, rng, -0.05F, 0.1F), 1, 1});
   layers.push_back(snn::SnnPool{2, 2});
-  layers.push_back(snn::SnnFc{random_tensor({5, 4 * 4 * 4}, rng, -0.1F, 0.12F),
-                              random_tensor({5}, rng, -0.05F, 0.05F)});
+  layers.push_back(snn::SnnFc{Tensor::uniform({5, 4 * 4 * 4}, rng, -0.1F, 0.12F),
+                              Tensor::uniform({5}, rng, -0.05F, 0.05F)});
   auto layers_copy = layers;
 
   const int window = 24;
@@ -161,7 +155,7 @@ TEST(T2fsnnAligned, MatchesBase2NetworkWhenKernelsAligned) {
   cfg.td = 0.0;
   snn::T2fsnnNetwork basee{cfg, std::move(layers_copy)};
 
-  Tensor x = random_tensor({4, 1, 8, 8}, rng, 0.0F, 1.0F);
+  Tensor x = Tensor::uniform({4, 1, 8, 8}, rng, 0.0F, 1.0F);
   const Tensor la = base2.forward(x);
   const Tensor lb = basee.forward(x);
   ASSERT_EQ(la.shape(), lb.shape());
@@ -249,9 +243,9 @@ TEST(EventSimEnergyHooks, IntegrationOpsMatchDenseTimesActivity) {
   // firing fraction of the source layer (interior-approximation sanity).
   Rng rng{203};
   snn::SnnNetwork net{snn::Base2Kernel{24, 4.0, 1.0}};
-  net.add_conv(random_tensor({8, 3, 3, 3}, rng, -0.1F, 0.2F), Tensor{{8}}, 1, 1);
-  net.add_fc(random_tensor({4, 8 * 10 * 10}, rng, -0.05F, 0.06F), Tensor{{4}});
-  Tensor img = random_tensor({3, 10, 10}, rng, 0.3F, 1.0F);  // all pixels spike
+  net.add_conv(Tensor::uniform({8, 3, 3, 3}, rng, -0.1F, 0.2F), Tensor{{8}}, 1, 1);
+  net.add_fc(Tensor::uniform({4, 8 * 10 * 10}, rng, -0.05F, 0.06F), Tensor{{4}});
+  Tensor img = Tensor::uniform({3, 10, 10}, rng, 0.3F, 1.0F);  // all pixels spike
 
   const snn::EventTrace trace = snn::run_event_sim(net, img);
   // Layer 1 (conv): every input spikes, so ops ~= dense interior MACs.
@@ -264,13 +258,13 @@ TEST(EventSimEnergyHooks, IntegrationOpsMatchDenseTimesActivity) {
 // tests below.
 snn::SnnNetwork batching_net(Rng& rng) {
   snn::SnnNetwork net{snn::Base2Kernel{24, 4.0, 1.0}};
-  net.add_conv(random_tensor({6, 3, 3, 3}, rng, -0.15F, 0.25F),
-               random_tensor({6}, rng, -0.05F, 0.1F), /*stride=*/1, /*pad=*/1);
+  net.add_conv(Tensor::uniform({6, 3, 3, 3}, rng, -0.15F, 0.25F),
+               Tensor::uniform({6}, rng, -0.05F, 0.1F), /*stride=*/1, /*pad=*/1);
   net.add_pool(2, 2);
-  net.add_conv(random_tensor({8, 6, 3, 3}, rng, -0.1F, 0.15F),
-               random_tensor({8}, rng, -0.05F, 0.1F), /*stride=*/2, /*pad=*/1);
-  net.add_fc(random_tensor({5, 8 * 3 * 3}, rng, -0.1F, 0.12F),
-             random_tensor({5}, rng, -0.05F, 0.05F));
+  net.add_conv(Tensor::uniform({8, 6, 3, 3}, rng, -0.1F, 0.15F),
+               Tensor::uniform({8}, rng, -0.05F, 0.1F), /*stride=*/2, /*pad=*/1);
+  net.add_fc(Tensor::uniform({5, 8 * 3 * 3}, rng, -0.1F, 0.12F),
+             Tensor::uniform({5}, rng, -0.05F, 0.05F));
   return net;
 }
 
@@ -281,7 +275,7 @@ TEST(BatchEventSim, MatchesSequentialLoopBitExactly) {
   // model may not drift when inference is fanned out across workers.
   Rng rng{300};
   const snn::SnnNetwork net = batching_net(rng);
-  const Tensor images = random_tensor({6, 3, 10, 10}, rng, 0.0F, 1.0F);
+  const Tensor images = Tensor::uniform({6, 3, 10, 10}, rng, 0.0F, 1.0F);
 
   std::vector<snn::EventTrace> seq;
   for (std::int64_t i = 0; i < images.dim(0); ++i) {

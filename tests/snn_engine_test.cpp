@@ -4,10 +4,11 @@
 // reference::run_event_sim (oracle) — so every session result must be
 // bit-identical to the matching primitive driven in a sequential loop. The
 // core matrix runs one golden batch through both float backends × batch
-// sizes {1, 7, 32} × every RunOptions combination and checks logits,
-// predictions, per-sample stats, and full spike traces against those
-// goldens; integer artifacts (stats, predictions) must additionally agree
-// with SnnNetwork::forward, the conversion-math oracle (decode . fire).
+// sizes {1, 7, 32} × every RunOptions combination (logits × traces) and
+// checks merged logits and full spike traces against those goldens; the
+// integer artifacts read off each trace (stats_from_trace, the argmax) must
+// additionally agree with SnnNetwork::forward, the conversion-math oracle
+// (decode . fire).
 // Also covered: the quantized backend against the float event sim on a
 // log-quantized net, NCHW vs gathered batch views, arena/session reuse
 // across runs and differently-shaped networks, the zero-thread inline pool,
@@ -20,6 +21,7 @@
 #include <vector>
 
 #include "cat/logquant.h"
+#include "serve/result.h"
 #include "snn/engine.h"
 #include "snn/event_sim.h"
 #include "snn/event_sim_reference.h"
@@ -33,21 +35,15 @@ namespace {
 
 constexpr std::int64_t kMaxBatch = 32;
 
-Tensor random_tensor(std::vector<std::int64_t> shape, Rng& rng, float lo, float hi) {
-  Tensor t{std::move(shape)};
-  for (std::int64_t i = 0; i < t.numel(); ++i) t[i] = rng.uniform_f(lo, hi);
-  return t;
-}
-
 // Small conv/pool/fc stack on 3x8x8 inputs; cheap enough that the reference
 // oracle can run the full matrix.
 snn::SnnNetwork make_net(Rng& rng) {
   snn::SnnNetwork net{snn::Base2Kernel{24, 4.0, 1.0}};
-  net.add_conv(random_tensor({8, 3, 3, 3}, rng, -0.15F, 0.25F),
-               random_tensor({8}, rng, -0.05F, 0.1F), 1, 1);
+  net.add_conv(Tensor::uniform({8, 3, 3, 3}, rng, -0.15F, 0.25F),
+               Tensor::uniform({8}, rng, -0.05F, 0.1F), 1, 1);
   net.add_pool(2, 2);
-  net.add_fc(random_tensor({10, 8 * 4 * 4}, rng, -0.1F, 0.12F),
-             random_tensor({10}, rng, -0.05F, 0.05F));
+  net.add_fc(Tensor::uniform({10, 8 * 4 * 4}, rng, -0.1F, 0.12F),
+             Tensor::uniform({10}, rng, -0.05F, 0.05F));
   return net;
 }
 
@@ -55,11 +51,11 @@ snn::SnnNetwork make_net(Rng& rng) {
 // the shared-backend / arena-reuse cases.
 snn::SnnNetwork make_other_net(Rng& rng) {
   snn::SnnNetwork net{snn::Base2Kernel{24, 4.0, 1.0}};
-  net.add_conv(random_tensor({6, 3, 3, 3}, rng, -0.15F, 0.25F),
-               random_tensor({6}, rng, -0.05F, 0.1F), 1, 1);
-  net.add_conv(random_tensor({12, 6, 3, 3}, rng, -0.1F, 0.15F), Tensor{{12}}, 2, 1);
-  net.add_fc(random_tensor({4, 12 * 6 * 6}, rng, -0.1F, 0.12F),
-             random_tensor({4}, rng, -0.05F, 0.05F));
+  net.add_conv(Tensor::uniform({6, 3, 3, 3}, rng, -0.15F, 0.25F),
+               Tensor::uniform({6}, rng, -0.05F, 0.1F), 1, 1);
+  net.add_conv(Tensor::uniform({12, 6, 3, 3}, rng, -0.1F, 0.15F), Tensor{{12}}, 2, 1);
+  net.add_fc(Tensor::uniform({4, 12 * 6 * 6}, rng, -0.1F, 0.12F),
+             Tensor::uniform({4}, rng, -0.05F, 0.05F));
   return net;
 }
 
@@ -67,7 +63,7 @@ std::vector<Tensor> make_images(Rng& rng, std::int64_t n, std::vector<std::int64
   std::vector<Tensor> images;
   images.reserve(static_cast<std::size_t>(n));
   for (std::int64_t i = 0; i < n; ++i) {
-    images.push_back(random_tensor(shape, rng, 0.0F, 1.0F));
+    images.push_back(Tensor::uniform(shape, rng, 0.0F, 1.0F));
   }
   return images;
 }
@@ -157,10 +153,20 @@ void expect_traces_identical(const snn::EventTrace& got, const snn::EventTrace& 
   expect_rows_equal(got.logits, want.logits, what);
 }
 
+// Checks what every caller reads off sample i's trace: its stats and its
+// prediction are integer artifacts that agree across all backends, so
+// forward()'s record and argmax are the single golden.
+void expect_trace_outputs_match(const snn::SnnNetwork& net, const snn::EventTrace& trace,
+                                const SampleGolden& golden, const std::string& what) {
+  expect_stats_equal(snn::stats_from_trace(net, trace), golden.stats, what);
+  EXPECT_EQ(serve::predicted_class(trace.logits), argmax(golden.forward_logits)) << what;
+}
+
 // Checks one RunResult against the goldens for samples [0, n) under the
 // given options: requested artifacts bit-identical, unrequested ones empty.
-void expect_result_matches(const snn::RunResult& run, const std::vector<SampleGolden>& goldens,
-                           std::int64_t n, snn::BackendKind kind, const snn::RunOptions& opts,
+void expect_result_matches(const snn::SnnNetwork& net, const snn::RunResult& run,
+                           const std::vector<SampleGolden>& goldens, std::int64_t n,
+                           snn::BackendKind kind, const snn::RunOptions& opts,
                            const std::string& what) {
   if (opts.logits) {
     ASSERT_EQ(run.logits.dim(0), n) << what;
@@ -173,48 +179,14 @@ void expect_result_matches(const snn::RunResult& run, const std::vector<SampleGo
     EXPECT_TRUE(run.logits.empty()) << what;
   }
 
-  if (opts.logit_rows) {
-    ASSERT_EQ(run.logit_rows.size(), static_cast<std::size_t>(n)) << what;
-    for (std::int64_t i = 0; i < n; ++i) {
-      expect_rows_equal(run.logit_rows[static_cast<std::size_t>(i)],
-                        golden_logits(goldens[static_cast<std::size_t>(i)], kind),
-                        what + " row " + std::to_string(i));
-    }
-  } else {
-    EXPECT_TRUE(run.logit_rows.empty()) << what;
-  }
-
-  if (opts.predictions) {
-    ASSERT_EQ(run.predicted.size(), static_cast<std::size_t>(n)) << what;
-    for (std::int64_t i = 0; i < n; ++i) {
-      // Predictions are integer artifacts: identical for every backend.
-      EXPECT_EQ(run.predicted[static_cast<std::size_t>(i)],
-                argmax(goldens[static_cast<std::size_t>(i)].forward_logits))
-          << what << " sample " << i;
-    }
-  } else {
-    EXPECT_TRUE(run.predicted.empty()) << what;
-  }
-
-  if (opts.stats) {
-    ASSERT_EQ(run.stats.size(), static_cast<std::size_t>(n)) << what;
-    for (std::int64_t i = 0; i < n; ++i) {
-      // Spike/neuron counters are integers and agree across all backends, so
-      // forward()'s record is the single golden.
-      expect_stats_equal(run.stats[static_cast<std::size_t>(i)],
-                         goldens[static_cast<std::size_t>(i)].stats,
-                         what + " sample " + std::to_string(i));
-    }
-  } else {
-    EXPECT_TRUE(run.stats.empty()) << what;
-  }
-
   if (opts.traces) {
     ASSERT_EQ(run.traces.size(), static_cast<std::size_t>(n)) << what;
     for (std::int64_t i = 0; i < n; ++i) {
-      expect_traces_identical(run.traces[static_cast<std::size_t>(i)],
-                              golden_trace(goldens[static_cast<std::size_t>(i)], kind),
-                              what + " sample " + std::to_string(i));
+      const snn::EventTrace& trace = run.traces[static_cast<std::size_t>(i)];
+      const SampleGolden& golden = goldens[static_cast<std::size_t>(i)];
+      const std::string sample = what + " sample " + std::to_string(i);
+      expect_traces_identical(trace, golden_trace(golden, kind), sample);
+      expect_trace_outputs_match(net, trace, golden, sample);
     }
   } else {
     EXPECT_TRUE(run.traces.empty()) << what;
@@ -264,17 +236,14 @@ TEST_F(SnnEngineConformance, AllBackendsBitIdenticalAcrossBatchAndOptions) {
     snn::InferenceSession session = engine.session(kind);
     for (const std::int64_t n : {std::int64_t{1}, std::int64_t{7}, kMaxBatch}) {
       const std::vector<const Tensor*> batch = gather(images(), n);
-      for (int mask = 0; mask < 32; ++mask) {
+      for (int mask = 0; mask < 4; ++mask) {
         snn::RunOptions opts;
         opts.logits = (mask & 1) != 0;
-        opts.predictions = (mask & 2) != 0;
-        opts.stats = (mask & 4) != 0;
-        opts.traces = (mask & 8) != 0;
-        opts.logit_rows = (mask & 16) != 0;
+        opts.traces = (mask & 2) != 0;
         const std::string what = "backend=" + snn::to_string(kind) + " n=" +
                                  std::to_string(n) + " mask=" + std::to_string(mask);
         const snn::RunResult run = session.run(snn::BatchView{batch}, opts);
-        expect_result_matches(run, goldens(), n, kind, opts, what);
+        expect_result_matches(net(), run, goldens(), n, kind, opts, what);
       }
     }
   }
@@ -292,19 +261,17 @@ TEST_F(SnnEngineConformance, NchwAndGatheredViewsAgree) {
   const snn::Engine engine{net()};
   snn::RunOptions opts;
   opts.logits = true;
-  opts.predictions = true;
-  opts.stats = true;
+  opts.traces = true;
   for (const snn::BackendKind kind : {snn::BackendKind::kEventSim, snn::BackendKind::kReference}) {
     snn::InferenceSession session = engine.session(kind);
     const snn::RunResult from_nchw = session.run(snn::BatchView{nchw}, opts);
     const snn::RunResult from_gathered = session.run(snn::BatchView{gather(images(), n)}, opts);
     const std::string what = "backend=" + snn::to_string(kind);
     expect_rows_equal(from_nchw.logits, from_gathered.logits, what);
-    EXPECT_EQ(from_nchw.predicted, from_gathered.predicted) << what;
-    ASSERT_EQ(from_nchw.stats.size(), from_gathered.stats.size()) << what;
-    for (std::size_t i = 0; i < from_nchw.stats.size(); ++i) {
-      expect_stats_equal(from_nchw.stats[i], from_gathered.stats[i],
-                         what + " sample " + std::to_string(i));
+    ASSERT_EQ(from_nchw.traces.size(), from_gathered.traces.size()) << what;
+    for (std::size_t i = 0; i < from_nchw.traces.size(); ++i) {
+      expect_traces_identical(from_nchw.traces[i], from_gathered.traces[i],
+                              what + " sample " + std::to_string(i));
     }
   }
 }
@@ -316,13 +283,13 @@ TEST_F(SnnEngineConformance, ZeroThreadInlinePoolMatchesGoldens) {
   const snn::Engine engine{net()};
   snn::RunOptions opts;
   opts.logits = true;
-  opts.stats = true;
+  opts.traces = true;
   for (const snn::BackendKind kind : {snn::BackendKind::kEventSim, snn::BackendKind::kReference}) {
     snn::SessionOptions sopts;
     sopts.pool = &inline_pool;
     snn::InferenceSession session = engine.session(kind, std::move(sopts));
     const snn::RunResult run = session.run(snn::BatchView{gather(images(), 5)}, opts);
-    expect_result_matches(run, goldens(), 5, kind, opts,
+    expect_result_matches(net(), run, goldens(), 5, kind, opts,
                           "inline backend=" + snn::to_string(kind));
   }
 }
@@ -351,9 +318,9 @@ TEST_F(SnnEngineConformance, SharedBackendAcrossDifferentlyShapedNetworks) {
   const snn::BackendKind kind = snn::BackendKind::kEventSim;
   for (const std::int64_t n : {std::int64_t{5}, std::int64_t{1}, std::int64_t{3}}) {
     const snn::RunResult a = small.run(snn::BatchView{gather(images(), n)}, opts);
-    expect_result_matches(a, goldens(), n, kind, opts, "small n=" + std::to_string(n));
+    expect_result_matches(net(), a, goldens(), n, kind, opts, "small n=" + std::to_string(n));
     const snn::RunResult b = big.run(snn::BatchView{gather(other_images, n)}, opts);
-    expect_result_matches(b, other_goldens, n, kind, opts, "big n=" + std::to_string(n));
+    expect_result_matches(other, b, other_goldens, n, kind, opts, "big n=" + std::to_string(n));
   }
 }
 
@@ -366,10 +333,11 @@ TEST_F(SnnEngineConformance, SharedBackendAcrossDifferentlyShapedNetworks) {
 // adds vs LogPe shift-adds into a fixed-point accumulator.
 //
 // Integer artifacts (spikes, neuron counts, integration ops, encoder cycles,
-// stats, predictions) must agree EXACTLY: firing compares the membrane
-// against power-of-two thresholds, and at lut_bits = acc_frac_bits = 24 the
-// per-add rounding (~6e-8) never crosses a threshold for this golden batch —
-// the same exactness the hw/processor co-sim relies on.
+// and the stats and predictions read off a trace) must agree EXACTLY: firing
+// compares the membrane against power-of-two thresholds, and at lut_bits =
+// acc_frac_bits = 24 the per-add rounding (~6e-8) never crosses a threshold
+// for this golden batch — the same exactness the hw/processor co-sim relies
+// on.
 //
 // Logits carry the rounding, bounded per output by
 //   |quant - float| <= (n_adds + 1) * (2^-lut_bits * max|w * theta|
@@ -452,13 +420,10 @@ TEST_F(SnnEngineQuantizedConformance, MatchesEventSimAcrossBatchAndOptions) {
   EXPECT_EQ(session.backend().name(), "quantized");
   for (const std::int64_t n : {std::int64_t{1}, std::int64_t{7}, kMaxBatch}) {
     const std::vector<const Tensor*> batch = gather(images(), n);
-    for (int mask = 0; mask < 32; ++mask) {
+    for (int mask = 0; mask < 4; ++mask) {
       snn::RunOptions opts;
       opts.logits = (mask & 1) != 0;
-      opts.predictions = (mask & 2) != 0;
-      opts.stats = (mask & 4) != 0;
-      opts.traces = (mask & 8) != 0;
-      opts.logit_rows = (mask & 16) != 0;
+      opts.traces = (mask & 2) != 0;
       const std::string what = "quantized n=" + std::to_string(n) + " mask=" +
                                std::to_string(mask);
       const snn::RunResult run = session.run(snn::BatchView{batch}, opts);
@@ -472,43 +437,14 @@ TEST_F(SnnEngineQuantizedConformance, MatchesEventSimAcrossBatchAndOptions) {
       } else {
         EXPECT_TRUE(run.logits.empty()) << what;
       }
-      if (opts.logit_rows) {
-        ASSERT_EQ(run.logit_rows.size(), static_cast<std::size_t>(n)) << what;
-        for (std::int64_t i = 0; i < n; ++i) {
-          expect_rows_close(run.logit_rows[static_cast<std::size_t>(i)],
-                            goldens()[static_cast<std::size_t>(i)].event.logits,
-                            what + " row " + std::to_string(i));
-        }
-      } else {
-        EXPECT_TRUE(run.logit_rows.empty()) << what;
-      }
-      if (opts.predictions) {
-        // Integer artifact: must agree with the float backends exactly.
-        ASSERT_EQ(run.predicted.size(), static_cast<std::size_t>(n)) << what;
-        for (std::int64_t i = 0; i < n; ++i) {
-          EXPECT_EQ(run.predicted[static_cast<std::size_t>(i)],
-                    argmax(goldens()[static_cast<std::size_t>(i)].forward_logits))
-              << what << " sample " << i;
-        }
-      } else {
-        EXPECT_TRUE(run.predicted.empty()) << what;
-      }
-      if (opts.stats) {
-        ASSERT_EQ(run.stats.size(), static_cast<std::size_t>(n)) << what;
-        for (std::int64_t i = 0; i < n; ++i) {
-          expect_stats_equal(run.stats[static_cast<std::size_t>(i)],
-                             goldens()[static_cast<std::size_t>(i)].stats,
-                             what + " sample " + std::to_string(i));
-        }
-      } else {
-        EXPECT_TRUE(run.stats.empty()) << what;
-      }
       if (opts.traces) {
         ASSERT_EQ(run.traces.size(), static_cast<std::size_t>(n)) << what;
         for (std::int64_t i = 0; i < n; ++i) {
-          expect_traces_match_quantized(run.traces[static_cast<std::size_t>(i)],
-                                        goldens()[static_cast<std::size_t>(i)].event,
-                                        what + " sample " + std::to_string(i));
+          const snn::EventTrace& trace = run.traces[static_cast<std::size_t>(i)];
+          const SampleGolden& golden = goldens()[static_cast<std::size_t>(i)];
+          const std::string sample = what + " sample " + std::to_string(i);
+          expect_traces_match_quantized(trace, golden.event, sample);
+          expect_trace_outputs_match(net(), trace, golden, sample);
         }
       } else {
         EXPECT_TRUE(run.traces.empty()) << what;
@@ -530,18 +466,10 @@ TEST_F(SnnEngineQuantizedConformance, NchwAndGatheredViewsAgreeBitwise) {
   snn::InferenceSession session = engine.session(snn::BackendKind::kQuantized);
   snn::RunOptions opts;
   opts.logits = true;
-  opts.predictions = true;
-  opts.stats = true;
   opts.traces = true;
   const snn::RunResult from_nchw = session.run(snn::BatchView{nchw}, opts);
   const snn::RunResult from_gathered = session.run(snn::BatchView{gather(images(), n)}, opts);
   expect_rows_equal(from_nchw.logits, from_gathered.logits, "quantized views");
-  EXPECT_EQ(from_nchw.predicted, from_gathered.predicted);
-  ASSERT_EQ(from_nchw.stats.size(), from_gathered.stats.size());
-  for (std::size_t i = 0; i < from_nchw.stats.size(); ++i) {
-    expect_stats_equal(from_nchw.stats[i], from_gathered.stats[i],
-                       "quantized views sample " + std::to_string(i));
-  }
   ASSERT_EQ(from_nchw.traces.size(), from_gathered.traces.size());
   for (std::size_t i = 0; i < from_nchw.traces.size(); ++i) {
     expect_traces_identical(from_nchw.traces[i], from_gathered.traces[i],
@@ -573,12 +501,12 @@ struct ScopedKernelPath {
 TEST(SnnEngineQuantizedSplit, IntraSampleSplitIsBitwiseInvisible) {
   Rng rng{906};
   snn::SnnNetwork net{snn::Base2Kernel{24, 4.0, 1.0}};
-  net.add_conv(random_tensor({12, 3, 3, 3}, rng, -0.15F, 0.25F),
-               random_tensor({12}, rng, -0.05F, 0.1F), 1, 1);
+  net.add_conv(Tensor::uniform({12, 3, 3, 3}, rng, -0.15F, 0.25F),
+               Tensor::uniform({12}, rng, -0.05F, 0.1F), 1, 1);
   net.add_pool(2, 2);
-  net.add_fc(random_tensor({10, 12 * 8 * 8}, rng, -0.05F, 0.06F),
-             random_tensor({10}, rng, -0.05F, 0.05F));
-  const Tensor img = random_tensor({3, 16, 16}, rng, 0.1F, 1.0F);
+  net.add_fc(Tensor::uniform({10, 12 * 8 * 8}, rng, -0.05F, 0.06F),
+             Tensor::uniform({10}, rng, -0.05F, 0.05F));
+  const Tensor img = Tensor::uniform({3, 16, 16}, rng, 0.1F, 1.0F);
   cat::log_quantize_network(net, cat::LogQuantConfig{});
 
   ThreadPool wide{4};
@@ -636,12 +564,10 @@ TEST(SnnEngine, EmptyBatchYieldsEmptyResult) {
   snn::InferenceSession session = snn::Engine{net}.session(snn::BackendKind::kEventSim);
   snn::RunOptions opts;
   opts.logits = true;
-  opts.predictions = true;
-  opts.stats = true;
+  opts.traces = true;
   const snn::RunResult run = session.run(snn::BatchView{std::vector<const Tensor*>{}}, opts);
   EXPECT_EQ(run.logits.dim(0), 0);
-  EXPECT_TRUE(run.predicted.empty());
-  EXPECT_TRUE(run.stats.empty());
+  EXPECT_TRUE(run.traces.empty());
 }
 
 }  // namespace

@@ -257,29 +257,23 @@ TEST(ThresholdLutTest, MatchesBaseEFireStepEverywhere) {
   }
 }
 
-Tensor random_tensor(std::vector<std::int64_t> shape, Rng& rng, float lo, float hi) {
-  Tensor t{std::move(shape)};
-  for (std::int64_t i = 0; i < t.numel(); ++i) t[i] = rng.uniform_f(lo, hi);
-  return t;
-}
-
 TEST(SimArenaTest, ReuseAcrossSamplesAndShapesIsStateless) {
   // One arena serving many samples — and then a *differently shaped* network —
   // must behave exactly like a fresh arena each time (no stale scratch).
   Rng rng{88};
   SnnNetwork net{Base2Kernel{24, 4.0, 1.0}};
-  net.add_conv(random_tensor({6, 3, 3, 3}, rng, -0.15F, 0.25F),
-               random_tensor({6}, rng, -0.05F, 0.1F), 1, 1);
+  net.add_conv(Tensor::uniform({6, 3, 3, 3}, rng, -0.15F, 0.25F),
+               Tensor::uniform({6}, rng, -0.05F, 0.1F), 1, 1);
   net.add_pool(2, 2);
-  net.add_fc(random_tensor({4, 6 * 5 * 5}, rng, -0.1F, 0.12F), Tensor{{4}});
+  net.add_fc(Tensor::uniform({4, 6 * 5 * 5}, rng, -0.1F, 0.12F), Tensor{{4}});
 
   SnnNetwork tiny{Base2Kernel{24, 4.0, 1.0}};
-  tiny.add_conv(random_tensor({2, 1, 3, 3}, rng, -0.2F, 0.3F), Tensor{{2}}, 1, 0);
-  tiny.add_fc(random_tensor({3, 2 * 2 * 2}, rng, -0.2F, 0.25F), Tensor{{3}});
+  tiny.add_conv(Tensor::uniform({2, 1, 3, 3}, rng, -0.2F, 0.3F), Tensor{{2}}, 1, 0);
+  tiny.add_fc(Tensor::uniform({3, 2 * 2 * 2}, rng, -0.2F, 0.25F), Tensor{{3}});
 
   SimArena shared;
   for (int trial = 0; trial < 4; ++trial) {
-    const Tensor img = random_tensor({3, 10, 10}, rng, 0.0F, 1.0F);
+    const Tensor img = Tensor::uniform({3, 10, 10}, rng, 0.0F, 1.0F);
     const EventTrace with_shared = run_event_sim(net, img, shared);
     const EventTrace fresh = run_event_sim(net, img);
     ASSERT_EQ(with_shared.layers.size(), fresh.layers.size());
@@ -297,7 +291,7 @@ TEST(SimArenaTest, ReuseAcrossSamplesAndShapesIsStateless) {
     }
 
     // Interleave the small net through the same (now oversized) arena.
-    const Tensor small_img = random_tensor({1, 4, 4}, rng, 0.0F, 1.0F);
+    const Tensor small_img = Tensor::uniform({1, 4, 4}, rng, 0.0F, 1.0F);
     const EventTrace a = run_event_sim(tiny, small_img, shared);
     const EventTrace b = run_event_sim(tiny, small_img);
     ASSERT_EQ(a.logits.numel(), b.logits.numel());
@@ -433,14 +427,14 @@ TEST(PoolFromStepGrid, OverlappingAndUnitStridePoolsOnOddSidesAndPaddedStrides) 
   // leave the last input row unread; the odd width leaves a column over.
   Rng rng{931};
   SnnNetwork net{Base2Kernel{24, 4.0, 1.0}};
-  net.add_conv(random_tensor({13, 3, 3, 3}, rng, -0.15F, 0.3F),
-               random_tensor({13}, rng, -0.05F, 0.1F), 1, 1);
+  net.add_conv(Tensor::uniform({13, 3, 3, 3}, rng, -0.15F, 0.3F),
+               Tensor::uniform({13}, rng, -0.05F, 0.1F), 1, 1);
   net.add_pool(3, 2);
-  net.add_conv(random_tensor({24, 13, 3, 3}, rng, -0.1F, 0.2F),
-               random_tensor({24}, rng, -0.05F, 0.1F), 1, 1);
+  net.add_conv(Tensor::uniform({24, 13, 3, 3}, rng, -0.1F, 0.2F),
+               Tensor::uniform({24}, rng, -0.05F, 0.1F), 1, 1);
   net.add_pool(2, 1);
-  net.add_fc(random_tensor({10, 24 * 3 * 3}, rng, -0.1F, 0.12F),
-             random_tensor({10}, rng, -0.05F, 0.05F));
+  net.add_fc(Tensor::uniform({10, 24 * 3 * 3}, rng, -0.1F, 0.12F),
+             Tensor::uniform({10}, rng, -0.05F, 0.05F));
   expect_pools_match_in_both_formats(net, 3, 10, 9, rng);
 }
 
@@ -452,11 +446,12 @@ TEST(PoolFromStepGrid, PoolAfterTheInputEncodingAndPoolAfterPool) {
   SnnNetwork net{Base2Kernel{24, 4.0, 1.0}};
   net.add_pool(2, 2);
   net.add_pool(3, 1);
-  net.add_conv(random_tensor({13, 3, 3, 3}, rng, -0.15F, 0.3F),
-               random_tensor({13}, rng, -0.05F, 0.1F), 1, 1);
+  net.add_conv(Tensor::uniform({13, 3, 3, 3}, rng, -0.15F, 0.3F),
+               Tensor::uniform({13}, rng, -0.05F, 0.1F), 1, 1);
   net.add_pool(2, 2);
   net.add_pool(2, 1);
-  net.add_fc(random_tensor({10, 13}, rng, -0.2F, 0.25F), random_tensor({10}, rng, -0.05F, 0.05F));
+  net.add_fc(Tensor::uniform({10, 13}, rng, -0.2F, 0.25F),
+             Tensor::uniform({10}, rng, -0.05F, 0.05F));
   expect_pools_match_in_both_formats(net, 3, 13, 13, rng);
 }
 
@@ -465,9 +460,9 @@ TEST(PackedWeights, RepackRebuildsAfterMutation) {
   // weights, not the stale repack.
   Rng rng{89};
   SnnNetwork net{Base2Kernel{24, 4.0, 1.0}};
-  net.add_conv(random_tensor({4, 2, 3, 3}, rng, -0.2F, 0.3F), Tensor{{4}}, 1, 1);
-  net.add_fc(random_tensor({3, 4 * 6 * 6}, rng, -0.1F, 0.15F), Tensor{{3}});
-  const Tensor img = random_tensor({2, 6, 6}, rng, 0.2F, 1.0F);
+  net.add_conv(Tensor::uniform({4, 2, 3, 3}, rng, -0.2F, 0.3F), Tensor{{4}}, 1, 1);
+  net.add_fc(Tensor::uniform({3, 4 * 6 * 6}, rng, -0.1F, 0.15F), Tensor{{3}});
+  const Tensor img = Tensor::uniform({2, 6, 6}, rng, 0.2F, 1.0F);
 
   const EventTrace before = run_event_sim(net, img);
   for (auto& layer : net.mutable_layers()) {

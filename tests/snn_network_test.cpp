@@ -8,28 +8,22 @@
 namespace ttfs::snn {
 namespace {
 
-Tensor random_tensor(std::vector<std::int64_t> shape, Rng& rng, float lo, float hi) {
-  Tensor t{std::move(shape)};
-  for (std::int64_t i = 0; i < t.numel(); ++i) t[i] = rng.uniform_f(lo, hi);
-  return t;
-}
-
 // A small conv->pool->conv->fc->fc SNN with random weights scaled so hidden
 // membranes land in the representable range.
 SnnNetwork make_test_net(Rng& rng, int window = 24, double tau = 4.0) {
   SnnNetwork net{Base2Kernel{window, tau, 1.0}};
-  Tensor w1 = random_tensor({4, 2, 3, 3}, rng, -0.15F, 0.25F);
-  Tensor b1 = random_tensor({4}, rng, -0.05F, 0.1F);
+  Tensor w1 = Tensor::uniform({4, 2, 3, 3}, rng, -0.15F, 0.25F);
+  Tensor b1 = Tensor::uniform({4}, rng, -0.05F, 0.1F);
   net.add_conv(std::move(w1), std::move(b1), 1, 1);
   net.add_pool(2, 2);
-  Tensor w2 = random_tensor({6, 4, 3, 3}, rng, -0.1F, 0.15F);
-  Tensor b2 = random_tensor({6}, rng, -0.05F, 0.1F);
+  Tensor w2 = Tensor::uniform({6, 4, 3, 3}, rng, -0.1F, 0.15F);
+  Tensor b2 = Tensor::uniform({6}, rng, -0.05F, 0.1F);
   net.add_conv(std::move(w2), std::move(b2), 1, 1);
-  Tensor w3 = random_tensor({8, 6 * 4 * 4}, rng, -0.05F, 0.08F);
-  Tensor b3 = random_tensor({8}, rng, -0.05F, 0.05F);
+  Tensor w3 = Tensor::uniform({8, 6 * 4 * 4}, rng, -0.05F, 0.08F);
+  Tensor b3 = Tensor::uniform({8}, rng, -0.05F, 0.05F);
   net.add_fc(std::move(w3), std::move(b3));
-  Tensor w4 = random_tensor({3, 8}, rng, -0.3F, 0.3F);
-  Tensor b4 = random_tensor({3}, rng, -0.1F, 0.1F);
+  Tensor w4 = Tensor::uniform({3, 8}, rng, -0.3F, 0.3F);
+  Tensor b4 = Tensor::uniform({3}, rng, -0.1F, 0.1F);
   net.add_fc(std::move(w4), std::move(b4));
   return net;
 }
@@ -45,7 +39,7 @@ TEST(SnnNetwork, StructureAccounting) {
 TEST(SnnNetwork, EncodeDecodeRoundTrip) {
   Rng rng{31};
   SnnNetwork net = make_test_net(rng);
-  Tensor values = random_tensor({2, 4, 4}, rng, 0.0F, 1.0F);
+  Tensor values = Tensor::uniform({2, 4, 4}, rng, 0.0F, 1.0F);
   const SpikeMap map = net.encode(values);
   EXPECT_EQ(map.neuron_count(), values.numel());
   // Decode through the kernel: decode(encode(x)) == phi_TTFS(x), and
@@ -66,7 +60,7 @@ TEST(SnnNetwork, ForwardMatchesQuantizedAnn) {
   Rng rng{32};
   SnnNetwork net = make_test_net(rng);
   const Base2Kernel& kernel = net.kernel();
-  Tensor x = random_tensor({3, 2, 8, 8}, rng, 0.0F, 1.0F);
+  Tensor x = Tensor::uniform({3, 2, 8, 8}, rng, 0.0F, 1.0F);
 
   const Tensor snn_logits = net.forward(x);
 
@@ -93,7 +87,7 @@ TEST(SnnNetwork, ForwardMatchesQuantizedAnn) {
 TEST(SnnNetwork, StatsCountSpikes) {
   Rng rng{33};
   SnnNetwork net = make_test_net(rng);
-  Tensor x = random_tensor({2, 2, 8, 8}, rng, 0.3F, 1.0F);
+  Tensor x = Tensor::uniform({2, 2, 8, 8}, rng, 0.3F, 1.0F);
   SnnRunStats stats;
   (void)net.forward(x, &stats);
   ASSERT_EQ(stats.spikes_per_layer.size(), 4U);  // input + 3 hidden fire phases
@@ -146,7 +140,7 @@ TEST(EventSim, MatchesFastPathSpikes) {
   Rng rng{35};
   SnnNetwork net = make_test_net(rng);
   for (int trial = 0; trial < 3; ++trial) {
-    Tensor img = random_tensor({2, 8, 8}, rng, 0.0F, 1.0F);
+    Tensor img = Tensor::uniform({2, 8, 8}, rng, 0.0F, 1.0F);
     const auto maps = net.trace(img);
     const EventTrace events = run_event_sim(net, img);
     ASSERT_EQ(events.layers.size(), maps.size());
@@ -164,7 +158,7 @@ TEST(EventSim, MatchesFastPathSpikes) {
 TEST(EventSim, LogitsMatchFastPath) {
   Rng rng{36};
   SnnNetwork net = make_test_net(rng);
-  Tensor img = random_tensor({2, 8, 8}, rng, 0.0F, 1.0F);
+  Tensor img = Tensor::uniform({2, 8, 8}, rng, 0.0F, 1.0F);
   Tensor batch{{1, 2, 8, 8}, std::vector<float>(img.vec())};
   const Tensor fast = net.forward(batch);
   const EventTrace events = run_event_sim(net, img);
@@ -177,7 +171,7 @@ TEST(EventSim, LogitsMatchFastPath) {
 TEST(EventSim, SpikesOrderedByStepThenPriority) {
   Rng rng{37};
   SnnNetwork net = make_test_net(rng);
-  Tensor img = random_tensor({2, 8, 8}, rng, 0.0F, 1.0F);
+  Tensor img = Tensor::uniform({2, 8, 8}, rng, 0.0F, 1.0F);
   const EventTrace events = run_event_sim(net, img);
   for (const auto& layer : events.layers) {
     for (std::size_t i = 1; i < layer.spikes.size(); ++i) {
@@ -191,7 +185,7 @@ TEST(EventSim, SpikesOrderedByStepThenPriority) {
 TEST(EventSim, CycleAccounting) {
   Rng rng{38};
   SnnNetwork net = make_test_net(rng);
-  Tensor img = random_tensor({2, 8, 8}, rng, 0.2F, 1.0F);
+  Tensor img = Tensor::uniform({2, 8, 8}, rng, 0.2F, 1.0F);
   const EventTrace events = run_event_sim(net, img);
   for (const auto& layer : events.layers) {
     if (layer.encoder_cycles > 0) {

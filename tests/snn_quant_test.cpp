@@ -41,22 +41,16 @@
 namespace ttfs {
 namespace {
 
-Tensor random_tensor(std::vector<std::int64_t> shape, Rng& rng, float lo, float hi) {
-  Tensor t{std::move(shape)};
-  for (std::int64_t i = 0; i < t.numel(); ++i) t[i] = rng.uniform_f(lo, hi);
-  return t;
-}
-
 // Conv/pool/fc stack on 3x8x8 inputs, same shape family as the engine
 // conformance net. theta0 = 1 and tau = 4 = 2^2 satisfy the hardware kernel
 // constraints (Eq. 18) the pack build enforces.
 snn::SnnNetwork make_net(Rng& rng) {
   snn::SnnNetwork net{snn::Base2Kernel{24, 4.0, 1.0}};
-  net.add_conv(random_tensor({8, 3, 3, 3}, rng, -0.15F, 0.25F),
-               random_tensor({8}, rng, -0.05F, 0.1F), 1, 1);
+  net.add_conv(Tensor::uniform({8, 3, 3, 3}, rng, -0.15F, 0.25F),
+               Tensor::uniform({8}, rng, -0.05F, 0.1F), 1, 1);
   net.add_pool(2, 2);
-  net.add_fc(random_tensor({10, 8 * 4 * 4}, rng, -0.1F, 0.12F),
-             random_tensor({10}, rng, -0.05F, 0.05F));
+  net.add_fc(Tensor::uniform({10, 8 * 4 * 4}, rng, -0.1F, 0.12F),
+             Tensor::uniform({10}, rng, -0.05F, 0.05F));
   return net;
 }
 
@@ -284,7 +278,7 @@ TEST(QuantKernels, HugeWeightsSaturateToTheRailsLikeLogPe) {
     }
     net.add_fc(std::move(w), Tensor{});
     net.ensure_quantized(pconfig);
-    const Tensor img = random_tensor({4, 1, 1}, rng, 0.1F, 1.0F);
+    const Tensor img = Tensor::uniform({4, 1, 1}, rng, 0.1F, 1.0F);
     snn::SimArena arena;
     snn::EventTrace trace;
     snn::detail::run_quantized_event_sim_span(net, img.data(), 4, 1, 1, arena, trace);
@@ -311,7 +305,7 @@ TEST(QuantKernels, HugeWeightsSaturateToTheRailsLikeLogPe) {
     }
     net.add_conv(std::move(w), Tensor{}, 1, 1);
     net.ensure_quantized(pconfig);
-    const Tensor img = random_tensor({1, 4, 4}, rng, 0.1F, 1.0F);
+    const Tensor img = Tensor::uniform({1, 4, 4}, rng, 0.1F, 1.0F);
     snn::SimArena arena;
     snn::EventTrace trace;
     snn::detail::run_quantized_event_sim_span(net, img.data(), 1, 4, 4, arena, trace);
@@ -578,7 +572,7 @@ TEST(QuantizedWeightPack, EnsureReleaseRebuildLifecycle) {
 
   // The simulator end-to-end still runs after the lifecycle churn.
   Rng img_rng{5};
-  const Tensor img = random_tensor({3, 8, 8}, img_rng, 0.0F, 1.0F);
+  const Tensor img = Tensor::uniform({3, 8, 8}, img_rng, 0.0F, 1.0F);
   snn::SimArena arena;
   snn::EventTrace trace;
   snn::detail::run_quantized_event_sim_span(net, img.data(), 3, 8, 8, arena, trace);

@@ -38,12 +38,6 @@ namespace k = snn::kernels;
 
 constexpr float kInf = std::numeric_limits<float>::infinity();
 
-Tensor random_tensor(std::vector<std::int64_t> shape, Rng& rng, float lo, float hi) {
-  Tensor t{std::move(shape)};
-  for (std::int64_t i = 0; i < t.numel(); ++i) t[i] = rng.uniform_f(lo, hi);
-  return t;
-}
-
 // RAII: force the scalar path for one scope, restore on exit.
 struct ScopedScalar {
   explicit ScopedScalar(bool on) { k::force_scalar(on); }
@@ -127,8 +121,8 @@ TEST(BroadcastRows, MatchesPerPixelLoopIncludingPadding) {
 TEST(PackedLayout, PadsOutputSpansAndAlignsStorage) {
   Rng rng{901};
   snn::SnnNetwork net{snn::Base2Kernel{24, 4.0, 1.0}};
-  net.add_conv(random_tensor({13, 3, 3, 3}, rng, -0.2F, 0.2F), Tensor{{13}}, 1, 1);
-  net.add_fc(random_tensor({10, 13 * 8 * 8}, rng, -0.1F, 0.1F), Tensor{{10}});
+  net.add_conv(Tensor::uniform({13, 3, 3, 3}, rng, -0.2F, 0.2F), Tensor{{13}}, 1, 1);
+  net.add_fc(Tensor::uniform({10, 13 * 8 * 8}, rng, -0.1F, 0.1F), Tensor{{10}});
   net.ensure_packed();
 
   const auto& conv = std::get<snn::PackedConv>(net.packed_layers()[0]);
@@ -155,7 +149,7 @@ TEST(PackedLayout, ConvPackHoldsEveryWeightAtItsConvSlot) {
   // A non-square kernel, so a kh/kw mix-up or a mirror on the wrong axis
   // moves weights. Every weight must sit at conv_slot(ci, ky, kx)*cstride+co.
   Rng rng{909};
-  const Tensor weight = random_tensor({13, 3, 3, 5}, rng, -0.2F, 0.2F);
+  const Tensor weight = Tensor::uniform({13, 3, 3, 5}, rng, -0.2F, 0.2F);
   snn::SnnNetwork net{snn::Base2Kernel{24, 4.0, 1.0}};
   net.add_conv(weight, Tensor{{13}}, 1, 2);
   net.ensure_packed();
@@ -289,14 +283,14 @@ void expect_traces_identical(const snn::EventTrace& got, const snn::EventTrace& 
 // output is a single pixel.
 snn::SnnNetwork tail_geometry_net(Rng& rng) {
   snn::SnnNetwork net{snn::Base2Kernel{24, 4.0, 1.0}};
-  net.add_conv(random_tensor({13, 3, 3, 3}, rng, -0.15F, 0.25F),
-               random_tensor({13}, rng, -0.05F, 0.1F), /*stride=*/1, /*pad=*/1);
-  net.add_conv(random_tensor({9, 13, 3, 3}, rng, -0.1F, 0.15F), Tensor{{9}},
+  net.add_conv(Tensor::uniform({13, 3, 3, 3}, rng, -0.15F, 0.25F),
+               Tensor::uniform({13}, rng, -0.05F, 0.1F), /*stride=*/1, /*pad=*/1);
+  net.add_conv(Tensor::uniform({9, 13, 3, 3}, rng, -0.1F, 0.15F), Tensor{{9}},
                /*stride=*/2, /*pad=*/1);
-  net.add_conv(random_tensor({11, 9, 5, 5}, rng, -0.1F, 0.15F),
-               random_tensor({11}, rng, -0.05F, 0.1F), /*stride=*/1, /*pad=*/0);
-  net.add_fc(random_tensor({10, 11 * 1 * 1}, rng, -0.2F, 0.22F),
-             random_tensor({10}, rng, -0.05F, 0.05F));
+  net.add_conv(Tensor::uniform({11, 9, 5, 5}, rng, -0.1F, 0.15F),
+               Tensor::uniform({11}, rng, -0.05F, 0.1F), /*stride=*/1, /*pad=*/0);
+  net.add_fc(Tensor::uniform({10, 11 * 1 * 1}, rng, -0.2F, 0.22F),
+             Tensor::uniform({10}, rng, -0.05F, 0.05F));
   return net;
 }
 
@@ -315,7 +309,7 @@ TEST(KernelConformance, TailGeometriesMatchReferenceOnBothPaths) {
   Rng rng{902};
   const snn::SnnNetwork net = tail_geometry_net(rng);
   for (int trial = 0; trial < 3; ++trial) {
-    const Tensor img = random_tensor({3, 9, 9}, rng, 0.0F, 1.0F);
+    const Tensor img = Tensor::uniform({3, 9, 9}, rng, 0.0F, 1.0F);
     expect_matches_reference(net, img, "tail-geometry");
   }
 }
@@ -341,7 +335,7 @@ TEST(KernelConformance, CacheBlockTilingDoesNotChangeBits) {
   // one padded row); results must not change by a single bit.
   Rng rng{904};
   const snn::SnnNetwork net = tail_geometry_net(rng);
-  const Tensor img = random_tensor({3, 9, 9}, rng, 0.0F, 1.0F);
+  const Tensor img = Tensor::uniform({3, 9, 9}, rng, 0.0F, 1.0F);
   const snn::EventTrace want = snn::run_event_sim(net, img);
   ScopedBlockBytes tiny{64};
   expect_traces_identical(snn::run_event_sim(net, img), want, "tiny-block");
@@ -351,7 +345,7 @@ TEST(KernelConformance, CacheBlockTilingDoesNotChangeBits) {
 TEST(KernelConformance, BatchOfFiveMatchesReferenceOnBothPaths) {
   Rng rng{905};
   const snn::SnnNetwork net = tail_geometry_net(rng);
-  const Tensor images = random_tensor({5, 3, 9, 9}, rng, 0.0F, 1.0F);
+  const Tensor images = Tensor::uniform({5, 3, 9, 9}, rng, 0.0F, 1.0F);
   ThreadPool pool{3};
   for (const bool scalar : {false, true}) {
     ScopedScalar guard{scalar};
@@ -377,12 +371,12 @@ TEST(KernelConformance, IntraSampleSplitMatchesReference) {
   // shrunken block budget additionally composes tiling with the split.
   Rng rng{906};
   snn::SnnNetwork net{snn::Base2Kernel{24, 4.0, 1.0}};
-  net.add_conv(random_tensor({12, 3, 3, 3}, rng, -0.15F, 0.25F),
-               random_tensor({12}, rng, -0.05F, 0.1F), 1, 1);
+  net.add_conv(Tensor::uniform({12, 3, 3, 3}, rng, -0.15F, 0.25F),
+               Tensor::uniform({12}, rng, -0.05F, 0.1F), 1, 1);
   net.add_pool(2, 2);
-  net.add_fc(random_tensor({10, 12 * 8 * 8}, rng, -0.05F, 0.06F),
-             random_tensor({10}, rng, -0.05F, 0.05F));
-  const Tensor img = random_tensor({3, 16, 16}, rng, 0.1F, 1.0F);
+  net.add_fc(Tensor::uniform({10, 12 * 8 * 8}, rng, -0.05F, 0.06F),
+             Tensor::uniform({10}, rng, -0.05F, 0.05F));
+  const Tensor img = Tensor::uniform({3, 16, 16}, rng, 0.1F, 1.0F);
   const snn::EventTrace ref = snn::reference::run_event_sim(net, img);
 
   ThreadPool pool{4};
@@ -599,10 +593,10 @@ void expect_walk_matches_per_tap_division(const k::ConvGeom& g, Train train) {
 
 snn::SnnNetwork tap_walk_net(const k::ConvGeom& g, Rng& rng) {
   snn::SnnNetwork net{snn::Base2Kernel{24, 4.0, 1.0}};
-  net.add_conv(random_tensor({kTapCout, kTapCin, g.kh, g.kw}, rng, -0.1F, 0.3F),
-               random_tensor({kTapCout}, rng, -0.05F, 0.1F), g.stride, g.pad);
-  net.add_fc(random_tensor({10, kTapCout * g.oh * g.ow}, rng, -0.1F, 0.12F),
-             random_tensor({10}, rng, -0.05F, 0.05F));
+  net.add_conv(Tensor::uniform({kTapCout, kTapCin, g.kh, g.kw}, rng, -0.1F, 0.3F),
+               Tensor::uniform({kTapCout}, rng, -0.05F, 0.1F), g.stride, g.pad);
+  net.add_fc(Tensor::uniform({10, kTapCout * g.oh * g.ow}, rng, -0.1F, 0.12F),
+             Tensor::uniform({10}, rng, -0.05F, 0.05F));
   return net;
 }
 
@@ -611,7 +605,7 @@ void expect_net_matches_reference_under_tiny_blocks(const k::ConvGeom& g) {
   const snn::SnnNetwork net = tap_walk_net(g, rng);
   ScopedBlockBytes tiny{64};
   for (int trial = 0; trial < 2; ++trial) {
-    const Tensor img = random_tensor({kTapCin, kTapH, kTapW}, rng, 0.0F, 1.0F);
+    const Tensor img = Tensor::uniform({kTapCin, kTapH, kTapW}, rng, 0.0F, 1.0F);
     expect_matches_reference(net, img, "tap-walk");
   }
 }

@@ -6,21 +6,15 @@
 namespace ttfs::snn {
 namespace {
 
-Tensor random_tensor(std::vector<std::int64_t> shape, Rng& rng, float lo, float hi) {
-  Tensor t{std::move(shape)};
-  for (std::int64_t i = 0; i < t.numel(); ++i) t[i] = rng.uniform_f(lo, hi);
-  return t;
-}
-
 std::vector<SnnLayer> small_stack(Rng& rng) {
   std::vector<SnnLayer> layers;
-  layers.push_back(SnnConv{random_tensor({4, 1, 3, 3}, rng, -0.2F, 0.3F),
-                           random_tensor({4}, rng, -0.05F, 0.1F), 1, 1});
+  layers.push_back(SnnConv{Tensor::uniform({4, 1, 3, 3}, rng, -0.2F, 0.3F),
+                           Tensor::uniform({4}, rng, -0.05F, 0.1F), 1, 1});
   layers.push_back(SnnPool{2, 2});
-  layers.push_back(SnnFc{random_tensor({5, 4 * 4 * 4}, rng, -0.1F, 0.12F),
-                         random_tensor({5}, rng, -0.05F, 0.05F)});
-  layers.push_back(SnnFc{random_tensor({3, 5}, rng, -0.4F, 0.4F),
-                         random_tensor({3}, rng, -0.1F, 0.1F)});
+  layers.push_back(SnnFc{Tensor::uniform({5, 4 * 4 * 4}, rng, -0.1F, 0.12F),
+                         Tensor::uniform({5}, rng, -0.05F, 0.05F)});
+  layers.push_back(SnnFc{Tensor::uniform({3, 5}, rng, -0.4F, 0.4F),
+                         Tensor::uniform({3}, rng, -0.1F, 0.1F)});
   return layers;
 }
 
@@ -49,7 +43,7 @@ TEST(T2fsnn, KernelCountMatchesHiddenLayers) {
 TEST(T2fsnn, ForwardShape) {
   Rng rng{42};
   T2fsnnNetwork net{T2fsnnConfig{}, small_stack(rng)};
-  Tensor x = random_tensor({2, 1, 8, 8}, rng, 0.0F, 1.0F);
+  Tensor x = Tensor::uniform({2, 1, 8, 8}, rng, 0.0F, 1.0F);
   const Tensor logits = net.forward(x);
   EXPECT_EQ(logits.shape(), (std::vector<std::int64_t>{2, 3}));
 }
@@ -74,7 +68,7 @@ TEST(T2fsnn, TuningReducesCodingError) {
   cfg.tau = 40.0;  // deliberately bad starting tau
   cfg.td = 0.0;
   T2fsnnNetwork net{cfg, small_stack(rng)};
-  Tensor calib = random_tensor({8, 1, 8, 8}, rng, 0.0F, 1.0F);
+  Tensor calib = Tensor::uniform({8, 1, 8, 8}, rng, 0.0F, 1.0F);
 
   const double before = coding_error(net.kernels()[0], calib);
   net.tune_kernels(calib, 1);
@@ -96,7 +90,7 @@ TEST(T2fsnn, TunedKernelsDifferPerLayer) {
   for (std::int64_t i = 0; i < fc->bias.numel(); ++i) fc->bias[i] *= 0.02F;
 
   T2fsnnNetwork net{T2fsnnConfig{}, std::move(layers)};
-  Tensor calib = random_tensor({8, 1, 8, 8}, rng, 0.0F, 1.0F);
+  Tensor calib = Tensor::uniform({8, 1, 8, 8}, rng, 0.0F, 1.0F);
   net.tune_kernels(calib, 2);
   const auto& ks = net.kernels();
   bool any_differ = false;

@@ -41,47 +41,41 @@ namespace {
 
 constexpr std::int64_t kBatch = 2;
 
-Tensor random_tensor(std::vector<std::int64_t> shape, Rng& rng, float lo, float hi) {
-  Tensor t{std::move(shape)};
-  for (std::int64_t i = 0; i < t.numel(); ++i) t[i] = rng.uniform_f(lo, hi);
-  return t;
-}
-
 // The hot-path bench's VGG-style stack on 3x32x32: nine trace layers.
 snn::SnnNetwork make_vgg(Rng& rng) {
   snn::SnnNetwork net{snn::Base2Kernel{24, 4.0, 1.0}};
-  net.add_conv(random_tensor({16, 3, 3, 3}, rng, -0.15F, 0.25F),
-               random_tensor({16}, rng, -0.05F, 0.1F), 1, 1);
-  net.add_conv(random_tensor({16, 16, 3, 3}, rng, -0.1F, 0.18F),
-               random_tensor({16}, rng, -0.05F, 0.1F), 1, 1);
+  net.add_conv(Tensor::uniform({16, 3, 3, 3}, rng, -0.15F, 0.25F),
+               Tensor::uniform({16}, rng, -0.05F, 0.1F), 1, 1);
+  net.add_conv(Tensor::uniform({16, 16, 3, 3}, rng, -0.1F, 0.18F),
+               Tensor::uniform({16}, rng, -0.05F, 0.1F), 1, 1);
   net.add_pool(2, 2);
-  net.add_conv(random_tensor({32, 16, 3, 3}, rng, -0.1F, 0.15F),
-               random_tensor({32}, rng, -0.05F, 0.1F), 1, 1);
-  net.add_conv(random_tensor({32, 32, 3, 3}, rng, -0.08F, 0.12F),
-               random_tensor({32}, rng, -0.05F, 0.1F), 1, 1);
+  net.add_conv(Tensor::uniform({32, 16, 3, 3}, rng, -0.1F, 0.15F),
+               Tensor::uniform({32}, rng, -0.05F, 0.1F), 1, 1);
+  net.add_conv(Tensor::uniform({32, 32, 3, 3}, rng, -0.08F, 0.12F),
+               Tensor::uniform({32}, rng, -0.05F, 0.1F), 1, 1);
   net.add_pool(2, 2);
-  net.add_conv(random_tensor({64, 32, 3, 3}, rng, -0.08F, 0.1F),
-               random_tensor({64}, rng, -0.04F, 0.08F), 1, 1);
+  net.add_conv(Tensor::uniform({64, 32, 3, 3}, rng, -0.08F, 0.1F),
+               Tensor::uniform({64}, rng, -0.04F, 0.08F), 1, 1);
   net.add_pool(2, 2);
-  net.add_fc(random_tensor({10, 64 * 4 * 4}, rng, -0.08F, 0.1F),
-             random_tensor({10}, rng, -0.05F, 0.05F));
+  net.add_fc(Tensor::uniform({10, 64 * 4 * 4}, rng, -0.08F, 0.1F),
+             Tensor::uniform({10}, rng, -0.05F, 0.05F));
   return net;
 }
 
 // A smaller stack on 3x16x16: three trace layers and fewer classes.
 snn::SnnNetwork make_small(Rng& rng) {
   snn::SnnNetwork net{snn::Base2Kernel{24, 4.0, 1.0}};
-  net.add_conv(random_tensor({8, 3, 3, 3}, rng, -0.15F, 0.25F),
-               random_tensor({8}, rng, -0.05F, 0.1F), 1, 1);
+  net.add_conv(Tensor::uniform({8, 3, 3, 3}, rng, -0.15F, 0.25F),
+               Tensor::uniform({8}, rng, -0.05F, 0.1F), 1, 1);
   net.add_pool(2, 2);
-  net.add_fc(random_tensor({5, 8 * 8 * 8}, rng, -0.1F, 0.12F),
-             random_tensor({5}, rng, -0.05F, 0.05F));
+  net.add_fc(Tensor::uniform({5, 8 * 8 * 8}, rng, -0.1F, 0.12F),
+             Tensor::uniform({5}, rng, -0.05F, 0.05F));
   return net;
 }
 
 std::vector<Tensor> make_images(Rng& rng, std::int64_t n, std::vector<std::int64_t> shape) {
   std::vector<Tensor> images;
-  for (std::int64_t i = 0; i < n; ++i) images.push_back(random_tensor(shape, rng, 0.0F, 1.0F));
+  for (std::int64_t i = 0; i < n; ++i) images.push_back(Tensor::uniform(shape, rng, 0.0F, 1.0F));
   return images;
 }
 

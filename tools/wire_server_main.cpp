@@ -51,26 +51,20 @@ std::atomic<bool> g_stop{false};
 
 void on_signal(int) { g_stop.store(true, std::memory_order_release); }
 
-Tensor random_tensor(std::vector<std::int64_t> shape, Rng& rng, float lo, float hi) {
-  Tensor t{std::move(shape)};
-  for (std::int64_t i = 0; i < t.numel(); ++i) t[i] = rng.uniform_f(lo, hi);
-  return t;
-}
-
 // Same VGG-style conv/pool/fc stack as bench_serving_latency::make_net, so
 // wire-served reqs/s lines up with the in-process serving bench. The
 // quantized backend runs the int16 pack, which requires every weight on the
 // log-quantization grid.
 snn::SnnNetwork make_net(Rng& rng, snn::BackendKind kind) {
   snn::SnnNetwork net{snn::Base2Kernel{24, 4.0, 1.0}};
-  net.add_conv(random_tensor({16, 3, 3, 3}, rng, -0.15F, 0.25F),
-               random_tensor({16}, rng, -0.05F, 0.1F), 1, 1);
+  net.add_conv(Tensor::uniform({16, 3, 3, 3}, rng, -0.15F, 0.25F),
+               Tensor::uniform({16}, rng, -0.05F, 0.1F), 1, 1);
   net.add_pool(2, 2);
-  net.add_conv(random_tensor({24, 16, 3, 3}, rng, -0.1F, 0.15F),
-               random_tensor({24}, rng, -0.05F, 0.1F), 1, 1);
+  net.add_conv(Tensor::uniform({24, 16, 3, 3}, rng, -0.1F, 0.15F),
+               Tensor::uniform({24}, rng, -0.05F, 0.1F), 1, 1);
   net.add_pool(2, 2);
-  net.add_fc(random_tensor({10, 24 * 4 * 4}, rng, -0.1F, 0.12F),
-             random_tensor({10}, rng, -0.05F, 0.05F));
+  net.add_fc(Tensor::uniform({10, 24 * 4 * 4}, rng, -0.1F, 0.12F),
+             Tensor::uniform({10}, rng, -0.05F, 0.05F));
   if (kind == snn::BackendKind::kQuantized) cat::log_quantize_network(net, cat::LogQuantConfig{});
   return net;
 }
