@@ -22,10 +22,10 @@
 // Ownership and threading rules
 // -----------------------------
 //  * The network must outlive every engine/session built over it and must
-//    not be mutated concurrently with a run. The event-path weight pack
-//    lives on the network (lazy, rebuilt via the double-checked
-//    ensure_packed()), so single-threaded callers may mutate layers between
-//    runs — the next run repacks. Many sessions can share one network.
+//    not be mutated concurrently with a run. The weight packs live on the
+//    network (lazy, rebuilt by a double-checked ensure; snn/pack.h), so
+//    single-threaded callers may mutate layers between runs — the next run
+//    repacks. Many sessions can share one network.
 //  * A session owns all per-caller reusable state: the thread-pool binding,
 //    the chunking policy, and one SimArena per pool chunk (grown on demand,
 //    pre-reserved when SessionOptions names the input shape). run() is NOT
@@ -156,16 +156,14 @@ class InferenceBackend {
 
   // Weight-pack lifecycle, in backend-agnostic terms: sessions and the model
   // registry manage "whatever this backend runs on" without knowing which
-  // pack that is. The defaults mean "no pack" (reference); a backend
+  // pack that is. The defaults mean "no pack" (reference): nothing to
+  // build, zero resident bytes, so a registry never evicts it. A backend
   // that reads a derived weight structure (the float event pack, the
-  // quantized pack) overrides all four, so it names its pack in one place.
+  // quantized pack) overrides all three, so it names its pack in one place.
   //
   // Builds the backend's pack on `net` if missing (called before fan-out;
   // must be safe for concurrent const callers, like ensure_packed).
   virtual void ensure_ready(const SnnNetwork& /*net*/) const {}
-  // True when this backend keeps a releasable pack resident on the network
-  // (registries only count/evict packs for such backends).
-  virtual bool has_resident_pack() const { return false; }
   // Resident bytes of this backend's pack on `net` (0 while unbuilt).
   virtual std::size_t resident_pack_bytes(const SnnNetwork& /*net*/) const { return 0; }
   // Releases this backend's pack (the registry's cold-eviction primitive;
@@ -187,7 +185,6 @@ class EventSimBackend final : public InferenceBackend {
  public:
   std::string name() const override { return "event"; }
   void ensure_ready(const SnnNetwork& net) const override { net.ensure_packed(); }
-  bool has_resident_pack() const override { return true; }
   std::size_t resident_pack_bytes(const SnnNetwork& net) const override {
     return net.packed_bytes();
   }
@@ -198,7 +195,9 @@ class EventSimBackend final : public InferenceBackend {
 
 // The fixed-point integer simulator (quant.h): same event-by-event loop as
 // EventSimBackend, but every membrane add is the LogPe shift-add product into
-// a saturating int32 accumulator over the int16 quantized weight pack.
+// a saturating int32 accumulator over the int16 quantized weight pack, at
+// quant.h's compile-time datapath widths (kQuantZ, kQuantLutBits,
+// kQuantAccFracBits, kQuantAccIntBits).
 // Requires a log-quantized network (ensure_ready throws otherwise). Integer
 // artifacts — spike maps, op counts, encoder cycles — match the float event
 // sim exactly on converted nets; logits carry the fixed-point rounding bound
@@ -207,22 +206,14 @@ class EventSimBackend final : public InferenceBackend {
 // only the ~2x-smaller quantized pack resident.
 class QuantizedEventSimBackend final : public InferenceBackend {
  public:
-  explicit QuantizedEventSimBackend(QuantPackConfig config = {}) : config_{config} {}
-
   std::string name() const override { return "quantized"; }
-  void ensure_ready(const SnnNetwork& net) const override { net.ensure_quantized(config_); }
-  bool has_resident_pack() const override { return true; }
+  void ensure_ready(const SnnNetwork& net) const override { net.ensure_quantized(); }
   std::size_t resident_pack_bytes(const SnnNetwork& net) const override {
     return net.quantized_bytes();
   }
   void release_pack(const SnnNetwork& net) const override { net.release_quantized(); }
   void run_sample(const SnnNetwork& net, const BatchView& batch, std::int64_t i, SimArena& arena,
                   EventTrace& into) const override;
-
-  const QuantPackConfig& config() const { return config_; }
-
- private:
-  QuantPackConfig config_;
 };
 
 // The frozen pre-overhaul simulator (event_sim_reference.h) behind the same

@@ -148,7 +148,7 @@ kernels::StepGrid pool_grid(const SnnPool& pool, const kernels::StepGrid& in, in
 // and the fire helpers below are written once over a format policy, which
 // supplies exactly what that format changes:
 //   Acc, Conv, Fc        the accumulator element and the pack's layer types
-//                        (both packs share their geometry field names);
+//                        (both derive pack.h's ConvPack/FcPack geometry);
 //   acc_buffer           the format's SimArena accumulator;
 //   load_bias            bias row 0 at the pack's stride, zero padding, or
 //                        false when the layer has none;
@@ -190,7 +190,7 @@ struct FloatFormat {
 
 // Membranes that fire at their exact real value v * scale through
 // ThresholdLut::fire_step: the fixed-point accumulator at scale =
-// 2^-acc_frac_bits (an int32 times a power of two stays a normal double, so
+// 2^-kQuantAccFracBits (an int32 times a power of two stays a normal double, so
 // the product is exact), and fire_phase's doubles at scale = 1. The
 // comparator-bank kernel equals fire_step on floats only.
 template <typename T>
@@ -234,16 +234,17 @@ struct QuantFormat : ExactFire<std::int32_t> {
   }
   float to_logit(std::int32_t acc) const { return static_cast<float>(acc * scale); }
 
-  // The kernels' fixed-point geometry for one layer, from the pack.
+  // The kernels' fixed-point geometry for one layer: quant.h's constants,
+  // the pack's LUT and p, and the layer's code range.
   template <typename Pack>
   kernels::QuantKernelParams layer_params(const Pack& pw) const {
     kernels::QuantKernelParams qp;
     qp.lut = pack.lut.data();
     qp.frac_bits = pack.frac_bits();
-    qp.lut_bits = pack.config.lut_bits;
-    qp.acc_frac_bits = pack.config.acc_frac_bits;
-    qp.acc_limit = std::int64_t{1} << (pack.config.acc_int_bits + pack.config.acc_frac_bits);
-    qp.wmul = 1 << (qp.frac_bits - pack.config.z);
+    qp.lut_bits = kQuantLutBits;
+    qp.acc_frac_bits = kQuantAccFracBits;
+    qp.acc_limit = kQuantAccLimit;
+    qp.wmul = 1 << (qp.frac_bits - kQuantZ);
     qp.smul = 1 << (qp.frac_bits - pack.p);
     qp.q_lo = pw.q_lo;
     qp.q_hi = pw.q_hi;
@@ -457,7 +458,6 @@ namespace detail {
 
 void run_event_sim_span(const SnnNetwork& net, const float* image, std::int64_t c,
                         std::int64_t h, std::int64_t w, SimArena& arena, EventTrace& into) {
-  net.ensure_packed();
   run_event_sim_view(FloatFormat{net.threshold_lut()}, net, net.packed_layers(), image,
                      {c, h, w}, arena, into);
 }
@@ -466,7 +466,7 @@ void run_quantized_event_sim_span(const SnnNetwork& net, const float* image, std
                                   std::int64_t h, std::int64_t w, SimArena& arena,
                                   EventTrace& into) {
   const QuantizedWeightPack& pack = net.quantized_pack();
-  const QuantFormat fmt{{net.threshold_lut(), std::ldexp(1.0, -pack.config.acc_frac_bits)}, pack};
+  const QuantFormat fmt{{net.threshold_lut(), std::ldexp(1.0, -kQuantAccFracBits)}, pack};
   run_event_sim_view(fmt, net, pack.layers, image, {c, h, w}, arena, into);
 }
 

@@ -168,8 +168,9 @@ kernels::StepGrid pool_grid(const SnnPool& pool, const kernels::StepGrid& in, in
 
 // The fire-phase / spike-encoder primitive (Sec. 4): encodes a vector of
 // membrane voltages into priority-ordered spikes and counts encoder cycles
-// (one per scanned timestep plus one per serialized spike). Shared by the
-// event simulator and the hardware spike-encoder model.
+// (one per scanned timestep plus one per serialized spike). A standalone
+// wrapper over the simulator's fire_hwc, called by tests and
+// bench_micro_kernels; the simulator itself fires through fire_hwc.
 LayerEventTrace fire_phase(const Base2Kernel& kernel, const std::vector<double>& vmem);
 
 }  // namespace ttfs::snn

@@ -1,6 +1,5 @@
 #include "snn/network.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "nn/functional.h"
@@ -27,112 +26,47 @@ void SnnNetwork::add_conv(Tensor weight, Tensor bias, std::int64_t stride, std::
   TTFS_CHECK(weight.rank() == 4);
   if (!bias.empty()) TTFS_CHECK(bias.numel() == weight.dim(0));
   layers_.push_back(SnnConv{std::move(weight), std::move(bias), stride, pad});
-  packed_dirty_ = true;
-  quantized_dirty_ = true;
+  invalidate_packs();
 }
 
 void SnnNetwork::add_fc(Tensor weight, Tensor bias) {
   TTFS_CHECK(weight.rank() == 2);
   if (!bias.empty()) TTFS_CHECK(bias.numel() == weight.dim(0));
   layers_.push_back(SnnFc{std::move(weight), std::move(bias)});
-  packed_dirty_ = true;
-  quantized_dirty_ = true;
+  invalidate_packs();
 }
 
 void SnnNetwork::add_pool(std::int64_t kernel, std::int64_t stride) {
   TTFS_CHECK(kernel > 0 && stride > 0);
   layers_.push_back(SnnPool{kernel, stride});
-  packed_dirty_ = true;
-  quantized_dirty_ = true;
+  invalidate_packs();
 }
 
 void SnnNetwork::ensure_packed() const {
-  // Double-checked: the dirty flag is the lock-free steady-state path, the
-  // mutex serializes the (rare) rebuild so concurrent const callers — e.g.
-  // several servers or batch runs sharing one network — never race on packed_.
-  if (!packed_dirty_.load(std::memory_order_acquire)) return;
-  const util::MutexLock lock{pack_mu_};
-  if (!packed_dirty_.load(std::memory_order_relaxed)) return;
-  packed_.clear();
-  packed_.reserve(layers_.size());
-  for (const auto& layer : layers_) {
-    if (const auto* conv = std::get_if<SnnConv>(&layer)) {
-      PackedConv p;
-      p.cout = conv->weight.dim(0);
-      p.cin = conv->weight.dim(1);
-      p.kh = conv->weight.dim(2);
-      p.kw = conv->weight.dim(3);
-      p.cstride = kernels::padded(p.cout);
-      const std::int64_t slots = p.cin * p.kh * p.kw;
-      float* dst = p.w.ensure(slots * p.cstride);
-      // Zero-fill first: the [cout, cstride) padding lanes must stay 0 so the
-      // tail-free SIMD kernels only ever accumulate 0 * value into them.
-      std::fill(dst, dst + slots * p.cstride, 0.0F);
-      // (co, ci, ky, kx) -> slot-major: slot = kernels::conv_slot (kx
-      // mirrored), then co.
-      const float* src = conv->weight.data();
-      for (std::int64_t co = 0; co < p.cout; ++co) {
-        for (std::int64_t ci = 0; ci < p.cin; ++ci) {
-          for (std::int64_t ky = 0; ky < p.kh; ++ky) {
-            for (std::int64_t kx = 0; kx < p.kw; ++kx) {
-              dst[kernels::conv_slot(ci, ky, kx, p.kh, p.kw) * p.cstride + co] = *src++;
-            }
-          }
-        }
+  packed_.ensure([this] {
+    FloatWeightPack pack;
+    pack.layers.reserve(layers_.size());
+    const auto identity = [](float w) { return w; };
+    for (const auto& layer : layers_) {
+      if (const auto* conv = std::get_if<SnnConv>(&layer)) {
+        PackedConv p;
+        pack_conv_weights(conv->weight, 0.0F, identity, p);
+        pack.layers.emplace_back(std::move(p));
+      } else if (const auto* fc = std::get_if<SnnFc>(&layer)) {
+        PackedFc p;
+        pack_fc_weights(fc->weight, 0.0F, identity, p);
+        pack.layers.emplace_back(std::move(p));
+      } else {
+        pack.layers.emplace_back(std::monostate{});
       }
-      packed_.emplace_back(std::move(p));
-    } else if (const auto* fc = std::get_if<SnnFc>(&layer)) {
-      PackedFc p;
-      p.out = fc->weight.dim(0);
-      p.in = fc->weight.dim(1);
-      p.ostride = kernels::padded(p.out);
-      float* dst = p.w.ensure(p.in * p.ostride);
-      std::fill(dst, dst + p.in * p.ostride, 0.0F);
-      // (j, i) row-major -> column-major: column i, then j.
-      const float* src = fc->weight.data();
-      for (std::int64_t j = 0; j < p.out; ++j) {
-        for (std::int64_t i = 0; i < p.in; ++i) {
-          dst[i * p.ostride + j] = *src++;
-        }
-      }
-      packed_.emplace_back(std::move(p));
-    } else {
-      packed_.emplace_back(std::monostate{});
     }
-  }
-  packed_dirty_.store(false, std::memory_order_release);
+    return pack;
+  });
 }
 
-// Lock-free read by protocol, not by lock: after ensure_packed() returns, the
-// pack is immutable until someone dirties it, and the registry's run-pin
-// (ModelRegistry::pin_for_run) guarantees no release/rebuild overlaps a
-// reader. The TSan lane exercises this protocol; the annotation suppression
-// is deliberate and scoped to exactly this accessor.
-const std::vector<PackedLayer>& SnnNetwork::packed_layers() const
-    TTFS_NO_THREAD_SAFETY_ANALYSIS {
+const std::vector<PackedLayer>& SnnNetwork::packed_layers() const {
   ensure_packed();
-  return packed_;
-}
-
-std::size_t SnnNetwork::packed_bytes() const {
-  const util::MutexLock lock{pack_mu_};
-  if (packed_dirty_.load(std::memory_order_relaxed)) return 0;
-  std::size_t bytes = 0;
-  for (const PackedLayer& layer : packed_) {
-    if (const auto* conv = std::get_if<PackedConv>(&layer)) {
-      bytes += static_cast<std::size_t>(conv->w.size()) * sizeof(float);
-    } else if (const auto* fc = std::get_if<PackedFc>(&layer)) {
-      bytes += static_cast<std::size_t>(fc->w.size()) * sizeof(float);
-    }
-  }
-  return bytes;
-}
-
-void SnnNetwork::release_packed() const {
-  const util::MutexLock lock{pack_mu_};
-  packed_.clear();
-  packed_.shrink_to_fit();
-  packed_dirty_.store(true, std::memory_order_release);
+  return packed_.get().layers;
 }
 
 std::size_t SnnNetwork::weighted_layer_count() const {

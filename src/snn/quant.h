@@ -11,9 +11,8 @@
 //
 //  * QuantizedWeightPack stores each weight as its exponent code `q` plus a
 //    sign, in one int16 lane per weight — half the float pack's footprint —
-//    laid out exactly like the float event pack (conv slot-major at cstride
-//    through kernels::conv_slot, kx mirrored; fc column-major at ostride;
-//    see network.h) so the integer kernels
+//    in the float pack's own layout and geometry fields (pack.h: the same
+//    ConvPack/FcPack walk, with int16 lanes), so the integer kernels
 //    (simd.h: integrate_conv_q / integrate_fc_q) walk identical strides.
 //  * run_quantized_event_sim_span is the float event simulator's own driver
 //    (event_sim.cpp) run on a fixed-point membrane format: every membrane
@@ -35,7 +34,7 @@
 #include <variant>
 #include <vector>
 
-#include "snn/simd.h"
+#include "snn/pack.h"
 
 namespace ttfs::snn {
 
@@ -48,69 +47,71 @@ struct EventTrace;   // event_sim.h
 // every representable q*2+sign code (|q| <= 2^14 - 1 is checked at build).
 inline constexpr std::int16_t kQuantZeroCode = INT16_MIN;
 
-// Fixed-point geometry of the quantized path. `z` must match the quantizer
-// that produced the network's weights; the kernel's p comes from the network
-// (tau = 2^p is required, Eq. 18). The defaults put the accumulator LSB at
+// Fixed-point geometry of the quantized path: the processor's log-PE
+// datapath widths (Eq. 17-18, Fig. 5), fixed at compile time like the
+// hardware's. kQuantZ must match the quantizer that produced the network's
+// weights (paper a_w = 2^-1/2 -> z = 1); the kernel's p comes from the
+// network (tau = 2^p is required, Eq. 18). The accumulator LSB sits at
 // 2^-24 — the float path's own ulp around |u| = 1 — which is what lets the
 // integer simulator reproduce the float simulator's spike decisions exactly
 // on converted nets (see README for the tolerance derivation).
-struct QuantPackConfig {
-  int z = 1;              // weight log step 2^-z (paper a_w = 2^-1/2 -> z = 1)
-  int lut_bits = 24;      // fractional bits of the 2^(i/2^f) LUT entries
-  int acc_frac_bits = 24; // fractional bits of the membrane accumulator
-  int acc_int_bits = 7;   // integer bits; acc_int + acc_frac <= 31 (int32)
-};
+inline constexpr int kQuantZ = 1;             // weight log step 2^-z
+inline constexpr int kQuantLutBits = 24;      // fractional bits of the 2^(i/2^f) LUT entries
+inline constexpr int kQuantAccFracBits = 24;  // fractional bits of the membrane accumulator
+inline constexpr int kQuantAccIntBits = 7;    // integer bits of the membrane accumulator
+static_assert(kQuantZ >= 0 && kQuantZ <= 8, "z must be in [0, 8] (2^8-entry LUT cap)");
+static_assert(kQuantLutBits >= 1 && kQuantLutBits <= 30, "lut_bits must be in [1, 30]");
+static_assert(kQuantAccIntBits >= 1 && kQuantAccFracBits >= 1 &&
+                  kQuantAccIntBits + kQuantAccFracBits <= 31,
+              "the accumulator must fit a two's-complement int32 register");
+// The accumulator saturates to [-kQuantAccLimit, kQuantAccLimit - 1] LSBs.
+inline constexpr std::int64_t kQuantAccLimit = std::int64_t{1}
+                                               << (kQuantAccIntBits + kQuantAccFracBits);
 
-inline bool operator==(const QuantPackConfig& a, const QuantPackConfig& b) {
-  return a.z == b.z && a.lut_bits == b.lut_bits && a.acc_frac_bits == b.acc_frac_bits &&
-         a.acc_int_bits == b.acc_int_bits;
-}
-inline bool operator!=(const QuantPackConfig& a, const QuantPackConfig& b) { return !(a == b); }
-
-// Same geometry fields as PackedConv/PackedFc (network.h) — the integer
-// kernels address weight slots and accumulator rows with identical strides —
-// plus the layer's code range [q_lo, q_hi] so the kernels can table the
-// per-timestep products once per spike group.
-struct QuantizedConv {
-  std::int64_t cout = 0, cin = 0, kh = 0, kw = 0;
-  std::int64_t cstride = 0;  // padded(cout), shared with the float pack
-  kernels::AlignedBuffer<std::int16_t> w;        // cin*kh*kw slots of cstride codes
-  kernels::AlignedBuffer<std::int32_t> bias_acc; // cstride entries, acc LSBs (0 pad)
+// Per-layer registers of the quantized pack beyond the int16 code lanes:
+// the bias preloaded in accumulator LSBs and the layer's code range
+// [q_lo, q_hi], so the kernels can table the per-timestep products once per
+// spike group.
+struct QuantLayerRegs {
+  kernels::AlignedBuffer<std::int32_t> bias_acc;  // one entry per padded lane (0 pad)
   bool has_bias = false;
   int q_lo = 0, q_hi = 0;  // weight-code range (0, 0 when all-zero)
+
+  std::size_t bytes() const {
+    return static_cast<std::size_t>(bias_acc.size()) * sizeof(std::int32_t);
+  }
 };
 
-struct QuantizedFc {
-  std::int64_t out = 0, in = 0;
-  std::int64_t ostride = 0;  // padded(out)
-  kernels::AlignedBuffer<std::int16_t> w;        // in columns of ostride codes
-  kernels::AlignedBuffer<std::int32_t> bias_acc; // ostride entries, acc LSBs
-  bool has_bias = false;
-  int q_lo = 0, q_hi = 0;
+struct QuantizedConv : ConvPack<std::int16_t>, QuantLayerRegs {
+  std::size_t bytes() const { return ConvPack::bytes() + QuantLayerRegs::bytes(); }
 };
 
-// monostate = layer with no weights (pool), like PackedLayer.
-using QuantizedLayer = std::variant<std::monostate, QuantizedConv, QuantizedFc>;
+struct QuantizedFc : FcPack<std::int16_t>, QuantLayerRegs {
+  std::size_t bytes() const { return FcPack::bytes() + QuantLayerRegs::bytes(); }
+};
 
-struct QuantizedWeightPack {
-  QuantPackConfig config;
+struct QuantizedWeightPack : LayerPack<QuantizedConv, QuantizedFc> {
   int p = 0;  // kernel tau = 2^p, recovered at build
-  std::vector<QuantizedLayer> layers;     // index-aligned with net.layers()
-  std::vector<std::int64_t> lut;          // 2^f entries, lut_bits fixed point
-                                          // — bit-identical to LogPe::lut()
+  std::vector<std::int64_t> lut;  // 2^f entries, kQuantLutBits fixed point
+                                  // — bit-identical to LogPe::lut()
 
-  int frac_bits() const { return p > config.z ? p : config.z; }  // f = max(p, z)
+  int frac_bits() const { return p > kQuantZ ? p : kQuantZ; }  // f = max(p, z)
+  // Codes + bias registers + LUT.
+  std::size_t bytes() const {
+    return LayerPack::bytes() + lut.size() * sizeof(std::int64_t);
+  }
 };
+using QuantizedLayer = QuantizedWeightPack::Layer;
 
 // Builds the pack from a network whose conv/fc weights are already
-// log-quantized (cat::log_quantize_network) with the same z. Every nonzero
+// log-quantized (cat::log_quantize_network) with z = kQuantZ. Every nonzero
 // weight must be *exactly* float(2^(q * 2^-z)) for some q — the build
 // recovers q and verifies the round-trip, throwing with a pointer to the
 // quantizer otherwise — so the pack's codes are exactly the codes the
 // quantizer emitted (asserted in tests/snn_quant_test.cpp). The kernel must
 // satisfy the hardware constraints: theta0 == 1 and tau = 2^p (Eq. 18).
 // Callers normally go through SnnNetwork::ensure_quantized instead.
-QuantizedWeightPack build_quantized_pack(const SnnNetwork& net, const QuantPackConfig& config);
+QuantizedWeightPack build_quantized_pack(const SnnNetwork& net);
 
 namespace detail {
 // Quantized counterpart of run_event_sim_span: one (C, H, W) sample through

@@ -37,11 +37,7 @@ ModelHandle::ModelHandle(std::string id, std::uint64_t version,
       version_{version},
       net_{std::move(net)},
       backend_{std::move(backend)},
-      input_shape_{std::move(input_shape)} {
-  // A backend with no resident pack (the reference simulator) is permanently warm at
-  // zero bytes — there is nothing to cache or evict for it.
-  if (!backend_->has_resident_pack()) warm_.store(true, std::memory_order_release);
-}
+      input_shape_{std::move(input_shape)} {}
 
 ModelRegistry::ModelRegistry(RegistryOptions opts) : opts_{opts} {}
 
@@ -55,6 +51,11 @@ std::shared_ptr<const ModelHandle> ModelRegistry::load(
   for (const std::int64_t d : input_shape) TTFS_CHECK(d > 0);
 
   const util::MutexLock lock{mu_};
+  // Build the pack before touching the registry: a backend that cannot run
+  // this network (a quantized backend over a net that was never
+  // log-quantized) throws here and leaves every id, counter and byte total
+  // as it was. The warm below then takes the pack's fast path.
+  backend->ensure_ready(*net);
   std::shared_ptr<const ModelHandle> handle{new ModelHandle{
       id, next_version_++, std::move(net), std::move(backend), std::move(input_shape)}};
   auto it = entries_.find(id);

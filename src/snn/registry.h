@@ -26,8 +26,8 @@
 //
 // Warm/cold state and the weight-pack cache
 // -----------------------------------------
-// The event-path weight pack (SnnNetwork::ensure_packed) is the expensive
-// per-model resident state. The registry treats packs as a cache under
+// The weight pack (snn/pack.h: the float event pack or the quantized pack)
+// is the expensive per-model resident state. The registry treats packs as a cache under
 // RegistryOptions::max_pack_bytes: a model whose pack is resident is WARM, a
 // model whose pack has been released is COLD. pin_for_run() is the data-path
 // gate — it re-warms a cold model (a MISS), counts a HIT otherwise, touches
@@ -38,9 +38,9 @@
 // bit-identical, so eviction is invisible to results. "Pack" is whatever the
 // model's backend keeps resident (InferenceBackend::ensure_ready /
 // resident_pack_bytes / release_pack): the float event pack for the event
-// backend, the ~2x-smaller quantized pack for the quantized backend. Models
-// whose backend keeps no pack (has_resident_pack() == false) are always
-// "warm" at zero bytes.
+// backend, the ~2x-smaller quantized pack for the quantized backend. A model
+// whose backend keeps no pack (the reference simulator) warms at load to
+// zero bytes and is never evicted, since eviction skips zero-byte packs.
 //
 // Thread safety: every member is safe to call from any thread. Run pins are
 // the only data-path cost: one mutex acquisition per *batch*, not per
@@ -78,8 +78,8 @@ class ModelHandle {
   const std::shared_ptr<const InferenceBackend>& backend_ptr() const { return backend_; }
   // Mandatory (C, H, W) of every request image for this model.
   const std::vector<std::int64_t>& input_shape() const { return input_shape_; }
-  // True while this model's weight pack is resident (always true for
-  // backends that never read the pack).
+  // True while this model's weight pack is resident (always true, from
+  // load on, for backends that keep no pack).
   bool warm() const { return warm_.load(std::memory_order_acquire); }
   // Resident pack bytes this handle is accounted for while warm.
   std::size_t pack_bytes() const { return pack_bytes_.load(std::memory_order_acquire); }
@@ -139,8 +139,9 @@ class ModelRegistry {
 
   // Registers (new id) or live-swaps (existing id) a model and returns its
   // handle, warm: the pack is built here (not counted as a miss) and the
-  // budget then evicts colder models. The swap is an atomic flip of the
-  // id -> handle mapping:
+  // budget then evicts colder models. The pack is built before the registry
+  // changes, so a load whose build throws leaves every id, counter and byte
+  // total as it was. The swap is an atomic flip of the id -> handle mapping:
   // in-flight work holding the old handle drains on the old pack; new
   // acquires see the new handle immediately. The network and backend are
   // shared, never copied — callers that own the network by value can pass

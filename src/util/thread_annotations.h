@@ -1,7 +1,7 @@
 // Compile-time concurrency contracts: Clang Thread Safety Analysis macros and
 // the annotated mutex/condvar wrappers every concurrent class in this repo
-// uses (thread_pool, batcher, stats, registry, SnnNetwork's pack
-// lifecycle).
+// uses (thread_pool, batcher, stats, registry, the weight-pack lifecycle of
+// snn/pack.h).
 //
 // The locking discipline that a header comment can only *describe* — "fields
 // guarded by mu_", "helper requires mu_ held" — becomes machine-checked here:
@@ -83,7 +83,7 @@
 // Function returning a reference to the named capability.
 #define TTFS_RETURN_CAPABILITY(x) TTFS_THREAD_ANNOTATION_IMPL(lock_returned(x))
 // Escape hatch for intentional protocol-based access (e.g. the double-checked
-// pack read in SnnNetwork::packed_layers). Every use MUST carry a one-line
+// weight-pack read in snn::LazyPack::get). Every use MUST carry a one-line
 // justification comment naming the protocol that makes it safe — the dynamic
 // TSan lane remains the empirical check for those few sites.
 #define TTFS_NO_THREAD_SAFETY_ANALYSIS \

@@ -229,6 +229,36 @@ TEST(ModelRegistry, PackFreeBackendIsAlwaysWarmAtZeroBytes) {
   EXPECT_EQ(registry.stats().evictions, 0U);
 }
 
+// A load whose pack build throws — here a quantized backend over a net that
+// was never log-quantized — must leave the registry as it was: a failed swap
+// keeps the old, warm handle under the id, and a failed new load adds no id.
+TEST(ModelRegistry, FailedLoadLeavesTheRegistryUnchanged) {
+  Rng rng{19};
+  snn::ModelRegistry registry;
+  const auto event = snn::make_backend(snn::BackendKind::kEventSim);
+  const auto h_old = registry.load("m", make_net_a(rng), event, {3, 8, 8});
+  ASSERT_TRUE(h_old->warm());
+  const snn::RegistryStats before = registry.stats();
+  const auto quantized = snn::make_backend(snn::BackendKind::kQuantized);
+
+  EXPECT_THROW((void)registry.load("m", make_net_a(rng), quantized, {3, 8, 8}),
+               std::invalid_argument);
+  EXPECT_EQ(registry.acquire("m"), h_old);
+  EXPECT_TRUE(h_old->warm());
+
+  EXPECT_THROW((void)registry.load("fresh", make_net_a(rng), quantized, {3, 8, 8}),
+               std::invalid_argument);
+  EXPECT_FALSE(registry.contains("fresh"));
+
+  const snn::RegistryStats after = registry.stats();
+  EXPECT_EQ(after.loads, before.loads);
+  EXPECT_EQ(after.swaps, before.swaps);
+  EXPECT_EQ(after.models, before.models);
+  EXPECT_EQ(after.warm_models, before.warm_models);
+  EXPECT_EQ(after.warm_bytes, before.warm_bytes);
+  EXPECT_EQ(registry.ids(), (std::vector<std::string>{"m"}));
+}
+
 TEST(ModelRegistry, QuantizedBackendShrinksWarmBytesAndEvictsCleanly) {
   // The registry accounts whatever pack a model's backend keeps resident.
   // The same log-quantized network loaded behind the quantized backend must

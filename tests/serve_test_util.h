@@ -58,7 +58,7 @@ inline ServeOptions one_model(const snn::SnnNetwork& net, ServeOptions opts = {}
 }
 
 // Caller-defined backends: decorators over a stock backend. A decorator
-// forwards the four pack hooks, so it keeps whichever pack (float or
+// forwards the three pack hooks, so it keeps whichever pack (float or
 // quantized) the wrapped backend runs on; subclasses hook run_sample.
 class ForwardingBackend : public snn::InferenceBackend {
  public:
@@ -67,7 +67,6 @@ class ForwardingBackend : public snn::InferenceBackend {
 
   std::string name() const override { return inner_->name(); }
   void ensure_ready(const snn::SnnNetwork& net) const override { inner_->ensure_ready(net); }
-  bool has_resident_pack() const override { return inner_->has_resident_pack(); }
   std::size_t resident_pack_bytes(const snn::SnnNetwork& net) const override {
     return inner_->resident_pack_bytes(net);
   }

@@ -15,9 +15,11 @@
 // and const-correctness of the whole inference surface.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "cat/logquant.h"
@@ -535,6 +537,79 @@ TEST(SnnEngineQuantizedSplit, IntraSampleSplitIsBitwiseInvisible) {
       expect_traces_identical(got.traces[0], want.traces[0], what);
       expect_rows_equal(got.logits, want.logits, what);
     }
+  }
+}
+
+// Several threads share one log-quantized network whose packs were never
+// built. Each opens its own event and quantized sessions only once all are
+// ready, so both packs are built lazily under contention (a session builds
+// its backend's pack on construction). Every trace must equal the
+// sequential goldens. Each round shares a fresh copy: a copy starts with no
+// packs.
+TEST(SnnEngine, ConcurrentFirstRunsBuildBothPacksOnce) {
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 3;
+  constexpr std::int64_t kBatch = 3;
+  Rng rng{811};
+  snn::SnnNetwork net = make_net(rng);
+  cat::log_quantize_network(net, cat::LogQuantConfig{});
+  const std::vector<Tensor> images = make_images(rng, kBatch, {3, 8, 8});
+  const snn::BatchView batch{gather(images, kBatch)};
+  snn::RunOptions opts;
+  opts.logits = false;
+  opts.traces = true;
+  const snn::BackendKind kinds[] = {snn::BackendKind::kEventSim, snn::BackendKind::kQuantized};
+  ThreadPool inline_pool{0};
+  snn::SessionOptions sopts;
+  sopts.pool = &inline_pool;
+
+  std::vector<snn::RunResult> goldens;
+  for (const snn::BackendKind kind : kinds) {
+    snn::InferenceSession session{net, snn::make_backend(kind), sopts};
+    goldens.push_back(session.run(batch, opts));
+  }
+
+  for (int round = 0; round < kRounds; ++round) {
+    const snn::SnnNetwork shared = net;
+    ASSERT_EQ(shared.packed_bytes(), 0U);
+    ASSERT_EQ(shared.quantized_bytes(), 0U);
+    // results[t][k]: thread t's run on kinds[k]. Odd threads open the
+    // quantized session first, so each pack's first build races the other's.
+    std::vector<std::vector<snn::RunResult>> results(kThreads);
+    std::atomic<int> ready{0};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        ThreadPool thread_pool{0};
+        snn::SessionOptions thread_opts;
+        thread_opts.pool = &thread_pool;
+        std::vector<snn::RunResult>& mine = results[static_cast<std::size_t>(t)];
+        mine.resize(2);
+        ready.fetch_add(1);
+        while (ready.load() < kThreads) std::this_thread::yield();
+        for (int i = 0; i < 2; ++i) {
+          const std::size_t k = static_cast<std::size_t>(t % 2 == 0 ? i : 1 - i);
+          snn::InferenceSession session{shared, snn::make_backend(kinds[k]), thread_opts};
+          mine[k] = session.run(batch, opts);
+        }
+      });
+    }
+    for (std::thread& thread : threads) thread.join();
+
+    for (int t = 0; t < kThreads; ++t) {
+      for (std::size_t k = 0; k < 2; ++k) {
+        const snn::RunResult& got = results[static_cast<std::size_t>(t)][k];
+        ASSERT_EQ(got.traces.size(), static_cast<std::size_t>(kBatch));
+        for (std::size_t i = 0; i < got.traces.size(); ++i) {
+          expect_traces_identical(got.traces[i], goldens[k].traces[i],
+                                  "round " + std::to_string(round) + " thread " +
+                                      std::to_string(t) + " " + snn::to_string(kinds[k]) +
+                                      " sample " + std::to_string(i));
+        }
+      }
+    }
+    EXPECT_GT(shared.packed_bytes(), 0U);
+    EXPECT_GT(shared.quantized_bytes(), 0U);
   }
 }
 

@@ -94,8 +94,8 @@ TEST(QuantizedWeightPack, PackCodesAreExactlyTheQuantizerCodes) {
   cat::LogQuantConfig qconfig;  // bits = 5, z = 1
   const std::vector<cat::LayerQuantInfo> infos = cat::log_quantize_network(net, qconfig);
 
-  snn::QuantPackConfig pconfig;  // z = 1 matches the quantizer
-  const snn::QuantizedWeightPack pack = snn::build_quantized_pack(net, pconfig);
+  static_assert(snn::kQuantZ == 1, "the pack's z matches the quantizer's");
+  const snn::QuantizedWeightPack pack = snn::build_quantized_pack(net);
   ASSERT_EQ(pack.layers.size(), net.layers().size());
 
   std::size_t info_idx = 0;
@@ -139,15 +139,14 @@ TEST(QuantizedWeightPack, LutIsBitIdenticalToLogPe) {
   Rng rng{7};
   snn::SnnNetwork net = make_net(rng);
   cat::log_quantize_network(net, cat::LogQuantConfig{});
-  snn::QuantPackConfig pconfig;
-  const snn::QuantizedWeightPack pack = snn::build_quantized_pack(net, pconfig);
+  const snn::QuantizedWeightPack pack = snn::build_quantized_pack(net);
 
   cat::LogPeConfig pe_config;
   pe_config.p = pack.p;
-  pe_config.z = pconfig.z;
-  pe_config.lut_bits = pconfig.lut_bits;
-  pe_config.acc_frac_bits = pconfig.acc_frac_bits;
-  pe_config.acc_int_bits = pconfig.acc_int_bits;
+  pe_config.z = snn::kQuantZ;
+  pe_config.lut_bits = snn::kQuantLutBits;
+  pe_config.acc_frac_bits = snn::kQuantAccFracBits;
+  pe_config.acc_int_bits = snn::kQuantAccIntBits;
   const cat::LogPe pe{pe_config};
   ASSERT_EQ(pack.lut.size(), pe.lut().size());
   for (std::size_t i = 0; i < pack.lut.size(); ++i) {
@@ -254,15 +253,14 @@ TEST(QuantKernels, AccumulatorSaturatesToRegisterRange) {
 // kernels and the whole simulator +-2^40 weights put every logit on the rail
 // (limit - 1 or -limit LSBs) and agree with a LogPe replay of the same adds.
 TEST(QuantKernels, HugeWeightsSaturateToTheRailsLikeLogPe) {
-  const snn::QuantPackConfig pconfig;  // limit = 2^31 LSBs
-  cat::LogPeConfig pe_config;          // p = 2 (tau = 4), z = 1
-  pe_config.lut_bits = pconfig.lut_bits;
-  pe_config.acc_frac_bits = pconfig.acc_frac_bits;
-  pe_config.acc_int_bits = pconfig.acc_int_bits;
+  cat::LogPeConfig pe_config;  // p = 2 (tau = 4), z = 1
+  pe_config.lut_bits = snn::kQuantLutBits;
+  pe_config.acc_frac_bits = snn::kQuantAccFracBits;
+  pe_config.acc_int_bits = snn::kQuantAccIntBits;
   cat::LogPe pe{pe_config};
-  const std::int64_t limit = std::int64_t{1} << (pconfig.acc_int_bits + pconfig.acc_frac_bits);
+  const std::int64_t limit = snn::kQuantAccLimit;  // 2^31 LSBs
   const auto rail = [&](int sign) {
-    return std::ldexp(static_cast<double>(sign > 0 ? limit - 1 : -limit), -pconfig.acc_frac_bits);
+    return std::ldexp(static_cast<double>(sign > 0 ? limit - 1 : -limit), -snn::kQuantAccFracBits);
   };
   const float big = std::ldexp(1.0F, 40);
   const int q_big = 80;  // 2^(80 * 2^-1)
@@ -277,7 +275,7 @@ TEST(QuantKernels, HugeWeightsSaturateToTheRailsLikeLogPe) {
       w[4 + i] = -big;
     }
     net.add_fc(std::move(w), Tensor{});
-    net.ensure_quantized(pconfig);
+    net.ensure_quantized();
     const Tensor img = Tensor::uniform({4, 1, 1}, rng, 0.1F, 1.0F);
     snn::SimArena arena;
     snn::EventTrace trace;
@@ -304,7 +302,7 @@ TEST(QuantKernels, HugeWeightsSaturateToTheRailsLikeLogPe) {
       w[9 + i] = -big;
     }
     net.add_conv(std::move(w), Tensor{}, 1, 1);
-    net.ensure_quantized(pconfig);
+    net.ensure_quantized();
     const Tensor img = Tensor::uniform({1, 4, 4}, rng, 0.1F, 1.0F);
     snn::SimArena arena;
     snn::EventTrace trace;
@@ -498,8 +496,7 @@ INSTANTIATE_TEST_SUITE_P(StridePadKhKw, ConvQTapWalkNonSquare,
 TEST(QuantizedWeightPack, RejectsUnquantizedNetwork) {
   Rng rng{11};
   const snn::SnnNetwork net = make_net(rng);  // raw random weights
-  EXPECT_THROW((void)snn::build_quantized_pack(net, snn::QuantPackConfig{}),
-               std::invalid_argument);
+  EXPECT_THROW((void)snn::build_quantized_pack(net), std::invalid_argument);
 }
 
 // The hardware kernel constraints (Eq. 18) gate the build.
@@ -508,22 +505,12 @@ TEST(QuantizedWeightPack, RejectsNonHardwareKernels) {
   {
     snn::SnnNetwork net{snn::Base2Kernel{24, 3.0, 1.0}};  // tau not a power of 2
     net.add_fc(w, Tensor{{1}});
-    EXPECT_THROW((void)snn::build_quantized_pack(net, snn::QuantPackConfig{}),
-                 std::invalid_argument);
+    EXPECT_THROW((void)snn::build_quantized_pack(net), std::invalid_argument);
   }
   {
     snn::SnnNetwork net{snn::Base2Kernel{24, 4.0, 1.5}};  // theta0 != 1
     net.add_fc(w, Tensor{{1}});
-    EXPECT_THROW((void)snn::build_quantized_pack(net, snn::QuantPackConfig{}),
-                 std::invalid_argument);
-  }
-  {
-    snn::SnnNetwork net{snn::Base2Kernel{24, 4.0, 1.0}};
-    net.add_fc(w, Tensor{{1}});
-    snn::QuantPackConfig bad;
-    bad.acc_int_bits = 10;
-    bad.acc_frac_bits = 24;  // 34 > 31: does not fit the int32 register
-    EXPECT_THROW((void)snn::build_quantized_pack(net, bad), std::invalid_argument);
+    EXPECT_THROW((void)snn::build_quantized_pack(net), std::invalid_argument);
   }
 }
 
@@ -536,7 +523,7 @@ TEST(QuantizedWeightPack, PackBytesAreAtMost60PercentOfFloatPack) {
   cat::log_quantize_network(net, cat::LogQuantConfig{});
 
   net.ensure_packed();
-  net.ensure_quantized(snn::QuantPackConfig{});
+  net.ensure_quantized();
   const std::size_t float_bytes = net.packed_bytes();
   const std::size_t quant_bytes = net.quantized_bytes();
   ASSERT_GT(float_bytes, 0U);
@@ -545,30 +532,52 @@ TEST(QuantizedWeightPack, PackBytesAreAtMost60PercentOfFloatPack) {
       << "quantized " << quant_bytes << " bytes vs float " << float_bytes;
 }
 
+// Every code lane, bias register and LUT entry of a pack, flattened, so two
+// packs compare lane for lane.
+std::vector<std::int64_t> pack_contents(const snn::QuantizedWeightPack& pack) {
+  std::vector<std::int64_t> out(pack.lut.begin(), pack.lut.end());
+  const auto append = [&](const auto& layer) {
+    out.insert(out.end(), layer.w.data(), layer.w.data() + layer.w.size());
+    out.insert(out.end(), layer.bias_acc.data(), layer.bias_acc.data() + layer.bias_acc.size());
+    out.push_back(layer.q_lo);
+    out.push_back(layer.q_hi);
+  };
+  for (const snn::QuantizedLayer& layer : pack.layers) {
+    if (const auto* conv = std::get_if<snn::QuantizedConv>(&layer)) append(*conv);
+    if (const auto* fc = std::get_if<snn::QuantizedFc>(&layer)) append(*fc);
+  }
+  return out;
+}
+
 // ensure/release lifecycle: release drops the bytes to zero, ensure rebuilds
-// bit-identically, and a config change rebuilds for the new geometry.
+// bit-identically, and re-quantizing the weights (through mutable_layers)
+// makes the next ensure serve the new codes.
 TEST(QuantizedWeightPack, EnsureReleaseRebuildLifecycle) {
   Rng rng{42};
   snn::SnnNetwork net = make_net(rng);
   cat::log_quantize_network(net, cat::LogQuantConfig{});
 
-  snn::QuantPackConfig a;
-  net.ensure_quantized(a);
+  net.ensure_quantized();
   const std::size_t bytes_a = net.quantized_bytes();
   ASSERT_GT(bytes_a, 0U);
+  const std::vector<std::int64_t> contents_a = pack_contents(net.quantized_pack());
 
   net.release_quantized();
   EXPECT_EQ(net.quantized_bytes(), 0U);
   EXPECT_THROW((void)net.quantized_pack(), std::invalid_argument);
 
-  net.ensure_quantized(a);
+  net.ensure_quantized();
   EXPECT_EQ(net.quantized_bytes(), bytes_a);
+  EXPECT_EQ(pack_contents(net.quantized_pack()), contents_a);
 
-  snn::QuantPackConfig b = a;
-  b.acc_int_bits = 5;
-  b.acc_frac_bits = 20;
-  net.ensure_quantized(b);  // config change forces a rebuild
-  EXPECT_TRUE(net.quantized_pack().config == b);
+  // Re-quantize at 3 bits: fewer magnitude levels, so codes change.
+  cat::LogQuantConfig narrow;
+  narrow.bits = 3;
+  cat::log_quantize_network(net, narrow);
+  net.ensure_quantized();
+  const std::vector<std::int64_t> contents_b = pack_contents(net.quantized_pack());
+  EXPECT_NE(contents_b, contents_a);
+  EXPECT_EQ(contents_b, pack_contents(snn::build_quantized_pack(net)));
 
   // The simulator end-to-end still runs after the lifecycle churn.
   Rng img_rng{5};
