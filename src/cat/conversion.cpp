@@ -6,7 +6,6 @@
 
 #include "nn/batchnorm.h"
 #include "nn/conv2d.h"
-#include "nn/functional.h"
 #include "nn/linear.h"
 #include "nn/pool.h"
 #include "util/check.h"
@@ -29,6 +28,29 @@ void fuse_bn_into(Tensor& weight, Tensor& bias, nn::BatchNorm2d& bn) {
 }
 
 Tensor copy_tensor(const Tensor& t) { return Tensor{t.shape(), t.vec()}; }
+
+// The percentile of x's positive entries (1.0 = max), floored at 1e-6: one
+// layer's lambda_l for data-based weight normalization.
+double activation_scale(const Tensor& x, double percentile) {
+  double scale = 0.0;
+  if (percentile >= 1.0) {
+    for (std::int64_t i = 0; i < x.numel(); ++i) scale = std::max(scale, static_cast<double>(x[i]));
+  } else {
+    std::vector<float> positive;
+    positive.reserve(static_cast<std::size_t>(x.numel()));
+    for (std::int64_t i = 0; i < x.numel(); ++i) {
+      if (x[i] > 0.0F) positive.push_back(x[i]);
+    }
+    if (!positive.empty()) {
+      const auto idx = static_cast<std::size_t>(
+          percentile * static_cast<double>(positive.size() - 1));
+      std::nth_element(positive.begin(), positive.begin() + static_cast<std::ptrdiff_t>(idx),
+                       positive.end());
+      scale = positive[idx];
+    }
+  }
+  return std::max(scale, 1e-6);
+}
 
 }  // namespace
 
@@ -91,57 +113,21 @@ void weight_normalize_relu(std::vector<snn::SnnLayer>& layers, const Tensor& cal
                            double theta0, double percentile) {
   TTFS_CHECK(calibration_images.rank() == 4 && theta0 > 0.0);
   TTFS_CHECK_MSG(percentile > 0.0 && percentile <= 1.0, "percentile " << percentile);
+  const std::size_t weighted = snn::weighted_layer_count(layers);
+  TTFS_CHECK_MSG(weighted >= 1, "no weighted layer to normalize");
 
-  // Forward pass through the fused stack with ReLU between weighted layers,
-  // recording each layer's activation percentile (1.0 = max).
+  // The dense walk with ReLU between weighted layers, recording each layer's
+  // activation percentile (1.0 = max) from its membrane.
   std::vector<double> lambda;  // per weighted layer
-  Tensor x = calibration_images;
-  std::size_t weighted = 0;
-  for (const auto& l : layers) {
-    if (!std::holds_alternative<snn::SnnPool>(l)) ++weighted;
-  }
-  std::size_t seen = 0;
-  for (const auto& layer : layers) {
-    if (const auto* conv = std::get_if<snn::SnnConv>(&layer)) {
-      x = nn::conv2d_forward(x, conv->weight, &conv->bias, conv->stride, conv->pad);
-      ++seen;
-    } else if (const auto* fc = std::get_if<snn::SnnFc>(&layer)) {
-      if (x.rank() != 2) x = x.reshaped({x.dim(0), x.numel() / x.dim(0)});
-      x = nn::linear_forward(x, fc->weight, &fc->bias);
-      ++seen;
-    } else {
-      const auto& pool = std::get<snn::SnnPool>(layer);
-      x = nn::maxpool_forward(x, pool.kernel, pool.stride);
-      continue;
-    }
-    double scale;
-    if (percentile >= 1.0) {
-      double mx = 0.0;
-      for (std::int64_t i = 0; i < x.numel(); ++i) {
-        mx = std::max(mx, static_cast<double>(x[i]));
-      }
-      scale = mx;
-    } else {
-      std::vector<float> positive;
-      positive.reserve(static_cast<std::size_t>(x.numel()));
-      for (std::int64_t i = 0; i < x.numel(); ++i) {
-        if (x[i] > 0.0F) positive.push_back(x[i]);
-      }
-      if (positive.empty()) {
-        scale = 0.0;
-      } else {
-        const auto idx = static_cast<std::size_t>(
-            percentile * static_cast<double>(positive.size() - 1));
-        std::nth_element(positive.begin(), positive.begin() + static_cast<std::ptrdiff_t>(idx),
-                         positive.end());
-        scale = positive[idx];
-      }
-    }
-    lambda.push_back(std::max(scale, 1e-6));
-    if (seen < weighted) {
-      for (std::int64_t i = 0; i < x.numel(); ++i) x[i] = std::max(0.0F, x[i]);  // ReLU
-    }
-  }
+  const Tensor logits = snn::dense_walk(
+      layers, calibration_images, weighted, [&](std::size_t k, const Tensor& membrane) {
+        if (k == 0) return membrane;  // the input enters as is
+        lambda.push_back(activation_scale(membrane, percentile));
+        Tensor x = membrane;
+        for (std::int64_t i = 0; i < x.numel(); ++i) x[i] = std::max(0.0F, x[i]);  // ReLU
+        return x;
+      });
+  lambda.push_back(activation_scale(logits, percentile));
 
   // Rescale: W_l <- W_l * lambda_{l-1}/lambda_l, b_l <- b_l/lambda_l (Rueckauer
   // Eq. for data-based normalization), with lambda_0 = theta0 because the data

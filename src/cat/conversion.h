@@ -37,7 +37,8 @@ void normalize_output_layer(std::vector<snn::SnnLayer>& layers, double scale);
 double max_abs_logit(nn::Model& model, const data::LabeledData& calibration);
 
 // Rueckauer-style layer-wise weight normalization for ReLU-trained ANNs:
-// runs the fused stack as a plain ReLU network over `calibration`, records
+// runs the fused stack as a plain ReLU network over `calibration` (the dense
+// walk of snn/network.h with ReLU as the activation), records
 // the per-layer activation lambda_l at the given percentile (1.0 = max;
 // Rueckauer recommends ~0.999 — "robust normalization" — so a handful of
 // outliers do not crush the useful dynamic range), and rescales layer l by

@@ -1,5 +1,6 @@
 #include "snn/network.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "nn/functional.h"
@@ -20,6 +21,40 @@ double SnnRunStats::avg_firing_rate() const {
   for (const auto s : spikes_per_layer) spikes += s;
   for (const auto n : neurons_per_layer) neurons += n;
   return neurons == 0 ? 0.0 : static_cast<double>(spikes) / static_cast<double>(neurons);
+}
+
+std::size_t weighted_layer_count(const std::vector<SnnLayer>& layers) {
+  return static_cast<std::size_t>(std::count_if(layers.begin(), layers.end(), [](const auto& l) {
+    return !std::holds_alternative<SnnPool>(l);
+  }));
+}
+
+Tensor dense_walk(const std::vector<SnnLayer>& layers, const Tensor& input, std::size_t stop_at,
+                  const DenseActivation& activate, const PoolObserver& on_pool) {
+  if (stop_at == 0) return input;
+  const auto bias_of = [](const Tensor& b) { return b.empty() ? nullptr : &b; };
+  Tensor x = activate(0, input);
+  std::size_t k = 0;
+  for (const auto& layer : layers) {
+    Tensor membrane;
+    if (const auto* conv = std::get_if<SnnConv>(&layer)) {
+      membrane = nn::conv2d_forward(x, conv->weight, bias_of(conv->bias), conv->stride, conv->pad);
+    } else if (const auto* fc = std::get_if<SnnFc>(&layer)) {
+      if (x.rank() != 2) x = x.reshaped({x.dim(0), x.numel() / x.dim(0)});
+      membrane = nn::linear_forward(x, fc->weight, bias_of(fc->bias));
+    } else {
+      // Under phi_TTFS this is earliest-spike-wins pooling: exact on decoded
+      // values because the kernel is strictly decreasing in the fire step.
+      const auto& pool = std::get<SnnPool>(layer);
+      x = nn::maxpool_forward(x, pool.kernel, pool.stride);
+      if (on_pool) on_pool(x);
+      continue;
+    }
+    if (++k == stop_at) return membrane;
+    x = activate(k, membrane);
+  }
+  TTFS_CHECK_MSG(false, "stop_at " << stop_at << " beyond the " << k << " weighted layers");
+  return {};
 }
 
 void SnnNetwork::add_conv(Tensor weight, Tensor bias, std::int64_t stride, std::int64_t pad) {
@@ -69,14 +104,6 @@ const std::vector<PackedLayer>& SnnNetwork::packed_layers() const {
   return packed_.get().layers;
 }
 
-std::size_t SnnNetwork::weighted_layer_count() const {
-  std::size_t n = 0;
-  for (const auto& l : layers_) {
-    if (!std::holds_alternative<SnnPool>(l)) ++n;
-  }
-  return n;
-}
-
 int SnnNetwork::latency_timesteps() const {
   return (1 + static_cast<int>(weighted_layer_count())) * kernel_.window();
 }
@@ -114,10 +141,10 @@ std::int64_t count_nonzero(const Tensor& t) {
 }  // namespace
 
 Tensor SnnNetwork::forward(const Tensor& images, SnnRunStats* stats) const {
-  TTFS_CHECK_MSG(!layers_.empty(), "empty SNN");
+  const std::size_t weighted = weighted_layer_count();
+  TTFS_CHECK_MSG(weighted >= 1, "SNN has no output layer");
   TTFS_CHECK(images.rank() == 4 || images.rank() == 2);
 
-  const std::size_t weighted = weighted_layer_count();
   if (stats != nullptr && stats->spikes_per_layer.empty()) {
     // index 0 = input encoding; one entry per weighted hidden layer (the
     // output layer never fires). Pools reshuffle spikes but emit none anew.
@@ -126,88 +153,36 @@ Tensor SnnNetwork::forward(const Tensor& images, SnnRunStats* stats) const {
   }
   if (stats != nullptr) stats->images += images.dim(0);
 
-  // Input encoding window: present the image as spikes.
-  Tensor x = quantize_tensor(kernel_, images);
-  std::size_t stat_idx = 0;
-  if (stats != nullptr) {
-    stats->spikes_per_layer[stat_idx] += count_nonzero(x);
-    stats->neurons_per_layer[stat_idx] += x.numel();
-  }
-
-  std::size_t weighted_seen = 0;
-  for (const auto& layer : layers_) {
-    if (const auto* conv = std::get_if<SnnConv>(&layer)) {
-      const Tensor* bias = conv->bias.empty() ? nullptr : &conv->bias;
-      Tensor membrane = nn::conv2d_forward(x, conv->weight, bias, conv->stride, conv->pad);
-      ++weighted_seen;
-      if (weighted_seen == weighted) return membrane;  // output layer: logits
-      x = quantize_tensor(kernel_, membrane);
-      ++stat_idx;
-      if (stats != nullptr) {
-        stats->spikes_per_layer[stat_idx] += count_nonzero(x);
-        stats->neurons_per_layer[stat_idx] += x.numel();
-      }
-    } else if (const auto* fc = std::get_if<SnnFc>(&layer)) {
-      Tensor flat = x.rank() == 2 ? x : x.reshaped({x.dim(0), x.numel() / x.dim(0)});
-      const Tensor* bias = fc->bias.empty() ? nullptr : &fc->bias;
-      Tensor membrane = nn::linear_forward(flat, fc->weight, bias);
-      ++weighted_seen;
-      if (weighted_seen == weighted) return membrane;
-      x = quantize_tensor(kernel_, membrane);
-      ++stat_idx;
-      if (stats != nullptr) {
-        stats->spikes_per_layer[stat_idx] += count_nonzero(x);
-        stats->neurons_per_layer[stat_idx] += x.numel();
-      }
-    } else {
-      const auto& pool = std::get<SnnPool>(layer);
-      // Earliest-spike-wins max pooling: exact on decoded values because the
-      // kernel is strictly decreasing in the fire step.
-      x = nn::maxpool_forward(x, pool.kernel, pool.stride);
+  // The input encoding window and every hidden fire phase: phi_TTFS. The
+  // output layer does not fire; its membrane voltages are the logits.
+  return dense_walk(layers_, images, weighted, [&](std::size_t k, const Tensor& membrane) {
+    Tensor x = quantize_tensor(kernel_, membrane);
+    if (stats != nullptr) {
+      stats->spikes_per_layer[k] += count_nonzero(x);
+      stats->neurons_per_layer[k] += x.numel();
     }
-  }
-  TTFS_CHECK_MSG(false, "SNN has no output layer");
-  return {};
+    return x;
+  });
 }
 
 std::vector<SpikeMap> SnnNetwork::trace(const Tensor& image) const {
+  const std::size_t weighted = weighted_layer_count();
+  TTFS_CHECK_MSG(weighted >= 1, "SNN has no output layer");
   TTFS_CHECK(image.rank() == 3);
   std::vector<SpikeMap> maps;
+  // Maps are per image: drop the batch-of-one axis from the shape.
+  const auto push_map = [&](const Tensor& values) {
+    maps.push_back(encode(values));
+    maps.back().shape.erase(maps.back().shape.begin());
+  };
 
-  Tensor x{{1, image.dim(0), image.dim(1), image.dim(2)},
-           std::vector<float>(image.vec())};
-  SpikeMap input_map = encode(x.reshaped({image.dim(0), image.dim(1), image.dim(2)}));
-  x = quantize_tensor(kernel_, x);
-  maps.push_back(std::move(input_map));
-
-  const std::size_t weighted = weighted_layer_count();
-  std::size_t weighted_seen = 0;
-  for (const auto& layer : layers_) {
-    if (const auto* conv = std::get_if<SnnConv>(&layer)) {
-      const Tensor* bias = conv->bias.empty() ? nullptr : &conv->bias;
-      Tensor membrane = nn::conv2d_forward(x, conv->weight, bias, conv->stride, conv->pad);
-      ++weighted_seen;
-      if (weighted_seen == weighted) break;
-      SpikeMap m = encode(membrane.reshaped(
-          {membrane.dim(1), membrane.dim(2), membrane.dim(3)}));
-      x = quantize_tensor(kernel_, membrane);
-      maps.push_back(std::move(m));
-    } else if (const auto* fc = std::get_if<SnnFc>(&layer)) {
-      Tensor flat = x.rank() == 2 ? x : x.reshaped({x.dim(0), x.numel() / x.dim(0)});
-      const Tensor* bias = fc->bias.empty() ? nullptr : &fc->bias;
-      Tensor membrane = nn::linear_forward(flat, fc->weight, bias);
-      ++weighted_seen;
-      if (weighted_seen == weighted) break;
-      SpikeMap m = encode(membrane.reshaped({membrane.dim(1)}));
-      x = quantize_tensor(kernel_, membrane);
-      maps.push_back(std::move(m));
-    } else {
-      const auto& pool = std::get<SnnPool>(layer);
-      x = nn::maxpool_forward(x, pool.kernel, pool.stride);
-      SpikeMap m = encode(x.reshaped({x.dim(1), x.dim(2), x.dim(3)}));
-      maps.push_back(std::move(m));
-    }
-  }
+  dense_walk(
+      layers_, image.reshaped({1, image.dim(0), image.dim(1), image.dim(2)}), weighted,
+      [&](std::size_t, const Tensor& membrane) {
+        push_map(membrane);
+        return quantize_tensor(kernel_, membrane);
+      },
+      push_map);
   return maps;
 }
 

@@ -11,8 +11,10 @@
 // Two execution paths exist:
 //  * forward()/trace() here — the conversion-math oracle: spikes are decoded
 //    to their kernel levels and the integration is done with the same GEMM
-//    kernels as the ANN (phi_TTFS = decode . fire). Tests compare the
-//    simulators against it; no production caller runs it.
+//    kernels as the ANN (phi_TTFS = decode . fire). Both run dense_walk(),
+//    the one conv/fc/pool pass this file also lends to the T2FSNN baseline
+//    (t2fsnn.h) and the ReLU calibration (cat/conversion.h). Tests compare
+//    the simulators against it; no production caller runs it.
 //  * event_sim.h — the timestep- and spike-order-accurate simulator: the
 //    production inference path, and the trace source for the hardware model.
 // Inference runs through snn::Engine / InferenceSession (engine.h), the
@@ -20,6 +22,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <variant>
 #include <vector>
 
@@ -58,6 +61,23 @@ struct SnnPool {
 };
 
 using SnnLayer = std::variant<SnnConv, SnnFc, SnnPool>;
+
+// Conv and fc layers in `layers` (pools carry no weights).
+std::size_t weighted_layer_count(const std::vector<SnnLayer>& layers);
+
+// The dense layer walk: the ANN's conv/fc/pool pass over `layers` on the
+// GEMM kernels of nn/functional.h, with the activation between layers left
+// to the caller — phi_TTFS for the oracle below, a per-layer base-e kernel
+// for the T2FSNN baseline, ReLU for the calibration pass. `activate(k, x)`
+// returns the operand the next layer integrates: k = 0 maps the input, k >= 1
+// the membrane of hidden weighted layer k. `on_pool`, if set, sees every
+// pool's output. The walk returns the membrane of weighted layer `stop_at`
+// before any activation (stop_at = 0 returns the input as given); pass
+// weighted_layer_count(layers) to run through the output layer.
+using DenseActivation = std::function<Tensor(std::size_t k, const Tensor& x)>;
+using PoolObserver = std::function<void(const Tensor& pooled)>;
+Tensor dense_walk(const std::vector<SnnLayer>& layers, const Tensor& input, std::size_t stop_at,
+                  const DenseActivation& activate, const PoolObserver& on_pool = {});
 
 // The float event pack (pack.h): weights as stored, padding lanes 0.
 using PackedConv = ConvPack<float>;
@@ -110,7 +130,7 @@ class SnnNetwork {
     invalidate_packs();
     return layers_;
   }
-  std::size_t weighted_layer_count() const;
+  std::size_t weighted_layer_count() const { return snn::weighted_layer_count(layers_); }
 
   // Event-path acceleration structures, built once per network (lazily, on
   // first simulator use) and kept in step with layers_:

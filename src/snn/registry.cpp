@@ -50,12 +50,15 @@ std::shared_ptr<const ModelHandle> ModelRegistry::load(
   TTFS_CHECK_MSG(input_shape.size() == 3, "model '" << id << "' input_shape must be (C, H, W)");
   for (const std::int64_t d : input_shape) TTFS_CHECK(d > 0);
 
-  const util::MutexLock lock{mu_};
-  // Build the pack before touching the registry: a backend that cannot run
-  // this network (a quantized backend over a net that was never
-  // log-quantized) throws here and leaves every id, counter and byte total
-  // as it was. The warm below then takes the pack's fast path.
+  // Build the pack before touching the registry, and outside mu_ so that
+  // acquires and run pins of every other model never wait out a build. A
+  // backend that cannot run this network (a quantized backend over a net that
+  // was never log-quantized) throws here and leaves every id, counter and
+  // byte total as it was. The warm below re-ensures under mu_ and normally
+  // takes the pack's fast path; an eviction of a handle sharing this net in
+  // between only costs a rebuild there.
   backend->ensure_ready(*net);
+  const util::MutexLock lock{mu_};
   std::shared_ptr<const ModelHandle> handle{new ModelHandle{
       id, next_version_++, std::move(net), std::move(backend), std::move(input_shape)}};
   auto it = entries_.find(id);

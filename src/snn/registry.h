@@ -140,8 +140,9 @@ class ModelRegistry {
   // Registers (new id) or live-swaps (existing id) a model and returns its
   // handle, warm: the pack is built here (not counted as a miss) and the
   // budget then evicts colder models. The pack is built before the registry
-  // changes, so a load whose build throws leaves every id, counter and byte
-  // total as it was. The swap is an atomic flip of the id -> handle mapping:
+  // changes and outside its lock, so a load whose build throws leaves every
+  // id, counter and byte total as it was, and no other model's acquire or
+  // run pin waits out the build. The swap is an atomic flip of the id -> handle mapping:
   // in-flight work holding the old handle drains on the old pack; new
   // acquires see the new handle immediately. The network and backend are
   // shared, never copied — callers that own the network by value can pass

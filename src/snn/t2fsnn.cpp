@@ -2,7 +2,6 @@
 
 #include <cmath>
 
-#include "nn/functional.h"
 #include "util/check.h"
 #include "util/logging.h"
 
@@ -48,14 +47,6 @@ T2fsnnNetwork::T2fsnnNetwork(T2fsnnConfig config, std::vector<SnnLayer> layers)
   }
 }
 
-std::size_t T2fsnnNetwork::weighted_layer_count() const {
-  std::size_t n = 0;
-  for (const auto& l : layers_) {
-    if (!std::holds_alternative<SnnPool>(l)) ++n;
-  }
-  return n;
-}
-
 int T2fsnnNetwork::latency_timesteps() const {
   const int base = (1 + static_cast<int>(weighted_layer_count())) * config_.window;
   return config_.early_firing ? base / 2 : base;
@@ -63,54 +54,13 @@ int T2fsnnNetwork::latency_timesteps() const {
 
 Tensor T2fsnnNetwork::forward(const Tensor& images) const {
   TTFS_CHECK(images.rank() == 4);
-  const std::size_t weighted = weighted_layer_count();
-
-  Tensor x = quantize_with(kernels_[0], images);
-  std::size_t weighted_seen = 0;
-  for (const auto& layer : layers_) {
-    if (const auto* conv = std::get_if<SnnConv>(&layer)) {
-      Tensor membrane = nn::conv2d_forward(x, conv->weight, &conv->bias, conv->stride, conv->pad);
-      ++weighted_seen;
-      if (weighted_seen == weighted) return membrane;
-      x = quantize_with(kernels_[weighted_seen], membrane);
-    } else if (const auto* fc = std::get_if<SnnFc>(&layer)) {
-      if (x.rank() != 2) x = x.reshaped({x.dim(0), x.numel() / x.dim(0)});
-      Tensor membrane = nn::linear_forward(x, fc->weight, &fc->bias);
-      ++weighted_seen;
-      if (weighted_seen == weighted) return membrane;
-      x = quantize_with(kernels_[weighted_seen], membrane);
-    } else {
-      const auto& pool = std::get<SnnPool>(layer);
-      x = nn::maxpool_forward(x, pool.kernel, pool.stride);
-    }
-  }
-  TTFS_CHECK_MSG(false, "T2FSNN has no output layer");
-  return {};
+  return membranes_for_kernel(images, weighted_layer_count());
 }
 
 Tensor T2fsnnNetwork::membranes_for_kernel(const Tensor& images, std::size_t stop_at) const {
-  if (stop_at == 0) return images;
-  Tensor x = quantize_with(kernels_[0], images);
-  std::size_t weighted_seen = 0;
-  for (const auto& layer : layers_) {
-    if (const auto* conv = std::get_if<SnnConv>(&layer)) {
-      Tensor membrane = nn::conv2d_forward(x, conv->weight, &conv->bias, conv->stride, conv->pad);
-      ++weighted_seen;
-      if (weighted_seen == stop_at) return membrane;
-      x = quantize_with(kernels_[weighted_seen], membrane);
-    } else if (const auto* fc = std::get_if<SnnFc>(&layer)) {
-      if (x.rank() != 2) x = x.reshaped({x.dim(0), x.numel() / x.dim(0)});
-      Tensor membrane = nn::linear_forward(x, fc->weight, &fc->bias);
-      ++weighted_seen;
-      if (weighted_seen == stop_at) return membrane;
-      x = quantize_with(kernels_[weighted_seen], membrane);
-    } else {
-      const auto& pool = std::get<SnnPool>(layer);
-      x = nn::maxpool_forward(x, pool.kernel, pool.stride);
-    }
-  }
-  TTFS_CHECK_MSG(false, "stop_at " << stop_at << " beyond network depth");
-  return {};
+  return dense_walk(layers_, images, stop_at, [this](std::size_t k, const Tensor& membrane) {
+    return quantize_with(kernels_[k], membrane);
+  });
 }
 
 void T2fsnnNetwork::tune_kernels(const Tensor& calibration_images, int rounds) {

@@ -9,6 +9,10 @@
 // coordinate descent on a (td, tau) grid, which reaches the same optimum
 // basin for these few-parameter problems (substitution noted in DESIGN.md).
 //
+// The network is the CAT oracle's network with another activation: forward
+// and the tuning pass run SnnNetwork's dense walk (network.h: dense_walk),
+// quantizing through layer l's kernel where the oracle uses phi_TTFS.
+//
 // This is exactly the design point the paper's CAT removes: the tuned
 // kernels differ per layer, so hardware needs a reconfigurable decoder
 // (SRAM) instead of one shared LUT — the "Base" column of Fig. 6.
@@ -54,12 +58,13 @@ class T2fsnnNetwork {
 
   const T2fsnnConfig& config() const { return config_; }
   const std::vector<BaseEKernel>& kernels() const { return kernels_; }
-  std::size_t weighted_layer_count() const;
+  std::size_t weighted_layer_count() const { return snn::weighted_layer_count(layers_); }
 
  private:
-  // Forward until just before hidden weighted layer `stop_at` fires, and
-  // return the membrane tensor that its kernel must encode. stop_at == 0
-  // returns the raw input images (the input encoder's operands).
+  // The dense walk (network.h) with kernel k as the activation after weighted
+  // layer k, up to the membrane of weighted layer `stop_at`: the operands
+  // kernel `stop_at` must encode (stop_at == 0: the raw input images), or
+  // the logits at stop_at == weighted_layer_count().
   Tensor membranes_for_kernel(const Tensor& images, std::size_t stop_at) const;
 
   T2fsnnConfig config_;

@@ -163,6 +163,48 @@ TEST(WeightNormRelu, PreservesReluNetworkArgmax) {
   }
 }
 
+TEST(WeightNormRelu, BiasFreeStackMatchesZeroBiases) {
+  // An empty bias is "no bias" (snn::SnnConv/SnnFc): the calibration pass must
+  // scale a bias-free stack exactly as the same stack with zero biases.
+  const auto stack = [](bool zero_biases) {
+    Rng rng{78};
+    const auto bias = [&](std::int64_t n) { return zero_biases ? Tensor{{n}} : Tensor{}; };
+    std::vector<snn::SnnLayer> layers;
+    layers.push_back(snn::SnnConv{Tensor::uniform({3, 1, 3, 3}, rng, -1.0F, 3.0F), bias(3), 1, 1});
+    layers.push_back(snn::SnnPool{2, 2});
+    layers.push_back(snn::SnnFc{Tensor::uniform({4, 3 * 4 * 4}, rng, -0.5F, 0.8F), bias(4)});
+    layers.push_back(snn::SnnFc{Tensor::uniform({2, 4}, rng, -0.5F, 0.8F), bias(2)});
+    return layers;
+  };
+  Rng rng{79};
+  const Tensor calib = Tensor::uniform({4, 1, 8, 8}, rng, 0.0F, 1.0F);
+  for (const double percentile : {1.0, 0.99}) {
+    auto bias_free = stack(false);
+    auto zero_bias = stack(true);
+    weight_normalize_relu(bias_free, calib, 1.0, percentile);
+    weight_normalize_relu(zero_bias, calib, 1.0, percentile);
+    for (std::size_t l = 0; l < bias_free.size(); ++l) {
+      const Tensor* w_free = nullptr;
+      const Tensor* w_zero = nullptr;
+      if (const auto* conv = std::get_if<snn::SnnConv>(&bias_free[l])) {
+        EXPECT_TRUE(conv->bias.empty());
+        w_free = &conv->weight;
+        w_zero = &std::get<snn::SnnConv>(zero_bias[l]).weight;
+      } else if (const auto* fc = std::get_if<snn::SnnFc>(&bias_free[l])) {
+        EXPECT_TRUE(fc->bias.empty());
+        w_free = &fc->weight;
+        w_zero = &std::get<snn::SnnFc>(zero_bias[l]).weight;
+      } else {
+        continue;
+      }
+      ASSERT_EQ(w_free->shape(), w_zero->shape());
+      for (std::int64_t i = 0; i < w_free->numel(); ++i) {
+        EXPECT_EQ((*w_free)[i], (*w_zero)[i]) << "layer " << l << " weight " << i;
+      }
+    }
+  }
+}
+
 TEST(Conversion, MaxAbsLogitPositive) {
   Rng rng{77};
   nn::Model m = nn::build_vgg(nn::vgg_micro_spec(4), 3, 8, rng);

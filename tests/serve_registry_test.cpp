@@ -5,8 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <condition_variable>
 #include <future>
 #include <memory>
+#include <mutex>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -257,6 +259,70 @@ TEST(ModelRegistry, FailedLoadLeavesTheRegistryUnchanged) {
   EXPECT_EQ(after.warm_models, before.warm_models);
   EXPECT_EQ(after.warm_bytes, before.warm_bytes);
   EXPECT_EQ(registry.ids(), (std::vector<std::string>{"m"}));
+}
+
+// Parks the first ensure_ready until release(): a load stays inside its pack
+// build for as long as the test needs to look at the registry.
+class BuildGatedBackend final : public test::ForwardingBackend {
+ public:
+  using ForwardingBackend::ForwardingBackend;
+
+  void ensure_ready(const snn::SnnNetwork& net) const override {
+    {
+      std::unique_lock<std::mutex> lock{mu_};
+      if (!entered_) {
+        entered_ = true;
+        cv_.notify_all();
+        cv_.wait(lock, [this] { return open_; });
+      }
+    }
+    ForwardingBackend::ensure_ready(net);
+  }
+  void wait_entered() const {
+    std::unique_lock<std::mutex> lock{mu_};
+    cv_.wait(lock, [this] { return entered_; });
+  }
+  void release() const {
+    const std::lock_guard<std::mutex> lock{mu_};
+    open_ = true;
+    cv_.notify_all();
+  }
+
+ private:
+  mutable std::mutex mu_;
+  mutable std::condition_variable cv_;
+  mutable bool entered_ = false;
+  mutable bool open_ = false;
+};
+
+// A load builds its pack outside the registry lock: while one model's build
+// is in flight, acquires and run pins of the other models go through.
+TEST(ModelRegistry, LoadBuildsThePackWithoutBlockingOtherModels) {
+  Rng rng{23};
+  snn::ModelRegistry registry;
+  const auto event = snn::make_backend(snn::BackendKind::kEventSim);
+  const auto h_a = registry.load("a", make_net_a(rng), event, {3, 8, 8});
+  const auto gated = std::make_shared<BuildGatedBackend>(event);
+  const std::shared_ptr<const snn::SnnNetwork> net_b = make_net_b(rng);
+
+  auto loading = std::async(std::launch::async,
+                            [&] { return registry.load("b", net_b, gated, {1, 12, 12}); });
+  gated->wait_entered();
+  auto others = std::async(std::launch::async, [&] {
+    const auto handle = registry.try_acquire("a");
+    const auto pin = registry.pin_for_run(h_a);
+    return handle;
+  });
+  // Generous: unblocked, this returns at once; a build under the lock would
+  // hold it until the gate opens, so the wait fails the test instead of
+  // hanging it.
+  const bool served = others.wait_for(std::chrono::seconds(30)) == std::future_status::ready;
+  gated->release();
+  EXPECT_TRUE(served) << "model a waited on model b's pack build";
+  EXPECT_EQ(others.get(), h_a);
+  const auto h_b = loading.get();
+  EXPECT_TRUE(h_b->warm());
+  EXPECT_EQ(registry.acquire("b"), h_b);
 }
 
 TEST(ModelRegistry, QuantizedBackendShrinksWarmBytesAndEvictsCleanly) {

@@ -100,6 +100,45 @@ TEST(T2fsnn, TunedKernelsDifferPerLayer) {
   EXPECT_TRUE(any_differ);
 }
 
+// conv -> pool -> fc -> fc without biases, or with explicit all-zero ones.
+std::vector<SnnLayer> bias_free_stack(bool zero_biases) {
+  Rng rng{45};
+  const auto bias = [&](std::int64_t n) { return zero_biases ? Tensor{{n}} : Tensor{}; };
+  std::vector<SnnLayer> layers;
+  layers.push_back(SnnConv{Tensor::uniform({4, 1, 3, 3}, rng, -0.2F, 0.3F), bias(4), 1, 1});
+  layers.push_back(SnnPool{2, 2});
+  layers.push_back(SnnFc{Tensor::uniform({5, 4 * 4 * 4}, rng, -0.1F, 0.12F), bias(5)});
+  layers.push_back(SnnFc{Tensor::uniform({3, 5}, rng, -0.4F, 0.4F), bias(3)});
+  return layers;
+}
+
+void expect_same_values(const Tensor& a, const Tensor& b) {
+  ASSERT_EQ(a.shape(), b.shape());
+  for (std::int64_t i = 0; i < a.numel(); ++i) EXPECT_EQ(a[i], b[i]) << i;
+}
+
+TEST(T2fsnn, BiasFreeStackMatchesZeroBiases) {
+  // "May be empty" biases mean "no bias": every dense pass must treat an
+  // empty bias exactly like a zero one (and never read from it).
+  Rng rng{46};
+  const Tensor x = Tensor::uniform({3, 1, 8, 8}, rng, 0.0F, 1.0F);
+
+  const SnnNetwork oracle_free{Base2Kernel{24, 4.0, 1.0}, bias_free_stack(false)};
+  const SnnNetwork oracle_zero{Base2Kernel{24, 4.0, 1.0}, bias_free_stack(true)};
+  expect_same_values(oracle_free.forward(x), oracle_zero.forward(x));
+
+  T2fsnnNetwork t2_free{T2fsnnConfig{}, bias_free_stack(false)};
+  T2fsnnNetwork t2_zero{T2fsnnConfig{}, bias_free_stack(true)};
+  expect_same_values(t2_free.forward(x), t2_zero.forward(x));
+  t2_free.tune_kernels(x, 1);
+  t2_zero.tune_kernels(x, 1);
+  for (std::size_t k = 0; k < t2_free.kernels().size(); ++k) {
+    EXPECT_EQ(t2_free.kernels()[k].td(), t2_zero.kernels()[k].td()) << k;
+    EXPECT_EQ(t2_free.kernels()[k].tau(), t2_zero.kernels()[k].tau()) << k;
+  }
+  expect_same_values(t2_free.forward(x), t2_zero.forward(x));
+}
+
 TEST(T2fsnn, RejectsEmptyStack) {
   EXPECT_THROW(T2fsnnNetwork(T2fsnnConfig{}, {}), std::invalid_argument);
 }
