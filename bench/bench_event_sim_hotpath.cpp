@@ -19,7 +19,10 @@
 // kernels::integrate_conv and then fires the result through
 // detail::fire_hwc, and each pool layer's input spikes, laid out as the HWC
 // step grid a fire phase leaves, through detail::pool_grid; one thread,
-// checking that every replay re-emits the trace's spikes. Each (layer,
+// checking that every replay re-emits the trace's spikes. It replays every
+// layer once per kernel tier this build and CPU run (kernels::cap_tier), so
+// its "tier" column shows which layers a tier speeds up; the main table runs
+// the default, highest tier, which the header names. Each (layer,
 // sample) replays into one output trace kept across reps, as the simulator
 // refills a reused trace, so "fire us" and "pool us" time the fire phase and
 // not the allocation and first-touch faults of a fresh spike vector. The
@@ -106,28 +109,28 @@ bool same_spikes(const std::vector<snn::Spike>& a, const std::vector<snn::Spike>
                     });
 }
 
-// Per-layer time (us per sample, best of `reps`) for the float simulator,
-// replayed from each sample's trace: integrate and fire per conv layer, pool
-// per pool layer. Bias init and the pool's input grid are not timed. Returns
-// false if a replay re-emits different spikes.
-bool per_layer_table(const snn::SnnNetwork& net, const std::vector<Tensor>& samples, int reps) {
-  net.ensure_packed();
-  const snn::ThresholdLut& lut = net.threshold_lut();
-  std::vector<snn::EventTrace> traces;
-  for (const Tensor& img : samples) traces.push_back(snn::run_event_sim(net, img));
+struct LayerRow {
+  std::string name;
+  double integrate_s = 0.0, fire_s = 0.0, pool_s = 0.0;
+  std::int64_t spikes_in = 0;
+};
 
-  struct Row {
-    std::string name;
-    double integrate_s = 0.0, fire_s = 0.0, pool_s = 0.0;
-    std::int64_t spikes_in = 0;
-  };
-  std::vector<Row> rows;
+// Per-layer time (seconds over all samples, best of `reps`) for the float
+// simulator on the active kernel tier, replayed from each sample's trace:
+// integrate and fire per conv layer, pool per pool layer. Bias init and the
+// pool's input grid are not timed. Clears `exact` if a replay re-emits
+// different spikes.
+std::vector<LayerRow> replay_layers(const snn::SnnNetwork& net,
+                                    const std::vector<Tensor>& samples,
+                                    const std::vector<snn::EventTrace>& traces, int reps,
+                                    bool& exact) {
+  const snn::ThresholdLut& lut = net.threshold_lut();
+  std::vector<LayerRow> rows;
   // Replay outputs, one per (row, sample), reused across reps.
   std::vector<std::vector<snn::LayerEventTrace>> outs;
   snn::SimArena arena;
   snn::kernels::AlignedBuffer<float> acc_buf;
   snn::kernels::AlignedBuffer<int> grid_buf;
-  bool exact = true;
   for (int rep = 0; rep < reps; ++rep) {
     std::int64_t c = samples[0].dim(0), h = samples[0].dim(1), w = samples[0].dim(2);
     std::size_t conv_seen = 0, pool_seen = 0;
@@ -144,7 +147,7 @@ bool per_layer_table(const snn::SnnNetwork& net, const std::vector<Tensor>& samp
           rows.push_back({"pool" + std::to_string(pool_seen + 1)});
           outs.emplace_back(traces.size());
         }
-        Row& row = rows[row_at];
+        LayerRow& row = rows[row_at];
         double pool_s = 0.0;
         std::int64_t spikes_in = 0;
         for (std::size_t s = 0; s < traces.size(); ++s) {
@@ -191,7 +194,7 @@ bool per_layer_table(const snn::SnnNetwork& net, const std::vector<Tensor>& samp
         rows.push_back({"conv" + std::to_string(conv_seen + 1)});
         outs.emplace_back(traces.size());
       }
-      Row& row = rows[row_at];
+      LayerRow& row = rows[row_at];
       double integrate_s = 0.0, fire_s = 0.0;
       std::int64_t spikes_in = 0;
       for (std::size_t s = 0; s < traces.size(); ++s) {
@@ -221,17 +224,35 @@ bool per_layer_table(const snn::SnnNetwork& net, const std::vector<Tensor>& samp
       ++trace_layer;
     }
   }
+  return rows;
+}
+
+// The per-layer table (us per sample), one block of rows per kernel tier
+// this build and CPU run, lowest first. Returns false if a replay re-emits
+// different spikes on any tier.
+bool per_layer_table(const snn::SnnNetwork& net, const std::vector<Tensor>& samples, int reps) {
+  namespace k = snn::kernels;
+  net.ensure_packed();
+  std::vector<snn::EventTrace> traces;
+  for (const Tensor& img : samples) traces.push_back(snn::run_event_sim(net, img));
 
   const double n = static_cast<double>(samples.size());
   // A conv row has no pool time and a pool row no integrate or fire time.
   const auto us = [n](double s, bool has) { return has ? Table::num(1e6 * s / n, 1) : "-"; };
   Table table{"event_sim_layers"};
-  table.set_header({"layer", "integrate us", "fire us", "pool us", "spikes in/sample"});
-  for (const Row& row : rows) {
-    const bool conv = row.name.rfind("conv", 0) == 0;
-    table.add_row({row.name, us(row.integrate_s, conv), us(row.fire_s, conv),
-                   us(row.pool_s, !conv), Table::num(static_cast<double>(row.spikes_in) / n, 0)});
+  table.set_header({"layer", "tier", "integrate us", "fire us", "pool us", "spikes in/sample"});
+  bool exact = true;
+  for (const k::Tier tier : {k::Tier::kScalar, k::Tier::kAvx2, k::Tier::kAvx512}) {
+    if (tier > k::supported_tier()) break;
+    k::cap_tier(tier);
+    for (const LayerRow& row : replay_layers(net, samples, traces, reps, exact)) {
+      const bool conv = row.name.rfind("conv", 0) == 0;
+      table.add_row({row.name, k::isa(), us(row.integrate_s, conv), us(row.fire_s, conv),
+                     us(row.pool_s, !conv),
+                     Table::num(static_cast<double>(row.spikes_in) / n, 0)});
+    }
   }
+  k::cap_tier(k::Tier::kAvx512);
   bench::emit(table);
   return exact;
 }
@@ -253,7 +274,8 @@ int main(int argc, char** argv) {
   }
 
   std::cout << "\n### event-sim hot path — VGG-style stack, " << samples
-            << " single-sample runs, best of " << reps << " reps\n\n";
+            << " single-sample runs, best of " << reps << " reps, kernel tier "
+            << snn::kernels::isa() << "\n\n";
 
   Table table{"event_sim_hotpath"};
   table.set_header({"simulator", "samples/s", "us/sample", "speedup", "minflt/sample"});
@@ -330,7 +352,7 @@ int main(int argc, char** argv) {
                  Table::num(rate_quant / rate_ref, 2) + "x", Table::num(faults_quant, 1)});
   bench::emit(table);
 
-  std::cout << "\n### float event sim per layer — " << samples
+  std::cout << "\n### float event sim per layer and kernel tier — " << samples
             << " replayed samples, one thread, best of " << reps << " reps\n\n";
   if (!per_layer_table(net, samples_owned, reps)) {
     std::cerr << "PER-LAYER REPLAY MISMATCH: fire_hwc or pool_grid re-emitted different "

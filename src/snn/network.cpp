@@ -8,14 +8,6 @@
 
 namespace ttfs::snn {
 
-std::int64_t SpikeMap::spike_count() const {
-  std::int64_t n = 0;
-  for (const int s : steps) {
-    if (s != kNoSpike) ++n;
-  }
-  return n;
-}
-
 double SnnRunStats::avg_firing_rate() const {
   std::int64_t spikes = 0, neurons = 0;
   for (const auto s : spikes_per_layer) spikes += s;

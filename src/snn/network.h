@@ -40,7 +40,6 @@ struct SpikeMap {
   std::vector<int> steps;
 
   std::int64_t neuron_count() const { return static_cast<std::int64_t>(steps.size()); }
-  std::int64_t spike_count() const;
 };
 
 struct SnnConv {

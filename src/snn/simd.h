@@ -18,16 +18,16 @@
 // per-layer rows, same VM). Run adds (below) then cut conv3-5 integration by
 // about half, and pooling from the step grid cut the three pools ~4x. This
 // header is the contract between the simulator and the tuned kernels in
-// kernels.cpp:
+// kernels.cpp and the float-kernel tiers (kernels_tier.inc):
 //
 //  * Padding — every output-contiguous span (a conv pack's cout row, an FC
 //    pack's column, and the matching accumulator rows) is padded to a
 //    multiple of kLaneFloats (8 floats = one AVX2 register). Padding weights
-//    are 0 and padding accumulator lanes start at 0, so the vector kernels
+//    are 0 and padding accumulator lanes start at 0, so the 8-lane kernels
 //    run with no tail loop and the padding lanes only ever accumulate
 //    0 * value; they are never read. `padded()` is the one rounding rule —
 //    the pack (network.h), the arena (event_sim.h) and the kernels all agree
-//    through it, in SIMD and scalar builds alike.
+//    through it, on every tier and in every build.
 //  * Alignment — AlignedBuffer places every pack and every SimArena chunk on
 //    a kAlignBytes (64-byte, one cache line) boundary with the allocation
 //    size rounded up to a whole line, so accumulator rows neither split
@@ -50,44 +50,63 @@
 //  * Row spans — conv weight slots mirror kx (conv_slot), so at stride 1 a
 //    spike's taps into one output row are one contiguous weight span over
 //    one contiguous accumulator span, applied as a single add; other strides
-//    apply one add per tap. Run and window taps — on the float vector path a
+//    apply one add per tap. Run and window taps — on a vector tier a
 //    stride-1 3x3 layer at a compile-time cstride the shipped stacks use
 //    (16, 24, 32, 64) applies a run of r >= 2 spikes with tap_run: each tap
 //    row forms its three products w*v once (one level per group), and each
 //    reached output pixel takes one load, its <= 3 adds in spike order and
 //    one store. A lone spike that reaches all 3 output rows and all 3
 //    columns (an interior spike) applies its three row spans as one
-//    straight-line AVX2 add (tap_window). Lone border spikes, other
-//    geometries, the scalar path and the quantized kernels keep one add per
-//    row.
+//    straight-line add (tap_window). Lone border spikes, other geometries,
+//    the portable tier and the quantized kernels keep one add per row.
 //  * Pooling — pool_steps takes each window's earliest spike straight from
 //    the step grid the layer before left (StepGrid: HWC after a conv or FC
 //    fire, CHW after the input encoding, HWC at padded(c) after a pool) as
 //    a lane-wise unsigned min, so kNoSpike (-1) sorts last.
 //  * Fire — fire_steps counts the threshold levels each float membrane lies
 //    below, which equals ThresholdLut::fire_step for float inputs (kernel.h
-//    states why). Both paths make the same float compares and integer
+//    states why). Every tier makes the same float compares and integer
 //    counts, so they agree exactly.
-//  * Bit-exactness — the SIMD and scalar paths are bit-identical by
-//    construction: both perform exactly `acc[i] = acc[i] + (w[i] * v)` per
-//    element with no fused contraction (kernels.cpp is compiled with
-//    -ffp-contract=off in every configuration; the kernel levels `v` are
-//    float-rounded transcendentals, NOT powers of two, so an FMA would
-//    round differently than mul-then-add and diverge from the frozen
-//    reference simulator). Cache blocking and the spike-parallel split
-//    partition *disjoint output tiles* — per-accumulator contribution order
-//    stays exactly the reference's (step, neuron) spike order, run adds
-//    included — instead of
-//    splitting sums into partial tiles, which could not be reduced
-//    bit-identically in float. Only the integer op counters are reduced.
+//  * Tiers — the float kernels (axpy, fire_steps, pool_steps' HWC path,
+//    integrate_conv, integrate_fc) come in three tiers, one shared source
+//    (kernels_tier.inc) compiled once per tier TU with that tier's flags
+//    only (src/CMakeLists.txt):
+//      - scalar (kernels_portable.cpp): no ISA flag, plain C++ loops; runs
+//        on any CPU the compiler targets;
+//      - avx2 (kernels_avx2.cpp): -mavx2 -mfma, 8-lane bodies;
+//      - avx512 (kernels_avx512.cpp): -mavx512f, 16-lane bodies for axpy,
+//        the comparator-bank fire (a mask compare plus a masked subtract),
+//        the pool's unsigned min, and tap_window/tap_run when 16 divides
+//        the channel stride; other widths (cstride 24) keep 8-lane bodies,
+//        and spans that are not whole registers take a masked tail.
+//    Every kernel TU — the tiers and kernels.cpp, which holds the
+//    dispatcher and the quantized kernels — is compiled with
+//    -ffp-contract=off, and only the vector tiers see a -m ISA flag, so
+//    nothing the portable tier or the dispatcher runs can hold an AVX
+//    instruction. tools/lint_hotpath.py checks both rules against the
+//    compilation database.
+//  * Bit-exactness — the tiers are bit-identical by construction: each
+//    performs exactly `acc[i] = acc[i] + (w[i] * v)` per element, in any
+//    lane width and in any tail, with no fused contraction (the kernel
+//    levels `v` are float-rounded transcendentals, NOT powers of two, so an
+//    FMA would round differently than mul-then-add and diverge from the
+//    frozen reference simulator). A wider register changes how many
+//    elements one instruction covers, never an element's operations or
+//    their order. Cache blocking and the spike-parallel split partition
+//    *disjoint output tiles* — per-accumulator contribution order stays
+//    exactly the reference's (step, neuron) spike order, run adds included
+//    — instead of splitting sums into partial tiles, which could not be
+//    reduced bit-identically in float. Only the integer op counters are
+//    reduced.
 //
-// Dispatch model: `TTFS_SIMD=ON` (the default) compiles kernels.cpp with
-// -mavx2 -mfma on x86-64 gcc/clang; `TTFS_SIMD=OFF` builds the scalar
-// fallback only — the CI `simd-off` lane proves that build bit-identical to
-// the reference simulator on runners without AVX2. A SIMD build additionally
-// checks AVX2 support once at runtime (__builtin_cpu_supports) and falls
-// back to scalar on machines without it, so one binary is safe everywhere.
-// force_scalar() lets tests exercise both paths in a single SIMD build.
+// Dispatch model: `TTFS_SIMD=ON` (the default) on x86-64 gcc/clang links all
+// three tiers, and the first kernel call picks the highest one the CPU
+// reports (__builtin_cpu_supports: "avx512f" and "avx2" for avx512, "avx2"
+// for avx2), so one binary runs everywhere and uses what it finds.
+// `TTFS_SIMD=OFF` (or another CPU family) builds the portable tier only —
+// the CI `simd-off` lane proves that build bit-identical to the reference
+// simulator. cap_tier() lets tests and benches run every tier the host
+// supports in a single build.
 #pragma once
 
 #include <cstdint>
@@ -103,12 +122,14 @@ namespace kernels {
 
 // One cache line; every AlignedBuffer allocation starts and ends on one.
 inline constexpr std::int64_t kAlignBytes = 64;
-// One AVX2 register of floats; the padding quantum for output spans.
+// One AVX2 register of floats; the padding quantum for output spans on every
+// tier (the AVX-512 tier takes a span that is not a whole 16-lane register
+// as 8-lane bodies or a masked tail).
 inline constexpr std::int64_t kLaneFloats = 8;
 
 // The single rounding rule for padded output spans (conv cout rows, FC
-// columns, accumulator rows). Identical in SIMD and scalar builds so pack
-// layout and arena sizing never depend on the configured ISA.
+// columns, accumulator rows). Identical on every tier and in every build, so
+// pack layout and arena sizing never depend on the ISA.
 constexpr std::int64_t padded(std::int64_t n) {
   return (n + kLaneFloats - 1) / kLaneFloats * kLaneFloats;
 }
@@ -208,15 +229,20 @@ class AlignedBuffer {
 
 // --- Dispatch introspection -------------------------------------------------
 
-// True when the vector path will actually run: compiled with TTFS_SIMD, CPU
-// supports AVX2, and force_scalar(true) is not in effect.
-bool simd_active();
-// "avx2" or "scalar" — what axpy()/integrate_*() will execute right now.
+// The float-kernel tiers, lowest first.
+enum class Tier : int { kScalar = 0, kAvx2 = 1, kAvx512 = 2 };
+
+// The highest tier this build holds and this CPU runs, checked once.
+Tier supported_tier();
+// The tier axpy()/fire_steps()/pool_steps()/integrate_*() run right now:
+// supported_tier(), lowered to the cap_tier() cap.
+Tier active_tier();
+// active_tier()'s name: "avx512", "avx2" or "scalar".
 const char* isa();
-// Test hook: force the scalar fallback at runtime so one SIMD build can
-// assert SIMD/scalar bit-identity directly. Thread-safe flips; not meant to
-// race against in-flight kernels.
-void force_scalar(bool on);
+// Test and bench hook: run no tier above `max`, so one build can assert the
+// tiers bit-identical to each other; Tier::kAvx512 (the default) lifts the
+// cap. Thread-safe flips; not meant to race against in-flight kernels.
+void cap_tier(Tier max);
 
 // Accumulator cache-block size in bytes (default 128 KiB): integration tiles
 // the output so one tile's accumulator rows stay resident in L2 while every
@@ -227,10 +253,10 @@ void set_acc_block_bytes(std::int64_t bytes);
 
 // --- Primitive kernels ------------------------------------------------------
 
-// acc[i] += w[i] * v for i in [0, n): the membrane vector-add. Dispatches to
-// AVX2 when active; bit-identical to axpy_scalar for any operands.
+// acc[i] += w[i] * v for i in [0, n): the membrane vector-add on the active
+// tier; bit-identical to axpy_scalar for any operands.
 void axpy(float* acc, const float* w, float v, std::int64_t n);
-// The guaranteed-scalar implementation (the reference semantics).
+// The portable tier's add, whatever the cap (the reference semantics).
 void axpy_scalar(float* acc, const float* w, float v, std::int64_t n);
 
 // Replicates row 0 (stride elements starting at acc) into rows [1, rows):
@@ -245,8 +271,8 @@ void broadcast_rows(T* acc, std::int64_t rows, std::int64_t stride);
 // Comparator-bank fire: out[i] = lut.fire_step(u[i]) for i in [0, n). Levels
 // never increase, so a float membrane's first crossing step is the number of
 // levels it lies below, and a full count means kNoSpike; the kernel compares
-// each membrane against every level (8 lanes per AVX2 compare, _CMP_LT_OQ so
-// NaN counts 0 like fire_step) instead of searching. Exact for float inputs
+// each membrane against every level (8 or 16 lanes per vector compare,
+// _CMP_LT_OQ so NaN counts 0 like fire_step) instead of searching. Exact for float inputs
 // only: it compares against ThresholdLut's float levels (kernel.h). Double
 // membranes (the quantized fire, fire_phase) stay on ThresholdLut::fire_step.
 // Checks the dispatch once per call, so callers pass a whole layer.
@@ -269,8 +295,9 @@ struct StepGrid {
 // step over the kernel x kernel window of channel ch at (oy*stride,
 // ox*stride), as an unsigned min, so kNoSpike (-1) sorts after every step
 // and a window with no spike pools to kNoSpike. Padding lanes [c, padded(c))
-// come out kNoSpike. An HWC grid at padded(c) takes 8 lanes per AVX2 min;
-// any other layout (the CHW input encoding) runs a scalar channel loop.
+// come out kNoSpike. An HWC grid at padded(c) takes 8 or 16 lanes per
+// vector min; any other layout (the CHW input encoding) runs a scalar
+// channel loop.
 // Output size: padded(c) * oh * ow with oh = (h - kernel)/stride + 1 and
 // ow likewise. `out` may be the steps of an HWC grid at padded(c) (pooling
 // in place): output pixel p is written after every read of its own window

@@ -29,6 +29,7 @@
 #include "snn/event_sim_reference.h"
 #include "snn/network.h"
 #include "snn/simd.h"
+#include "kernel_tiers.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
@@ -479,17 +480,14 @@ TEST_F(SnnEngineQuantizedConformance, NchwAndGatheredViewsAgreeBitwise) {
   }
 }
 
-// Pins one kernel path and block budget for a scope (kernels::force_scalar,
+// Pins one kernel tier and block budget for a scope (kernels::cap_tier,
 // set_acc_block_bytes), restoring the defaults on exit.
 struct ScopedKernelPath {
-  ScopedKernelPath(bool scalar, std::int64_t block_bytes) {
-    snn::kernels::force_scalar(scalar);
+  ScopedKernelPath(snn::kernels::Tier tier, std::int64_t block_bytes) : tier{tier} {
     snn::kernels::set_acc_block_bytes(block_bytes);
   }
-  ~ScopedKernelPath() {
-    snn::kernels::force_scalar(false);
-    snn::kernels::set_acc_block_bytes(0);
-  }
+  ~ScopedKernelPath() { snn::kernels::set_acc_block_bytes(0); }
+  kernel_test::ScopedTier tier;
 };
 
 // The quantized backend runs through the float path's spike-parallel split: a
@@ -497,7 +495,7 @@ struct ScopedKernelPath {
 // output lanes. Each lane keeps its saturating adds in spike order, so the
 // split must be bitwise invisible: traces and logits equal an inline
 // (ThreadPool{0}) session's, under the default and a 256-byte block budget,
-// on the SIMD and the scalar path. The net is
+// on every supported kernel tier. The net is
 // KernelConformance.IntraSampleSplitMatchesReference's 3x16x16 stack, whose
 // conv layer clears the split's work threshold, log-quantized.
 TEST(SnnEngineQuantizedSplit, IntraSampleSplitIsBitwiseInvisible) {
@@ -525,9 +523,9 @@ TEST(SnnEngineQuantizedSplit, IntraSampleSplitIsBitwiseInvisible) {
   ropts.logits = true;
   const Tensor one = img.reshaped({1, 3, 16, 16});
   for (const std::int64_t block : {std::int64_t{0}, std::int64_t{256}}) {
-    for (const bool scalar : {false, true}) {
-      const ScopedKernelPath path{scalar, block};
-      const std::string what = std::string{scalar ? "scalar" : "simd"} + " block=" +
+    for (const snn::kernels::Tier tier : kernel_test::runnable_tiers()) {
+      const ScopedKernelPath path{tier, block};
+      const std::string what = std::string{snn::kernels::isa()} + " block=" +
                                std::to_string(block);
       const snn::RunResult got = split.run(snn::BatchView{one}, ropts);
       const snn::RunResult want = inline_session.run(snn::BatchView{one}, ropts);

@@ -19,6 +19,7 @@
 #include "snn/event_sim_reference.h"
 #include "snn/kernel.h"
 #include "snn/network.h"
+#include "kernel_tiers.h"
 #include "util/rng.h"
 
 namespace ttfs::snn {
@@ -383,7 +384,8 @@ void expect_same_spikes_ops_cycles(const EventTrace& got, const EventTrace& want
 }
 
 // Runs a dense and a sparse c x h x w image through `net` in both formats,
-// each twice on one arena so a stale pooled grid would show.
+// each twice on one arena so a stale pooled grid would show, on every
+// supported kernel tier.
 void expect_pools_match_in_both_formats(const SnnNetwork& net, std::int64_t c, std::int64_t h,
                                         std::int64_t w, Rng& rng) {
   SnnNetwork qnet = net;
@@ -393,30 +395,33 @@ void expect_pools_match_in_both_formats(const SnnNetwork& net, std::int64_t c, s
   RunOptions ropts;
   ropts.traces = true;
   SimArena arena;
-  for (const double keep : {1.0, 0.3}) {
-    Tensor img{{c, h, w}};
-    for (std::int64_t i = 0; i < img.numel(); ++i) {
-      const float v = rng.uniform_f(0.0F, 1.0F);
-      img[i] = rng.bernoulli(keep) ? v : 0.0F;
-    }
-    const std::string label = "keep=" + std::to_string(keep);
-    const EventTrace ref = reference::run_event_sim(net, img);
-    for (int run = 0; run < 2; ++run) {
-      const EventTrace got = run_event_sim(net, img, arena);
-      expect_same_spikes_ops_cycles(got, ref, label + " float");
-      ASSERT_EQ(got.logits.numel(), ref.logits.numel()) << label;
-      for (std::int64_t i = 0; i < ref.logits.numel(); ++i) {
-        EXPECT_EQ(got.logits[i], ref.logits[i]) << label << " logit " << i;
+  for (const kernels::Tier tier : kernel_test::runnable_tiers()) {
+    kernel_test::ScopedTier path{tier};
+    for (const double keep : {1.0, 0.3}) {
+      Tensor img{{c, h, w}};
+      for (std::int64_t i = 0; i < img.numel(); ++i) {
+        const float v = rng.uniform_f(0.0F, 1.0F);
+        img[i] = rng.bernoulli(keep) ? v : 0.0F;
       }
-      expect_pools_match_definition(net, got, c, h, w, label + " float");
-    }
-    const EventTrace qfloat = run_event_sim(qnet, img);
-    const Tensor one = img.reshaped({1, c, h, w});
-    for (int run = 0; run < 2; ++run) {
-      const RunResult r = quant.run(BatchView{one}, ropts);
-      ASSERT_EQ(r.traces.size(), 1U) << label;
-      expect_same_spikes_ops_cycles(r.traces[0], qfloat, label + " fixed-point");
-      expect_pools_match_definition(qnet, r.traces[0], c, h, w, label + " fixed-point");
+      const std::string label = std::string{kernels::isa()} + " keep=" + std::to_string(keep);
+      const EventTrace ref = reference::run_event_sim(net, img);
+      for (int run = 0; run < 2; ++run) {
+        const EventTrace got = run_event_sim(net, img, arena);
+        expect_same_spikes_ops_cycles(got, ref, label + " float");
+        ASSERT_EQ(got.logits.numel(), ref.logits.numel()) << label;
+        for (std::int64_t i = 0; i < ref.logits.numel(); ++i) {
+          EXPECT_EQ(got.logits[i], ref.logits[i]) << label << " logit " << i;
+        }
+        expect_pools_match_definition(net, got, c, h, w, label + " float");
+      }
+      const EventTrace qfloat = run_event_sim(qnet, img);
+      const Tensor one = img.reshaped({1, c, h, w});
+      for (int run = 0; run < 2; ++run) {
+        const RunResult r = quant.run(BatchView{one}, ropts);
+        ASSERT_EQ(r.traces.size(), 1U) << label;
+        expect_same_spikes_ops_cycles(r.traces[0], qfloat, label + " fixed-point");
+        expect_pools_match_definition(qnet, r.traces[0], c, h, w, label + " fixed-point");
+      }
     }
   }
 }

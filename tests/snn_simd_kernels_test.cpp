@@ -1,12 +1,13 @@
-// Kernel-layer tests (snn/simd.h): primitive bit-identity between the SIMD
-// and scalar paths across tail geometries, the aligned-buffer contract, the
+// Kernel-layer tests (snn/simd.h): primitive bit-identity between the
+// float-kernel tiers across tail geometries, the aligned-buffer contract, the
 // packed-row bias broadcast, cache-block tiling, and full-simulator
 // conformance against the frozen reference for geometries that stress the
 // lane padding — cout/out not a multiple of the vector width, stride-2 +
-// padded conv taps, single-pixel layers, and empty timestep groups. In a
-// TTFS_SIMD=OFF build force_scalar() is a no-op and every case still runs:
-// the suite then asserts the scalar fallback against the reference, which is
-// exactly what the CI simd-off lane is for. A stride x pad x kernel x width
+// padded conv taps, single-pixel layers, and empty timestep groups. Every
+// bit-identity case runs once per tier this build and CPU support, through
+// the dispatch cap (kernel_tiers.h); in a TTFS_SIMD=OFF build that is the
+// portable tier alone, asserted against the reference, which is exactly
+// what the CI simd-off lane is for. A stride x pad x kernel x width
 // sweep pins integrate_conv's division-free tap walk, whole-window adds
 // included, against the per-tap definition, and the walk's Reciprocal decode
 // is checked against `/`. A row-run spike train (whole rows at one step,
@@ -18,6 +19,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <string>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -28,6 +30,7 @@
 #include "snn/kernel.h"
 #include "snn/network.h"
 #include "snn/simd.h"
+#include "kernel_tiers.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
@@ -38,11 +41,20 @@ namespace k = snn::kernels;
 
 constexpr float kInf = std::numeric_limits<float>::infinity();
 
-// RAII: force the scalar path for one scope, restore on exit.
-struct ScopedScalar {
-  explicit ScopedScalar(bool on) { k::force_scalar(on); }
-  ~ScopedScalar() { k::force_scalar(false); }
-};
+using kernel_test::runnable_tiers;
+using kernel_test::ScopedTier;
+
+// The name isa() reports for a tier.
+const char* tier_name(k::Tier tier) {
+  switch (tier) {
+    case k::Tier::kAvx512:
+      return "avx512";
+    case k::Tier::kAvx2:
+      return "avx2";
+    default:
+      return "scalar";
+  }
+}
 
 // RAII: shrink the accumulator cache block for one scope.
 struct ScopedBlockBytes {
@@ -65,36 +77,55 @@ TEST(AlignedBuffer, PlacesEveryAllocationOnACacheLine) {
 }
 
 TEST(KernelDispatch, ForceScalarFlipsTheActivePath) {
-  // In a SIMD build on an AVX2 machine the default path is "avx2" and
-  // force_scalar(true) must demote it; in a scalar build both reads say
-  // "scalar". Either way the flag round-trips.
-  const bool simd_default = k::simd_active();
-  EXPECT_STREQ(k::isa(), simd_default ? "avx2" : "scalar");
-  {
-    ScopedScalar scalar{true};
-    EXPECT_FALSE(k::simd_active());
-    EXPECT_STREQ(k::isa(), "scalar");
+  // With no cap the kernels run the highest tier this build and CPU
+  // support; each cap demotes them to itself, never above what is supported,
+  // and lifting the cap restores the default.
+  const std::vector<k::Tier> tiers = runnable_tiers();
+  ASSERT_FALSE(tiers.empty());
+  EXPECT_EQ(tiers.back(), k::supported_tier());
+  EXPECT_EQ(k::active_tier(), k::supported_tier());
+  EXPECT_STREQ(k::isa(), tier_name(k::supported_tier()));
+  for (const k::Tier cap : {k::Tier::kScalar, k::Tier::kAvx2, k::Tier::kAvx512}) {
+    ScopedTier scoped{cap};
+    const k::Tier want = std::min(cap, k::supported_tier());
+    EXPECT_EQ(k::active_tier(), want) << "cap " << tier_name(cap);
+    EXPECT_STREQ(k::isa(), tier_name(want)) << "cap " << tier_name(cap);
   }
-  EXPECT_EQ(k::simd_active(), simd_default);
+  EXPECT_EQ(k::active_tier(), k::supported_tier());
+  EXPECT_STREQ(k::isa(), tier_name(k::supported_tier()));
+#if (defined(__x86_64__) || defined(__i386__)) && defined(__GNUC__)
+  // Dispatch never picks a tier the CPU does not report.
+  if (__builtin_cpu_supports("avx512f") == 0) {
+    EXPECT_LT(k::supported_tier(), k::Tier::kAvx512);
+  }
+  if (__builtin_cpu_supports("avx2") == 0) {
+    EXPECT_LT(k::supported_tier(), k::Tier::kAvx2);
+  }
+#endif
 }
 
 TEST(AxpyKernel, BitIdenticalToScalarForEveryTailAndOffset) {
-  // n = 1..33 covers sub-lane, exact-lane, and every tail length around the
-  // 8- and 16-float strips; offsets 0..3 de-align both operands. The kernel
-  // value is a real TTFS level (a float-rounded transcendental, the operand
-  // class where an FMA would diverge).
+  // n = 1..70 covers sub-lane, exact-lane, and every tail length around the
+  // 8-, 16- and 32-float strips (one and two registers of each tier);
+  // offsets 0..3 de-align both operands. The kernel value is a real TTFS
+  // level (a float-rounded transcendental, the operand class where an FMA
+  // would diverge). Every supported tier against the portable add.
   Rng rng{900};
   const snn::Base2Kernel kernel{24, 4.0, 1.0};
-  std::vector<float> w(64), a(64), b(64);
-  for (std::int64_t n = 1; n <= 33; ++n) {
-    for (std::int64_t off = 0; off < 4; ++off) {
-      for (float& x : w) x = rng.uniform_f(-1.0F, 1.0F);
-      for (std::size_t i = 0; i < a.size(); ++i) a[i] = b[i] = rng.uniform_f(-2.0F, 2.0F);
-      const float v = static_cast<float>(kernel.level(static_cast<int>(n) % 24));
-      k::axpy(a.data() + off, w.data() + off, v, n);
-      k::axpy_scalar(b.data() + off, w.data() + off, v, n);
-      for (std::size_t i = 0; i < a.size(); ++i) {
-        ASSERT_EQ(a[i], b[i]) << "n=" << n << " off=" << off << " i=" << i;
+  std::vector<float> w(80), a(80), b(80);
+  for (const k::Tier tier : runnable_tiers()) {
+    ScopedTier path{tier};
+    for (std::int64_t n = 1; n <= 70; ++n) {
+      for (std::int64_t off = 0; off < 4; ++off) {
+        for (float& x : w) x = rng.uniform_f(-1.0F, 1.0F);
+        for (std::size_t i = 0; i < a.size(); ++i) a[i] = b[i] = rng.uniform_f(-2.0F, 2.0F);
+        const float v = static_cast<float>(kernel.level(static_cast<int>(n) % 24));
+        k::axpy(a.data() + off, w.data() + off, v, n);
+        k::axpy_scalar(b.data() + off, w.data() + off, v, n);
+        for (std::size_t i = 0; i < a.size(); ++i) {
+          ASSERT_EQ(a[i], b[i]) << "isa=" << k::isa() << " n=" << n << " off=" << off
+                                << " i=" << i;
+        }
       }
     }
   }
@@ -173,9 +204,10 @@ TEST(PackedLayout, ConvPackHoldsEveryWeightAtItsConvSlot) {
 // --- Comparator-bank fire ------------------------------------------------------
 //
 // fire_steps counts the levels a float membrane lies below instead of
-// searching; it must equal ThresholdLut::fire_step for every float, on the
-// AVX2 and the scalar path, at every span length (lengths 1..17 put each
-// input in every lane of the 16- and 8-lane blocks and of the scalar tail).
+// searching; it must equal ThresholdLut::fire_step for every float, on every
+// supported tier, at every span length (lengths 1..33 put each input in
+// every lane of the 32-, 16- and 8-lane blocks and of the masked and the
+// scalar tails).
 // Inputs: every float within 64 ulps of each level and of the step-0
 // boundary, a seeded 1M-sample log-uniform sweep over
 // [min_level/2, 2*level(0)], and the special values.
@@ -230,9 +262,9 @@ void expect_fire_kernel_exact(const snn::ThresholdLut& lut, double theta0, std::
                               const char* what) {
   const std::vector<float> edges = fire_edge_inputs(lut, theta0);
   const std::vector<float> sweep = fire_sweep_inputs(lut, seed);
-  for (const bool scalar : {false, true}) {
-    ScopedScalar path{scalar};
-    for (std::int64_t len = 1; len <= 17; ++len) expect_fire_matches_lut(lut, edges, len, what);
+  for (const k::Tier tier : runnable_tiers()) {
+    ScopedTier path{tier};
+    for (std::int64_t len = 1; len <= 33; ++len) expect_fire_matches_lut(lut, edges, len, what);
     expect_fire_matches_lut(lut, sweep, static_cast<std::int64_t>(sweep.size()), what);
   }
 }
@@ -295,13 +327,15 @@ snn::SnnNetwork tail_geometry_net(Rng& rng) {
 }
 
 // Runs `img` through the event sim and the frozen reference and asserts
-// bit-identity, once on the dispatch-default path and once forced scalar.
+// bit-identity, once on each supported tier.
 void expect_matches_reference(const snn::SnnNetwork& net, const Tensor& img,
                               const char* what) {
   const snn::EventTrace ref = snn::reference::run_event_sim(net, img);
-  expect_traces_identical(snn::run_event_sim(net, img), ref, what);
-  ScopedScalar scalar{true};
-  expect_traces_identical(snn::run_event_sim(net, img), ref, what);
+  for (const k::Tier tier : runnable_tiers()) {
+    ScopedTier path{tier};
+    SCOPED_TRACE(k::isa());
+    expect_traces_identical(snn::run_event_sim(net, img), ref, what);
+  }
 }
 
 TEST(KernelConformance, TailGeometriesMatchReferenceOnBothPaths) {
@@ -347,8 +381,8 @@ TEST(KernelConformance, BatchOfFiveMatchesReferenceOnBothPaths) {
   const snn::SnnNetwork net = tail_geometry_net(rng);
   const Tensor images = Tensor::uniform({5, 3, 9, 9}, rng, 0.0F, 1.0F);
   ThreadPool pool{3};
-  for (const bool scalar : {false, true}) {
-    ScopedScalar guard{scalar};
+  for (const k::Tier tier : runnable_tiers()) {
+    ScopedTier guard{tier};
     snn::SessionOptions sopts;
     sopts.pool = &pool;
     snn::InferenceSession session = snn::Engine{net}.session(snn::BackendKind::kEventSim, sopts);
@@ -359,7 +393,7 @@ TEST(KernelConformance, BatchOfFiveMatchesReferenceOnBothPaths) {
     for (std::int64_t i = 0; i < images.dim(0); ++i) {
       const snn::EventTrace ref = snn::reference::run_event_sim(net, images.sample0(i));
       expect_traces_identical(batched.traces[static_cast<std::size_t>(i)], ref,
-                              scalar ? "batch-scalar" : "batch-simd");
+                              (std::string{"batch-"} + k::isa()).c_str());
     }
   }
 }
@@ -389,11 +423,11 @@ TEST(KernelConformance, IntraSampleSplitMatchesReference) {
   const Tensor one = img.reshaped({1, 3, 16, 16});
   for (const std::int64_t block : {std::int64_t{0}, std::int64_t{256}}) {
     ScopedBlockBytes guard{block};
-    for (const bool scalar : {false, true}) {
-      ScopedScalar path{scalar};
+    for (const k::Tier tier : runnable_tiers()) {
+      ScopedTier path{tier};
       snn::RunResult run = session.run(snn::BatchView{one}, ropts);
       ASSERT_EQ(run.traces.size(), 1U);
-      expect_traces_identical(run.traces[0], ref, scalar ? "intra-scalar" : "intra-simd");
+      expect_traces_identical(run.traces[0], ref, (std::string{"intra-"} + k::isa()).c_str());
     }
   }
 }
@@ -408,11 +442,13 @@ TEST(KernelConformance, IntraSampleSplitMatchesReference) {
 // columns fall past the final output through some taps. The pack mirrors kx
 // only (kernels::conv_slot), so a second sweep runs non-square kernels,
 // where a kh/kw mix-up in the walk or the slot rule would show. The kernel
-// check repeats every geometry over kTapCouts: on the vector path a 3x3
-// stride-1 layer hands interior spikes to a whole-window add unrolled for
-// channel strides 16, 24, 32 and 64 (couts 13, 24, 32, 64), while 5 and 8
-// (stride 8) and 72 stay on per-row taps; border spikes take per-row taps
-// at every width.
+// check repeats every geometry over kTapCouts, on every supported tier: on
+// a vector tier a 3x3 stride-1 layer hands interior spikes to a
+// whole-window add unrolled for channel strides 16, 24, 32 and 64 (couts
+// 13, 24, 32, 64; 16-lane bodies at 16, 32 and 64 on the AVX-512 tier,
+// 8-lane ones at 24), while 5 and 8 (stride 8) and 72 stay on per-row taps;
+// border spikes take per-row taps at every width, spans of 8, 24, 40 or 72
+// lanes among them, which no 16-lane register divides.
 constexpr std::int64_t kTapCin = 3, kTapH = 9, kTapW = 8, kTapCout = 13;
 constexpr std::int64_t kTapCouts[] = {5, 8, 13, 24, 32, 64, 72};
 
@@ -567,12 +603,12 @@ void expect_walk_matches_per_tap_division(const k::ConvGeom& g, Train train) {
   }
 
   // Default and 64-byte blocks (one row block per output row), whole layer
-  // and a two-way row split, dispatch-default and forced-scalar paths.
+  // and a two-way row split, every supported tier.
   const std::int64_t mid = g.oh / 2;
   for (const std::int64_t block : {std::int64_t{0}, std::int64_t{64}}) {
     ScopedBlockBytes blocks{block};
-    for (const bool scalar : {false, true}) {
-      ScopedScalar path{scalar};
+    for (const k::Tier tier : runnable_tiers()) {
+      ScopedTier path{tier};
       for (const bool split : {false, true}) {
         std::vector<float> got = init;
         const auto rows = [&](std::int64_t lo, std::int64_t hi) {
@@ -580,10 +616,10 @@ void expect_walk_matches_per_tap_division(const k::ConvGeom& g, Train train) {
         };
         const std::int64_t ops = split ? rows(0, mid) + rows(mid, g.oh) : rows(0, g.oh);
         EXPECT_EQ(ops, want_ops) << "cout=" << g.cout << " block=" << block
-                                 << " scalar=" << scalar << " split=" << split;
+                                 << " isa=" << k::isa() << " split=" << split;
         for (std::size_t i = 0; i < want.size(); ++i) {
           ASSERT_EQ(got[i], want[i]) << "cout=" << g.cout << " block=" << block
-                                     << " scalar=" << scalar << " split=" << split
+                                     << " isa=" << k::isa() << " split=" << split
                                      << " lane " << i;
         }
       }
@@ -711,6 +747,74 @@ TEST(Reciprocal, MatchesDivisionAtEveryQuotientBoundary) {
 TEST_P(ConvTapWalkNonSquare, NetMatchesReferenceOnBothPathsUnderTinyBlocks) {
   expect_net_matches_reference_under_tiny_blocks(geom());
 }
+
+// --- One case per tier ------------------------------------------------------------
+//
+// Each tier gets its own case, skipped with the tier's name where this build
+// or CPU does not run it: the tier's HWC pooling kernel matches the
+// per-channel definition at every padded width the stacks use (8, 16, 24,
+// 32, 64 lanes), out of place and in place.
+class TierKernels : public ::testing::TestWithParam<k::Tier> {
+ protected:
+  void SetUp() override {
+    if (GetParam() > k::supported_tier()) {
+      GTEST_SKIP() << "the " << tier_name(GetParam())
+                   << " kernel tier does not run in this build on this CPU";
+    }
+  }
+};
+
+TEST_P(TierKernels, HwcPoolMatchesDefinitionAtEveryPaddedWidth) {
+  ScopedTier path{GetParam()};
+  Rng rng{915};
+  constexpr std::int64_t kH = 7, kW = 9;
+  for (const std::int64_t c : {5, 13, 24, 32, 64}) {
+    const std::int64_t lanes = k::padded(c);
+    std::vector<int> grid(static_cast<std::size_t>(kH * kW * lanes), snn::kNoSpike);
+    for (std::int64_t p = 0; p < kH * kW; ++p) {
+      for (std::int64_t ch = 0; ch < c; ++ch) {
+        grid[static_cast<std::size_t>(p * lanes + ch)] =
+            rng.bernoulli(0.3) ? snn::kNoSpike : static_cast<int>(rng.uniform_int(0, 23));
+      }
+    }
+    for (const auto& [kernel, stride] :
+         {std::pair{2, 2}, std::pair{3, 2}, std::pair{2, 1}, std::pair{3, 3}}) {
+      const std::int64_t oh = (kH - kernel) / stride + 1;
+      const std::int64_t ow = (kW - kernel) / stride + 1;
+      std::vector<int> want(static_cast<std::size_t>(oh * ow * lanes), snn::kNoSpike);
+      for (std::int64_t oy = 0; oy < oh; ++oy) {
+        for (std::int64_t ox = 0; ox < ow; ++ox) {
+          for (std::int64_t ch = 0; ch < c; ++ch) {
+            auto best = static_cast<std::uint32_t>(snn::kNoSpike);
+            for (std::int64_t ky = 0; ky < kernel; ++ky) {
+              for (std::int64_t kx = 0; kx < kernel; ++kx) {
+                const std::int64_t p = (oy * stride + ky) * kW + ox * stride + kx;
+                const int step = grid[static_cast<std::size_t>(p * lanes + ch)];
+                best = std::min(best, static_cast<std::uint32_t>(step));
+              }
+            }
+            want[static_cast<std::size_t>((oy * ow + ox) * lanes + ch)] = static_cast<int>(best);
+          }
+        }
+      }
+      const k::StepGrid in{grid.data(), c, kH, kW, lanes, 1};
+      std::vector<int> got(want.size(), -7);
+      k::pool_steps(in, kernel, stride, got.data());
+      EXPECT_EQ(got, want) << "c=" << c << " kernel=" << kernel << " stride=" << stride;
+      std::vector<int> in_place = grid;
+      k::pool_steps({in_place.data(), c, kH, kW, lanes, 1}, kernel, stride, in_place.data());
+      in_place.resize(want.size());
+      EXPECT_EQ(in_place, want) << "in place, c=" << c << " kernel=" << kernel
+                                << " stride=" << stride;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Tiers, TierKernels,
+                         ::testing::Values(k::Tier::kScalar, k::Tier::kAvx2, k::Tier::kAvx512),
+                         [](const ::testing::TestParamInfo<k::Tier>& info) {
+                           return std::string{tier_name(info.param)};
+                         });
 
 INSTANTIATE_TEST_SUITE_P(StridePadKernel, ConvTapWalk,
                          ::testing::Combine(::testing::Values(1, 2, 3),

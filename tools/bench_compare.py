@@ -110,6 +110,7 @@ DIMENSIONS = (
     "case",
     "n",
     "layer",
+    "tier",
 )
 
 

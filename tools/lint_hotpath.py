@@ -6,21 +6,29 @@ integration/fire loops must stay allocation-free in steady state (the SimArena
 is the only sanctioned scratch source), kernel math must go through the
 ThresholdLut / LogPe lookup tables (a transcendental call inside a kernel
 would both cost cycles and desync the quantized path from `cat::LogPe`), and
-snn/kernels.cpp must compile with -ffp-contract=off (a fused mul-add would
-diverge bitwise from the frozen reference simulator). This linter makes those
-three invariants CI-enforced:
+every kernel TU must compile with -ffp-contract=off (a fused mul-add would
+diverge bitwise from the frozen reference simulator) and with its own
+tier's ISA flags only (a vector instruction in the portable tier or the
+dispatcher crashes a CPU without that ISA). This linter makes those
+invariants CI-enforced:
 
   1. no heap-allocating calls (push_back, resize, new, make_unique, ...)
      inside a hot function body;
   2. no transcendental math calls (std::exp, std::log, std::pow, ...) inside
      a hot function body — std::ldexp is sanctioned (exact power-of-two
      scaling, no rounding);
-  3. the snn/kernels.cpp entry in compile_commands.json carries
-     -ffp-contract=off as its effective contraction setting.
+  3. in compile_commands.json:
+     a. every kernel TU (KERNEL_TIER_TUS) carries -ffp-contract=off as its
+        effective contraction setting; the portable ones must be present,
+        the vector tiers only in x86-64 TTFS_SIMD builds;
+     b. AVX-512 flags appear on the AVX-512 tier's TU and nowhere else;
+     c. the portable TUs (the portable tier and the dispatcher, kernels.cpp)
+        carry no ISA flag at all (-m<isa>, -march=).
 
 "Hot function" is decided by name (see HOT_NAME_RE): the integrate_*/fire_*
 kernels, the axpy family and the tap_* span updates (the conv walk's per-row
-tap, its whole-window add and its same-step run add), the quantized
+tap, its whole-window add and its same-step run add) with the vector fire
+helpers, in every lane width of every tier, the quantized
 shift-add helpers, the fire-phase counting and bucketing, the pool_* grid
 pooling (kernel and layer), and the simulator's membrane-format policy
 hooks (member functions
@@ -58,22 +66,41 @@ import tempfile
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-# The TUs whose hot functions are linted, relative to the repo root.
+# The sources whose hot functions are linted, relative to the repo root:
+# the dispatcher and quantized kernels, the shared walks, the float-kernel
+# tier source every tier TU includes, and the simulator.
 KERNEL_TUS = [
     "src/snn/kernels.cpp",
+    "src/snn/kernels_impl.h",
+    "src/snn/kernels_tier.inc",
     "src/snn/event_sim.cpp",
     "src/snn/quant.cpp",
 ]
 
-# The TU that must compile with -ffp-contract=off.
-CONTRACT_TU = "src/snn/kernels.cpp"
+# The kernel TUs in the compilation database and their tier: "portable"
+# TUs must exist in every build and carry no ISA flag; "avx2"/"avx512" exist
+# only in x86-64 TTFS_SIMD builds. All of them need -ffp-contract=off.
+KERNEL_TIER_TUS = {
+    "src/snn/kernels.cpp": "portable",
+    "src/snn/kernels_portable.cpp": "portable",
+    "src/snn/kernels_avx2.cpp": "avx2",
+    "src/snn/kernels_avx512.cpp": "avx512",
+}
+
+# Flags that let the compiler emit instructions past the baseline ISA.
+ISA_FLAG_RE = re.compile(
+    r"^-m(?:arch=|cpu=|avx|sse|ssse|fma|f16c|bmi|lzcnt|popcnt|aes|pclmul|movbe"
+    r"|adx|sha|gfni|vaes|vpclmulqdq|amx|xop|tbm)")
+# Flags that enable AVX-512 instructions.
+AVX512_FLAG_RE = re.compile(r"^-m(?:avx512|avx10)")
 
 # A function definition whose name matches is a hot region.
 # The membrane-format policy hooks of event_sim.cpp (acc_buffer, load_bias,
 # integrate_conv/_fc, fire_steps, to_logit, layer_params) are hot too: the
 # driver calls them per layer, per split range or per membrane.
 HOT_NAME_RE = re.compile(
-    r"^(?:integrate_\w+|fire_\w+|axpy\w*|tap_\w+|run_cols|bucket_of|count_buckets"
+    r"^(?:integrate_\w+|fire_\w+|axpy\w*|tap_\w+|count_below|as_steps|store_steps"
+    r"|run_cols|bucket_of|count_buckets"
     r"|scatter_buckets|pool_\w+|broadcast_rows\w*|quant_product|quant_add|quant_span_add"
     r"|fill_quant_table"
     r"|acc_buffer|load_bias|to_logit|layer_params)$"
@@ -299,8 +326,17 @@ def scan_source(path, raw_text):
     return violations
 
 
-def check_compile_db(db_path, tu_rel=CONTRACT_TU):
-    """Verifies the kernel TU's effective -ffp-contract is 'off'."""
+def entry_args(entry):
+    if "arguments" in entry:
+        return list(entry["arguments"])
+    return entry.get("command", "").split()
+
+
+def check_compile_db(db_path, tier_tus=None):
+    """Verifies the kernel TUs' effective -ffp-contract is 'off', that AVX-512
+    flags sit on the AVX-512 tier only, and that the portable TUs carry no
+    ISA flag."""
+    tier_tus = KERNEL_TIER_TUS if tier_tus is None else tier_tus
     violations = []
     try:
         with open(db_path, "r", encoding="utf-8") as fh:
@@ -308,16 +344,21 @@ def check_compile_db(db_path, tu_rel=CONTRACT_TU):
     except (OSError, ValueError) as err:
         return [Violation(db_path, 0, "contract",
                           f"cannot read compilation database: {err}")]
-    found = False
+    found = set()
     for entry in entries:
-        file_path = entry.get("file", "")
-        if not file_path.replace("\\", "/").endswith(tu_rel):
+        file_path = entry.get("file", "").replace("\\", "/")
+        args = entry_args(entry)
+        tu = next((rel for rel in tier_tus if file_path.endswith(rel)), None)
+        tier = tier_tus.get(tu)
+        for arg in args:
+            if AVX512_FLAG_RE.match(arg) and tier != "avx512":
+                violations.append(Violation(
+                    file_path, 0, "isa",
+                    f"{arg} outside the AVX-512 kernel tier (a CPU without "
+                    "AVX-512 would run that code and crash)"))
+        if tu is None:
             continue
-        found = True
-        if "arguments" in entry:
-            args = list(entry["arguments"])
-        else:
-            args = entry.get("command", "").split()
+        found.add(tu)
         effective = None
         for arg in args:
             if arg.startswith("-ffp-contract="):
@@ -328,10 +369,18 @@ def check_compile_db(db_path, tu_rel=CONTRACT_TU):
                 f"kernel TU compiled with -ffp-contract={effective or '<default>'} "
                 "(must be 'off': FMA contraction diverges bitwise from the "
                 "frozen reference)"))
-    if not found:
-        violations.append(Violation(
-            db_path, 0, "contract",
-            f"no compilation-database entry for {tu_rel}"))
+        if tier == "portable":
+            for arg in args:
+                if ISA_FLAG_RE.match(arg):
+                    violations.append(Violation(
+                        file_path, 0, "isa",
+                        f"portable kernel TU compiled with {arg} (it must run "
+                        "on any CPU; vector code belongs in a tier TU)"))
+    for tu, tier in tier_tus.items():
+        if tier == "portable" and tu not in found:
+            violations.append(Violation(
+                db_path, 0, "contract",
+                f"no compilation-database entry for {tu}"))
     return violations
 
 
@@ -455,32 +504,41 @@ def self_test():
                                anchor + "\n  std::vector<float> v; v.push_back(0.0F);")),
                ["alloc"])
 
-    # ... and so must one into the conv walk's whole-window hook.
-    window = "inline void tap_window(float* acc, std::int64_t acc_step, const float* w, float v) {"
-    if window not in kernels:
-        failures.append("kernels.cpp window-hook anchor for injection test not found")
-    else:
-        expect("push_back injected into the kernels.cpp window hook",
-               scan_source("src/snn/kernels.cpp",
-                           kernels.replace(
-                               window,
-                               window + "\n  std::vector<float> v; v.push_back(0.0F);")),
-               ["alloc"])
-
-    # ... and into the same-step run add and the grid pooling kernel.
-    for label, anchor in [
-            ("run add", "inline void tap_run(float* acc, std::int64_t acc_step, const float* w, "
-                        "std::uint32_t rows,"),
-            ("pool kernel", "void pool_steps(const StepGrid& in, std::int64_t kernel, "
-                            "std::int64_t stride, int* out) {")]:
-        if anchor not in kernels:
-            failures.append(f"kernels.cpp {label} anchor for injection test not found")
+    # ... and so must one into each body of the float-kernel tiers, the
+    # 16-lane ones included, and into the shared conv walk.
+    with open(os.path.join(REPO_ROOT, "src/snn/kernels_tier.inc"), "r",
+              encoding="utf-8") as fh:
+        tier = fh.read()
+    with open(os.path.join(REPO_ROOT, "src/snn/kernels_impl.h"), "r",
+              encoding="utf-8") as fh:
+        walk = fh.read()
+    for rel, text, label, anchor in [
+            ("src/snn/kernels_tier.inc", tier, "span add",
+             "inline void axpy_tier(float* acc, const float* w, float v, std::int64_t n) {"),
+            ("src/snn/kernels_tier.inc", tier, "window hook",
+             "inline void tap_window(float* acc, std::int64_t acc_step, const float* w, "
+             "float v) {"),
+            ("src/snn/kernels_tier.inc", tier, "run add",
+             "inline void tap_run(float* acc, std::int64_t acc_step, const float* w, "
+             "std::uint32_t rows,"),
+            ("src/snn/kernels_tier.inc", tier, "16-lane fire",
+             "inline __m512i count_below(__m512i count, __m512 u, __m512 level) {"),
+            ("src/snn/kernels_tier.inc", tier, "pool pixel",
+             "inline void pool_pixel(const int* src, std::int64_t row, std::int64_t ps, "
+             "std::int64_t kernel,"),
+            ("src/snn/kernels_impl.h", walk, "conv walk",
+             "std::int64_t integrate_conv_walk(const ConvGeom& g, const W* w, "
+             "const Spike* spikes,"),
+            ("src/snn/kernels.cpp", kernels, "pool kernel",
+             "void pool_steps(const StepGrid& in, std::int64_t kernel, "
+             "std::int64_t stride, int* out) {")]:
+        if anchor not in text:
+            failures.append(f"{rel} {label} anchor for injection test not found")
             continue
-        body = kernels.index("{", kernels.index(anchor)) + 1
-        expect(f"push_back injected into the kernels.cpp {label}",
-               scan_source("src/snn/kernels.cpp",
-                           kernels[:body] + "\n  std::vector<float> v; v.push_back(0.0F);"
-                           + kernels[body:]),
+        body = text.index(") {\n", text.index(anchor)) + 3
+        expect(f"push_back injected into the {rel} {label}",
+               scan_source(rel, text[:body] + "\n  std::vector<float> v; v.push_back(0.0F);"
+                           + text[body:]),
                ["alloc"])
 
     # ... and so must one into a real format-policy member hook.
@@ -497,29 +555,64 @@ def self_test():
                                hook, hook + "\n    std::vector<float> v; v.push_back(acc);")),
                ["alloc"])
 
-    # Contraction check: a db with -ffp-contract=fast (or missing) must fail,
-    # one with =off (even after =fast earlier on the line) must pass.
-    def fake_db(flags):
-        entry = {"directory": "/tmp", "file": "/repo/src/snn/kernels.cpp",
-                 "command": f"g++ {flags} -c /repo/src/snn/kernels.cpp"}
+    # Compile-db checks. A db in which every kernel TU has `flags` plus its
+    # tier's ISA flags; `extra` maps a TU to flags appended to its entry.
+    tier_flags = {"portable": "", "avx2": "-mavx2 -mfma", "avx512": "-mavx512f"}
+
+    def fake_db(flags, extra=None, tus=None):
+        extra = extra or {}
+        entries = []
+        for rel in (tus or list(KERNEL_TIER_TUS) + ["src/serve/server.cpp"]):
+            tier = KERNEL_TIER_TUS.get(rel, "portable")
+            args = f"{flags} {tier_flags[tier]} {extra.get(rel, '')}"
+            if rel not in KERNEL_TIER_TUS:
+                args = extra.get(rel, "-O2")
+            entries.append({"directory": "/tmp", "file": f"/repo/{rel}",
+                            "command": f"g++ {args} -c /repo/{rel}"})
         fd, path = tempfile.mkstemp(suffix=".json")
         with os.fdopen(fd, "w") as fh:
-            json.dump([entry], fh)
+            json.dump(entries, fh)
         return path
 
+    def expect_db(label, path, want):
+        try:
+            expect(label, check_compile_db(path), want)
+        finally:
+            os.unlink(path)
+
+    # Contraction: -ffp-contract=fast (or missing) on any kernel TU fails;
+    # =off passes, even after =fast earlier on the line.
     for flags, want in [("-O2 -ffp-contract=off", []),
                         ("-O2 -ffp-contract=fast", ["contract"]),
                         ("-O2", ["contract"]),
                         ("-ffp-contract=fast -ffp-contract=off", []),
                         ("-ffp-contract=off -ffp-contract=fast", ["contract"])]:
-        path = fake_db(flags)
-        try:
-            expect(f"compile db [{flags}]", check_compile_db(path), want)
-        finally:
-            os.unlink(path)
-    expect("missing db entry", check_compile_db(fake_db("-ffp-contract=off"),
-                                                tu_rel="src/snn/other.cpp"),
-           ["contract"])
+        expect_db(f"compile db [{flags}]", fake_db(flags), want)
+    expect_db("AVX2 tier without -ffp-contract=off",
+              fake_db("-O2 -ffp-contract=off",
+                      {"src/snn/kernels_avx2.cpp": "-ffp-contract=fast"}),
+              ["contract"])
+    expect_db("missing portable-tier entry",
+              fake_db("-ffp-contract=off", tus=["src/snn/kernels.cpp"]), ["contract"])
+    # A TTFS_SIMD=OFF build compiles no vector tier: that is clean.
+    expect_db("portable TUs only",
+              fake_db("-ffp-contract=off",
+                      tus=["src/snn/kernels.cpp", "src/snn/kernels_portable.cpp"]), [])
+    # AVX-512 flags on any TU but the AVX-512 tier fail.
+    for rel in ["src/snn/kernels_avx2.cpp", "src/snn/kernels_portable.cpp",
+                "src/serve/server.cpp"]:
+        expect_db(f"-mavx512f on {rel}",
+                  fake_db("-ffp-contract=off", {rel: "-mavx512f"}), ["isa"])
+    expect_db("-mavx512bw on the AVX-512 tier",
+              fake_db("-ffp-contract=off", {"src/snn/kernels_avx512.cpp": "-mavx512bw"}), [])
+    # Any ISA flag on a portable TU fails.
+    for rel, flag in [("src/snn/kernels_portable.cpp", "-mavx2"),
+                      ("src/snn/kernels.cpp", "-msse4.2"),
+                      ("src/snn/kernels.cpp", "-march=native")]:
+        expect_db(f"{flag} on {rel}", fake_db("-ffp-contract=off", {rel: flag}), ["isa"])
+    expect_db("-m64 -mtune=generic on the portable tier",
+              fake_db("-ffp-contract=off",
+                      {"src/snn/kernels_portable.cpp": "-m64 -mtune=generic"}), [])
 
     if failures:
         for f in failures:
