@@ -5,7 +5,6 @@
 //   ./build/bench/bench_serving_latency [--requests N] [--reps R]
 //                                       [--backend event|reference|quantized]
 //                                       [--replicas 1,2,4] [--queue-cap 0]
-//                                       [--admission block|reject|shed]
 //                                       [--models 2,4] [--clients 8]
 //                                       [--pack-budget-mb 0] [--json]
 //
@@ -24,14 +23,14 @@
 // include client/wire time (the wire bench's job, not this one; see
 // docs/benchmarks.md) fails the run instead of drifting the baseline. The
 // speedup column compares against max_batch=1 at the same client count,
-// replica count and admission configuration.
+// replica count and queue bound.
 //
-// --replicas/--queue-cap/--admission take comma-separated sweeps; every
+// --replicas/--queue-cap take comma-separated sweeps; every
 // BENCH_serving_latency_<backend>.json row carries the full configuration
-// ("backend", "replicas", "queue_cap", "admission" fields), so perf
-// trajectories stay keyed per configuration commit over commit. Refused
-// requests (possible under reject/shed with a small --queue-cap) are
-// reported in the "refused" column and excluded from the latency histogram.
+// ("backend", "replicas", "queue_cap" fields), so perf trajectories stay
+// keyed per configuration commit over commit. Refused requests (possible
+// with a --queue-cap below the client count) are reported in the "refused"
+// column and excluded from the latency histogram.
 // TTFS_THREADS caps the compute pool as everywhere else.
 //
 // --models M1,M2,... switches to the MULTI-MODEL sweep instead: each cell
@@ -95,20 +94,9 @@ std::vector<std::int64_t> parse_int_list(const std::string& csv) {
   return out;
 }
 
-std::vector<std::string> parse_string_list(const std::string& csv) {
-  std::vector<std::string> out;
-  std::stringstream ss{csv};
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    if (!item.empty()) out.push_back(item);
-  }
-  return out;
-}
-
 struct CellConfig {
   std::int64_t replicas = 1;
   std::size_t queue_cap = 0;
-  serve::AdmissionPolicy admission = serve::AdmissionPolicy::kBlock;
   std::int64_t max_batch = 1;
   std::int64_t clients = 1;
 };
@@ -117,7 +105,7 @@ struct CellResult {
   double rate = 0.0;      // completed requests/sec, best rep
   double p50_ms = 0.0;    // enqueue -> complete, recorded at future resolution
   double p95_ms = 0.0;
-  std::uint64_t refused = 0;  // rejected + shed at the best rep
+  std::uint64_t refused = 0;  // refused at the door at the best rep
   serve::ServerStats stats;
 };
 
@@ -138,7 +126,6 @@ CellResult run_cell(const std::shared_ptr<const snn::SnnNetwork>& net,
     opts.max_delay = std::chrono::microseconds{500};
     opts.replicas = cfg.replicas;
     opts.queue_capacity = cfg.queue_cap;
-    opts.admission = cfg.admission;
     opts.registry = std::make_shared<snn::ModelRegistry>();
     opts.registry->load("m", net, backend, {3, 16, 16});
     serve::SnnServer server{opts};
@@ -173,7 +160,7 @@ CellResult run_cell(const std::shared_ptr<const snn::SnnNetwork>& net,
             resolved.record(r.latency_seconds);
             ++completed;
           } else {
-            ++refused;  // reject/shed under a bounded queue
+            ++refused;  // a full bounded queue refused it
           }
         }
       });
@@ -186,8 +173,7 @@ CellResult run_cell(const std::shared_ptr<const snn::SnnNetwork>& net,
     if (resolved.count() == 0) {
       std::cerr << "FATAL: latency histogram empty for cell replicas=" << cfg.replicas
                 << " max_batch=" << cfg.max_batch << " clients=" << cfg.clients
-                << " queue_cap=" << cfg.queue_cap << " admission="
-                << serve::to_string(cfg.admission) << " — no request completed\n";
+                << " queue_cap=" << cfg.queue_cap << " — no request completed\n";
       std::exit(1);
     }
     const double rate = static_cast<double>(completed) / secs;
@@ -235,7 +221,6 @@ MultiModelResult run_multimodel_cell(const std::vector<std::shared_ptr<snn::SnnN
     opts.max_delay = std::chrono::microseconds{500};
     opts.replicas = cfg.replicas;
     opts.queue_capacity = cfg.queue_cap;
-    opts.admission = cfg.admission;
     opts.registry = registry;
     serve::SnnServer server{opts};
 
@@ -363,10 +348,6 @@ int main(int argc, char** argv) {
       parse_int_list(args.get_string("replicas", "1,2,4"));
   const std::vector<std::int64_t> cap_sweep =
       parse_int_list(args.get_string("queue-cap", "0"));
-  std::vector<serve::AdmissionPolicy> admission_sweep;
-  for (const std::string& name : parse_string_list(args.get_string("admission", "block"))) {
-    admission_sweep.push_back(serve::admission_policy_from_string(name));
-  }
 
   const snn::BackendKind kind = bench::backend_kind();
   const std::string backend_name = snn::to_string(kind);
@@ -391,36 +372,32 @@ int main(int argc, char** argv) {
             << " worker(s), best of " << reps << " reps\n\n";
 
   Table table{"serving_latency_" + backend_name};
-  table.set_header({"backend", "replicas", "queue_cap", "admission", "max_batch", "clients",
+  table.set_header({"backend", "replicas", "queue_cap", "max_batch", "clients",
                     "reqs/s", "mean batch", "p50 ms", "p95 ms", "refused",
                     "speedup vs max_batch=1"});
 
   double batched_speedup_at_load = 0.0;
-  for (const serve::AdmissionPolicy admission : admission_sweep) {
-    for (const std::int64_t cap : cap_sweep) {
-      for (const std::int64_t replicas : replica_sweep) {
-        for (const std::int64_t clients : client_sweep) {
-          double base_rate = 0.0;
-          for (const std::int64_t max_batch : batch_sweep) {
-            CellConfig cfg;
-            cfg.replicas = replicas;
-            cfg.queue_cap = static_cast<std::size_t>(cap);
-            cfg.admission = admission;
-            cfg.max_batch = max_batch;
-            cfg.clients = clients;
-            const CellResult cell = run_cell(net, images, backend, cfg, reps);
-            if (max_batch == 1) base_rate = cell.rate;
-            const double speedup = base_rate > 0.0 ? cell.rate / base_rate : 0.0;
-            if (clients == client_sweep.back()) {
-              batched_speedup_at_load = std::max(batched_speedup_at_load, speedup);
-            }
-            table.add_row({backend_name, std::to_string(replicas), std::to_string(cap),
-                           serve::to_string(admission), std::to_string(max_batch),
-                           std::to_string(clients), Table::num(cell.rate, 1),
-                           Table::num(cell.stats.mean_batch_size, 2),
-                           Table::num(cell.p50_ms, 3), Table::num(cell.p95_ms, 3),
-                           std::to_string(cell.refused), Table::num(speedup, 2) + "x"});
+  for (const std::int64_t cap : cap_sweep) {
+    for (const std::int64_t replicas : replica_sweep) {
+      for (const std::int64_t clients : client_sweep) {
+        double base_rate = 0.0;
+        for (const std::int64_t max_batch : batch_sweep) {
+          CellConfig cfg;
+          cfg.replicas = replicas;
+          cfg.queue_cap = static_cast<std::size_t>(cap);
+          cfg.max_batch = max_batch;
+          cfg.clients = clients;
+          const CellResult cell = run_cell(net, images, backend, cfg, reps);
+          if (max_batch == 1) base_rate = cell.rate;
+          const double speedup = base_rate > 0.0 ? cell.rate / base_rate : 0.0;
+          if (clients == client_sweep.back()) {
+            batched_speedup_at_load = std::max(batched_speedup_at_load, speedup);
           }
+          table.add_row({backend_name, std::to_string(replicas), std::to_string(cap),
+                         std::to_string(max_batch), std::to_string(clients),
+                         Table::num(cell.rate, 1), Table::num(cell.stats.mean_batch_size, 2),
+                         Table::num(cell.p50_ms, 3), Table::num(cell.p95_ms, 3),
+                         std::to_string(cell.refused), Table::num(speedup, 2) + "x"});
         }
       }
     }

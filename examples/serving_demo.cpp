@@ -11,9 +11,9 @@
 //      --replicas replica sessions pop as they free up, over the injected
 //      snn::InferenceBackend, and the per-request results are bit-identical
 //      to sequential inference on that backend whichever replica served them;
-//   3. cancellation and graceful drain, with the server's own stats line;
-//   4. overload: a bounded submit queue whose admission policy (reject vs
-//      shed-oldest) decides who pays when a burst outruns the replicas;
+//   3. graceful drain, with the server's own stats line;
+//   4. overload: a bounded submit queue refuses what a burst brings past its
+//      capacity, at once, and serves everything it admitted;
 //   5. multi-model serving: several models behind one snn::ModelRegistry,
 //      per-model micro-batches, and a live hot-swap of one model's weights
 //      under concurrent load — in-flight requests drain on the old weights,
@@ -92,7 +92,7 @@ int main(int argc, char** argv) {
         auto sub = server.submit("demo", Tensor::uniform({3, 8, 8}, image_rng, 0.0F, 1.0F));
         serve::ServeResult r = sub.result.get();
         const std::lock_guard<std::mutex> lock{print_mu};
-        std::cout << "  client " << c << " request " << sub.id << ": class " << r.predicted
+        std::cout << "  client " << c << " request " << i << ": class " << r.predicted
                   << " in " << r.latency_seconds * 1e3 << " ms ("
                   << r.stats.avg_firing_rate() * 100 << "% firing)\n";
       }
@@ -100,18 +100,15 @@ int main(int argc, char** argv) {
   }
   for (auto& w : workers) w.join();
 
-  // Cancellation: with a long deadline and nothing else queued, the request
-  // sits in the batcher until we rip it back out.
+  // Graceful drain: with a long deadline and nothing else queued, the
+  // request sits in the batcher until stop() flushes it as a final batch.
   serve::ServeOptions slow = opts;
   slow.max_delay = std::chrono::seconds{10};
   serve::SnnServer slow_server{slow};
-  auto doomed = slow_server.submit("demo", Tensor::uniform({3, 8, 8}, rng, 0.0F, 1.0F));
-  std::cout << "cancel(" << doomed.id << ") -> " << std::boolalpha
-            << slow_server.cancel(doomed.id)
-            << ", status kCancelled=" << (doomed.result.get().status ==
-                                          serve::RequestStatus::kCancelled)
-            << "\n";
+  auto parked = slow_server.submit("demo", Tensor::uniform({3, 8, 8}, rng, 0.0F, 1.0F));
   slow_server.stop();
+  std::cout << "stop() drained the parked request: status kOk=" << std::boolalpha
+            << (parked.result.get().status == serve::RequestStatus::kOk) << "\n";
 
   server.stop();  // graceful: drains anything still pending
   std::cout << "stats: " << server.stats().describe() << "\n";
@@ -121,32 +118,27 @@ int main(int argc, char** argv) {
   }
 
   // Overload: a queue of 4 slots behind a stalled batcher (long deadline, big
-  // max_batch) takes a burst of 10. Under kRejectWhenFull the 5th..10th are
-  // refused at the door; under kShedOldest the burst is admitted but evicts
-  // the oldest queued requests — fresh work replaces stale work. Either way
-  // the server degrades predictably instead of queueing without bound.
-  for (const serve::AdmissionPolicy policy :
-       {serve::AdmissionPolicy::kRejectWhenFull, serve::AdmissionPolicy::kShedOldest}) {
-    serve::ServeOptions overload = opts;
-    overload.max_batch = 16;
-    overload.max_delay = std::chrono::milliseconds{200};
-    overload.queue_capacity = 4;
-    overload.admission = policy;
-    serve::SnnServer bursty{overload};
-    std::vector<serve::SnnServer::Submission> burst;
-    for (int i = 0; i < 10; ++i) {
-      burst.push_back(bursty.submit("demo", Tensor::uniform({3, 8, 8}, rng, 0.0F, 1.0F)));
-    }
-    int ok = 0, refused = 0;
-    for (auto& sub : burst) {
-      const serve::RequestStatus status = sub.result.get().status;
-      (status == serve::RequestStatus::kOk ? ok : refused)++;
-    }
-    bursty.stop();
-    std::cout << "overload (" << serve::to_string(policy) << ", capacity 4): " << ok
-              << " served, " << refused << " refused -> " << bursty.stats().describe()
-              << "\n";
+  // max_batch) takes a burst of 10. The 5th..10th are refused at the door
+  // (kRejected, counted as overload-rejected) while the first four wait and
+  // are served: the server degrades predictably instead of queueing without
+  // bound, and nothing it admitted is dropped.
+  serve::ServeOptions overload = opts;
+  overload.max_batch = 16;
+  overload.max_delay = std::chrono::milliseconds{200};
+  overload.queue_capacity = 4;
+  serve::SnnServer bursty{overload};
+  std::vector<serve::SnnServer::Submission> burst;
+  for (int i = 0; i < 10; ++i) {
+    burst.push_back(bursty.submit("demo", Tensor::uniform({3, 8, 8}, rng, 0.0F, 1.0F)));
   }
+  int ok = 0, refused = 0;
+  for (auto& sub : burst) {
+    const serve::RequestStatus status = sub.result.get().status;
+    (status == serve::RequestStatus::kOk ? ok : refused)++;
+  }
+  bursty.stop();
+  std::cout << "overload (capacity 4): " << ok << " served, " << refused << " refused -> "
+            << bursty.stats().describe() << "\n";
 
   // Multi-model serving with a live hot-swap under load: two models behind
   // one ModelRegistry-fronted server. Clients name a model per request,
@@ -171,7 +163,7 @@ int main(int argc, char** argv) {
         auto sub = zoo.submit(model, Tensor::uniform({3, 8, 8}, image_rng, 0.0F, 1.0F));
         serve::ServeResult r = sub.result.get();
         const std::lock_guard<std::mutex> lock{print_mu};
-        std::cout << "  [" << r.model_id << "] request " << sub.id << ": class "
+        std::cout << "  [" << r.model_id << "] request " << i << ": class "
                   << r.predicted << " (" << (r.status == serve::RequestStatus::kOk
                                                  ? "ok" : "refused") << ")\n";
       }

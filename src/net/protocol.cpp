@@ -68,9 +68,7 @@ std::string to_string(WireStatus status) {
 WireStatus wire_status(serve::RequestStatus status) {
   switch (status) {
     case serve::RequestStatus::kOk: return WireStatus::kOk;
-    case serve::RequestStatus::kCancelled: return WireStatus::kCancelled;
     case serve::RequestStatus::kRejected: return WireStatus::kRejected;
-    case serve::RequestStatus::kShed: return WireStatus::kShed;
     case serve::RequestStatus::kFailed: return WireStatus::kInternalError;
   }
   return WireStatus::kInternalError;

@@ -35,8 +35,8 @@
 // Versioning: bump kProtocolVersion on any layout change; a server answers a
 // bad version with one kError frame (status kBadVersion) and closes, so old
 // clients fail loudly instead of misparsing. Error codes come in two
-// severities — per-REQUEST errors (kUnknownModel, kRejected, kShed,
-// kBadRequest: the stream stays framed, the connection survives) and
+// severities — per-REQUEST errors (kUnknownModel, kRejected, kBadRequest,
+// kInternalError: the stream stays framed, the connection survives) and
 // per-CONNECTION errors (kBadMagic, kBadVersion, kBadFrame: framing trust is
 // gone, the server sends the error and closes). docs/serving.md carries the
 // worked spec.
@@ -70,20 +70,21 @@ enum class MessageType : std::uint16_t {
   kPong = 5,    // server -> client: ping echo (request_id preserved)
 };
 
-// Response status codes. kOk..kCancelled mirror serve::RequestStatus;
-// kBadMagic..kInternalError are wire-layer failures.
+// Response status codes. kOk and kRejected mirror serve::RequestStatus;
+// kBadMagic..kInternalError are wire-layer failures. Every code keeps its v1
+// number: kShed, kCancelled and kShuttingDown are v1 codes this server never
+// sends; clients still classify them.
 enum class WireStatus : std::uint16_t {
   kOk = 0,
-  kRejected = 1,        // admission refused it (queue full under kRejectWhenFull,
-                        // or shutdown began)
-  kShed = 2,            // admitted, then evicted as globally oldest (kShedOldest)
-  kCancelled = 3,       // cancelled before its batch formed
+  kRejected = 1,        // refused at the door (queue full, or shutdown began)
+  kShed = 2,            // v1 code; this server never sends it
+  kCancelled = 3,       // v1 code; this server never sends it
   kBadMagic = 10,       // first 4 bytes were not "TTFS" — connection closes
   kBadVersion = 11,     // unsupported version field — connection closes
   kBadFrame = 12,       // malformed lengths/rank/dims — connection closes
   kBadRequest = 13,     // well-framed but semantically invalid (shape mismatch)
   kUnknownModel = 14,   // model id not in the registry
-  kShuttingDown = 15,   // server is draining; no new requests accepted
+  kShuttingDown = 15,   // v1 code; never sent (a draining server stops reading)
   kInternalError = 16,  // backend failure while serving the request
 };
 

@@ -8,27 +8,24 @@
 //     -> per-connection RequestParser reads each frame straight off the
 //        socket — the tensor payload lands in the Tensor that
 //        SnnServer::submit_async will own (zero intermediate copy)
-//     -> submit_async(model_id, tensor, callback): admission control,
-//        micro-batching, replicas — everything the in-process server does
+//     -> submit_async(model_id, tensor, callback): the bounded submit
+//        queue, micro-batching, replicas — everything the in-process server
+//        does
 //     -> the completion callback (replica scheduler thread) enqueues the
 //        result into a mutex-guarded completion queue and wakes the loop
 //     -> the IO thread encodes the kResult/kError frame into the
 //        connection's outbox and flushes until EAGAIN
 //
-// Backpressure, both directions:
+// Backpressure and overload:
 //   * write side — when a connection's outbox exceeds
 //     WireOptions::write_high_watermark (a client reading slower than it
 //     submits), the server STOPS READING that connection until the outbox
 //     drains below half the watermark; the client's sends then queue in
 //     kernel buffers and eventually block/EAGAIN at the client. No unbounded
 //     buffering, per connection.
-//   * admission side — AdmissionPolicy::kBlock on a full submit queue blocks
-//     submit_async and therefore the IO thread itself, freezing ALL
-//     connections until space frees. That is kBlock's contract ("the
-//     submitter pays") applied to a shared front end: wire deployments that
-//     want isolation should run kRejectWhenFull or kShedOldest, which
-//     resolve instantly and turn overload into clean per-request kRejected/
-//     kShed responses (docs/serving.md discusses the tradeoff).
+//   * admission side — submit_async never blocks: a full submit queue
+//     refuses the request at once, and the IO thread answers it with a
+//     per-request kRejected error frame while the connection stays open.
 //
 // Idle timeout: connections with no read activity, no queued output and no
 // in-flight requests for WireOptions::idle_timeout are closed — a half-sent

@@ -15,25 +15,15 @@
 // empty and only then returns an empty vector — that empty batch is the
 // consumer's shutdown signal.
 //
-// Admission control: `capacity` bounds how many requests may sit across ALL
-// lanes (models share one submit budget, exactly like they share the compute
-// pool), and `admission` chooses what a push does against a full queue —
-//   * kBlock          — push() blocks the submitter until space frees up
-//                       (a pop, a cancel, or close(), which unblocks with
-//                       kClosed);
-//   * kRejectWhenFull — push() returns kRejectedFull immediately, the
-//                       request untouched, for the caller to refuse;
-//   * kShedOldest     — the *globally oldest* queued request (any lane) is
-//                       evicted into `shed` to make room, so fresh work
-//                       replaces stale work whichever model it belongs to
-//                       (drop-head; under overload the head has waited
-//                       longest and is the most likely to be past its
-//                       deadline anyway).
-// capacity == 0 means unbounded, which makes the policy moot.
+// Admission: `capacity` bounds how many requests may sit across ALL lanes
+// (models share one submit budget, exactly like they share the compute
+// pool). A push against a full queue returns kRejectedFull at once and
+// leaves the request with the caller; nobody waits and nothing queued is
+// dropped. capacity == 0 means unbounded.
 //
-// The batcher owns nothing but the queue; completing requests (served,
-// failed, cancelled, rejected, shed) is the server's job, which is why
-// cancel() and shed hand the removed request back instead of resolving it.
+// A queued request leaves in exactly one of two ways: in a popped batch, or
+// in the close() drain (which is also a popped batch). The batcher owns
+// nothing but the queue; completing requests is the server's job.
 #pragma once
 
 #include <chrono>
@@ -43,7 +33,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -59,7 +48,6 @@ namespace ttfs::serve {
 
 // One queued request, alive from submit until its callback has run.
 struct PendingRequest {
-  std::uint64_t id = 0;
   // Which registry model this request targets. Requests with equal model_id
   // (including the default empty id of direct batcher users) share a lane;
   // different ids never share a batch.
@@ -78,17 +66,7 @@ struct PendingRequest {
   std::function<void(ServeResult)> on_complete;
 };
 
-// What a push does when the bounded queue is full (see header comment).
-enum class AdmissionPolicy { kBlock, kRejectWhenFull, kShedOldest };
-
-// "block" / "reject" / "shed" — the spelling shared by the --admission bench
-// flag and the BENCH_*.json "admission" field.
-std::string to_string(AdmissionPolicy policy);
-// Inverse of to_string; throws std::invalid_argument on an unknown name.
-AdmissionPolicy admission_policy_from_string(const std::string& name);
-
-// Outcome of MicroBatcher::push. kShed requests still count as queued — the
-// *evicted* request comes back through the `shed` out-parameter.
+// Outcome of MicroBatcher::push.
 enum class PushOutcome { kQueued, kRejectedFull, kClosed };
 
 struct BatcherOptions {
@@ -96,7 +74,6 @@ struct BatcherOptions {
   std::chrono::microseconds max_delay{2000};  // flush-on-deadline bound (per lane)
   std::size_t capacity = 0;                   // submit-queue bound across all
                                               // lanes; 0 = unbounded
-  AdmissionPolicy admission = AdmissionPolicy::kBlock;
 };
 
 class MicroBatcher {
@@ -106,13 +83,10 @@ class MicroBatcher {
   MicroBatcher(const MicroBatcher&) = delete;
   MicroBatcher& operator=(const MicroBatcher&) = delete;
 
-  // Enqueues a request into its model's lane per the admission policy. On
-  // kQueued the request was consumed (and `shed` may carry the evicted
-  // globally-oldest request under kShedOldest); on kRejectedFull / kClosed
-  // `req` is left valid for the caller to resolve. `shed` is mandatory
-  // (checked) when the policy is kShedOldest and the queue is bounded — the
-  // evicted request must reach the caller, never be destroyed unresolved.
-  PushOutcome push(PendingRequest& req, std::optional<PendingRequest>* shed = nullptr);
+  // Enqueues a request into its model's lane. On kQueued the request was
+  // consumed; on kRejectedFull (the bounded queue is full) or kClosed `req`
+  // is left valid for the caller to resolve. Never blocks on space.
+  PushOutcome push(PendingRequest& req);
 
   // Blocks until some lane is ready per the size/delay policy, then pops up
   // to max_batch requests of that ONE model in FIFO order (among ready lanes,
@@ -123,14 +97,8 @@ class MicroBatcher {
   // consumer while another one sleeps).
   std::vector<PendingRequest> pop_batch();
 
-  // Removes the request with this id if it is still queued (i.e. its batch
-  // has not formed yet) and hands it back; nullopt when it was already popped
-  // or never existed.
-  std::optional<PendingRequest> cancel(std::uint64_t id);
-
-  // Refuses further pushes (blocked ones wake with kClosed) and wakes the
-  // consumers; pending requests keep flowing out of pop_batch() until
-  // drained. Idempotent.
+  // Refuses further pushes and wakes the consumers; pending requests keep
+  // flowing out of pop_batch() until drained. Idempotent.
   void close();
 
   // Pending requests across all lanes.
@@ -157,8 +125,7 @@ class MicroBatcher {
 
   const BatcherOptions opts_;
   mutable util::Mutex mu_;
-  util::CondVar cv_;        // consumers wait for batch-ready
-  util::CondVar space_cv_;  // kBlock pushers wait for space
+  util::CondVar cv_;  // consumers wait for batch-ready
   LaneMap lanes_ TTFS_GUARDED_BY(mu_);      // model id -> FIFO lane; no empty lanes
   std::size_t total_ TTFS_GUARDED_BY(mu_) = 0;  // requests across all lanes
   bool closed_ TTFS_GUARDED_BY(mu_) = false;

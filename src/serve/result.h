@@ -6,8 +6,7 @@
 //
 // Every request submitted to SnnServer resolves to exactly one ServeResult,
 // through its future or its completion callback, whatever happens to it —
-// served, failed in the backend, cancelled before its batch formed, shed, or
-// rejected.
+// served, failed in the backend, or refused at the door.
 #pragma once
 
 #include <chrono>
@@ -33,15 +32,12 @@ inline double seconds_since(std::chrono::steady_clock::time_point start) {
 }
 
 enum class RequestStatus {
-  kOk,         // served: logits / predicted / stats are populated
-  kCancelled,  // cancel() removed it from the queue before batch formation
-  kRejected,   // refused at the door: shutdown already began, the bounded
-               // submit queue was full under AdmissionPolicy::kRejectWhenFull,
-               // or the named model is not in the registry
-  kShed,       // admitted but later evicted as the oldest queued request to
-               // make room under AdmissionPolicy::kShedOldest
-  kFailed,     // the backend threw while serving the request's batch
-               // segment; every request in that segment gets this
+  kOk,        // served: logits / predicted / stats are populated
+  kRejected,  // refused at the door: the bounded submit queue was full,
+              // shutdown already began, or the named model is not in the
+              // registry
+  kFailed,    // the backend threw while serving the request's batch
+              // segment; every request in that segment gets this
 };
 
 struct ServeResult {
@@ -52,7 +48,7 @@ struct ServeResult {
   snn::SnnRunStats stats;        // this request's own activity counters
                                  // (snn::stats_from_trace of its trace)
   double latency_seconds = 0.0;  // submit -> completion (also set on
-                                 // cancel/shed)
+                                 // refusal and failure)
 };
 
 }  // namespace ttfs::serve

@@ -20,7 +20,6 @@ BatcherOptions batcher_options(const ServeOptions& opts) {
   bopts.max_batch = opts.max_batch;
   bopts.max_delay = opts.max_delay;
   bopts.capacity = opts.queue_capacity;
-  bopts.admission = opts.admission;
   return bopts;
 }
 
@@ -43,8 +42,8 @@ SnnServer::~SnnServer() { stop(); }
 
 void SnnServer::stop() {
   std::call_once(stopped_, [this] {
-    // Close the submit queue (waking kBlock submitters with kClosed); the
-    // replicas drain it batch by batch and exit on the empty batch.
+    // Close the submit queue; the replicas drain it batch by batch and exit
+    // on the empty batch.
     batcher_.close();
     for (std::thread& t : schedulers_) {
       if (t.joinable()) t.join();
@@ -58,87 +57,63 @@ SnnServer::Submission SnnServer::submit(const std::string& model_id, Tensor imag
   auto promise = std::make_shared<std::promise<ServeResult>>();
   Submission sub;
   sub.result = promise->get_future();
-  sub.id = submit_async(model_id, std::move(image),
-                        [promise](ServeResult r) { promise->set_value(std::move(r)); });
+  submit_async(model_id, std::move(image),
+               [promise](ServeResult r) { promise->set_value(std::move(r)); });
   return sub;
 }
 
-std::uint64_t SnnServer::submit_async(const std::string& model_id, Tensor image,
-                                      std::function<void(ServeResult)> on_complete) {
+void SnnServer::submit_async(const std::string& model_id, Tensor image,
+                             std::function<void(ServeResult)> on_complete) {
   TTFS_CHECK_MSG(on_complete != nullptr, "submit_async needs a completion callback");
   PendingRequest req;
-  req.id = next_id_.fetch_add(1, std::memory_order_relaxed);
   req.model_id = model_id;
   req.image = std::move(image);
   req.enqueued = std::chrono::steady_clock::now();
   req.on_complete = std::move(on_complete);
-  const std::uint64_t id = req.id;
 
   // Resolve the model NOW: the lease pins net + pack lifetime (not residency)
   // to this request, so a swap after this point still drains it on the
   // handle it was admitted under.
   req.handle = registry_->try_acquire(model_id);
-  if (req.handle != nullptr) {
-    // A malformed image throws before it is counted: a request the caller
-    // never got an id for must not stay in `submitted` forever.
-    const std::vector<std::int64_t>& want = req.handle->input_shape();
-    TTFS_CHECK_MSG(req.image.rank() == 3 && req.image.dim(0) == want[0] &&
-                       req.image.dim(1) == want[1] && req.image.dim(2) == want[2],
-                   "request shape " << req.image.shape_str() << " does not match model '"
-                                    << model_id << "' input");
+  if (req.handle == nullptr) {
+    // Counted globally only: a per-model slot per unknown id would grow
+    // without bound.
+    stats_.on_reject_unknown();
+    resolve_refused(std::move(req));
+    return;
   }
+  // A malformed image throws before it is counted: a request the caller
+  // never got a result for must not stay in `submitted` forever.
+  const std::vector<std::int64_t>& want = req.handle->input_shape();
+  TTFS_CHECK_MSG(req.image.rank() == 3 && req.image.dim(0) == want[0] &&
+                     req.image.dim(1) == want[1] && req.image.dim(2) == want[2],
+                 "request shape " << req.image.shape_str() << " does not match model '"
+                                  << model_id << "' input");
   // Counted before the push: once the request is queued the schedulers can
   // complete it, and a concurrent stats() snapshot must never see
   // completed > submitted.
   stats_.on_submit(model_id);
-  if (req.handle == nullptr) {
-    stats_.on_reject();
-    resolve_refused(std::move(req), RequestStatus::kRejected);
-    return id;
-  }
-
-  std::optional<PendingRequest> shed;
-  switch (batcher_.push(req, &shed)) {
+  switch (batcher_.push(req)) {
     case PushOutcome::kQueued:
-      // Admitted — but under kShedOldest someone else may have paid for the
-      // slot: resolve the evicted oldest request right here, never silently
-      // drop it.
-      if (shed.has_value()) {
-        stats_.on_shed(shed->model_id);
-        resolve_refused(std::move(*shed), RequestStatus::kShed);
-      }
       break;
     case PushOutcome::kRejectedFull:
-      stats_.on_reject_overload();
-      resolve_refused(std::move(req), RequestStatus::kRejected);
+      stats_.on_reject_overload(model_id);
+      resolve_refused(std::move(req));
       break;
     case PushOutcome::kClosed:
       // Shutdown already began: resolve immediately, never silently drop.
-      stats_.on_reject();
-      resolve_refused(std::move(req), RequestStatus::kRejected);
+      stats_.on_reject(model_id);
+      resolve_refused(std::move(req));
       break;
   }
-  return id;
 }
 
-void SnnServer::resolve_refused(PendingRequest req, RequestStatus status) {
+void SnnServer::resolve_refused(PendingRequest req) {
   ServeResult r;
-  r.status = status;
+  r.status = RequestStatus::kRejected;
   r.model_id = std::move(req.model_id);
   r.latency_seconds = seconds_since(req.enqueued);
   req.on_complete(std::move(r));
-}
-
-bool SnnServer::cancel(std::uint64_t id) {
-  std::optional<PendingRequest> removed = batcher_.cancel(id);
-  if (!removed.has_value()) return false;
-  stats_.on_cancel();
-  ServeResult r;
-  r.status = RequestStatus::kCancelled;
-  r.model_id = removed->model_id;
-  r.latency_seconds = seconds_since(removed->enqueued);
-  removed->on_complete(std::move(r));
-  return true;
 }
 
 ServerStats SnnServer::stats() const {

@@ -14,14 +14,15 @@
 //     -> registry lookup: model_id -> ModelHandle lease (unknown ids resolve
 //        kRejected; the lease keeps net + pack alive until the request
 //        resolves, so a live swap drains in-flight work on the OLD pack)
-//     -> bounded submit queue + admission policy (Block / RejectWhenFull /
-//        ShedOldest: predictable degradation when arrival outruns compute)
+//     -> bounded submit queue: when arrival outruns compute and the queue
+//        is full, the new request is refused at once (kRejected, counted in
+//        rejected_overload); nobody waits and nothing queued is dropped
 //     -> MicroBatcher per-model lanes (flush on max_batch or max_delay;
 //        models NEVER co-batch). The R replica scheduler threads are the
 //        batcher's consumers: a free replica pops the next ready batch
 //        itself, so no batch forms ahead of a free replica and waiting work
-//        stays in its lane (counted in queue_depth, cancellable); any
-//        replica serves any model
+//        stays in its lane (counted in queue_depth); any replica serves any
+//        model
 //     -> replica scheduler thread r: rebinds its cached per-model
 //        InferenceSession to the batch's handle if needed, pins the handle
 //        against pack eviction (ModelRegistry::pin_for_run), then
@@ -33,8 +34,10 @@
 //        with a callback that fulfils the returned future.
 //
 // Every request resolves exactly once, to one ServeResult, whichever way it
-// was submitted: kOk, kCancelled, kRejected, kShed, or kFailed when the
-// backend throws mid-batch.
+// was submitted: kOk, kRejected, or kFailed when the backend throws
+// mid-batch. The ledger identity
+//   submitted = completed + failed + rejected + rejected_overload
+// holds for the server and for each model once the queue is empty.
 //
 // Determinism: per-sample results are bit-identical to running the same
 // model's backend sequentially on the same inputs, no matter how requests
@@ -47,9 +50,8 @@
 // keeps popping batches until the batcher is drained, then the scheduler
 // threads are joined — no accepted request is ever dropped, and
 // requests holding a swapped-out handle still complete on it. Submissions
-// racing past stop() (including kBlock submitters parked on a full queue)
-// resolve with kRejected. cancel(id) removes a request only while it is
-// still queued; once a replica has popped its batch it completes normally.
+// racing past stop() resolve with kRejected. A queued request leaves the
+// queue in a batch or in that drain, and in no other way.
 #pragma once
 
 #include <atomic>
@@ -77,6 +79,12 @@ class ThreadPool;
 
 namespace ttfs::serve {
 
+// The one overload outcome: a full bounded queue refuses the new request.
+// The enum survives only because the benchmark harness (perfbench/, changed
+// only by `[benchmark]` changes) sets ServeOptions::admission; the
+// `[benchmark]` change that drops that line can delete both.
+enum class AdmissionPolicy { kRejectWhenFull };
+
 struct ServeOptions {
   std::int64_t max_batch = 8;                 // flush when this many queued (per model)
   std::chrono::microseconds max_delay{2000};  // flush when a model's oldest waited this long
@@ -86,12 +94,11 @@ struct ServeOptions {
   // single batch cannot fill it. Any replica serves any model.
   std::int64_t replicas = 1;
   // Bound on queued (not yet batch-formed) requests across ALL models;
-  // 0 = unbounded. Together with `admission` this is the overload valve:
-  // when request arrival outruns the replicas, the queue fills and the
-  // policy decides who pays — the submitter (kBlock), the newest request
-  // (kRejectWhenFull) or the globally oldest (kShedOldest).
+  // 0 = unbounded. This is the overload valve: when request arrival outruns
+  // the replicas and the queue is full, the newest request is refused.
   std::size_t queue_capacity = 0;
-  AdmissionPolicy admission = AdmissionPolicy::kBlock;
+  // Has one value and changes nothing (see AdmissionPolicy).
+  AdmissionPolicy admission = AdmissionPolicy::kRejectWhenFull;
   // Compute pool for batch fan-out: global_pool() when null; a 0-thread pool
   // runs batches inline on the replica scheduler threads.
   ThreadPool* pool = nullptr;
@@ -119,7 +126,6 @@ class SnnServer {
   SnnServer& operator=(const SnnServer&) = delete;
 
   struct Submission {
-    std::uint64_t id = 0;                    // handle for cancel()
     std::future<ServeResult> result;
   };
 
@@ -129,22 +135,15 @@ class SnnServer {
   // unloaded at any time, so this is a data error, not a programming
   // error). Throws std::invalid_argument — without counting the request or
   // invoking the callback — when the image does not match the model's input
-  // shape. Never blocks on inference; under kBlock it MAY block on a full
-  // submit queue until space frees (that is the policy's point). The
-  // callback may run on the calling thread (synchronous refusal), a replica
-  // scheduler, or the stop()ping thread, so it must be quick and must not
-  // re-enter the server. Returns the request id (valid for cancel()).
-  // [thread-safe]
-  std::uint64_t submit_async(const std::string& model_id, Tensor image,
-                             std::function<void(ServeResult)> on_complete);
+  // shape. Never blocks: a full submit queue refuses the request at once.
+  // The callback may run on the calling thread (synchronous refusal), a
+  // replica scheduler, or the stop()ping thread, so it must be quick and
+  // must not re-enter the server. [thread-safe]
+  void submit_async(const std::string& model_id, Tensor image,
+                    std::function<void(ServeResult)> on_complete);
   // submit_async() with a callback that fulfils the returned future: same
-  // admission, blocking and failure semantics. [thread-safe]
+  // admission and failure semantics. [thread-safe]
   Submission submit(const std::string& model_id, Tensor image);
-
-  // True iff the request was still queued: it resolves kCancelled.
-  // False once a replica has popped its batch — the result arrives normally.
-  // [thread-safe]
-  bool cancel(std::uint64_t id);
 
   // Stops accepting, drains everything pending through normal batches on all
   // replicas, joins the schedulers. Idempotent; the destructor
@@ -179,7 +178,7 @@ class SnnServer {
   // on replica r's session for that handle, resolving every request in it.
   void run_segment(std::size_t r, std::vector<PendingRequest>& batch, std::size_t begin,
                    std::size_t end);
-  void resolve_refused(PendingRequest req, RequestStatus status);
+  void resolve_refused(PendingRequest req);
 
   const ServeOptions opts_;
   const std::shared_ptr<snn::ModelRegistry> registry_;
@@ -193,7 +192,6 @@ class SnnServer {
   // (stats()), the batcher's lock orders the actual hand-off.
   std::vector<std::atomic<bool>> busy_;
   StatsCollector stats_;
-  std::atomic<std::uint64_t> next_id_{1};
   std::vector<std::thread> schedulers_;
   std::once_flag stopped_;
 };

@@ -10,9 +10,8 @@ namespace ttfs::serve {
 std::string ServerStats::describe() const {
   std::ostringstream os;
   os.precision(3);
-  os << "served " << completed << "/" << submitted << " (" << failed << " failed, " << cancelled
-     << " cancelled, " << rejected << " rejected, " << rejected_overload << " overload-rejected, "
-     << shed << " shed) in " << batches_formed << " batches (mean " << mean_batch_size << ") on "
+  os << "served " << completed << "/" << submitted << " (" << failed << " failed, " << rejected
+     << " rejected, " << rejected_overload << " overload-rejected) in " << batches_formed << " batches (mean " << mean_batch_size << ") on "
      << replicas.size() << " replica" << (replicas.size() == 1 ? "" : "s") << " x "
      << models.size() << " model" << (models.size() == 1 ? "" : "s") << ", p50 "
      << latency_p50_ms << "ms p95 " << latency_p95_ms << "ms";
@@ -29,25 +28,22 @@ void StatsCollector::on_submit(const std::string& model) {
   ++models_[model].submitted;
 }
 
-void StatsCollector::on_cancel() {
+void StatsCollector::on_reject_unknown() {
   const util::MutexLock lock{mu_};
-  ++cancelled_;
-}
-
-void StatsCollector::on_reject() {
-  const util::MutexLock lock{mu_};
+  ++submitted_;
   ++rejected_;
 }
 
-void StatsCollector::on_reject_overload() {
+void StatsCollector::on_reject(const std::string& model) {
   const util::MutexLock lock{mu_};
-  ++rejected_overload_;
+  ++rejected_;
+  ++models_[model].rejected;
 }
 
-void StatsCollector::on_shed(const std::string& model) {
+void StatsCollector::on_reject_overload(const std::string& model) {
   const util::MutexLock lock{mu_};
-  ++shed_;
-  ++models_[model].shed;
+  ++rejected_overload_;
+  ++models_[model].rejected_overload;
 }
 
 void StatsCollector::on_fail(const std::string& model) {
@@ -83,10 +79,8 @@ ServerStats StatsCollector::snapshot(std::size_t queue_depth, const std::vector<
   s.submitted = submitted_;
   s.completed = completed_;
   s.failed = failed_;
-  s.cancelled = cancelled_;
   s.rejected = rejected_;
   s.rejected_overload = rejected_overload_;
-  s.shed = shed_;
   s.batches_formed = batches_;
   s.queue_depth = queue_depth;
   s.mean_batch_size =
@@ -116,7 +110,8 @@ ServerStats StatsCollector::snapshot(std::size_t queue_depth, const std::vector<
     out.submitted = slot.submitted;
     out.completed = slot.completed;
     out.failed = slot.failed;
-    out.shed = slot.shed;
+    out.rejected = slot.rejected;
+    out.rejected_overload = slot.rejected_overload;
     out.batches = slot.batches;
     out.mean_batch_size = slot.batches == 0 ? 0.0
                                             : static_cast<double>(slot.completed) /

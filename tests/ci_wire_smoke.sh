@@ -31,11 +31,11 @@ PORT_FILE="$(mktemp)"
 SERVER_LOG="$(mktemp)"
 trap 'kill "${SERVER_PID}" 2>/dev/null || true; rm -f "${PORT_FILE}"' EXIT
 
-# Two models matching the trace's ids; bounded queue + reject admission so a
-# hypothetical overload shows up as "reject %" in the gated table instead of
-# freezing the IO thread (kBlock would).
+# Two models matching the trace's ids; a bounded queue, so a hypothetical
+# overload shows up as "reject %" in the gated table (a full queue refuses
+# each request that finds it full).
 "${BUILD_DIR}/tools/ttfs_wire_server" \
-  --models 2 --replicas 2 --admission reject --queue-cap 512 \
+  --models 2 --replicas 2 --queue-cap 512 \
   --port-file "${PORT_FILE}" >"${SERVER_LOG}" 2>&1 &
 SERVER_PID=$!
 

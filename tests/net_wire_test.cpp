@@ -264,8 +264,7 @@ TEST_F(NetWireTest, ShapeMismatchAnswersBadRequestAndConnectionSurvives) {
   // The refused frame never entered the serve ledger.
   const serve::ServerStats stats = server_->stats();
   EXPECT_EQ(stats.submitted, 1U);
-  EXPECT_EQ(stats.submitted, stats.completed + stats.failed + stats.cancelled + stats.rejected +
-                                 stats.rejected_overload + stats.shed);
+  serve::test::expect_ledger_balances(stats);
 }
 
 TEST_F(NetWireTest, BackendFailureAnswersInternalErrorAndConnectionSurvives) {
@@ -289,8 +288,74 @@ TEST_F(NetWireTest, BackendFailureAnswersInternalErrorAndConnectionSurvives) {
   const serve::ServerStats stats = server_->stats();
   EXPECT_EQ(stats.failed, 1U);
   EXPECT_EQ(stats.completed, 1U);
-  EXPECT_EQ(stats.submitted, stats.completed + stats.failed + stats.cancelled + stats.rejected +
-                                 stats.rejected_overload + stats.shed);
+  serve::test::expect_ledger_balances(stats);
+}
+
+// Overload on the wire: a burst on one connection against a full submit
+// queue. The overflow is answered at once with per-request kRejected error
+// frames while the admitted requests wait, the admitted ones are served once
+// the replica frees up, and the connection keeps serving afterwards.
+TEST_F(NetWireTest, OverloadAnswersRejectedAndConnectionSurvives) {
+  auto gated = std::make_shared<const serve::test::GatedBackend>(backend_);
+  auto registry = std::make_shared<snn::ModelRegistry>();
+  Rng rng{9};
+  registry->load("g", std::make_shared<snn::SnnNetwork>(make_net(rng)), gated, {3, 8, 8});
+  serve::ServeOptions opts;
+  opts.max_batch = 1;
+  opts.replicas = 1;
+  opts.queue_capacity = 2;
+  opts.registry = registry;
+  serve::SnnServer server{opts};
+  WireOptions wopts;
+  wopts.idle_timeout = std::chrono::milliseconds{0};
+  WireServer wire{server, wopts};
+  const serve::test::OpenGateOnExit open_gate_on_exit{*gated};
+
+  TestClient client{wire.port()};
+  client.send_all(encode_request(0, "g", make_image(7)));
+  gated->wait_entered();  // request 0 holds the only replica
+  constexpr std::uint64_t kBurst = 8;
+  std::vector<std::uint8_t> burst;
+  for (std::uint64_t id = 1; id < kBurst; ++id) {
+    const std::vector<std::uint8_t> frame = encode_request(id, "g", make_image(7 + id));
+    burst.insert(burst.end(), frame.begin(), frame.end());
+  }
+  client.send_all(burst);  // 1 and 2 fill the queue; 3..7 overflow
+
+  WireResponse resp;
+  for (std::uint64_t n = 0; n < kBurst - 3; ++n) {
+    ASSERT_TRUE(client.recv_response(&resp)) << "refusal " << n << " did not arrive";
+    EXPECT_EQ(resp.type, MessageType::kError);
+    EXPECT_EQ(resp.status, WireStatus::kRejected);
+    EXPECT_GE(resp.request_id, 3U);
+    EXPECT_LT(resp.request_id, kBurst);
+  }
+  gated->release();
+  std::vector<bool> served(3, false);
+  for (int n = 0; n < 3; ++n) {
+    ASSERT_TRUE(client.recv_response(&resp)) << "result " << n;
+    EXPECT_EQ(resp.type, MessageType::kResult);
+    EXPECT_EQ(resp.status, WireStatus::kOk);
+    ASSERT_LT(resp.request_id, 3U);
+    EXPECT_FALSE(served[resp.request_id]) << "duplicate response " << resp.request_id;
+    served[resp.request_id] = true;
+  }
+  // The same connection still serves.
+  client.send_all(encode_request(kBurst, "g", make_image(7)));
+  ASSERT_TRUE(client.recv_response(&resp));
+  EXPECT_EQ(resp.status, WireStatus::kOk);
+  EXPECT_EQ(resp.request_id, kBurst);
+
+  const serve::ServerStats stats = server.stats();
+  EXPECT_EQ(stats.submitted, kBurst + 1);
+  EXPECT_EQ(stats.completed, 4U);
+  EXPECT_EQ(stats.rejected_overload, kBurst - 3);
+  serve::test::expect_ledger_balances(stats);
+  const WireStats ws = wire.stats();
+  EXPECT_EQ(ws.requests, kBurst + 1);
+  EXPECT_EQ(ws.responses, ws.requests);
+  EXPECT_EQ(ws.in_flight, 0U);
+  EXPECT_EQ(ws.protocol_errors, 0U);
 }
 
 // --- per-connection errors: error frame, then close ---

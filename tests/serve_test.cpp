@@ -1,5 +1,5 @@
 // Unit tests for the serving subsystem: MicroBatcher flush policy and
-// SnnServer request lifecycle (serve / cancel / drain / reject), including
+// SnnServer request lifecycle (serve / drain / reject), including
 // the zero-thread (inline) compute-pool mode.
 //
 // Determinism under many concurrent submitters is covered separately in
@@ -32,6 +32,7 @@ namespace {
 using std::chrono::microseconds;
 using std::chrono::milliseconds;
 
+using test::expect_ledger_balances;
 using test::GatedBackend;
 using test::kModel;
 using test::make_images;
@@ -39,12 +40,18 @@ using test::make_net;
 using test::one_model;
 using test::ThrowingBackend;
 
-PendingRequest make_request(std::uint64_t id) {
+// A batcher-only request whose one-element image carries `tag`, so tests
+// can follow it through the queue.
+PendingRequest make_request(std::uint64_t tag) {
   PendingRequest req;
-  req.id = id;
   req.image = Tensor{{1}};
+  req.image[0] = static_cast<float>(tag);
   req.enqueued = std::chrono::steady_clock::now();
   return req;
+}
+
+std::uint64_t tag_of(const PendingRequest& req) {
+  return static_cast<std::uint64_t>(req.image[0]);
 }
 
 void expect_rows_equal(const Tensor& got, const Tensor& want, const std::string& what) {
@@ -99,29 +106,42 @@ TEST(MicroBatcher, PopsFifo) {
   ASSERT_EQ(first.size(), 3U);
   ASSERT_EQ(second.size(), 3U);
   for (std::size_t i = 0; i < 3; ++i) {
-    EXPECT_EQ(first[i].id, 10U + i);
-    EXPECT_EQ(second[i].id, 13U + i);
+    EXPECT_EQ(tag_of(first[i]), 10U + i);
+    EXPECT_EQ(tag_of(second[i]), 13U + i);
   }
   batcher.close();
 }
 
-TEST(MicroBatcher, CancelRemovesOnlyQueued) {
-  MicroBatcher batcher{{8, microseconds{60'000'000}}};
+// A full bounded queue refuses the push at once and hands the request back
+// untouched; nothing already queued moves, and a pop frees the slots again.
+TEST(MicroBatcher, FullQueueRefusesThePushAndKeepsTheQueue) {
+  BatcherOptions opts;
+  opts.max_batch = 2;
+  opts.max_delay = microseconds{60'000'000};
+  opts.capacity = 3;
+  MicroBatcher batcher{opts};
   for (std::uint64_t id = 1; id <= 3; ++id) {
     auto req = make_request(id);
     ASSERT_EQ(batcher.push(req), PushOutcome::kQueued);
   }
-  auto removed = batcher.cancel(2);
-  ASSERT_TRUE(removed.has_value());
-  EXPECT_EQ(removed->id, 2U);
-  EXPECT_FALSE(batcher.cancel(2).has_value());   // already gone
-  EXPECT_FALSE(batcher.cancel(99).has_value());  // never existed
-  EXPECT_EQ(batcher.depth(), 2U);
+  auto overflow = make_request(4);
+  overflow.model_id = "other";  // the bound is shared across lanes
+  EXPECT_EQ(batcher.push(overflow), PushOutcome::kRejectedFull);
+  EXPECT_EQ(tag_of(overflow), 4U);  // left with the caller
+  EXPECT_EQ(overflow.model_id, "other");
+  EXPECT_EQ(batcher.depth(), 3U);
+
+  const auto first = batcher.pop_batch();  // size-ready lane: 1, 2
+  ASSERT_EQ(first.size(), 2U);
+  EXPECT_EQ(tag_of(first[0]), 1U);
+  EXPECT_EQ(tag_of(first[1]), 2U);
+  EXPECT_EQ(batcher.push(overflow), PushOutcome::kQueued);
   batcher.close();
-  const auto batch = batcher.pop_batch();
-  ASSERT_EQ(batch.size(), 2U);
-  EXPECT_EQ(batch[0].id, 1U);
-  EXPECT_EQ(batch[1].id, 3U);
+  std::vector<std::uint64_t> drained;
+  for (auto batch = batcher.pop_batch(); !batch.empty(); batch = batcher.pop_batch()) {
+    for (const PendingRequest& req : batch) drained.push_back(tag_of(req));
+  }
+  EXPECT_EQ(drained, (std::vector<std::uint64_t>{3, 4}));
 }
 
 TEST(MicroBatcher, CloseDrainsInSizeCappedBatchesThenEmpty) {
@@ -142,9 +162,9 @@ TEST(MicroBatcher, CloseDrainsInSizeCappedBatchesThenEmpty) {
 
 // Several consumers pop concurrently while producers push across model
 // lanes — the server's shape, with its replica threads as the consumers.
-// Each request's id is its position in its lane's push order (a per-lane
+// Each request's tag is its position in its lane's push order (a per-lane
 // test mutex makes that the lane's FIFO order), so per-lane FIFO shows up as
-// every batch being a contiguous ascending run of its lane's ids.
+// every batch being a contiguous ascending run of its lane's tags.
 TEST(MicroBatcher, ConcurrentConsumersPopEachRequestOnceFifoPerLane) {
   constexpr int kProducers = 2;
   constexpr int kConsumers = 3;
@@ -188,7 +208,7 @@ TEST(MicroBatcher, ConcurrentConsumersPopEachRequestOnceFifoPerLane) {
         got.lane = std::stoul(batch.front().model_id);
         for (const PendingRequest& req : batch) {
           EXPECT_EQ(req.model_id, batch.front().model_id) << "batch mixes models";
-          got.ids.push_back(req.id);
+          got.ids.push_back(tag_of(req));
         }
         const std::lock_guard<std::mutex> lock{popped_mu};
         popped.push_back(std::move(got));
@@ -411,7 +431,7 @@ TEST(SnnServer, PerRequestRecordMatchesDirectTrace) {
 
 // With R = 1 and the only replica held inside a batch, the next request
 // must wait in its lane: no batch forms ahead of a free replica, so the
-// request counts in queue_depth and can still be cancelled.
+// request counts in queue_depth until the replica frees up and takes it.
 TEST(SnnServer, WaitingWorkStaysQueuedWhileReplicaIsBusy) {
   Rng rng{41};
   const snn::SnnNetwork net = make_net(rng);
@@ -421,12 +441,7 @@ TEST(SnnServer, WaitingWorkStaysQueuedWhileReplicaIsBusy) {
   ServeOptions opts;
   opts.max_batch = 1;  // every request is a ready batch the moment it queues
   SnnServer server{one_model(net, opts, gated)};
-  // Opens the gate before the server's destructor joins the replica, so a
-  // failed assertion below ends the test instead of hanging it.
-  const struct OpenGateOnExit {
-    const GatedBackend& gate;
-    ~OpenGateOnExit() { gate.release(); }
-  } open_gate_on_exit{*gated};
+  const test::OpenGateOnExit open_gate_on_exit{*gated};
 
   auto running = server.submit(kModel, images[0]);
   gated->wait_entered();
@@ -441,18 +456,21 @@ TEST(SnnServer, WaitingWorkStaysQueuedWhileReplicaIsBusy) {
     ASSERT_EQ(server.stats().queue_depth, 1U);
     std::this_thread::yield();
   }
-  EXPECT_TRUE(server.cancel(waiting.id));
-  EXPECT_EQ(waiting.result.get().status, RequestStatus::kCancelled);
+  ASSERT_EQ(waiting.result.wait_for(std::chrono::seconds{0}), std::future_status::timeout);
 
   gated->release();
   ServeResult r = running.result.get();
   ASSERT_EQ(r.status, RequestStatus::kOk);
   expect_rows_equal(r.logits, snn::run_event_sim(net, images[0]).logits, "gated request");
+  ServeResult w = waiting.result.get();
+  ASSERT_EQ(w.status, RequestStatus::kOk);
+  expect_rows_equal(w.logits, snn::run_event_sim(net, images[1]).logits, "waiting request");
   server.stop();
   const ServerStats stats = server.stats();
   EXPECT_FALSE(stats.replicas[0].busy);
-  EXPECT_EQ(stats.completed, 1U);
-  EXPECT_EQ(stats.cancelled, 1U);
+  EXPECT_EQ(stats.completed, 2U);
+  EXPECT_EQ(stats.batches_formed, 2U);
+  expect_ledger_balances(stats);
 }
 
 // A backend that throws fails the whole segment — future and callback
@@ -502,8 +520,7 @@ TEST(SnnServer, BackendFailureFailsSegmentAndReplicaRecovers) {
   const ServerStats stats = server.stats();
   EXPECT_EQ(stats.completed, clean.size());
   EXPECT_EQ(stats.failed, 3U);
-  EXPECT_EQ(stats.submitted, stats.completed + stats.failed + stats.cancelled + stats.rejected +
-                                 stats.rejected_overload + stats.shed);
+  expect_ledger_balances(stats);
   ASSERT_EQ(stats.models.size(), 1U);
   EXPECT_EQ(stats.models[0].failed, 3U);
   EXPECT_NE(stats.describe().find("3 failed"), std::string::npos) << stats.describe();
@@ -538,45 +555,6 @@ TEST(SnnServer, FifoCompletionWithinBatch) {
   const ServerStats stats = server.stats();
   EXPECT_EQ(stats.batches_formed, 1U);
   EXPECT_DOUBLE_EQ(stats.mean_batch_size, 4.0);
-}
-
-TEST(SnnServer, CancelBeforeBatchFormation) {
-  Rng rng{13};
-  const snn::SnnNetwork net = make_net(rng);
-  const auto images = make_images(rng, 1);
-
-  ServeOptions opts;
-  opts.max_batch = 8;                     // a single request never size-flushes
-  opts.max_delay = microseconds{2'000'000};  // and won't deadline-flush soon
-  SnnServer server{one_model(net, opts)};
-
-  auto sub = server.submit(kModel, images[0]);
-  EXPECT_TRUE(server.cancel(sub.id));
-  EXPECT_FALSE(server.cancel(sub.id));  // second cancel finds nothing
-  ServeResult r = sub.result.get();
-  EXPECT_EQ(r.status, RequestStatus::kCancelled);
-  EXPECT_TRUE(r.logits.empty());
-  EXPECT_EQ(r.predicted, -1);
-  server.stop();
-  const ServerStats stats = server.stats();
-  EXPECT_EQ(stats.cancelled, 1U);
-  EXPECT_EQ(stats.completed, 0U);
-}
-
-TEST(SnnServer, CancelAfterCompletionFails) {
-  Rng rng{17};
-  const snn::SnnNetwork net = make_net(rng);
-  const auto images = make_images(rng, 1);
-
-  ServeOptions opts;
-  opts.max_batch = 1;  // flushes the moment it is queued
-  SnnServer server{one_model(net, opts)};
-
-  auto sub = server.submit(kModel, images[0]);
-  ServeResult r = sub.result.get();  // batch formed and served
-  ASSERT_EQ(r.status, RequestStatus::kOk);
-  EXPECT_FALSE(server.cancel(sub.id));
-  server.stop();
 }
 
 TEST(SnnServer, ShutdownDrainsPendingRequests) {
@@ -638,8 +616,7 @@ TEST(SnnServer, RejectsWrongShape) {
   EXPECT_FALSE(called);
   const ServerStats stats = server.stats();
   EXPECT_EQ(stats.submitted, 1U);
-  EXPECT_EQ(stats.submitted, stats.completed + stats.failed + stats.cancelled + stats.rejected +
-                                 stats.rejected_overload + stats.shed);
+  expect_ledger_balances(stats);
   ASSERT_EQ(stats.models.size(), 1U);
   EXPECT_EQ(stats.models[0].submitted, 1U);
 }

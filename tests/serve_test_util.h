@@ -1,7 +1,9 @@
 // Shared fixtures of the serving test suites: the small conv/pool/fc net
-// they serve, ServeOptions over a one-model registry holding it, and
-// decorator backends that gate or fail samples.
+// they serve, ServeOptions over a one-model registry holding it, the ledger
+// check, and decorator backends that gate or fail samples.
 #pragma once
+
+#include <gtest/gtest.h>
 
 #include <condition_variable>
 #include <cstdint>
@@ -55,6 +57,24 @@ inline ServeOptions one_model(const snn::SnnNetwork& net, ServeOptions opts = {}
       backend != nullptr ? std::move(backend) : snn::make_backend(snn::BackendKind::kEventSim),
       std::move(input_shape));
   return opts;
+}
+
+// The serve ledger of a settled server (nothing queued, nothing running):
+// every counted submit ended served, failed, or refused at the door, for the
+// server as a whole and for each registered model.
+inline void expect_ledger_balances(const ServerStats& stats) {
+  EXPECT_EQ(stats.queue_depth, 0U) << "ledger read while requests are queued";
+  EXPECT_EQ(stats.submitted,
+            stats.completed + stats.failed + stats.rejected + stats.rejected_overload)
+      << stats.describe();
+  std::uint64_t model_submitted = 0;
+  for (const ModelStats& m : stats.models) {
+    EXPECT_EQ(m.submitted, m.completed + m.failed + m.rejected + m.rejected_overload)
+        << "model " << m.id;
+    model_submitted += m.submitted;
+  }
+  // Submits naming an unknown id count globally, as rejected, and nowhere else.
+  EXPECT_LE(model_submitted, stats.submitted);
 }
 
 // Caller-defined backends: decorators over a stock backend. A decorator
@@ -111,6 +131,20 @@ class GatedBackend final : public ForwardingBackend {
   mutable std::condition_variable cv_;
   mutable bool entered_ = false;
   mutable bool open_ = false;
+};
+
+// Opens the gate when it goes out of scope. Declared after the servers it
+// guards, it runs before their destructors drain the replicas, so a failed
+// assertion ends the test instead of hanging it.
+class OpenGateOnExit {
+ public:
+  explicit OpenGateOnExit(const GatedBackend& gate) : gate_{gate} {}
+  ~OpenGateOnExit() { gate_.release(); }
+  OpenGateOnExit(const OpenGateOnExit&) = delete;
+  OpenGateOnExit& operator=(const OpenGateOnExit&) = delete;
+
+ private:
+  const GatedBackend& gate_;
 };
 
 // Throws on any sample whose first pixel is negative (request images are

@@ -5,7 +5,7 @@ Compares the bench JSON files a CI run just produced against the committed
 baselines under bench/baselines/. Every baseline row is matched to a current
 row by its configuration key — (bench, backend) plus whatever sweep
 dimensions the table carries (batch, clients, max_batch, replicas, queue_cap,
-admission, simulator, ...) — and each throughput/latency metric is checked
+simulator, ...) — and each throughput/latency metric is checked
 against a relative tolerance band:
 
   * throughput (samples/s, reqs/s) regresses when it drops more than
@@ -102,7 +102,6 @@ DIMENSIONS = (
     "clients",
     "replicas",
     "queue_cap",
-    "admission",
     "models",
     "model",
     "connections",

@@ -202,17 +202,30 @@ def collect_suppressions(raw_text):
 
 
 def match_paren(text, open_pos):
-    """Index just past the parenthesis group opening at open_pos, or -1."""
+    """Index just past the parenthesis group opening at open_pos, or -1.
+
+    Braces inside the group are balanced, so a brace-initialised default
+    argument (`Run&& run = Run{}`) does not end a parameter list; a `;` or an
+    unmatched `}` outside any such brace does (ill-formed / not a parameter
+    list)."""
     depth = 0
+    braces = 0
     for i in range(open_pos, len(text)):
-        if text[i] == "(":
+        c = text[i]
+        if c == "(":
             depth += 1
-        elif text[i] == ")":
+        elif c == ")":
             depth -= 1
             if depth == 0:
                 return i + 1
-        elif text[i] in "{};":
-            return -1  # ill-formed / not a parameter list
+        elif c == "{":
+            braces += 1
+        elif c == "}":
+            if braces == 0:
+                return -1
+            braces -= 1
+        elif c == ";" and braces == 0:
+            return -1
     return -1
 
 
@@ -414,6 +427,11 @@ void integrate_fixture(const float* w, float* acc, long n) {
 int fire_fixture(const int* lut, float v) {
   return lut[static_cast<int>(v)];
 }
+// hot, with a brace-initialised default argument
+template <typename Run>
+long integrate_braced(const float* w, long n, Run&& run = Run{}, int pad = int{0}) {
+  return run(w, n) + pad;
+}
 // hot: a format-policy member hook
 struct FixtureFormat {
   const float* lut;
@@ -472,6 +490,14 @@ def self_test():
                        CLEAN_FIXTURE.replace(
                            "void integrate_fixture(const float* w, float* acc, long n) {",
                            INJECT_BARE_ALLOW)),
+           ["alloc"])
+
+    expect("push_back injected behind a brace-initialised default argument",
+           scan_source("fixture.cpp",
+                       CLEAN_FIXTURE.replace(
+                           "Run&& run = Run{}, int pad = int{0}) {",
+                           "Run&& run = Run{}, int pad = int{0}) {\n"
+                           "  std::vector<long> v; v.push_back(n);")),
            ["alloc"])
 
     expect("push_back injected into a struct member hook",

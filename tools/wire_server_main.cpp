@@ -7,7 +7,7 @@
 //
 //   ./build/tools/ttfs_wire_server [--port 0] [--bind 127.0.0.1]
 //       [--models 1] [--replicas 2] [--max-batch 8] [--max-delay-us 500]
-//       [--queue-cap 0] [--admission reject|shed|block]
+//       [--queue-cap 0]
 //       [--backend event|reference|quantized]
 //       [--idle-timeout-ms 30000] [--port-file path]
 //
@@ -18,11 +18,10 @@
 // can pick it up without parsing stdout.
 //
 // Runs until SIGINT/SIGTERM, then drains gracefully (wire layer first, then
-// the serve layer) and prints the wire + serve counters. Overload policy is
-// whatever --admission says, `reject` by default: once --queue-cap bounds
-// the queue, `block` would park the shared IO thread, and with it every
-// connection, on a full queue (docs/serving.md). With the default unbounded
-// queue no policy ever engages.
+// the serve layer) and prints the wire + serve counters. Once --queue-cap
+// bounds the submit queue, a request that finds it full is answered with a
+// per-request kRejected error frame; the default unbounded queue never
+// refuses.
 #include <atomic>
 #include <chrono>
 #include <csignal>
@@ -92,7 +91,6 @@ int main(int argc, char** argv) {
   opts.max_delay = std::chrono::microseconds{args.get_int("max-delay-us", 500)};
   opts.replicas = args.get_int("replicas", 2);
   opts.queue_capacity = static_cast<std::size_t>(args.get_int("queue-cap", 0));
-  opts.admission = serve::admission_policy_from_string(args.get_string("admission", "reject"));
   opts.registry = registry;
   serve::SnnServer server{opts};
 
@@ -109,7 +107,6 @@ int main(int argc, char** argv) {
             << " — " << models << " model(s) [" << ids.front()
             << (models > 1 ? ".." + ids.back() : "") << "], backend " << backend_name
             << ", replicas " << opts.replicas << ", max_batch " << opts.max_batch
-            << ", admission " << serve::to_string(opts.admission)
             << (opts.queue_capacity != 0
                     ? ", queue_cap " + std::to_string(opts.queue_capacity)
                     : "")
@@ -134,7 +131,8 @@ int main(int argc, char** argv) {
             << ws.responses << " responses, " << ws.protocol_errors << " protocol errors, "
             << ws.idle_closed << " idle-closed, " << ws.read_pauses << " read pauses, "
             << ws.bytes_in << "B in / " << ws.bytes_out << "B out\n"
-            << "serve: " << ss.completed << " completed, " << ss.rejected << " rejected, "
-            << ss.shed << " shed, mean batch " << ss.mean_batch_size << "\n";
+            << "serve: " << ss.completed << " completed, " << ss.failed << " failed, "
+            << ss.rejected << " rejected, " << ss.rejected_overload
+            << " overload-rejected, mean batch " << ss.mean_batch_size << "\n";
   return 0;
 }
