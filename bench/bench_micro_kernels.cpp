@@ -193,21 +193,11 @@ int main(int argc, char** argv) {
   // sign+exponent codes, int32 accumulator — the quantized backend's hot
   // loop (one shift-add per tap via the shared LogPe LUT).
   {
-    cat::LogPeConfig pe_config;
-    pe_config.p = 2;  // tau = 4
-    pe_config.z = 1;
-    pe_config.lut_bits = 24;
-    pe_config.acc_frac_bits = 24;
-    pe_config.acc_int_bits = 7;
+    cat::LogPeConfig pe_config;  // tau = 4 (p = 2), z = 1, the deployed widths
     const cat::LogPe pe{pe_config};
     k::QuantKernelParams qp;
     qp.lut = pe.lut().data();
-    qp.frac_bits = pe_config.frac_bits();
-    qp.lut_bits = pe_config.lut_bits;
-    qp.acc_frac_bits = pe_config.acc_frac_bits;
-    qp.acc_limit = std::int64_t{1} << (pe_config.acc_int_bits + pe_config.acc_frac_bits);
-    qp.wmul = 1 << (qp.frac_bits - pe_config.z);
-    qp.smul = 1 << (qp.frac_bits - pe_config.p);
+    qp.p = pe_config.p;
     qp.q_lo = -10;
     qp.q_hi = 0;
     const auto random_code = [&] {

@@ -56,7 +56,7 @@ int main(int argc, char** argv) {
       if (ref > 1e-9) max_rel_err = std::max(max_rel_err, std::fabs(pe.membrane() - ref) / ref);
     }
   }
-  std::cout << "LUT(" << pe_cfg.lut_entries() << " entries, " << pe_cfg.lut_bits
+  std::cout << "LUT(" << pe.lut().size() << " entries, " << pe_cfg.lut_bits
             << "b)+shift datapath vs float: max relative error " << max_rel_err << "\n";
   std::cout << (max_rel_err < 1e-3 ? "PASS: log PE is numerically faithful\n"
                                    : "FAIL: log PE error too large\n");

@@ -1,11 +1,13 @@
 #include "cat/deploy.h"
 
-#include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <optional>
+#include <utility>
 #include <variant>
 #include <vector>
 
+#include "snn/log_weight.h"
 #include "util/check.h"
 
 namespace ttfs::cat {
@@ -29,122 +31,92 @@ T read_pod(std::ifstream& is) {
   return v;
 }
 
-// Bit-packing cursor: codes are (bits)-wide fields, little-endian within the
-// byte stream, matching a DMA burst layout.
-class BitWriter {
- public:
-  void push(std::uint32_t code, int bits) {
-    for (int b = 0; b < bits; ++b) {
-      if (bit_ == 0) bytes_.push_back(0);
-      if ((code >> b & 1U) != 0U) bytes_.back() |= static_cast<unsigned char>(1U << bit_);
-      bit_ = (bit_ + 1) % 8;
-    }
-  }
-  const std::vector<unsigned char>& bytes() const { return bytes_; }
+// The image's serialization of a log-weight code (snn/log_weight.h holds the
+// format itself): a (bits)-wide field whose bit (bits-1) is the sign and
+// whose low bits are the magnitude index q_max - q, with the all-ones index
+// reserved for zero. Field i sits at bits [i * bits, (i + 1) * bits) of the
+// payload, little-endian within each byte, matching a DMA burst layout.
+std::uint32_t zero_index(int bits) { return (std::uint32_t{1} << (bits - 1)) - 1; }
 
- private:
-  std::vector<unsigned char> bytes_;
-  int bit_ = 0;
-};
-
-class BitReader {
- public:
-  explicit BitReader(std::vector<unsigned char> bytes) : bytes_{std::move(bytes)} {}
-  std::uint32_t pull(int bits) {
-    std::uint32_t code = 0;
-    for (int b = 0; b < bits; ++b) {
-      TTFS_CHECK_MSG(pos_ < bytes_.size(), "deploy payload overrun");
-      if ((bytes_[pos_] >> bit_ & 1) != 0) code |= 1U << b;
-      bit_ = (bit_ + 1) % 8;
-      if (bit_ == 0) ++pos_;
-    }
-    return code;
-  }
-
- private:
-  std::vector<unsigned char> bytes_;
-  std::size_t pos_ = 0;
-  int bit_ = 0;
-};
-
-// Encodes a quantized weight value into (bits)-wide code: bit (bits-1) is the
-// sign, low bits are the magnitude index (0 = q_max) with the all-ones index
-// reserved for zero.
-std::uint32_t encode_weight(double wq, int q_max, const LogQuantConfig& config,
+std::uint32_t encode_weight(float wq, int q_max, const LogQuantConfig& config,
                             std::uint64_t& zero_coded) {
-  const auto zero_index = static_cast<std::uint32_t>((1 << (config.bits - 1)) - 1);
-  if (wq == 0.0) {
+  if (wq == 0.0F) {
     ++zero_coded;
-    return zero_index;
+    return zero_index(config.bits);
   }
-  const double mag = std::fabs(wq);
-  const int q = static_cast<int>(std::lround(std::log2(mag) / config.step()));
-  const int index = q_max - q;
-  TTFS_CHECK_MSG(index >= 0 && index < static_cast<int>(zero_index),
-                 "weight code out of range: q=" << q << " q_max=" << q_max);
-  std::uint32_t code = static_cast<std::uint32_t>(index);
-  if (wq < 0.0) code |= 1U << (config.bits - 1);
-  return code;
+  const std::optional<int> q = snn::log_weight_code(wq, config.z);
+  TTFS_CHECK_MSG(q.has_value(), "weight " << wq << " is not on the log grid of z = " << config.z);
+  const int index = q_max - *q;
+  TTFS_CHECK_MSG(index >= 0 && index < static_cast<int>(zero_index(config.bits)),
+                 "weight code out of range: q=" << *q << " q_max=" << q_max);
+  return static_cast<std::uint32_t>(index) | (wq < 0.0F ? 1U << (config.bits - 1) : 0U);
 }
 
-double decode_weight(std::uint32_t code, int q_max, const LogQuantConfig& config) {
-  const auto zero_index = static_cast<std::uint32_t>((1 << (config.bits - 1)) - 1);
-  const std::uint32_t index = code & zero_index;
-  if (index == zero_index) return 0.0;
-  const bool negative = (code >> (config.bits - 1) & 1U) != 0U;
-  const double mag = std::exp2(static_cast<double>(q_max - static_cast<int>(index)) *
-                               config.step());
-  return negative ? -mag : mag;
+float decode_weight(std::uint32_t code, int q_max, const LogQuantConfig& config) {
+  const std::uint32_t index = code & zero_index(config.bits);
+  if (index == zero_index(config.bits)) return 0.0F;
+  const double mag = snn::log_weight_magnitude(q_max - static_cast<int>(index), config.z);
+  return static_cast<float>((code >> (config.bits - 1) & 1U) != 0U ? -mag : mag);
 }
 
-void write_packed_tensor(std::ofstream& os, const Tensor& quantized,
-                         const LayerQuantInfo& info, const LogQuantConfig& config,
-                         DeployStats& stats) {
-  BitWriter packer;
-  for (std::int64_t i = 0; i < quantized.numel(); ++i) {
-    packer.push(encode_weight(quantized[i], info.q_max, config, stats.zero_coded), config.bits);
+// Log-quantizes a copy of `weight` and writes its anchor, count and payload,
+// then the bias (zeros when the layer has none).
+void write_weights(std::ofstream& os, const Tensor& weight, const Tensor& bias,
+                   const LogQuantConfig& config, DeployStats& stats) {
+  Tensor quantized{weight.shape(), weight.vec()};
+  const LayerQuantInfo info = log_quantize_tensor(quantized, config);
+  const auto count = static_cast<std::uint64_t>(quantized.numel());
+  std::vector<unsigned char> payload((count * static_cast<std::uint64_t>(config.bits) + 7) / 8);
+  for (std::uint64_t i = 0; i < count; ++i) {
+    const std::uint32_t code = encode_weight(quantized[static_cast<std::int64_t>(i)], info.q_max,
+                                             config, stats.zero_coded);
+    for (int b = 0; b < config.bits; ++b) {
+      const std::uint64_t at = i * static_cast<std::uint64_t>(config.bits) + b;
+      if ((code >> b & 1U) != 0U) payload[at / 8] |= static_cast<unsigned char>(1U << at % 8);
+    }
   }
   write_pod(os, static_cast<std::int32_t>(info.q_max));
-  write_pod(os, static_cast<std::uint64_t>(quantized.numel()));
-  write_pod(os, static_cast<std::uint64_t>(packer.bytes().size()));
-  os.write(reinterpret_cast<const char*>(packer.bytes().data()),
-           static_cast<std::streamsize>(packer.bytes().size()));
-  stats.weight_payload_bytes += packer.bytes().size();
-  stats.weights += static_cast<std::uint64_t>(quantized.numel());
+  write_pod(os, count);
+  write_pod(os, static_cast<std::uint64_t>(payload.size()));
+  os.write(reinterpret_cast<const char*>(payload.data()),
+           static_cast<std::streamsize>(payload.size()));
+  stats.weight_payload_bytes += payload.size();
+  stats.weights += count;
+  const Tensor b = bias.empty() ? Tensor{{weight.dim(0)}} : bias;
+  write_pod(os, static_cast<std::uint64_t>(b.numel()));
+  os.write(reinterpret_cast<const char*>(b.data()),
+           static_cast<std::streamsize>(b.numel() * sizeof(float)));
 }
 
-Tensor read_packed_tensor(std::ifstream& is, std::vector<std::int64_t> shape,
-                          const LogQuantConfig& config) {
+// Reads what write_weights wrote: the layer's weights and bias.
+std::pair<Tensor, Tensor> read_weights(std::ifstream& is, std::vector<std::int64_t> shape,
+                                       const LogQuantConfig& config) {
+  const std::int64_t outputs = shape[0];
   const auto q_max = read_pod<std::int32_t>(is);
   const auto count = read_pod<std::uint64_t>(is);
   const auto bytes = read_pod<std::uint64_t>(is);
+  Tensor out{std::move(shape)};
+  TTFS_CHECK(static_cast<std::uint64_t>(out.numel()) == count);
+  TTFS_CHECK_MSG(bytes * 8 >= count * static_cast<std::uint64_t>(config.bits),
+                 "deploy payload overrun");
   std::vector<unsigned char> payload(bytes);
   is.read(reinterpret_cast<char*>(payload.data()), static_cast<std::streamsize>(bytes));
   TTFS_CHECK_MSG(is.good(), "truncated weight payload");
 
-  Tensor out{std::move(shape)};
-  TTFS_CHECK(static_cast<std::uint64_t>(out.numel()) == count);
-  BitReader reader{std::move(payload)};
-  for (std::int64_t i = 0; i < out.numel(); ++i) {
-    out[i] = static_cast<float>(decode_weight(reader.pull(config.bits), q_max, config));
+  for (std::uint64_t i = 0; i < count; ++i) {
+    std::uint32_t code = 0;
+    for (int b = 0; b < config.bits; ++b) {
+      const std::uint64_t at = i * static_cast<std::uint64_t>(config.bits) + b;
+      if ((payload[at / 8] >> at % 8 & 1U) != 0U) code |= 1U << b;
+    }
+    out[static_cast<std::int64_t>(i)] = decode_weight(code, q_max, config);
   }
-  return out;
-}
-
-void write_bias(std::ofstream& os, const Tensor& bias) {
-  write_pod(os, static_cast<std::uint64_t>(bias.numel()));
-  os.write(reinterpret_cast<const char*>(bias.data()),
-           static_cast<std::streamsize>(bias.numel() * sizeof(float)));
-}
-
-Tensor read_bias(std::ifstream& is, std::int64_t expected) {
-  const auto count = read_pod<std::uint64_t>(is);
-  TTFS_CHECK(static_cast<std::int64_t>(count) == expected);
-  Tensor bias{{expected}};
+  TTFS_CHECK(read_pod<std::uint64_t>(is) == static_cast<std::uint64_t>(outputs));
+  Tensor bias{{outputs}};
   is.read(reinterpret_cast<char*>(bias.data()),
-          static_cast<std::streamsize>(expected * sizeof(float)));
+          static_cast<std::streamsize>(outputs * sizeof(float)));
   TTFS_CHECK_MSG(is.good(), "truncated bias");
-  return bias;
+  return {std::move(out), std::move(bias)};
 }
 
 }  // namespace
@@ -173,18 +145,12 @@ DeployStats write_deploy_image(const snn::SnnNetwork& net, const LogQuantConfig&
       for (int d = 0; d < 4; ++d) write_pod(os, static_cast<std::int64_t>(conv->weight.dim(d)));
       write_pod(os, static_cast<std::int64_t>(conv->stride));
       write_pod(os, static_cast<std::int64_t>(conv->pad));
-      Tensor q = Tensor{conv->weight.shape(), conv->weight.vec()};
-      const LayerQuantInfo info = log_quantize_tensor(q, config);
-      write_packed_tensor(os, q, info, config, stats);
-      write_bias(os, conv->bias.empty() ? Tensor{{conv->weight.dim(0)}} : conv->bias);
+      write_weights(os, conv->weight, conv->bias, config, stats);
     } else if (const auto* fc = std::get_if<snn::SnnFc>(&layer)) {
       write_pod(os, static_cast<std::uint8_t>(LayerTag::kFc));
       write_pod(os, static_cast<std::int64_t>(fc->weight.dim(0)));
       write_pod(os, static_cast<std::int64_t>(fc->weight.dim(1)));
-      Tensor q = Tensor{fc->weight.shape(), fc->weight.vec()};
-      const LayerQuantInfo info = log_quantize_tensor(q, config);
-      write_packed_tensor(os, q, info, config, stats);
-      write_bias(os, fc->bias.empty() ? Tensor{{fc->weight.dim(0)}} : fc->bias);
+      write_weights(os, fc->weight, fc->bias, config, stats);
     } else {
       const auto& pool = std::get<snn::SnnPool>(layer);
       write_pod(os, static_cast<std::uint8_t>(LayerTag::kPool));
@@ -209,6 +175,9 @@ snn::SnnNetwork read_deploy_image(const std::string& path) {
   LogQuantConfig config;
   config.bits = read_pod<std::int32_t>(is);
   config.z = read_pod<std::int32_t>(is);
+  TTFS_CHECK_MSG(config.bits >= 2 && config.bits <= 16 && config.z >= 0 && config.z <= 8,
+                 "bad weight format (bits " << config.bits << ", z " << config.z << ") in "
+                                            << path);
   const auto layer_count = read_pod<std::uint32_t>(is);
 
   snn::SnnNetwork net{snn::Base2Kernel{window, tau, theta0}};
@@ -219,14 +188,12 @@ snn::SnnNetwork read_deploy_image(const std::string& path) {
       for (auto& d : shape) d = read_pod<std::int64_t>(is);
       const auto stride = read_pod<std::int64_t>(is);
       const auto pad = read_pod<std::int64_t>(is);
-      Tensor w = read_packed_tensor(is, shape, config);
-      Tensor b = read_bias(is, shape[0]);
+      auto [w, b] = read_weights(is, shape, config);
       net.add_conv(std::move(w), std::move(b), stride, pad);
     } else if (tag == LayerTag::kFc) {
       const auto out = read_pod<std::int64_t>(is);
       const auto in = read_pod<std::int64_t>(is);
-      Tensor w = read_packed_tensor(is, {out, in}, config);
-      Tensor b = read_bias(is, out);
+      auto [w, b] = read_weights(is, {out, in}, config);
       net.add_fc(std::move(w), std::move(b));
     } else if (tag == LayerTag::kPool) {
       const auto kernel = read_pod<std::int64_t>(is);

@@ -5,7 +5,9 @@
 // This module serializes a converted SnnNetwork into that representation —
 // kernel parameters, layer descriptors, per-layer q_max anchors, bit-packed
 // weight codes and fp32 biases — and loads it back, reconstructing exactly
-// the values the log PEs compute with.
+// the values the log PEs compute with. Codes are recovered from the
+// quantized weights and expanded back through the one log-weight codec
+// (snn/log_weight.h); this module owns only the bit layout.
 //
 // The packed weight payload is byte-for-byte the DRAM weight stream that the
 // Table 4 energy model charges at 4 pJ/bit (tested: a VGG-16 image's payload

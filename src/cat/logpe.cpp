@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "snn/log_weight.h"
 #include "util/check.h"
 
 namespace ttfs::cat {
@@ -14,13 +15,7 @@ LogPe::LogPe(LogPeConfig config) : config_{config} {
   TTFS_CHECK_MSG(config.acc_int_bits > 0 && config.acc_int_bits + config.acc_frac_bits <= 62,
                  "accumulator width must satisfy 0 < acc_int_bits && "
                  "acc_int_bits + acc_frac_bits <= 62");
-  lut_.resize(static_cast<std::size_t>(config_.lut_entries()));
-  const int f = config_.frac_bits();
-  for (int i = 0; i < config_.lut_entries(); ++i) {
-    const double value = std::exp2(static_cast<double>(i) / std::exp2(f));
-    lut_[static_cast<std::size_t>(i)] =
-        static_cast<std::int64_t>(std::lround(value * std::exp2(config_.lut_bits)));
-  }
+  lut_ = snn::log_pe_lut(config_.frac_bits(), config_.lut_bits);
 }
 
 std::int32_t LogPe::weight_exponent_code(int q) const {

@@ -16,20 +16,19 @@
 #include <cstdint>
 #include <vector>
 
-#include "snn/kernel.h"
+#include "snn/quant.h"
 
 namespace ttfs::cat {
 
+// Defaults to the deployed datapath: snn/quant.h's widths.
 struct LogPeConfig {
-  int p = 2;             // tau = 2^p (paper: tau = 4 -> p = 2)
-  int z = 1;             // weight log step = 2^-z (paper: a_w = 2^-1/2 -> z = 1)
-  int lut_bits = 12;       // fixed-point fractional bits of the 2^frac LUT
-  int acc_frac_bits = 20;  // fractional bits of the membrane accumulator
-  int acc_int_bits = 12;   // integer bits; the accumulator saturates at
-                           // +-2^acc_int_bits like the hardware's Vmem register
+  int p = 2;                                   // tau = 2^p (paper: tau = 4 -> p = 2)
+  int z = snn::kQuantZ;                        // weight log step = 2^-z (paper: a_w = 2^-1/2)
+  int lut_bits = snn::kQuantLutBits;           // fractional bits of the 2^frac LUT
+  int acc_frac_bits = snn::kQuantAccFracBits;  // fractional bits of the membrane accumulator
+  int acc_int_bits = snn::kQuantAccIntBits;    // integer bits: Vmem saturates at +-2^this
 
   int frac_bits() const { return p > z ? p : z; }  // f = max(p, z)
-  int lut_entries() const { return 1 << frac_bits(); }
 };
 
 // One PE lane: accumulates sign * (LUT[frac] << int_part) into a fixed-point

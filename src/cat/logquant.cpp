@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "snn/log_weight.h"
 #include "util/check.h"
 
 namespace ttfs::cat {
@@ -42,7 +43,7 @@ LogQuantCode log_quantize_code(double w, int q_max, const LogQuantConfig& config
 
 double expand_code(const LogQuantCode& code, const LogQuantConfig& config) {
   if (code.zero) return 0.0;
-  const double out = std::exp2(static_cast<double>(code.q) * config.step());
+  const double out = snn::log_weight_magnitude(code.q, config.z);
   return code.sign < 0 ? -out : out;
 }
 

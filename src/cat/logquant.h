@@ -64,14 +64,13 @@ struct LogQuantCode {
   int q = 0;     // exponent code, units of `step` in the log2 domain
 };
 
-// Quantizes one value to its code against a layer anchor q_max. This is the
-// authoritative producer of codes: consumers that need q (e.g. the quantized
-// weight pack) must take it from here rather than re-deriving it from the
-// expanded float — log2 of the expanded value rounds back to a *different*
-// code at the clamp edge.
+// Quantizes one value to its code against a layer anchor q_max: the one
+// quantizer. Consumers of a quantized tensor recover its codes with
+// snn::log_weight_code (snn/log_weight.h), the exact inverse of expand_code.
 LogQuantCode log_quantize_code(double w, int q_max, const LogQuantConfig& config);
 
-// Expands a code back to the float the quantized tensor stores.
+// Expands a code back to the weight the quantized tensor stores (in double;
+// the tensor holds its float rounding), through snn::log_weight_magnitude.
 double expand_code(const LogQuantCode& code, const LogQuantConfig& config);
 
 }  // namespace ttfs::cat

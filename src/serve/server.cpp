@@ -31,7 +31,8 @@ SnnServer::SnnServer(ServeOptions opts)
       bindings_(static_cast<std::size_t>(opts_.replicas)),
       batcher_{batcher_options(opts_)},
       busy_(static_cast<std::size_t>(opts_.replicas)),
-      stats_{static_cast<std::size_t>(opts_.replicas)} {
+      stats_{static_cast<std::size_t>(opts_.replicas),
+             [registry = registry_](const std::string& id) { return registry->contains(id); }} {
   schedulers_.reserve(static_cast<std::size_t>(opts_.replicas));
   for (std::size_t r = 0; r < static_cast<std::size_t>(opts_.replicas); ++r) {
     schedulers_.emplace_back([this, r] { replica_loop(r); });

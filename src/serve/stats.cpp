@@ -1,7 +1,8 @@
 #include "serve/stats.h"
 
-#include <algorithm>
+#include <iterator>
 #include <sstream>
+#include <utility>
 
 #include "util/check.h"
 
@@ -18,14 +19,26 @@ std::string ServerStats::describe() const {
   return os.str();
 }
 
-StatsCollector::StatsCollector(std::size_t replicas) : replicas_(replicas) {
-  TTFS_CHECK(replicas >= 1);
+StatsCollector::StatsCollector(std::size_t replicas,
+                               std::function<bool(const std::string&)> registered)
+    : registered_{std::move(registered)}, replicas_(replicas) {
+  TTFS_CHECK(replicas >= 1 && registered_ != nullptr);
+}
+
+void StatsCollector::drop_unloaded_locked() const {
+  for (auto it = models_.begin(); it != models_.end();) {
+    const ModelSlot& m = it->second;
+    const bool settled = m.submitted == m.completed + m.failed + m.rejected + m.rejected_overload;
+    it = settled && !registered_(it->first) ? models_.erase(it) : std::next(it);
+  }
 }
 
 void StatsCollector::on_submit(const std::string& model) {
   const util::MutexLock lock{mu_};
   ++submitted_;
-  ++models_[model].submitted;
+  const auto [slot, created] = models_.try_emplace(model);
+  ++slot->second.submitted;
+  if (created) drop_unloaded_locked();  // the breakdown grows only here
 }
 
 void StatsCollector::on_reject_unknown() {
@@ -75,6 +88,7 @@ void StatsCollector::on_complete(std::size_t replica, const std::string& model,
 ServerStats StatsCollector::snapshot(std::size_t queue_depth, const std::vector<bool>& busy,
                                      const std::map<std::string, std::size_t>& model_depths) const {
   const util::MutexLock lock{mu_};
+  drop_unloaded_locked();
   ServerStats s;
   s.submitted = submitted_;
   s.completed = completed_;
@@ -102,8 +116,8 @@ ServerStats StatsCollector::snapshot(std::size_t queue_depth, const std::vector<
     out.busy = r < busy.size() && busy[r];
   }
   // models_ is std::map, so the per-model breakdown comes out sorted by id.
-  // A lane with queued-but-untouched traffic still shows up via model_depths.
-  s.models.reserve(models_.size() + model_depths.size());
+  // Every queued lane has a slot: submit counts a request before it queues.
+  s.models.reserve(models_.size());
   for (const auto& [id, slot] : models_) {
     ModelStats out;
     out.id = id;
@@ -122,15 +136,6 @@ ServerStats StatsCollector::snapshot(std::size_t queue_depth, const std::vector<
     out.latency_p95_ms = slot.latency.quantile(0.95) * 1e3;
     s.models.push_back(std::move(out));
   }
-  for (const auto& [id, depth] : model_depths) {
-    if (models_.count(id) != 0) continue;
-    ModelStats out;
-    out.id = id;
-    out.queue_depth = depth;
-    s.models.push_back(std::move(out));
-  }
-  std::sort(s.models.begin(), s.models.end(),
-            [](const ModelStats& a, const ModelStats& b) { return a.id < b.id; });
   return s;
 }
 

@@ -7,10 +7,13 @@
 // O(1) memory no matter how many requests have been served — one histogram
 // server-wide, one per replica (a slow or starved replica is visible on its
 // own), and one per model (a model whose traffic is being crowded out, or
-// whose batches run long, is visible on its own too).
+// whose batches run long, is visible on its own too). A model's slot is
+// dropped once its id is unloaded and nothing of it is queued or running, so
+// load/unload churn does not grow it; the global counters keep its history.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <string>
 #include <vector>
@@ -67,10 +70,10 @@ struct ServerStats {
   double latency_p50_ms = 0.0;
   double latency_p95_ms = 0.0;
   std::vector<ReplicaStats> replicas;   // one entry per serving replica
-  std::vector<ModelStats> models;       // one entry per registered model that
-                                        // saw traffic, sorted by id (submits
-                                        // naming an unknown id count only in
-                                        // `submitted` and `rejected` above)
+  std::vector<ModelStats> models;       // one entry per registered or in-flight
+                                        // model that saw traffic, sorted by id
+                                        // (submits naming an unknown id count
+                                        // only in `submitted` and `rejected`)
 
   // One line for logs/demos, e.g.
   // "served 96/96 (0 failed, 0 rejected, 0 overload-rejected) in 12 batches
@@ -82,7 +85,10 @@ class StatsCollector {
  public:
   // `replicas` sizes the per-replica slots (>= 1). Model slots appear as
   // traffic names registered models; an unknown id never gets one.
-  explicit StatsCollector(std::size_t replicas = 1);
+  // `registered(id)` is asked under the collector's mutex (its own lock
+  // nests inside; it must not call back) when a slot is created and at each
+  // snapshot, and a settled slot whose id it denies is dropped.
+  StatsCollector(std::size_t replicas, std::function<bool(const std::string&)> registered);
 
   // Lifecycle event sinks, one per observable transition of a request. Each
   // takes the collector's mutex once and returns; all are safe from any
@@ -126,6 +132,10 @@ class StatsCollector {
     LatencyHistogram latency;
   };
 
+  // Drops every settled slot whose id is no longer registered.
+  void drop_unloaded_locked() const TTFS_REQUIRES(mu_);
+
+  const std::function<bool(const std::string&)> registered_;
   mutable util::Mutex mu_;
   std::uint64_t submitted_ TTFS_GUARDED_BY(mu_) = 0;
   std::uint64_t completed_ TTFS_GUARDED_BY(mu_) = 0;
@@ -135,7 +145,7 @@ class StatsCollector {
   std::uint64_t batches_ TTFS_GUARDED_BY(mu_) = 0;
   LatencyHistogram latency_ TTFS_GUARDED_BY(mu_);
   std::vector<ReplicaSlot> replicas_ TTFS_GUARDED_BY(mu_);
-  std::map<std::string, ModelSlot> models_ TTFS_GUARDED_BY(mu_);
+  mutable std::map<std::string, ModelSlot> models_ TTFS_GUARDED_BY(mu_);
 };
 
 }  // namespace ttfs::serve

@@ -234,21 +234,10 @@ struct QuantFormat : ExactFire<std::int32_t> {
   }
   float to_logit(std::int32_t acc) const { return static_cast<float>(acc * scale); }
 
-  // The kernels' fixed-point geometry for one layer: quant.h's constants,
-  // the pack's LUT and p, and the layer's code range.
+  // The pack's LUT and p, and the layer's code range.
   template <typename Pack>
   kernels::QuantKernelParams layer_params(const Pack& pw) const {
-    kernels::QuantKernelParams qp;
-    qp.lut = pack.lut.data();
-    qp.frac_bits = pack.frac_bits();
-    qp.lut_bits = kQuantLutBits;
-    qp.acc_frac_bits = kQuantAccFracBits;
-    qp.acc_limit = kQuantAccLimit;
-    qp.wmul = 1 << (qp.frac_bits - kQuantZ);
-    qp.smul = 1 << (qp.frac_bits - pack.p);
-    qp.q_lo = pw.q_lo;
-    qp.q_hi = pw.q_hi;
-    return qp;
+    return {pack.lut.data(), pack.p, pw.q_lo, pw.q_hi};
   }
 };
 

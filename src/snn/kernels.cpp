@@ -13,6 +13,7 @@
 #include "snn/event_sim.h"
 #include "snn/kernel.h"
 #include "snn/kernels_impl.h"
+#include "snn/quant.h"
 
 namespace ttfs::snn::kernels {
 
@@ -52,23 +53,20 @@ const FloatKernels& tier_kernels() {
 
 // --- Quantized (fixed-point) integration --------------------------------------
 //
-// One synaptic product in accumulator LSBs: the LogPe datapath (exponent add,
-// 2^f-entry LUT read, barrel shift with round-to-nearest) for weight code q
-// and a spike at `step`. Mirrors cat::LogPe::accumulate exactly — asserted
-// add-for-add in tests/snn_quant_test.cpp — so traces from these kernels
-// co-simulate against hw/processor with no drift.
-inline std::int64_t quant_product(const QuantKernelParams& qp, int q, int step) {
-  const std::int32_t code = static_cast<std::int32_t>(q) * qp.wmul -
-                            static_cast<std::int32_t>(step) * qp.smul;
-  const std::int32_t mask = (1 << qp.frac_bits) - 1;
-  const std::int32_t int_part = code >> qp.frac_bits;  // floor division
-  const std::int64_t lut_value = qp.lut[static_cast<std::size_t>(code & mask)];
-  const int shift = int_part + qp.acc_frac_bits - qp.lut_bits;
+// One synaptic product in accumulator LSBs: the LogPe datapath (2^f-entry LUT
+// read, barrel shift with round-to-nearest) for the product's exponent code
+// (units of 2^-f), at quant.h's widths. Mirrors cat::LogPe::accumulate
+// exactly — asserted add-for-add in tests/snn_quant_test.cpp — so traces
+// from these kernels co-simulate against hw/processor with no drift.
+inline std::int64_t quant_product(const std::int64_t* lut, int f, std::int32_t code) {
+  const std::int32_t int_part = code >> f;  // floor division
+  const std::int64_t lut_value = lut[static_cast<std::size_t>(code & ((1 << f) - 1))];
+  const int shift = int_part + kQuantAccFracBits - kQuantLutBits;
   if (shift >= 0) {
     // Barrel shift capped at 2*limit - 1: from anywhere in [-limit, limit - 1]
     // a larger product lands on the same rail, so the cap changes no sum,
     // while an uncapped shift of a large weight code would overflow int64.
-    const std::int64_t cap = 2 * qp.acc_limit - 1;
+    constexpr std::int64_t cap = 2 * kQuantAccLimit - 1;
     return shift >= 63 || lut_value > (cap >> shift) ? cap : lut_value << shift;
   }
   if (-shift < 63) {
@@ -80,10 +78,10 @@ inline std::int64_t quant_product(const QuantKernelParams& qp, int q, int step) 
 
 // Signed saturating add into the int32 membrane register: clamp to the
 // two's-complement range [-limit, limit - 1], like LogPe's Vmem model.
-inline void quant_add(std::int32_t& acc, std::int64_t add, std::int64_t limit) {
+inline void quant_add(std::int32_t& acc, std::int64_t add) {
   std::int64_t v = static_cast<std::int64_t>(acc) + add;
-  if (v > limit - 1) v = limit - 1;
-  if (v < -limit) v = -limit;
+  if (v > kQuantAccLimit - 1) v = kQuantAccLimit - 1;
+  if (v < -kQuantAccLimit) v = -kQuantAccLimit;
   acc = static_cast<std::int32_t>(v);
 }
 
@@ -92,8 +90,11 @@ inline void quant_add(std::int32_t& acc, std::int64_t add, std::int64_t limit) {
 // software analog of the PE evaluating each exponent sum once per threshold
 // step. Bounded at kMaxQuantCodes (simd.h); the pack build caps the range.
 inline void fill_quant_table(const QuantKernelParams& qp, int step, std::int64_t* table) {
+  // The exponent add: weight q * 2^-z plus spike -step * 2^-p, in 2^-f units.
+  const int f = std::max(qp.p, kQuantZ);
+  const std::int32_t spike = -static_cast<std::int32_t>(step) * (1 << (f - qp.p));
   for (int q = qp.q_lo; q <= qp.q_hi; ++q) {
-    table[q - qp.q_lo] = quant_product(qp, q, step);
+    table[q - qp.q_lo] = quant_product(qp.lut, f, q * (1 << (f - kQuantZ)) + spike);
   }
 }
 
@@ -102,12 +103,12 @@ inline void fill_quant_table(const QuantKernelParams& qp, int step, std::int64_t
 // lanes (zero weights, padding) contribute nothing, exactly like the float
 // pack's 0.0 weights.
 inline void quant_span_add(std::int32_t* acc, const std::int16_t* codes, std::int64_t n,
-                           const std::int64_t* table, int q_lo, std::int64_t limit) {
+                           const std::int64_t* table, int q_lo) {
   for (std::int64_t i = 0; i < n; ++i) {
     const std::int16_t c = codes[i];
     if (c == kQuantZeroCode) continue;
     const std::int64_t add = table[(c >> 1) - q_lo];  // arithmetic shift: q
-    quant_add(acc[i], (c & 1) != 0 ? -add : add, limit);
+    quant_add(acc[i], (c & 1) != 0 ? -add : add);
   }
 }
 
@@ -223,7 +224,7 @@ std::int64_t integrate_conv_q(const ConvGeom& g, const std::int16_t* w, const Sp
   // analog of the float path's one level() per group.
   const auto group = [&](int step) { fill_quant_table(qp, step, table); };
   const auto tap = [&](std::int32_t* a, const std::int16_t* codes, std::int64_t n) {
-    quant_span_add(a, codes, n, table, qp.q_lo, qp.acc_limit);
+    quant_span_add(a, codes, n, table, qp.q_lo);
   };
   if (g.stride == 1) {
     return integrate_conv_walk<1>(g, w, spikes, nspikes, acc, yo0, yo1, group, tap);
@@ -240,7 +241,7 @@ std::int64_t integrate_fc_q(std::int64_t out, std::int64_t ostride, const std::i
       out, ostride, w, spikes, nspikes, acc, j0, j1,
       [&](int step) { fill_quant_table(qp, step, table); },
       [&](std::int32_t* a, const std::int16_t* codes, std::int64_t n) {
-        quant_span_add(a, codes, n, table, qp.q_lo, qp.acc_limit);
+        quant_span_add(a, codes, n, table, qp.q_lo);
       });
 }
 

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 
+#include "snn/log_weight.h"
 #include "snn/network.h"
 #include "util/check.h"
 
@@ -11,33 +13,25 @@ namespace ttfs::snn {
 namespace {
 
 // The encode step of pack.h's layout walk: one float weight -> its pack code,
-// widening the layer's code range. The stored value is float(2^(q * 2^-z))
-// (cat/logquant expansion), so log2 of it sits within a float ulp of
-// q * 2^-z and lround lands on q with huge margin. The exact round-trip check
-// below is what makes this sound — a weight that is NOT on the grid
-// (unquantized net, or quantized with a different z) fails it instead of
-// silently packing the nearest code.
+// widening the layer's code range. A weight off the z = kQuantZ grid (an
+// unquantized net, or another z) fails the build, never packs a nearest code.
 struct CodeEncoder {
   QuantLayerRegs& regs;
   bool any = false;
 
   std::int16_t operator()(float w) {
     if (w == 0.0F) return kQuantZeroCode;
-    const double s = std::exp2(-kQuantZ);
-    const double mag = std::fabs(static_cast<double>(w));
-    const long q = std::lround(std::log2(mag) / s);
-    TTFS_CHECK_MSG(static_cast<float>(std::exp2(static_cast<double>(q) * s)) == std::fabs(w),
-                   "weight " << w << " is not on the sign * 2^(q * 2^-" << kQuantZ
-                             << ") grid -- log-quantize the network first "
-                                "(cat::log_quantize_network with the same z)");
+    const std::optional<int> q = log_weight_code(w, kQuantZ);
+    TTFS_CHECK_MSG(q.has_value(), "weight " << w << " is not on the sign * 2^(q * 2^-" << kQuantZ
+                                            << ") grid -- log-quantize the network first "
+                                               "(cat::log_quantize_network with the same z)");
     // code = q*2 + signbit must stay clear of kQuantZeroCode.
-    TTFS_CHECK_MSG(q > -(1L << 14) && q < (1L << 14),
-                   "weight exponent code " << q << " out of int16 pack range");
-    const int qi = static_cast<int>(q);
-    regs.q_lo = any ? std::min(regs.q_lo, qi) : qi;
-    regs.q_hi = any ? std::max(regs.q_hi, qi) : qi;
+    TTFS_CHECK_MSG(*q > -(1 << 14) && *q < (1 << 14),
+                   "weight exponent code " << *q << " out of int16 pack range");
+    regs.q_lo = any ? std::min(regs.q_lo, *q) : *q;
+    regs.q_hi = any ? std::max(regs.q_hi, *q) : *q;
     any = true;
-    return static_cast<std::int16_t>(qi * 2 + (w < 0.0F ? 1 : 0));
+    return static_cast<std::int16_t>(*q * 2 + (w < 0.0F ? 1 : 0));
   }
 };
 
@@ -75,14 +69,9 @@ QuantizedWeightPack build_quantized_pack(const SnnNetwork& net) {
   QuantizedWeightPack pack;
   pack.p = p;
 
-  // LUT entries are bit-identical to cat::LogPe's (same lround expression),
-  // which is what makes the kernels' products match LogPe::accumulate exactly.
-  const std::int64_t entries = std::int64_t{1} << pack.frac_bits();
-  pack.lut.resize(static_cast<std::size_t>(entries));
-  for (std::int64_t i = 0; i < entries; ++i) {
-    const double value = std::exp2(static_cast<double>(i) / static_cast<double>(entries));
-    pack.lut[static_cast<std::size_t>(i)] = std::lround(value * std::exp2(kQuantLutBits));
-  }
+  // cat::LogPe's own table at the deployed width, which is what makes the
+  // kernels' products match LogPe::accumulate exactly.
+  pack.lut = log_pe_lut(pack.frac_bits(), kQuantLutBits);
 
   pack.layers.reserve(net.layers().size());
   for (const SnnLayer& layer : net.layers()) {

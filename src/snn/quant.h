@@ -25,9 +25,9 @@
 //
 // Pack codes: code = q * 2 + (sign < 0), with kQuantZeroCode marking zero
 // weights and padding lanes. The code stores the *quantizer-domain* q (units
-// of 2^-z, per cat/logquant) — the kernels scale it to LUT-domain units of
-// 2^-f at integration time — so a pack round-trips the exact codes
-// cat::log_quantize_code emitted, independent of the kernel's tau.
+// of 2^-z, the log-weight format of snn/log_weight.h) — the kernels scale it
+// to LUT-domain units of 2^-f at integration time — so a pack round-trips the
+// exact codes cat::log_quantize_code emitted, independent of the kernel's tau.
 #pragma once
 
 #include <cstdint>
@@ -47,14 +47,13 @@ struct EventTrace;   // event_sim.h
 // every representable q*2+sign code (|q| <= 2^14 - 1 is checked at build).
 inline constexpr std::int16_t kQuantZeroCode = INT16_MIN;
 
-// Fixed-point geometry of the quantized path: the processor's log-PE
-// datapath widths (Eq. 17-18, Fig. 5), fixed at compile time like the
-// hardware's. kQuantZ must match the quantizer that produced the network's
-// weights (paper a_w = 2^-1/2 -> z = 1); the kernel's p comes from the
-// network (tau = 2^p is required, Eq. 18). The accumulator LSB sits at
-// 2^-24 — the float path's own ulp around |u| = 1 — which is what lets the
-// integer simulator reproduce the float simulator's spike decisions exactly
-// on converted nets (see README for the tolerance derivation).
+// The processor's log-PE datapath widths (Eq. 17-18, Fig. 5), fixed at
+// compile time like the hardware's, and their only copy: the _q kernels read
+// them and cat::LogPeConfig defaults to them. kQuantZ must match the
+// quantizer that produced the weights (paper a_w = 2^-1/2 -> z = 1); p comes
+// from the network's tau = 2^p (Eq. 18). The accumulator LSB, 2^-24, is the
+// float path's own ulp around |u| = 1, which is what lets the integer
+// simulator reproduce the float one's spike decisions on converted nets.
 inline constexpr int kQuantZ = 1;             // weight log step 2^-z
 inline constexpr int kQuantLutBits = 24;      // fractional bits of the 2^(i/2^f) LUT entries
 inline constexpr int kQuantAccFracBits = 24;  // fractional bits of the membrane accumulator
@@ -106,10 +105,10 @@ using QuantizedLayer = QuantizedWeightPack::Layer;
 // Builds the pack from a network whose conv/fc weights are already
 // log-quantized (cat::log_quantize_network) with z = kQuantZ. Every nonzero
 // weight must be *exactly* float(2^(q * 2^-z)) for some q — the build
-// recovers q and verifies the round-trip, throwing with a pointer to the
-// quantizer otherwise — so the pack's codes are exactly the codes the
-// quantizer emitted (asserted in tests/snn_quant_test.cpp). The kernel must
-// satisfy the hardware constraints: theta0 == 1 and tau = 2^p (Eq. 18).
+// recovers q through log_weight_code, throwing with a pointer to the
+// quantizer for a weight off the grid — so the pack's codes are exactly the
+// codes the quantizer emitted (asserted in tests/snn_quant_test.cpp). The
+// kernel must satisfy the hardware constraints: theta0 == 1 and tau = 2^p.
 // Callers normally go through SnnNetwork::ensure_quantized instead.
 QuantizedWeightPack build_quantized_pack(const SnnNetwork& net);
 

@@ -362,18 +362,12 @@ std::int64_t integrate_fc(std::int64_t out, std::int64_t ostride, const float* w
 // 2^(bits-1) - 1 < 16 codes; see cat/logquant.h).
 inline constexpr int kMaxQuantCodes = 256;
 
-// Fixed-point geometry of one integration call, derived from the pack
-// (quant.h) once per layer. All power-of-two scale factors are premultiplied.
+// What one integration call takes from the pack beyond quant.h's constant
+// datapath widths (kQuantZ, kQuantLutBits, kQuantAccFracBits, kQuantAccLimit).
 struct QuantKernelParams {
-  const std::int64_t* lut = nullptr;  // 2^frac_bits entries, lut_bits f.p.
-  int frac_bits = 0;      // f = max(p, z): exponent codes are units of 2^-f
-  int lut_bits = 0;       // fractional bits of each LUT entry
-  int acc_frac_bits = 0;  // fractional bits of the int32 accumulator
-  std::int64_t acc_limit = 0;  // 1 << (acc_int_bits + acc_frac_bits); the
-                               // accumulator saturates to [-limit, limit - 1]
-  int wmul = 0;  // 1 << (f - z): scales a weight code q to units of 2^-f
-  int smul = 0;  // 1 << (f - p): scales a spike step to units of 2^-f
-  int q_lo = 0, q_hi = 0;  // this layer's weight-code range (tabling bound)
+  const std::int64_t* lut = nullptr;  // 2^f entries (f = max(p, kQuantZ)), kQuantLutBits f.p.
+  int p = 0;                          // the kernel's tau = 2^p: a spike's exponent step
+  int q_lo = 0, q_hi = 0;             // this layer's weight-code range (tabling bound)
 };
 
 // Conv counterpart of integrate_conv: `w` is the slot-major int16 code pack

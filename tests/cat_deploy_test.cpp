@@ -2,9 +2,11 @@
 
 #include <filesystem>
 #include <fstream>
+#include <vector>
 
 #include "cat/deploy.h"
 #include "cat/logquant.h"
+#include "snn/log_weight.h"
 #include "snn/network.h"
 #include "util/rng.h"
 
@@ -77,6 +79,36 @@ TEST_P(DeployBits, PayloadSizeMatchesDramAccounting) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Bitwidths, DeployBits, ::testing::Values(4, 5, 6, 8));
+
+// Every grid value +-2^(q * 2^-z), q in [-40, 40], crosses the image with
+// its own code at z in {0, 1, 2}: the writer recovers each code through the
+// log-weight codec's inverse and the reader expands it back, bit for bit.
+TEST(Deploy, GridValuesRoundTripThroughTheImage) {
+  constexpr int kGridQ = 40;
+  for (const int z : {0, 1, 2}) {
+    std::vector<float> grid;
+    for (int q = -kGridQ; q <= kGridQ; ++q) {
+      for (const int sign : {1, -1}) {
+        grid.push_back(static_cast<float>(sign * snn::log_weight_magnitude(q, z)));
+      }
+    }
+    const auto n = static_cast<std::int64_t>(grid.size());
+    snn::SnnNetwork net{snn::Base2Kernel{24, 4.0, 1.0}};
+    net.add_fc(Tensor{{1, n}, grid}, Tensor{{1}});
+    LogQuantConfig config;
+    config.bits = 8;  // 127 magnitude levels below the anchor q_max = kGridQ
+    config.z = z;
+    const std::string path = ::testing::TempDir() + "/ttfs_deploy_grid.ttfd";
+    EXPECT_EQ(write_deploy_image(net, config, path).zero_coded, 0U) << "z=" << z;
+
+    const snn::SnnNetwork loaded = read_deploy_image(path);
+    const Tensor& got = std::get<snn::SnnFc>(loaded.layers()[0]).weight;
+    ASSERT_EQ(got.numel(), n);
+    for (std::int64_t i = 0; i < n; ++i) {
+      EXPECT_EQ(got[i], grid[static_cast<std::size_t>(i)]) << "z=" << z << " weight " << i;
+    }
+  }
+}
 
 TEST(Deploy, RejectsCorruptImage) {
   const std::string path = ::testing::TempDir() + "/ttfs_deploy_bad.ttfd";

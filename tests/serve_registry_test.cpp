@@ -553,6 +553,40 @@ TEST(ServeRegistry, UnknownModelResolvesRejected) {
   EXPECT_GE(server.stats().rejected, 1U);
 }
 
+// Load/unload churn must not grow the per-model breakdown: once an id is
+// unloaded and nothing of it is queued or running, its slot goes, while the
+// global counters and a still-registered model's slot keep their history.
+TEST(ServeRegistry, UnloadChurnLeavesNoModelSlots) {
+  Rng rng{53};
+  const std::shared_ptr<snn::SnnNetwork> net = make_net_a(rng);
+  const std::shared_ptr<const snn::InferenceBackend> backend =
+      snn::make_backend(snn::BackendKind::kEventSim);
+  auto registry = std::make_shared<snn::ModelRegistry>();
+  registry->load("resident", net, backend, {3, 8, 8});
+  ServeOptions opts;
+  opts.registry = registry;
+  opts.max_batch = 1;  // one request at a time: no batch waits out max_delay
+  SnnServer server{opts};
+  const Tensor image = Tensor::uniform({3, 8, 8}, rng, 0.0F, 1.0F);
+
+  constexpr int kIds = 1000;
+  for (int i = 0; i < kIds; ++i) {
+    const std::string id = "churn-" + std::to_string(i);
+    registry->load(id, net, backend, {3, 8, 8});
+    EXPECT_EQ(server.submit(id, image).result.get().status, RequestStatus::kOk) << id;
+    EXPECT_EQ(server.submit("resident", image).result.get().status, RequestStatus::kOk);
+    ASSERT_TRUE(registry->unload(id));
+  }
+  const ServerStats stats = server.stats();
+  EXPECT_LE(stats.models.size(), registry->size()) << stats.describe();
+  ASSERT_EQ(stats.models.size(), 1U);
+  EXPECT_EQ(stats.models[0].id, "resident");
+  EXPECT_EQ(stats.models[0].submitted, static_cast<std::uint64_t>(kIds));
+  EXPECT_EQ(stats.submitted, static_cast<std::uint64_t>(2 * kIds));
+  EXPECT_EQ(stats.completed, static_cast<std::uint64_t>(2 * kIds));
+  test::expect_ledger_balances(stats);
+}
+
 TEST(ServeRegistry, ShapeMismatchNamesTheModel) {
   Rng rng{41};
   auto registry = std::make_shared<snn::ModelRegistry>();

@@ -194,7 +194,7 @@ TEST(ServeStress, RejectAdmissionUnderConcurrentOverload) {
 // between the reads and break their equality. Regression test for the
 // coherent-snapshot contract (annotated in serve/stats.h).
 TEST(ServeStress, StatsSnapshotIsCoherentUnderConcurrentWrites) {
-  StatsCollector stats{2};
+  StatsCollector stats{2, [](const std::string&) { return true; }};
   std::atomic<bool> done{false};
 
   // Writer: every iteration is one batch of exactly 3 completions, fanned

@@ -13,8 +13,12 @@
 //  * the saturating int32 accumulator clamps to [-limit, limit - 1] like the
 //    PE's Vmem register, with products of huge weights capped so the barrel
 //    shift stays defined and still lands on the rail LogPe lands on;
-//  * the pack build rejects unquantized weights and non-hardware kernels
-//    instead of silently packing nearest codes;
+//  * the log-weight codec (snn/log_weight.h) returns every grid value's own
+//    code and refuses both float neighbours of it, and the pack build
+//    rejects unquantized weights and non-hardware kernels instead of
+//    silently packing nearest codes;
+//  * the quantized simulator's logits sit inside README's fixed-point band
+//    of the exact sum over the spikes it integrated;
 //  * the quantized pack is ~2x smaller than the float event pack under the
 //    same byte accounting the model registry uses.
 #include <gtest/gtest.h>
@@ -23,6 +27,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <tuple>
@@ -33,6 +38,7 @@
 #include "cat/logquant.h"
 #include "snn/engine.h"
 #include "snn/event_sim.h"
+#include "snn/log_weight.h"
 #include "snn/network.h"
 #include "snn/quant.h"
 #include "snn/simd.h"
@@ -141,12 +147,8 @@ TEST(QuantizedWeightPack, LutIsBitIdenticalToLogPe) {
   cat::log_quantize_network(net, cat::LogQuantConfig{});
   const snn::QuantizedWeightPack pack = snn::build_quantized_pack(net);
 
-  cat::LogPeConfig pe_config;
+  cat::LogPeConfig pe_config;  // the deployed widths by default
   pe_config.p = pack.p;
-  pe_config.z = snn::kQuantZ;
-  pe_config.lut_bits = snn::kQuantLutBits;
-  pe_config.acc_frac_bits = snn::kQuantAccFracBits;
-  pe_config.acc_int_bits = snn::kQuantAccIntBits;
   const cat::LogPe pe{pe_config};
   ASSERT_EQ(pack.lut.size(), pe.lut().size());
   for (std::size_t i = 0; i < pack.lut.size(); ++i) {
@@ -155,30 +157,17 @@ TEST(QuantizedWeightPack, LutIsBitIdenticalToLogPe) {
   EXPECT_EQ(pack.frac_bits(), pe_config.frac_bits());
 }
 
-// Kernel parameters over a LogPe's own LUT, premultiplied as the pack build
-// does (quant.cpp); the code range is left to the caller.
+// Kernel parameters over a default-width LogPe's own LUT; the code range is
+// left to the caller.
 snn::kernels::QuantKernelParams kernel_params(const cat::LogPe& pe) {
-  const cat::LogPeConfig& c = pe.config();
-  snn::kernels::QuantKernelParams qp;
-  qp.lut = pe.lut().data();  // the shared table, by construction
-  qp.frac_bits = c.frac_bits();
-  qp.lut_bits = c.lut_bits;
-  qp.acc_frac_bits = c.acc_frac_bits;
-  qp.acc_limit = std::int64_t{1} << (c.acc_int_bits + c.acc_frac_bits);
-  qp.wmul = 1 << (qp.frac_bits - c.z);
-  qp.smul = 1 << (qp.frac_bits - c.p);
-  return qp;
+  return {pe.lut().data(), pe.config().p};
 }
 
 // One synaptic add through the integer FC kernel equals LogPe::accumulate
 // add-for-add, across the full (sign, q, step) grid: the conformance that
 // lets quantized traces co-simulate against hw/processor with no drift.
 TEST(QuantKernels, IntegrateFcMatchesLogPeAccumulateAddForAdd) {
-  cat::LogPeConfig pe_config;  // p = 2, z = 1
-  pe_config.lut_bits = 24;
-  pe_config.acc_frac_bits = 24;
-  pe_config.acc_int_bits = 7;
-  cat::LogPe pe{pe_config};
+  cat::LogPe pe{cat::LogPeConfig{}};  // p = 2, z = 1, the deployed widths
   snn::kernels::QuantKernelParams qp = kernel_params(pe);
 
   const std::int64_t ostride = snn::kernels::kLaneFloats;
@@ -202,7 +191,8 @@ TEST(QuantKernels, IntegrateFcMatchesLogPeAccumulateAddForAdd) {
         // accumulator must hold exactly the PE's added LSBs.
         EXPECT_EQ(static_cast<std::int64_t>(acc[0]), add)
             << "sign=" << sign << " q=" << q << " step=" << step;
-        EXPECT_EQ(std::ldexp(static_cast<double>(acc[0]), -qp.acc_frac_bits), pe.membrane())
+        EXPECT_EQ(std::ldexp(static_cast<double>(acc[0]), -snn::kQuantAccFracBits),
+                  pe.membrane())
             << "sign=" << sign << " q=" << q << " step=" << step;
         // Zero lanes stay untouched.
         for (int lane = 1; lane < 8; ++lane) EXPECT_EQ(acc[lane], 0);
@@ -212,36 +202,35 @@ TEST(QuantKernels, IntegrateFcMatchesLogPeAccumulateAddForAdd) {
 }
 
 // The kernel accumulator saturates to the two's-complement register range
-// [-limit, limit - 1], matching LogPe's post-fix clamp on both rails.
+// [-limit, limit - 1] (+-128.0 at the deployed widths), matching LogPe's
+// post-fix clamp on both rails.
 TEST(QuantKernels, AccumulatorSaturatesToRegisterRange) {
-  cat::LogPeConfig pe_config;
-  pe_config.lut_bits = 24;
-  pe_config.acc_frac_bits = 24;
-  pe_config.acc_int_bits = 2;  // limit = 2^26 LSBs = 4.0: easy to overflow
-  cat::LogPe pe{pe_config};
+  static_assert(snn::kQuantAccIntBits == 7, "the weight below is sized to a +-128.0 register");
+  cat::LogPe pe{cat::LogPeConfig{}};
   snn::kernels::QuantKernelParams qp = kernel_params(pe);
-  qp.q_lo = 4;  // q = 4, z = 1 -> weight 2^2 = 4.0
-  qp.q_hi = 4;
+  const int q = 13;  // z = 1 -> weight 2^6.5 ~ 90.5
+  qp.q_lo = q;
+  qp.q_hi = q;
 
   for (const int sign : {1, -1}) {
     std::int16_t codes[8];
     std::fill(codes, codes + 8, snn::kQuantZeroCode);
-    codes[0] = static_cast<std::int16_t>(4 * 2 + (sign < 0 ? 1 : 0));
-    // Two spikes at step 0: each adds sign * 4.0, so the second add pushes
-    // past the +-4.0 register and must clamp, exactly like the PE.
+    codes[0] = static_cast<std::int16_t>(q * 2 + (sign < 0 ? 1 : 0));
+    // Two spikes at step 0: each adds sign * 90.5, so the second add pushes
+    // past the +-128.0 register and must clamp, exactly like the PE.
     const snn::Spike spikes[2] = {{0, 0}, {0, 0}};
     std::int32_t acc[8] = {0};
     (void)snn::kernels::integrate_fc_q(1, 8, codes, spikes, 2, qp, acc, 0, 8);
 
     pe.reset();
-    pe.accumulate(sign, 4, 0);
-    pe.accumulate(sign, 4, 0);
-    EXPECT_EQ(std::ldexp(static_cast<double>(acc[0]), -qp.acc_frac_bits), pe.membrane())
+    pe.accumulate(sign, q, 0);
+    pe.accumulate(sign, q, 0);
+    EXPECT_EQ(std::ldexp(static_cast<double>(acc[0]), -snn::kQuantAccFracBits), pe.membrane())
         << "sign=" << sign;
     if (sign > 0) {
-      EXPECT_EQ(static_cast<std::int64_t>(acc[0]), qp.acc_limit - 1);
+      EXPECT_EQ(static_cast<std::int64_t>(acc[0]), snn::kQuantAccLimit - 1);
     } else {
-      EXPECT_EQ(static_cast<std::int64_t>(acc[0]), -qp.acc_limit);
+      EXPECT_EQ(static_cast<std::int64_t>(acc[0]), -snn::kQuantAccLimit);
     }
   }
 }
@@ -253,11 +242,7 @@ TEST(QuantKernels, AccumulatorSaturatesToRegisterRange) {
 // kernels and the whole simulator +-2^40 weights put every logit on the rail
 // (limit - 1 or -limit LSBs) and agree with a LogPe replay of the same adds.
 TEST(QuantKernels, HugeWeightsSaturateToTheRailsLikeLogPe) {
-  cat::LogPeConfig pe_config;  // p = 2 (tau = 4), z = 1
-  pe_config.lut_bits = snn::kQuantLutBits;
-  pe_config.acc_frac_bits = snn::kQuantAccFracBits;
-  pe_config.acc_int_bits = snn::kQuantAccIntBits;
-  cat::LogPe pe{pe_config};
+  cat::LogPe pe{cat::LogPeConfig{}};  // p = 2 (tau = 4), z = 1, the deployed widths
   const std::int64_t limit = snn::kQuantAccLimit;  // 2^31 LSBs
   const auto rail = [&](int sign) {
     return std::ldexp(static_cast<double>(sign > 0 ? limit - 1 : -limit), -snn::kQuantAccFracBits);
@@ -332,7 +317,6 @@ TEST(QuantKernels, HugeWeightsSaturateToTheRailsLikeLogPe) {
 // headroom instead of summed, they land on the rails.
 TEST(QuantKernels, LogPeHugeProductsSaturateA62BitRegister) {
   cat::LogPeConfig config;
-  config.lut_bits = 24;
   config.acc_frac_bits = 31;
   config.acc_int_bits = 31;  // limit = 2^62
   cat::LogPe pe{config};
@@ -354,9 +338,10 @@ TEST(QuantKernels, LogPeHugeProductsSaturateA62BitRegister) {
 // the non-square kernels (kh, kw) in {(3,5), (1,3), (5,1)}: the pack mirrors
 // kx only, so a kh/kw mix-up shows there. Each output lane replays, in spike
 // order, exactly the taps the per-tap definition assigns it
-// (ky = yi + pad - yo*stride in range) through one LogPe; the narrow
-// register saturates, so a reordered or doubled tap shows. Run on 64-byte
-// blocks (one output row per block) and as a two-way row split.
+// (ky = yi + pad - yo*stride in range) through one LogPe; the weights are
+// large enough that dense outputs saturate the +-128.0 register, so a
+// reordered or doubled tap shows. Run on 64-byte blocks (one output row per
+// block) and as a two-way row split.
 void expect_conv_q_matches_log_pe(int stride, int pad, int kh, int kw, std::uint64_t seed) {
   snn::kernels::ConvGeom g;
   g.cin = 3;
@@ -371,14 +356,12 @@ void expect_conv_q_matches_log_pe(int stride, int pad, int kh, int kw, std::uint
   g.oh = (g.hin + 2 * pad - kh) / stride + 1;
   g.ow = (g.win + 2 * pad - kw) / stride + 1;
 
-  cat::LogPeConfig pe_config;  // p = 2, z = 1
-  pe_config.lut_bits = 24;
-  pe_config.acc_frac_bits = 24;
-  pe_config.acc_int_bits = 2;  // saturates at +-4.0: dense trains clip
-  cat::LogPe pe{pe_config};
+  cat::LogPe pe{cat::LogPeConfig{}};  // p = 2, z = 1, the deployed widths
   snn::kernels::QuantKernelParams qp = kernel_params(pe);
-  qp.q_lo = -3;
-  qp.q_hi = 2;
+  // Weights 2^3.5 .. 2^6 against the +-128.0 register: dense trains clip.
+  static_assert(snn::kQuantAccIntBits == 7, "the code range is sized to a +-128.0 register");
+  qp.q_lo = 7;
+  qp.q_hi = 12;
 
   Rng rng{seed};
   std::vector<std::int16_t> w(static_cast<std::size_t>(g.cin * g.kh * g.kw * g.cstride),
@@ -444,9 +427,9 @@ void expect_conv_q_matches_log_pe(int stride, int pad, int kh, int kw, std::uint
             pe.accumulate((code & 1) != 0 ? -1 : 1, code >> 1, sp.step);
           }
           const std::int32_t got = acc[static_cast<std::size_t>(row + co)];
-          ASSERT_EQ(std::ldexp(static_cast<double>(got), -qp.acc_frac_bits), pe.membrane())
+          ASSERT_EQ(std::ldexp(static_cast<double>(got), -snn::kQuantAccFracBits), pe.membrane())
               << "split=" << split << " yo=" << yo << " xo=" << xo << " co=" << co;
-          if (got == qp.acc_limit - 1 || got == -qp.acc_limit) ++saturated;
+          if (got == snn::kQuantAccLimit - 1 || got == -snn::kQuantAccLimit) ++saturated;
         }
       }
     }
@@ -491,6 +474,74 @@ INSTANTIATE_TEST_SUITE_P(StridePadKhKw, ConvQTapWalkNonSquare,
                                             ::testing::Values(std::pair{3, 5}, std::pair{1, 3},
                                                               std::pair{5, 1})));
 
+// The codec's grid sweep: +-2^(q * 2^-z) for q in [-kGridQ, kGridQ].
+constexpr int kGridQ = 40;
+
+float grid_value(int q, int z, int sign) {
+  return static_cast<float>(sign * snn::log_weight_magnitude(q, z));
+}
+
+// The one inverse on the grid of every z the deploy image is tested at:
+// each grid value comes back with its own code, and both of its one-ulp
+// float neighbours (and zero, infinities and NaN) are refused.
+TEST(LogWeightCodec, GridValuesRoundTripAndTheirNeighboursAreRefused) {
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  for (const int z : {0, 1, 2}) {
+    for (int q = -kGridQ; q <= kGridQ; ++q) {
+      for (const int sign : {1, -1}) {
+        const float v = grid_value(q, z, sign);
+        EXPECT_EQ(snn::log_weight_code(v, z), std::optional<int>{q}) << "z=" << z << " v=" << v;
+        for (const float toward : {-kInf, kInf}) {
+          EXPECT_EQ(snn::log_weight_code(std::nextafter(v, toward), z), std::nullopt)
+              << "z=" << z << " neighbour of " << v;
+        }
+      }
+    }
+    for (const float bad : {0.0F, -0.0F, kInf, -kInf, std::numeric_limits<float>::quiet_NaN()}) {
+      EXPECT_EQ(snn::log_weight_code(bad, z), std::nullopt) << "z=" << z << " w=" << bad;
+    }
+  }
+}
+
+// The pack build goes through the same inverse: one fc row holding every
+// grid value of the pack's z packs each to its own code, and a net holding
+// either float neighbour of any of them fails the build.
+TEST(QuantizedWeightPack, PacksEveryGridCodeAndRefusesItsNeighbours) {
+  std::vector<float> grid;
+  std::vector<std::int16_t> want;
+  for (int q = -kGridQ; q <= kGridQ; ++q) {
+    for (const int sign : {1, -1}) {
+      grid.push_back(grid_value(q, snn::kQuantZ, sign));
+      want.push_back(static_cast<std::int16_t>(q * 2 + (sign < 0 ? 1 : 0)));
+    }
+  }
+  const auto n = static_cast<std::int64_t>(grid.size());
+  const auto one_row_net = [](Tensor w) {
+    snn::SnnNetwork net{snn::Base2Kernel{24, 4.0, 1.0}};
+    net.add_fc(std::move(w), Tensor{});
+    return net;
+  };
+
+  const snn::QuantizedWeightPack pack =
+      snn::build_quantized_pack(one_row_net(Tensor{{1, n}, grid}));
+  const auto& qf = std::get<snn::QuantizedFc>(pack.layers[0]);
+  for (std::int64_t i = 0; i < n; ++i) {
+    EXPECT_EQ(qf.w.data()[i * qf.ostride], want[static_cast<std::size_t>(i)])
+        << "weight " << grid[static_cast<std::size_t>(i)];
+  }
+  EXPECT_EQ(qf.q_lo, -kGridQ);
+  EXPECT_EQ(qf.q_hi, kGridQ);
+
+  for (const float v : grid) {
+    for (const float toward : {-std::numeric_limits<float>::infinity(),
+                               std::numeric_limits<float>::infinity()}) {
+      const Tensor w{{1, 1}, std::vector<float>{std::nextafter(v, toward)}};
+      EXPECT_THROW((void)snn::build_quantized_pack(one_row_net(w)), std::invalid_argument)
+          << "neighbour of " << v;
+    }
+  }
+}
+
 // Unquantized weights must be rejected with a pointer at the quantizer, not
 // silently snapped to the nearest code.
 TEST(QuantizedWeightPack, RejectsUnquantizedNetwork) {
@@ -530,6 +581,42 @@ TEST(QuantizedWeightPack, PackBytesAreAtMost60PercentOfFloatPack) {
   ASSERT_GT(quant_bytes, 0U);
   EXPECT_LE(static_cast<double>(quant_bytes), 0.6 * static_cast<double>(float_bytes))
       << "quantized " << quant_bytes << " bytes vs float " << float_bytes;
+}
+
+// README's fixed-point band on one logit,
+//   (n + 1) * (2^-kQuantLutBits * max|w * theta| + 2^-kQuantAccFracBits),
+// for make_net's logit layer: n = 8 * 4 * 4 fc inputs, and |w * theta| <=
+// 2^-3, since theta0 = 1 bounds every level and the 5-bit quantizer anchors
+// weights drawn from [-0.1, 0.12] at 2^(-6 * 2^-1).
+constexpr double kQuantLogitBand =
+    (8 * 4 * 4 + 1) * (0.125 / static_cast<double>(std::int64_t{1} << snn::kQuantLutBits) +
+                       1.0 / static_cast<double>(std::int64_t{1} << snn::kQuantAccFracBits));
+
+// The band bounds the fixed-point rounding alone: against the exact sum, in
+// double, of the fc bias and the products of the very spikes the quantized
+// run integrated, every logit sits inside it.
+TEST(QuantizedSim, LogitsStayWithinTheFixedPointBandOfTheExactSum) {
+  Rng rng{2026};
+  snn::SnnNetwork net = make_net(rng);
+  cat::log_quantize_network(net, cat::LogQuantConfig{});
+  net.ensure_quantized();
+  const auto& fc = std::get<snn::SnnFc>(net.layers().back());
+  snn::SimArena arena;
+  snn::EventTrace trace;
+  for (int image = 0; image < 8; ++image) {
+    const Tensor x = Tensor::uniform({3, 8, 8}, rng, 0.0F, 1.0F);
+    snn::detail::run_quantized_event_sim_span(net, x.data(), 3, 8, 8, arena, trace);
+    const std::vector<snn::Spike>& inputs = trace.layers.back().spikes;
+    ASSERT_FALSE(inputs.empty()) << "image " << image;
+    for (std::int64_t j = 0; j < fc.weight.dim(0); ++j) {
+      double exact = fc.bias[j];
+      for (const snn::Spike& s : inputs) {
+        exact += static_cast<double>(fc.weight[j * fc.weight.dim(1) + s.neuron]) *
+                 std::exp2(-s.step / 4.0);  // tau = 4, theta0 = 1
+      }
+      EXPECT_NEAR(trace.logits[j], exact, kQuantLogitBand) << "image " << image << " logit " << j;
+    }
+  }
 }
 
 // Every code lane, bias register and LUT entry of a pack, flattened, so two

@@ -23,7 +23,15 @@ invariants CI-enforced:
         the vector tiers only in x86-64 TTFS_SIMD builds;
      b. AVX-512 flags appear on the AVX-512 tier's TU and nowhere else;
      c. the portable TUs (the portable tier and the dispatcher, kernels.cpp)
-        carry no ISA flag at all (-m<isa>, -march=).
+        carry no ISA flag at all (-m<isa>, -march=);
+  4. with --check-objects, in the built objects of the vector tiers: no weak
+     (COMDAT) function defined there contains a VEX/EVEX instruction. An
+     inline function the tier TUs share with the portable ones (std::min, a
+     simd.h helper) is emitted as a weak copy in every object that does not
+     inline it -- at -O0, every caller -- and the linker keeps ONE copy for
+     all callers, so a vector copy could run in the portable tier. Reads the
+     object paths from the compilation database; needs binutils' nm and
+     objdump.
 
 "Hot function" is decided by name (see HOT_NAME_RE): the integrate_*/fire_*
 kernels, the axpy family and the tap_* span updates (the conv walk's per-row
@@ -51,7 +59,7 @@ does. Comments and string literals are stripped before scanning; function
 bodies are found by brace matching from `hotname(...) ... {`.
 
 Usage:
-    tools/lint_hotpath.py [--compile-db build/compile_commands.json]
+    tools/lint_hotpath.py [--compile-db build/compile_commands.json] [--check-objects]
     tools/lint_hotpath.py --self-test
 
 Exit codes: 0 clean, 1 violations found, 2 setup/usage error.
@@ -61,6 +69,7 @@ import argparse
 import json
 import os
 import re
+import subprocess
 import sys
 import tempfile
 
@@ -397,6 +406,93 @@ def check_compile_db(db_path, tier_tus=None):
     return violations
 
 
+# `objdump -d` lines: a function label, and one instruction (with
+# --no-show-raw-insn the address is followed by the instruction alone).
+OBJDUMP_LABEL_RE = re.compile(r"^[0-9a-f]+ <(.+)>:$")
+OBJDUMP_INSN_RE = re.compile(r"^\s*[0-9a-f]+:\s+(\S.*)$")
+# A VEX/EVEX-encoded instruction: every one has a v-prefixed mnemonic
+# (legacy prefixes cannot precede a VEX one, so the mnemonic comes first),
+# and the AVX-512 mask instructions start with k. A YMM/ZMM or mask register
+# operand marks one too. Plain SSE on XMM is the x86-64 baseline.
+VEX_MNEMONIC_RE = re.compile(r"^(?:v|k(?:mov|and|or|xor|xnor|not|shift|test|ortest|add|unpck))")
+VEX_OPERAND_RE = re.compile(r"%(?:[yz]mm\d+|k[0-7]\b)")
+
+
+def weak_vex_findings(nm_text, objdump_text):
+    """(symbol, first VEX/EVEX instruction) for each weak function holding
+    one: `nm_text` is `nm --defined-only -P` output, `objdump_text`
+    `objdump -d --no-show-raw-insn` output of the same object."""
+    weak = set()
+    for line in nm_text.splitlines():
+        fields = line.split()
+        if len(fields) >= 2 and fields[1] == "W":
+            weak.add(fields[0])
+    findings = []
+    current = None
+    for line in objdump_text.splitlines():
+        label = OBJDUMP_LABEL_RE.match(line)
+        if label:
+            current = label.group(1) if label.group(1) in weak else None
+            continue
+        insn = OBJDUMP_INSN_RE.match(line)
+        if current is None or not insn:
+            continue
+        text = insn.group(1).strip()
+        if VEX_MNEMONIC_RE.match(text) or VEX_OPERAND_RE.search(text):
+            findings.append((current, text))
+            current = None
+    return findings
+
+
+def object_path(entry):
+    """The object file a compilation-database entry writes, or None."""
+    directory = entry.get("directory", "")
+    if "output" in entry:
+        return os.path.join(directory, entry["output"])
+    args = entry_args(entry)
+    for i, arg in enumerate(args[:-1]):
+        if arg == "-o":
+            return os.path.join(directory, args[i + 1])
+    return None
+
+
+def check_objects(db_path):
+    """Disassembles the vector tiers' objects and flags every weak function
+    in them that holds a VEX/EVEX instruction (docstring item 4)."""
+    try:
+        with open(db_path, "r", encoding="utf-8") as fh:
+            entries = json.load(fh)
+    except (OSError, ValueError) as err:
+        return [Violation(db_path, 0, "setup", f"cannot read compilation database: {err}")]
+    violations = []
+    for entry in entries:
+        file_path = entry.get("file", "").replace("\\", "/")
+        tu = next((rel for rel, tier in KERNEL_TIER_TUS.items()
+                   if tier != "portable" and file_path.endswith(rel)), None)
+        if tu is None:
+            continue
+        obj = object_path(entry)
+        if obj is None or not os.path.exists(obj):
+            violations.append(Violation(tu, 0, "setup",
+                                        f"object {obj} not built; build before --check-objects"))
+            continue
+        try:
+            nm_text = subprocess.run(["nm", "--defined-only", "-P", obj], check=True,
+                                     capture_output=True, text=True).stdout
+            objdump_text = subprocess.run(["objdump", "-d", "--no-show-raw-insn", obj],
+                                          check=True, capture_output=True, text=True).stdout
+        except (OSError, subprocess.CalledProcessError) as err:
+            violations.append(Violation(tu, 0, "setup", f"nm/objdump failed on {obj}: {err}"))
+            continue
+        for symbol, insn in weak_vex_findings(nm_text, objdump_text):
+            violations.append(Violation(
+                tu, 0, "isa",
+                f"weak symbol {symbol} holds '{insn}': the linker may keep this "
+                "vector copy for the portable tier's callers too (give the helper "
+                "internal linkage, or keep float math out of shared inline helpers)"))
+    return violations
+
+
 def run_lint(repo_root, compile_db, check_db=True):
     violations = []
     for rel in KERNEL_TUS:
@@ -581,6 +677,53 @@ def self_test():
                                hook, hook + "\n    std::vector<float> v; v.push_back(acc);")),
                ["alloc"])
 
+    # Object check: weak functions with VEX code are flagged, strong ones
+    # (the tier's own kernels) and SSE-only weak ones are not.
+    nm_fixture = ("_ZSt3minIlERKT_S2_S2_ W 0000000000000000 0000000000000021\n"
+                  "_ZN4ttfs3snn7kernels11tap_fixtureEPfPKf T 0000000000000000 0000000000000010\n"
+                  "_ZN4ttfs3snn7kernels6scaledEf W 0000000000000000 0000000000000018\n"
+                  "_ZN4ttfs3snn7kernels5tableE V 0000000000000000 0000000000000004\n")
+    objdump_fixture = """
+Disassembly of section .text._ZSt3minIlERKT_S2_S2_:
+
+0000000000000000 <_ZSt3minIlERKT_S2_S2_>:
+   0:\tpush   %rbp
+   1:\tmov    %rsp,%rbp
+   4:\tret
+
+Disassembly of section .text:
+
+0000000000000000 <_ZN4ttfs3snn7kernels11tap_fixtureEPfPKf>:
+   0:\tvmovups (%rsi),%ymm0
+   4:\tvaddps (%rdi),%ymm0,%ymm0
+   8:\tvzeroupper
+   b:\tret
+
+Disassembly of section .text._ZN4ttfs3snn7kernels6scaledEf:
+
+0000000000000000 <_ZN4ttfs3snn7kernels6scaledEf>:
+   0:\tpush   %rbp
+   1:\tmovss  %xmm0,-0x4(%rbp)
+   6:\tcvtss2sd -0x4(%rbp),%xmm0
+   b:\tret
+"""
+    got = weak_vex_findings(nm_fixture, objdump_fixture)
+    if got:
+        failures.append(f"clean object fixture: want no findings, got {got}")
+    injected = objdump_fixture.replace("movss  %xmm0,-0x4(%rbp)", "vmovss %xmm0,-0x4(%rbp)")
+    got = weak_vex_findings(nm_fixture, injected)
+    if [sym for sym, _ in got] != ["_ZN4ttfs3snn7kernels6scaledEf"]:
+        failures.append(f"VEX copy of a weak helper: want one finding, got {got}")
+    injected = objdump_fixture.replace("mov    %rsp,%rbp", "kmovw  %k1,%eax")
+    if [sym for sym, _ in weak_vex_findings(nm_fixture, injected)] != ["_ZSt3minIlERKT_S2_S2_"]:
+        failures.append("AVX-512 mask instruction in a weak function not flagged")
+    for entry, want in [
+            ({"directory": "/b", "output": "o/k.o"}, "/b/o/k.o"),
+            ({"directory": "/b", "command": "g++ -c x.cpp -o CMakeFiles/k.o"}, "/b/CMakeFiles/k.o"),
+            ({"directory": "/b", "command": "g++ -c x.cpp"}, None)]:
+        if object_path(entry) != want:
+            failures.append(f"object path of {entry}: want {want}, got {object_path(entry)}")
+
     # Compile-db checks. A db in which every kernel TU has `flags` plus its
     # tier's ISA flags; `extra` maps a TU to flags appended to its entry.
     tier_flags = {"portable": "", "avx2": "-mavx2 -mfma", "avx512": "-mavx512f"}
@@ -656,6 +799,9 @@ def main():
                              "(default: <repo>/compile_commands.json symlink)")
     parser.add_argument("--skip-compile-db", action="store_true",
                         help="lint sources only (no configured build tree)")
+    parser.add_argument("--check-objects", action="store_true",
+                        help="also disassemble the built vector-tier objects and "
+                             "reject weak functions holding VEX code (build first)")
     parser.add_argument("--self-test", action="store_true",
                         help="run the linter's own violation-injection tests")
     args = parser.parse_args()
@@ -665,6 +811,8 @@ def main():
 
     violations = run_lint(REPO_ROOT, args.compile_db,
                           check_db=not args.skip_compile_db)
+    if args.check_objects:
+        violations.extend(check_objects(args.compile_db))
     real = [v for v in violations if v.category != "setup"]
     setup = [v for v in violations if v.category == "setup"]
     for v in setup:
@@ -677,7 +825,8 @@ def main():
         print(f"lint_hotpath: {len(real)} violation(s)", file=sys.stderr)
         return 1
     print(f"lint_hotpath: OK ({len(KERNEL_TUS)} TUs"
-          f"{'' if args.skip_compile_db else ' + compile db'})")
+          f"{'' if args.skip_compile_db else ' + compile db'}"
+          f"{' + objects' if args.check_objects else ''})")
     return 0
 
 
